@@ -186,6 +186,10 @@ class LevelContext:
         else:
             pairs = []
             for s in range(min(l, x_table.defined_through + 1)):
+                # every gap of block s lies inside [2^s, 2^(s+1)): a block
+                # without enumerated elements has no hits
+                if not _interval_hit(enum_sorted, 1 << s, 1 << (s + 1)):
+                    continue
                 for rx in x_table.rules_at_block(s):
                     for ry in y_table.rules_at_block(s):
                         lo = max(rx.gap_lo, ry.gap_lo)
@@ -433,6 +437,7 @@ class Trace:
     defined_through: int
     strategy_count: int
     config_echo: Optional[dict] = None
+    _final: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def x_table(self) -> GapRuleTable:
         t = GapRuleTable(SIDE_X)
@@ -459,7 +464,11 @@ class Trace:
         return sorted(out)
 
     def enumerated_final(self, e) -> list:
-        return self.enumerated_through(e, self.stages - 1)
+        """Sorted final enumeration of strategy e, computed once per
+        strategy; callers must not mutate it."""
+        if e not in self._final:
+            self._final[e] = self.enumerated_through(e, self.stages - 1)
+        return self._final[e]
 
     def level_context(self, e, l) -> LevelContext:
         return LevelContext(
@@ -522,7 +531,7 @@ def _level_hash(e, l, rules, enum_below) -> str:
         "e": e,
         "l": l,
         "rules": sorted((r.e, r.stage, r.node, r.side) for r in rules if r.stage <= l),
-        "enum": sorted(enum_below),
+        "enum": enum_below,  # already sorted
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -568,12 +577,13 @@ class _Engine:
         for st in self.states:
             new = sorted(set(st.source.new_elements(st.e, s, view)) - st.enumerated)
             batches[st.e] = tuple(new)
+            if not new:
+                continue
             for rule in self.x_table.rules:
-                if rule.e != st.e:
-                    continue
-                for n in new:
-                    if rule.gap_lo <= n < rule.gap_hi:
-                        trap_events.append((st.e, rule.stage, n))
+                if rule.e == st.e:
+                    lo = bisect_left(new, rule.gap_lo)
+                    hi = bisect_left(new, rule.gap_hi, lo)
+                    trap_events.extend((st.e, rule.stage, n) for n in new[lo:hi])
         issued = []
         info = {}
         for st in self.states:
@@ -586,7 +596,9 @@ class _Engine:
         for st in self.states:
             if batches[st.e]:
                 st.enumerated.update(batches[st.e])
-                st.enum_sorted = sorted(st.enumerated)
+                # two sorted runs: the sort is a single linear merge
+                st.enum_sorted += batches[st.e]
+                st.enum_sorted.sort()
         return StageRecord(
             stage=s,
             batches=batches,
@@ -611,7 +623,7 @@ class _Engine:
         out["level_hash"] = _level_hash(
             st.e, l,
             self.x_table.rules + (self.y_table.rules if self.y_table else []),
-            [n for n in st.enum_sorted if n < (1 << l)],
+            st.enum_sorted[: bisect_left(st.enum_sorted, 1 << l)],
         )
 
         def find(order):
@@ -852,7 +864,12 @@ def audit_spoiling(trace: Trace, brute_max: int = 12) -> list:
 def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     """Markers after the last mind change prefix the final approximation,
     and along any probe prefix the gap count obeys
-    changes + max-stage lcp."""
+    changes + max-stage lcp.
+
+    Only x-side gaps are counted (pair mode: the probe's x string), so the
+    lcp is taken on the x side too: an x-rule's node is the x string of a
+    marker on the stage's approximation, and the y side never changes the
+    x functional's gaps."""
     bad = []
     approxes = trace._approx_list(e)
     if not approxes:
@@ -868,10 +885,11 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     for stage, marker in [(m.stage, m.node) for m in trace.markers[e]]:
         if stage >= last_change_stage and not _extends(final, marker):
             bad.append("late marker %r not on the final path (strategy %d)" % (marker, e))
+    x_of = (lambda node: node) if trace.mode == SINGLE else (lambda node: node[0])
     for probe in prefixes:
-        x_probe = probe if trace.mode == SINGLE else probe[0]
+        x_probe = x_of(probe)
         gaps = sum(1 for r in trace.rules_for(e, SIDE_X) if _extends(x_probe, r.node))
-        max_lcp = max((_lcp_len(probe, node) for _, node in approxes), default=0)
+        max_lcp = max((_lcp_len(x_probe, x_of(node)) for _, node in approxes), default=0)
         if gaps > changes + max_lcp:
             bad.append(
                 "gap count %d exceeds changes %d + lcp %d along %r (strategy %d)"
@@ -880,9 +898,7 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     return bad
 
 
-def _lcp_len(a, b) -> int:
-    if isinstance(a, tuple):
-        return min(_lcp_len(a[0], b[0]), _lcp_len(a[1], b[1]))
+def _lcp_len(a: str, b: str) -> int:
     n = 0
     for ca, cb in zip(a, b):
         if ca != cb:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import adversaries, diagonal, enumops
@@ -24,7 +25,9 @@ from .codings import (
     encode_interval,
     two_adic_valuation,
 )
-from .density import gap_census, prefix_density
+# prefix_density is not called here any more; it stays importable from this
+# module because the perfbench tracer binds harness.prefix_density
+from .density import gap_census, prefix_density  # noqa: F401
 from .errors import ConfigError
 from .reals import (
     Enumerator,
@@ -180,6 +183,13 @@ def _int(doc, key, default=None, lo=None, hi=None):
     return v
 
 
+def _bool(doc, key, default):
+    v = doc.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError("field %r must be true or false" % key)
+    return v
+
+
 def _str(doc, key, default=None):
     if key not in doc:
         if default is None:
@@ -208,7 +218,7 @@ def validate_config(doc) -> dict:
         _allow(doc, common | {"stages", "strategies", "node_budget", "csv_profiles"})
         eff["stages"] = _int(doc, "stages", lo=1, hi=64)
         eff["node_budget"] = _int(doc, "node_budget", default=1 << 18, lo=1)
-        eff["csv_profiles"] = bool(doc.get("csv_profiles", False))
+        eff["csv_profiles"] = _bool(doc, "csv_profiles", False)
         if "seed" in doc:
             eff["seed"] = _int(doc, "seed")
         strategies = doc.get("strategies")
@@ -318,11 +328,11 @@ def _run_diagonal(cfg):
     densities = []
     tallies = []
     for e in range(trace.strategy_count):
-        elems = set(trace.enumerated_final(e))
+        elems = trace.enumerated_final(e)
         row = []
         for i in range(trace.defined_through + 1):
             n = 1 << (i + 1)
-            row.append({"n": n, "density": rational(prefix_density(lambda k: k in elems, n))})
+            row.append({"n": n, "density": rational(Fraction(bisect_left(elems, n), n))})
         densities.append({"strategy": e, "block_end_densities": row})
         tally = {"pending": 0, "sprung": 0, "inactive": 0}
         for s in range(trace.stages):
@@ -347,16 +357,13 @@ def _run_diagonal(cfg):
     return diagonal.trace_to_jsonable(trace), report
 
 
-def _write_csv_profiles(trace_doc, out_dir):
-    trace = diagonal.trace_from_jsonable(trace_doc)
-    for e in range(trace.strategy_count):
-        elems = set(trace.enumerated_final(e))
+def _write_csv_profiles(report, out_dir):
+    """One CSV per strategy of the report's block-end densities."""
+    for entry in report["densities"]:
         lines = ["n,num,den"]
-        for i in range(trace.defined_through + 1):
-            n = 1 << (i + 1)
-            fr = prefix_density(lambda k: k in elems, n)
-            lines.append("%d,%d,%d" % (n, fr.numerator, fr.denominator))
-        path = os.path.join(out_dir, "wdensity_strategy%d.csv" % e)
+        for row in entry["block_end_densities"]:
+            lines.append("%d,%d,%d" % (row["n"], row["density"]["num"], row["density"]["den"]))
+        path = os.path.join(out_dir, "wdensity_strategy%d.csv" % entry["strategy"])
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -602,7 +609,7 @@ def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=Tru
         with open(os.path.join(target, "report.json"), "w") as fh:
             fh.write(canonical_json(report))
         if cfg.get("csv_profiles") and scenario in ("single-diagonal", "pair-diagonal"):
-            _write_csv_profiles(trace_doc, target)
+            _write_csv_profiles(report, target)
     return report, trace_doc
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gencomp.adversaries import CautiousCopier, PrefixFlooder, Silent, TrapSpringer
@@ -285,6 +287,40 @@ def test_single_victim_audit():
     assert audit_single_victim(trace, 0, default_probe_prefixes(trace, 0)) == []
     probes = ["1" * 7, "0" * 7, "0101010"]
     assert audit_single_victim(trace, 0, probes) == []
+
+
+def _pair_mind_change_run():
+    # leftmost along (0..., 0...) through stage 8, then a scripted guess
+    # whose x side leaves the old path at the root
+    sel = ScriptedSelector([(9, ("1111", "0010"))])
+    return run_pair(20, [StrategySpec(Silent(), LeftmostSelector()), StrategySpec(Silent(), sel)])
+
+
+def test_single_victim_pair_bound_uses_x_lcp():
+    # the x-rules along the all-zeros x probe are the seven stage-2..8
+    # markers; the lcp of both sides (2, from the y side) would bound them
+    # by 2 + 2, the x-side lcp (8) bounds them by 2 + 8
+    trace = _pair_mind_change_run()
+    probe = default_probe_prefixes(trace, 1)[1]
+    assert probe[0] == "0" * 19 and trace.path_changes(1) == 2
+    assert sum(1 for r in trace.rules_for(1) if probe[0].startswith(r.node)) == 7
+    assert audit_single_victim(trace, 1, default_probe_prefixes(trace, 1)) == []
+    assert audit_trace(trace) == []
+
+
+def test_single_victim_pair_reports_extra_x_rules():
+    # rules injected along the deviation probe: up to changes + x-lcp = 10
+    # pass, one more is reported
+    trace = _pair_mind_change_run()
+    probes = default_probe_prefixes(trace, 1)
+
+    def with_extra(count):
+        extra = tuple(GapRule(1, 20 + k, "0" * (7 + k)) for k in range(count))
+        return dataclasses.replace(trace, x_rules=trace.x_rules + extra)
+
+    assert audit_single_victim(with_extra(3), 1, probes) == []
+    bad = audit_single_victim(with_extra(4), 1, probes)
+    assert len(bad) == 1 and "gap count 11 exceeds changes 2 + lcp 8" in bad[0]
 
 
 def test_marker_on_path_audit_detects_tampering():

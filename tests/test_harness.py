@@ -47,6 +47,10 @@ def test_validate_config_defaults_and_strictness():
         validate_config(single_config(stages="five"))
     with pytest.raises(ConfigError):
         validate_config({"version": 1, "scenario": "coding-roundtrip"})  # seed required
+    assert validate_config(single_config(csv_profiles=True))["csv_profiles"] is True
+    for not_a_bool in ("false", "true", 0, 1, None, []):
+        with pytest.raises(ConfigError):
+            validate_config(single_config(csv_profiles=not_a_bool))
 
 
 def test_loaders():
@@ -149,6 +153,30 @@ def test_run_experiment_writes_artifacts(tmp_path):
     on_disk = json.loads((out / "trace.json").read_text())
     assert on_disk == trace_doc
     assert "out_dir" not in trace_doc["config"]
+
+
+def test_csv_profiles_are_the_report_densities(tmp_path):
+    cfg = {
+        "version": 1,
+        "scenario": "pair-diagonal",
+        "stages": 9,
+        "csv_profiles": True,
+        "strategies": [
+            {"enumerator": {"kind": "cautious-copier"}, "selector": {"kind": "rightmost"}},
+            {"enumerator": {"kind": "prefix-flooder"}, "selector": {"kind": "leftmost"}},
+            {"enumerator": {"kind": "silent"}, "selector": {"kind": "leftmost"}},
+        ],
+    }
+    report, _ = run_experiment(cfg, out_dir=str(tmp_path))
+    assert len(report["densities"]) == 3
+    for entry in report["densities"]:
+        csv = (tmp_path / ("wdensity_strategy%d.csv" % entry["strategy"])).read_text()
+        expected = ["n,num,den"] + [
+            "%d,%d,%d" % (row["n"], row["density"]["num"], row["density"]["den"])
+            for row in entry["block_end_densities"]
+        ]
+        assert csv == "\n".join(expected) + "\n"
+        assert len(expected) == 1 + 9
 
 
 def test_replay_determinism_all_scenarios():
@@ -264,6 +292,27 @@ def test_cli_run_and_exit_codes(tmp_path):
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps(single_config(node_budget=1)))
     assert cli.main(["run", str(tiny)]) == 3
+
+
+def test_cli_pair_mind_change_passes(tmp_path):
+    # a valid pair run whose scripted selector changes its mind once: the
+    # single-victim audit must bound x-side gaps by the x-side lcp, not by
+    # the lcp of both sides
+    cfg = {
+        "version": 1,
+        "scenario": "pair-diagonal",
+        "stages": 20,
+        "strategies": [
+            {"enumerator": {"kind": "silent"}, "selector": {"kind": "leftmost"}},
+            {"enumerator": {"kind": "silent"},
+             "selector": {"kind": "scripted", "entries": [[9, ["1111", "0010"]]]}},
+        ],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert cli.main(["verify", str(out / "trace.json")]) == 0
 
 
 def test_cli_stage_and_seed_overrides(tmp_path):
