@@ -1,9 +1,13 @@
 """Built-in opponent enumerators for diagonalization runs.
 
 Each adversary implements the enumeration-source protocol
-new_elements(e, stage, view): the elements it enumerates at `stage`,
-given read access to the public trace through the previous stage (it
-never sees the selector's future or the current stage's rules).
+new_elements(e, stage, view): the elements it enumerates at `stage`, as a
+list of half-open runs (lo, hi), given read access to the public trace
+through the previous stage (it never sees the selector's future or the
+current stage's rules).  Runs may overlap each other or elements
+enumerated earlier; the engine normalizes them and keeps only what is new.
+Every built-in opponent enumerates whole intervals, so a source's output
+stays a handful of runs however large the stage.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ class TrapSpringer:
     def new_elements(self, e, stage, view):
         if stage == 0:
             return []
-        return sorted({r.gap_lo for r in view.rules_issued_at(stage - 1, e)})
+        return sorted({(r.gap_lo, r.gap_lo + 1) for r in view.rules_issued_at(stage - 1, e)})
 
 
 class CautiousCopier:
     """Tracks the victim: enumerates everything definitely inside the
     functional's value under the current approximation (the union of both
-    sides in pair mode), staying clear of every gap on its path."""
+    sides in pair mode), staying clear of every gap on its path: one run
+    per block."""
 
     name = "cautious-copier"
 
@@ -56,7 +61,8 @@ class CautiousCopier:
                     cut = hi  # one side keeps the whole block in the union
                 else:
                     cut = max(ex[0], ey[0])
-            out.extend(range(lo, cut))
+            if lo < cut:
+                out.append((lo, cut))
         return out
 
 
@@ -68,7 +74,7 @@ class PrefixFlooder:
     name = "prefix-flooder"
 
     def new_elements(self, e, stage, view):
-        return range(0, 1 << stage)
+        return [(0, 1 << stage)]
 
 
 CATALOG = {

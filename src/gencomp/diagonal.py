@@ -13,15 +13,17 @@ absorb a density dip at that block.
 
 Level sets are exponential and are therefore never materialized: survival
 of a node is decided from the rule table plus the enumeration snapshot,
-and paths are found by ordered depth-first search with pruning.  A whole
-run is recorded as a Trace that replays bit-for-bit from its config.
+and paths are found by ordered depth-first search with pruning.  Every
+enumeration (a stage's batch, a strategy's snapshot, a trap event) is a
+run set of half-open intervals (see `runs`), so no step costs time or
+memory in the number of enumerated elements.  A whole run is recorded as a
+Trace that replays bit-for-bit from its config.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +35,7 @@ from .errors import (
     UndefinedRegionError,
 )
 from .reals import as_bits
+from .runs import clip, difference, elements, hits, normalize, union
 
 SINGLE = "single"
 PAIR = "pair"
@@ -158,42 +161,36 @@ def eval_phi(table: GapRuleTable, prefix, n: int):
     return table.evaluate(prefix, n)
 
 
-def _interval_hit(sorted_elems, lo: int, hi: int) -> bool:
-    i = bisect_left(sorted_elems, lo)
-    return i < len(sorted_elems) and sorted_elems[i] < hi
-
-
 class LevelContext:
     """Survival tests for one strategy tree at one level.
 
     A node of length l survives unless some element enumerated by step l
     (below 2^l) is definitely outside the functional's value under every
     oracle extending the node (pair mode: outside both sides' union).
-    Undecided evaluations never prune.
+    Undecided evaluations never prune.  `enum` is the strategy's
+    enumeration as a run set.
     """
 
-    def __init__(self, mode: str, l: int, enum_sorted, x_table: GapRuleTable,
+    def __init__(self, mode: str, l: int, enum, x_table: GapRuleTable,
                  y_table: Optional[GapRuleTable] = None):
         self.mode = mode
         self.l = l
-        self.has_zero = bool(enum_sorted) and enum_sorted[0] == 0
+        self.has_zero = bool(enum) and enum[0][0] == 0
         if mode == SINGLE:
-            hits = []
-            for r in x_table.rules:
-                if r.stage <= l - 1 and _interval_hit(enum_sorted, r.gap_lo, r.gap_hi):
-                    hits.append(r.node)
-            self.hits = tuple(hits)
+            self.hits = tuple(
+                r.node for r in x_table.rules
+                if r.stage <= l - 1 and hits(enum, r.gap_lo, r.gap_hi)
+            )
         else:
             pairs = []
             for s in range(min(l, x_table.defined_through + 1)):
                 # every gap of block s lies inside [2^s, 2^(s+1)): a block
                 # without enumerated elements has no hits
-                if not _interval_hit(enum_sorted, 1 << s, 1 << (s + 1)):
+                if not hits(enum, 1 << s, 1 << (s + 1)):
                     continue
                 for rx in x_table.rules_at_block(s):
                     for ry in y_table.rules_at_block(s):
-                        lo = max(rx.gap_lo, ry.gap_lo)
-                        if _interval_hit(enum_sorted, lo, rx.gap_hi):
+                        if hits(enum, max(rx.gap_lo, ry.gap_lo), rx.gap_hi):
                             pairs.append((rx.node, ry.node))
             self.hits = tuple(pairs)
 
@@ -352,8 +349,7 @@ class TreeState:
     selector: object
     alive: bool = True
     death_stage: Optional[int] = None
-    enumerated: set = field(default_factory=set)
-    enum_sorted: list = field(default_factory=list)
+    enumerated: tuple = ()   # run set
     markers: list = field(default_factory=list)
     marked: set = field(default_factory=set)
     approx_history: list = field(default_factory=list)  # (stage, node)
@@ -408,17 +404,17 @@ class TraceView:
     def markers(self, e) -> list:
         return list(self._e.states[e].markers)
 
-    def enumerated(self, e) -> list:
-        return list(self._e.states[e].enum_sorted)
+    def enumerated(self, e) -> tuple:
+        return self._e.states[e].enumerated
 
 
 @dataclass
 class StageRecord:
     stage: int
-    batches: dict        # e -> tuple of new elements (sorted)
+    batches: dict        # e -> run set of new elements
     rules: tuple         # GapRules issued this stage
     info: dict           # e -> dict(alive, acted, died, approx, marker, level_hash)
-    trap_events: tuple   # (e, gap_stage, element)
+    trap_events: tuple   # (e, gap_stage, lo, hi): new run [lo, hi) inside the gap
 
 
 @dataclass
@@ -455,17 +451,17 @@ class Trace:
         t.extend_defined(self.defined_through)
         return t
 
-    def enumerated_through(self, e, stage) -> list:
-        out = set()
+    def enumerated_through(self, e, stage) -> tuple:
+        """Run set enumerated by strategy e's opponent through `stage`."""
+        out = []
         for rec in self.records:
             if rec.stage > stage:
                 break
-            out.update(rec.batches.get(e, ()))
-        return sorted(out)
+            out.extend(rec.batches.get(e, ()))
+        return normalize(out)
 
-    def enumerated_final(self, e) -> list:
-        """Sorted final enumeration of strategy e, computed once per
-        strategy; callers must not mutate it."""
+    def enumerated_final(self, e) -> tuple:
+        """Final run set of strategy e, computed once per strategy."""
         if e not in self._final:
             self._final[e] = self.enumerated_through(e, self.stages - 1)
         return self._final[e]
@@ -526,12 +522,12 @@ def _node_from_jsonable(v):
     return v
 
 
-def _level_hash(e, l, rules, enum_below) -> str:
+def _level_hash(e, l, rules, enum) -> str:
     payload = {
         "e": e,
         "l": l,
         "rules": sorted((r.e, r.stage, r.node, r.side) for r in rules if r.stage <= l),
-        "enum": enum_below,  # already sorted
+        "enum": [list(run) for run in clip(enum, 0, 1 << l)],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -575,15 +571,15 @@ class _Engine:
         batches = {}
         trap_events = []
         for st in self.states:
-            new = sorted(set(st.source.new_elements(st.e, s, view)) - st.enumerated)
-            batches[st.e] = tuple(new)
+            new = difference(normalize(st.source.new_elements(st.e, s, view)), st.enumerated)
+            batches[st.e] = new
             if not new:
                 continue
             for rule in self.x_table.rules:
                 if rule.e == st.e:
-                    lo = bisect_left(new, rule.gap_lo)
-                    hi = bisect_left(new, rule.gap_hi, lo)
-                    trap_events.extend((st.e, rule.stage, n) for n in new[lo:hi])
+                    trap_events.extend(
+                        (st.e, rule.stage, lo, hi) for lo, hi in clip(new, rule.gap_lo, rule.gap_hi)
+                    )
         issued = []
         info = {}
         for st in self.states:
@@ -594,11 +590,7 @@ class _Engine:
         if self.y_table is not None:
             self.y_table.extend_defined(s)
         for st in self.states:
-            if batches[st.e]:
-                st.enumerated.update(batches[st.e])
-                # two sorted runs: the sort is a single linear merge
-                st.enum_sorted += batches[st.e]
-                st.enum_sorted.sort()
+            st.enumerated = union(st.enumerated, batches[st.e])
         return StageRecord(
             stage=s,
             batches=batches,
@@ -619,11 +611,11 @@ class _Engine:
         if not st.alive or st.e >= s:
             return out
         l = s - 1
-        ctx = LevelContext(self.mode, l, st.enum_sorted, self.x_table, self.y_table)
+        ctx = LevelContext(self.mode, l, st.enumerated, self.x_table, self.y_table)
         out["level_hash"] = _level_hash(
             st.e, l,
             self.x_table.rules + (self.y_table.rules if self.y_table else []),
-            st.enum_sorted[: bisect_left(st.enum_sorted, 1 << l)],
+            st.enumerated,
         )
 
         def find(order):
@@ -676,8 +668,7 @@ def trap_status(trace: Trace, e: int, s: int) -> str:
     if not rules:
         return "inactive"
     rule = rules[0]
-    elems = trace.enumerated_final(e)
-    return "sprung" if _interval_hit(elems, rule.gap_lo, rule.gap_hi) else "pending"
+    return "sprung" if hits(trace.enumerated_final(e), rule.gap_lo, rule.gap_hi) else "pending"
 
 
 def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> set:
@@ -694,7 +685,7 @@ def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> set:
 # ---------------------------------------------------------------------------
 # trace serialization (versioned; byte-exact replay is part of the contract)
 
-TRACE_FORMAT = "gencomp-trace/1"
+TRACE_FORMAT = "gencomp-trace/2"
 
 
 def trace_to_jsonable(trace: Trace) -> dict:
@@ -708,7 +699,7 @@ def trace_to_jsonable(trace: Trace) -> dict:
         "records": [
             {
                 "stage": rec.stage,
-                "batches": [[e, list(rec.batches[e])] for e in sorted(rec.batches)],
+                "batches": [[e, [list(run) for run in rec.batches[e]]] for e in sorted(rec.batches)],
                 "rules": [[r.e, r.stage, r.node, r.side] for r in rec.rules],
                 "strategies": [
                     [
@@ -751,7 +742,7 @@ def trace_from_jsonable(doc: dict) -> Trace:
         records.append(
             StageRecord(
                 stage=rd["stage"],
-                batches={e: tuple(elems) for e, elems in rd["batches"]},
+                batches={e: tuple((lo, hi) for lo, hi in batch) for e, batch in rd["batches"]},
                 rules=tuple(GapRule(e, s, node, side) for e, s, node, side in rd["rules"]),
                 info={
                     e: {
@@ -808,13 +799,13 @@ def audit_trap_soundness(trace: Trace) -> list:
     bad = []
     xt, yt = trace.x_table(), trace.y_table()
     for rec in trace.records:
-        for e, gap_stage, element in rec.trap_events:
+        for e, gap_stage, lo, hi in rec.trap_events:
             xnodes = [r.node for r in trace.x_rules if r.e == e and r.stage == gap_stage]
             ynodes = [r.node for r in trace.y_rules if r.e == e and r.stage == gap_stage]
             if not xnodes or (trace.mode == PAIR and not ynodes):
                 bad.append(
-                    "trap event (%d, %d, %d) references a rule the trace does not contain"
-                    % (e, gap_stage, element)
+                    "trap event (%d, %d, [%d, %d)) references a rule the trace does not contain"
+                    % (e, gap_stage, lo, hi)
                 )
                 continue
             node = (xnodes[0], ynodes[0]) if trace.mode == PAIR else xnodes[0]
@@ -850,7 +841,7 @@ def audit_spoiling(trace: Trace, brute_max: int = 12) -> list:
         if find_survivor(ctx) is not None:
             bad.append("dead strategy %d still has a level-%d survivor" % (e, l))
         if trace.mode == SINGLE and l <= brute_max:
-            enum = [n for n in trace.enumerated_through(e, l) if n < (1 << l)]
+            enum = elements(clip(trace.enumerated_through(e, l), 0, 1 << l))
             for v in range(1 << l):
                 sigma = format(v, "0%db" % l) if l else ""
                 witnessed = any(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import random
-from bisect import bisect_left
 from fractions import Fraction
 
 from . import adversaries, diagonal, enumops
@@ -38,6 +37,7 @@ from .reals import (
     mix64,
 )
 from .relations import FiniteReflexiveRelation, embed_relation, stage_interval, universal_rel
+from .runs import count_below
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/1"
@@ -106,14 +106,12 @@ def load_enumerator(spec):
             raise ConfigError("scripted enumerator 'stages' must be an object")
         schedule = {}
         for key, elems in stages.items():
-            try:
-                stage = int(key)
-            except ValueError:
-                raise ConfigError("enumerator stage keys must be integers")
-            if not isinstance(elems, list) or not all(isinstance(v, int) and v >= 0 for v in elems):
+            if not (key.isascii() and key.isdigit()) or int(key) in schedule:
+                raise ConfigError("enumerator stage keys must be distinct naturals, got %r" % key)
+            if not isinstance(elems, list) or not all(_is_natural(v) for v in elems):
                 raise ConfigError("enumerated elements must be lists of naturals")
-            schedule[stage] = set(elems)
-        return Enumerator.from_schedule(spec.get("tag", 0), schedule)
+            schedule[int(key)] = set(elems)
+        return Enumerator.from_schedule(_int(spec, "tag", default=0), schedule)
     raise ConfigError("unknown enumerator kind %r" % kind)
 
 
@@ -129,18 +127,23 @@ def load_selector(spec, mode):
         return diagonal.RightmostSelector()
     if kind == "scripted":
         _allow(spec, {"kind", "entries"})
+        items = spec.get("entries", [])
+        if not isinstance(items, list):
+            raise ConfigError("scripted selector 'entries' must be a list")
         entries = []
-        for item in spec.get("entries", []):
+        for item in items:
             if not (isinstance(item, list) and len(item) == 2):
                 raise ConfigError("scripted selector entries are [from_stage, node]")
             stage, node = item
+            if not _is_natural(stage):
+                raise ConfigError("scripted selector stages must be natural numbers")
             if mode == diagonal.PAIR:
-                if not (isinstance(node, list) and len(node) == 2):
+                if not (isinstance(node, list) and len(node) == 2 and all(map(_is_bits, node))):
                     raise ConfigError("pair selector nodes are [x_bits, y_bits]")
                 node = (node[0], node[1])
-            elif not isinstance(node, str):
+            elif not _is_bits(node):
                 raise ConfigError("single selector nodes are bit strings")
-            entries.append((int(stage), node))
+            entries.append((stage, node))
         return diagonal.ScriptedSelector(entries)
     raise ConfigError("unknown selector kind %r" % kind)
 
@@ -162,6 +165,14 @@ def load_description(spec) -> GenericDescription:
 
 # ---------------------------------------------------------------------------
 # config validation
+
+
+def _is_natural(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_bits(v) -> bool:
+    return isinstance(v, str) and set(v) <= {"0", "1"}
 
 
 def _allow(doc, allowed):
@@ -332,7 +343,7 @@ def _run_diagonal(cfg):
         row = []
         for i in range(trace.defined_through + 1):
             n = 1 << (i + 1)
-            row.append({"n": n, "density": rational(Fraction(bisect_left(elems, n), n))})
+            row.append({"n": n, "density": rational(Fraction(count_below(elems, n), n))})
         densities.append({"strategy": e, "block_end_densities": row})
         tally = {"pending": 0, "sprung": 0, "inactive": 0}
         for s in range(trace.stages):
@@ -617,9 +628,40 @@ def replay_trace_doc(trace_doc: dict):
     """Re-run the config echoed in a trace document without touching the
     filesystem; returns (report, fresh trace doc)."""
     cfg = trace_doc.get("config")
-    if not cfg:
+    if not cfg or not isinstance(cfg, dict):
         raise ConfigError("trace carries no config echo; cannot replay")
     return run_experiment(dict(cfg), write=False)
+
+
+def first_difference(a, b, path: str = ""):
+    """JSON path of the first place, in serialization order, where two
+    JSON documents differ (such as `records[7].batches[1][1][0]`), or
+    None when they serialize identically."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            at = "%s.%s" % (path, key) if path else key
+            if key not in a or key not in b:
+                return at
+            found = first_difference(a[key], b[key], at)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, "%s[%d]" % (path, i))
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else "%s[%d]" % (path, min(len(a), len(b)))
+    return None if json.dumps(a) == json.dumps(b) else path or "$"
+
+
+def _replay_mismatch(doc, fresh) -> list:
+    if canonical_json(fresh) == canonical_json(doc):
+        return []
+    return [
+        "replay mismatch at %s: trace is not reproducible from its config"
+        % first_difference(doc, fresh)
+    ]
 
 
 def verify_trace_file(path: str) -> list:
@@ -627,14 +669,12 @@ def verify_trace_file(path: str) -> list:
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError("cannot parse trace %s: %s" % (path, exc))
-    problems = []
-    fmt = doc.get("format")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt == diagonal.TRACE_FORMAT:
         report, fresh = replay_trace_doc(doc)
-        if canonical_json(fresh) != canonical_json(doc):
-            problems.append("replay mismatch: trace is not reproducible from its config")
+        problems = _replay_mismatch(doc, fresh)
         try:
             trace = diagonal.trace_from_jsonable(doc)
             problems += diagonal.audit_trace(trace)
@@ -642,13 +682,15 @@ def verify_trace_file(path: str) -> list:
             problems.append("trace contents are not auditable: %s" % exc)
     elif fmt == SCENARIO_TRACE_FORMAT:
         report, fresh = replay_trace_doc(doc)
-        if canonical_json(fresh) != canonical_json(doc):
-            problems.append("replay mismatch: trace is not reproducible from its config")
+        problems = _replay_mismatch(doc, fresh)
         for v in report["verdicts"]:
             if not v["pass"]:
                 problems.append("verdict failed on replay: %s" % v["invariant"])
     else:
-        raise ConfigError("unknown trace format %r" % fmt)
+        raise ConfigError(
+            "unsupported trace format %r: this version verifies %s and %s traces"
+            % (fmt, diagonal.TRACE_FORMAT, SCENARIO_TRACE_FORMAT)
+        )
     return problems
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .errors import CorruptDescriptionError, FalsifiedPremiseError, OutOfRangeError, UndefinedInputError
+from .runs import from_elements
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -314,13 +315,12 @@ class Enumerator:
             out |= elems
         return frozenset(out)
 
-    def new_elements(self, e: int, stage: int, view) -> Iterable[int]:
+    def new_elements(self, e: int, stage: int, view) -> list:
         """Enumeration-source protocol used by the diagonalization engine:
-        elements first appearing at `stage`.  Scripted enumerators ignore
-        the trace view."""
-        if stage == 0:
-            return sorted(self.at(0))
-        return sorted(self.at(stage) - self.at(stage - 1))
+        the elements first appearing at `stage`, as sorted runs (lo, hi).
+        Scripted enumerators ignore the trace view."""
+        new = self.at(stage) - self.at(stage - 1) if stage else self.at(0)
+        return list(from_elements(new))
 
 
 def enumerator_at(w: Enumerator, s: int) -> frozenset:

@@ -1,11 +1,13 @@
-"""Counting on sorted enumerations, checked against per-element oracles.
+"""Counting on run sets, checked against per-element oracles.
 
 The report's block-end densities and trap tallies, the engine's trap
-events, its level-hash inputs and the pair-mode level hits are counted with
-`bisect` on sorted enumerations.  Each test recomputes them the way the engine used to, by
-probing every integer or every (rule, element) pair, and requires equal
-results.  The golden digests pin the emitted bytes: any drift needs a
-documented trace or report format bump.
+events, its level-hash inputs and the pair-mode level hits are computed on
+enumerations stored as sorted (lo, hi) runs.  Each test expands the runs to
+elements and recomputes them the way the engine once did, by probing every
+integer or every (rule, element) pair, and requires equal results.  The
+golden digests pin the emitted bytes: any drift needs a documented trace or
+report format bump.  The expanded-content digests pin what a trace says,
+independent of how its batches are written.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import pytest
 
 from gencomp.density import prefix_density
 from gencomp.diagonal import PAIR, LevelContext, trace_from_jsonable
-from gencomp.harness import run_experiment
+from gencomp.harness import canonical_json, run_experiment
 
 PAIR_CATALOG_12 = {
     "version": 1,
@@ -74,10 +76,26 @@ PAIR_SCRIPTED_12 = {
     ],
 }
 
+# scripted opponents that enumerate several separate runs into one gap in
+# one stage: strategy 0's stage-3 gap is [8, 16), strategy 1's stage-4 and
+# stage-5 gaps are [24, 32) and [48, 64)
+SPLIT_GAPS_12 = {
+    "version": 1,
+    "scenario": "single-diagonal",
+    "stages": 12,
+    "strategies": [
+        {"enumerator": {"kind": "scripted", "stages": {"4": [9, 11, 13, 14]}},
+         "selector": {"kind": "leftmost"}},
+        {"enumerator": {"kind": "scripted", "stages": {"5": [29, 31], "6": [50, 52, 60]}},
+         "selector": {"kind": "rightmost"}},
+    ],
+}
+
 ORACLE_CASES = {
     "%s-%d" % (name, stages): dict(cfg, stages=stages)
     for name, cfg in (
-        ("single", SINGLE_12), ("pair-catalog", PAIR_CATALOG_12), ("pair-scripted", PAIR_SCRIPTED_12)
+        ("single", SINGLE_12), ("pair-catalog", PAIR_CATALOG_12), ("pair-scripted", PAIR_SCRIPTED_12),
+        ("single-split", SPLIT_GAPS_12),
     )
     for stages in (5, 12)
 }
@@ -93,8 +111,16 @@ def run(request):
 # --- the per-element oracles -------------------------------------------------
 
 
+def expand(runs):
+    return [n for lo, hi in runs for n in range(lo, hi)]
+
+
+def expand_events(events):
+    return [(e, gap_stage, n) for e, gap_stage, lo, hi in events for n in range(lo, hi)]
+
+
 def oracle_densities(trace, e):
-    elems = set(trace.enumerated_through(e, trace.stages - 1))
+    elems = set(expand(trace.enumerated_through(e, trace.stages - 1)))
     return [
         (1 << (i + 1), prefix_density(lambda k: k in elems, 1 << (i + 1)))
         for i in range(trace.defined_through + 1)
@@ -109,7 +135,7 @@ def oracle_trap_events(trace, rec):
         for rule in earlier:
             if rule.e != e:
                 continue
-            for n in rec.batches[e]:
+            for n in expand(rec.batches[e]):
                 if rule.gap_lo <= n < rule.gap_hi:
                     events.append((e, rule.stage, n))
     return events
@@ -133,12 +159,17 @@ def oracle_hits(mode, l, enum, xt, yt):
 
 def oracle_level_hash(trace, e, stage):
     """The level hash of strategy e's act at `stage`, from the rules issued
-    before it and a filtered scan of the sorted enumeration."""
+    before it and the maximal runs of a filtered element scan."""
     l = stage - 1
     rules = sorted(
         (r.e, r.stage, r.node, r.side) for r in trace.x_rules + trace.y_rules if r.stage < stage
     )
-    enum = [n for n in trace.enumerated_through(e, l) if n < (1 << l)]
+    enum = []
+    for n in sorted(n for n in expand(trace.enumerated_through(e, l)) if n < (1 << l)):
+        if enum and enum[-1][1] == n:
+            enum[-1][1] = n + 1
+        else:
+            enum.append([n, n + 1])
     payload = {"e": e, "l": l, "rules": rules, "enum": enum}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -151,7 +182,7 @@ def oracle_tally(trace, e):
         if not rules:
             tally["inactive"] += 1
             continue
-        elems = trace.enumerated_through(e, trace.stages - 1)
+        elems = expand(trace.enumerated_through(e, trace.stages - 1))
         sprung = any(rules[0].gap_lo <= n < rules[0].gap_hi for n in elems)
         tally["sprung" if sprung else "pending"] += 1
     return tally
@@ -173,7 +204,27 @@ def test_block_end_densities_match_probing(run):
 def test_trap_events_match_all_pairs_scan(run):
     _, trace = run
     for rec in trace.records:
-        assert list(rec.trap_events) == oracle_trap_events(trace, rec)
+        assert expand_events(rec.trap_events) == oracle_trap_events(trace, rec)
+        # each event is a maximal run of the batch inside the rule's gap
+        for e, gap_stage, lo, hi in rec.trap_events:
+            rule = next(r for r in trace.x_rules if (r.e, r.stage) == (e, gap_stage))
+            batch = set(expand(rec.batches[e]))
+            assert rule.gap_lo <= lo < hi <= rule.gap_hi
+            assert lo == rule.gap_lo or lo - 1 not in batch
+            assert hi == rule.gap_hi or hi not in batch
+
+
+def test_batches_are_new_run_sets(run):
+    _, trace = run
+    seen = {e: set() for e in range(trace.strategy_count)}
+    for rec in trace.records:
+        for e, batch in rec.batches.items():
+            assert all(lo < hi for lo, hi in batch)
+            assert all(a[1] < b[0] for a, b in zip(batch, batch[1:])), batch
+            assert not seen[e] & set(expand(batch))
+            seen[e] |= set(expand(batch))
+    for e in seen:
+        assert seen[e] == set(expand(trace.enumerated_final(e)))
 
 
 def test_level_hits_match_unskipped_scan(run):
@@ -183,7 +234,7 @@ def test_level_hits_match_unskipped_scan(run):
         for l in range(trace.stages):
             enum = trace.enumerated_through(e, l)
             ctx = LevelContext(trace.mode, l, enum, xt, yt)
-            assert ctx.hits == oracle_hits(trace.mode, l, enum, xt, yt), (e, l)
+            assert ctx.hits == oracle_hits(trace.mode, l, expand(enum), xt, yt), (e, l)
 
 
 def test_level_hashes_match_filtered_scan(run):
@@ -206,8 +257,15 @@ def test_trap_tallies_match_recount(run):
 
 def test_oracle_cases_exercise_every_branch():
     """The cases above hit trap events, sprung and pending traps, pair
-    hits, and pair blocks skipped for lack of elements although they
-    carry rules."""
+    hits, pair blocks skipped for lack of elements although they carry
+    rules, and several event runs for one gap in one stage."""
+    _, doc = run_experiment(dict(SPLIT_GAPS_12), write=False)
+    split = [
+        [lo for e, gap_stage, lo, hi in rec.trap_events if (e, gap_stage) == key]
+        for rec in trace_from_jsonable(doc).records
+        for key in {(e, gap_stage) for e, gap_stage, _, _ in rec.trap_events}
+    ]
+    assert sorted(len(runs) for runs in split) == [2, 3, 3]
     _, doc = run_experiment(dict(PAIR_SCRIPTED_12), write=False)
     trace = trace_from_jsonable(doc)
     assert any(rec.trap_events for rec in trace.records)
@@ -218,33 +276,73 @@ def test_oracle_cases_exercise_every_branch():
         hits += len(LevelContext(PAIR, trace.stages - 1, enum, xt, yt).hits)
         skipped += sum(
             1 for s in range(trace.stages - 1)
-            if xt.rules_at_block(s) and not any(1 << s <= n < 2 << s for n in enum)
+            if xt.rules_at_block(s) and not any(1 << s <= n < 2 << s for n in expand(enum))
         )
     assert hits and skipped
     tallies = [oracle_tally(trace, e) for e in range(trace.strategy_count)]
     assert any(t["sprung"] for t in tallies) and any(t["pending"] for t in tallies)
 
 
-# --- golden bytes ------------------------------------------------------------
+# --- golden content and bytes ------------------------------------------------
 
-# recorded with the per-element probing code that the sorted counting replaced
+
+def expanded_content_digest(doc):
+    """SHA-256 of what a diagonal trace records, with every run expanded to
+    its elements and level hashes (whose input format is versioned) left
+    out: header, batches, rules, per-strategy records, trap events as
+    (e, gap_stage, element) and the final block."""
+    body = {
+        "head": [doc["mode"], doc["stages"], doc["strategy_count"], doc["defined_through"],
+                 doc["config"]],
+        "records": [
+            [
+                rec["stage"],
+                [[e, expand(batch)] for e, batch in rec["batches"]],
+                rec["rules"],
+                [[e, {k: v for k, v in info.items() if k != "level_hash"}]
+                 for e, info in rec["strategies"]],
+                [list(t) for t in expand_events(rec["trap_events"])],
+            ]
+            for rec in doc["records"]
+        ],
+        "final": doc["final"],
+    }
+    return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+
+
+# (config, expanded content digest, trace.json digest, report.json digest).
+# The content digests were computed from the gencomp-trace/1 traces, whose
+# batches and trap events listed single elements, so they pin that the run
+# format says the same as the element format did.  The trace.json digests
+# are of the gencomp-trace/2 bytes; the report digests are unchanged
+# since they were first recorded with per-element probing.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
-        "b39fb21967c93b869a65c0fd4b6a21f5fbd68a10e3e3682954406de2701e1aad",
+        "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
+        "daadf275f03c27b0b6e9533969c7e41927faad6600ec26105cd669a47fc3e729",
         "3fd817e16c07ac4387991b04ef7b8f93d1ae7b5fd535801c8b2f82f19d6978e3",
     ),
     "single-diagonal-12": (
         SINGLE_12,
-        "b5bc644f9b90b949032907f99c7dab1bf6d9b1c203453600ac6039205cda13f3",
+        "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
+        "0ff823063b5f9ef30ef1d96bb22ff2e5d467718ae0424e49fba84365efacf9de",
         "625249411c777c5b9df2f196abc84b46c101d37a4795e31c2209c39d5a3021b4",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_expanded_content(name):
+    cfg, content_sha, _, _ = GOLDEN[name]
+    _, doc = run_experiment(dict(cfg), write=False)
+    assert doc["format"] == "gencomp-trace/2"
+    assert expanded_content_digest(doc) == content_sha
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_artifact_digests(tmp_path, name):
-    cfg, trace_sha, report_sha = GOLDEN[name]
+    cfg, _, trace_sha, report_sha = GOLDEN[name]
     run_experiment(dict(cfg), out_dir=str(tmp_path))
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()  # noqa: E731
     assert digest("trace.json") == trace_sha

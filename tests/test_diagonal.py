@@ -105,7 +105,7 @@ def test_excluded_interval_merges_nested_gaps():
 
 
 def test_tree_level_full_when_no_enumeration():
-    ctx = LevelContext(SINGLE, 3, [], table_of(defined=4))
+    ctx = LevelContext(SINGLE, 3, (), table_of(defined=4))
     assert sorted(enumerate_level(ctx)) == sorted(
         format(v, "03b") for v in range(8)
     )
@@ -115,7 +115,7 @@ def test_tree_level_prunes_definite_exclusions():
     # gap covering all of block 1 for oracles extending "1"; opponent
     # enumerated 2 by step 2
     t = table_of(GapRule(0, 1, "1"), defined=4)
-    ctx = LevelContext(SINGLE, 2, [2], t)
+    ctx = LevelContext(SINGLE, 2, ((2, 3),), t)
     assert sorted(enumerate_level(ctx)) == ["00", "01"]
 
 
@@ -124,34 +124,34 @@ def test_tree_level_pair_union_keeps_nodes():
     # excludes it, so the union keeps every pair
     xt = table_of(defined=4)
     yt = table_of(GapRule(0, 1, "1", side="y"), defined=4, side="y")
-    ctx = LevelContext(PAIR, 2, [2], xt, yt)
+    ctx = LevelContext(PAIR, 2, ((2, 3),), xt, yt)
     assert len(enumerate_level(ctx)) == 16
 
 
 def test_tree_level_pair_prunes_joint_exclusions():
     xt = table_of(GapRule(0, 1, "0"), defined=4)
     yt = table_of(GapRule(0, 1, "1", side="y"), defined=4, side="y")
-    ctx = LevelContext(PAIR, 2, [2], xt, yt)
+    ctx = LevelContext(PAIR, 2, ((2, 3),), xt, yt)
     survivors = enumerate_level(ctx)
     assert len(survivors) == 12
     assert all(not (sx.startswith("0") and sy.startswith("1")) for sx, sy in survivors)
 
 
 def test_zero_in_enumeration_kills_everything():
-    ctx = LevelContext(SINGLE, 3, [0], table_of(defined=4))
+    ctx = LevelContext(SINGLE, 3, ((0, 1),), table_of(defined=4))
     assert enumerate_level(ctx) == []
     assert find_survivor(ctx) is None
 
 
 def test_find_survivor_orders():
     t = table_of(GapRule(0, 1, "0"), defined=4)
-    ctx = LevelContext(SINGLE, 2, [2], t)
+    ctx = LevelContext(SINGLE, 2, ((2, 3),), t)
     assert find_survivor(ctx, ("0", "1")) == "10"
     assert find_survivor(ctx, ("1", "0")) == "11"
 
 
 def test_find_survivor_budget():
-    ctx = LevelContext(SINGLE, 10, [], table_of(defined=11))
+    ctx = LevelContext(SINGLE, 10, (), table_of(defined=11))
     with pytest.raises(BudgetError):
         find_survivor(ctx, budget=3)
 
@@ -383,7 +383,7 @@ def test_pair_copier_survives_and_dips():
         ],
     )
     assert trace.death_stage[1] is None
-    elems = set(trace.enumerated_final(1))
+    elems = {n for lo, hi in trace.enumerated_final(1) for n in range(lo, hi)}
     dips = 0
     for i in range(trace.defined_through + 1):
         n = 1 << (i + 1)
@@ -442,7 +442,7 @@ def test_tree_level_matches_bruteforce_eval():
     trace = run_single(6, [StrategySpec(w, LeftmostSelector())])
     table = trace.x_table()
     for l in range(1, 5):
-        enum = [n for n in trace.enumerated_through(0, l) if 0 < n < (1 << l)]
+        enum = [n for lo, hi in trace.enumerated_through(0, l) for n in range(lo, hi) if 0 < n < (1 << l)]
         expected = []
         for v in range(1 << l):
             sigma = format(v, "0%db" % l)

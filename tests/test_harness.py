@@ -77,15 +77,15 @@ def test_builtin_adversaries_catalog():
     catalog = builtin_adversaries()
     assert set(catalog) == {"silent", "trap-springer", "cautious-copier", "prefix-flooder"}
     assert list(catalog["silent"]().new_elements(0, 3, None)) == []
-    assert list(catalog["prefix-flooder"]().new_elements(0, 2, None)) == [0, 1, 2, 3]
+    assert list(catalog["prefix-flooder"]().new_elements(0, 2, None)) == [(0, 4)]
 
 
 def test_springer_reads_trace_one_stage_later():
     springer = builtin_adversaries()["trap-springer"]()
     trace = run_single(4, [StrategySpec(springer, LeftmostSelector())])
     # the stage-1 rule under the root gaps {2,3}; the springer enumerates
-    # its first element at stage 2
-    assert trace.records[2].batches[0] == (2,)
+    # its first element at stage 2, the run [2, 3)
+    assert trace.records[2].batches[0] == ((2, 3),)
 
 
 def test_copier_block_density_dips():
@@ -313,6 +313,77 @@ def test_cli_pair_mind_change_passes(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
     assert cli.main(["verify", str(out / "trace.json")]) == 0
+
+
+SCRIPTED_ENUMERATOR = {"enumerator": {"kind": "scripted", "stages": {"2": [5]}},
+                       "selector": {"kind": "leftmost"}}
+
+
+@pytest.mark.parametrize(
+    "scenario, strategy",
+    [
+        ("single-diagonal", {"enumerator": {"kind": "scripted", "stages": {"-1": [5]}}}),
+        ("single-diagonal", {"enumerator": {"kind": "scripted", "stages": {"2": [True]}}}),
+        ("single-diagonal", {"enumerator": {"kind": "scripted", "stages": {"2": [5], "02": [6]}}}),
+        ("single-diagonal", {"enumerator": {"kind": "scripted", "tag": "t", "stages": {}}}),
+        ("single-diagonal", {"selector": {"kind": "scripted", "entries": [[2, "0a1"]]}}),
+        ("single-diagonal", {"selector": {"kind": "scripted", "entries": [["x", "01"]]}}),
+        ("single-diagonal", {"selector": {"kind": "scripted", "entries": [[-1, "01"]]}}),
+        ("single-diagonal", {"selector": {"kind": "scripted", "entries": "01"}}),
+        ("pair-diagonal", {"selector": {"kind": "scripted", "entries": [[2, ["01", 5]]]}}),
+        ("pair-diagonal", {"selector": {"kind": "scripted", "entries": [[2, ["01", "2"]]]}}),
+    ],
+)
+def test_cli_rejects_malformed_scripted_components(tmp_path, capsys, scenario, strategy):
+    cfg = {"version": 1, "scenario": scenario, "stages": 5,
+           "strategies": [SCRIPTED_ENUMERATOR, strategy]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_verify_names_first_divergence(tmp_path, capsys):
+    cfg = single_config(
+        strategies=[{"enumerator": {"kind": "trap-springer"}, "selector": {"kind": "leftmost"}}],
+        stages=6,
+    )
+    out = tmp_path / "t"
+    run_experiment(cfg, out_dir=str(out))
+    doc = json.loads((out / "trace.json").read_text())
+    assert doc["records"][2]["batches"] == [[0, [[2, 3]]]]
+    doc["records"][2]["batches"][0][1][0][1] = 4  # the run [2, 3) becomes [2, 4)
+    (out / "bad.json").write_text(canonical_json(doc))
+    assert cli.main(["verify", str(out / "bad.json")]) == 4
+    printed = capsys.readouterr().out
+    assert "VIOLATION: replay mismatch at records[2].batches[0][1][0][1]:" in printed
+
+
+def test_first_difference_paths():
+    from gencomp.harness import first_difference
+
+    assert first_difference({"a": [1, 2]}, {"a": [1, 2]}) is None
+    assert first_difference({"a": [1, 2], "b": 0}, {"a": [1, 3], "b": 1}) == "a[1]"
+    assert first_difference({"a": [1, 2]}, {"a": [1]}) == "a[1]"
+    assert first_difference({"a": {"x": 1}}, {"a": {"y": 1}}) == "a.x"
+    assert first_difference({"a": 1}, {"a": True}) == "a"
+    assert first_difference([1], {"a": 1}) == "$"
+    assert first_difference({"a": [0.0]}, {"a": [-0.0]}) == "a[0]"
+
+
+def test_verify_rejects_trace_format_1(tmp_path, capsys):
+    # a single-diagonal trace written by the element-batch format
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v1.json")
+    with open(fixture) as fh:
+        assert json.load(fh)["format"] == "gencomp-trace/1"
+    assert cli.main(["verify", fixture]) == 2
+    err = capsys.readouterr().err
+    assert "gencomp-trace/1" in err and "gencomp-trace/2" in err
+    assert "Traceback" not in err
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    assert cli.main(["verify", str(not_an_object)]) == 2
 
 
 def test_cli_stage_and_seed_overrides(tmp_path):

@@ -191,6 +191,6 @@ def test_enumerator_monotone_through_fifty_stages():
 
 def test_enumerator_new_elements_protocol():
     w = Enumerator.from_schedule(0, {0: {1}, 2: {5, 1}})
-    assert list(w.new_elements(0, 0, None)) == [1]
+    assert list(w.new_elements(0, 0, None)) == [(1, 2)]
     assert list(w.new_elements(0, 1, None)) == []
-    assert list(w.new_elements(0, 2, None)) == [5]
+    assert list(w.new_elements(0, 2, None)) == [(5, 6)]
