@@ -41,7 +41,6 @@ from .diagonal import (
     Trace,
     TreeState,
     audit_trace,
-    eval_phi,
     functional_value_set,
     run_construction,
     run_pair,
@@ -73,8 +72,6 @@ from .reals import (
     TimeDependentDescription,
     all_ones,
     all_zeros,
-    enumerator_at,
-    real_bit,
     validate_description,
 )
 from .relations import (

@@ -12,8 +12,6 @@ stays a handful of runs however large the stage.
 
 from __future__ import annotations
 
-from .diagonal import SINGLE
-
 
 class Silent:
     """Never enumerates anything."""
@@ -51,16 +49,9 @@ class CautiousCopier:
         out = []
         for block in range(view.defined_through + 1):
             lo, hi = 1 << block, 1 << (block + 1)
-            if view.mode == SINGLE:
-                excl = view.x_table.excluded_interval(block, approx)
-                cut = excl[0] if excl else hi
-            else:
-                ex = view.x_table.excluded_interval(block, approx[0])
-                ey = view.y_table.excluded_interval(block, approx[1])
-                if ex is None or ey is None:
-                    cut = hi  # one side keeps the whole block in the union
-                else:
-                    cut = max(ex[0], ey[0])
+            excl = [t.excluded_interval(block, side) for t, side in zip(view.tables, approx)]
+            # a side without an exclusion keeps the whole block in the union
+            cut = hi if None in excl else max(ex[0] for ex in excl)
             if lo < cut:
                 out.append((lo, cut))
         return out

@@ -25,8 +25,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
+from operator import add
 from typing import Optional
 
+from .density import gap_census
 from .errors import (
     BudgetError,
     InvariantViolationError,
@@ -43,14 +47,11 @@ PAIR = "pair"
 SIDE_X = "x"
 SIDE_Y = "y"
 
-_DEFAULT_NODE_BUDGET = 1 << 18
+# the functionals a mode builds; a tree node is a tuple of one bit string
+# per side, in this order
+SIDES = {SINGLE: (SIDE_X,), PAIR: (SIDE_X, SIDE_Y)}
 
-# child orders: pair children ordered lexicographically with the x-bit more
-# significant; rightmost is the exact reverse
-_SINGLE_LEFT = ("0", "1")
-_SINGLE_RIGHT = ("1", "0")
-_PAIR_LEFT = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
-_PAIR_RIGHT = tuple(reversed(_PAIR_LEFT))
+_DEFAULT_NODE_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,75 +157,50 @@ class GapRuleTable:
         return (lo, 1 << (block + 1))
 
 
-def eval_phi(table: GapRuleTable, prefix, n: int):
-    """Operation form of GapRuleTable.evaluate."""
-    return table.evaluate(prefix, n)
-
-
 class LevelContext:
     """Survival tests for one strategy tree at one level.
 
-    A node of length l survives unless some element enumerated by step l
+    A node is a tuple of one bit string per side, all of one length.  A
+    node of length l survives unless some element enumerated by step l
     (below 2^l) is definitely outside the functional's value under every
     oracle extending the node (pair mode: outside both sides' union).
     Undecided evaluations never prune.  `enum` is the strategy's
-    enumeration as a run set.
+    enumeration as a run set; `tables` holds one GapRuleTable per side.
     """
 
-    def __init__(self, mode: str, l: int, enum, x_table: GapRuleTable,
-                 y_table: Optional[GapRuleTable] = None):
-        self.mode = mode
+    def __init__(self, l: int, enum, tables):
         self.l = l
+        self.root = ("",) * len(tables)
         self.has_zero = bool(enum) and enum[0][0] == 0
-        if mode == SINGLE:
-            self.hits = tuple(
-                r.node for r in x_table.rules
-                if r.stage <= l - 1 and hits(enum, r.gap_lo, r.gap_hi)
-            )
-        else:
-            pairs = []
-            for s in range(min(l, x_table.defined_through + 1)):
-                # every gap of block s lies inside [2^s, 2^(s+1)): a block
-                # without enumerated elements has no hits
-                if not hits(enum, 1 << s, 1 << (s + 1)):
-                    continue
-                for rx in x_table.rules_at_block(s):
-                    for ry in y_table.rules_at_block(s):
-                        if hits(enum, max(rx.gap_lo, ry.gap_lo), rx.gap_hi):
-                            pairs.append((rx.node, ry.node))
-            self.hits = tuple(pairs)
+        found = []
+        for s in range(l):
+            # every gap of block s lies inside [2^s, 2^(s+1)): a block
+            # without enumerated elements has no hits
+            if not hits(enum, 1 << s, 2 << s):
+                continue
+            for rules in product(*(t.rules_at_block(s) for t in tables)):
+                if hits(enum, max(r.gap_lo for r in rules), 2 << s):
+                    found.append(tuple(r.node for r in rules))
+        self.hits = tuple(found)
 
     def killed(self, node) -> bool:
         if self.has_zero:
             return True  # 0 is never in the functional's value
-        if self.mode == SINGLE:
-            return any(node.startswith(a) for a in self.hits)
-        sx, sy = node
-        return any(sx.startswith(a) and sy.startswith(b) for a, b in self.hits)
+        return any(all(map(str.startswith, node, hit)) for hit in self.hits)
 
-    def root(self):
-        return "" if self.mode == SINGLE else ("", "")
-
-    def node_len(self, node) -> int:
-        return len(node) if self.mode == SINGLE else len(node[0])
-
-    def children(self, node, order):
-        if self.mode == SINGLE:
-            return [node + b for b in order]
-        return [(node[0] + a, node[1] + b) for a, b in order]
-
-    def default_order(self):
-        return _SINGLE_LEFT if self.mode == SINGLE else _PAIR_LEFT
+    def steps(self, order) -> list:
+        """The new bits of a node's children, one per side, in DFS order:
+        lexicographic in `order` with the x bit most significant."""
+        return list(product(order, repeat=len(self.root)))
 
 
-def find_survivor(ctx: LevelContext, order=None, start=None,
+def find_survivor(ctx: LevelContext, order="01", start=None,
                   budget: int = _DEFAULT_NODE_BUDGET):
     """First surviving level-l node in DFS `order` extending `start`."""
-    if order is None:
-        order = ctx.default_order()
-    node = ctx.root() if start is None else start
-    if ctx.node_len(node) > ctx.l:
+    node = ctx.root if start is None else start
+    if len(node[0]) > ctx.l:
         raise UndefinedInputError("start node is deeper than the level")
+    steps = ctx.steps(order)
     counter = [budget]
 
     def rec(nd):
@@ -233,10 +209,10 @@ def find_survivor(ctx: LevelContext, order=None, start=None,
             raise BudgetError("level search exceeded the node budget")
         if ctx.killed(nd):
             return None
-        if ctx.node_len(nd) == ctx.l:
+        if len(nd[0]) == ctx.l:
             return nd
-        for child in ctx.children(nd, order):
-            r = rec(child)
+        for step in steps:
+            r = rec(tuple(map(add, nd, step)))
             if r is not None:
                 return r
         return None
@@ -248,7 +224,7 @@ def enumerate_level(ctx: LevelContext, budget: int = _DEFAULT_NODE_BUDGET) -> li
     """Materialize the whole surviving level (tests and small audits)."""
     out = []
     counter = [budget]
-    order = ctx.default_order()
+    steps = ctx.steps("01")
 
     def rec(nd):
         counter[0] -= 1
@@ -256,62 +232,54 @@ def enumerate_level(ctx: LevelContext, budget: int = _DEFAULT_NODE_BUDGET) -> li
             raise BudgetError("level enumeration exceeded the node budget")
         if ctx.killed(nd):
             return
-        if ctx.node_len(nd) == ctx.l:
+        if len(nd[0]) == ctx.l:
             out.append(nd)
             return
-        for child in ctx.children(nd, order):
-            rec(child)
+        for step in steps:
+            rec(tuple(map(add, nd, step)))
 
-    rec(ctx.root())
+    rec(ctx.root)
     return out
 
 
 def select_marker_node(path, marked, cap: Optional[int] = None):
     """Shortest prefix of the path (root included) without a marker."""
-    if isinstance(path, tuple):
-        length = len(path[0])
-        prefixes = [(path[0][:k], path[1][:k]) for k in range(length + 1)]
-    else:
-        length = len(path)
-        prefixes = [path[:k] for k in range(length + 1)]
+    length = len(path[0])
     limit = length if cap is None else min(cap, length)
-    for node in prefixes[: limit + 1]:
+    for k in range(limit + 1):
+        node = tuple(side[:k] for side in path)
         if node not in marked:
             return node
     raise SelectorCapError("every path prefix through the cap is marked")
 
 
-class LeftmostSelector:
-    kind = "leftmost"
+class ExtremalSelector:
+    """The leftmost (bit "0") or rightmost (bit "1") surviving path: the
+    first survivor of a DFS whose children come in lexicographic order of
+    their new bits, with `bit` first, padded with `bit` to the stage."""
+
+    def __init__(self, bit: str):
+        self.kind = "leftmost" if bit == "0" else "rightmost"
+        self.bit = bit
+        self.order = "01" if bit == "0" else "10"
 
     def path(self, e, stage, ctx, find, state):
-        stem = find(_SINGLE_LEFT if ctx.mode == SINGLE else _PAIR_LEFT)
+        stem = find(self.order)
         if stem is None:
             return None
-        pad = stage - ctx.l
-        if ctx.mode == SINGLE:
-            return stem + "0" * pad
-        return (stem[0] + "0" * pad, stem[1] + "0" * pad)
+        return tuple(side + self.bit * (stage - ctx.l) for side in stem)
 
 
-class RightmostSelector:
-    kind = "rightmost"
-
-    def path(self, e, stage, ctx, find, state):
-        stem = find(_SINGLE_RIGHT if ctx.mode == SINGLE else _PAIR_RIGHT)
-        if stem is None:
-            return None
-        pad = stage - ctx.l
-        if ctx.mode == SINGLE:
-            return stem + "1" * pad
-        return (stem[0] + "1" * pad, stem[1] + "1" * pad)
+LeftmostSelector = partial(ExtremalSelector, "0")
+RightmostSelector = partial(ExtremalSelector, "1")
 
 
 class ScriptedSelector:
     """Approximation-style selector: finitely many scripted mind changes,
-    each entry giving the path guess from some stage on.  Falls back to
-    leftmost before the first entry applies.  The guess is padded with 0s
-    (truncated) to the stage cap; its level truncation must survive."""
+    each entry giving the path guess (a node) from some stage on.  Falls
+    back to leftmost before the first entry applies.  Each side of the
+    guess is padded with 0s (truncated) to the stage cap; its level
+    truncation must survive."""
 
     kind = "scripted"
 
@@ -326,11 +294,7 @@ class ScriptedSelector:
                 guess = node
         if guess is None:
             return self._fallback.path(e, stage, ctx, find, state)
-        if ctx.mode == SINGLE:
-            return (guess + "0" * stage)[:stage]
-        gx = (guess[0] + "0" * stage)[:stage]
-        gy = (guess[1] + "0" * stage)[:stage]
-        return (gx, gy)
+        return tuple((side + "0" * stage)[:stage] for side in guess)
 
 
 @dataclass
@@ -372,7 +336,7 @@ class RunConfig:
     node_budget: int = _DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.mode not in (SINGLE, PAIR):
+        if self.mode not in SIDES:
             raise UndefinedInputError("mode must be single or pair")
         if not 1 <= self.stages <= 64:
             raise BudgetError("stage count out of the supported range 1..64")
@@ -380,23 +344,20 @@ class RunConfig:
 
 class TraceView:
     """What an enumeration source may read at stage s: the public record
-    through stage s-1.  Sources run before the stage mutates anything."""
+    through stage s-1, with one GapRuleTable per side in `tables`.
+    Sources run before the stage mutates anything."""
 
     def __init__(self, engine, stage):
         self._e = engine
         self.stage = stage
-        self.mode = engine.mode
         self.defined_through = stage - 1
-        self.x_table = engine.x_table
-        self.y_table = engine.y_table
+        self.tables = engine.tables
 
     def rules_issued_at(self, stage, e=None) -> list:
-        out = [r for r in self._e.x_table.rules if r.stage == stage]
-        if self._e.y_table is not None:
-            out += [r for r in self._e.y_table.rules if r.stage == stage]
-        if e is not None:
-            out = [r for r in out if r.e == e]
-        return out
+        return [
+            r for t in self.tables for r in t.rules
+            if r.stage == stage and (e is None or r.e == e)
+        ]
 
     def approx(self, e):
         return self._e.states[e].latest_approx()
@@ -434,22 +395,23 @@ class Trace:
     strategy_count: int
     config_echo: Optional[dict] = None
     _final: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _censuses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def x_table(self) -> GapRuleTable:
-        t = GapRuleTable(SIDE_X)
-        for r in self.x_rules:
+    @property
+    def sides(self) -> tuple:
+        return SIDES[self.mode]
+
+    def table(self, side=SIDE_X) -> GapRuleTable:
+        """The side's rules as a table defined through the last stage."""
+        t = GapRuleTable(side)
+        for r in self.x_rules if side == SIDE_X else self.y_rules:
             t.add_rule(r)
         t.extend_defined(self.defined_through)
         return t
 
-    def y_table(self) -> Optional[GapRuleTable]:
-        if self.mode == SINGLE:
-            return None
-        t = GapRuleTable(SIDE_Y)
-        for r in self.y_rules:
-            t.add_rule(r)
-        t.extend_defined(self.defined_through)
-        return t
+    def tables(self) -> tuple:
+        """One GapRuleTable per side, in side order."""
+        return tuple(self.table(side) for side in self.sides)
 
     def enumerated_through(self, e, stage) -> tuple:
         """Run set enumerated by strategy e's opponent through `stage`."""
@@ -466,10 +428,17 @@ class Trace:
             self._final[e] = self.enumerated_through(e, self.stages - 1)
         return self._final[e]
 
+    def census(self, prefix, side=SIDE_X):
+        """Gap census of the side's value set under the oracle prefix (one
+        side's bit string), computed once per prefix."""
+        key = (prefix, side)
+        if key not in self._censuses:
+            values = functional_value_set(self, prefix, side)
+            self._censuses[key] = gap_census(lambda n: n in values, self.defined_through + 1)
+        return self._censuses[key]
+
     def level_context(self, e, l) -> LevelContext:
-        return LevelContext(
-            self.mode, l, self.enumerated_through(e, l), self.x_table(), self.y_table()
-        )
+        return LevelContext(l, self.enumerated_through(e, l), self.tables())
 
     def tree_level(self, e, l, budget: int = _DEFAULT_NODE_BUDGET) -> list:
         """The surviving level-l nodes of strategy e's tree."""
@@ -477,23 +446,23 @@ class Trace:
             raise UndefinedRegionError("level %d beyond the defined horizon" % l)
         return enumerate_level(self.level_context(e, l), budget)
 
+    def approx_chains(self, e) -> list:
+        """The selected path's extension chains, as [first stage, last
+        approximation]: a new chain starts at every mind change."""
+        chains = []
+        for rec in self.records:
+            node = rec.info.get(e, {}).get("approx")
+            if node is None:
+                continue
+            if chains and _extends(node, chains[-1][1]):
+                chains[-1][1] = node
+            else:
+                chains.append([rec.stage, node])
+        return chains
+
     def path_changes(self, e) -> int:
         """Mind changes of the selected path, counting the first choice."""
-        count = 0
-        prev = None
-        for _, node in self._approx_list(e):
-            if prev is None or not _extends(node, prev):
-                count += 1
-            prev = node
-        return count
-
-    def _approx_list(self, e):
-        out = []
-        for rec in self.records:
-            info = rec.info.get(e)
-            if info and info.get("approx") is not None:
-                out.append((rec.stage, info["approx"]))
-        return out
+        return len(self.approx_chains(e))
 
     def rules_for(self, e, side=SIDE_X) -> list:
         src = self.x_rules if side == SIDE_X else self.y_rules
@@ -501,25 +470,20 @@ class Trace:
 
 
 def _extends(node, prev) -> bool:
-    if isinstance(node, tuple):
-        return node[0].startswith(prev[0]) and node[1].startswith(prev[1])
-    return node.startswith(prev)
+    return all(map(str.startswith, node, prev))
 
 
+# single-mode nodes serialize as a bare bit string, pair nodes as a list
 def _node_jsonable(node):
     if node is None:
         return None
-    if isinstance(node, tuple):
-        return [node[0], node[1]]
-    return node
+    return node[0] if len(node) == 1 else list(node)
 
 
 def _node_from_jsonable(v):
     if v is None:
         return None
-    if isinstance(v, list):
-        return (v[0], v[1])
-    return v
+    return (v,) if isinstance(v, str) else tuple(v)
 
 
 def _level_hash(e, l, rules, enum) -> str:
@@ -536,9 +500,7 @@ def _level_hash(e, l, rules, enum) -> str:
 class _Engine:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.mode = cfg.mode
-        self.x_table = GapRuleTable(SIDE_X)
-        self.y_table = GapRuleTable(SIDE_Y) if cfg.mode == PAIR else None
+        self.tables = tuple(GapRuleTable(side) for side in SIDES[cfg.mode])
         self.states = [
             TreeState(e, spec.source, spec.selector)
             for e, spec in enumerate(cfg.strategies)
@@ -552,12 +514,13 @@ class _Engine:
             st.e: tuple(MarkerRecord(st.e, stage, node) for stage, node in st.markers)
             for st in self.states
         }
+        rules = {t.side: tuple(t.rules) for t in self.tables}
         return Trace(
-            mode=self.mode,
+            mode=self.cfg.mode,
             stages=self.cfg.stages,
             records=records,
-            x_rules=tuple(self.x_table.rules),
-            y_rules=tuple(self.y_table.rules) if self.y_table else (),
+            x_rules=rules[SIDE_X],
+            y_rules=rules.get(SIDE_Y, ()),
             markers=markers,
             final_approx={st.e: st.latest_approx() for st in self.states},
             alive={st.e: st.alive for st in self.states},
@@ -575,7 +538,7 @@ class _Engine:
             batches[st.e] = new
             if not new:
                 continue
-            for rule in self.x_table.rules:
+            for rule in self.tables[0].rules:  # traps are x-side gaps
                 if rule.e == st.e:
                     trap_events.extend(
                         (st.e, rule.stage, lo, hi) for lo, hi in clip(new, rule.gap_lo, rule.gap_hi)
@@ -584,11 +547,11 @@ class _Engine:
         info = {}
         for st in self.states:
             info[st.e] = self._act(st, s, issued)
+        by_side = {t.side: t for t in self.tables}
         for r in issued:
-            (self.x_table if r.side == SIDE_X else self.y_table).add_rule(r)
-        self.x_table.extend_defined(s)
-        if self.y_table is not None:
-            self.y_table.extend_defined(s)
+            by_side[r.side].add_rule(r)
+        for t in self.tables:
+            t.extend_defined(s)
         for st in self.states:
             st.enumerated = union(st.enumerated, batches[st.e])
         return StageRecord(
@@ -611,17 +574,15 @@ class _Engine:
         if not st.alive or st.e >= s:
             return out
         l = s - 1
-        ctx = LevelContext(self.mode, l, st.enumerated, self.x_table, self.y_table)
+        ctx = LevelContext(l, st.enumerated, self.tables)
         out["level_hash"] = _level_hash(
-            st.e, l,
-            self.x_table.rules + (self.y_table.rules if self.y_table else []),
-            st.enumerated,
+            st.e, l, [r for t in self.tables for r in t.rules], st.enumerated
         )
 
         def find(order):
             return find_survivor(ctx, order, budget=self.cfg.node_budget)
 
-        if find(ctx.default_order()) is None:
+        if find("01") is None:
             st.alive = False
             st.death_stage = s
             out["alive"] = False
@@ -630,8 +591,7 @@ class _Engine:
         path = st.selector.path(st.e, s, ctx, find, self)
         if path is None:
             raise InvariantViolationError("selector returned no path on a live tree")
-        trunc = path[:l] if self.mode == SINGLE else (path[0][:l], path[1][:l])
-        if ctx.killed(trunc):
+        if ctx.killed(tuple(side[:l] for side in path)):
             raise InvariantViolationError(
                 "selector path truncation is outside the surviving level"
             )
@@ -639,11 +599,7 @@ class _Engine:
         st.marked.add(marker)
         st.markers.append((s, marker))
         st.approx_history.append((s, path))
-        if self.mode == SINGLE:
-            issued.append(GapRule(st.e, s, marker, SIDE_X))
-        else:
-            issued.append(GapRule(st.e, s, marker[0], SIDE_X))
-            issued.append(GapRule(st.e, s, marker[1], SIDE_Y))
+        issued.extend(GapRule(st.e, s, node, t.side) for node, t in zip(marker, self.tables))
         out["acted"] = True
         out["approx"] = path
         out["marker"] = marker
@@ -674,7 +630,7 @@ def trap_status(trace: Trace, e: int, s: int) -> str:
 def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> set:
     """{n in [1, 2^(defined+1)) : definitely in the side's functional
     under oracles extending prefix}; prefix must decide every rule."""
-    table = trace.x_table() if side == SIDE_X else trace.y_table()
+    table = trace.table(side)
     out = set()
     for n in range(1, 1 << (trace.defined_through + 1)):
         if table.evaluate(prefix, n) == 1:
@@ -797,19 +753,19 @@ def audit_marker_on_path(trace: Trace) -> list:
 def audit_trap_soundness(trace: Trace) -> list:
     """After a trap is sprung, no surviving node extends the trapped one."""
     bad = []
-    xt, yt = trace.x_table(), trace.y_table()
+    tables = trace.tables()
     for rec in trace.records:
         for e, gap_stage, lo, hi in rec.trap_events:
-            xnodes = [r.node for r in trace.x_rules if r.e == e and r.stage == gap_stage]
-            ynodes = [r.node for r in trace.y_rules if r.e == e and r.stage == gap_stage]
-            if not xnodes or (trace.mode == PAIR and not ynodes):
+            node = tuple(
+                next((r.node for r in t.rules_at_block(gap_stage) if r.e == e), None)
+                for t in tables
+            )
+            if None in node:
                 bad.append(
                     "trap event (%d, %d, [%d, %d)) references a rule the trace does not contain"
                     % (e, gap_stage, lo, hi)
                 )
                 continue
-            node = (xnodes[0], ynodes[0]) if trace.mode == PAIR else xnodes[0]
-            xnode = xnodes[0]
             for later in trace.records:
                 if later.stage <= rec.stage:
                     continue
@@ -817,9 +773,9 @@ def audit_trap_soundness(trace: Trace) -> list:
                 if not info or (not info["acted"] and not info["died"]):
                     continue
                 l = later.stage - 1
-                if (len(xnode) if trace.mode == SINGLE else len(node[0])) > l:
+                if len(node[0]) > l:
                     continue
-                ctx = LevelContext(trace.mode, l, trace.enumerated_through(e, l), xt, yt)
+                ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
                 if find_survivor(ctx, start=node) is not None:
                     bad.append(
                         "survivor extends trapped node %r at stage %d (strategy %d)"
@@ -829,26 +785,30 @@ def audit_trap_soundness(trace: Trace) -> list:
 
 
 def audit_spoiling(trace: Trace, brute_max: int = 12) -> list:
-    """A dead strategy's final level is empty, and (small levels) every
-    node is definitely excluded somewhere, checked via eval_phi."""
+    """A dead strategy's final level is empty, and (levels of at most
+    `brute_max` bits over all sides) every node has a witness: an
+    enumerated element that every side's table definitely excludes."""
     bad = []
-    xt, yt = trace.x_table(), trace.y_table()
+    tables = trace.tables()
+    k = len(tables)
     for e, died_at in trace.death_stage.items():
         if died_at is None:
             continue
         l = died_at - 1
-        ctx = LevelContext(trace.mode, l, trace.enumerated_through(e, l), xt, yt)
+        ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
         if find_survivor(ctx) is not None:
             bad.append("dead strategy %d still has a level-%d survivor" % (e, l))
-        if trace.mode == SINGLE and l <= brute_max:
+        if k * l <= brute_max:
             enum = elements(clip(trace.enumerated_through(e, l), 0, 1 << l))
-            for v in range(1 << l):
-                sigma = format(v, "0%db" % l) if l else ""
+            for v in range(1 << (k * l)):
+                bits = format(v, "0%db" % (k * l)) if l else ""
+                node = tuple(bits[i * l:(i + 1) * l] for i in range(k))
                 witnessed = any(
-                    n == 0 or xt.evaluate(sigma, n) == 0 for n in enum
+                    n == 0 or all(t.evaluate(side, n) == 0 for t, side in zip(tables, node))
+                    for n in enum
                 )
                 if not witnessed:
-                    bad.append("no spoiling witness for %r (strategy %d)" % (sigma, e))
+                    bad.append("no spoiling witness for %r (strategy %d)" % (node, e))
     return bad
 
 
@@ -860,31 +820,27 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     Only x-side gaps are counted (pair mode: the probe's x string), so the
     lcp is taken on the x side too: an x-rule's node is the x string of a
     marker on the stage's approximation, and the y side never changes the
-    x functional's gaps."""
+    x functional's gaps.  Within an extension chain every approximation
+    prefixes the chain's last one, whose lcp with a probe is therefore the
+    chain's largest."""
     bad = []
-    approxes = trace._approx_list(e)
-    if not approxes:
+    chains = trace.approx_chains(e)
+    if not chains:
         return bad
     final = trace.final_approx[e]
-    changes = trace.path_changes(e)
-    last_change_stage = None
-    prev = None
-    for stage, node in approxes:
-        if prev is None or not _extends(node, prev):
-            last_change_stage = stage
-        prev = node
-    for stage, marker in [(m.stage, m.node) for m in trace.markers[e]]:
-        if stage >= last_change_stage and not _extends(final, marker):
-            bad.append("late marker %r not on the final path (strategy %d)" % (marker, e))
-    x_of = (lambda node: node) if trace.mode == SINGLE else (lambda node: node[0])
+    last_change_stage = chains[-1][0]
+    for m in trace.markers[e]:
+        if m.stage >= last_change_stage and not _extends(final, m.node):
+            bad.append("late marker %r not on the final path (strategy %d)" % (m.node, e))
+    x_rules = trace.rules_for(e, SIDE_X)
     for probe in prefixes:
-        x_probe = x_of(probe)
-        gaps = sum(1 for r in trace.rules_for(e, SIDE_X) if _extends(x_probe, r.node))
-        max_lcp = max((_lcp_len(x_probe, x_of(node)) for _, node in approxes), default=0)
-        if gaps > changes + max_lcp:
+        x_probe = probe[0]
+        gaps = sum(1 for r in x_rules if x_probe.startswith(r.node))
+        max_lcp = max(_lcp_len(x_probe, node[0]) for _, node in chains)
+        if gaps > len(chains) + max_lcp:
             bad.append(
                 "gap count %d exceeds changes %d + lcp %d along %r (strategy %d)"
-                % (gaps, changes, max_lcp, probe, e)
+                % (gaps, len(chains), max_lcp, probe, e)
             )
     return bad
 
@@ -899,16 +855,12 @@ def _lcp_len(a: str, b: str) -> int:
 
 
 def audit_gap_census_consistency(trace: Trace, prefix, side=SIDE_X) -> list:
-    """The value set's censused gaps under `prefix` are exactly the rules
-    whose nodes prefix it."""
-    from .density import gap_census
-
+    """The value set's censused gaps under `prefix` (one side's bit
+    string) are exactly the rules whose nodes prefix it."""
     bad = []
-    table = trace.x_table() if side == SIDE_X else trace.y_table()
-    values = functional_value_set(trace, prefix, side)
-    census = gap_census(lambda n: n in values, trace.defined_through + 1)
-    bits = as_bits(prefix if not isinstance(prefix, tuple) else prefix[0])
-    for i, recorded in census.records:
+    table = trace.table(side)
+    bits = as_bits(prefix)
+    for i, recorded in trace.census(prefix, side).records:
         applicable = [r.e for r in table.rules_at_block(i) if bits.startswith(r.node)]
         expected = min(applicable) if applicable else None
         if recorded != expected:
@@ -920,32 +872,48 @@ def audit_gap_census_consistency(trace: Trace, prefix, side=SIDE_X) -> list:
 
 def default_probe_prefixes(trace: Trace, e: int) -> list:
     """Deterministic probe set for the single-victim audit: the final
-    approximation and each one-bit deviation padded both ways."""
+    approximation and each one-bit deviation of its x side, padded with
+    0s and (with one side only) with 1s."""
     final = trace.final_approx.get(e)
     if final is None:
         return []
+    x, rest = final[0], final[1:]
     probes = [final]
-    length = len(final) if trace.mode == SINGLE else len(final[0])
-    for k in range(length):
-        if trace.mode == SINGLE:
-            flipped = final[:k] + ("1" if final[k] == "0" else "0")
-            probes.append((flipped + "0" * length)[:length])
-            probes.append((flipped + "1" * length)[:length])
-        else:
-            fx = final[0][:k] + ("1" if final[0][k] == "0" else "0")
-            probes.append(((fx + "0" * length)[:length], final[1]))
+    for k in range(len(x)):
+        flipped = x[:k] + ("1" if x[k] == "0" else "0")
+        for pad in "0" if rest else "01":
+            probes.append(((flipped + pad * len(x))[: len(x)],) + rest)
     return probes
+
+
+def census_prefixes(trace: Trace) -> list:
+    """(label, x prefix) of the oracles whose value censuses are audited
+    and reported: all zeros and all ones, in single mode through stage 14
+    (each census evaluates every n below the defined horizon)."""
+    if len(trace.sides) == 1 and trace.defined_through <= 14:
+        return [(label, bit * trace.defined_through) for label, bit in (("all-zeros", "0"), ("all-ones", "1"))]
+    return []
+
+
+def audit_verdicts(trace: Trace) -> list:
+    """The audit registry: every standard audit of a trace as (invariant
+    name, inputs, violations), in report order."""
+    whole = {"stages": trace.stages, "strategies": trace.strategy_count}
+    out = [
+        ("marker-on-path", whole, audit_marker_on_path(trace)),
+        ("trap-soundness", whole, audit_trap_soundness(trace)),
+        ("spoiling-completeness", whole, audit_spoiling(trace)),
+    ]
+    for e in range(trace.strategy_count):
+        probes = default_probe_prefixes(trace, e)
+        out.append(("single-victim", {"strategy": e, "probes": len(probes)},
+                    audit_single_victim(trace, e, probes)))
+    for _, prefix in census_prefixes(trace):
+        out.append(("gap-census-consistency", {"prefix": prefix},
+                    audit_gap_census_consistency(trace, prefix)))
+    return out
 
 
 def audit_trace(trace: Trace) -> list:
     """All standard audits; returns the list of violations (empty = pass)."""
-    bad = []
-    bad += audit_marker_on_path(trace)
-    bad += audit_trap_soundness(trace)
-    bad += audit_spoiling(trace)
-    for e in range(trace.strategy_count):
-        bad += audit_single_victim(trace, e, default_probe_prefixes(trace, e))
-    if trace.mode == SINGLE and trace.defined_through <= 14:
-        for probe in ("0" * trace.defined_through, "1" * trace.defined_through):
-            bad += audit_gap_census_consistency(trace, probe)
-    return bad
+    return [msg for _, _, bad in audit_verdicts(trace) for msg in bad]

@@ -26,7 +26,7 @@ from .codings import (
 )
 # prefix_density is not called here any more; it stays importable from this
 # module because the perfbench tracer binds harness.prefix_density
-from .density import gap_census, prefix_density  # noqa: F401
+from .density import prefix_density  # noqa: F401
 from .errors import ConfigError
 from .reals import (
     Enumerator,
@@ -43,13 +43,8 @@ CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/1"
 REPORT_FORMAT = "gencomp-report/1"
 
-SCENARIOS = (
-    "single-diagonal",
-    "pair-diagonal",
-    "coding-roundtrip",
-    "relation-embed",
-    "operator-compile",
-)
+DIAGONAL_MODES = {"single-diagonal": diagonal.SINGLE, "pair-diagonal": diagonal.PAIR}
+SCENARIOS = (*DIAGONAL_MODES, "coding-roundtrip", "relation-embed", "operator-compile")
 
 
 def canonical_json(doc) -> str:
@@ -137,11 +132,14 @@ def load_selector(spec, mode):
             stage, node = item
             if not _is_natural(stage):
                 raise ConfigError("scripted selector stages must be natural numbers")
+            # a node is a tuple of one bit string per side
             if mode == diagonal.PAIR:
                 if not (isinstance(node, list) and len(node) == 2 and all(map(_is_bits, node))):
                     raise ConfigError("pair selector nodes are [x_bits, y_bits]")
-                node = (node[0], node[1])
-            elif not _is_bits(node):
+                node = tuple(node)
+            elif _is_bits(node):
+                node = (node,)
+            else:
                 raise ConfigError("single selector nodes are bit strings")
             entries.append((stage, node))
         return diagonal.ScriptedSelector(entries)
@@ -225,7 +223,7 @@ def validate_config(doc) -> dict:
     eff = {"version": CONFIG_VERSION, "scenario": scenario}
     if "out_dir" in doc:
         eff["out_dir"] = _str(doc, "out_dir")
-    if scenario in ("single-diagonal", "pair-diagonal"):
+    if scenario in DIAGONAL_MODES:
         _allow(doc, common | {"stages", "strategies", "node_budget", "csv_profiles"})
         eff["stages"] = _int(doc, "stages", lo=1, hi=64)
         eff["node_budget"] = _int(doc, "node_budget", default=1 << 18, lo=1)
@@ -235,7 +233,7 @@ def validate_config(doc) -> dict:
         strategies = doc.get("strategies")
         if not isinstance(strategies, list):
             raise ConfigError("'strategies' must be a list")
-        mode = diagonal.SINGLE if scenario == "single-diagonal" else diagonal.PAIR
+        mode = DIAGONAL_MODES[scenario]
         eff_strats = []
         for entry in strategies:
             if not isinstance(entry, dict):
@@ -300,42 +298,22 @@ def _build_strategies(cfg, mode):
     return tuple(specs)
 
 
-def _run_diagonal(cfg):
-    mode = diagonal.SINGLE if cfg["scenario"] == "single-diagonal" else diagonal.PAIR
+def _diagonal_trace(cfg) -> diagonal.Trace:
+    """Build, without auditing, the construction a validated diagonal
+    config describes."""
+    mode = DIAGONAL_MODES[cfg["scenario"]]
     trace = diagonal.run_construction(
         diagonal.RunConfig(mode, cfg["stages"], _build_strategies(cfg, mode), cfg["node_budget"])
     )
     trace.config_echo = cfg
-    run_inputs = {"stages": cfg["stages"], "strategies": len(cfg["strategies"])}
-    verdicts = []
-    verdicts.append(
-        _verdict("marker-on-path", not diagonal.audit_marker_on_path(trace), **run_inputs)
-    )
-    verdicts.append(
-        _verdict("trap-soundness", not diagonal.audit_trap_soundness(trace), **run_inputs)
-    )
-    verdicts.append(
-        _verdict("spoiling-completeness", not diagonal.audit_spoiling(trace), **run_inputs)
-    )
-    for e in range(trace.strategy_count):
-        probes = diagonal.default_probe_prefixes(trace, e)
-        verdicts.append(
-            _verdict(
-                "single-victim",
-                not diagonal.audit_single_victim(trace, e, probes),
-                strategy=e,
-                probes=len(probes),
-            )
-        )
-    if mode == diagonal.SINGLE and trace.defined_through <= 14:
-        for probe in ("0" * trace.defined_through, "1" * trace.defined_through):
-            verdicts.append(
-                _verdict(
-                    "gap-census-consistency",
-                    not diagonal.audit_gap_census_consistency(trace, probe),
-                    prefix=probe,
-                )
-            )
+    return trace
+
+
+def _diagonal_report(trace) -> dict:
+    """Audit a diagonal trace once through the registry and report on it."""
+    verdicts = [
+        _verdict(name, not bad, **inputs) for name, inputs, bad in diagonal.audit_verdicts(trace)
+    ]
     densities = []
     tallies = []
     for e in range(trace.strategy_count):
@@ -349,23 +327,18 @@ def _run_diagonal(cfg):
         for s in range(trace.stages):
             tally[diagonal.trap_status(trace, e, s)] += 1
         tallies.append({"strategy": e, **tally})
-    censuses = []
-    if mode == diagonal.SINGLE and trace.defined_through <= 14:
-        for label, probe in (
-            ("all-zeros", "0" * trace.defined_through),
-            ("all-ones", "1" * trace.defined_through),
-        ):
-            values = diagonal.functional_value_set(trace, probe)
-            census = gap_census(lambda n: n in values, trace.defined_through + 1)
-            censuses.append({"oracle_prefix": label, "census": census.to_jsonable()})
-    report = {
+    # the gap-census audits above computed these censuses
+    censuses = [
+        {"oracle_prefix": label, "census": trace.census(prefix).to_jsonable()}
+        for label, prefix in diagonal.census_prefixes(trace)
+    ]
+    return {
         "verdicts": verdicts,
         "densities": densities,
         "trap_tallies": tallies,
         "value_censuses": censuses,
         "notes": [],
     }
-    return diagonal.trace_to_jsonable(trace), report
 
 
 def _write_csv_profiles(report, out_dir):
@@ -589,10 +562,10 @@ def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=Tru
         doc["out_dir"] = out_dir
     cfg = validate_config(doc)
     scenario = cfg["scenario"]
-    # the echoed config drives replay; the output location is not semantic
-    echo = {k: v for k, v in cfg.items() if k != "out_dir"}
-    if scenario in ("single-diagonal", "pair-diagonal"):
-        trace_doc, report_body = _run_diagonal(echo)
+    echo = _echo(cfg)
+    if scenario in DIAGONAL_MODES:
+        trace = _diagonal_trace(echo)
+        trace_doc, report_body = diagonal.trace_to_jsonable(trace), _diagonal_report(trace)
     else:
         if scenario == "coding-roundtrip":
             log, report_body = _run_coding_roundtrip(echo)
@@ -619,18 +592,28 @@ def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=Tru
             fh.write(canonical_json(trace_doc))
         with open(os.path.join(target, "report.json"), "w") as fh:
             fh.write(canonical_json(report))
-        if cfg.get("csv_profiles") and scenario in ("single-diagonal", "pair-diagonal"):
+        if cfg.get("csv_profiles") and scenario in DIAGONAL_MODES:
             _write_csv_profiles(report, target)
     return report, trace_doc
+
+
+def _echo(cfg) -> dict:
+    """A validated config as its trace echoes it: the echo drives replay,
+    and the output location is not semantic."""
+    return {k: v for k, v in cfg.items() if k != "out_dir"}
+
+
+def _echoed_config(trace_doc: dict) -> dict:
+    cfg = trace_doc.get("config")
+    if not cfg or not isinstance(cfg, dict):
+        raise ConfigError("trace carries no config echo; cannot replay")
+    return dict(cfg)
 
 
 def replay_trace_doc(trace_doc: dict):
     """Re-run the config echoed in a trace document without touching the
     filesystem; returns (report, fresh trace doc)."""
-    cfg = trace_doc.get("config")
-    if not cfg or not isinstance(cfg, dict):
-        raise ConfigError("trace carries no config echo; cannot replay")
-    return run_experiment(dict(cfg), write=False)
+    return run_experiment(_echoed_config(trace_doc), write=False)
 
 
 def first_difference(a, b, path: str = ""):
@@ -665,7 +648,9 @@ def _replay_mismatch(doc, fresh) -> list:
 
 
 def verify_trace_file(path: str) -> list:
-    """Replay a trace file and audit it; returns violation messages."""
+    """Replay a trace file and audit it; returns violation messages.  A
+    diagonal trace is rebuilt from its config without auditing the
+    rebuild, then the file's own trace is audited once."""
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
@@ -673,8 +658,10 @@ def verify_trace_file(path: str) -> list:
         raise ConfigError("cannot parse trace %s: %s" % (path, exc))
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt == diagonal.TRACE_FORMAT:
-        report, fresh = replay_trace_doc(doc)
-        problems = _replay_mismatch(doc, fresh)
+        cfg = _echo(validate_config(_echoed_config(doc)))
+        if cfg["scenario"] not in DIAGONAL_MODES:
+            raise ConfigError("a %s trace must echo a diagonal config" % fmt)
+        problems = _replay_mismatch(doc, diagonal.trace_to_jsonable(_diagonal_trace(cfg)))
         try:
             trace = diagonal.trace_from_jsonable(doc)
             problems += diagonal.audit_trace(trace)

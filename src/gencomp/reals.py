@@ -126,11 +126,6 @@ def all_ones() -> EventuallyPeriodicReal:
     return EventuallyPeriodicReal("", "1")
 
 
-def real_bit(spec: RealSpec, n: int) -> int:
-    """Deterministic bit lookup; errors follow the spec kind's domain."""
-    return spec.bit(n)
-
-
 @dataclass(frozen=True)
 class BitPrefix:
     """A finite binary sequence; indexable at 0..len-1."""
@@ -321,8 +316,3 @@ class Enumerator:
         Scripted enumerators ignore the trace view."""
         new = self.at(stage) - self.at(stage - 1) if stage else self.at(0)
         return list(from_elements(new))
-
-
-def enumerator_at(w: Enumerator, s: int) -> frozenset:
-    """Cumulative enumerated set after s stages."""
-    return w.at(s)

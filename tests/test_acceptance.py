@@ -209,10 +209,10 @@ def test_c07_diagonal_single_mode():
     # the hand-simulated five-stage run
     trace = run_single(5, [StrategySpec(Silent(), LeftmostSelector())])
     assert [(m.stage, m.node) for m in trace.markers[0]] == [
-        (1, ""),
-        (2, "0"),
-        (3, "00"),
-        (4, "000"),
+        (1, ("",)),
+        (2, ("0",)),
+        (3, ("00",)),
+        (4, ("000",)),
     ]
     assert set(range(1, 32)) - functional_value_set(trace, "1111") == {2, 3}
     assert functional_value_set(trace, "0000") == {1}
@@ -227,7 +227,7 @@ def test_c07_diagonal_single_mode():
             StrategySpec(TrapSpringer(), LeftmostSelector()),
         ],
     )
-    table = det.x_table()
+    table = det.table()
     evaluate = table.evaluate
     horizon = 1 << 11
     for v in range(1 << 10):

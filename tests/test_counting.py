@@ -10,14 +10,26 @@ report format bump.  The expanded-content digests pin what a trace says,
 independent of how its batches are written.
 """
 
+import dataclasses
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from gencomp.density import prefix_density
-from gencomp.diagonal import PAIR, LevelContext, trace_from_jsonable
+from gencomp.density import gap_census, prefix_density
+from gencomp.diagonal import (
+    PAIR,
+    GapRule,
+    LevelContext,
+    audit_single_victim,
+    audit_verdicts,
+    census_prefixes,
+    default_probe_prefixes,
+    functional_value_set,
+    trace_from_jsonable,
+)
 from gencomp.harness import canonical_json, run_experiment
 
 PAIR_CATALOG_12 = {
@@ -141,13 +153,13 @@ def oracle_trap_events(trace, rec):
     return events
 
 
-def oracle_hits(mode, l, enum, xt, yt):
+def oracle_hits(mode, l, enum, xt, yt=None):
     """Level hits scanning every block and every rule (or rule pair)."""
     def hit(lo, hi):
         return any(lo <= n < hi for n in enum)
 
     if mode != PAIR:
-        return tuple(r.node for r in xt.rules if r.stage <= l - 1 and hit(r.gap_lo, r.gap_hi))
+        return tuple((r.node,) for r in xt.rules if r.stage <= l - 1 and hit(r.gap_lo, r.gap_hi))
     return tuple(
         (rx.node, ry.node)
         for s in range(min(l, xt.defined_through + 1))
@@ -186,6 +198,39 @@ def oracle_tally(trace, e):
         sprung = any(rules[0].gap_lo <= n < rules[0].gap_hi for n in elems)
         tally["sprung" if sprung else "pending"] += 1
     return tally
+
+
+def oracle_single_victim(trace, e, probes):
+    """The single-victim audit as first written: mind changes from a scan
+    of the stage records, the lcp maximized over every approximation."""
+    def extends(node, prev):
+        return all(a.startswith(b) for a, b in zip(node, prev))
+
+    approxes = [
+        (rec.stage, rec.info[e]["approx"]) for rec in trace.records
+        if e in rec.info and rec.info[e]["approx"] is not None
+    ]
+    if not approxes:
+        return []
+    changes, last_change, prev = 0, None, None
+    for stage, node in approxes:
+        if prev is None or not extends(node, prev):
+            changes, last_change = changes + 1, stage
+        prev = node
+    bad = []
+    final = trace.final_approx[e]
+    for m in trace.markers[e]:
+        if m.stage >= last_change and not extends(final, m.node):
+            bad.append("late marker %r not on the final path (strategy %d)" % (m.node, e))
+    for probe in probes:
+        gaps = sum(1 for r in trace.x_rules if r.e == e and probe[0].startswith(r.node))
+        lcp = max(len(os.path.commonprefix([probe[0], node[0]])) for _, node in approxes)
+        if gaps > changes + lcp:
+            bad.append(
+                "gap count %d exceeds changes %d + lcp %d along %r (strategy %d)"
+                % (gaps, changes, lcp, probe, e)
+            )
+    return bad
 
 
 # --- new counting == oracle --------------------------------------------------
@@ -229,12 +274,12 @@ def test_batches_are_new_run_sets(run):
 
 def test_level_hits_match_unskipped_scan(run):
     _, trace = run
-    xt, yt = trace.x_table(), trace.y_table()
+    tables = trace.tables()
     for e in range(trace.strategy_count):
         for l in range(trace.stages):
             enum = trace.enumerated_through(e, l)
-            ctx = LevelContext(trace.mode, l, enum, xt, yt)
-            assert ctx.hits == oracle_hits(trace.mode, l, expand(enum), xt, yt), (e, l)
+            ctx = LevelContext(l, enum, tables)
+            assert ctx.hits == oracle_hits(trace.mode, l, expand(enum), *tables), (e, l)
 
 
 def test_level_hashes_match_filtered_scan(run):
@@ -255,6 +300,36 @@ def test_trap_tallies_match_recount(run):
         assert {k: row[k] for k in ("pending", "sprung", "inactive")} == oracle_tally(trace, e)
 
 
+def test_single_victim_matches_max_over_all_approximations(run):
+    # the audit compares each probe with the last approximation of each
+    # extension chain only; rules under the root, more than any bound of
+    # changes + lcp <= 2 * stages, make every probe report its bound
+    _, trace = run
+    for e in range(trace.strategy_count):
+        probes = default_probe_prefixes(trace, e)
+        extra = tuple(GapRule(e, trace.stages + e + k, "") for k in range(2 * trace.stages + 1))
+        crowded = dataclasses.replace(trace, x_rules=trace.x_rules + extra)
+        assert audit_single_victim(trace, e, probes) == oracle_single_victim(trace, e, probes)
+        reported = audit_single_victim(crowded, e, probes)
+        assert reported == oracle_single_victim(crowded, e, probes)
+        assert len(reported) == len(probes)
+
+
+def test_registry_verdicts_are_the_report_verdicts(run):
+    report, trace = run
+    assert [
+        {"invariant": name, "pass": not bad, "inputs": inputs}
+        for name, inputs, bad in audit_verdicts(trace)
+    ] == report["verdicts"]
+    censuses = []
+    for label, prefix in census_prefixes(trace):
+        values = functional_value_set(trace, prefix)
+        census = gap_census(lambda n: n in values, trace.defined_through + 1)
+        censuses.append({"oracle_prefix": label, "census": census.to_jsonable()})
+    assert censuses == report["value_censuses"]
+    assert len(censuses) == (2 if trace.mode != PAIR else 0)
+
+
 def test_oracle_cases_exercise_every_branch():
     """The cases above hit trap events, sprung and pending traps, pair
     hits, pair blocks skipped for lack of elements although they carry
@@ -269,11 +344,11 @@ def test_oracle_cases_exercise_every_branch():
     _, doc = run_experiment(dict(PAIR_SCRIPTED_12), write=False)
     trace = trace_from_jsonable(doc)
     assert any(rec.trap_events for rec in trace.records)
-    xt, yt = trace.x_table(), trace.y_table()
+    xt, yt = tables = trace.tables()
     hits = skipped = 0
     for e in range(trace.strategy_count):
         enum = trace.enumerated_through(e, trace.stages - 1)
-        hits += len(LevelContext(PAIR, trace.stages - 1, enum, xt, yt).hits)
+        hits += len(LevelContext(trace.stages - 1, enum, tables).hits)
         skipped += sum(
             1 for s in range(trace.stages - 1)
             if xt.rules_at_block(s) and not any(1 << s <= n < 2 << s for n in expand(enum))

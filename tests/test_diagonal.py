@@ -5,7 +5,6 @@ import pytest
 from gencomp.adversaries import CautiousCopier, PrefixFlooder, Silent, TrapSpringer
 from gencomp.density import gap_census, prefix_density
 from gencomp.diagonal import (
-    PAIR,
     SINGLE,
     GapRule,
     GapRuleTable,
@@ -21,9 +20,9 @@ from gencomp.diagonal import (
     audit_spoiling,
     audit_trace,
     audit_trap_soundness,
+    audit_verdicts,
     default_probe_prefixes,
     enumerate_level,
-    eval_phi,
     find_survivor,
     functional_value_set,
     run_construction,
@@ -76,22 +75,22 @@ def test_gap_rule_validation():
 
 def test_eval_phi_examples():
     empty = table_of(defined=5)
-    assert eval_phi(empty, "10101", 7) == 1
+    assert empty.evaluate("10101", 7) == 1
     t = table_of(GapRule(1, 3, "10"), defined=5)
-    assert eval_phi(t, "10", 14) == 0
-    assert eval_phi(t, "101", 14) == 0
-    assert eval_phi(t, "1", 14) is None  # undecided: node is longer
-    assert eval_phi(t, "11", 14) == 1    # incomparable node never applies
-    assert eval_phi(t, "10", 11) == 1    # below the gap
-    assert eval_phi(t, BitPrefix("10"), 14) == 0
+    assert t.evaluate("10", 14) == 0
+    assert t.evaluate("101", 14) == 0
+    assert t.evaluate("1", 14) is None  # undecided: node is longer
+    assert t.evaluate("11", 14) == 1    # incomparable node never applies
+    assert t.evaluate("10", 11) == 1    # below the gap
+    assert t.evaluate(BitPrefix("10"), 14) == 0
 
 
 def test_eval_phi_errors():
     t = table_of(defined=3)
     with pytest.raises(UndefinedInputError):
-        eval_phi(t, "0", 0)
+        t.evaluate("0", 0)
     with pytest.raises(UndefinedRegionError):
-        eval_phi(t, "0", 16)
+        t.evaluate("0", 16)
 
 
 def test_excluded_interval_merges_nested_gaps():
@@ -105,9 +104,9 @@ def test_excluded_interval_merges_nested_gaps():
 
 
 def test_tree_level_full_when_no_enumeration():
-    ctx = LevelContext(SINGLE, 3, (), table_of(defined=4))
+    ctx = LevelContext(3, (), (table_of(defined=4),))
     assert sorted(enumerate_level(ctx)) == sorted(
-        format(v, "03b") for v in range(8)
+        (format(v, "03b"),) for v in range(8)
     )
 
 
@@ -115,8 +114,8 @@ def test_tree_level_prunes_definite_exclusions():
     # gap covering all of block 1 for oracles extending "1"; opponent
     # enumerated 2 by step 2
     t = table_of(GapRule(0, 1, "1"), defined=4)
-    ctx = LevelContext(SINGLE, 2, ((2, 3),), t)
-    assert sorted(enumerate_level(ctx)) == ["00", "01"]
+    ctx = LevelContext(2, ((2, 3),), (t,))
+    assert sorted(enumerate_level(ctx)) == [("00",), ("01",)]
 
 
 def test_tree_level_pair_union_keeps_nodes():
@@ -124,34 +123,34 @@ def test_tree_level_pair_union_keeps_nodes():
     # excludes it, so the union keeps every pair
     xt = table_of(defined=4)
     yt = table_of(GapRule(0, 1, "1", side="y"), defined=4, side="y")
-    ctx = LevelContext(PAIR, 2, ((2, 3),), xt, yt)
+    ctx = LevelContext(2, ((2, 3),), (xt, yt))
     assert len(enumerate_level(ctx)) == 16
 
 
 def test_tree_level_pair_prunes_joint_exclusions():
     xt = table_of(GapRule(0, 1, "0"), defined=4)
     yt = table_of(GapRule(0, 1, "1", side="y"), defined=4, side="y")
-    ctx = LevelContext(PAIR, 2, ((2, 3),), xt, yt)
+    ctx = LevelContext(2, ((2, 3),), (xt, yt))
     survivors = enumerate_level(ctx)
     assert len(survivors) == 12
     assert all(not (sx.startswith("0") and sy.startswith("1")) for sx, sy in survivors)
 
 
 def test_zero_in_enumeration_kills_everything():
-    ctx = LevelContext(SINGLE, 3, ((0, 1),), table_of(defined=4))
+    ctx = LevelContext(3, ((0, 1),), (table_of(defined=4),))
     assert enumerate_level(ctx) == []
     assert find_survivor(ctx) is None
 
 
 def test_find_survivor_orders():
     t = table_of(GapRule(0, 1, "0"), defined=4)
-    ctx = LevelContext(SINGLE, 2, ((2, 3),), t)
-    assert find_survivor(ctx, ("0", "1")) == "10"
-    assert find_survivor(ctx, ("1", "0")) == "11"
+    ctx = LevelContext(2, ((2, 3),), (t,))
+    assert find_survivor(ctx, "01") == ("10",)
+    assert find_survivor(ctx, "10") == ("11",)
 
 
 def test_find_survivor_budget():
-    ctx = LevelContext(SINGLE, 10, (), table_of(defined=11))
+    ctx = LevelContext(10, (), (table_of(defined=11),))
     with pytest.raises(BudgetError):
         find_survivor(ctx, budget=3)
 
@@ -160,10 +159,10 @@ def test_find_survivor_budget():
 
 
 def test_select_marker_node_examples():
-    path = "00000"
-    assert select_marker_node(path, set()) == ""
-    assert select_marker_node(path, {""}) == "0"
-    assert select_marker_node(path, {"", "0", "00"}) == "000"
+    path = ("00000",)
+    assert select_marker_node(path, set()) == ("",)
+    assert select_marker_node(path, {("",)}) == ("0",)
+    assert select_marker_node(path, {("",), ("0",), ("00",)}) == ("000",)
 
 
 def test_select_marker_node_pair():
@@ -174,9 +173,9 @@ def test_select_marker_node_pair():
 
 def test_select_marker_cap_error():
     with pytest.raises(SelectorCapError):
-        select_marker_node("01", {"", "0", "01"})
+        select_marker_node(("01",), {("",), ("0",), ("01",)})
     with pytest.raises(SelectorCapError):
-        select_marker_node("01", {"", "0"}, cap=1)
+        select_marker_node(("01",), {("",), ("0",)}, cap=1)
 
 
 # --- single-mode runs --------------------------------------------------------
@@ -185,10 +184,10 @@ def test_select_marker_cap_error():
 def test_hand_simulated_five_stage_run():
     trace = silent_run(5)
     assert [(m.stage, m.node) for m in trace.markers[0]] == [
-        (1, ""),
-        (2, "0"),
-        (3, "00"),
-        (4, "000"),
+        (1, ("",)),
+        (2, ("0",)),
+        (3, ("00",)),
+        (4, ("000",)),
     ]
     ones = functional_value_set(trace, "1111")
     assert set(range(1, 32)) - ones == {2, 3}
@@ -207,7 +206,7 @@ def test_scripted_spoiler_kills_tree():
     # stage 3; the level next computed from that enumeration is empty
     w = Enumerator.from_schedule(0, {3: {2}})
     trace = run_single(7, [StrategySpec(w, LeftmostSelector())])
-    assert [(m.stage, m.node) for m in trace.markers[0]] == [(1, ""), (2, "0"), (3, "00")]
+    assert [(m.stage, m.node) for m in trace.markers[0]] == [(1, ("",)), (2, ("0",)), (3, ("00",))]
     assert trace.death_stage[0] == 4
     assert trace.alive[0] is False
     assert audit_trace(trace) == []
@@ -227,20 +226,22 @@ def test_trap_status_examples():
 
 
 def test_springer_trap_soundness_and_spoiling():
-    trace = run_single(8, [StrategySpec(TrapSpringer(), LeftmostSelector())])
-    assert audit_trap_soundness(trace) == []
-    assert audit_spoiling(trace) == []
-    # after the sprung trap at the root, the whole level is gone
-    assert trace.tree_level(0, trace.death_stage[0] - 1) == []
+    for build in (run_single, run_pair):
+        trace = build(8, [StrategySpec(TrapSpringer(), LeftmostSelector())])
+        assert trace.death_stage[0] == 3
+        assert audit_trap_soundness(trace) == []
+        assert audit_spoiling(trace) == []
+        # after the sprung trap at the root, the whole level is gone
+        assert trace.tree_level(0, trace.death_stage[0] - 1) == []
 
 
 def test_rightmost_run():
     trace = run_single(5, [StrategySpec(Silent(), RightmostSelector())])
     assert [(m.stage, m.node) for m in trace.markers[0]] == [
-        (1, ""),
-        (2, "1"),
-        (3, "11"),
-        (4, "111"),
+        (1, ("",)),
+        (2, ("1",)),
+        (3, ("11",)),
+        (4, ("111",)),
     ]
     assert functional_value_set(trace, "1111") == {1}
 
@@ -261,7 +262,7 @@ def test_prefix_determinism_small():
         7,
         [StrategySpec(Silent(), LeftmostSelector()), StrategySpec(TrapSpringer(), LeftmostSelector())],
     )
-    table = trace.x_table()
+    table = trace.table()
     for v in range(1 << 7):
         sigma = format(v, "07b")
         for n in range(1, 1 << 7):
@@ -285,7 +286,7 @@ def test_gap_census_consistency_audit():
 def test_single_victim_audit():
     trace = silent_run(8)
     assert audit_single_victim(trace, 0, default_probe_prefixes(trace, 0)) == []
-    probes = ["1" * 7, "0" * 7, "0101010"]
+    probes = [("1" * 7,), ("0" * 7,), ("0101010",)]
     assert audit_single_victim(trace, 0, probes) == []
 
 
@@ -331,13 +332,39 @@ def test_marker_on_path_audit_detects_tampering():
     assert audit_marker_on_path(bad)
 
 
+@pytest.mark.parametrize("build, marker", [(run_single, "1"), (run_pair, ["1", "1"])])
+def test_registry_failures_are_audit_trace_failures(build, marker):
+    trace = build(
+        6,
+        [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
+    )
+    doc = trace_to_jsonable(trace)
+    doc["records"][2]["strategies"][0][1]["marker"] = marker  # off the approximation 00
+    doc["records"][1]["rules"] = []  # the rules of the stage-2 trap event
+    bad = trace_from_jsonable(doc)
+    # the audits one by one, in the order the report lists them
+    expected = audit_marker_on_path(bad) + audit_trap_soundness(bad) + audit_spoiling(bad)
+    for e in range(bad.strategy_count):
+        expected += audit_single_victim(bad, e, default_probe_prefixes(bad, e))
+    if bad.mode == SINGLE:
+        for probe in ("0" * 5, "1" * 5):
+            expected += audit_gap_census_consistency(bad, probe)
+    verdicts = audit_verdicts(bad)
+    assert [msg for _, _, failed in verdicts for msg in failed] == audit_trace(bad) == expected
+    assert [name for name, _, failed in verdicts if failed] == [
+        "marker-on-path", "trap-soundness", "spoiling-completeness"
+    ]
+    for part in ("off path", "does not contain", "no spoiling witness"):
+        assert any(part in msg for msg in expected), part
+
+
 def test_scripted_selector_mind_change():
-    sel = ScriptedSelector([(3, "111111")])
+    sel = ScriptedSelector([(3, ("111111",))])
     trace = run_single(6, [StrategySpec(Silent(), sel)])
     # leftmost fallback until stage 3, then the scripted path
     markers = [(m.stage, m.node) for m in trace.markers[0]]
-    assert markers[:2] == [(1, ""), (2, "0")]
-    assert markers[2] == (3, "1")
+    assert markers[:2] == [(1, ("",)), (2, ("0",))]
+    assert markers[2] == (3, ("1",))
     assert trace.path_changes(0) == 2
     assert audit_trace(trace) == []
 
@@ -346,7 +373,7 @@ def test_scripted_selector_off_tree_raises():
     # stage-2 rule under node "1" plus an enumeration into its gap kills
     # every oracle extending "1"; a script insisting on that branch is a
     # contract violation
-    sel = ScriptedSelector([(1, "1111111")])
+    sel = ScriptedSelector([(1, ("1111111",))])
     w = Enumerator.from_schedule(0, {2: {4}})
     with pytest.raises(InvariantViolationError):
         run_single(7, [StrategySpec(w, sel)])
@@ -432,20 +459,20 @@ def test_tree_antitonicity():
     for l in range(1, 6):
         level = set(trace.tree_level(0, l))
         parents = set(trace.tree_level(0, l - 1))
-        for node in level:
-            assert node[:-1] in parents
+        for (node,) in level:
+            assert (node[:-1],) in parents
 
 
 def test_tree_level_matches_bruteforce_eval():
     # independent recount of a level via the public tri-valued evaluation
     w = Enumerator.from_schedule(0, {1: {2}, 2: {5}})
     trace = run_single(6, [StrategySpec(w, LeftmostSelector())])
-    table = trace.x_table()
+    table = trace.table()
     for l in range(1, 5):
         enum = [n for lo, hi in trace.enumerated_through(0, l) for n in range(lo, hi) if 0 < n < (1 << l)]
         expected = []
         for v in range(1 << l):
             sigma = format(v, "0%db" % l)
             if all(table.evaluate(sigma, n) != 0 for n in enum):
-                expected.append(sigma)
+                expected.append((sigma,))
         assert trace.tree_level(0, l) == expected

@@ -66,7 +66,7 @@ def test_loaders():
         load_enumerator({"kind": "scripted", "stages": {"x": [1]}})
     assert load_selector({"kind": "rightmost"}, "single").kind == "rightmost"
     sel = load_selector({"kind": "scripted", "entries": [[2, "01"]]}, "single")
-    assert sel.entries == ((2, "01"),)
+    assert sel.entries == ((2, ("01",)),)
     d = load_description({"assignments": [[3, 1]]})
     assert d.lookup(3) == 1
     d2 = load_description({"domain": "all", "source": {"kind": "eventually-periodic", "period": "1"}, "start": 1})
@@ -116,10 +116,10 @@ def test_hand_simulation_config_reproduces_markers():
     assert report_passes(report)
     trace = trace_from_jsonable(doc)
     assert [(m.stage, m.node) for m in trace.markers[0]] == [
-        (1, ""),
-        (2, "0"),
-        (3, "00"),
-        (4, "000"),
+        (1, ("",)),
+        (2, ("0",)),
+        (3, ("00",)),
+        (4, ("000",)),
     ]
 
 
@@ -235,14 +235,50 @@ def test_verify_trace_file_roundtrip(tmp_path):
 
 
 def test_verify_detects_doctored_marker(tmp_path):
-    out = tmp_path / "d"
-    run_experiment(single_config(), out_dir=str(out))
-    doc = json.loads((out / "trace.json").read_text())
-    doc["records"][1]["strategies"][0][1]["marker"] = "1"
-    (out / "bad.json").write_text(canonical_json(doc))
-    problems = verify_trace_file(str(out / "bad.json"))
-    assert any("replay mismatch" in p for p in problems)
-    assert any("off path" in p for p in problems)
+    for scenario, marker in (("single-diagonal", "1"), ("pair-diagonal", ["1", "0"])):
+        out = tmp_path / scenario
+        run_experiment(single_config(scenario=scenario), out_dir=str(out))
+        doc = json.loads((out / "trace.json").read_text())
+        doc["records"][1]["strategies"][0][1]["marker"] = marker
+        (out / "bad.json").write_text(canonical_json(doc))
+        problems = verify_trace_file(str(out / "bad.json"))
+        assert any("replay mismatch" in p for p in problems)
+        assert any("off path" in p for p in problems)
+
+
+AUDITS = ("audit_marker_on_path", "audit_trap_soundness", "audit_spoiling",
+          "audit_single_victim", "audit_gap_census_consistency", "functional_value_set")
+
+
+@pytest.mark.parametrize("scenario", ["single-diagonal", "pair-diagonal"])
+def test_run_and_verify_audit_once(tmp_path, monkeypatch, scenario):
+    # verify rebuilds the trace without auditing the rebuild and audits the
+    # file's trace once; run computes each value census once for the
+    # audit and the report together
+    from gencomp import diagonal
+
+    cfg = single_config(scenario=scenario, stages=8, strategies=[
+        {"enumerator": {"kind": "trap-springer"}, "selector": {"kind": "leftmost"}},
+        {"enumerator": {"kind": "cautious-copier"}, "selector": {"kind": "rightmost"}},
+        {"enumerator": {"kind": "silent"}, "selector": {"kind": "leftmost"}},
+    ])
+    calls = dict.fromkeys(AUDITS, 0)
+    for name in AUDITS:
+        def counted(*args, _name=name, _fn=getattr(diagonal, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(diagonal, name, counted)
+    censuses = 2 if scenario == "single-diagonal" else 0
+    once = {"audit_marker_on_path": 1, "audit_trap_soundness": 1, "audit_spoiling": 1,
+            "audit_single_victim": 3, "audit_gap_census_consistency": censuses,
+            "functional_value_set": censuses}
+    out = tmp_path / "o"
+    report, _ = run_experiment(cfg, out_dir=str(out))
+    assert report_passes(report) and len(report["value_censuses"]) == censuses
+    assert calls == once
+    calls.update(dict.fromkeys(AUDITS, 0))
+    assert verify_trace_file(str(out / "trace.json")) == []
+    assert calls == once
 
 
 def test_verify_detects_removed_rule(tmp_path):
@@ -407,6 +443,10 @@ def test_cli_verify_exit_codes(tmp_path):
     doc["final"]["approx"][0][1] = "1111"
     (out / "bad.json").write_text(canonical_json(doc))
     assert cli.main(["verify", str(out / "bad.json")]) == 4
+    # a diagonal trace must echo a diagonal config to be rebuilt
+    doc["config"] = {"version": 1, "scenario": "relation-embed", "seed": 1}
+    (out / "bad.json").write_text(canonical_json(doc))
+    assert cli.main(["verify", str(out / "bad.json")]) == 2
 
 
 def test_cli_catalog(capsys):

@@ -20,9 +20,7 @@ from gencomp.reals import (
     SeededReal,
     TimeDependentDescription,
     all_zeros,
-    enumerator_at,
     mix64,
-    real_bit,
     seeded_bit,
     validate_description,
 )
@@ -47,8 +45,8 @@ def test_mix64_pinned_values():
 
 
 def test_eventually_periodic_bits():
-    assert real_bit(EventuallyPeriodicReal("", "0"), 7) == 0
-    assert real_bit(EventuallyPeriodicReal("1", "10"), 0) == 1
+    assert EventuallyPeriodicReal("", "0").bit(7) == 0
+    assert EventuallyPeriodicReal("1", "10").bit(0) == 1
     x = EventuallyPeriodicReal("1", "10")
     assert [x.bit(n) for n in range(6)] == [1, 1, 0, 1, 0, 1]
 
@@ -163,9 +161,9 @@ def test_time_dependent_projection():
 
 def test_enumerator_scripted_values():
     w = Enumerator.from_schedule(0, {0: set(), 1: {2}})
-    assert enumerator_at(w, 1) == {2}
-    assert enumerator_at(w, 5) == {2}
-    assert enumerator_at(Enumerator.empty(), 10) == frozenset()
+    assert w.at(1) == {2}
+    assert w.at(5) == {2}
+    assert Enumerator.empty().at(10) == frozenset()
 
 
 @given(
