@@ -186,7 +186,10 @@ class LevelContext:
     def killed(self, node) -> bool:
         if self.has_zero:
             return True  # 0 is never in the functional's value
-        return any(all(map(str.startswith, node, hit)) for hit in self.hits)
+        for hit in self.hits:
+            if all(map(str.startswith, node, hit)):
+                return True
+        return False
 
     def steps(self, order) -> list:
         """The new bits of a node's children, one per side, in DFS order:
