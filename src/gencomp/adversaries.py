@@ -31,7 +31,7 @@ class TrapSpringer:
     def new_elements(self, e, stage, view):
         if stage == 0:
             return []
-        return sorted({(r.gap_lo, r.gap_lo + 1) for r in view.rules_issued_at(stage - 1, e)})
+        return sorted({(r.gap[0], r.gap[0] + 1) for r in view.rules_issued_at(stage - 1, e)})
 
 
 class CautiousCopier:

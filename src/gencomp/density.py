@@ -52,15 +52,11 @@ def gap_interval(i: int, e: int) -> tuple:
     return (hi - (1 << (i - e)), hi)
 
 
-def count_below(member: Callable[[int], bool], n: int) -> int:
-    return sum(1 for k in range(n) if member(k))
-
-
 def prefix_density(member: Callable[[int], bool], n: int) -> Fraction:
     """Exact |X restricted to n| / n.  Undefined at n = 0."""
     if n < 1:
         raise UndefinedInputError("prefix density undefined at n=0")
-    return Fraction(count_below(member, n), n)
+    return Fraction(sum(1 for k in range(n) if member(k)), n)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from operator import add
 from typing import Optional
 
-from .density import gap_census
+from .density import gap_census, gap_interval
 from .errors import (
     BudgetError,
     InvariantViolationError,
@@ -76,13 +76,10 @@ class GapRule:
         if self.side not in (SIDE_X, SIDE_Y):
             raise ValueError("side must be 'x' or 'y'")
 
-    @property
-    def gap_lo(self) -> int:
-        return (1 << (self.stage + 1)) - (1 << (self.stage - self.e))
-
-    @property
-    def gap_hi(self) -> int:
-        return 1 << (self.stage + 1)
+    @cached_property
+    def gap(self) -> tuple:
+        """The removed interval [lo, hi) of block `stage`."""
+        return gap_interval(self.stage, self.e)
 
 
 class GapRuleTable:
@@ -133,7 +130,7 @@ class GapRuleTable:
             )
         unknown = False
         for r in self._by_block.get(block, ()):
-            if n >= r.gap_lo:
+            if n >= r.gap[0]:
                 if bits.startswith(r.node):
                     return 0
                 if r.node.startswith(bits):
@@ -144,17 +141,16 @@ class GapRuleTable:
         """Merged definite exclusion [lo, hi) at `block` under `prefix`,
         or None; raises if an undecided rule intersects the block."""
         bits = as_bits(prefix)
-        lo = None
+        gaps = []
         for r in self._by_block.get(block, ()):
             if bits.startswith(r.node):
-                lo = r.gap_lo if lo is None else min(lo, r.gap_lo)
+                gaps.append(r.gap)
             elif r.node.startswith(bits):
                 raise UndefinedRegionError(
                     "rule node %r undecided under prefix of length %d" % (r.node, len(bits))
                 )
-        if lo is None:
-            return None
-        return (lo, 1 << (block + 1))
+        # the block's gaps all end at its end: the widest starts first
+        return min(gaps) if gaps else None
 
 
 class LevelContext:
@@ -179,7 +175,7 @@ class LevelContext:
             if not hits(enum, 1 << s, 2 << s):
                 continue
             for rules in product(*(t.rules_at_block(s) for t in tables)):
-                if hits(enum, max(r.gap_lo for r in rules), 2 << s):
+                if hits(enum, max(r.gap[0] for r in rules), 2 << s):
                     found.append(tuple(r.node for r in rules))
         self.hits = tuple(found)
 
@@ -197,52 +193,39 @@ class LevelContext:
         return list(product(order, repeat=len(self.root)))
 
 
+def _level_dfs(ctx: LevelContext, order, node, budget: int):
+    """The surviving level-l nodes extending `node`, lazily, in DFS
+    `order`; each visited node costs one unit of `budget`."""
+    steps = ctx.steps(order)
+
+    def visit(nd):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise BudgetError("level search exceeded the node budget")
+        if ctx.killed(nd):
+            return
+        if len(nd[0]) == ctx.l:
+            yield nd
+            return
+        for step in steps:
+            yield from visit(tuple(map(add, nd, step)))
+
+    return visit(node)
+
+
 def find_survivor(ctx: LevelContext, order="01", start=None,
                   budget: int = _DEFAULT_NODE_BUDGET):
     """First surviving level-l node in DFS `order` extending `start`."""
     node = ctx.root if start is None else start
     if len(node[0]) > ctx.l:
         raise UndefinedInputError("start node is deeper than the level")
-    steps = ctx.steps(order)
-    counter = [budget]
-
-    def rec(nd):
-        counter[0] -= 1
-        if counter[0] < 0:
-            raise BudgetError("level search exceeded the node budget")
-        if ctx.killed(nd):
-            return None
-        if len(nd[0]) == ctx.l:
-            return nd
-        for step in steps:
-            r = rec(tuple(map(add, nd, step)))
-            if r is not None:
-                return r
-        return None
-
-    return rec(node)
+    return next(_level_dfs(ctx, order, node, budget), None)
 
 
 def enumerate_level(ctx: LevelContext, budget: int = _DEFAULT_NODE_BUDGET) -> list:
     """Materialize the whole surviving level (tests and small audits)."""
-    out = []
-    counter = [budget]
-    steps = ctx.steps("01")
-
-    def rec(nd):
-        counter[0] -= 1
-        if counter[0] < 0:
-            raise BudgetError("level enumeration exceeded the node budget")
-        if ctx.killed(nd):
-            return
-        if len(nd[0]) == ctx.l:
-            out.append(nd)
-            return
-        for step in steps:
-            rec(tuple(map(add, nd, step)))
-
-    rec(ctx.root)
-    return out
+    return list(_level_dfs(ctx, "01", ctx.root, budget))
 
 
 def select_marker_node(path, marked, cap: Optional[int] = None):
@@ -309,20 +292,15 @@ class MarkerRecord:
 
 @dataclass
 class TreeState:
-    """Per-strategy bookkeeping over a run."""
+    """What the engine needs of one strategy between stages."""
 
     e: int
     source: object
     selector: object
     alive: bool = True
-    death_stage: Optional[int] = None
     enumerated: tuple = ()   # run set
-    markers: list = field(default_factory=list)
     marked: set = field(default_factory=set)
-    approx_history: list = field(default_factory=list)  # (stage, node)
-
-    def latest_approx(self):
-        return self.approx_history[-1][1] if self.approx_history else None
+    approx: Optional[tuple] = None   # the latest selected path
 
 
 @dataclass(frozen=True)
@@ -352,7 +330,6 @@ class TraceView:
 
     def __init__(self, engine, stage):
         self._e = engine
-        self.stage = stage
         self.defined_through = stage - 1
         self.tables = engine.tables
 
@@ -363,13 +340,7 @@ class TraceView:
         ]
 
     def approx(self, e):
-        return self._e.states[e].latest_approx()
-
-    def markers(self, e) -> list:
-        return list(self._e.states[e].markers)
-
-    def enumerated(self, e) -> tuple:
-        return self._e.states[e].enumerated
+        return self._e.states[e].approx
 
 
 @dataclass
@@ -383,38 +354,87 @@ class StageRecord:
 
 @dataclass
 class Trace:
-    """Replayable record of one construction run."""
+    """Replayable record of one construction run.  The stage records are
+    all it stores: the rule tables, the markers and each strategy's end
+    state are views read off them."""
 
     mode: str
     stages: int
     records: list
-    x_rules: tuple
-    y_rules: tuple
-    markers: dict          # e -> tuple of MarkerRecord
-    final_approx: dict     # e -> node or None
-    alive: dict            # e -> bool at end
-    death_stage: dict      # e -> stage or None
-    defined_through: int
-    strategy_count: int
     config_echo: Optional[dict] = None
     _final: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _censuses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def sides(self) -> tuple:
         return SIDES[self.mode]
 
+    @property
+    def defined_through(self) -> int:
+        return self.stages - 1
+
+    @property
+    def strategy_count(self) -> int:
+        return len(self.records[0].info) if self.records else 0
+
     def table(self, side=SIDE_X) -> GapRuleTable:
-        """The side's rules as a table defined through the last stage."""
-        t = GapRuleTable(side)
-        for r in self.x_rules if side == SIDE_X else self.y_rules:
-            t.add_rule(r)
-        t.extend_defined(self.defined_through)
-        return t
+        """The side's rules as a table defined through the last stage,
+        built once from the records and shared: callers do not add to it."""
+        if side not in self._tables:
+            t = GapRuleTable(side)
+            for rec in self.records:
+                for r in rec.rules:
+                    if r.side == side:
+                        t.add_rule(r)
+            t.extend_defined(self.defined_through)
+            self._tables[side] = t
+        return self._tables[side]
 
     def tables(self) -> tuple:
         """One GapRuleTable per side, in side order."""
         return tuple(self.table(side) for side in self.sides)
+
+    @property
+    def x_rules(self) -> tuple:
+        return tuple(self.table(SIDE_X).rules)
+
+    @property
+    def y_rules(self) -> tuple:
+        return tuple(self.table(SIDE_Y).rules)
+
+    def _history(self, e, key) -> list:
+        """(stage, value) of each record where strategy e's `key` is set."""
+        return [(rec.stage, rec.info[e][key]) for rec in self.records if rec.info[e][key]]
+
+    @cached_property
+    def markers(self) -> dict:
+        """e -> strategy e's MarkerRecords, in stage order."""
+        return {
+            e: tuple(MarkerRecord(e, s, node) for s, node in self._history(e, "marker"))
+            for e in range(self.strategy_count)
+        }
+
+    @cached_property
+    def final_approx(self) -> dict:
+        """e -> strategy e's last approximation, or None."""
+        return {
+            e: next((node for _, node in reversed(self._history(e, "approx"))), None)
+            for e in range(self.strategy_count)
+        }
+
+    @cached_property
+    def death_stage(self) -> dict:
+        """e -> the stage at which strategy e's tree died, or None."""
+        return {
+            e: next((s for s, _ in self._history(e, "died")), None)
+            for e in range(self.strategy_count)
+        }
+
+    @cached_property
+    def alive(self) -> dict:
+        """e -> whether strategy e's tree is alive at the end."""
+        return {e: died is None for e, died in self.death_stage.items()}
 
     def enumerated_through(self, e, stage) -> tuple:
         """Run set enumerated by strategy e's opponent through `stage`."""
@@ -453,14 +473,11 @@ class Trace:
         """The selected path's extension chains, as [first stage, last
         approximation]: a new chain starts at every mind change."""
         chains = []
-        for rec in self.records:
-            node = rec.info.get(e, {}).get("approx")
-            if node is None:
-                continue
+        for stage, node in self._history(e, "approx"):
             if chains and _extends(node, chains[-1][1]):
                 chains[-1][1] = node
             else:
-                chains.append([rec.stage, node])
+                chains.append([stage, node])
         return chains
 
     def path_changes(self, e) -> int:
@@ -468,8 +485,7 @@ class Trace:
         return len(self.approx_chains(e))
 
     def rules_for(self, e, side=SIDE_X) -> list:
-        src = self.x_rules if side == SIDE_X else self.y_rules
-        return [r for r in src if r.e == e]
+        return [r for r in self.table(side).rules if r.e == e]
 
 
 def _extends(node, prev) -> bool:
@@ -510,27 +526,8 @@ class _Engine:
         ]
 
     def run(self) -> Trace:
-        records = []
-        for s in range(self.cfg.stages):
-            records.append(self._stage(s))
-        markers = {
-            st.e: tuple(MarkerRecord(st.e, stage, node) for stage, node in st.markers)
-            for st in self.states
-        }
-        rules = {t.side: tuple(t.rules) for t in self.tables}
-        return Trace(
-            mode=self.cfg.mode,
-            stages=self.cfg.stages,
-            records=records,
-            x_rules=rules[SIDE_X],
-            y_rules=rules.get(SIDE_Y, ()),
-            markers=markers,
-            final_approx={st.e: st.latest_approx() for st in self.states},
-            alive={st.e: st.alive for st in self.states},
-            death_stage={st.e: st.death_stage for st in self.states},
-            defined_through=self.cfg.stages - 1,
-            strategy_count=len(self.states),
-        )
+        records = [self._stage(s) for s in range(self.cfg.stages)]
+        return Trace(self.cfg.mode, self.cfg.stages, records)
 
     def _stage(self, s: int) -> StageRecord:
         view = TraceView(self, s)
@@ -544,7 +541,7 @@ class _Engine:
             for rule in self.tables[0].rules:  # traps are x-side gaps
                 if rule.e == st.e:
                     trap_events.extend(
-                        (st.e, rule.stage, lo, hi) for lo, hi in clip(new, rule.gap_lo, rule.gap_hi)
+                        (st.e, rule.stage, lo, hi) for lo, hi in clip(new, *rule.gap)
                     )
         issued = []
         info = {}
@@ -587,7 +584,6 @@ class _Engine:
 
         if find("01") is None:
             st.alive = False
-            st.death_stage = s
             out["alive"] = False
             out["died"] = True
             return out
@@ -600,8 +596,7 @@ class _Engine:
             )
         marker = select_marker_node(path, st.marked, cap=s)
         st.marked.add(marker)
-        st.markers.append((s, marker))
-        st.approx_history.append((s, path))
+        st.approx = path
         issued.extend(GapRule(st.e, s, node, t.side) for node, t in zip(marker, self.tables))
         out["acted"] = True
         out["approx"] = path
@@ -623,22 +618,23 @@ def run_pair(stages: int, strategies, node_budget: int = _DEFAULT_NODE_BUDGET) -
 
 def trap_status(trace: Trace, e: int, s: int) -> str:
     """pending / sprung / inactive for strategy e's stage-s trap."""
-    rules = [r for r in trace.x_rules if r.e == e and r.stage == s]
-    if not rules:
+    rule = next((r for r in trace.table(SIDE_X).rules_at_block(s) if r.e == e), None)
+    if rule is None:
         return "inactive"
-    rule = rules[0]
-    return "sprung" if hits(trace.enumerated_final(e), rule.gap_lo, rule.gap_hi) else "pending"
+    return "sprung" if hits(trace.enumerated_final(e), *rule.gap) else "pending"
 
 
 def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> set:
     """{n in [1, 2^(defined+1)) : definitely in the side's functional
-    under oracles extending prefix}; prefix must decide every rule."""
-    table = trace.table(side)
-    out = set()
-    for n in range(1, 1 << (trace.defined_through + 1)):
-        if table.evaluate(prefix, n) == 1:
-            out.add(n)
-    return out
+    under oracles extending prefix}: the horizon minus the gap of every
+    rule whose node is comparable with the prefix (a rule the prefix does
+    not decide leaves its gap undecided, hence out of the set)."""
+    bits = as_bits(prefix)
+    gaps = normalize(
+        r.gap for r in trace.table(side).rules
+        if bits.startswith(r.node) or r.node.startswith(bits)
+    )
+    return set(elements(difference(((1, 1 << (trace.defined_through + 1)),), gaps)))
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +690,9 @@ def trace_to_jsonable(trace: Trace) -> dict:
 
 
 def trace_from_jsonable(doc: dict) -> Trace:
+    """The trace a document records.  Only the mode, the stage count, the
+    echoed config and the records are read: the header counts and the
+    `final` block are views of the records, checked by replay."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     records = []
@@ -717,26 +716,7 @@ def trace_from_jsonable(doc: dict) -> Trace:
                 trap_events=tuple(tuple(t) for t in rd["trap_events"]),
             )
         )
-    x_rules = tuple(r for rec in records for r in rec.rules if r.side == SIDE_X)
-    y_rules = tuple(r for rec in records for r in rec.rules if r.side == SIDE_Y)
-    final = doc["final"]
-    return Trace(
-        mode=doc["mode"],
-        stages=doc["stages"],
-        records=records,
-        x_rules=x_rules,
-        y_rules=y_rules,
-        markers={
-            e: tuple(MarkerRecord(e, stage, _node_from_jsonable(node)) for stage, node in ms)
-            for e, ms in final["markers"]
-        },
-        final_approx={e: _node_from_jsonable(v) for e, v in final["approx"]},
-        alive=dict((e, v) for e, v in final["alive"]),
-        death_stage=dict((e, v) for e, v in final["death_stage"]),
-        defined_through=doc["defined_through"],
-        strategy_count=doc["strategy_count"],
-        config_echo=doc.get("config"),
-    )
+    return Trace(doc["mode"], doc["stages"], records, doc.get("config"))
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +810,7 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     chains = trace.approx_chains(e)
     if not chains:
         return bad
-    final = trace.final_approx[e]
-    last_change_stage = chains[-1][0]
+    last_change_stage, final = chains[-1]
     for m in trace.markers[e]:
         if m.stage >= last_change_stage and not _extends(final, m.node):
             bad.append("late marker %r not on the final path (strategy %d)" % (m.node, e))

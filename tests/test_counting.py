@@ -148,7 +148,7 @@ def oracle_trap_events(trace, rec):
             if rule.e != e:
                 continue
             for n in expand(rec.batches[e]):
-                if rule.gap_lo <= n < rule.gap_hi:
+                if rule.gap[0] <= n < rule.gap[1]:
                     events.append((e, rule.stage, n))
     return events
 
@@ -159,13 +159,13 @@ def oracle_hits(mode, l, enum, xt, yt=None):
         return any(lo <= n < hi for n in enum)
 
     if mode != PAIR:
-        return tuple((r.node,) for r in xt.rules if r.stage <= l - 1 and hit(r.gap_lo, r.gap_hi))
+        return tuple((r.node,) for r in xt.rules if r.stage <= l - 1 and hit(*r.gap))
     return tuple(
         (rx.node, ry.node)
         for s in range(min(l, xt.defined_through + 1))
         for rx in xt.rules_at_block(s)
         for ry in yt.rules_at_block(s)
-        if hit(max(rx.gap_lo, ry.gap_lo), rx.gap_hi)
+        if hit(max(rx.gap[0], ry.gap[0]), rx.gap[1])
     )
 
 
@@ -195,7 +195,8 @@ def oracle_tally(trace, e):
             tally["inactive"] += 1
             continue
         elems = expand(trace.enumerated_through(e, trace.stages - 1))
-        sprung = any(rules[0].gap_lo <= n < rules[0].gap_hi for n in elems)
+        lo, hi = rules[0].gap
+        sprung = any(lo <= n < hi for n in elems)
         tally["sprung" if sprung else "pending"] += 1
     return tally
 
@@ -254,9 +255,10 @@ def test_trap_events_match_all_pairs_scan(run):
         for e, gap_stage, lo, hi in rec.trap_events:
             rule = next(r for r in trace.x_rules if (r.e, r.stage) == (e, gap_stage))
             batch = set(expand(rec.batches[e]))
-            assert rule.gap_lo <= lo < hi <= rule.gap_hi
-            assert lo == rule.gap_lo or lo - 1 not in batch
-            assert hi == rule.gap_hi or hi not in batch
+            gap_lo, gap_hi = rule.gap
+            assert gap_lo <= lo < hi <= gap_hi
+            assert lo == gap_lo or lo - 1 not in batch
+            assert hi == gap_hi or hi not in batch
 
 
 def test_batches_are_new_run_sets(run):
@@ -308,11 +310,34 @@ def test_single_victim_matches_max_over_all_approximations(run):
     for e in range(trace.strategy_count):
         probes = default_probe_prefixes(trace, e)
         extra = tuple(GapRule(e, trace.stages + e + k, "") for k in range(2 * trace.stages + 1))
-        crowded = dataclasses.replace(trace, x_rules=trace.x_rules + extra)
+        last = dataclasses.replace(trace.records[-1], rules=trace.records[-1].rules + extra)
+        crowded = dataclasses.replace(trace, records=trace.records[:-1] + [last])
         assert audit_single_victim(trace, e, probes) == oracle_single_victim(trace, e, probes)
         reported = audit_single_victim(crowded, e, probes)
         assert reported == oracle_single_victim(crowded, e, probes)
         assert len(reported) == len(probes)
+
+
+def test_value_sets_match_per_n_evaluation(run):
+    # the value set is computed from the gaps of the rules comparable with
+    # the prefix; the oracle evaluates every n below the horizon, and the
+    # short prefixes leave deeper rules undecided (None: outside the set)
+    _, trace = run
+    horizon = 1 << (trace.defined_through + 1)
+    undecided = 0
+    for side, table in zip(trace.sides, trace.tables()):
+        depth = max((len(r.node) for r in table.rules), default=0)
+        prefixes = {bit * k for bit in "01" for k in (0, depth // 2, trace.defined_through)}
+        for node in trace.final_approx.values():
+            if node is not None:
+                prefixes |= {node[0][: depth // 2], node[0]}
+        for prefix in sorted(prefixes):
+            values = {n for n in range(1, horizon) if table.evaluate(prefix, n) == 1}
+            assert functional_value_set(trace, prefix, side) == values, (side, prefix)
+            undecided += sum(
+                1 for r in table.rules if len(r.node) > len(prefix) and r.node.startswith(prefix)
+            )
+    assert undecided
 
 
 def test_registry_verdicts_are_the_report_verdicts(run):

@@ -62,8 +62,8 @@ def silent_run(stages, n_strategies=1, selector=LeftmostSelector):
 
 def test_gap_rule_interval():
     r = GapRule(1, 3, "10")
-    assert (r.gap_lo, r.gap_hi) == (12, 16)
-    assert GapRule(0, 1, "").gap_lo == 2  # whole block
+    assert r.gap == (12, 16)
+    assert GapRule(0, 1, "").gap == (2, 4)  # whole block
 
 
 def test_gap_rule_validation():
@@ -153,6 +153,22 @@ def test_find_survivor_budget():
     ctx = LevelContext(10, (), (table_of(defined=11),))
     with pytest.raises(BudgetError):
         find_survivor(ctx, budget=3)
+    # the subtree under "0" is killed; each visited node costs one unit of
+    # budget, killed or not, and the search stops at its first survivor
+    t = table_of(GapRule(0, 1, "0"), defined=4)
+    ctx = LevelContext(2, ((2, 3),), (t,))
+    visited = []
+    killed = ctx.killed
+    ctx.killed = lambda nd: visited.append(nd) or killed(nd)
+    assert find_survivor(ctx, budget=4) == ("10",)
+    assert visited == [("",), ("0",), ("1",), ("10",)]
+    visited.clear()
+    assert enumerate_level(ctx, budget=5) == [("10",), ("11",)]
+    assert visited == [("",), ("0",), ("1",), ("10",), ("11",)]
+    with pytest.raises(BudgetError):
+        find_survivor(ctx, budget=3)
+    with pytest.raises(BudgetError):
+        enumerate_level(ctx, budget=4)
 
 
 # --- marker selection --------------------------------------------------------
@@ -253,7 +269,7 @@ def test_multi_strategy_intersection():
     values = functional_value_set(trace, "00000")
     for rule in trace.x_rules:
         if all(c == "0" for c in rule.node):
-            assert not (set(range(rule.gap_lo, rule.gap_hi)) & values)
+            assert not (set(range(*rule.gap)) & values)
     assert audit_trace(trace) == []
 
 
@@ -317,7 +333,8 @@ def test_single_victim_pair_reports_extra_x_rules():
 
     def with_extra(count):
         extra = tuple(GapRule(1, 20 + k, "0" * (7 + k)) for k in range(count))
-        return dataclasses.replace(trace, x_rules=trace.x_rules + extra)
+        last = dataclasses.replace(trace.records[-1], rules=trace.records[-1].rules + extra)
+        return dataclasses.replace(trace, records=trace.records[:-1] + [last])
 
     assert audit_single_victim(with_extra(3), 1, probes) == []
     bad = audit_single_victim(with_extra(4), 1, probes)
@@ -351,10 +368,11 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
             expected += audit_gap_census_consistency(bad, probe)
     verdicts = audit_verdicts(bad)
     assert [msg for _, _, failed in verdicts for msg in failed] == audit_trace(bad) == expected
+    # the off-path marker is also a late marker off the final path
     assert [name for name, _, failed in verdicts if failed] == [
-        "marker-on-path", "trap-soundness", "spoiling-completeness"
+        "marker-on-path", "trap-soundness", "spoiling-completeness", "single-victim"
     ]
-    for part in ("off path", "does not contain", "no spoiling witness"):
+    for part in ("off path", "does not contain", "no spoiling witness", "late marker"):
         assert any(part in msg for msg in expected), part
 
 

@@ -433,16 +433,28 @@ def test_cli_stage_and_seed_overrides(tmp_path):
     assert trace.markers[0][-1].stage == 6
 
 
-def test_cli_verify_exit_codes(tmp_path):
+def test_cli_verify_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(single_config()))
     out = tmp_path / "o"
     cli.main(["run", str(cfg_path), "--out-dir", str(out)])
     assert cli.main(["verify", str(out / "trace.json")]) == 0
-    doc = json.loads((out / "trace.json").read_text())
-    doc["final"]["approx"][0][1] = "1111"
-    (out / "bad.json").write_text(canonical_json(doc))
-    assert cli.main(["verify", str(out / "bad.json")]) == 4
+    # the final block and the header counts are derived from the records:
+    # only the replay comparison sees them doctored
+    for where, part, key, value in (
+        ("final.approx[0][1]", lambda d: d["final"]["approx"][0], 1, "1111"),
+        ("final.death_stage[0][1]", lambda d: d["final"]["death_stage"][0], 1, 3),
+        ("defined_through", lambda d: d, "defined_through", 3),
+        ("strategy_count", lambda d: d, "strategy_count", 2),
+    ):
+        doc = json.loads((out / "trace.json").read_text())
+        part(doc)[key] = value
+        (out / "bad.json").write_text(canonical_json(doc))
+        capsys.readouterr()
+        assert cli.main(["verify", str(out / "bad.json")]) == 4
+        assert capsys.readouterr().out == (
+            "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n" % where
+        )
     # a diagonal trace must echo a diagonal config to be rebuilt
     doc["config"] = {"version": 1, "scenario": "relation-embed", "seed": 1}
     (out / "bad.json").write_text(canonical_json(doc))
