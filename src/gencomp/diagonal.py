@@ -22,10 +22,8 @@ Trace that replays bit-for-bit from its config.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import product
 from operator import add
 from typing import Optional
@@ -348,7 +346,7 @@ class StageRecord:
     stage: int
     batches: dict        # e -> run set of new elements
     rules: tuple         # GapRules issued this stage
-    info: dict           # e -> dict(alive, acted, died, approx, marker, level_hash)
+    info: dict           # e -> dict(alive, acted, died, approx, marker)
     trap_events: tuple   # (e, gap_stage, lo, hi): new run [lo, hi) inside the gap
 
 
@@ -505,17 +503,6 @@ def _node_from_jsonable(v):
     return (v,) if isinstance(v, str) else tuple(v)
 
 
-def _level_hash(e, l, rules, enum) -> str:
-    payload = {
-        "e": e,
-        "l": l,
-        "rules": sorted((r.e, r.stage, r.node, r.side) for r in rules if r.stage <= l),
-        "enum": [list(run) for run in clip(enum, 0, 1 << l)],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 class _Engine:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -569,16 +556,13 @@ class _Engine:
             "died": False,
             "approx": None,
             "marker": None,
-            "level_hash": None,
         }
         if not st.alive or st.e >= s:
             return out
         l = s - 1
         ctx = LevelContext(l, st.enumerated, self.tables)
-        out["level_hash"] = _level_hash(
-            st.e, l, [r for t in self.tables for r in t.rules], st.enumerated
-        )
 
+        @cache  # the liveness test's search is the leftmost selector's
         def find(order):
             return find_survivor(ctx, order, budget=self.cfg.node_budget)
 
@@ -640,7 +624,7 @@ def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> set:
 # ---------------------------------------------------------------------------
 # trace serialization (versioned; byte-exact replay is part of the contract)
 
-TRACE_FORMAT = "gencomp-trace/2"
+TRACE_FORMAT = "gencomp-trace/3"
 
 
 def trace_to_jsonable(trace: Trace) -> dict:
@@ -665,7 +649,6 @@ def trace_to_jsonable(trace: Trace) -> dict:
                             "died": rec.info[e]["died"],
                             "approx": _node_jsonable(rec.info[e]["approx"]),
                             "marker": _node_jsonable(rec.info[e]["marker"]),
-                            "level_hash": rec.info[e]["level_hash"],
                         },
                     ]
                     for e in sorted(rec.info)
@@ -709,7 +692,6 @@ def trace_from_jsonable(doc: dict) -> Trace:
                         "died": d["died"],
                         "approx": _node_from_jsonable(d["approx"]),
                         "marker": _node_from_jsonable(d["marker"]),
-                        "level_hash": d["level_hash"],
                     }
                     for e, d in rd["strategies"]
                 },

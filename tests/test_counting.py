@@ -1,10 +1,10 @@
 """Counting on run sets, checked against per-element oracles.
 
 The report's block-end densities and trap tallies, the engine's trap
-events, its level-hash inputs and the pair-mode level hits are computed on
-enumerations stored as sorted (lo, hi) runs.  Each test expands the runs to
-elements and recomputes them the way the engine once did, by probing every
-integer or every (rule, element) pair, and requires equal results.  The
+events and the pair-mode level hits are computed on enumerations stored as
+sorted (lo, hi) runs.  Each test expands the runs to elements and
+recomputes them the way the engine once did, by probing every integer or
+every (rule, element) pair, and requires equal results.  The
 golden digests pin the emitted bytes: any drift needs a documented trace or
 report format bump.  The expanded-content digests pin what a trace says,
 independent of how its batches are written.
@@ -12,7 +12,6 @@ independent of how its batches are written.
 
 import dataclasses
 import hashlib
-import json
 import os
 from fractions import Fraction
 
@@ -169,24 +168,6 @@ def oracle_hits(mode, l, enum, xt, yt=None):
     )
 
 
-def oracle_level_hash(trace, e, stage):
-    """The level hash of strategy e's act at `stage`, from the rules issued
-    before it and the maximal runs of a filtered element scan."""
-    l = stage - 1
-    rules = sorted(
-        (r.e, r.stage, r.node, r.side) for r in trace.x_rules + trace.y_rules if r.stage < stage
-    )
-    enum = []
-    for n in sorted(n for n in expand(trace.enumerated_through(e, l)) if n < (1 << l)):
-        if enum and enum[-1][1] == n:
-            enum[-1][1] = n + 1
-        else:
-            enum.append([n, n + 1])
-    payload = {"e": e, "l": l, "rules": rules, "enum": enum}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def oracle_tally(trace, e):
     tally = {"pending": 0, "sprung": 0, "inactive": 0}
     for s in range(trace.stages):
@@ -284,17 +265,6 @@ def test_level_hits_match_unskipped_scan(run):
             assert ctx.hits == oracle_hits(trace.mode, l, expand(enum), *tables), (e, l)
 
 
-def test_level_hashes_match_filtered_scan(run):
-    _, trace = run
-    checked = 0
-    for rec in trace.records:
-        for e, info in rec.info.items():
-            if info["level_hash"] is not None:
-                assert info["level_hash"] == oracle_level_hash(trace, e, rec.stage), (e, rec.stage)
-                checked += 1
-    assert checked
-
-
 def test_trap_tallies_match_recount(run):
     report, trace = run
     for row in report["trap_tallies"]:
@@ -388,9 +358,8 @@ def test_oracle_cases_exercise_every_branch():
 
 def expanded_content_digest(doc):
     """SHA-256 of what a diagonal trace records, with every run expanded to
-    its elements and level hashes (whose input format is versioned) left
-    out: header, batches, rules, per-strategy records, trap events as
-    (e, gap_stage, element) and the final block."""
+    its elements: header, batches, rules, per-strategy records, trap
+    events as (e, gap_stage, element) and the final block."""
     body = {
         "head": [doc["mode"], doc["stages"], doc["strategy_count"], doc["defined_through"],
                  doc["config"]],
@@ -399,8 +368,7 @@ def expanded_content_digest(doc):
                 rec["stage"],
                 [[e, expand(batch)] for e, batch in rec["batches"]],
                 rec["rules"],
-                [[e, {k: v for k, v in info.items() if k != "level_hash"}]
-                 for e, info in rec["strategies"]],
+                rec["strategies"],
                 [list(t) for t in expand_events(rec["trap_events"])],
             ]
             for rec in doc["records"]
@@ -412,21 +380,22 @@ def expanded_content_digest(doc):
 
 # (config, expanded content digest, trace.json digest, report.json digest).
 # The content digests were computed from the gencomp-trace/1 traces, whose
-# batches and trap events listed single elements, so they pin that the run
-# format says the same as the element format did.  The trace.json digests
-# are of the gencomp-trace/2 bytes; the report digests are unchanged
-# since they were first recorded with per-element probing.
+# batches and trap events listed single elements, with their per-act level
+# hashes left out, so they pin that the run format without level hashes
+# says the same as the element format did.  The trace.json digests are of
+# the gencomp-trace/3 bytes; the report digests are unchanged since they
+# were first recorded with per-element probing.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
-        "daadf275f03c27b0b6e9533969c7e41927faad6600ec26105cd669a47fc3e729",
+        "9c83d42c9cc0268563ef4c9481259715b2aa5def2eea0c504b1db4a2975d8340",
         "3fd817e16c07ac4387991b04ef7b8f93d1ae7b5fd535801c8b2f82f19d6978e3",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
-        "0ff823063b5f9ef30ef1d96bb22ff2e5d467718ae0424e49fba84365efacf9de",
+        "ab117c15e91cf34ba1eec3ab7ca34226a80d7e4a951c7f7816477b232181e59a",
         "625249411c777c5b9df2f196abc84b46c101d37a4795e31c2209c39d5a3021b4",
     ),
 }
@@ -436,7 +405,7 @@ GOLDEN = {
 def test_golden_expanded_content(name):
     cfg, content_sha, _, _ = GOLDEN[name]
     _, doc = run_experiment(dict(cfg), write=False)
-    assert doc["format"] == "gencomp-trace/2"
+    assert doc["format"] == "gencomp-trace/3"
     assert expanded_content_digest(doc) == content_sha
 
 

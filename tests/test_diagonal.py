@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from gencomp import diagonal
 from gencomp.adversaries import CautiousCopier, PrefixFlooder, Silent, TrapSpringer
 from gencomp.density import gap_census, prefix_density
 from gencomp.diagonal import (
@@ -249,6 +250,27 @@ def test_springer_trap_soundness_and_spoiling():
         assert audit_spoiling(trace) == []
         # after the sprung trap at the root, the whole level is gone
         assert trace.tree_level(0, trace.death_stage[0] - 1) == []
+
+
+def test_one_search_per_act_or_death(monkeypatch):
+    # the liveness test's leftmost search is also the leftmost path
+    calls = []
+    search = diagonal.find_survivor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(diagonal, "find_survivor", counted)
+    for build in (run_single, run_pair):
+        calls.clear()
+        trace = build(8, [StrategySpec(Silent(), LeftmostSelector()),
+                          StrategySpec(TrapSpringer(), LeftmostSelector())])
+        outcomes = sum(
+            info["acted"] + info["died"] for rec in trace.records for info in rec.info.values()
+        )
+        assert trace.death_stage[1] is not None
+        assert len(calls) == outcomes > 0
 
 
 def test_rightmost_run():

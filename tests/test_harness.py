@@ -409,14 +409,18 @@ def test_first_difference_paths():
 
 
 def test_verify_rejects_trace_format_1(tmp_path, capsys):
-    # a single-diagonal trace written by the element-batch format
-    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v1.json")
-    with open(fixture) as fh:
-        assert json.load(fh)["format"] == "gencomp-trace/1"
-    assert cli.main(["verify", fixture]) == 2
-    err = capsys.readouterr().err
-    assert "gencomp-trace/1" in err and "gencomp-trace/2" in err
-    assert "Traceback" not in err
+    # single-diagonal traces of one 4-stage config written by earlier
+    # formats: /1 listed batches element by element, /2 carried a per-act
+    # level hash
+    for version in (1, 2):
+        fmt = "gencomp-trace/%d" % version
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v%d.json" % version)
+        with open(fixture) as fh:
+            assert json.load(fh)["format"] == fmt
+        assert cli.main(["verify", fixture]) == 2
+        err = capsys.readouterr().err
+        assert fmt in err and "gencomp-trace/3" in err
+        assert "Traceback" not in err
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
     assert cli.main(["verify", str(not_an_object)]) == 2
@@ -446,6 +450,9 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         ("final.death_stage[0][1]", lambda d: d["final"]["death_stage"][0], 1, 3),
         ("defined_through", lambda d: d, "defined_through", 3),
         ("strategy_count", lambda d: d, "strategy_count", 2),
+        # gencomp-trace/2 wrote a per-act level hash; /3 records have none
+        ("records[1].strategies[0][1].level_hash",
+         lambda d: d["records"][1]["strategies"][0][1], "level_hash", "0" * 64),
     ):
         doc = json.loads((out / "trace.json").read_text())
         part(doc)[key] = value
