@@ -62,12 +62,23 @@ def asymmetric_join_bit(a: RealSpec, b: RealSpec, n: int) -> int:
     return encode_valuation(a, n)
 
 
+def _copied_bits(source: RealSpec, ms: list) -> list:
+    """source.bit(m) for each m of ms, reading each distinct m once."""
+    distinct = list(dict.fromkeys(ms))
+    return list(map(dict(zip(distinct, source.bits(distinct))).__getitem__, ms))
+
+
 @dataclass(frozen=True)
 class ValuationCoding(RealSpec):
     source: RealSpec
 
     def bit(self, n: int) -> int:
         return encode_valuation(self.source, n)
+
+    def bits(self, ns) -> list:
+        if ns and min(ns) < 1:  # the first excluded index raises as in bit()
+            two_adic_valuation(next(n for n in ns if n < 1))
+        return _copied_bits(self.source, [(n & -n).bit_length() - 1 for n in ns])
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,11 @@ class IntervalCoding(RealSpec):
 
     def bit(self, n: int) -> int:
         return encode_interval(self.source, n)
+
+    def bits(self, ns) -> list:
+        if ns and min(ns) < 2:  # the first excluded index raises as in bit()
+            floor_log2_below(next(n for n in ns if n < 2))
+        return _copied_bits(self.source, [(n - 1).bit_length() - 1 for n in ns])
 
 
 @dataclass(frozen=True)
@@ -88,18 +104,16 @@ class AsymmetricJoin(RealSpec):
 
 
 def _decode(d: GenericDescription, witnesses) -> Optional[int]:
-    found = None
-    for n in witnesses:
-        x = d.lookup(n)
-        if x is None:
-            continue
-        if found is None:
-            found = x
-        elif found != x:
-            raise CorruptDescriptionError(
-                "witnesses disagree at index %d" % n
-            )
-    return found
+    """The bit every assigned witness carries, read in one values() call;
+    a disagreement is reported at its first index in witness order."""
+    xs = d.values(witnesses)
+    found = set(xs)
+    found.discard(None)
+    if len(found) > 1:
+        first = next(x for x in xs if x is not None)
+        n = next(n for n, x in zip(witnesses, xs) if x is not None and x != first)
+        raise CorruptDescriptionError("witnesses disagree at index %d" % n)
+    return found.pop() if found else None
 
 
 def decode_valuation(d: GenericDescription, m: int, bound: int) -> Optional[int]:

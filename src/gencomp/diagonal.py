@@ -562,11 +562,13 @@ class _Engine:
         l = s - 1
         ctx = LevelContext(l, st.enumerated, self.tables)
 
-        @cache  # the liveness test's search is the leftmost selector's
+        @cache  # the liveness test's search is the extremal selector's
         def find(order):
             return find_survivor(ctx, order, budget=self.cfg.node_budget)
 
-        if find("01") is None:
+        # any order finds a survivor iff one exists, so search in the order
+        # the selector will ask for (scripted selectors fall back to leftmost)
+        if find(getattr(st.selector, "order", "01")) is None:
             st.alive = False
             out["alive"] = False
             out["died"] = True

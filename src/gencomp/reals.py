@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from itertools import compress
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CorruptDescriptionError, FalsifiedPremiseError, OutOfRangeError, UndefinedInputError
 from .runs import from_elements
@@ -52,6 +53,12 @@ class RealSpec:
     def bit(self, n: int) -> int:
         raise NotImplementedError
 
+    def bits(self, ns: Sequence[int]) -> list:
+        """The bits at the indices ns, in order: one call for a whole
+        index list.  Subclasses may answer it faster; since a real is a
+        pure rule, the answer is always [self.bit(n) for n in ns]."""
+        return [self.bit(n) for n in ns]
+
     def member(self, n: int) -> bool:
         """Set-view of the real: n is a member iff bit(n) == 1."""
         return self.bit(n) == 1
@@ -61,24 +68,24 @@ class RealSpec:
 class ExplicitPrefixReal(RealSpec):
     """A real known only on a finite prefix; queries beyond it are errors."""
 
-    bits: str
+    prefix: str
 
     def __post_init__(self):
-        if not set(self.bits) <= {"0", "1"}:
+        if not set(self.prefix) <= {"0", "1"}:
             raise ValueError("bits must be a string over {0,1}")
 
     @property
     def hard_length(self) -> int:
-        return len(self.bits)
+        return len(self.prefix)
 
     def bit(self, n: int) -> int:
         if n < 0:
             raise UndefinedInputError("bit index must be >= 0")
-        if n >= len(self.bits):
+        if n >= len(self.prefix):
             raise OutOfRangeError(
-                "query at %d beyond hard length %d" % (n, len(self.bits))
+                "query at %d beyond hard length %d" % (n, len(self.prefix))
             )
-        return int(self.bits[n])
+        return int(self.prefix[n])
 
 
 @dataclass(frozen=True)
@@ -158,18 +165,19 @@ def as_bits(x) -> str:
 class GenericDescription:
     """A partial bit assignment n -> {0,1}, at most one bit per index.
 
-    May be explicit (finite set of pairs) or lazily generated from a
-    domain predicate plus a source real; either way "is n assigned, and
-    to what" is decidable below any horizon.  When a source is attached
-    at construction the description carries no false information about
-    it (explicit pairs are checked eagerly).
+    A description answers a witness list: values(ns) gives, for each index
+    of ns in order, its assigned bit or None where it is unassigned, and
+    lookup(n) is the one-element case.  It may be explicit (finite set of
+    pairs) or lazily generated from a domain predicate plus a source real;
+    either way "is n assigned, and to what" is decidable below any
+    horizon.  When a source is attached at construction the description
+    carries no false information about it (explicit pairs are checked
+    eagerly).
     """
 
-    def __init__(self, lookup: Callable[[int], Optional[int]],
-                 domain_below: Callable[[int], list],
+    def __init__(self, values: Callable[[Sequence[int]], list],
                  source: Optional[RealSpec] = None):
-        self._lookup = lookup
-        self._domain_below = domain_below
+        self.values = values
         self.source = source
 
     @classmethod
@@ -184,43 +192,40 @@ class GenericDescription:
                 )
             table[n] = x
         if source is not None:
-            for n, x in table.items():
-                if source.bit(n) != x:
+            for (n, x), y in zip(table.items(), source.bits(list(table))):
+                if x != y:
                     raise FalsifiedPremiseError(
                         "pair (%d,%d) contradicts the attached source" % (n, x)
                     )
-        return cls(
-            lookup=table.get,
-            domain_below=lambda horizon: [n for n in sorted(table) if n < horizon],
-            source=source,
-        )
+        return cls(lambda ns: list(map(table.get, ns)), source)
 
     @classmethod
-    def from_domain(cls, domain: Callable[[int], bool], source: RealSpec,
+    def from_domain(cls, domain: Optional[Callable[[int], bool]], source: RealSpec,
                     start: int = 0) -> "GenericDescription":
         """Lazily generated truthful description: assigned exactly on the
-        predicate's domain (restricted to n >= start), values read from
-        the source."""
+        predicate's domain (every index when `domain` is None), restricted
+        to n >= start, values read from the source."""
 
-        def lookup(n):
-            if n >= start and domain(n):
-                return source.bit(n)
-            return None
+        def values(ns):
+            if domain is None:
+                keep = [n >= start for n in ns]
+            else:
+                keep = [n >= start and domain(n) for n in ns]
+            assigned = list(compress(ns, keep))
+            got = source.bits(assigned)
+            if len(assigned) == len(keep):
+                return got
+            got = iter(got)
+            return [next(got) if k else None for k in keep]
 
-        def domain_below(horizon):
-            return [n for n in range(start, horizon) if domain(n)]
-
-        return cls(lookup, domain_below, source)
+        return cls(values, source)
 
     @classmethod
     def full(cls, source: RealSpec, start: int = 0) -> "GenericDescription":
-        return cls.from_domain(lambda n: True, source, start=start)
+        return cls.from_domain(None, source, start=start)
 
     def lookup(self, n: int) -> Optional[int]:
-        return self._lookup(n)
-
-    def domain_below(self, horizon: int) -> list:
-        return self._domain_below(horizon)
+        return self.values((n,))[0]
 
 
 @dataclass(frozen=True)
@@ -237,16 +242,10 @@ def validate_description(d: GenericDescription, source: RealSpec, horizon: int) 
     """
     if horizon < 1:
         raise UndefinedInputError("horizon must be >= 1")
-    assigned = 0
-    truthful = True
-    for n in range(horizon):
-        x = d.lookup(n)
-        if x is None:
-            continue
-        assigned += 1
-        if source.bit(n) != x:
-            truthful = False
-    return DescriptionReport(truthful, Fraction(assigned, horizon))
+    xs = d.values(range(horizon))
+    assigned = [n for n, x in enumerate(xs) if x is not None]
+    truthful = source.bits(assigned) == [xs[n] for n in assigned]
+    return DescriptionReport(truthful, Fraction(len(assigned), horizon))
 
 
 class TimeDependentDescription:

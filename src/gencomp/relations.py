@@ -70,7 +70,11 @@ def stage_of_id(i: int) -> int:
 
 def universal_rel(i: int, j: int) -> bool:
     """Adjacency by (stage, combo index) arithmetic; works for large ids."""
-    si, sj = stage_of_id(i), stage_of_id(j)
+    # stage_of_id inlined for both ids: this is the hot adjacency test
+    if i < 0 or j < 0:
+        raise UndefinedInputError("element ids are >= 0")
+    si = (0 if i < 1 else 1 if i < 5 else 2) if i < 1029 else (3 if i < _B4 else 4)
+    sj = (0 if j < 1 else 1 if j < 5 else 2) if j < 1029 else (3 if j < _B4 else 4)
     if si == sj:
         return i == j
     if si < sj:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencomp.codings import (
     AsymmetricJoin,
@@ -15,7 +17,7 @@ from gencomp.codings import (
     two_adic_valuation,
 )
 from gencomp.errors import CorruptDescriptionError, ExcludedIndexError
-from gencomp.reals import GenericDescription, SeededReal, all_zeros
+from gencomp.reals import EventuallyPeriodicReal, GenericDescription, SeededReal, all_zeros
 
 
 def test_valuation_arithmetic():
@@ -161,3 +163,101 @@ def test_coded_real_source_queries():
     # coded reals compose: a description of a coding of the all-zeros real
     d = GenericDescription.full(ValuationCoding(all_zeros()), start=1)
     assert decode_valuation(d, 4, 64) == 0
+
+
+# Bulk reads against per-index oracles: encode_valuation / encode_interval
+# called one n at a time, and an ordered per-witness scan over the pairs;
+# no oracle calls bits() or values().
+
+_SOURCES = st.one_of(
+    st.integers(0, 2**64 - 1).map(SeededReal),
+    st.tuples(st.text("01", max_size=5), st.text("01", min_size=1, max_size=5)).map(
+        lambda pp: EventuallyPeriodicReal(*pp)
+    ),
+)
+
+
+def _per_index(encode, x, ns):
+    try:
+        return [encode(x, n) for n in ns]
+    except ExcludedIndexError:
+        return ExcludedIndexError
+
+
+def _bulk(coding, ns):
+    try:
+        return coding.bits(ns)
+    except ExcludedIndexError:
+        return ExcludedIndexError
+
+
+@given(_SOURCES, st.lists(st.integers(-2, 5000), max_size=80))
+@settings(max_examples=300)
+def test_coding_bits_match_per_index_encoding(x, ns):
+    for coding, encode in ((ValuationCoding(x), encode_valuation), (IntervalCoding(x), encode_interval)):
+        assert _bulk(coding, ns) == _per_index(encode, x, ns)
+        assert _bulk(coding, tuple(ns)) == _per_index(encode, x, ns)
+        assert _bulk(coding, range(2, 2 + len(ns))) == _per_index(encode, x, range(2, 2 + len(ns)))
+        assert all(coding.bits([n]) == [coding.bit(n)] for n in ns if n >= 2)
+
+
+def test_coding_bits_exclusions():
+    x = SeededReal(3)
+    for ns in ([0], [5, 0, 7], range(0, 4), [-1]):
+        with pytest.raises(ExcludedIndexError, match="valuation undefined at"):
+            ValuationCoding(x).bits(ns)
+    for ns in ([1], [9, 1, 4], range(1, 4), [0, 2]):
+        with pytest.raises(ExcludedIndexError, match="no power of two below"):
+            IntervalCoding(x).bits(ns)
+    assert ValuationCoding(x).bits([]) == IntervalCoding(x).bits(range(0)) == []
+    assert ValuationCoding(x).bits([1]) == [x.bit(0)]
+    assert IntervalCoding(x).bits([2]) == [x.bit(0)]
+
+
+def _scan_decode(pairs, witnesses):
+    """Ordered per-witness decoding: the value, or ("corrupt", first index
+    whose bit disagrees with the earlier assigned witnesses)."""
+    found = None
+    for n in witnesses:
+        x = next((b for m, b in pairs if m == n), None)
+        if x is None:
+            continue
+        if found is None:
+            found = x
+        elif found != x:
+            return ("corrupt", n)
+    return found
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(["valuation", "interval"]),
+    st.integers(0, 7),
+    st.integers(1, 600),
+    st.frozensets(st.integers(1, 600), max_size=20),
+    st.data(),
+)
+@settings(max_examples=400)
+def test_doctored_decoding_matches_ordered_scan(seed, kind, m, bound, noise, data):
+    x = SeededReal(seed)
+    if kind == "valuation":
+        encode, decode, excluded = encode_valuation, decode_valuation, 1
+        witnesses = [n for n in range(1, bound + 1) if two_adic_valuation(n) == m]
+    else:
+        encode, decode, excluded = encode_interval, decode_interval, 2
+        witnesses = [n for n in range(2, bound + 1) if floor_log2_below(n) == m]
+    # assignments on some witnesses and on arbitrary other indices; a few
+    # of them are flipped, so the description lies about the coded real
+    assigned = set(noise)
+    if witnesses:
+        assigned |= data.draw(st.sets(st.sampled_from(witnesses), max_size=12))
+    assigned = sorted(n for n in assigned if n >= excluded)
+    flipped = data.draw(st.sets(st.sampled_from(assigned), max_size=3)) if assigned else set()
+    pairs = [(n, encode(x, n) ^ (n in flipped)) for n in assigned]
+    d = GenericDescription.from_pairs(pairs)
+    expected = _scan_decode(pairs, witnesses)
+    if isinstance(expected, tuple):
+        with pytest.raises(CorruptDescriptionError, match="disagree at index %d$" % expected[1]):
+            decode(d, m, bound)
+    else:
+        assert decode(d, m, bound) == expected

@@ -409,9 +409,25 @@ def test_golden_expanded_content(name):
     assert expanded_content_digest(doc) == content_sha
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+CODING_ROUNDTRIP_7 = {
+    "version": 1, "scenario": "coding-roundtrip", "seed": 7, "count": 8, "m_max": 12, "bound": 16384,
+}
+
+# (config, trace.json digest, report.json digest): the diagonal goldens
+# above, plus a coding-roundtrip config whose digests were recorded while
+# its decoders still read their witnesses one lookup at a time.
+ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
+                   for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
+ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
+    CODING_ROUNDTRIP_7,
+    "0c5e1c6c5e9b8d893c278ce0138dfb28c8d51c6ee3725a3e02df1afee1e35df8",
+    "b0de9233aaf7ebd62cef5f6257de6c03f13a4dad5fb8fec4cc950c3af32a00cf",
+)
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_GOLDEN))
 def test_golden_artifact_digests(tmp_path, name):
-    cfg, _, trace_sha, report_sha = GOLDEN[name]
+    cfg, trace_sha, report_sha = ARTIFACT_GOLDEN[name]
     run_experiment(dict(cfg), out_dir=str(tmp_path))
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()  # noqa: E731
     assert digest("trace.json") == trace_sha

@@ -253,7 +253,8 @@ def test_springer_trap_soundness_and_spoiling():
 
 
 def test_one_search_per_act_or_death(monkeypatch):
-    # the liveness test's leftmost search is also the leftmost path
+    # the liveness test's search is also the extremal path, leftmost or
+    # rightmost
     calls = []
     search = diagonal.find_survivor
 
@@ -262,15 +263,17 @@ def test_one_search_per_act_or_death(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(diagonal, "find_survivor", counted)
-    for build in (run_single, run_pair):
-        calls.clear()
-        trace = build(8, [StrategySpec(Silent(), LeftmostSelector()),
-                          StrategySpec(TrapSpringer(), LeftmostSelector())])
-        outcomes = sum(
-            info["acted"] + info["died"] for rec in trace.records for info in rec.info.values()
-        )
-        assert trace.death_stage[1] is not None
-        assert len(calls) == outcomes > 0
+    for selector in (LeftmostSelector, RightmostSelector):
+        for build in (run_single, run_pair):
+            calls.clear()
+            trace = build(8, [StrategySpec(Silent(), selector()),
+                              StrategySpec(TrapSpringer(), selector())])
+            outcomes = sum(
+                info["acted"] + info["died"] for rec in trace.records for info in rec.info.values()
+            )
+            assert trace.death_stage[1] is not None
+            assert len(calls) == outcomes > 0
+            assert {args[1] for args in calls} == {selector().order}
 
 
 def test_rightmost_run():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gencomp.codings import IntervalCoding, ValuationCoding, encode_interval, encode_valuation
 from gencomp.errors import (
     CorruptDescriptionError,
+    ExcludedIndexError,
     FalsifiedPremiseError,
     OutOfRangeError,
     UndefinedInputError,
@@ -192,3 +194,92 @@ def test_enumerator_new_elements_protocol():
     assert list(w.new_elements(0, 0, None)) == [(1, 2)]
     assert list(w.new_elements(0, 1, None)) == []
     assert list(w.new_elements(0, 2, None)) == [(5, 6)]
+
+
+# Bulk reads against per-index oracles.  Each oracle reads one index at a
+# time through bit(n), encode_valuation or encode_interval (or scans the
+# pairs), never through bits() or values().
+
+def _bulk_source(kind, seed):
+    """(real, per-index oracle) of one source kind."""
+    inner = SeededReal(seed)
+    if kind == "seeded":
+        return inner, inner.bit
+    if kind == "periodic":
+        x = EventuallyPeriodicReal(format(seed % 64, "b"), format(seed % 7 + 1, "b"))
+        return x, x.bit
+    if kind == "valuation":
+        return ValuationCoding(inner), lambda n: encode_valuation(inner, n)
+    return IntervalCoding(inner), lambda n: encode_interval(inner, n)
+
+
+def _outcome(read):
+    """read()'s value, or the type of the gencomp error it raised."""
+    try:
+        return read()
+    except (ExcludedIndexError, UndefinedInputError) as exc:
+        return type(exc)
+
+
+_KINDS = st.sampled_from(["seeded", "periodic", "valuation", "interval"])
+_INDEX_LISTS = st.lists(st.integers(-3, 80), max_size=60)
+
+
+@given(_KINDS, st.integers(0, 2**64 - 1), st.integers(0, 4),
+       st.none() | st.frozensets(st.integers(0, 80), max_size=60), _INDEX_LISTS)
+@settings(max_examples=300)
+def test_from_domain_values_match_per_index_oracle(kind, seed, start, domain, ns):
+    src, oracle = _bulk_source(kind, seed)
+    if domain is None:
+        d = GenericDescription.full(src, start=start)
+        assigned = lambda n: n >= start  # noqa: E731
+    else:
+        d = GenericDescription.from_domain(domain.__contains__, src, start=start)
+        assigned = lambda n: n >= start and n in domain  # noqa: E731
+    expected = _outcome(lambda: [oracle(n) if assigned(n) else None for n in ns])
+    assert _outcome(lambda: d.values(ns)) == expected
+    assert _outcome(lambda: d.values(tuple(ns))) == expected
+    assert d.values([]) == []
+    for n in ns[:5]:
+        assert _outcome(lambda: d.lookup(n)) == _outcome(lambda: oracle(n) if assigned(n) else None)
+
+
+@given(_KINDS, st.integers(0, 2**64 - 1), st.frozensets(st.integers(2, 80), max_size=40),
+       _INDEX_LISTS, st.booleans())
+@settings(max_examples=300)
+def test_from_pairs_values_match_per_index_oracle(kind, seed, indices, ns, attach):
+    src, oracle = _bulk_source(kind, seed)
+    pairs = [(n, oracle(n)) for n in sorted(indices)]
+    d = GenericDescription.from_pairs(pairs, source=src if attach else None)
+
+    def scan(n):
+        return next((x for m, x in pairs if m == n), None)
+
+    assert d.values(ns) == [scan(n) for n in ns]
+    assert d.values(range(0)) == []
+    assert [d.lookup(n) for n in ns] == [scan(n) for n in ns]
+
+
+@given(_KINDS, st.integers(0, 2**64 - 1), st.frozensets(st.integers(2, 300), min_size=1, max_size=40),
+       st.data())
+@settings(max_examples=150)
+def test_from_pairs_rejects_false_pairs_eagerly(kind, seed, indices, data):
+    src, oracle = _bulk_source(kind, seed)
+    liar = data.draw(st.sampled_from(sorted(indices)))
+    pairs = [(n, oracle(n) ^ (n == liar)) for n in sorted(indices)]
+    with pytest.raises(FalsifiedPremiseError, match=r"pair \(%d," % liar):
+        GenericDescription.from_pairs(pairs, source=src)
+    # without an attached source the same pairs are accepted as given
+    assert GenericDescription.from_pairs(pairs).lookup(liar) == oracle(liar) ^ 1
+
+
+@given(_KINDS, st.integers(0, 2**64 - 1),
+       st.dictionaries(st.integers(2, 200), st.integers(0, 1), max_size=60), st.integers(1, 250))
+@settings(max_examples=200)
+def test_validate_description_matches_per_index_oracle(kind, seed, table, horizon):
+    src, oracle = _bulk_source(kind, seed)
+    d = GenericDescription.from_pairs(table.items())
+    below = [n for n in table if n < horizon]
+    report = validate_description(d, src, horizon)
+    assert report.truthful == all(table[n] == oracle(n) for n in below)
+    assert report.domain_prefix_density == Fraction(len(below), horizon)

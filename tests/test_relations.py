@@ -225,3 +225,22 @@ def test_member_bit_valuation_part_matches_column():
             assert relation_member_bit(rel, reals, 1, n) == reals[1].bit(
                 two_adic_valuation(n)
             )
+
+
+def test_universal_rel_stage_boundaries_and_errors():
+    # universal_rel reads both stages off the ids itself; across every
+    # stage boundary it must agree with stage_of_id and keep its errors
+    for i, j in ((-1, 0), (0, -1), (-3, -3), (7, -2)):
+        with pytest.raises(UndefinedInputError):
+            universal_rel(i, j)
+    ids = (0, 1, 4, 5, 1028, 1029, 1030)
+    for i in ids:
+        for j in ids:
+            assert universal_rel(i, j) == related(from_uid(i), from_uid(j))
+    b4 = stage_interval(3).hi  # the first stage-4 id
+    assert stage_of_id(b4 - 1) == 3 and stage_of_id(b4) == 4
+    new = b4 + (2 << (2 * 1029))  # relates stage-4 newcomer -> element 1029
+    assert universal_rel(new, 1029) and not universal_rel(1029, new)
+    assert not universal_rel(b4, 1029) and not universal_rel(new, b4)
+    with pytest.raises(CapacityError):
+        universal_rel(b4 - 1, b4)  # a stage-3 id far beyond shift range
