@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InsufficientDataError, MalformedGapError, UndefinedInputError
+from .runs import clip, difference, hits
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,6 @@ def block_of(i: int) -> Block:
     return Block(i, 1 << i, 1 << (i + 1))
 
 
-def block_index(n: int) -> int:
-    """The i with n in [2^i, 2^(i+1)); requires n >= 1."""
-    if n < 1:
-        raise UndefinedInputError("blocks cover n >= 1 only")
-    return n.bit_length() - 1
-
-
 def gap_interval(i: int, e: int) -> tuple:
     """Half-open interval [lo, hi) of the size-2^-e gap at block i."""
     if e < 0 or e > i:
@@ -65,14 +59,14 @@ class GapCensus:
 
     records[i] is the smallest e such that a gap of size 2^-e is present at
     block i (nested smaller gaps are derivable, not stored).  `omitted`
-    retains the underlying omission set below the census horizon 2^i_max,
-    and gap_only records whether every block's omissions form a pure
-    suffix of the block.
+    is the run set of absent elements in [1, 2^i_max), the blocks below
+    the census horizon, and gap_only records whether every block's
+    omissions form a pure suffix of the block.
     """
 
     i_max: int
     records: tuple  # ((i, e-or-None), ...) for i < i_max
-    omitted: frozenset
+    omitted: tuple  # run set inside [1, 2^i_max)
     gap_only: bool
 
     @property
@@ -80,12 +74,14 @@ class GapCensus:
         return 1 << self.i_max
 
     def record(self, i: int) -> Optional[int]:
-        return dict(self.records)[i]
+        if not 0 <= i < self.i_max:
+            raise InsufficientDataError("census covers blocks [0, %d) only" % self.i_max)
+        return self.records[i][1]
 
     def member(self, n: int) -> bool:
         if not 0 <= n < self.horizon:
             raise InsufficientDataError("census covers [0, %d) only" % self.horizon)
-        return n not in self.omitted
+        return not hits(self.omitted, n, n + 1)
 
     def gaps(self) -> list:
         """The recorded (i, e) pairs, skipping gapless blocks."""
@@ -95,40 +91,32 @@ class GapCensus:
         return {
             "i_max": self.i_max,
             "records": [[i, e] for i, e in self.records],
-            "omitted": sorted(self.omitted),
+            "omitted": [list(run) for run in self.omitted],
             "gap_only": self.gap_only,
         }
 
 
-def gap_census(member: Callable[[int], bool], i_max: int) -> GapCensus:
-    """Census the maximal suffix gap of each block i < i_max.
+def gap_census(present, i_max: int) -> GapCensus:
+    """Census the maximal suffix gap of each block i < i_max of the run
+    set `present`.
 
-    Membership must be decidable below 2^i_max.  The block's trailing run
-    of absent elements has length L; the largest gap present is the one
-    with the smallest e satisfying 2^(i-e) <= L.
+    The block's suffix gap is the part inside it of the last omitted run
+    that ends at the block end, of length L; the largest gap present is
+    the one with the smallest e satisfying 2^(i-e) <= L.
     """
     if i_max < 0:
         raise UndefinedInputError("i_max must be >= 0")
+    omitted = difference(((1, 1 << i_max),), present)
     records = []
-    omitted = set()
-    gap_only = member(0)  # 0 lies in no block, so a gap-only set keeps it
+    gap_only = hits(present, 0, 1)  # 0 lies in no block, so a gap-only set keeps it
     for i in range(i_max):
-        blk = block_of(i)
-        absent = [n for n in range(blk.lo, blk.hi) if not member(n)]
-        omitted.update(absent)
-        run = 0
-        n = blk.hi - 1
-        while n >= blk.lo and not member(n):
-            run += 1
-            n -= 1
-        if len(absent) != run or (run and run & (run - 1)):
+        lo, hi = 1 << i, 2 << i
+        inside = clip(omitted, lo, hi)
+        run = hi - inside[-1][0] if inside and inside[-1][1] == hi else 0
+        if len(inside) != bool(run) or run & (run - 1):
             gap_only = False  # interior holes or a non-power-of-2 suffix
-        if run == 0:
-            records.append((i, None))
-        else:
-            e = i - (run.bit_length() - 1)
-            records.append((i, e))
-    return GapCensus(i_max, tuple(records), frozenset(omitted), gap_only)
+        records.append((i, i + 1 - run.bit_length() if run else None))
+    return GapCensus(i_max, tuple(records), omitted, gap_only)
 
 
 def gap_density_upper(i: int, e: int) -> Fraction:
@@ -158,8 +146,7 @@ def density_threshold(census: GapCensus, e: int, n_max: int) -> Optional[int]:
     count = 0
     last_fail = 0
     for n in range(1, n_max + 1):
-        if (n - 1) not in census.omitted:
-            count += 1
+        count += census.member(n - 1)
         if Fraction(count, n) < bound:
             last_fail = n
     if last_fail == n_max:

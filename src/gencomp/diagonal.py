@@ -455,7 +455,7 @@ class Trace:
         key = (prefix, side)
         if key not in self._censuses:
             values = functional_value_set(self, prefix, side)
-            self._censuses[key] = gap_census(lambda n: n in values, self.defined_through + 1)
+            self._censuses[key] = gap_census(values, self.defined_through + 1)
         return self._censuses[key]
 
     def level_context(self, e, l) -> LevelContext:
@@ -610,17 +610,17 @@ def trap_status(trace: Trace, e: int, s: int) -> str:
     return "sprung" if hits(trace.enumerated_final(e), *rule.gap) else "pending"
 
 
-def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> set:
-    """{n in [1, 2^(defined+1)) : definitely in the side's functional
-    under oracles extending prefix}: the horizon minus the gap of every
-    rule whose node is comparable with the prefix (a rule the prefix does
-    not decide leaves its gap undecided, hence out of the set)."""
+def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
+    """Run set of {n in [1, 2^(defined+1)) : definitely in the side's
+    functional under oracles extending prefix}: the horizon minus the gap
+    of every rule whose node is comparable with the prefix (a rule the
+    prefix does not decide leaves its gap undecided, hence out of the set)."""
     bits = as_bits(prefix)
     gaps = normalize(
         r.gap for r in trace.table(side).rules
         if bits.startswith(r.node) or r.node.startswith(bits)
     )
-    return set(elements(difference(((1, 1 << (trace.defined_through + 1)),), gaps)))
+    return difference(((1, 1 << (trace.defined_through + 1)),), gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -853,12 +853,10 @@ def default_probe_prefixes(trace: Trace, e: int) -> list:
 
 
 def census_prefixes(trace: Trace) -> list:
-    """(label, x prefix) of the oracles whose value censuses are audited
-    and reported: all zeros and all ones, in single mode through stage 14
-    (each census evaluates every n below the defined horizon)."""
-    if len(trace.sides) == 1 and trace.defined_through <= 14:
-        return [(label, bit * trace.defined_through) for label, bit in (("all-zeros", "0"), ("all-ones", "1"))]
-    return []
+    """(label, side, prefix) of the oracles whose value censuses are
+    audited and reported: all zeros and all ones on every side."""
+    return [(label, side, bit * trace.defined_through)
+            for side in trace.sides for label, bit in (("all-zeros", "0"), ("all-ones", "1"))]
 
 
 def audit_verdicts(trace: Trace) -> list:
@@ -874,9 +872,9 @@ def audit_verdicts(trace: Trace) -> list:
         probes = default_probe_prefixes(trace, e)
         out.append(("single-victim", {"strategy": e, "probes": len(probes)},
                     audit_single_victim(trace, e, probes)))
-    for _, prefix in census_prefixes(trace):
-        out.append(("gap-census-consistency", {"prefix": prefix},
-                    audit_gap_census_consistency(trace, prefix)))
+    for _, side, prefix in census_prefixes(trace):
+        out.append(("gap-census-consistency", {"prefix": prefix, "side": side},
+                    audit_gap_census_consistency(trace, prefix, side)))
     return out
 
 

@@ -41,7 +41,7 @@ from .runs import count_below
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/1"
-REPORT_FORMAT = "gencomp-report/1"
+REPORT_FORMAT = "gencomp-report/2"
 
 DIAGONAL_MODES = {"single-diagonal": diagonal.SINGLE, "pair-diagonal": diagonal.PAIR}
 SCENARIOS = (*DIAGONAL_MODES, "coding-roundtrip", "relation-embed", "operator-compile")
@@ -329,8 +329,8 @@ def _diagonal_report(trace) -> dict:
         tallies.append({"strategy": e, **tally})
     # the gap-census audits above computed these censuses
     censuses = [
-        {"oracle_prefix": label, "census": trace.census(prefix).to_jsonable()}
-        for label, prefix in diagonal.census_prefixes(trace)
+        {"oracle_prefix": label, "side": side, "census": trace.census(prefix, side).to_jsonable()}
+        for label, side, prefix in diagonal.census_prefixes(trace)
     ]
     return {
         "verdicts": verdicts,

@@ -118,10 +118,6 @@ def _element_key(x: UElement):
 ROOT = UElement(0, ())
 
 
-def element(stage: int, combo: Iterable = ()) -> UElement:
-    return UElement(stage, tuple(combo))
-
-
 def related(x: UElement, y: UElement) -> bool:
     """Adjacency on symbolic handles; mirrors universal_rel on ids."""
     if x == y:

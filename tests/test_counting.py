@@ -12,6 +12,7 @@ independent of how its batches are written.
 
 import dataclasses
 import hashlib
+import json
 import os
 from fractions import Fraction
 
@@ -303,7 +304,7 @@ def test_value_sets_match_per_n_evaluation(run):
                 prefixes |= {node[0][: depth // 2], node[0]}
         for prefix in sorted(prefixes):
             values = {n for n in range(1, horizon) if table.evaluate(prefix, n) == 1}
-            assert functional_value_set(trace, prefix, side) == values, (side, prefix)
+            assert set(expand(functional_value_set(trace, prefix, side))) == values, (side, prefix)
             undecided += sum(
                 1 for r in table.rules if len(r.node) > len(prefix) and r.node.startswith(prefix)
             )
@@ -317,12 +318,11 @@ def test_registry_verdicts_are_the_report_verdicts(run):
         for name, inputs, bad in audit_verdicts(trace)
     ] == report["verdicts"]
     censuses = []
-    for label, prefix in census_prefixes(trace):
-        values = functional_value_set(trace, prefix)
-        census = gap_census(lambda n: n in values, trace.defined_through + 1)
-        censuses.append({"oracle_prefix": label, "census": census.to_jsonable()})
+    for label, side, prefix in census_prefixes(trace):
+        census = gap_census(functional_value_set(trace, prefix, side), trace.defined_through + 1)
+        censuses.append({"oracle_prefix": label, "side": side, "census": census.to_jsonable()})
     assert censuses == report["value_censuses"]
-    assert len(censuses) == (2 if trace.mode != PAIR else 0)
+    assert len(censuses) == 2 * len(trace.sides)
 
 
 def test_oracle_cases_exercise_every_branch():
@@ -383,20 +383,21 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/3 bytes; the report digests are unchanged since they
-# were first recorded with per-element probing.
+# the gencomp-trace/3 bytes and the report digests of the gencomp-report/2
+# bytes; REPORT_1_DIGESTS keeps the /1 report digests, which
+# `report_1_view` of each /2 report still reproduces.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
         "9c83d42c9cc0268563ef4c9481259715b2aa5def2eea0c504b1db4a2975d8340",
-        "3fd817e16c07ac4387991b04ef7b8f93d1ae7b5fd535801c8b2f82f19d6978e3",
+        "385c909af4230e8b04a2e333cbef3a7e7910339194b9afd5c98cb9fa62880cf9",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
         "ab117c15e91cf34ba1eec3ab7ca34226a80d7e4a951c7f7816477b232181e59a",
-        "625249411c777c5b9df2f196abc84b46c101d37a4795e31c2209c39d5a3021b4",
+        "35939845e7c27f56bff28d2703ad0de9b463c9dc57faf5dec9caeb2e920a3c78",
     ),
 }
 
@@ -414,15 +415,58 @@ CODING_ROUNDTRIP_7 = {
 }
 
 # (config, trace.json digest, report.json digest): the diagonal goldens
-# above, plus a coding-roundtrip config whose digests were recorded while
-# its decoders still read their witnesses one lookup at a time.
+# above, plus a coding-roundtrip config whose trace digest was recorded
+# while its decoders still read their witnesses one lookup at a time.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
     "0c5e1c6c5e9b8d893c278ce0138dfb28c8d51c6ee3725a3e02df1afee1e35df8",
-    "b0de9233aaf7ebd62cef5f6257de6c03f13a4dad5fb8fec4cc950c3af32a00cf",
+    "a335f2e5a1e226a782dcb8561a49a5f99437807ab5f27cf97481d49d2372cd42",
 )
+
+
+# the report.json digests of the same configs as gencomp-report/1 wrote them
+REPORT_1_DIGESTS = {
+    "pair-catalog-12": "3fd817e16c07ac4387991b04ef7b8f93d1ae7b5fd535801c8b2f82f19d6978e3",
+    "single-diagonal-12": "625249411c777c5b9df2f196abc84b46c101d37a4795e31c2209c39d5a3021b4",
+    "coding-roundtrip-7": "b0de9233aaf7ebd62cef5f6257de6c03f13a4dad5fb8fec4cc950c3af32a00cf",
+}
+
+
+def report_1_view(report):
+    """A gencomp-report/2 report in the gencomp-report/1 shape: the old
+    format tag, each census's `omitted` runs expanded to elements, no
+    `side`, and only the censuses /1 made (single mode through stage 14)."""
+    old = dict(report, format="gencomp-report/1")
+    if "value_censuses" not in report:
+        return old
+    kept = report["scenario"] == "single-diagonal" and report["config"]["stages"] <= 15
+    old["verdicts"] = [
+        dict(v, inputs={"prefix": v["inputs"]["prefix"]})
+        if v["invariant"] == "gap-census-consistency" else v
+        for v in report["verdicts"]
+        if kept or v["invariant"] != "gap-census-consistency"
+    ]
+    old["value_censuses"] = [
+        {"oracle_prefix": row["oracle_prefix"],
+         "census": dict(row["census"], omitted=expand(row["census"]["omitted"]))}
+        for row in report["value_censuses"]
+        if kept
+    ]
+    return old
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_1_DIGESTS))
+def test_report_2_reads_as_report_1(tmp_path, name):
+    # the format bump adds `side`, run-form omissions and the pair and
+    # long-run censuses; everything else a /1 report said is unchanged
+    cfg = ARTIFACT_GOLDEN[name][0]
+    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["format"] == "gencomp-report/2"
+    old = canonical_json(report_1_view(written)).encode()
+    assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_GOLDEN))

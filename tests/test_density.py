@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencomp.density import (
     block_of,
@@ -14,6 +16,13 @@ from gencomp.density import (
 )
 from gencomp.errors import InsufficientDataError, MalformedGapError, UndefinedInputError
 from gencomp.reals import SeededReal
+from gencomp.runs import elements, from_elements
+
+
+def present(member, i_max):
+    """The run set of the naturals below 2^i_max that satisfy `member`:
+    the form in which a census takes a set."""
+    return from_elements(n for n in range(1 << i_max) if member(n))
 
 
 def census_oracle(member, i_max):
@@ -62,13 +71,13 @@ def test_prefix_density_examples():
 
 def test_gap_census_examples():
     member = lambda n: n not in {12, 13, 14, 15}
-    census = gap_census(member, 4)
+    census = gap_census(present(member, 4), 4)
     assert census.record(3) == 1
     assert all(census.record(i) is None for i in range(3))
-    assert gap_census(lambda n: True, 6).gaps() == []
+    assert gap_census(present(lambda n: True, 6), 6).gaps() == []
     # whole block missing: the maximal suffix is the block itself
     p4 = set(range(16, 32))
-    census = gap_census(lambda n: n not in p4, 5)
+    census = gap_census(present(lambda n: n not in p4, 5), 5)
     assert census.record(4) == 0
 
 
@@ -77,7 +86,7 @@ def test_gap_census_matches_oracle_randomized():
     for _ in range(60):
         omitted, _ = make_gap_only(rng)
         member = lambda n: n not in omitted
-        census = gap_census(member, 13)
+        census = gap_census(present(member, 13), 13)
         assert list(census.records) == census_oracle(member, 13)
         assert census.gap_only
 
@@ -88,7 +97,7 @@ def test_gap_census_nesting_invariant():
     for _ in range(40):
         omitted, _ = make_gap_only(rng)
         member = lambda n: n not in omitted
-        census = gap_census(member, 13)
+        census = gap_census(present(member, 13), 13)
         for i, e in census.gaps():
             blk = block_of(i)
             for e_prime in range(e, i + 1):
@@ -101,8 +110,53 @@ def test_gap_census_oracle_on_arbitrary_omissions():
     for _ in range(40):
         omitted = set(rng.sample(range(1, 2**10), rng.randint(0, 200)))
         member = lambda n: n not in omitted
-        census = gap_census(member, 10)
+        census = gap_census(present(member, 10), 10)
         assert list(census.records) == census_oracle(member, 10)
+
+
+def test_census_record_outside_its_blocks():
+    census = gap_census(present(lambda n: n < 12, 4), 4)
+    assert census.record(3) == 1
+    for i in (-1, 4, 9):
+        with pytest.raises(InsufficientDataError):
+            census.record(i)
+
+
+@st.composite
+def census_cases(draw):
+    """(i_max, run set): per block a suffix of any length (a power of two
+    or not) and a few interior holes, element 0 in or out, and some
+    absences past the horizon, which the census must ignore."""
+    i_max = draw(st.integers(0, 10))
+    top = 1 << i_max
+    absent = set(draw(st.lists(st.integers(top, 2 * top), max_size=3)))
+    if draw(st.booleans()):
+        absent.add(0)
+    for i in range(i_max):
+        blk = block_of(i)
+        suffix = draw(st.one_of(st.sampled_from([0] + [1 << k for k in range(i + 1)]),
+                                st.integers(1, blk.size)))
+        absent.update(range(blk.hi - suffix, blk.hi))
+        absent.update(draw(st.lists(st.integers(blk.lo, blk.hi - 1), max_size=2)))
+    return i_max, from_elements(n for n in range(2 * top + 1) if n not in absent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(census_cases())
+def test_run_census_matches_membership_scan(case):
+    i_max, runs = case
+    member = set(elements(runs)).__contains__
+    census = gap_census(runs, i_max)
+    assert list(census.records) == census_oracle(member, i_max)
+    assert elements(census.omitted) == [n for n in range(1, 1 << i_max) if not member(n)]
+    suffixes_only = member(0)
+    for i in range(i_max):
+        blk = block_of(i)
+        holes = [n for n in range(blk.lo, blk.hi) if not member(n)]
+        run = len(holes)
+        if holes != list(range(blk.hi - run, blk.hi)) or run & (run - 1):
+            suffixes_only = False
+    assert census.gap_only == suffixes_only
 
 
 def test_gap_density_upper_examples():
@@ -118,7 +172,7 @@ def test_gap_density_upper_examples():
 
 def test_density_threshold_single_gap():
     member = lambda n: n not in {12, 13, 14, 15}
-    census = gap_census(member, 13)
+    census = gap_census(present(member, 13), 13)
     # e=1 bound is 1 - 2^0 = 0: satisfied from the start
     assert density_threshold(census, 1, 64) == 1
     assert prefix_density(member, 16) >= 1 - Fraction(2, 2)
@@ -131,7 +185,7 @@ def test_density_threshold_single_gap():
 
 
 def test_density_threshold_no_gaps():
-    census = gap_census(lambda n: True, 11)
+    census = gap_census(present(lambda n: True, 11), 11)
     assert density_threshold(census, 4, 1024) == 1
 
 
@@ -144,17 +198,17 @@ def test_density_threshold_everywhere_gapped():
     for i in range(1, 13):
         lo, hi = gap_interval(i, 1)
         omitted.update(range(lo, hi))
-    census = gap_census(lambda n: n not in omitted, 13)
+    census = gap_census(present(lambda n: n not in omitted, 13), 13)
     assert density_threshold(census, 2, 1024) == 1
     assert density_threshold(census, 3, 1024) is None
     assert prefix_density(lambda n: n not in omitted, 1024) == Fraction(513, 1024)
 
 
 def test_density_threshold_errors():
-    census = gap_census(lambda n: True, 5)
+    census = gap_census(present(lambda n: True, 5), 5)
     with pytest.raises(InsufficientDataError):
         density_threshold(census, 2, 1 << 10)
-    ragged = gap_census(lambda n: n != 9, 5)  # interior hole, not a suffix
+    ragged = gap_census(present(lambda n: n != 9, 5), 5)  # interior hole, not a suffix
     assert not ragged.gap_only
     with pytest.raises(UndefinedInputError):
         density_threshold(ragged, 2, 16)
@@ -165,7 +219,7 @@ def test_threshold_soundness_randomized():
     for _ in range(30):
         omitted, _ = make_gap_only(rng)
         member = lambda n: n not in omitted
-        census = gap_census(member, 13)
+        census = gap_census(present(member, 13), 13)
         # running count: density[n] = |{k < n : member(k)}| / n, recounted
         # from `member` alone, independent of density_threshold
         count = 0

@@ -42,6 +42,7 @@ from gencomp.errors import (
     UndefinedRegionError,
 )
 from gencomp.reals import BitPrefix, Enumerator
+from gencomp.runs import elements
 
 
 def table_of(*rules, defined=6, side="x"):
@@ -206,16 +207,16 @@ def test_hand_simulated_five_stage_run():
         (3, ("00",)),
         (4, ("000",)),
     ]
-    ones = functional_value_set(trace, "1111")
+    ones = set(elements(functional_value_set(trace, "1111")))
     assert set(range(1, 32)) - ones == {2, 3}
-    assert functional_value_set(trace, "0000") == {1}
+    assert set(elements(functional_value_set(trace, "0000"))) == {1}
     assert trace.alive[0] is True
 
 
 def test_zero_strategies_full_value():
     trace = run_single(5, [])
-    assert functional_value_set(trace, "0000") == set(range(1, 32))
-    assert functional_value_set(trace, "1111") == set(range(1, 32))
+    assert set(elements(functional_value_set(trace, "0000"))) == set(range(1, 32))
+    assert set(elements(functional_value_set(trace, "1111"))) == set(range(1, 32))
 
 
 def test_scripted_spoiler_kills_tree():
@@ -284,14 +285,14 @@ def test_rightmost_run():
         (3, ("11",)),
         (4, ("111",)),
     ]
-    assert functional_value_set(trace, "1111") == {1}
+    assert set(elements(functional_value_set(trace, "1111"))) == {1}
 
 
 def test_multi_strategy_intersection():
     trace = silent_run(6, n_strategies=2)
     # both strategies gap along the leftmost path; the value under the
     # victim prefix is the intersection of both strategies' wishes
-    values = functional_value_set(trace, "00000")
+    values = set(elements(functional_value_set(trace, "00000")))
     for rule in trace.x_rules:
         if all(c == "0" for c in rule.node):
             assert not (set(range(*rule.gap)) & values)
@@ -318,8 +319,7 @@ def test_gap_census_consistency_audit():
     assert audit_gap_census_consistency(trace, "00000") == []
     assert audit_gap_census_consistency(trace, "11111") == []
     # and directly: the censused gaps under the victim prefix are the rules
-    values = functional_value_set(trace, "00000")
-    census = gap_census(lambda n: n in values, 6)
+    census = gap_census(functional_value_set(trace, "00000"), 6)
     assert census.record(1) == 0
     assert all(census.record(i) == 0 for i in range(1, 6) if i <= 4)
 
@@ -388,9 +388,9 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
     expected = audit_marker_on_path(bad) + audit_trap_soundness(bad) + audit_spoiling(bad)
     for e in range(bad.strategy_count):
         expected += audit_single_victim(bad, e, default_probe_prefixes(bad, e))
-    if bad.mode == SINGLE:
+    for side in bad.sides:
         for probe in ("0" * 5, "1" * 5):
-            expected += audit_gap_census_consistency(bad, probe)
+            expected += audit_gap_census_consistency(bad, probe, side)
     verdicts = audit_verdicts(bad)
     assert [msg for _, _, failed in verdicts for msg in failed] == audit_trace(bad) == expected
     # the off-path marker is also a late marker off the final path

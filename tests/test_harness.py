@@ -20,6 +20,7 @@ from gencomp.harness import (
     verify_trace_file,
 )
 from gencomp.reals import SeededReal
+from gencomp.runs import elements
 
 
 def single_config(**extra):
@@ -141,7 +142,7 @@ def functional_value_set_all(trace):
     zeros = functional_value_set(trace, "0" * trace.defined_through)
     ones = functional_value_set(trace, "1" * trace.defined_through)
     assert zeros == ones
-    return zeros
+    return set(elements(zeros))
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -254,7 +255,7 @@ AUDITS = ("audit_marker_on_path", "audit_trap_soundness", "audit_spoiling",
 def test_run_and_verify_audit_once(tmp_path, monkeypatch, scenario):
     # verify rebuilds the trace without auditing the rebuild and audits the
     # file's trace once; run computes each value census once for the
-    # audit and the report together
+    # audit and the report together, two per side in either mode
     from gencomp import diagonal
 
     cfg = single_config(scenario=scenario, stages=8, strategies=[
@@ -268,7 +269,7 @@ def test_run_and_verify_audit_once(tmp_path, monkeypatch, scenario):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(diagonal, name, counted)
-    censuses = 2 if scenario == "single-diagonal" else 0
+    censuses = 2 if scenario == "single-diagonal" else 4
     once = {"audit_marker_on_path": 1, "audit_trap_soundness": 1, "audit_spoiling": 1,
             "audit_single_victim": 3, "audit_gap_census_consistency": censuses,
             "functional_value_set": censuses}
@@ -473,3 +474,5 @@ def test_cli_catalog(capsys):
     listed = json.loads(capsys.readouterr().out)
     assert "trap-springer" in listed["adversaries"]
     assert "single-diagonal" in listed["scenarios"]
+    assert listed["trace_format"] == "gencomp-trace/3"
+    assert listed["report_format"] == "gencomp-report/2"

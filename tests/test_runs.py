@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,3 +93,28 @@ def test_pair_catalog_at_64_stages(tmp_path):
                           for k, s in kinds]}
     report, _ = _run_capped(tmp_path, cfg)
     assert [row["strategy"] for row in report["trap_tallies"]] == list(range(5))
+
+
+@pytest.mark.parametrize("scenario, sides", [("pair-diagonal", ["x", "y"]),
+                                             ("single-diagonal", ["x"])])
+def test_value_censuses_at_64_stages(tmp_path, scenario, sides):
+    # 32 silent strategies, alternately leftmost and rightmost: every side's
+    # all-zeros and all-ones censuses are audited and reported, and their
+    # omissions stay a few runs (the gaps along the oracle), not elements
+    cfg = {"version": 1, "scenario": scenario, "stages": 64,
+           "strategies": [{"enumerator": {"kind": "silent"}, "selector": {"kind": kind}}
+                          for kind in ("leftmost", "rightmost") * 16]}
+    report, _ = _run_capped(tmp_path, cfg)
+    censuses = report["value_censuses"]
+    assert [(row["side"], row["oracle_prefix"]) for row in censuses] == [
+        (side, label) for side in sides for label in ("all-zeros", "all-ones")
+    ]
+    audited = [v["inputs"] for v in report["verdicts"] if v["invariant"] == "gap-census-consistency"]
+    assert [(inputs["side"], inputs["prefix"]) for inputs in audited] == [
+        (row["side"], {"all-zeros": "0", "all-ones": "1"}[row["oracle_prefix"]] * 63)
+        for row in censuses
+    ]
+    for row in censuses:
+        census = row["census"]
+        assert census["i_max"] == 64 and len(census["omitted"]) <= 64
+        assert any(e is not None for _, e in census["records"])
