@@ -39,7 +39,6 @@ from .diagonal import (
     ScriptedSelector,
     StrategySpec,
     Trace,
-    TreeState,
     audit_trace,
     functional_value_set,
     run_construction,

@@ -1,10 +1,10 @@
 """Built-in opponent enumerators for diagonalization runs.
 
 Each adversary implements the enumeration-source protocol
-new_elements(e, stage, view): the elements it enumerates at `stage`, as a
-list of half-open runs (lo, hi), given read access to the public trace
-through the previous stage (it never sees the selector's future or the
-current stage's rules).  Runs may overlap each other or elements
+new_elements(e, stage, trace): the elements it enumerates at `stage`, as a
+list of half-open runs (lo, hi), given read access to the trace through
+stage - 1, the engine's whole state (it never sees the selector's future or
+the current stage's rules).  Runs may overlap each other or elements
 enumerated earlier; the engine normalizes them and keeps only what is new.
 Every built-in opponent enumerates whole intervals, so a source's output
 stays a handful of runs however large the stage.
@@ -18,7 +18,7 @@ class Silent:
 
     name = "silent"
 
-    def new_elements(self, e, stage, view):
+    def new_elements(self, e, stage, trace):
         return []
 
 
@@ -28,10 +28,10 @@ class TrapSpringer:
 
     name = "trap-springer"
 
-    def new_elements(self, e, stage, view):
+    def new_elements(self, e, stage, trace):
         if stage == 0:
             return []
-        return sorted({(r.gap[0], r.gap[0] + 1) for r in view.rules_issued_at(stage - 1, e)})
+        return sorted({(r.gap[0], r.gap[0] + 1) for r in trace.records[stage - 1].rules if r.e == e})
 
 
 class CautiousCopier:
@@ -42,14 +42,14 @@ class CautiousCopier:
 
     name = "cautious-copier"
 
-    def new_elements(self, e, stage, view):
-        approx = view.approx(e)
+    def new_elements(self, e, stage, trace):
+        approx = trace.final_approx.get(e)
         if approx is None:
             return []
         out = []
-        for block in range(view.defined_through + 1):
+        for block in range(trace.defined_through + 1):
             lo, hi = 1 << block, 1 << (block + 1)
-            excl = [t.excluded_interval(block, side) for t, side in zip(view.tables, approx)]
+            excl = [t.excluded_interval(block, side) for t, side in zip(trace.tables(), approx)]
             # a side without an exclusion keeps the whole block in the union
             cut = hi if None in excl else max(ex[0] for ex in excl)
             if lo < cut:
@@ -64,7 +64,7 @@ class PrefixFlooder:
 
     name = "prefix-flooder"
 
-    def new_elements(self, e, stage, view):
+    def new_elements(self, e, stage, trace):
         return [(0, 1 << stage)]
 
 

@@ -6,10 +6,10 @@ the last 2^(s-e) elements of block s from the functional's value on every
 oracle extending `node`.  Strategy e acts at stages s > e: it computes the
 surviving level of its tree (oracles kept consistent with the opponent
 enumeration staying inside the functional's value), places a marker at the
-shortest unmarked prefix of the selected infinite path, and issues the
-corresponding gap rule(s).  The opponent must then either enumerate into
-the gap, pruning every extension of the marked node from the tree, or
-absorb a density dip at that block.
+shortest prefix of the selected infinite path whose string on every side is
+unmarked there, and issues the corresponding gap rule(s).  The opponent
+must then either enumerate into the gap, pruning every extension of the
+marked node from the tree, or absorb a density dip at that block.
 
 Level sets are exponential and are therefore never materialized: survival
 of a node is decided from the rule table plus the enumeration snapshot,
@@ -17,7 +17,8 @@ and paths are found by ordered depth-first search with pruning.  Every
 enumeration (a stage's batch, a strategy's snapshot, a trap event) is a
 run set of half-open intervals (see `runs`), so no step costs time or
 memory in the number of enumerated elements.  A whole run is recorded as a
-Trace that replays bit-for-bit from its config.
+Trace that replays bit-for-bit from its config; the trace is also the
+engine's only state, stage s being computed from its records through s-1.
 """
 
 from __future__ import annotations
@@ -227,13 +228,14 @@ def enumerate_level(ctx: LevelContext, budget: int = _DEFAULT_NODE_BUDGET) -> li
 
 
 def select_marker_node(path, marked, cap: Optional[int] = None):
-    """Shortest prefix of the path (root included) without a marker."""
-    length = len(path[0])
-    limit = length if cap is None else min(cap, length)
+    """Shortest prefix of the path (root included) whose string on every
+    side is unmarked there: `marked` holds one set of strings per side."""
+    limit = len(path[0]) if cap is None else min(cap, len(path[0]))
+    taken = {len(bits) for side, strings in zip(path, marked) for bits in strings
+             if side.startswith(bits)}
     for k in range(limit + 1):
-        node = tuple(side[:k] for side in path)
-        if node not in marked:
-            return node
+        if k not in taken:
+            return tuple(side[:k] for side in path)
     raise SelectorCapError("every path prefix through the cap is marked")
 
 
@@ -247,7 +249,7 @@ class ExtremalSelector:
         self.bit = bit
         self.order = "01" if bit == "0" else "10"
 
-    def path(self, e, stage, ctx, find, state):
+    def path(self, stage, ctx, find):
         stem = find(self.order)
         if stem is None:
             return None
@@ -266,18 +268,19 @@ class ScriptedSelector:
     truncation must survive."""
 
     kind = "scripted"
+    order = "01"  # the leftmost fallback's
 
     def __init__(self, entries):
         self.entries = tuple(sorted(entries, key=lambda it: it[0]))
         self._fallback = LeftmostSelector()
 
-    def path(self, e, stage, ctx, find, state):
+    def path(self, stage, ctx, find):
         guess = None
         for from_stage, node in self.entries:
             if from_stage <= stage:
                 guess = node
         if guess is None:
-            return self._fallback.path(e, stage, ctx, find, state)
+            return self._fallback.path(stage, ctx, find)
         return tuple((side + "0" * stage)[:stage] for side in guess)
 
 
@@ -288,22 +291,9 @@ class MarkerRecord:
     node: object
 
 
-@dataclass
-class TreeState:
-    """What the engine needs of one strategy between stages."""
-
-    e: int
-    source: object
-    selector: object
-    alive: bool = True
-    enumerated: tuple = ()   # run set
-    marked: set = field(default_factory=set)
-    approx: Optional[tuple] = None   # the latest selected path
-
-
 @dataclass(frozen=True)
 class StrategySpec:
-    source: object   # new_elements(e, stage, view) protocol
+    source: object   # new_elements(e, stage, trace) protocol
     selector: object
 
 
@@ -321,26 +311,6 @@ class RunConfig:
             raise BudgetError("stage count out of the supported range 1..64")
 
 
-class TraceView:
-    """What an enumeration source may read at stage s: the public record
-    through stage s-1, with one GapRuleTable per side in `tables`.
-    Sources run before the stage mutates anything."""
-
-    def __init__(self, engine, stage):
-        self._e = engine
-        self.defined_through = stage - 1
-        self.tables = engine.tables
-
-    def rules_issued_at(self, stage, e=None) -> list:
-        return [
-            r for t in self.tables for r in t.rules
-            if r.stage == stage and (e is None or r.e == e)
-        ]
-
-    def approx(self, e):
-        return self._e.states[e].approx
-
-
 @dataclass
 class StageRecord:
     stage: int
@@ -350,19 +320,58 @@ class StageRecord:
     trap_events: tuple   # (e, gap_stage, lo, hi): new run [lo, hi) inside the gap
 
 
+_VIEW = dict(init=False, repr=False, compare=False)
+
+
 @dataclass
 class Trace:
-    """Replayable record of one construction run.  The stage records are
-    all it stores: the rule tables, the markers and each strategy's end
-    state are views read off them."""
+    """Replayable record of one construction run, and the engine's only
+    state.  The stage records are all it stores; `append` keeps the views
+    read off them: one GapRuleTable per side, and per strategy e the
+    enumerated run set, the markers, the last approximation (None before
+    the first act) and the death stage (None while alive).  Records given
+    to the constructor are fed through `append` too, so the engine, the
+    loader and `dataclasses.replace` build a trace the same way."""
 
     mode: str
     stages: int
-    records: list
+    records: list = field(default_factory=list)
     config_echo: Optional[dict] = None
-    _final: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _censuses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    enumerated: dict = field(default_factory=dict, **_VIEW)
+    markers: dict = field(default_factory=dict, **_VIEW)
+    final_approx: dict = field(default_factory=dict, **_VIEW)
+    death_stage: dict = field(default_factory=dict, **_VIEW)
+    _tables: dict = field(default_factory=dict, **_VIEW)
+    _censuses: dict = field(default_factory=dict, **_VIEW)
+
+    def __post_init__(self):
+        self._tables = {side: GapRuleTable(side) for side in self.sides}
+        records, self.records = self.records, []
+        for rec in records:
+            self.append(rec)
+
+    def append(self, rec: StageRecord):
+        """Add the next stage's record and bring the views up to it."""
+        if rec.stage != len(self.records):
+            raise InvariantViolationError(
+                "record of stage %r follows %d records" % (rec.stage, len(self.records))
+            )
+        for r in rec.rules:
+            if r.side not in self._tables:
+                raise InvariantViolationError("%s-side rule in a %s-mode trace" % (r.side, self.mode))
+            self._tables[r.side].add_rule(r)
+        for t in self._tables.values():
+            t.extend_defined(rec.stage)
+        for e, info in rec.info.items():
+            batch, known = rec.batches.get(e), self.enumerated.get(e, ())
+            self.enumerated[e] = union(known, batch) if batch else known
+            marker = (MarkerRecord(e, rec.stage, info["marker"]),) if info["marker"] else ()
+            self.markers[e] = self.markers.get(e, ()) + marker
+            self.final_approx[e] = info["approx"] or self.final_approx.get(e)
+            if self.death_stage.get(e) is None:
+                self.death_stage[e] = rec.stage if info["died"] else None
+        self.records.append(rec)
+        self._censuses.clear()
 
     @property
     def sides(self) -> tuple:
@@ -370,69 +379,25 @@ class Trace:
 
     @property
     def defined_through(self) -> int:
-        return self.stages - 1
+        return len(self.records) - 1
 
     @property
     def strategy_count(self) -> int:
         return len(self.records[0].info) if self.records else 0
 
+    @property
+    def alive(self) -> dict:
+        """e -> whether strategy e's tree is alive after the last record."""
+        return {e: died is None for e, died in self.death_stage.items()}
+
     def table(self, side=SIDE_X) -> GapRuleTable:
-        """The side's rules as a table defined through the last stage,
-        built once from the records and shared: callers do not add to it."""
-        if side not in self._tables:
-            t = GapRuleTable(side)
-            for rec in self.records:
-                for r in rec.rules:
-                    if r.side == side:
-                        t.add_rule(r)
-            t.extend_defined(self.defined_through)
-            self._tables[side] = t
+        """The side's rules through the last record: shared, callers do
+        not add to it."""
         return self._tables[side]
 
     def tables(self) -> tuple:
         """One GapRuleTable per side, in side order."""
-        return tuple(self.table(side) for side in self.sides)
-
-    @property
-    def x_rules(self) -> tuple:
-        return tuple(self.table(SIDE_X).rules)
-
-    @property
-    def y_rules(self) -> tuple:
-        return tuple(self.table(SIDE_Y).rules)
-
-    def _history(self, e, key) -> list:
-        """(stage, value) of each record where strategy e's `key` is set."""
-        return [(rec.stage, rec.info[e][key]) for rec in self.records if rec.info[e][key]]
-
-    @cached_property
-    def markers(self) -> dict:
-        """e -> strategy e's MarkerRecords, in stage order."""
-        return {
-            e: tuple(MarkerRecord(e, s, node) for s, node in self._history(e, "marker"))
-            for e in range(self.strategy_count)
-        }
-
-    @cached_property
-    def final_approx(self) -> dict:
-        """e -> strategy e's last approximation, or None."""
-        return {
-            e: next((node for _, node in reversed(self._history(e, "approx"))), None)
-            for e in range(self.strategy_count)
-        }
-
-    @cached_property
-    def death_stage(self) -> dict:
-        """e -> the stage at which strategy e's tree died, or None."""
-        return {
-            e: next((s for s, _ in self._history(e, "died")), None)
-            for e in range(self.strategy_count)
-        }
-
-    @cached_property
-    def alive(self) -> dict:
-        """e -> whether strategy e's tree is alive at the end."""
-        return {e: died is None for e, died in self.death_stage.items()}
+        return tuple(self._tables[side] for side in self.sides)
 
     def enumerated_through(self, e, stage) -> tuple:
         """Run set enumerated by strategy e's opponent through `stage`."""
@@ -442,12 +407,6 @@ class Trace:
                 break
             out.extend(rec.batches.get(e, ()))
         return normalize(out)
-
-    def enumerated_final(self, e) -> tuple:
-        """Final run set of strategy e, computed once per strategy."""
-        if e not in self._final:
-            self._final[e] = self.enumerated_through(e, self.stages - 1)
-        return self._final[e]
 
     def census(self, prefix, side=SIDE_X):
         """Gap census of the side's value set under the oracle prefix (one
@@ -471,16 +430,15 @@ class Trace:
         """The selected path's extension chains, as [first stage, last
         approximation]: a new chain starts at every mind change."""
         chains = []
-        for stage, node in self._history(e, "approx"):
+        for rec in self.records:
+            node = rec.info[e]["approx"]
+            if not node:
+                continue
             if chains and _extends(node, chains[-1][1]):
                 chains[-1][1] = node
             else:
-                chains.append([stage, node])
+                chains.append([rec.stage, node])
         return chains
-
-    def path_changes(self, e) -> int:
-        """Mind changes of the selected path, counting the first choice."""
-        return len(self.approx_chains(e))
 
     def rules_for(self, e, side=SIDE_X) -> list:
         return [r for r in self.table(side).rules if r.e == e]
@@ -503,95 +461,64 @@ def _node_from_jsonable(v):
     return (v,) if isinstance(v, str) else tuple(v)
 
 
-class _Engine:
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.tables = tuple(GapRuleTable(side) for side in SIDES[cfg.mode])
-        self.states = [
-            TreeState(e, spec.source, spec.selector)
-            for e, spec in enumerate(cfg.strategies)
-        ]
+def _stage(trace: Trace, cfg: RunConfig, s: int) -> StageRecord:
+    """Stage s, computed from the trace through stage s-1 and the
+    strategies alone.  Each opponent reads that trace as its view."""
+    batches = {}
+    trap_events = []
+    for e, spec in enumerate(cfg.strategies):
+        new = normalize(spec.source.new_elements(e, s, trace))
+        new = difference(new, trace.enumerated.get(e, ()))
+        batches[e] = new
+        if not new:
+            continue
+        for rule in trace.rules_for(e):  # traps are x-side gaps
+            trap_events.extend((e, rule.stage, lo, hi) for lo, hi in clip(new, *rule.gap))
+    info = {e: _act(trace, cfg, e, s) for e in range(len(cfg.strategies))}
+    rules = tuple(
+        GapRule(e, s, node, side)
+        for e, d in info.items() if d["marker"]
+        for node, side in zip(d["marker"], trace.sides)
+    )
+    return StageRecord(stage=s, batches=batches, rules=rules, info=info,
+                       trap_events=tuple(trap_events))
 
-    def run(self) -> Trace:
-        records = [self._stage(s) for s in range(self.cfg.stages)]
-        return Trace(self.cfg.mode, self.cfg.stages, records)
 
-    def _stage(self, s: int) -> StageRecord:
-        view = TraceView(self, s)
-        batches = {}
-        trap_events = []
-        for st in self.states:
-            new = difference(normalize(st.source.new_elements(st.e, s, view)), st.enumerated)
-            batches[st.e] = new
-            if not new:
-                continue
-            for rule in self.tables[0].rules:  # traps are x-side gaps
-                if rule.e == st.e:
-                    trap_events.extend(
-                        (st.e, rule.stage, lo, hi) for lo, hi in clip(new, *rule.gap)
-                    )
-        issued = []
-        info = {}
-        for st in self.states:
-            info[st.e] = self._act(st, s, issued)
-        by_side = {t.side: t for t in self.tables}
-        for r in issued:
-            by_side[r.side].add_rule(r)
-        for t in self.tables:
-            t.extend_defined(s)
-        for st in self.states:
-            st.enumerated = union(st.enumerated, batches[st.e])
-        return StageRecord(
-            stage=s,
-            batches=batches,
-            rules=tuple(issued),
-            info=info,
-            trap_events=tuple(trap_events),
-        )
-
-    def _act(self, st: TreeState, s: int, issued: list) -> dict:
-        out = {
-            "alive": st.alive,
-            "acted": False,
-            "died": False,
-            "approx": None,
-            "marker": None,
-        }
-        if not st.alive or st.e >= s:
-            return out
-        l = s - 1
-        ctx = LevelContext(l, st.enumerated, self.tables)
-
-        @cache  # the liveness test's search is the extremal selector's
-        def find(order):
-            return find_survivor(ctx, order, budget=self.cfg.node_budget)
-
-        # any order finds a survivor iff one exists, so search in the order
-        # the selector will ask for (scripted selectors fall back to leftmost)
-        if find(getattr(st.selector, "order", "01")) is None:
-            st.alive = False
-            out["alive"] = False
-            out["died"] = True
-            return out
-        path = st.selector.path(st.e, s, ctx, find, self)
-        if path is None:
-            raise InvariantViolationError("selector returned no path on a live tree")
-        if ctx.killed(tuple(side[:l] for side in path)):
-            raise InvariantViolationError(
-                "selector path truncation is outside the surviving level"
-            )
-        marker = select_marker_node(path, st.marked, cap=s)
-        st.marked.add(marker)
-        st.approx = path
-        issued.extend(GapRule(st.e, s, node, t.side) for node, t in zip(marker, self.tables))
-        out["acted"] = True
-        out["approx"] = path
-        out["marker"] = marker
+def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> dict:
+    """Strategy e's record at stage s; markers are kept per side."""
+    alive = trace.death_stage.get(e) is None
+    out = {"alive": alive, "acted": False, "died": False, "approx": None, "marker": None}
+    if not alive or e >= s:
         return out
+    l = s - 1
+    ctx = LevelContext(l, trace.enumerated.get(e, ()), trace.tables())
+    selector = cfg.strategies[e].selector
+
+    @cache  # the liveness test's search is the extremal selector's
+    def find(order):
+        return find_survivor(ctx, order, budget=cfg.node_budget)
+
+    # any order finds a survivor iff one exists, so search in the order
+    # the selector will ask for (scripted selectors fall back to leftmost)
+    if find(selector.order) is None:
+        return dict(out, alive=False, died=True)
+    path = selector.path(s, ctx, find)
+    if path is None:
+        raise InvariantViolationError("selector returned no path on a live tree")
+    if ctx.killed(tuple(side[:l] for side in path)):
+        raise InvariantViolationError(
+            "selector path truncation is outside the surviving level"
+        )
+    markers = trace.markers.get(e, ())
+    marked = [{m.node[i] for m in markers} for i in range(len(path))]
+    return dict(out, acted=True, approx=path, marker=select_marker_node(path, marked, cap=s))
 
 
 def run_construction(cfg: RunConfig) -> Trace:
-    return _Engine(cfg).run()
+    trace = Trace(cfg.mode, cfg.stages)
+    for s in range(cfg.stages):
+        trace.append(_stage(trace, cfg, s))
+    return trace
 
 
 def run_single(stages: int, strategies, node_budget: int = _DEFAULT_NODE_BUDGET) -> Trace:
@@ -607,7 +534,7 @@ def trap_status(trace: Trace, e: int, s: int) -> str:
     rule = next((r for r in trace.table(SIDE_X).rules_at_block(s) if r.e == e), None)
     if rule is None:
         return "inactive"
-    return "sprung" if hits(trace.enumerated_final(e), *rule.gap) else "pending"
+    return "sprung" if hits(trace.enumerated[e], *rule.gap) else "pending"
 
 
 def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
@@ -677,7 +604,9 @@ def trace_to_jsonable(trace: Trace) -> dict:
 def trace_from_jsonable(doc: dict) -> Trace:
     """The trace a document records.  Only the mode, the stage count, the
     echoed config and the records are read: the header counts and the
-    `final` block are views of the records, checked by replay."""
+    `final` block are views of the records, checked by replay.  The
+    records go through `Trace.append`, which rejects one the engine could
+    not have written."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     records = []

@@ -317,7 +317,7 @@ def _diagonal_report(trace) -> dict:
     densities = []
     tallies = []
     for e in range(trace.strategy_count):
-        elems = trace.enumerated_final(e)
+        elems = trace.enumerated[e]
         row = []
         for i in range(trace.defined_through + 1):
             n = 1 << (i + 1)

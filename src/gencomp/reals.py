@@ -309,9 +309,10 @@ class Enumerator:
             out |= elems
         return frozenset(out)
 
-    def new_elements(self, e: int, stage: int, view) -> list:
-        """Enumeration-source protocol used by the diagonalization engine:
-        the elements first appearing at `stage`, as sorted runs (lo, hi).
-        Scripted enumerators ignore the trace view."""
+    def new_elements(self, e: int, stage: int, trace) -> list:
+        """Enumeration-source protocol new_elements(e, stage, trace) of the
+        diagonalization engine: the elements first appearing at `stage`,
+        as sorted runs (lo, hi).  Scripted enumerators ignore the trace
+        through stage - 1 that the engine passes."""
         new = self.at(stage) - self.at(stage - 1) if stage else self.at(0)
         return list(from_elements(new))

@@ -290,7 +290,7 @@ def test_c08_diagonal_pair_mode():
             if trace.death_stage[e] is not None:
                 assert trace.tree_level(e, trace.death_stage[e] - 1) == []
                 continue
-            elems = {n for lo, hi in trace.enumerated_final(e) for n in range(lo, hi)}
+            elems = {n for lo, hi in trace.enumerated[e] for n in range(lo, hi)}
             bound = 1 - Fraction(1, 1 << (e + 1))
             dips = 0
             for i in range(trace.defined_through + 1):

@@ -23,14 +23,26 @@ from gencomp.diagonal import (
     PAIR,
     GapRule,
     LevelContext,
+    RunConfig,
+    Trace,
+    _stage,
     audit_single_victim,
     audit_verdicts,
     census_prefixes,
     default_probe_prefixes,
     functional_value_set,
+    run_construction,
     trace_from_jsonable,
+    trace_to_jsonable,
 )
-from gencomp.harness import canonical_json, run_experiment
+from gencomp.harness import (
+    DIAGONAL_MODES,
+    _build_strategies,
+    canonical_json,
+    report_passes,
+    run_experiment,
+    validate_config,
+)
 
 PAIR_CATALOG_12 = {
     "version": 1,
@@ -141,7 +153,7 @@ def oracle_densities(trace, e):
 
 def oracle_trap_events(trace, rec):
     """Every x-rule issued before the stage against every new element."""
-    earlier = [r for r in trace.x_rules if r.stage < rec.stage]
+    earlier = [r for r in trace.table("x").rules if r.stage < rec.stage]
     events = []
     for e in sorted(rec.batches):
         for rule in earlier:
@@ -172,7 +184,7 @@ def oracle_hits(mode, l, enum, xt, yt=None):
 def oracle_tally(trace, e):
     tally = {"pending": 0, "sprung": 0, "inactive": 0}
     for s in range(trace.stages):
-        rules = [r for r in trace.x_rules if r.e == e and r.stage == s]
+        rules = [r for r in trace.table("x").rules if r.e == e and r.stage == s]
         if not rules:
             tally["inactive"] += 1
             continue
@@ -206,7 +218,7 @@ def oracle_single_victim(trace, e, probes):
         if m.stage >= last_change and not extends(final, m.node):
             bad.append("late marker %r not on the final path (strategy %d)" % (m.node, e))
     for probe in probes:
-        gaps = sum(1 for r in trace.x_rules if r.e == e and probe[0].startswith(r.node))
+        gaps = sum(1 for r in trace.table("x").rules if r.e == e and probe[0].startswith(r.node))
         lcp = max(len(os.path.commonprefix([probe[0], node[0]])) for _, node in approxes)
         if gaps > changes + lcp:
             bad.append(
@@ -235,7 +247,7 @@ def test_trap_events_match_all_pairs_scan(run):
         assert expand_events(rec.trap_events) == oracle_trap_events(trace, rec)
         # each event is a maximal run of the batch inside the rule's gap
         for e, gap_stage, lo, hi in rec.trap_events:
-            rule = next(r for r in trace.x_rules if (r.e, r.stage) == (e, gap_stage))
+            rule = next(r for r in trace.table("x").rules if (r.e, r.stage) == (e, gap_stage))
             batch = set(expand(rec.batches[e]))
             gap_lo, gap_hi = rule.gap
             assert gap_lo <= lo < hi <= gap_hi
@@ -253,7 +265,7 @@ def test_batches_are_new_run_sets(run):
             assert not seen[e] & set(expand(batch))
             seen[e] |= set(expand(batch))
     for e in seen:
-        assert seen[e] == set(expand(trace.enumerated_final(e)))
+        assert seen[e] == set(expand(trace.enumerated[e]))
 
 
 def test_level_hits_match_unskipped_scan(run):
@@ -351,6 +363,63 @@ def test_oracle_cases_exercise_every_branch():
     assert hits and skipped
     tallies = [oracle_tally(trace, e) for e in range(trace.strategy_count)]
     assert any(t["sprung"] for t in tallies) and any(t["pending"] for t in tallies)
+
+
+def test_pair_scripted_run_passes_its_audits():
+    # strategy 3's rightmost path leaves the y side only, at stage 9, when
+    # its opponent prunes the y branch: the x strings marked before stay
+    # marked, so no x prefix is gapped twice
+    report, doc = run_experiment(dict(PAIR_SCRIPTED_12), write=False)
+    assert report_passes(report)
+    chains = trace_from_jsonable(doc).approx_chains(3)
+    assert len(chains) == 2 and chains[0][1][0] == chains[1][1][0][:8]
+
+
+# a pair-catalog and a scenario-mix diagonal config of the benchmark (seed 1)
+STAGE_CASES = dict(
+    ORACLE_CASES,
+    **{
+        "pair-catalog-20": {
+            "version": 1, "scenario": "pair-diagonal", "stages": 20, "strategies": [
+                {"enumerator": {"kind": kind}, "selector": {"kind": side}}
+                for kind, side in (("silent", "rightmost"), ("trap-springer", "rightmost"),
+                                   ("cautious-copier", "rightmost"), ("prefix-flooder", "rightmost"),
+                                   ("cautious-copier", "leftmost"))
+            ],
+        },
+        "scenario-mix-14": {
+            "version": 1, "scenario": "single-diagonal", "stages": 14, "strategies": [
+                {"enumerator": {"kind": "cautious-copier"}, "selector": {"kind": "leftmost"}},
+                {"enumerator": {"kind": "scripted",
+                                "stages": {"3": [8, 12], "4": [28, 31], "11": [3889, 3982]}},
+                 "selector": {"kind": "leftmost"}},
+                {"enumerator": {"kind": "trap-springer"}, "selector": {"kind": "rightmost"}},
+                {"enumerator": {"kind": "silent"},
+                 "selector": {"kind": "scripted",
+                              "entries": [[1, "0110010"], [2, "0"], [8, "01010011010"]]}},
+                {"enumerator": {"kind": "trap-springer"}, "selector": {"kind": "rightmost"}},
+                {"enumerator": {"kind": "silent"}, "selector": {"kind": "leftmost"}},
+            ],
+        },
+    },
+)
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_CASES))
+def test_stage_is_a_function_of_the_trace_before_it(name):
+    cfg = validate_config(dict(STAGE_CASES[name]))
+    mode = DIAGONAL_MODES[cfg["scenario"]]
+    run_cfg = RunConfig(mode, cfg["stages"], _build_strategies(cfg, mode), cfg["node_budget"])
+    trace = run_construction(run_cfg)
+    for s, rec in enumerate(trace.records):
+        assert _stage(Trace(mode, cfg["stages"], trace.records[:s]), run_cfg, s) == rec
+    # the loader builds the same views as the engine
+    back = trace_from_jsonable(trace_to_jsonable(trace))
+    assert [(t.side, t.rules, t.defined_through) for t in back.tables()] == [
+        (t.side, t.rules, t.defined_through) for t in trace.tables()
+    ]
+    for view in ("enumerated", "markers", "final_approx", "death_stage"):
+        assert getattr(back, view) == getattr(trace, view), view
 
 
 # --- golden content and bytes ------------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencomp import diagonal
 from gencomp.adversaries import CautiousCopier, PrefixFlooder, Silent, TrapSpringer
@@ -177,23 +179,33 @@ def test_find_survivor_budget():
 
 
 def test_select_marker_node_examples():
+    # marks are one set of strings per side
     path = ("00000",)
-    assert select_marker_node(path, set()) == ("",)
-    assert select_marker_node(path, {("",)}) == ("0",)
-    assert select_marker_node(path, {("",), ("0",), ("00",)}) == ("000",)
+    assert select_marker_node(path, [set()]) == ("",)
+    assert select_marker_node(path, [{""}]) == ("0",)
+    assert select_marker_node(path, [{"", "0", "00"}]) == ("000",)
+    assert select_marker_node(path, [{"", "00", "1"}]) == ("0",)
 
 
 def test_select_marker_node_pair():
+    # a prefix is free only if its string is unmarked on every side: after
+    # a y-only mind change the x strings marked on the old path stay marked
     path = ("010", "110")
-    assert select_marker_node(path, set()) == ("", "")
-    assert select_marker_node(path, {("", "")}) == ("0", "1")
+    assert select_marker_node(path, [set(), set()]) == ("", "")
+    assert select_marker_node(path, [{""}, {""}]) == ("0", "1")
+    assert select_marker_node(path, [{"", "0"}, {""}]) == ("01", "11")
+    assert select_marker_node(path, [{""}, {"", "1"}]) == ("01", "11")
+    assert select_marker_node(path, [{"", "0"}, {"", "0"}]) == ("01", "11")
+    assert select_marker_node(path, [{"0"}, {"1"}]) == ("", "")
 
 
 def test_select_marker_cap_error():
     with pytest.raises(SelectorCapError):
-        select_marker_node(("01",), {("",), ("0",), ("01",)})
+        select_marker_node(("01",), [{"", "0", "01"}])
     with pytest.raises(SelectorCapError):
-        select_marker_node(("01",), {("",), ("0",)}, cap=1)
+        select_marker_node(("01",), [{"", "0"}], cap=1)
+    with pytest.raises(SelectorCapError):
+        select_marker_node(("01", "11"), [{"", "01"}, {"1"}])
 
 
 # --- single-mode runs --------------------------------------------------------
@@ -293,7 +305,7 @@ def test_multi_strategy_intersection():
     # both strategies gap along the leftmost path; the value under the
     # victim prefix is the intersection of both strategies' wishes
     values = set(elements(functional_value_set(trace, "00000")))
-    for rule in trace.x_rules:
+    for rule in trace.table("x").rules:
         if all(c == "0" for c in rule.node):
             assert not (set(range(*rule.gap)) & values)
     assert audit_trace(trace) == []
@@ -344,7 +356,7 @@ def test_single_victim_pair_bound_uses_x_lcp():
     # by 2 + 2, the x-side lcp (8) bounds them by 2 + 8
     trace = _pair_mind_change_run()
     probe = default_probe_prefixes(trace, 1)[1]
-    assert probe[0] == "0" * 19 and trace.path_changes(1) == 2
+    assert probe[0] == "0" * 19 and len(trace.approx_chains(1)) == 2
     assert sum(1 for r in trace.rules_for(1) if probe[0].startswith(r.node)) == 7
     assert audit_single_victim(trace, 1, default_probe_prefixes(trace, 1)) == []
     assert audit_trace(trace) == []
@@ -364,6 +376,49 @@ def test_single_victim_pair_reports_extra_x_rules():
     assert audit_single_victim(with_extra(3), 1, probes) == []
     bad = audit_single_victim(with_extra(4), 1, probes)
     assert len(bad) == 1 and "gap count 11 exceeds changes 2 + lcp 8" in bad[0]
+
+
+def test_pair_y_only_mind_change_keeps_x_marks():
+    # a y-only mind change at stage 6 keeps the x path: its x strings
+    # 0^0..0^4 stay marked, so the markers continue below them instead of
+    # gapping them once more under the new y branch
+    sel = ScriptedSelector([(6, ("0", "1"))])
+    trace = run_pair(12, [StrategySpec(Silent(), sel)])
+    assert [m.node for m in trace.markers[0][4:7]] == [
+        ("0000", "0000"), ("00000", "10000"), ("000000", "100000"),
+    ]
+    x_nodes = [r.node for r in trace.rules_for(0)]
+    assert len(set(x_nodes)) == len(x_nodes) == 11
+    assert audit_trace(trace) == []
+
+
+_BITS = st.text(alphabet="01", min_size=1, max_size=12)
+
+
+@st.composite
+def _mind_change_selectors(draw, stages):
+    """A scripted pair guess from stage 1 on, then 1-3 mind changes; a
+    y-only change keeps the x guess and moves the y guess off its branch."""
+    x, y = draw(_BITS), draw(_BITS)
+    entries = [(1, (x, y))]
+    for start in sorted(draw(st.sets(st.integers(2, stages - 1), min_size=1, max_size=3))):
+        if draw(st.booleans()):
+            y = ("1" if y[0] == "0" else "0") + draw(_BITS)
+        else:
+            x, y = draw(_BITS), draw(_BITS)
+        entries.append((start, (x, y)))
+    return ScriptedSelector(entries)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_mind_change_runs_pass_their_audits(data):
+    # silent opponents prune nothing, so every scripted guess stays on the
+    # tree and every run is valid: its own audits must pass
+    stages = data.draw(st.integers(4, 14))
+    selectors = data.draw(st.lists(_mind_change_selectors(stages), min_size=1, max_size=3))
+    trace = run_pair(stages, [StrategySpec(Silent(), sel) for sel in selectors])
+    assert audit_trace(trace) == []
 
 
 def test_marker_on_path_audit_detects_tampering():
@@ -408,7 +463,7 @@ def test_scripted_selector_mind_change():
     markers = [(m.stage, m.node) for m in trace.markers[0]]
     assert markers[:2] == [(1, ("",)), (2, ("0",))]
     assert markers[2] == (3, ("1",))
-    assert trace.path_changes(0) == 2
+    assert len(trace.approx_chains(0)) == 2
     assert audit_trace(trace) == []
 
 
@@ -430,7 +485,7 @@ def test_pair_run_markers_and_sides():
         (3, ("00", "00")),
         (4, ("000", "000")),
     ]
-    assert len(trace.x_rules) == len(trace.y_rules) == 4
+    assert len(trace.table("x").rules) == len(trace.table("y").rules) == 4
     assert audit_trace(trace) == []
 
 
@@ -453,7 +508,7 @@ def test_pair_copier_survives_and_dips():
         ],
     )
     assert trace.death_stage[1] is None
-    elems = {n for lo, hi in trace.enumerated_final(1) for n in range(lo, hi)}
+    elems = {n for lo, hi in trace.enumerated[1] for n in range(lo, hi)}
     dips = 0
     for i in range(trace.defined_through + 1):
         n = 1 << (i + 1)

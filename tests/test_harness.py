@@ -463,6 +463,29 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().out == (
             "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n" % where
         )
+    # records the trace cannot be built from fail while it loads: a y-side
+    # rule in a single-mode trace, and a stage-1 rule in the stage-2 record
+    def y_side(rules):
+        rules[1][0][3] = "y"
+
+    def moved(rules):
+        rules[2].insert(0, rules[1].pop())
+
+    for where, doctor, reason in (
+        ("records[1].rules[0][3]", y_side, "y-side rule in a single-mode trace"),
+        ("records[1].rules[0]", moved, "cannot add a rule to a defined block"),
+    ):
+        doc = json.loads((out / "trace.json").read_text())
+        doctor([rec["rules"] for rec in doc["records"]])
+        (out / "bad.json").write_text(canonical_json(doc))
+        capsys.readouterr()
+        assert cli.main(["verify", str(out / "bad.json")]) == 4
+        printed = capsys.readouterr()
+        assert printed.out == (
+            "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n"
+            "VIOLATION: trace contents are not auditable: %s\n" % (where, reason)
+        )
+        assert "Traceback" not in printed.out + printed.err
     # a diagonal trace must echo a diagonal config to be rebuilt
     doc["config"] = {"version": 1, "scenario": "relation-embed", "seed": 1}
     (out / "bad.json").write_text(canonical_json(doc))
