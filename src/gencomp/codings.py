@@ -68,6 +68,29 @@ def _copied_bits(source: RealSpec, ms: list) -> list:
     return list(map(dict(zip(distinct, source.bits(distinct))).__getitem__, ms))
 
 
+def _shared_valuation(ns) -> Optional[int]:
+    """The valuation every index of ns has, when ns is a nonempty range of
+    positive indices whose step is a power of two 2^k and whose start has
+    valuation below k; None for any other input."""
+    if not isinstance(ns, range) or not ns or ns.start < 1:
+        return None
+    step = ns.step
+    if step > 0 and step & (step - 1) == 0 and ns.start & (step - 1):
+        return two_adic_valuation(ns.start)
+    return None
+
+
+def _shared_interval(ns) -> Optional[int]:
+    """The m with every index of ns in (2^m, 2^(m+1)], when ns is a
+    nonempty range inside one such interval; None for any other input."""
+    if not isinstance(ns, range) or not ns:
+        return None
+    lo, hi = sorted((ns[0], ns[-1]))
+    if lo >= 2 and floor_log2_below(lo) == floor_log2_below(hi):
+        return floor_log2_below(lo)
+    return None
+
+
 @dataclass(frozen=True)
 class ValuationCoding(RealSpec):
     source: RealSpec
@@ -76,6 +99,9 @@ class ValuationCoding(RealSpec):
         return encode_valuation(self.source, n)
 
     def bits(self, ns) -> list:
+        m = _shared_valuation(ns)
+        if m is not None:  # one source bit for a whole witness class
+            return [self.source.bit(m)] * len(ns)
         if ns and min(ns) < 1:  # the first excluded index raises as in bit()
             two_adic_valuation(next(n for n in ns if n < 1))
         return _copied_bits(self.source, [(n & -n).bit_length() - 1 for n in ns])
@@ -89,6 +115,9 @@ class IntervalCoding(RealSpec):
         return encode_interval(self.source, n)
 
     def bits(self, ns) -> list:
+        m = _shared_interval(ns)
+        if m is not None:  # one source bit for a run inside one interval
+            return [self.source.bit(m)] * len(ns)
         if ns and min(ns) < 2:  # the first excluded index raises as in bit()
             floor_log2_below(next(n for n in ns if n < 2))
         return _copied_bits(self.source, [(n - 1).bit_length() - 1 for n in ns])

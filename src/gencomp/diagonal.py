@@ -359,6 +359,10 @@ class Trace:
         for r in rec.rules:
             if r.side not in self._tables:
                 raise InvariantViolationError("%s-side rule in a %s-mode trace" % (r.side, self.mode))
+            if r.stage != rec.stage:
+                raise InvariantViolationError(
+                    "stage-%d rule in the record of stage %d" % (r.stage, rec.stage)
+                )
             self._tables[r.side].add_rule(r)
         for t in self._tables.values():
             t.extend_defined(rec.stage)

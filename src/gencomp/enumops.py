@@ -24,6 +24,7 @@ here; only the operator- and machine-level constructions are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Any, Callable, Iterable, Optional
 
@@ -53,11 +54,24 @@ class EnumerationOperator:
     def outputs(self) -> frozenset:
         return frozenset(a for a, _ in self.axioms)
 
+    @cached_property
+    def premises(self) -> tuple:
+        """(premise, outputs) for each distinct premise, so an application
+        tests each premise once."""
+        grouped = {}
+        for output, premise in self.axioms:
+            grouped.setdefault(premise, []).append(output)
+        return tuple((premise, tuple(outputs)) for premise, outputs in grouped.items())
 
-def _below(element, bound: int) -> bool:
-    if isinstance(element, tuple):
-        return element[0] < bound
-    return element < bound
+    @cached_property
+    def extent(self) -> int:
+        """One more than the largest index any premise references (0 when
+        no premise references one): the bound every premise lies below."""
+        return max((_index(el) + 1 for premise, _ in self.premises for el in premise), default=0)
+
+
+def _index(element) -> int:
+    return element[0] if isinstance(element, tuple) else element
 
 
 def apply_operator(op: EnumerationOperator, members, bound: int,
@@ -71,18 +85,20 @@ def apply_operator(op: EnumerationOperator, members, bound: int,
     contains a negative pair (n, 0) are unusable and skipped.
     """
     members = frozenset(members)
-    out = set()
-    for output, premise in op.axioms:
-        for el in premise:
-            if not _below(el, bound):
-                raise InsufficientOracleError(
-                    "axiom premise references %r beyond bound %d" % (el, bound)
-                )
-        if positive_only and any(isinstance(el, tuple) and el[1] == 0 for el in premise):
-            continue
-        if premise <= members:
-            out.add(output)
-    return frozenset(out)
+    if op.extent > bound:  # name the first premise element beyond the bound
+        for _, premise in op.axioms:
+            for el in premise:
+                if _index(el) >= bound:
+                    raise InsufficientOracleError(
+                        "axiom premise references %r beyond bound %d" % (el, bound)
+                    )
+    return frozenset(
+        output
+        for premise, outputs in op.premises
+        if premise <= members
+        and not (positive_only and any(isinstance(el, tuple) and el[1] == 0 for el in premise))
+        for output in outputs
+    )
 
 
 @dataclass(frozen=True)

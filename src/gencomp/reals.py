@@ -207,6 +207,8 @@ class GenericDescription:
         to n >= start, values read from the source."""
 
         def values(ns):
+            if domain is None and isinstance(ns, range) and ns.step > 0 and ns.start >= start:
+                return source.bits(ns)  # every index is assigned
             if domain is None:
                 keep = [n >= start for n in ns]
             else:

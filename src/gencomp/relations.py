@@ -90,7 +90,8 @@ def universal_rel(i: int, j: int) -> bool:
 @dataclass(frozen=True)
 class UElement:
     """An element of the universal relation: its stage plus the sparse map
-    of nonzero digits over prior elements.  Stage-0 has an empty combo."""
+    of nonzero digits over prior elements.  Stage-0 has an empty combo.
+    `digits` is the same map as a dict, prior -> digit."""
 
     stage: int
     combo: tuple  # ((UElement, digit), ...) canonically sorted, digits 1..3
@@ -109,6 +110,12 @@ class UElement:
             seen.add(prior)
         canon = tuple(sorted(self.combo, key=lambda pd: _element_key(pd[0])))
         object.__setattr__(self, "combo", canon)
+        object.__setattr__(self, "digits", dict(canon))
+        # the generated hash would walk the whole prior tree on every lookup
+        object.__setattr__(self, "_hash", hash((self.stage, canon)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _element_key(x: UElement):
@@ -120,12 +127,10 @@ ROOT = UElement(0, ())
 
 def related(x: UElement, y: UElement) -> bool:
     """Adjacency on symbolic handles; mirrors universal_rel on ids."""
-    if x == y:
-        return True
     if x.stage == y.stage:
-        return False
+        return x == y
     old, new, asking_old_to_new = (x, y, True) if x.stage < y.stage else (y, x, False)
-    digit = dict(new.combo).get(old, 0)
+    digit = new.digits.get(old, 0)
     return bool(digit & 1) if asking_old_to_new else bool(digit & 2)
 
 

@@ -214,6 +214,62 @@ def test_coding_bits_exclusions():
     assert IntervalCoding(x).bits([2]) == [x.bit(0)]
 
 
+def _outcome(read, ns):
+    """read(ns), or the message of the ExcludedIndexError it raises."""
+    try:
+        return read(ns)
+    except ExcludedIndexError as exc:
+        return ("excluded", str(exc))
+
+
+_STEPS = st.one_of(
+    st.integers(0, 12).map(lambda k: 1 << k),
+    st.integers(0, 12).map(lambda k: -(1 << k)),
+    st.integers(-40, 40).filter(bool),
+)
+
+
+@st.composite
+def _ranges(draw):
+    """Ranges of up to 60 indices: power-of-two, negative and other steps,
+    starts below 1 and 2 and inside one interval (2^m, 2^(m+1)]."""
+    start = draw(st.one_of(st.integers(-3, 3), st.integers(-3, 5000),
+                           st.integers(1, 12).map(lambda m: (1 << m) + 1)))
+    step = draw(_STEPS)
+    return range(start, start + draw(st.one_of(st.integers(0, 3), st.integers(0, 60))) * step, step)
+
+
+@given(_SOURCES, _ranges(), st.integers(0, 2))
+@settings(max_examples=500)
+def test_coding_bits_on_ranges_match_per_index_bits(x, ns, start):
+    # whole witness ranges are answered from one source bit; any range gives
+    # the per-index bits, or the first excluded index's error
+    for coding in (ValuationCoding(x), IntervalCoding(x)):
+        per_index = _outcome(lambda ns: [coding.bit(n) for n in ns], ns)
+        assert _outcome(coding.bits, ns) == per_index
+        d = GenericDescription.full(coding, start=start)
+        expected = _outcome(lambda ns: [coding.bit(n) if n >= start else None for n in ns], ns)
+        assert _outcome(d.values, ns) == expected
+
+
+def test_constant_witness_ranges():
+    x = SeededReal(11)
+    witnesses = range(8, 1 << 20, 16)  # valuation 3 throughout
+    assert ValuationCoding(x).bits(witnesses) == [x.bit(3)] * len(witnesses)
+    assert IntervalCoding(x).bits(range(1024, 512, -3)) == [x.bit(9)] * 171
+    # a power-of-two step with a start it divides leaves the witness class
+    assert ValuationCoding(x).bits(range(16, 80, 16)) == [x.bit(v) for v in (4, 5, 4, 6)]
+    with pytest.raises(ExcludedIndexError, match="valuation undefined at 0"):
+        ValuationCoding(x).bits(range(8, -9, -8))
+    # every short range around the excluded indices 0 and 1
+    for coding in (ValuationCoding(x), IntervalCoding(x)):
+        for start in range(-3, 9):
+            for step in (1, -1, 2, -2, 3, 4, -4):
+                for length in range(5):
+                    ns = range(start, start + length * step, step)
+                    assert _outcome(coding.bits, ns) == _outcome(lambda ns: [coding.bit(n) for n in ns], ns)
+
+
 def _scan_decode(pairs, witnesses):
     """Ordered per-witness decoding: the value, or ("corrupt", first index
     whose bit disagrees with the earlier assigned witnesses)."""

@@ -10,7 +10,6 @@ report format bump.  The expanded-content digests pin what a trace says,
 independent of how its batches are written.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +42,7 @@ from gencomp.harness import (
     run_experiment,
     validate_config,
 )
+from test_diagonal import with_quiet_stages
 
 PAIR_CATALOG_12 = {
     "version": 1,
@@ -292,9 +292,8 @@ def test_single_victim_matches_max_over_all_approximations(run):
     _, trace = run
     for e in range(trace.strategy_count):
         probes = default_probe_prefixes(trace, e)
-        extra = tuple(GapRule(e, trace.stages + e + k, "") for k in range(2 * trace.stages + 1))
-        last = dataclasses.replace(trace.records[-1], rules=trace.records[-1].rules + extra)
-        crowded = dataclasses.replace(trace, records=trace.records[:-1] + [last])
+        extra = [GapRule(e, trace.stages + e + k, "") for k in range(2 * trace.stages + 1)]
+        crowded = with_quiet_stages(trace, extra)
         assert audit_single_victim(trace, e, probes) == oracle_single_victim(trace, e, probes)
         reported = audit_single_victim(crowded, e, probes)
         assert reported == oracle_single_victim(crowded, e, probes)
@@ -483,15 +482,39 @@ CODING_ROUNDTRIP_7 = {
     "version": 1, "scenario": "coding-roundtrip", "seed": 7, "count": 8, "m_max": 12, "bound": 16384,
 }
 
+OPERATOR_ECHO_5 = {
+    "version": 1, "scenario": "operator-compile", "machine": "echo", "element_bound": 5, "label_bound": 1,
+}
+OPERATOR_ORDER_GATE_5 = dict(OPERATOR_ECHO_5, machine="order-gate")
+RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "count": 40, "max_size": 6}
+
 # (config, trace.json digest, report.json digest): the diagonal goldens
 # above, plus a coding-roundtrip config whose trace digest was recorded
-# while its decoders still read their witnesses one lookup at a time.
+# while its decoders still read their witnesses one lookup at a time, and
+# operator-compile and relation-embed configs recorded while every
+# application rescanned the premises against the bound and every adjacency
+# test rebuilt the element's digit map.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
     "0c5e1c6c5e9b8d893c278ce0138dfb28c8d51c6ee3725a3e02df1afee1e35df8",
     "a335f2e5a1e226a782dcb8561a49a5f99437807ab5f27cf97481d49d2372cd42",
+)
+ARTIFACT_GOLDEN["operator-echo-5"] = (
+    OPERATOR_ECHO_5,
+    "d8425d5c785f7c6aa2f7ef5fb6e4a25ba460ab1f4d1fa7491a361d3a750003e2",
+    "158c54f37a1259cf4ccda99f166bc85f6cc89877b827a94d08fb5bcb310fd4ac",
+)
+ARTIFACT_GOLDEN["operator-order-gate-5"] = (
+    OPERATOR_ORDER_GATE_5,
+    "6f2394e7ea9a6c8398ec281acfa1b760f102821c504fd61aa8752d7ae11f1358",
+    "715c9b3cb1b29aaf93c499483b3f63b19f78117f3f6325594e70c4c1cdab9f04",
+)
+ARTIFACT_GOLDEN["relation-embed-3"] = (
+    RELATION_EMBED_3,
+    "14bb156772720d64eb38087a142b02da68c99702b51a5720d6a29b049c509925",
+    "e219a368664b136a100839396481752b8a2b181c405be823e951a0bd1102e7c6",
 )
 
 

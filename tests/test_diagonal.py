@@ -362,6 +362,21 @@ def test_single_victim_pair_bound_uses_x_lcp():
     assert audit_trace(trace) == []
 
 
+def with_quiet_stages(trace, rules):
+    """The trace continued through the last rule's stage by quiet records:
+    each carries the rules of its own stage, enumerates nothing and places
+    no marker, and every strategy keeps its last approximation."""
+    last = trace.records[-1]
+    info = {e: dict(i, marker=None) for e, i in last.info.items()}
+    top = max(r.stage for r in rules)
+    quiet = [
+        dataclasses.replace(last, stage=s, batches={}, rules=tuple(r for r in rules if r.stage == s),
+                            info=info, trap_events=())
+        for s in range(len(trace.records), top + 1)
+    ]
+    return dataclasses.replace(trace, stages=top + 1, records=trace.records + quiet)
+
+
 def test_single_victim_pair_reports_extra_x_rules():
     # rules injected along the deviation probe: up to changes + x-lcp = 10
     # pass, one more is reported
@@ -369,13 +384,21 @@ def test_single_victim_pair_reports_extra_x_rules():
     probes = default_probe_prefixes(trace, 1)
 
     def with_extra(count):
-        extra = tuple(GapRule(1, 20 + k, "0" * (7 + k)) for k in range(count))
-        last = dataclasses.replace(trace.records[-1], rules=trace.records[-1].rules + extra)
-        return dataclasses.replace(trace, records=trace.records[:-1] + [last])
+        return with_quiet_stages(trace, [GapRule(1, 20 + k, "0" * (7 + k)) for k in range(count)])
 
     assert audit_single_victim(with_extra(3), 1, probes) == []
     bad = audit_single_victim(with_extra(4), 1, probes)
     assert len(bad) == 1 and "gap count 11 exceeds changes 2 + lcp 8" in bad[0]
+
+
+def test_append_rejects_a_rule_of_another_stage():
+    # a stage-9 rule in the stage-2 record would sit in the table beyond the
+    # trace's horizon, where no audit looks
+    trace = run_single(5, [StrategySpec(Silent(), LeftmostSelector())])
+    rec = trace.records[2]
+    doctored = dataclasses.replace(rec, rules=rec.rules + (GapRule(0, 9, "0000"),))
+    with pytest.raises(InvariantViolationError, match="stage-9 rule in the record of stage 2"):
+        dataclasses.replace(trace, records=trace.records[:2] + [doctored] + trace.records[3:])
 
 
 def test_pair_y_only_mind_change_keeps_x_marks():

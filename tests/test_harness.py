@@ -464,16 +464,21 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
             "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n" % where
         )
     # records the trace cannot be built from fail while it loads: a y-side
-    # rule in a single-mode trace, and a stage-1 rule in the stage-2 record
+    # rule in a single-mode trace, a stage-1 rule in the stage-2 record, and
+    # a stage-9 rule in the stage-2 record
     def y_side(rules):
         rules[1][0][3] = "y"
 
     def moved(rules):
         rules[2].insert(0, rules[1].pop())
 
+    def ahead(rules):
+        rules[2].append([0, 9, "0000", "x"])
+
     for where, doctor, reason in (
         ("records[1].rules[0][3]", y_side, "y-side rule in a single-mode trace"),
-        ("records[1].rules[0]", moved, "cannot add a rule to a defined block"),
+        ("records[1].rules[0]", moved, "stage-1 rule in the record of stage 2"),
+        ("records[2].rules[1]", ahead, "stage-9 rule in the record of stage 2"),
     ):
         doc = json.loads((out / "trace.json").read_text())
         doctor([rec["rules"] for rec in doc["records"]])
