@@ -80,17 +80,6 @@ def _shared_valuation(ns) -> Optional[int]:
     return None
 
 
-def _shared_interval(ns) -> Optional[int]:
-    """The m with every index of ns in (2^m, 2^(m+1)], when ns is a
-    nonempty range inside one such interval; None for any other input."""
-    if not isinstance(ns, range) or not ns:
-        return None
-    lo, hi = sorted((ns[0], ns[-1]))
-    if lo >= 2 and floor_log2_below(lo) == floor_log2_below(hi):
-        return floor_log2_below(lo)
-    return None
-
-
 @dataclass(frozen=True)
 class ValuationCoding(RealSpec):
     source: RealSpec
@@ -115,9 +104,6 @@ class IntervalCoding(RealSpec):
         return encode_interval(self.source, n)
 
     def bits(self, ns) -> list:
-        m = _shared_interval(ns)
-        if m is not None:  # one source bit for a run inside one interval
-            return [self.source.bit(m)] * len(ns)
         if ns and min(ns) < 2:  # the first excluded index raises as in bit()
             floor_log2_below(next(n for n in ns if n < 2))
         return _copied_bits(self.source, [(n - 1).bit_length() - 1 for n in ns])

@@ -104,8 +104,6 @@ class GapRuleTable:
             raise InvariantViolationError(
                 "second rule for strategy %d at stage %d" % key
             )
-        if rule.stage <= self.defined_through:
-            raise InvariantViolationError("cannot add a rule to a defined block")
         self._keys.add(key)
         self.rules.append(rule)
         self._by_block.setdefault(rule.stage, []).append(rule)

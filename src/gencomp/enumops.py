@@ -55,19 +55,10 @@ class EnumerationOperator:
         return frozenset(a for a, _ in self.axioms)
 
     @cached_property
-    def premises(self) -> tuple:
-        """(premise, outputs) for each distinct premise, so an application
-        tests each premise once."""
-        grouped = {}
-        for output, premise in self.axioms:
-            grouped.setdefault(premise, []).append(output)
-        return tuple((premise, tuple(outputs)) for premise, outputs in grouped.items())
-
-    @cached_property
     def extent(self) -> int:
         """One more than the largest index any premise references (0 when
         no premise references one): the bound every premise lies below."""
-        return max((_index(el) + 1 for premise, _ in self.premises for el in premise), default=0)
+        return max((_index(el) + 1 for _, premise in self.axioms for el in premise), default=0)
 
 
 def _index(element) -> int:
@@ -92,13 +83,13 @@ def apply_operator(op: EnumerationOperator, members, bound: int,
                     raise InsufficientOracleError(
                         "axiom premise references %r beyond bound %d" % (el, bound)
                     )
-    return frozenset(
-        output
-        for premise, outputs in op.premises
-        if premise <= members
-        and not (positive_only and any(isinstance(el, tuple) and el[1] == 0 for el in premise))
-        for output in outputs
-    )
+    out = set()
+    for output, premise in op.axioms:
+        if positive_only and any(isinstance(el, tuple) and el[1] == 0 for el in premise):
+            continue
+        if premise <= members:
+            out.add(output)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,6 @@ class UElement:
         canon = tuple(sorted(self.combo, key=lambda pd: _element_key(pd[0])))
         object.__setattr__(self, "combo", canon)
         object.__setattr__(self, "digits", dict(canon))
-        # the generated hash would walk the whole prior tree on every lookup
-        object.__setattr__(self, "_hash", hash((self.stage, canon)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def _element_key(x: UElement):
