@@ -19,11 +19,11 @@ reported as corruption rather than assumed away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CorruptDescriptionError, ExcludedIndexError
 from .reals import GenericDescription, RealSpec
+from .records import Frozen
 
 
 def two_adic_valuation(n: int) -> int:
@@ -80,9 +80,11 @@ def _shared_valuation(ns) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class ValuationCoding(RealSpec):
-    source: RealSpec
+class ValuationCoding(RealSpec, Frozen):
+    __slots__ = ("source",)
+
+    def __init__(self, source: RealSpec):
+        object.__setattr__(self, "source", source)
 
     def bit(self, n: int) -> int:
         return encode_valuation(self.source, n)
@@ -96,9 +98,11 @@ class ValuationCoding(RealSpec):
         return _copied_bits(self.source, [(n & -n).bit_length() - 1 for n in ns])
 
 
-@dataclass(frozen=True)
-class IntervalCoding(RealSpec):
-    source: RealSpec
+class IntervalCoding(RealSpec, Frozen):
+    __slots__ = ("source",)
+
+    def __init__(self, source: RealSpec):
+        object.__setattr__(self, "source", source)
 
     def bit(self, n: int) -> int:
         return encode_interval(self.source, n)
@@ -109,10 +113,12 @@ class IntervalCoding(RealSpec):
         return _copied_bits(self.source, [(n - 1).bit_length() - 1 for n in ns])
 
 
-@dataclass(frozen=True)
-class AsymmetricJoin(RealSpec):
-    main: RealSpec   # coded densely, off the powers of two
-    coded: RealSpec  # coded sparsely, on the powers of two
+class AsymmetricJoin(RealSpec, Frozen):
+    __slots__ = ("main", "coded")
+
+    def __init__(self, main: RealSpec, coded: RealSpec):
+        object.__setattr__(self, "main", main)    # coded densely, off the powers of two
+        object.__setattr__(self, "coded", coded)  # coded sparsely, on the powers of two
 
     def bit(self, n: int) -> int:
         return asymmetric_join_bit(self.main, self.coded, n)

@@ -8,21 +8,23 @@ no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InsufficientDataError, MalformedGapError, UndefinedInputError
+from .records import Frozen
 from .runs import clip, difference, hits
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Frozen):
     """The dyadic interval [lo, hi) = [2^i, 2^(i+1))."""
 
-    i: int
-    lo: int
-    hi: int
+    __slots__ = ("i", "lo", "hi")
+
+    def __init__(self, i: int, lo: int, hi: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __contains__(self, n: int) -> bool:
         return self.lo <= n < self.hi
@@ -53,8 +55,7 @@ def prefix_density(member: Callable[[int], bool], n: int) -> Fraction:
     return Fraction(sum(1 for k in range(n) if member(k)), n)
 
 
-@dataclass(frozen=True)
-class GapCensus:
+class GapCensus(Frozen):
     """Largest gap per block (as the smallest exponent e), or None.
 
     records[i] is the smallest e such that a gap of size 2^-e is present at
@@ -64,10 +65,13 @@ class GapCensus:
     omissions form a pure suffix of the block.
     """
 
-    i_max: int
-    records: tuple  # ((i, e-or-None), ...) for i < i_max
-    omitted: tuple  # run set inside [1, 2^i_max)
-    gap_only: bool
+    __slots__ = ("i_max", "records", "omitted", "gap_only")
+
+    def __init__(self, i_max: int, records: tuple, omitted: tuple, gap_only: bool):
+        object.__setattr__(self, "i_max", i_max)
+        object.__setattr__(self, "records", records)  # ((i, e-or-None), ...) for i < i_max
+        object.__setattr__(self, "omitted", omitted)  # run set inside [1, 2^i_max)
+        object.__setattr__(self, "gap_only", gap_only)
 
     @property
     def horizon(self) -> int:
@@ -154,12 +158,14 @@ def density_threshold(census: GapCensus, e: int, n_max: int) -> Optional[int]:
     return last_fail + 1
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(Frozen):
     """Exact prefix densities at selected points n <= horizon."""
 
-    horizon: int
-    values: tuple  # ((n, Fraction), ...) sorted by n
+    __slots__ = ("horizon", "values")
+
+    def __init__(self, horizon: int, values: tuple):
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "values", values)  # ((n, Fraction), ...) sorted by n
 
     def value(self, n: int) -> Fraction:
         return dict(self.values)[n]

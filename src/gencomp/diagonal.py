@@ -23,8 +23,7 @@ engine's only state, stage s being computed from its records through s-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import product
 from operator import add
 from typing import Optional
@@ -38,6 +37,7 @@ from .errors import (
     UndefinedRegionError,
 )
 from .reals import as_bits
+from .records import Frozen
 from .runs import clip, difference, elements, hits, normalize, union
 
 SINGLE = "single"
@@ -53,32 +53,34 @@ SIDES = {SINGLE: (SIDE_X,), PAIR: (SIDE_X, SIDE_Y)}
 _DEFAULT_NODE_BUDGET = 1 << 18
 
 
-@dataclass(frozen=True)
-class GapRule:
+class GapRule(Frozen):
     """Remove the last 2^(stage-e) elements of block `stage` from the
-    side's functional, for every oracle extending `node`."""
+    side's functional, for every oracle extending `node`.  `gap` is that
+    removed interval [lo, hi).  Rules are equal when their fields are."""
 
-    e: int
-    stage: int
-    node: str
-    side: str = SIDE_X
+    __slots__ = ("e", "stage", "node", "side", "gap")
 
-    def __post_init__(self):
-        if not 0 <= self.e <= self.stage:
+    def __init__(self, e: int, stage: int, node: str, side: str = SIDE_X):
+        if not 0 <= e <= stage:
             raise UndefinedInputError("gap exponent must satisfy 0 <= e <= stage")
-        if len(self.node) > self.stage:
+        if len(node) > stage:
             raise SelectorCapError(
-                "rule at stage %d uses a node of length %d" % (self.stage, len(self.node))
+                "rule at stage %d uses a node of length %d" % (stage, len(node))
             )
-        if not set(self.node) <= {"0", "1"}:
+        if not set(node) <= {"0", "1"}:
             raise ValueError("node must be a bit string")
-        if self.side not in (SIDE_X, SIDE_Y):
+        if side not in (SIDE_X, SIDE_Y):
             raise ValueError("side must be 'x' or 'y'")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "gap", gap_interval(stage, e))
 
-    @cached_property
-    def gap(self) -> tuple:
-        """The removed interval [lo, hi) of block `stage`."""
-        return gap_interval(self.stage, self.e)
+    def __eq__(self, other):
+        if type(other) is not GapRule:
+            return NotImplemented
+        return (self.e, self.stage, self.node, self.side) == (other.e, other.stage, other.node, other.side)
 
 
 class GapRuleTable:
@@ -282,46 +284,64 @@ class ScriptedSelector:
         return tuple((side + "0" * stage)[:stage] for side in guess)
 
 
-@dataclass
 class MarkerRecord:
-    e: int
-    stage: int
-    node: object
+    """Strategy e's marker placed at `stage`; equal when the fields are."""
+
+    __slots__ = ("e", "stage", "node")
+
+    def __init__(self, e: int, stage: int, node):
+        self.e = e
+        self.stage = stage
+        self.node = node
+
+    def __eq__(self, other):
+        if type(other) is not MarkerRecord:
+            return NotImplemented
+        return (self.e, self.stage, self.node) == (other.e, other.stage, other.node)
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    source: object   # new_elements(e, stage, trace) protocol
-    selector: object
+class StrategySpec(Frozen):
+    __slots__ = ("source", "selector")
+
+    def __init__(self, source, selector):
+        object.__setattr__(self, "source", source)  # new_elements(e, stage, trace) protocol
+        object.__setattr__(self, "selector", selector)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    stages: int
-    strategies: tuple
-    node_budget: int = _DEFAULT_NODE_BUDGET
+class RunConfig(Frozen):
+    __slots__ = ("mode", "stages", "strategies", "node_budget")
 
-    def __post_init__(self):
-        if self.mode not in SIDES:
+    def __init__(self, mode: str, stages: int, strategies: tuple,
+                 node_budget: int = _DEFAULT_NODE_BUDGET):
+        if mode not in SIDES:
             raise UndefinedInputError("mode must be single or pair")
-        if not 1 <= self.stages <= 64:
+        if not 1 <= stages <= 64:
             raise BudgetError("stage count out of the supported range 1..64")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "node_budget", node_budget)
 
 
-@dataclass
 class StageRecord:
-    stage: int
-    batches: dict        # e -> run set of new elements
-    rules: tuple         # GapRules issued this stage
-    info: dict           # e -> dict(alive, acted, died, approx, marker)
-    trap_events: tuple   # (e, gap_stage, lo, hi): new run [lo, hi) inside the gap
+    """What one stage did; equal when the fields are."""
+
+    __slots__ = ("stage", "batches", "rules", "info", "trap_events")
+
+    def __init__(self, stage: int, batches: dict, rules: tuple, info: dict, trap_events: tuple):
+        self.stage = stage
+        self.batches = batches          # e -> run set of new elements
+        self.rules = rules              # GapRules issued this stage
+        self.info = info                # e -> dict(alive, acted, died, approx, marker)
+        self.trap_events = trap_events  # (e, gap_stage, lo, hi): new run [lo, hi) inside the gap
+
+    def __eq__(self, other):
+        if type(other) is not StageRecord:
+            return NotImplemented
+        return ((self.stage, self.batches, self.rules, self.info, self.trap_events)
+                == (other.stage, other.batches, other.rules, other.info, other.trap_events))
 
 
-_VIEW = dict(init=False, repr=False, compare=False)
-
-
-@dataclass
 class Trace:
     """Replayable record of one construction run, and the engine's only
     state.  The stage records are all it stores; `append` keeps the views
@@ -329,22 +349,23 @@ class Trace:
     enumerated run set, the markers, the last approximation (None before
     the first act) and the death stage (None while alive).  Records given
     to the constructor are fed through `append` too, so the engine, the
-    loader and `dataclasses.replace` build a trace the same way."""
+    loader and any caller rebuilding a trace from edited records build it
+    the same way."""
 
-    mode: str
-    stages: int
-    records: list = field(default_factory=list)
-    config_echo: Optional[dict] = None
-    enumerated: dict = field(default_factory=dict, **_VIEW)
-    markers: dict = field(default_factory=dict, **_VIEW)
-    final_approx: dict = field(default_factory=dict, **_VIEW)
-    death_stage: dict = field(default_factory=dict, **_VIEW)
-    _tables: dict = field(default_factory=dict, **_VIEW)
-    _censuses: dict = field(default_factory=dict, **_VIEW)
+    __slots__ = ("mode", "stages", "records", "config_echo", "enumerated", "markers",
+                 "final_approx", "death_stage", "_tables", "_censuses")
 
-    def __post_init__(self):
+    def __init__(self, mode: str, stages: int, records=(), config_echo: Optional[dict] = None):
+        self.mode = mode
+        self.stages = stages
+        self.records = []
+        self.config_echo = config_echo
+        self.enumerated = {}
+        self.markers = {}
+        self.final_approx = {}
+        self.death_stage = {}
         self._tables = {side: GapRuleTable(side) for side in self.sides}
-        records, self.records = self.records, []
+        self._censuses = {}
         for rec in records:
             self.append(rec)
 

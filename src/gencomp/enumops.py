@@ -23,13 +23,12 @@ here; only the operator- and machine-level constructions are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from typing import Any, Callable, Iterable, Optional
 
 from .errors import BudgetError, FalsifiedPremiseError, InsufficientOracleError, UndefinedInputError
 from .reals import Enumerator, RealSpec
+from .records import Frozen
 
 
 def finite_assignment(pairs: Iterable[tuple]) -> frozenset:
@@ -44,21 +43,21 @@ def finite_assignment(pairs: Iterable[tuple]) -> frozenset:
     return out
 
 
-@dataclass(frozen=True)
-class EnumerationOperator:
+class EnumerationOperator(Frozen):
     """Axioms (output, premise) with premise a finite assignment or a
-    finite set of plain naturals."""
+    finite set of plain naturals.  `extent` is one more than the largest
+    index any premise references (0 when no premise references one): the
+    bound every premise lies below."""
 
-    axioms: frozenset  # frozenset of (output, frozenset premise)
+    __slots__ = ("axioms", "extent")
+
+    def __init__(self, axioms: frozenset):
+        object.__setattr__(self, "axioms", axioms)  # frozenset of (output, frozenset premise)
+        object.__setattr__(self, "extent", max(
+            (_index(el) + 1 for _, premise in axioms for el in premise), default=0))
 
     def outputs(self) -> frozenset:
         return frozenset(a for a, _ in self.axioms)
-
-    @cached_property
-    def extent(self) -> int:
-        """One more than the largest index any premise references (0 when
-        no premise references one): the bound every premise lies below."""
-        return max((_index(el) + 1 for _, premise in self.axioms for el in premise), default=0)
 
 
 def _index(element) -> int:
@@ -92,8 +91,7 @@ def apply_operator(op: EnumerationOperator, members, bound: int,
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
+class FunctionalSpec(Frozen):
     """A deterministic stage machine over description triples.
 
     `step(state, (n, x, l))` returns (next state, emitted outputs); states
@@ -103,11 +101,15 @@ class FunctionalSpec:
     is what keeps compilation searches finite.
     """
 
-    name: str
-    start: Any
-    step: Callable[[Any, tuple], tuple] = field(compare=False)
-    use_bound: Optional[int] = None
-    label_use: Optional[int] = None
+    __slots__ = ("name", "start", "step", "use_bound", "label_use")
+
+    def __init__(self, name: str, start: Any, step: Callable[[Any, tuple], tuple],
+                 use_bound: Optional[int] = None, label_use: Optional[int] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "use_bound", use_bound)
+        object.__setattr__(self, "label_use", label_use)
 
     def run(self, triples: Iterable[tuple]) -> frozenset:
         """Cumulative emissions after consuming the triples in order."""

@@ -10,12 +10,12 @@ scripted monotone enumerators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CorruptDescriptionError, FalsifiedPremiseError, OutOfRangeError, UndefinedInputError
+from .records import Frozen
 from .runs import from_elements
 
 _MASK64 = (1 << 64) - 1
@@ -50,6 +50,8 @@ class RealSpec:
     hard length is declared (ExplicitPrefixReal).
     """
 
+    __slots__ = ()
+
     def bit(self, n: int) -> int:
         raise NotImplementedError
 
@@ -64,15 +66,15 @@ class RealSpec:
         return self.bit(n) == 1
 
 
-@dataclass(frozen=True)
-class ExplicitPrefixReal(RealSpec):
+class ExplicitPrefixReal(RealSpec, Frozen):
     """A real known only on a finite prefix; queries beyond it are errors."""
 
-    prefix: str
+    __slots__ = ("prefix",)
 
-    def __post_init__(self):
-        if not set(self.prefix) <= {"0", "1"}:
+    def __init__(self, prefix: str):
+        if not set(prefix) <= {"0", "1"}:
             raise ValueError("bits must be a string over {0,1}")
+        object.__setattr__(self, "prefix", prefix)
 
     @property
     def hard_length(self) -> int:
@@ -88,18 +90,18 @@ class ExplicitPrefixReal(RealSpec):
         return int(self.prefix[n])
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicReal(RealSpec):
+class EventuallyPeriodicReal(RealSpec, Frozen):
     """preamble bits followed by an infinitely repeated nonempty period."""
 
-    preamble: str
-    period: str
+    __slots__ = ("preamble", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preamble: str, period: str):
+        if not period:
             raise ValueError("period must be nonempty")
-        if not set(self.preamble) <= {"0", "1"} or not set(self.period) <= {"0", "1"}:
+        if not set(preamble) <= {"0", "1"} or not set(period) <= {"0", "1"}:
             raise ValueError("bits must be strings over {0,1}")
+        object.__setattr__(self, "preamble", preamble)
+        object.__setattr__(self, "period", period)
 
     def bit(self, n: int) -> int:
         if n < 0:
@@ -109,15 +111,15 @@ class EventuallyPeriodicReal(RealSpec):
         return int(self.period[(n - len(self.preamble)) % len(self.period)])
 
 
-@dataclass(frozen=True)
-class SeededReal(RealSpec):
+class SeededReal(RealSpec, Frozen):
     """Pseudorandom real driven by the pinned 64-bit mixing function."""
 
-    seed: int
+    __slots__ = ("seed",)
 
-    def __post_init__(self):
-        if not 0 <= self.seed <= _MASK64:
+    def __init__(self, seed: int):
+        if not 0 <= seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
+        object.__setattr__(self, "seed", seed)
 
     def bit(self, n: int) -> int:
         if n < 0:
@@ -133,15 +135,15 @@ def all_ones() -> EventuallyPeriodicReal:
     return EventuallyPeriodicReal("", "1")
 
 
-@dataclass(frozen=True)
-class BitPrefix:
+class BitPrefix(Frozen):
     """A finite binary sequence; indexable at 0..len-1."""
 
-    bits: str
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if not set(self.bits) <= {"0", "1"}:
+    def __init__(self, bits: str):
+        if not set(bits) <= {"0", "1"}:
             raise ValueError("bits must be a string over {0,1}")
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -230,10 +232,12 @@ class GenericDescription:
         return self.values((n,))[0]
 
 
-@dataclass(frozen=True)
-class DescriptionReport:
-    truthful: bool
-    domain_prefix_density: Fraction
+class DescriptionReport(Frozen):
+    __slots__ = ("truthful", "domain_prefix_density")
+
+    def __init__(self, truthful: bool, domain_prefix_density: Fraction):
+        object.__setattr__(self, "truthful", truthful)
+        object.__setattr__(self, "domain_prefix_density", domain_prefix_density)
 
 
 def validate_description(d: GenericDescription, source: RealSpec, horizon: int) -> DescriptionReport:
@@ -277,16 +281,18 @@ class TimeDependentDescription:
         )
 
 
-@dataclass(frozen=True)
-class Enumerator:
+class Enumerator(Frozen):
     """A monotone stage-indexed enumeration given by a finite script.
 
     The script lists the elements first appearing at each stage; at(s)
     returns the cumulative set, so monotonicity holds by construction.
     """
 
-    tag: int
-    script: tuple  # ((stage, frozenset), ...) sorted by stage
+    __slots__ = ("tag", "script")
+
+    def __init__(self, tag: int, script: tuple):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "script", script)  # ((stage, frozenset), ...) sorted by stage
 
     @classmethod
     def from_schedule(cls, tag: int, schedule: dict) -> "Enumerator":

@@ -19,12 +19,12 @@ old->new the low bit of each digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable
 
 from .codings import two_adic_valuation
 from .errors import CapacityError, ExcludedIndexError, UndefinedInputError
+from .records import Frozen
 
 # ids and combo arithmetic are capped at this many bits (~0.5 MB integers);
 # that admits every stage-ids through stage 3 and the start of stage 4
@@ -35,11 +35,13 @@ _MAX_BITS = 1 << 22
 _STARTS = [0, 1, 5, 1029, 1029 + (1 << 2058)]  # 4^1029 == 2^2058
 
 
-@dataclass(frozen=True)
-class StageInterval:
-    stage: int
-    lo: int
-    hi: int
+class StageInterval(Frozen):
+    __slots__ = ("stage", "lo", "hi")
+
+    def __init__(self, stage: int, lo: int, hi: int):
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def size(self) -> int:
@@ -87,30 +89,39 @@ def universal_rel(i: int, j: int) -> bool:
     return bool(digit & 1) if asking_old_to_new else bool(digit & 2)
 
 
-@dataclass(frozen=True)
-class UElement:
+class UElement(Frozen):
     """An element of the universal relation: its stage plus the sparse map
     of nonzero digits over prior elements.  Stage-0 has an empty combo.
-    `digits` is the same map as a dict, prior -> digit."""
+    `digits` is the same map as a dict, prior -> digit.  Elements are equal,
+    and hash alike, when their stage and combo are."""
 
-    stage: int
-    combo: tuple  # ((UElement, digit), ...) canonically sorted, digits 1..3
+    __slots__ = ("stage", "combo", "digits")
 
-    def __post_init__(self):
-        if self.stage < 0:
+    def __init__(self, stage: int, combo: tuple):
+        if stage < 0:
             raise UndefinedInputError("stage must be >= 0")
         seen = set()
-        for prior, digit in self.combo:
+        for prior, digit in combo:
             if digit not in (1, 2, 3):
                 raise ValueError("sparse digits must be 1..3")
-            if prior.stage >= self.stage:
+            if prior.stage >= stage:
                 raise ValueError("combo priors must come from earlier stages")
             if prior in seen:
                 raise ValueError("duplicate prior in combo")
             seen.add(prior)
-        canon = tuple(sorted(self.combo, key=lambda pd: _element_key(pd[0])))
+        # ((UElement, digit), ...) canonically sorted, digits 1..3
+        canon = tuple(sorted(combo, key=lambda pd: _element_key(pd[0])))
+        object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "combo", canon)
         object.__setattr__(self, "digits", dict(canon))
+
+    def __eq__(self, other):
+        if type(other) is not UElement:
+            return NotImplemented
+        return self.stage == other.stage and self.combo == other.combo
+
+    def __hash__(self):
+        return hash((self.stage, self.combo))
 
 
 def _element_key(x: UElement):
@@ -181,10 +192,12 @@ class FiniteReflexiveRelation:
         return self.adjacency[a][b]
 
 
-@dataclass(frozen=True)
-class Embedding:
-    relation: FiniteReflexiveRelation
-    images: tuple  # UElement for point k drawn from stage k
+class Embedding(Frozen):
+    __slots__ = ("relation", "images")
+
+    def __init__(self, relation: FiniteReflexiveRelation, images: tuple):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "images", images)  # UElement for point k drawn from stage k
 
     def verify(self) -> bool:
         """Exact preservation and reflection on all pairs."""

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,9 @@ from gencomp.diagonal import (
     RightmostSelector,
     RunConfig,
     ScriptedSelector,
+    StageRecord,
     StrategySpec,
+    Trace,
     audit_gap_census_consistency,
     audit_marker_on_path,
     audit_single_victim,
@@ -370,11 +370,11 @@ def with_quiet_stages(trace, rules):
     info = {e: dict(i, marker=None) for e, i in last.info.items()}
     top = max(r.stage for r in rules)
     quiet = [
-        dataclasses.replace(last, stage=s, batches={}, rules=tuple(r for r in rules if r.stage == s),
-                            info=info, trap_events=())
+        StageRecord(stage=s, batches={}, rules=tuple(r for r in rules if r.stage == s),
+                    info=info, trap_events=())
         for s in range(len(trace.records), top + 1)
     ]
-    return dataclasses.replace(trace, stages=top + 1, records=trace.records + quiet)
+    return Trace(trace.mode, top + 1, trace.records + quiet, trace.config_echo)
 
 
 def test_single_victim_pair_reports_extra_x_rules():
@@ -396,9 +396,11 @@ def test_append_rejects_a_rule_of_another_stage():
     # trace's horizon, where no audit looks
     trace = run_single(5, [StrategySpec(Silent(), LeftmostSelector())])
     rec = trace.records[2]
-    doctored = dataclasses.replace(rec, rules=rec.rules + (GapRule(0, 9, "0000"),))
+    doctored = StageRecord(rec.stage, rec.batches, rec.rules + (GapRule(0, 9, "0000"),),
+                           rec.info, rec.trap_events)
     with pytest.raises(InvariantViolationError, match="stage-9 rule in the record of stage 2"):
-        dataclasses.replace(trace, records=trace.records[:2] + [doctored] + trace.records[3:])
+        Trace(trace.mode, trace.stages, trace.records[:2] + [doctored] + trace.records[3:],
+              trace.config_echo)
 
 
 def test_pair_y_only_mind_change_keeps_x_marks():
