@@ -50,6 +50,7 @@ def _cmd_catalog(args) -> int:
         "real_kinds": ["explicit-prefix", "eventually-periodic", "seeded-pseudorandom"],
         "trace_format": diagonal.TRACE_FORMAT,
         "report_format": harness.REPORT_FORMAT,
+        "scenario_trace_format": harness.SCENARIO_TRACE_FORMAT,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_PASS

@@ -27,7 +27,7 @@ from .codings import (
 # prefix_density is not called here any more; it stays importable from this
 # module because the perfbench tracer binds harness.prefix_density
 from .density import prefix_density  # noqa: F401
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolationError
 from .reals import (
     Enumerator,
     EventuallyPeriodicReal,
@@ -40,7 +40,7 @@ from .relations import FiniteReflexiveRelation, embed_relation, stage_interval, 
 from .runs import count_below
 
 CONFIG_VERSION = 1
-SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/1"
+SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/2"
 REPORT_FORMAT = "gencomp-report/2"
 
 DIAGONAL_MODES = {"single-diagonal": diagonal.SINGLE, "pair-diagonal": diagonal.PAIR}
@@ -441,10 +441,26 @@ def _run_coding_roundtrip(cfg):
     return log, report
 
 
-def _element_jsonable(el):
+def _embedding_jsonable(emb) -> dict:
+    """An embedding's log entry: the digraph's rows and each image k by
+    reference, as k base-4 digits whose j-th is the digit image k carries
+    against image j ("0" for none).  Raises InvariantViolationError for an
+    image this form cannot write: one off stage k, or with a prior that is
+    not an earlier image."""
+    images = []
+    for k, el in enumerate(emb.images):
+        if el.stage != k:
+            raise InvariantViolationError("image %d lies at stage %d" % (k, el.stage))
+        digits = ["0"] * k
+        for prior, d in el.combo:
+            # priors lie at earlier stages, and image j at stage j
+            if emb.images[prior.stage] != prior:
+                raise InvariantViolationError("image %d has a prior that is no earlier image" % k)
+            digits[prior.stage] = "0123"[d]
+        images.append("".join(digits))
     return {
-        "stage": el.stage,
-        "combo": [[_element_jsonable(p), d] for p, d in el.combo],
+        "digraph": ["".join("1" if v else "0" for v in row) for row in emb.relation.adjacency],
+        "images": images,
     }
 
 
@@ -461,12 +477,7 @@ def _run_relation_embed(cfg):
         rel = FiniteReflexiveRelation(adjacency)
         emb = embed_relation(rel)
         embed_ok &= emb.verify()
-        log.append(
-            {
-                "digraph": ["".join("1" if v else "0" for v in row) for row in adjacency],
-                "images": [_element_jsonable(el) for el in emb.images],
-            }
-        )
+        log.append(_embedding_jsonable(emb))
     verdicts.append(_verdict("embedding-exact", embed_ok, count=cfg["count"]))
 
     reflexive_ok = all(universal_rel(k, k) for k in range(4096))

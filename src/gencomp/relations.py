@@ -23,7 +23,7 @@ from math import isqrt
 from typing import Iterable
 
 from .codings import two_adic_valuation
-from .errors import CapacityError, ExcludedIndexError, UndefinedInputError
+from .errors import CapacityError, ExcludedIndexError, InvariantViolationError, UndefinedInputError
 from .records import Frozen
 
 # ids and combo arithmetic are capped at this many bits (~0.5 MB integers);
@@ -93,9 +93,14 @@ class UElement(Frozen):
     """An element of the universal relation: its stage plus the sparse map
     of nonzero digits over prior elements.  Stage-0 has an empty combo.
     `digits` is the same map as a dict, prior -> digit.  Elements are equal,
-    and hash alike, when their stage and combo are."""
+    and hash alike, when their stage and combo are.
 
-    __slots__ = ("stage", "combo", "digits")
+    An element and its priors form a DAG whose unfolded tree can be
+    exponentially large, so the hash, `hash((stage, combo))`, and the
+    canonical sort key, `(stage, ((prior key, digit), ...))`, are computed
+    once here from the priors' cached values."""
+
+    __slots__ = ("stage", "combo", "digits", "key", "_hash")
 
     def __init__(self, stage: int, combo: tuple):
         if stage < 0:
@@ -110,22 +115,20 @@ class UElement(Frozen):
                 raise ValueError("duplicate prior in combo")
             seen.add(prior)
         # ((UElement, digit), ...) canonically sorted, digits 1..3
-        canon = tuple(sorted(combo, key=lambda pd: _element_key(pd[0])))
+        canon = tuple(sorted(combo, key=lambda pd: pd[0].key))
         object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "combo", canon)
         object.__setattr__(self, "digits", dict(canon))
+        object.__setattr__(self, "key", (stage, tuple((p.key, d) for p, d in canon)))
+        object.__setattr__(self, "_hash", hash((stage, canon)))
 
     def __eq__(self, other):
         if type(other) is not UElement:
             return NotImplemented
-        return self.stage == other.stage and self.combo == other.combo
+        return self is other or (self._hash == other._hash and self.key == other.key)
 
     def __hash__(self):
-        return hash((self.stage, self.combo))
-
-
-def _element_key(x: UElement):
-    return (x.stage, tuple((_element_key(p), d) for p, d in x.combo))
+        return self._hash
 
 
 ROOT = UElement(0, ())
@@ -222,7 +225,7 @@ def embed_relation(r: FiniteReflexiveRelation) -> Embedding:
         images.append(UElement(k, tuple(combo)))
     emb = Embedding(r, tuple(images))
     if not emb.verify():
-        raise AssertionError("embedding failed to preserve the relation")
+        raise InvariantViolationError("embedding failed to preserve the relation")
     return emb
 
 

@@ -489,31 +489,33 @@ OPERATOR_ORDER_GATE_5 = dict(OPERATOR_ECHO_5, machine="order-gate")
 RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "count": 40, "max_size": 6}
 
 # (config, trace.json digest, report.json digest): the diagonal goldens
-# above, plus a coding-roundtrip config whose trace digest was recorded
-# while its decoders still read their witnesses one lookup at a time, and
-# operator-compile and relation-embed configs recorded while every
-# application rescanned the premises against the bound and every adjacency
-# test rebuilt the element's digit map.
+# above, plus a coding-roundtrip config whose trace digest was first
+# recorded while its decoders still read their witnesses one lookup at a
+# time, and operator-compile and relation-embed configs first recorded while
+# every application rescanned the premises against the bound and every
+# adjacency test rebuilt the element's digit map.  Their trace digests are
+# of the gencomp-scenario-trace/2 bytes; SCENARIO_TRACE_1_DIGESTS keeps the
+# /1 digests, which `scenario_trace_1_view` of each /2 trace reproduces.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
-    "0c5e1c6c5e9b8d893c278ce0138dfb28c8d51c6ee3725a3e02df1afee1e35df8",
+    "eff4823aafc9c9373fbdb1adab72c2d28002a1faf00bcf60bfbbc0f887fc0c32",
     "a335f2e5a1e226a782dcb8561a49a5f99437807ab5f27cf97481d49d2372cd42",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
-    "d8425d5c785f7c6aa2f7ef5fb6e4a25ba460ab1f4d1fa7491a361d3a750003e2",
+    "488159c6d748b4f7637a18a63684c8558384c5d68a1836b8d3e315f715039ce6",
     "158c54f37a1259cf4ccda99f166bc85f6cc89877b827a94d08fb5bcb310fd4ac",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
-    "6f2394e7ea9a6c8398ec281acfa1b760f102821c504fd61aa8752d7ae11f1358",
+    "1e03707d20061decee006de90a6068ec1d9b05ef7bc7c5807017b36429f611c7",
     "715c9b3cb1b29aaf93c499483b3f63b19f78117f3f6325594e70c4c1cdab9f04",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
-    "14bb156772720d64eb38087a142b02da68c99702b51a5720d6a29b049c509925",
+    "b7b1e35664256fd6e842ec0e1748e093789a3785c4f0621e4ac511f2221b3ec5",
     "e219a368664b136a100839396481752b8a2b181c405be823e951a0bd1102e7c6",
 )
 
@@ -559,6 +561,48 @@ def test_report_2_reads_as_report_1(tmp_path, name):
     assert written["format"] == "gencomp-report/2"
     old = canonical_json(report_1_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
+
+
+# the trace.json digests of the scenario configs as gencomp-scenario-trace/1
+# wrote them
+SCENARIO_TRACE_1_DIGESTS = {
+    "coding-roundtrip-7": "0c5e1c6c5e9b8d893c278ce0138dfb28c8d51c6ee3725a3e02df1afee1e35df8",
+    "operator-echo-5": "d8425d5c785f7c6aa2f7ef5fb6e4a25ba460ab1f4d1fa7491a361d3a750003e2",
+    "operator-order-gate-5": "6f2394e7ea9a6c8398ec281acfa1b760f102821c504fd61aa8752d7ae11f1358",
+    "relation-embed-3": "14bb156772720d64eb38087a142b02da68c99702b51a5720d6a29b049c509925",
+}
+
+
+def nested_images(images):
+    """Digit-string images as the {"stage", "combo"} trees /1 wrote: image k
+    at stage k, its combo the [tree of image j, digit] pairs in increasing j."""
+    trees = []
+    for k, digits in enumerate(images):
+        assert len(digits) == k
+        combo = [[trees[j], int(d)] for j, d in enumerate(digits) if d != "0"]
+        trees.append({"stage": k, "combo": combo})
+    return trees
+
+
+def scenario_trace_1_view(doc):
+    """A gencomp-scenario-trace/2 trace in the /1 shape: the old format tag
+    and each relation-embed image re-nested into a tree."""
+    old = dict(doc, format="gencomp-scenario-trace/1")
+    if doc["scenario"] == "relation-embed":
+        old["log"] = [dict(entry, images=nested_images(entry["images"])) for entry in doc["log"]]
+    return old
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_1_DIGESTS))
+def test_scenario_trace_2_reads_as_1(tmp_path, name):
+    # the format bump writes each relation-embed image by reference to the
+    # earlier images; everything else a /1 trace said is unchanged
+    cfg = ARTIFACT_GOLDEN[name][0]
+    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    written = json.loads((tmp_path / "trace.json").read_text())
+    assert written["format"] == "gencomp-scenario-trace/2"
+    old = canonical_json(scenario_trace_1_view(written)).encode()
+    assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_1_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_GOLDEN))

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from gencomp import cli
+from gencomp import cli, relations
 from gencomp.diagonal import LeftmostSelector, StrategySpec, run_single, trace_from_jsonable
 from gencomp.errors import ConfigError
 from gencomp.harness import (
@@ -21,6 +21,7 @@ from gencomp.harness import (
 )
 from gencomp.reals import SeededReal
 from gencomp.runs import elements
+from test_counting import RELATION_EMBED_3, scenario_trace_1_view
 
 
 def single_config(**extra):
@@ -504,3 +505,42 @@ def test_cli_catalog(capsys):
     assert "single-diagonal" in listed["scenarios"]
     assert listed["trace_format"] == "gencomp-trace/3"
     assert listed["report_format"] == "gencomp-report/2"
+    assert listed["scenario_trace_format"] == "gencomp-scenario-trace/2"
+
+
+def test_cli_run_reports_a_failed_embedding(tmp_path, capsys, monkeypatch):
+    # an embedding that fails its own check is an invariant violation
+    # (exit 4), not a crash
+    monkeypatch.setattr(relations, "related", lambda x, y: False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RELATION_EMBED_3))
+    assert cli.main(["run", str(cfg_path)]) == 4
+    printed = capsys.readouterr()
+    assert printed.err == "invariant violation: embedding failed to preserve the relation\n"
+    assert "Traceback" not in printed.out + printed.err
+
+
+def test_verify_scenario_trace_formats(tmp_path, capsys):
+    out = tmp_path / "o"
+    run_experiment(dict(RELATION_EMBED_3), out_dir=str(out))
+    assert cli.main(["verify", str(out / "trace.json")]) == 0
+    doc = json.loads((out / "trace.json").read_text())
+    # a /1 trace is refused, naming both formats this version verifies
+    (out / "v1.json").write_text(canonical_json(scenario_trace_1_view(doc)))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out / "v1.json")]) == 2
+    err = capsys.readouterr().err
+    assert "'gencomp-scenario-trace/1'" in err
+    assert "gencomp-trace/3" in err and "gencomp-scenario-trace/2" in err
+    assert "Traceback" not in err
+    # one image digit flipped: the replay names the image
+    i, k = next((i, k) for i, entry in enumerate(doc["log"])
+                for k, image in enumerate(entry["images"]) if image)
+    image = doc["log"][i]["images"][k]
+    doc["log"][i]["images"][k] = ("1" if image[0] == "0" else "0") + image[1:]
+    (out / "bad.json").write_text(canonical_json(doc))
+    assert cli.main(["verify", str(out / "bad.json")]) == 4
+    assert capsys.readouterr().out == (
+        "VIOLATION: replay mismatch at log[%d].images[%d]: trace is not reproducible "
+        "from its config\n" % (i, k)
+    )

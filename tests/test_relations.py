@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencomp.codings import two_adic_valuation
-from gencomp.errors import CapacityError, UndefinedInputError
+from gencomp.errors import CapacityError, InvariantViolationError, UndefinedInputError
+from gencomp.harness import _embedding_jsonable
 from gencomp.reals import SeededReal
 from gencomp.relations import (
     ROOT,
@@ -166,6 +169,92 @@ def test_uelement_validation():
     ).images[5]
     with pytest.raises(CapacityError):
         uid(deep)  # digit positions beyond the representable id range
+
+
+# --- cached hash and sort key against recursion over the unfolded tree ------
+
+
+def ref_key(x):
+    """The canonical sort key by recursion, the combo sorted here."""
+    return (x.stage, tuple(sorted((ref_key(p), d) for p, d in x.combo)))
+
+
+class RefHash:
+    """Hashes as hash((stage, combo)) does, every prior hashed by recursion
+    rather than read from its cached value."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
+    def __hash__(self):
+        combo = sorted(self.x.combo, key=lambda pd: ref_key(pd[0]))
+        return hash((self.x.stage, tuple((RefHash(p), d) for p, d in combo)))
+
+
+@st.composite
+def element_dags(draw):
+    """Specs (stage, [(earlier index, digit), ...]) of up to 10 elements,
+    each over distinct earlier elements of lower stage."""
+    specs, keys = [], []
+    for i in range(draw(st.integers(1, 10))):
+        picks = draw(st.lists(st.tuples(st.integers(0, max(i - 1, 0)), st.integers(1, 3)),
+                              max_size=4 if i else 0))
+        chosen = {}
+        for j, d in picks:
+            chosen.setdefault(keys[j], (j, d))  # one pick per distinct element
+        combo = list(chosen.values())
+        stage = max((specs[j][0] for j, _ in combo), default=-1) + 1 + draw(st.integers(0, 2))
+        specs.append((stage, combo))
+        keys.append((stage, tuple(sorted((keys[j], d) for j, d in combo))))
+    return specs
+
+
+def build(specs, draw):
+    elems = []
+    for stage, combo in specs:
+        shuffled = draw(st.permutations(combo))
+        elems.append(UElement(stage, tuple((elems[j], d) for j, d in shuffled)))
+    return elems
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_dags(), st.data())
+def test_cached_hash_and_key_match_recursion(specs, data):
+    elems = build(specs, data.draw)
+    again = build(specs, data.draw)  # the same DAG, combos in other orders
+    for x, y in zip(elems, again):
+        assert x.key == ref_key(x) == y.key
+        assert hash(x) == hash(RefHash(x)) == hash(y)
+        assert x == y
+        assert x.combo == y.combo
+    for x in elems:
+        for y in again:
+            assert (x == y) == (ref_key(x) == ref_key(y))
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_complete_digraph_log_entry_is_quadratic():
+    # 16 points, every pair related both ways: image k carries digit 3
+    # against each earlier image, k digits, 16 * 15 / 2 in all
+    entry = _embedding_jsonable(embed_relation(FiniteReflexiveRelation([[True] * 16] * 16)))
+    assert entry["digraph"] == ["1" * 16] * 16
+    assert entry["images"] == ["3" * k for k in range(16)]
+    assert sum(len(image) for image in entry["images"]) == 120
+
+
+def test_image_digits_refuse_what_they_cannot_write():
+    r = FiniteReflexiveRelation.from_pairs(3, [(0, 1)])
+    one = UElement(1, ((ROOT, 1),))
+    assert _embedding_jsonable(Embedding(r, (ROOT, one, UElement(2, ((one, 2),)))))["images"] == [
+        "", "1", "02"
+    ]
+    stray = UElement(1, ((ROOT, 2),))  # a stage-1 element that is not image 1
+    for images in ((ROOT, UElement(2, ())), (ROOT, one, UElement(2, ((stray, 3),)))):
+        with pytest.raises(InvariantViolationError):
+            _embedding_jsonable(Embedding(r, images))
 
 
 def test_pairing_vectors():
