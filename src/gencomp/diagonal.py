@@ -471,19 +471,6 @@ def _extends(node, prev) -> bool:
     return all(map(str.startswith, node, prev))
 
 
-# single-mode nodes serialize as a bare bit string, pair nodes as a list
-def _node_jsonable(node):
-    if node is None:
-        return None
-    return node[0] if len(node) == 1 else list(node)
-
-
-def _node_from_jsonable(v):
-    if v is None:
-        return None
-    return (v,) if isinstance(v, str) else tuple(v)
-
-
 def _stage(trace: Trace, cfg: RunConfig, s: int) -> StageRecord:
     """Stage s, computed from the trace through stage s-1 and the
     strategies alone.  Each opponent reads that trace as its view."""
@@ -576,10 +563,36 @@ def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
 # ---------------------------------------------------------------------------
 # trace serialization (versioned; byte-exact replay is part of the contract)
 
-TRACE_FORMAT = "gencomp-trace/3"
+TRACE_FORMAT = "gencomp-trace/4"
 
 
 def trace_to_jsonable(trace: Trace) -> dict:
+    """The trace as a document.  A record lists what its stage did: the
+    rules, the trap events, the non-empty batches, one act [e, p, suffix
+    per side] per strategy that acted and the strategies that died.  An
+    act's approximation is the first p bits of the strategy's previous one
+    on every side, followed by the suffixes; its marker is the nodes of its
+    rules."""
+    last = {}
+    records = []
+    for rec in trace.records:
+        acts = []
+        for e, info in sorted(rec.info.items()):
+            approx = info["approx"]
+            if approx is None:
+                continue
+            old = last.get(e, ("",) * len(approx))
+            p = min(len(a) if b.startswith(a) else _lcp_len(a, b) for a, b in zip(old, approx))
+            acts.append([e, p, *(side[p:] for side in approx)])
+            last[e] = approx
+        records.append({
+            "stage": rec.stage,
+            "rules": [[r.e, r.stage, r.node, r.side] for r in rec.rules],
+            "trap_events": [list(t) for t in rec.trap_events],
+            "batches": [[e, [list(run) for run in runs]] for e, runs in sorted(rec.batches.items()) if runs],
+            "acts": acts,
+            "deaths": [e for e, info in sorted(rec.info.items()) if info["died"]],
+        })
     return {
         "format": TRACE_FORMAT,
         "mode": trace.mode,
@@ -587,72 +600,98 @@ def trace_to_jsonable(trace: Trace) -> dict:
         "strategy_count": trace.strategy_count,
         "defined_through": trace.defined_through,
         "config": trace.config_echo,
-        "records": [
-            {
-                "stage": rec.stage,
-                "batches": [[e, [list(run) for run in rec.batches[e]]] for e in sorted(rec.batches)],
-                "rules": [[r.e, r.stage, r.node, r.side] for r in rec.rules],
-                "strategies": [
-                    [
-                        e,
-                        {
-                            "alive": rec.info[e]["alive"],
-                            "acted": rec.info[e]["acted"],
-                            "died": rec.info[e]["died"],
-                            "approx": _node_jsonable(rec.info[e]["approx"]),
-                            "marker": _node_jsonable(rec.info[e]["marker"]),
-                        },
-                    ]
-                    for e in sorted(rec.info)
-                ],
-                "trap_events": [list(t) for t in rec.trap_events],
-            }
-            for rec in trace.records
-        ],
-        "final": {
-            "alive": [[e, trace.alive[e]] for e in sorted(trace.alive)],
-            "death_stage": [[e, trace.death_stage[e]] for e in sorted(trace.death_stage)],
-            "markers": [
-                [e, [[m.stage, _node_jsonable(m.node)] for m in trace.markers[e]]]
-                for e in sorted(trace.markers)
-            ],
-            "approx": [
-                [e, _node_jsonable(trace.final_approx[e])]
-                for e in sorted(trace.final_approx)
-            ],
-        },
+        "records": records,
     }
 
 
 def trace_from_jsonable(doc: dict) -> Trace:
-    """The trace a document records.  Only the mode, the stage count, the
-    echoed config and the records are read: the header counts and the
-    `final` block are views of the records, checked by replay.  The
-    records go through `Trace.append`, which rejects one the engine could
-    not have written."""
+    """The trace a document records.  The mode, the stage count, the
+    strategy count, the echoed config and the records are read; the defined
+    horizon is a view of the records, checked by replay.  A record the
+    engine could not have written is rejected: one whose acts, deaths and
+    rules disagree, or that rebuilds an approximation of the wrong length,
+    here; any other through `Trace.append`."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
-    records = []
-    for rd in doc["records"]:
-        records.append(
-            StageRecord(
-                stage=rd["stage"],
-                batches={e: tuple((lo, hi) for lo, hi in batch) for e, batch in rd["batches"]},
-                rules=tuple(GapRule(e, s, node, side) for e, s, node, side in rd["rules"]),
-                info={
-                    e: {
-                        "alive": d["alive"],
-                        "acted": d["acted"],
-                        "died": d["died"],
-                        "approx": _node_from_jsonable(d["approx"]),
-                        "marker": _node_from_jsonable(d["marker"]),
-                    }
-                    for e, d in rd["strategies"]
-                },
-                trap_events=tuple(tuple(t) for t in rd["trap_events"]),
-            )
+    count, config = doc["strategy_count"], doc.get("config")
+    if not isinstance(count, int) or count < 0:
+        raise InvariantViolationError("strategy count %r is not a natural number" % (count,))
+    if config is not None and len(config["strategies"]) != count:
+        raise InvariantViolationError(
+            "strategy count %d, but the config lists %d strategies" % (count, len(config["strategies"]))
         )
-    return Trace(doc["mode"], doc["stages"], records, doc.get("config"))
+    trace = Trace(doc["mode"], doc["stages"], (), config)
+    sides = trace.sides
+    dead = set()
+    for rd in doc["records"]:
+        s = rd["stage"]
+        rules = tuple(GapRule(e, st, node, side) for e, st, node, side in rd["rules"])
+        markers = {}
+        for r in rules:
+            markers.setdefault(r.e, {})[r.side] = r.node
+        batches = dict.fromkeys(range(count), ())
+        for e, runs in rd["batches"]:
+            if e not in batches:
+                raise InvariantViolationError("batch of strategy %r in a %d-strategy trace" % (e, count))
+            batches[e] = tuple((lo, hi) for lo, hi in runs)
+        info = {e: {"alive": e not in dead, "acted": False, "died": False, "approx": None, "marker": None}
+                for e in range(count)}
+        for e, p, *suffixes in rd["acts"]:
+            d = _turn(info, e, s, "acts")
+            old = trace.final_approx.get(e) or ("",) * len(sides)
+            if len(suffixes) != len(sides):
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d has %d suffixes for %d sides"
+                    % (e, s, len(suffixes), len(sides))
+                )
+            if not isinstance(p, int) or not 0 <= p <= len(old[0]):
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d keeps %r bits of a %d-bit approximation"
+                    % (e, s, p, len(old[0]))
+                )
+            approx = tuple([a[:p] + b for a, b in zip(old, suffixes)])
+            if set(map(len, approx)) != {s} or "".join(suffixes).strip("01"):
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d rebuilds %r, not %d bits per side" % (e, s, approx, s)
+                )
+            nodes = markers.pop(e, {})
+            marker = tuple(map(nodes.get, sides))
+            if None in marker:
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d has no %s-side rule" % (e, s, sides[marker.index(None)])
+                )
+            d["acted"], d["approx"], d["marker"] = True, approx, marker
+        for e in rd["deaths"]:
+            d = _turn(info, e, s, "dies")
+            d["alive"], d["died"] = False, True
+        if markers:
+            raise InvariantViolationError(
+                "rule of strategy %r at stage %d, which did not act" % (min(markers), s)
+            )
+        # every strategy started and alive before stage s acts or dies at s
+        started = min(s, count)
+        if len(rd["acts"]) + len(rd["deaths"]) != started - len(dead):
+            e = next(e for e in range(started) if info[e]["alive"] and not info[e]["acted"])
+            raise InvariantViolationError("live strategy %d neither acts nor dies at stage %d" % (e, s))
+        dead.update(rd["deaths"])
+        trace.append(StageRecord(stage=s, batches=batches, rules=rules, info=info,
+                                 trap_events=tuple(tuple(t) for t in rd["trap_events"])))
+    return trace
+
+
+def _turn(info: dict, e, s, verb: str) -> dict:
+    """Strategy e's record at stage s, if e may act or die at s: it has
+    started (e < s), is alive and has not acted or died at s yet."""
+    if e not in info:
+        raise InvariantViolationError("strategy %r %s in a %d-strategy trace" % (e, verb, len(info)))
+    if e >= s:
+        raise InvariantViolationError("strategy %d %s at stage %d, before it starts" % (e, verb, s))
+    d = info[e]
+    if not d["alive"] or d["acted"]:
+        raise InvariantViolationError(
+            "strategy %d %s at stage %d, after it %s" % (e, verb, s, "acted" if d["acted"] else "died")
+        )
+    return d
 
 
 # ---------------------------------------------------------------------------

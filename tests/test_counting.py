@@ -425,9 +425,10 @@ def test_stage_is_a_function_of_the_trace_before_it(name):
 
 
 def expanded_content_digest(doc):
-    """SHA-256 of what a diagonal trace records, with every run expanded to
-    its elements: header, batches, rules, per-strategy records, trap
-    events as (e, gap_stage, element) and the final block."""
+    """SHA-256 of what a diagonal trace in the gencomp-trace/3 shape
+    records, with every run expanded to its elements: header, batches,
+    rules, per-strategy records, trap events as (e, gap_stage, element) and
+    the final block."""
     body = {
         "head": [doc["mode"], doc["stages"], doc["strategy_count"], doc["defined_through"],
                  doc["config"]],
@@ -451,20 +452,20 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/3 bytes and the report digests of the gencomp-report/2
-# bytes; REPORT_1_DIGESTS keeps the /1 report digests, which
-# `report_1_view` of each /2 report still reproduces.
+# the gencomp-trace/4 bytes and the report digests of the gencomp-report/2
+# bytes; TRACE_3_DIGESTS and REPORT_1_DIGESTS keep the /3 trace and /1
+# report digests, which `trace_3_view` and `report_1_view` still reproduce.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
-        "9c83d42c9cc0268563ef4c9481259715b2aa5def2eea0c504b1db4a2975d8340",
+        "70f4f029355ca6d1af1e432300e5f2f282b3f16cd8b9dd89f632e6824dd20ae1",
         "385c909af4230e8b04a2e333cbef3a7e7910339194b9afd5c98cb9fa62880cf9",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
-        "ab117c15e91cf34ba1eec3ab7ca34226a80d7e4a951c7f7816477b232181e59a",
+        "13b5a902cc951bc7c5b2984c8295c4007008b35403e21d87bb3ab8933dc190a2",
         "35939845e7c27f56bff28d2703ad0de9b463c9dc57faf5dec9caeb2e920a3c78",
     ),
 }
@@ -474,8 +475,84 @@ GOLDEN = {
 def test_golden_expanded_content(name):
     cfg, content_sha, _, _ = GOLDEN[name]
     _, doc = run_experiment(dict(cfg), write=False)
-    assert doc["format"] == "gencomp-trace/3"
-    assert expanded_content_digest(doc) == content_sha
+    assert doc["format"] == "gencomp-trace/4"
+    assert expanded_content_digest(trace_3_view(doc)) == content_sha
+
+
+# the trace.json digests of the diagonal goldens as gencomp-trace/3 wrote them
+TRACE_3_DIGESTS = {
+    "pair-catalog-12": "9c83d42c9cc0268563ef4c9481259715b2aa5def2eea0c504b1db4a2975d8340",
+    "single-diagonal-12": "ab117c15e91cf34ba1eec3ab7ca34226a80d7e4a951c7f7816477b232181e59a",
+}
+
+
+def trace_3_view(doc):
+    """A gencomp-trace/4 trace in the /3 shape, rebuilt from the JSON alone:
+    the old format tag, a batch (empty or not) for every strategy, every
+    strategy's record at every stage and the final block.  An act's
+    approximation is the first p bits of the strategy's previous one
+    followed by the suffixes, its marker the nodes of its rules in side
+    order; a strategy is alive until the stage that lists its death."""
+    count = doc["strategy_count"]
+    node = (lambda parts: parts[0]) if doc["mode"] == "single" else list
+    approx, death, markers = {}, {}, {e: [] for e in range(count)}
+    records = []
+    for rec in doc["records"]:
+        s = rec["stage"]
+        marks = {}
+        for e, _, bits, _ in sorted(rec["rules"], key=lambda r: r[3]):
+            marks.setdefault(e, []).append(bits)
+        strategies = {
+            e: {"alive": e not in death, "acted": False, "died": False,
+                "approx": None, "marker": None}
+            for e in range(count)
+        }
+        for e, p, *suffixes in rec["acts"]:
+            old = approx.get(e, [""] * len(suffixes))
+            approx[e] = [a[:p] + b for a, b in zip(old, suffixes)]
+            strategies[e].update(acted=True, approx=node(approx[e]), marker=node(marks[e]))
+            markers[e].append([s, node(marks[e])])
+        for e in rec["deaths"]:
+            death[e] = s
+            strategies[e].update(alive=False, died=True)
+        batches = dict(rec["batches"])
+        records.append({
+            "stage": s,
+            "batches": [[e, batches.get(e, [])] for e in range(count)],
+            "rules": rec["rules"],
+            "strategies": [[e, strategies[e]] for e in range(count)],
+            "trap_events": rec["trap_events"],
+        })
+    final = {
+        "alive": [[e, e not in death] for e in range(count)],
+        "death_stage": [[e, death.get(e)] for e in range(count)],
+        "markers": [[e, markers[e]] for e in range(count)],
+        "approx": [[e, node(approx[e]) if e in approx else None] for e in range(count)],
+    }
+    return dict(doc, format="gencomp-trace/3", records=records, final=final)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_3_DIGESTS))
+def test_trace_4_reads_as_3(tmp_path, name):
+    # the format bump lists only the strategies that acted, died or
+    # enumerated, writes approximations as deltas and drops the final
+    # block; everything else a /3 trace said is unchanged
+    cfg, content_sha, _, _ = GOLDEN[name]
+    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    written = json.loads((tmp_path / "trace.json").read_text())
+    assert written["format"] == "gencomp-trace/4"
+    old = trace_3_view(written)
+    assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_3_DIGESTS[name]
+    assert expanded_content_digest(old) == content_sha
+
+
+def test_trace_3_fixture_is_the_view_of_its_replay():
+    # the /3 fixture was written before the bump: a strategy that springs two
+    # traps and dies at stage 3
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "trace_v3.json")) as fh:
+        old = json.load(fh)
+    _, doc = run_experiment(dict(old["config"]), write=False)
+    assert trace_3_view(doc) == old
 
 
 CODING_ROUNDTRIP_7 = {

@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomp import diagonal
-from gencomp.adversaries import CautiousCopier, PrefixFlooder, Silent, TrapSpringer
+from gencomp.adversaries import CATALOG, CautiousCopier, PrefixFlooder, Silent, TrapSpringer
 from gencomp.density import gap_census, prefix_density
 from gencomp.diagonal import (
+    PAIR,
     SINGLE,
     GapRule,
     GapRuleTable,
@@ -43,6 +44,7 @@ from gencomp.errors import (
     UndefinedInputError,
     UndefinedRegionError,
 )
+from gencomp.harness import canonical_json
 from gencomp.reals import BitPrefix, Enumerator
 from gencomp.runs import elements
 
@@ -449,7 +451,7 @@ def test_pair_mind_change_runs_pass_their_audits(data):
 def test_marker_on_path_audit_detects_tampering():
     trace = silent_run(5)
     doc = trace_to_jsonable(trace)
-    doc["records"][2]["strategies"][0][1]["marker"] = "1"
+    doc["records"][2]["rules"][0][2] = "1"  # the stage-2 marker, off the approximation 00
     bad = trace_from_jsonable(doc)
     assert audit_marker_on_path(bad)
 
@@ -461,9 +463,16 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
         [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
     )
     doc = trace_to_jsonable(trace)
-    doc["records"][2]["strategies"][0][1]["marker"] = marker  # off the approximation 00
-    doc["records"][1]["rules"] = []  # the rules of the stage-2 trap event
-    bad = trace_from_jsonable(doc)
+    # strategy 0's stage-2 marker, the nodes of its rules, off the approximation 00
+    for rule, node in zip(doc["records"][2]["rules"], [marker] if isinstance(marker, str) else marker):
+        rule[2] = node
+    loaded = trace_from_jsonable(doc)
+    # the rules of the stage-2 trap event go too; the loader rejects the acts
+    # they belong to, so they are dropped from the loaded record
+    rec = loaded.records[1]
+    dropped = StageRecord(rec.stage, rec.batches, (), rec.info, rec.trap_events)
+    bad = Trace(loaded.mode, loaded.stages, [loaded.records[0], dropped] + loaded.records[2:],
+                loaded.config_echo)
     # the audits one by one, in the order the report lists them
     expected = audit_marker_on_path(bad) + audit_trap_soundness(bad) + audit_spoiling(bad)
     for e in range(bad.strategy_count):
@@ -573,6 +582,50 @@ def test_trace_json_roundtrip():
     assert back.death_stage == trace.death_stage
     assert back.markers[1][-1].node == trace.markers[1][-1].node
     assert audit_trace(back) == []
+
+
+@st.composite
+def _round_trip_runs(draw):
+    """A run of 0-5 strategies in either mode: catalog or scripted opponents
+    under extremal selectors, and silent opponents under scripted selectors
+    whose guesses change their minds (an opponent that prunes could cut a
+    scripted guess off the tree)."""
+    mode = draw(st.sampled_from((SINGLE, PAIR)))
+    stages = draw(st.integers(1, 10))
+    k = len(diagonal.SIDES[mode])
+    specs = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            guesses = st.tuples(st.integers(0, stages), st.tuples(*[_BITS] * k))
+            selector = ScriptedSelector(draw(st.lists(guesses, min_size=1, max_size=4)))
+            specs.append(StrategySpec(Silent(), selector))
+            continue
+        kind = draw(st.sampled_from(sorted(CATALOG) + ["scripted"]))
+        if kind == "scripted":
+            schedule = draw(st.dictionaries(
+                st.integers(0, stages - 1), st.sets(st.integers(0, (1 << stages) - 1), max_size=4),
+                max_size=3))
+            source = Enumerator.from_schedule(0, schedule)
+        else:
+            source = CATALOG[kind]()
+        specs.append(StrategySpec(source, draw(st.sampled_from((LeftmostSelector, RightmostSelector)))()))
+    return run_construction(RunConfig(mode, stages, tuple(specs)))
+
+
+@given(_round_trip_runs())
+@settings(max_examples=150, deadline=None)
+def test_trace_document_round_trip(trace):
+    # the document keeps only what each stage did; the loader rebuilds every
+    # record, every view and the same bytes from it
+    doc = trace_to_jsonable(trace)
+    back = trace_from_jsonable(doc)
+    assert back.records == trace.records
+    assert [(t.side, t.rules, t.defined_through) for t in back.tables()] == [
+        (t.side, t.rules, t.defined_through) for t in trace.tables()
+    ]
+    for view in ("enumerated", "markers", "final_approx", "death_stage"):
+        assert getattr(back, view) == getattr(trace, view), view
+    assert canonical_json(trace_to_jsonable(back)) == canonical_json(doc)
 
 
 def test_tree_antitonicity():

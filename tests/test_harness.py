@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import pytest
 
 from gencomp import cli, relations
 from gencomp.diagonal import LeftmostSelector, StrategySpec, run_single, trace_from_jsonable
-from gencomp.errors import ConfigError
+from gencomp.errors import ConfigError, InvariantViolationError
 from gencomp.harness import (
     builtin_adversaries,
     canonical_json,
@@ -237,11 +238,13 @@ def test_verify_trace_file_roundtrip(tmp_path):
 
 
 def test_verify_detects_doctored_marker(tmp_path):
-    for scenario, marker in (("single-diagonal", "1"), ("pair-diagonal", ["1", "0"])):
+    # a marker is the nodes of its rules, one per side
+    for scenario, marker in (("single-diagonal", ["1"]), ("pair-diagonal", ["1", "0"])):
         out = tmp_path / scenario
         run_experiment(single_config(scenario=scenario), out_dir=str(out))
         doc = json.loads((out / "trace.json").read_text())
-        doc["records"][1]["strategies"][0][1]["marker"] = marker
+        for rule, node in zip(doc["records"][1]["rules"], marker):
+            rule[2] = node
         (out / "bad.json").write_text(canonical_json(doc))
         problems = verify_trace_file(str(out / "bad.json"))
         assert any("replay mismatch" in p for p in problems)
@@ -413,15 +416,15 @@ def test_first_difference_paths():
 def test_verify_rejects_trace_format_1(tmp_path, capsys):
     # single-diagonal traces of one 4-stage config written by earlier
     # formats: /1 listed batches element by element, /2 carried a per-act
-    # level hash
-    for version in (1, 2):
+    # level hash, /3 listed every strategy in every record and a final block
+    for version in (1, 2, 3):
         fmt = "gencomp-trace/%d" % version
         fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v%d.json" % version)
         with open(fixture) as fh:
             assert json.load(fh)["format"] == fmt
         assert cli.main(["verify", fixture]) == 2
         err = capsys.readouterr().err
-        assert fmt in err and "gencomp-trace/3" in err
+        assert fmt in err and "gencomp-trace/4" in err and "gencomp-scenario-trace/2" in err
         assert "Traceback" not in err
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -445,16 +448,18 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     out = tmp_path / "o"
     cli.main(["run", str(cfg_path), "--out-dir", str(out)])
     assert cli.main(["verify", str(out / "trace.json")]) == 0
-    # the final block and the header counts are derived from the records:
-    # only the replay comparison sees them doctored
+    # a trace the engine could have written, but not from this config: only
+    # the replay comparison sees it doctored
     for where, part, key, value in (
-        ("final.approx[0][1]", lambda d: d["final"]["approx"][0], 1, "1111"),
-        ("final.death_stage[0][1]", lambda d: d["final"]["death_stage"][0], 1, 3),
+        # the same approximation, from a shorter kept prefix
+        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"], 0, [0, 2, "00"]),
+        # another last approximation, still through the last marker
+        ("records[4].acts[0][2]", lambda d: d["records"][4]["acts"][0], 2, "1"),
         ("defined_through", lambda d: d, "defined_through", 3),
-        ("strategy_count", lambda d: d, "strategy_count", 2),
-        # gencomp-trace/2 wrote a per-act level hash; /3 records have none
-        ("records[1].strategies[0][1].level_hash",
-         lambda d: d["records"][1]["strategies"][0][1], "level_hash", "0" * 64),
+        # gencomp-trace/3 listed every strategy in every record and ended
+        # with a final block; /4 writes neither
+        ("records[1].strategies", lambda d: d["records"][1], "strategies", [[0, {}]]),
+        ("final", lambda d: d, "final", {"alive": [[0, True]]}),
     ):
         doc = json.loads((out / "trace.json").read_text())
         part(doc)[key] = value
@@ -464,25 +469,39 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().out == (
             "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n" % where
         )
-    # records the trace cannot be built from fail while it loads: a y-side
-    # rule in a single-mode trace, a stage-1 rule in the stage-2 record, and
-    # a stage-9 rule in the stage-2 record
-    def y_side(rules):
-        rules[1][0][3] = "y"
+    # records the trace cannot be built from fail while it loads: an act
+    # whose only rule is y-side, an act whose rule moved to the next record,
+    # a y-side rule in a single-mode trace, a stage-1 rule in the stage-2
+    # record, a stage-9 rule in the stage-2 record, and a strategy count
+    # other than the config's
+    def y_side(doc):
+        doc["records"][1]["rules"][0][3] = "y"
 
-    def moved(rules):
-        rules[2].insert(0, rules[1].pop())
+    def moved(doc):
+        doc["records"][2]["rules"].insert(0, doc["records"][1]["rules"].pop())
 
-    def ahead(rules):
-        rules[2].append([0, 9, "0000", "x"])
+    def y_extra(doc):
+        doc["records"][1]["rules"].append([0, 1, "", "y"])
+
+    def copied(doc):
+        doc["records"][2]["rules"].insert(0, list(doc["records"][1]["rules"][0]))
+
+    def ahead(doc):
+        doc["records"][2]["rules"].append([0, 9, "0000", "x"])
+
+    def counted(doc):
+        doc["strategy_count"] = 2
 
     for where, doctor, reason in (
-        ("records[1].rules[0][3]", y_side, "y-side rule in a single-mode trace"),
-        ("records[1].rules[0]", moved, "stage-1 rule in the record of stage 2"),
+        ("records[1].rules[0][3]", y_side, "act of strategy 0 at stage 1 has no x-side rule"),
+        ("records[1].rules[0]", moved, "act of strategy 0 at stage 1 has no x-side rule"),
+        ("records[1].rules[1]", y_extra, "y-side rule in a single-mode trace"),
+        ("records[2].rules[0][1]", copied, "stage-1 rule in the record of stage 2"),
         ("records[2].rules[1]", ahead, "stage-9 rule in the record of stage 2"),
+        ("strategy_count", counted, "strategy count 2, but the config lists 1 strategies"),
     ):
         doc = json.loads((out / "trace.json").read_text())
-        doctor([rec["rules"] for rec in doc["records"]])
+        doctor(doc)
         (out / "bad.json").write_text(canonical_json(doc))
         capsys.readouterr()
         assert cli.main(["verify", str(out / "bad.json")]) == 4
@@ -498,12 +517,85 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", str(out / "bad.json")]) == 2
 
 
+def _pair_springer_config():
+    # pair mode, strategy 0 springing traps and strategy 1 silent: both act
+    # at stage 2, strategy 0 dies at stage 3, strategy 1 acts through stage 4
+    return single_config(scenario="pair-diagonal",
+                         strategies=[{"enumerator": {"kind": "trap-springer"}}, {}])
+
+
+def _drop_rules(stage, e):
+    def doctor(records):
+        records[stage]["rules"] = [r for r in records[stage]["rules"] if r[0] != e]
+    return doctor
+
+
+@pytest.mark.parametrize("where, doctor, reason", [
+    ("records[2].rules[2]", _drop_rules(2, 1),
+     "act of strategy 1 at stage 2 has no x-side rule"),
+    ("records[2].rules[3]", lambda r: r[2]["rules"].pop(3),
+     "act of strategy 1 at stage 2 has no y-side rule"),
+    ("records[2].acts[1]", lambda r: r[2]["acts"].pop(1),
+     "rule of strategy 1 at stage 2, which did not act"),
+    ("records[4].acts[0][0]", lambda r: r[4]["acts"].insert(0, [0, 3, "0", "0"]),
+     "strategy 0 acts at stage 4, after it died"),
+    ("records[1].acts[1]", lambda r: r[1]["acts"].append([1, 0, "0", "0"]),
+     "strategy 1 acts at stage 1, before it starts"),
+    ("records[4].deaths[0]", lambda r: r[4]["deaths"].append(0),
+     "strategy 0 dies at stage 4, after it died"),
+    ("records[1].deaths[0]", lambda r: r[1]["deaths"].append(1),
+     "strategy 1 dies at stage 1, before it starts"),
+    ("records[2].deaths[0]", lambda r: r[2]["deaths"].append(0),
+     "strategy 0 dies at stage 2, after it acted"),
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, 2),
+     "act of strategy 0 at stage 2 keeps 2 bits of a 1-bit approximation"),
+    ("records[1].acts[0][1]", lambda r: r[1]["acts"][0].__setitem__(1, 1),
+     "act of strategy 0 at stage 1 keeps 1 bits of a 0-bit approximation"),
+    ("records[2].acts[0][2]", lambda r: r[2]["acts"][0].__setitem__(2, "00"),
+     "act of strategy 0 at stage 2 rebuilds ('000', '00'), not 2 bits per side"),
+    ("records[2].acts[0][3]", lambda r: r[2]["acts"][0].__setitem__(3, ""),
+     "act of strategy 0 at stage 2 rebuilds ('00', '0'), not 2 bits per side"),
+    ("records[2].acts[1]", lambda r: (r[2]["acts"].pop(1), _drop_rules(2, 1)(r)),
+     "live strategy 1 neither acts nor dies at stage 2"),
+])
+def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where, doctor, reason):
+    # acts, deaths and rules that no run writes fail while the trace loads:
+    # one VIOLATION line from the loader, after the replay's mismatch line
+    out = tmp_path / "o"
+    run_experiment(_pair_springer_config(), out_dir=str(out))
+    doc = json.loads((out / "trace.json").read_text())
+    assert [len(rec["acts"]) for rec in doc["records"]] == [0, 1, 2, 1, 1]
+    assert [rec["deaths"] for rec in doc["records"]] == [[], [], [], [0], []]
+    doctor(doc["records"])
+    (out / "bad.json").write_text(canonical_json(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out / "bad.json")]) == 4
+    printed = capsys.readouterr()
+    assert printed.out == (
+        "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n"
+        "VIOLATION: trace contents are not auditable: %s\n" % (where, reason)
+    )
+    assert "Traceback" not in printed.out + printed.err
+    with pytest.raises(InvariantViolationError, match="^%s$" % re.escape(reason)):
+        trace_from_jsonable(doc)
+
+
+def test_empty_strategy_list_runs_and_verifies(tmp_path):
+    for scenario in ("single-diagonal", "pair-diagonal"):
+        out = tmp_path / scenario
+        run_experiment(single_config(scenario=scenario, strategies=[]), out_dir=str(out))
+        doc = json.loads((out / "trace.json").read_text())
+        assert doc["strategy_count"] == 0
+        assert all(not rec["acts"] and not rec["rules"] for rec in doc["records"])
+        assert verify_trace_file(str(out / "trace.json")) == []
+
+
 def test_cli_catalog(capsys):
     assert cli.main(["catalog"]) == 0
     listed = json.loads(capsys.readouterr().out)
     assert "trap-springer" in listed["adversaries"]
     assert "single-diagonal" in listed["scenarios"]
-    assert listed["trace_format"] == "gencomp-trace/3"
+    assert listed["trace_format"] == "gencomp-trace/4"
     assert listed["report_format"] == "gencomp-report/2"
     assert listed["scenario_trace_format"] == "gencomp-scenario-trace/2"
 
@@ -531,7 +623,7 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
     assert cli.main(["verify", str(out / "v1.json")]) == 2
     err = capsys.readouterr().err
     assert "'gencomp-scenario-trace/1'" in err
-    assert "gencomp-trace/3" in err and "gencomp-scenario-trace/2" in err
+    assert "gencomp-trace/4" in err and "gencomp-scenario-trace/2" in err
     assert "Traceback" not in err
     # one image digit flipped: the replay names the image
     i, k = next((i, k) for i, entry in enumerate(doc["log"])
