@@ -36,7 +36,6 @@ from .errors import (
     UndefinedInputError,
     UndefinedRegionError,
 )
-from .reals import as_bits
 from .records import Frozen
 from .runs import clip, difference, elements, hits, normalize, union
 
@@ -53,6 +52,11 @@ SIDES = {SINGLE: (SIDE_X,), PAIR: (SIDE_X, SIDE_Y)}
 _DEFAULT_NODE_BUDGET = 1 << 18
 
 
+def as_bits(x) -> str:
+    """Coerce a bit string or a `reals.BitPrefix` to the bit string."""
+    return x if isinstance(x, str) else x.bits
+
+
 class GapRule(Frozen):
     """Remove the last 2^(stage-e) elements of block `stage` from the
     side's functional, for every oracle extending `node`.  `gap` is that
@@ -67,7 +71,7 @@ class GapRule(Frozen):
             raise SelectorCapError(
                 "rule at stage %d uses a node of length %d" % (stage, len(node))
             )
-        if not set(node) <= {"0", "1"}:
+        if node.strip("01"):
             raise ValueError("node must be a bit string")
         if side not in (SIDE_X, SIDE_Y):
             raise ValueError("side must be 'x' or 'y'")

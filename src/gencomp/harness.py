@@ -15,28 +15,11 @@ import os
 import random
 from fractions import Fraction
 
-from . import adversaries, diagonal, enumops
-from .codings import (
-    IntervalCoding,
-    ValuationCoding,
-    decode_interval,
-    decode_valuation,
-    encode_interval,
-    two_adic_valuation,
-)
+from . import adversaries, codings, diagonal, enumops, reals, relations
 # prefix_density is not called here any more; it stays importable from this
 # module because the perfbench tracer binds harness.prefix_density
 from .density import prefix_density  # noqa: F401
 from .errors import ConfigError, InvariantViolationError
-from .reals import (
-    Enumerator,
-    EventuallyPeriodicReal,
-    ExplicitPrefixReal,
-    GenericDescription,
-    SeededReal,
-    mix64,
-)
-from .relations import FiniteReflexiveRelation, embed_relation, stage_interval, universal_rel
 from .runs import count_below
 
 CONFIG_VERSION = 1
@@ -57,7 +40,7 @@ def rational(fr: Fraction) -> dict:
 
 
 def child_seed(seed: int, k: int) -> int:
-    return mix64(seed + k + 1)
+    return reals.mix64(seed + k + 1)
 
 
 def builtin_adversaries() -> dict:
@@ -76,13 +59,13 @@ def load_real(spec) -> object:
     kind = spec["kind"]
     if kind == "explicit-prefix":
         _allow(spec, {"kind", "bits"})
-        return ExplicitPrefixReal(_str(spec, "bits"))
+        return reals.ExplicitPrefixReal(_str(spec, "bits"))
     if kind == "eventually-periodic":
         _allow(spec, {"kind", "preamble", "period"})
-        return EventuallyPeriodicReal(spec.get("preamble", ""), _str(spec, "period"))
+        return reals.EventuallyPeriodicReal(spec.get("preamble", ""), _str(spec, "period"))
     if kind == "seeded-pseudorandom":
         _allow(spec, {"kind", "seed"})
-        return SeededReal(_int(spec, "seed"))
+        return reals.SeededReal(_int(spec, "seed"))
     raise ConfigError("unknown real kind %r" % kind)
 
 
@@ -106,7 +89,7 @@ def load_enumerator(spec):
             if not isinstance(elems, list) or not all(_is_natural(v) for v in elems):
                 raise ConfigError("enumerated elements must be lists of naturals")
             schedule[int(key)] = set(elems)
-        return Enumerator.from_schedule(_int(spec, "tag", default=0), schedule)
+        return reals.Enumerator.from_schedule(_int(spec, "tag", default=0), schedule)
     raise ConfigError("unknown enumerator kind %r" % kind)
 
 
@@ -146,7 +129,7 @@ def load_selector(spec, mode):
     raise ConfigError("unknown selector kind %r" % kind)
 
 
-def load_description(spec) -> GenericDescription:
+def load_description(spec) -> reals.GenericDescription:
     if not isinstance(spec, dict):
         raise ConfigError("description spec must be an object")
     if "assignments" in spec:
@@ -154,10 +137,10 @@ def load_description(spec) -> GenericDescription:
         pairs = spec["assignments"]
         if not isinstance(pairs, list):
             raise ConfigError("'assignments' must be a list of [n, bit] pairs")
-        return GenericDescription.from_pairs((int(n), int(x)) for n, x in pairs)
+        return reals.GenericDescription.from_pairs((int(n), int(x)) for n, x in pairs)
     if spec.get("domain") == "all":
         _allow(spec, {"domain", "source", "start"})
-        return GenericDescription.full(load_real(spec["source"]), start=spec.get("start", 0))
+        return reals.GenericDescription.full(load_real(spec["source"]), start=spec.get("start", 0))
     raise ConfigError("description spec needs 'assignments' or domain='all'")
 
 
@@ -358,36 +341,36 @@ def _run_coding_roundtrip(cfg):
     verdicts = []
     roundtrip_ok = True
     for k in range(count):
-        x = SeededReal(child_seed(seed, k))
-        d = GenericDescription.full(ValuationCoding(x), start=1)
+        x = reals.SeededReal(child_seed(seed, k))
+        d = reals.GenericDescription.full(codings.ValuationCoding(x), start=1)
         bits = []
         for m in range(m_max + 1):
-            got = decode_valuation(d, m, bound)
+            got = codings.decode_valuation(d, m, bound)
             roundtrip_ok &= got == x.bit(m)
             bits.append(got)
         log.append({"real": k, "decoded": "".join(str(b) for b in bits)})
     verdicts.append(_verdict("valuation-roundtrip", roundtrip_ok, count=count, m_max=m_max))
 
-    x0 = SeededReal(child_seed(seed, 0))
+    x0 = reals.SeededReal(child_seed(seed, 0))
     vectors_ok = (
-        encode_interval(x0, 8) == x0.bit(2)
-        and encode_interval(x0, 2) == x0.bit(0)
-        and encode_interval(x0, 12) == x0.bit(3)
+        codings.encode_interval(x0, 8) == x0.bit(2)
+        and codings.encode_interval(x0, 2) == x0.bit(0)
+        and codings.encode_interval(x0, 12) == x0.bit(3)
     )
     verdicts.append(_verdict("interval-strict-offset", vectors_ok, vectors=[[8, 2], [2, 0], [12, 3]]))
 
     rng = random.Random(seed)
     omitted = sorted(rng.sample(range(2, bound), min(50, bound - 2)))
     omitted_set = set(omitted)
-    d_cof = GenericDescription.from_domain(
-        lambda n: n not in omitted_set, IntervalCoding(x0), start=2
+    d_cof = reals.GenericDescription.from_domain(
+        lambda n: n not in omitted_set, codings.IntervalCoding(x0), start=2
     )
     interval_ok = True
     recovered = 0
     top_m = bound.bit_length() - 2  # largest m with the witness interval inside bound
     for m in range(top_m + 1):
         witnesses = set(range((1 << m) + 1, (1 << (m + 1)) + 1))
-        got = decode_interval(d_cof, m, bound)
+        got = codings.decode_interval(d_cof, m, bound)
         if witnesses <= omitted_set:
             interval_ok &= got is None
         else:
@@ -406,16 +389,16 @@ def _run_coding_roundtrip(cfg):
         for i in range(e, i_max):
             hi = 1 << (i + 1)
             gaps |= set(range(hi - (1 << (i - e)), hi))
-        d_gap = GenericDescription.from_domain(
-            lambda n: n not in gaps, ValuationCoding(x0), start=1
+        d_gap = reals.GenericDescription.from_domain(
+            lambda n: n not in gaps, codings.ValuationCoding(x0), start=1
         )
-        robust_ok &= decode_valuation(d_gap, m, bound) == x0.bit(m)
+        robust_ok &= codings.decode_valuation(d_gap, m, bound) == x0.bit(m)
     verdicts.append(_verdict("valuation-robust-decoding", robust_ok, m_max=min(8, m_max)))
 
     witness_ok = True
     for m in range(7):
         k = 12
-        cnt = sum(1 for n in range(1, 1 << k) if two_adic_valuation(n) == m)
+        cnt = sum(1 for n in range(1, 1 << k) if codings.two_adic_valuation(n) == m)
         witness_ok &= Fraction(cnt, 1 << k) == Fraction(1, 1 << (m + 1))
     verdicts.append(_verdict("witness-class-density", witness_ok, m_range=7, horizon=4096))
 
@@ -474,39 +457,39 @@ def _run_relation_embed(cfg):
         adjacency = [
             [a == b or rng.random() < 0.4 for b in range(size)] for a in range(size)
         ]
-        rel = FiniteReflexiveRelation(adjacency)
-        emb = embed_relation(rel)
+        rel = relations.FiniteReflexiveRelation(adjacency)
+        emb = relations.embed_relation(rel)
         embed_ok &= emb.verify()
         log.append(_embedding_jsonable(emb))
     verdicts.append(_verdict("embedding-exact", embed_ok, count=cfg["count"]))
 
-    reflexive_ok = all(universal_rel(k, k) for k in range(4096))
+    reflexive_ok = all(relations.universal_rel(k, k) for k in range(4096))
     verdicts.append(_verdict("reflexivity", reflexive_ok, ids=4096))
 
     iso_ok = True
-    s1 = stage_interval(1)
+    s1 = relations.stage_interval(1)
     for i in range(s1.lo, s1.hi):
         for j in range(s1.lo, s1.hi):
             if i != j:
-                iso_ok &= not universal_rel(i, j)
-    s2 = stage_interval(2)
+                iso_ok &= not relations.universal_rel(i, j)
+    s2 = relations.stage_interval(2)
     sample = list(range(s2.lo, s2.lo + 40)) + list(range(s2.hi - 40, s2.hi))
     for i in sample:
         for j in sample:
             if i != j:
-                iso_ok &= not universal_rel(i, j)
+                iso_ok &= not relations.universal_rel(i, j)
     verdicts.append(_verdict("same-stage-isolation", iso_ok, stage1="exhaustive", stage2="boundary-sample"))
 
     complete_ok = True
     for s in (1, 2):
-        interval = stage_interval(s)
+        interval = relations.stage_interval(s)
         seen = set()
         prior = interval.lo  # domain before stage s is exactly [0, lo)
         for new in range(interval.lo, interval.hi):
             vec = 0
             for old in range(prior):
-                digit = (1 if universal_rel(old, new) else 0) | (
-                    2 if universal_rel(new, old) else 0
+                digit = (1 if relations.universal_rel(old, new) else 0) | (
+                    2 if relations.universal_rel(new, old) else 0
                 )
                 vec += digit << (2 * old)
             seen.add(vec)

@@ -159,11 +159,6 @@ class BitPrefix(Frozen):
         return BitPrefix(self.bits + more)
 
 
-def as_bits(x) -> str:
-    """Coerce BitPrefix | str to the underlying bit string."""
-    return x.bits if isinstance(x, BitPrefix) else x
-
-
 class GenericDescription:
     """A partial bit assignment n -> {0,1}, at most one bit per index.
 

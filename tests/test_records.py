@@ -1,7 +1,9 @@
 """The value records are plain classes: start-up imports no `dataclasses`,
 and each record keeps the construction checks, equality and read-only
-fields its users rely on."""
+fields its users rely on.  Start-up also defers the modules a diagonal run
+does not reach, in a way the perfbench tracer can still see."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,14 +41,20 @@ from gencomp.relations import (
     stage_interval,
 )
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT_DIR = Path(__file__).resolve().parent.parent
+SRC = str(ROOT_DIR / "src")
+PERFBENCH = str(ROOT_DIR / "perfbench")
+
+
+def _fresh(code, *args):
+    """The stdout of `code` run with `args` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, check=True).stdout
 
 
 def _modules_after(code):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", code + "; import sys; print('\\n'.join(sys.modules))"],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    return set(out.split())
+    return set(_fresh(code + "; import sys; print('\\n'.join(sys.modules))").split())
 
 
 def test_cli_import_adds_neither_dataclasses_nor_inspect():
@@ -55,6 +63,104 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect():
     added = _modules_after("import gencomp.cli") - _modules_after("pass")
     assert "gencomp.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+LAZY_MODULES = ("codings", "enumops", "reals", "relations")
+
+# Runs each argv of sys.argv[1] through the CLI, then prints the exit codes
+# and which lazily registered modules ran their code.  The module dicts are
+# read with object.__getattribute__, which does not trigger a load; a module
+# that ran holds names besides the import system's dunders.
+_CLI_THEN_EXECUTED = """
+import contextlib, io, json, sys
+from gencomp import cli
+exits = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exits.append(cli.main(argv))
+def ran(name):
+    names = object.__getattribute__(sys.modules["gencomp." + name], "__dict__")
+    return any(not key.startswith("__") for key in names)
+print(json.dumps({"exits": exits, "executed": [n for n in %r if ran(n)]}))
+""" % (LAZY_MODULES,)
+
+STARTUP_CONFIGS = {
+    "pair-diagonal": {"version": 1, "scenario": "pair-diagonal", "stages": 8,
+                      "strategies": [{"enumerator": {"kind": kind}, "selector": {"kind": side}}
+                                     for kind, side in (("silent", "leftmost"),
+                                                        ("trap-springer", "leftmost"),
+                                                        ("cautious-copier", "leftmost"),
+                                                        ("prefix-flooder", "leftmost"),
+                                                        ("cautious-copier", "rightmost"))]},
+    "coding-roundtrip": {"version": 1, "scenario": "coding-roundtrip", "seed": 3,
+                         "count": 2, "m_max": 3, "bound": 256},
+    "relation-embed": {"version": 1, "scenario": "relation-embed", "seed": 3,
+                       "count": 3, "max_size": 3},
+    "operator-compile": {"version": 1, "scenario": "operator-compile", "machine": "echo",
+                         "element_bound": 2, "label_bound": 1},
+}
+
+
+# the lazy modules each command runs
+REACHED = {
+    "pair-diagonal": [],
+    "catalog": ["enumops", "reals"],
+    "coding-roundtrip": ["codings", "reals"],
+    "relation-embed": ["codings", "reals", "relations"],
+    "operator-compile": ["enumops", "reals"],
+}
+
+
+@pytest.mark.parametrize("command", REACHED)
+def test_cli_runs_only_the_lazy_modules_it_reaches(tmp_path, command):
+    if command == "catalog":
+        argvs = [["catalog"]]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(STARTUP_CONFIGS[command]))
+        out = tmp_path / "out"
+        argvs = [["run", str(cfg), "--out-dir", str(out)], ["verify", str(out / "trace.json")]]
+    got = json.loads(_fresh(_CLI_THEN_EXECUTED, json.dumps(argvs)))
+    assert got == {"exits": [0] * len(argvs), "executed": REACHED[command]}
+
+
+# After `import gencomp.cli`, as in perfbench/layers.py: every module the
+# tracer names is registered, and a lazy module's first attribute access
+# returns the objects a plain import of the name does.
+_TRACER_CONTRACT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import layers
+import gencomp, gencomp.cli
+targets = sorted({(m, a) for m, a, *_ in layers.FUNCTIONS + layers.COUNTED_FUNCTIONS + layers.METHODS
+                  + layers.LEAF_METHODS + layers.COUNTED_METHODS})
+modules = sorted({m for m, _ in targets})
+missing = [m for m in modules if "gencomp." + m not in sys.modules]
+first = [getattr(sys.modules["gencomp." + m], a) for m, a in targets]
+differs = []
+for (m, a), obj in zip(targets, first):
+    scope = {}
+    exec("from gencomp.%s import %s as obj" % (m, a), scope)
+    if scope["obj"] is not obj or getattr(gencomp, m) is not sys.modules["gencomp." + m]:
+        differs.append("%s.%s" % (m, a))
+print(json.dumps({"modules": modules, "missing": missing, "differs": differs,
+                  "prefix_density": gencomp.prefix_density is gencomp.density.prefix_density}))
+"""
+
+
+def test_tracer_finds_every_module_it_names_after_cli_import():
+    got = json.loads(_fresh(_TRACER_CONTRACT, PERFBENCH))
+    assert set(LAZY_MODULES) <= set(got.pop("modules"))
+    assert got == {"missing": [], "differs": [], "prefix_density": True}
+
+
+def test_tracer_installs_on_unloaded_modules_and_removes_every_wrapper():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import layers, gencomp.cli\n"
+        "tracer = layers.Tracer(); tracer.install(); print(tracer.uninstall())\n"
+    )
+    assert _fresh(code, PERFBENCH).split() == ["[]"]
 
 
 U1 = UElement(1, ((ROOT, 1),))
