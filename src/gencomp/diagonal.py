@@ -37,7 +37,7 @@ from .errors import (
     UndefinedRegionError,
 )
 from .records import Frozen
-from .runs import clip, difference, elements, hits, normalize, union
+from .runs import clip, difference, hits, normalize, union
 
 SINGLE = "single"
 PAIR = "pair"
@@ -713,64 +713,63 @@ def audit_marker_on_path(trace: Trace) -> list:
 
 
 def audit_trap_soundness(trace: Trace) -> list:
-    """After a trap is sprung, no surviving node extends the trapped one."""
+    """Every sprung trap carries its own witness: the event's run [lo, hi)
+    is in its record's batch, after the trapped rules' stage and inside
+    their gap, so every side evaluates `lo` to 0 under the trapped node.
+    By prefix determinism `lo` then spoils every extension of that node at
+    every later level, so no later level is searched."""
     bad = []
     tables = trace.tables()
     for rec in trace.records:
         for e, gap_stage, lo, hi in rec.trap_events:
-            node = tuple(
-                next((r.node for r in t.rules_at_block(gap_stage) if r.e == e), None)
-                for t in tables
-            )
-            if None in node:
-                bad.append(
-                    "trap event (%d, %d, [%d, %d)) references a rule the trace does not contain"
-                    % (e, gap_stage, lo, hi)
-                )
+            rules = [next((r for r in t.rules_at_block(gap_stage) if r.e == e), None) for t in tables]
+            if None in rules:
+                reason = "references a rule the trace does not contain"
+            elif clip(rec.batches.get(e, ()), lo, hi) != ((lo, hi),):
+                reason = "is not in strategy %d's batch of stage %d" % (e, rec.stage)
+            elif gap_stage >= rec.stage:
+                reason = "at stage %d does not follow its rule" % rec.stage
+            elif not all(r.gap[0] <= lo < hi <= r.gap[1] and t.evaluate(r.node, lo) == 0
+                         for r, t in zip(rules, tables)):
+                reason = "lies outside its gap"
+            else:
                 continue
-            for later in trace.records:
-                if later.stage <= rec.stage:
-                    continue
-                info = later.info.get(e)
-                if not info or (not info["acted"] and not info["died"]):
-                    continue
-                l = later.stage - 1
-                if len(node[0]) > l:
-                    continue
-                ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
-                if find_survivor(ctx, start=node) is not None:
-                    bad.append(
-                        "survivor extends trapped node %r at stage %d (strategy %d)"
-                        % (node, later.stage, e)
-                    )
+            bad.append("trap event (%d, %d, [%d, %d)) %s" % (e, gap_stage, lo, hi, reason))
     return bad
 
 
-def audit_spoiling(trace: Trace, brute_max: int = 12) -> list:
-    """A dead strategy's final level is empty, and (levels of at most
-    `brute_max` bits over all sides) every node has a witness: an
-    enumerated element that every side's table definitely excludes."""
+def audit_spoiling(trace: Trace) -> list:
+    """A dead strategy's final level is empty because every node has a
+    witness: 0, or an enumerated element that every side evaluates to 0
+    under the node.  Gaps are suffixes of blocks, so each block's top
+    enumerated element is its only candidate, and a witness at a node
+    serves all its extensions: the walk from the root stops descending
+    there.  Each strategy's walk charges every visited node against the
+    default node budget."""
     bad = []
     tables = trace.tables()
-    k = len(tables)
     for e, died_at in trace.death_stage.items():
         if died_at is None:
             continue
         l = died_at - 1
-        ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
-        if find_survivor(ctx) is not None:
-            bad.append("dead strategy %d still has a level-%d survivor" % (e, l))
-        if k * l <= brute_max:
-            enum = elements(clip(trace.enumerated_through(e, l), 0, 1 << l))
-            for v in range(1 << (k * l)):
-                bits = format(v, "0%db" % (k * l)) if l else ""
-                node = tuple(bits[i * l:(i + 1) * l] for i in range(k))
-                witnessed = any(
-                    n == 0 or all(t.evaluate(side, n) == 0 for t, side in zip(tables, node))
-                    for n in enum
-                )
-                if not witnessed:
-                    bad.append("no spoiling witness for %r (strategy %d)" % (node, e))
+        enum = trace.enumerated_through(e, l)
+        if enum and enum[0][0] == 0:
+            continue
+        tops = [runs[-1][1] - 1 for b in range(l) if (runs := clip(enum, 1 << b, 2 << b))]
+        budget = _DEFAULT_NODE_BUDGET
+        stack = [("",) * len(tables)]
+        while stack:
+            node = stack.pop()
+            budget -= 1
+            if budget < 0:
+                raise BudgetError("spoiling walk exceeded the node budget")
+            if any(all(t.evaluate(side, n) == 0 for t, side in zip(tables, node)) for n in tops):
+                continue
+            if len(node[0]) == l:
+                bad.append("no spoiling witness for %r (strategy %d)" % (node, e))
+                break
+            # pushed in reverse, so children pop in lexicographic order
+            stack.extend(tuple(map(add, node, step)) for step in product("10", repeat=len(node)))
     return bad
 
 

@@ -129,21 +129,6 @@ def load_selector(spec, mode):
     raise ConfigError("unknown selector kind %r" % kind)
 
 
-def load_description(spec) -> reals.GenericDescription:
-    if not isinstance(spec, dict):
-        raise ConfigError("description spec must be an object")
-    if "assignments" in spec:
-        _allow(spec, {"assignments"})
-        pairs = spec["assignments"]
-        if not isinstance(pairs, list):
-            raise ConfigError("'assignments' must be a list of [n, bit] pairs")
-        return reals.GenericDescription.from_pairs((int(n), int(x)) for n, x in pairs)
-    if spec.get("domain") == "all":
-        _allow(spec, {"domain", "source", "start"})
-        return reals.GenericDescription.full(load_real(spec["source"]), start=spec.get("start", 0))
-    raise ConfigError("description spec needs 'assignments' or domain='all'")
-
-
 # ---------------------------------------------------------------------------
 # config validation
 

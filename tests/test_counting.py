@@ -16,6 +16,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from gencomp.density import gap_census, prefix_density
 from gencomp.diagonal import (
@@ -23,12 +24,16 @@ from gencomp.diagonal import (
     GapRule,
     LevelContext,
     RunConfig,
+    StageRecord,
     Trace,
     _stage,
     audit_single_victim,
+    audit_spoiling,
+    audit_trap_soundness,
     audit_verdicts,
     census_prefixes,
     default_probe_prefixes,
+    find_survivor,
     functional_value_set,
     run_construction,
     trace_from_jsonable,
@@ -42,7 +47,8 @@ from gencomp.harness import (
     run_experiment,
     validate_config,
 )
-from test_diagonal import with_quiet_stages
+from gencomp.runs import clip, elements
+from test_diagonal import _round_trip_runs, with_quiet_stages
 
 PAIR_CATALOG_12 = {
     "version": 1,
@@ -228,6 +234,68 @@ def oracle_single_victim(trace, e, probes):
     return bad
 
 
+def oracle_trap_soundness(trace):
+    """After a trap is sprung, no surviving node extends the trapped one."""
+    bad = []
+    tables = trace.tables()
+    for rec in trace.records:
+        for e, gap_stage, lo, hi in rec.trap_events:
+            node = tuple(
+                next((r.node for r in t.rules_at_block(gap_stage) if r.e == e), None)
+                for t in tables
+            )
+            if None in node:
+                bad.append(
+                    "trap event (%d, %d, [%d, %d)) references a rule the trace does not contain"
+                    % (e, gap_stage, lo, hi)
+                )
+                continue
+            for later in trace.records:
+                if later.stage <= rec.stage:
+                    continue
+                info = later.info.get(e)
+                if not info or (not info["acted"] and not info["died"]):
+                    continue
+                l = later.stage - 1
+                if len(node[0]) > l:
+                    continue
+                ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
+                if find_survivor(ctx, start=node) is not None:
+                    bad.append(
+                        "survivor extends trapped node %r at stage %d (strategy %d)"
+                        % (node, later.stage, e)
+                    )
+    return bad
+
+
+def oracle_spoiling(trace, brute_max: int = 12):
+    """A dead strategy's final level is empty, and (levels of at most
+    `brute_max` bits over all sides) every node has a witness: an
+    enumerated element that every side's table definitely excludes."""
+    bad = []
+    tables = trace.tables()
+    k = len(tables)
+    for e, died_at in trace.death_stage.items():
+        if died_at is None:
+            continue
+        l = died_at - 1
+        ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
+        if find_survivor(ctx) is not None:
+            bad.append("dead strategy %d still has a level-%d survivor" % (e, l))
+        if k * l <= brute_max:
+            enum = elements(clip(trace.enumerated_through(e, l), 0, 1 << l))
+            for v in range(1 << (k * l)):
+                bits = format(v, "0%db" % (k * l)) if l else ""
+                node = tuple(bits[i * l:(i + 1) * l] for i in range(k))
+                witnessed = any(
+                    n == 0 or all(t.evaluate(side, n) == 0 for t, side in zip(tables, node))
+                    for n in enum
+                )
+                if not witnessed:
+                    bad.append("no spoiling witness for %r (strategy %d)" % (node, e))
+    return bad
+
+
 # --- new counting == oracle --------------------------------------------------
 
 
@@ -298,6 +366,50 @@ def test_single_victim_matches_max_over_all_approximations(run):
         reported = audit_single_victim(crowded, e, probes)
         assert reported == oracle_single_victim(crowded, e, probes)
         assert len(reported) == len(probes)
+
+
+def without_batch(trace, stage, e):
+    """The trace with strategy e's batch of `stage` dropped, every other
+    record kept as it is."""
+    rec = trace.records[stage]
+    batches = {k: runs for k, runs in rec.batches.items() if k != e}
+    dropped = StageRecord(rec.stage, batches, rec.rules, rec.info, rec.trap_events)
+    records = trace.records[:stage] + [dropped] + trace.records[stage + 1:]
+    return Trace(trace.mode, trace.stages, records, trace.config_echo)
+
+
+WITNESS_AUDITS = ((audit_trap_soundness, oracle_trap_soundness), (audit_spoiling, oracle_spoiling))
+
+
+def check_witness_audits_against_oracles(trace):
+    """The witness audits pass exactly when the DFS oracles do, and they
+    report whenever an oracle does on two doctored copies: one without the
+    batch behind the first trap event, one without the last batch a dead
+    strategy enumerated before its final level."""
+    for audit, oracle in WITNESS_AUDITS:
+        assert bool(audit(trace)) == bool(oracle(trace)), audit.__name__
+    sprung = [rec for rec in trace.records if rec.trap_events]
+    doctored = [without_batch(trace, rec.stage, rec.trap_events[0][0]) for rec in sprung[:1]]
+    for e, died_at in sorted(trace.death_stage.items()):
+        if died_at is not None:
+            spoiler = max(rec.stage for rec in trace.records[:died_at] if rec.batches.get(e))
+            doctored.append(without_batch(trace, spoiler, e))
+            break
+    for bad in doctored:
+        for audit, oracle in WITNESS_AUDITS:
+            assert audit(bad) or not oracle(bad), audit.__name__
+    return doctored
+
+
+@given(_round_trip_runs())
+@settings(max_examples=100, deadline=None)
+def test_witness_audits_agree_with_the_dfs_oracles(trace):
+    check_witness_audits_against_oracles(trace)
+
+
+def test_witness_audits_agree_with_the_dfs_oracles_on_the_oracle_cases(run):
+    _, trace = run
+    assert check_witness_audits_against_oracles(trace)
 
 
 def test_value_sets_match_per_n_evaluation(run):

@@ -490,6 +490,53 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
         assert any(part in msg for msg in expected), part
 
 
+def _doctor_trap_event(event, batch):
+    def doctor(rec):
+        rec["trap_events"][0], rec["batches"] = event, [[0, batch]] if batch else []
+    return doctor
+
+
+@pytest.mark.parametrize("build", [run_single, run_pair])
+@pytest.mark.parametrize("doctor, reason", [
+    # one element below the gap, or one past it, the batch widened to cover it
+    (_doctor_trap_event([0, 1, 1, 2], [[1, 3]]), "trap event (0, 1, [1, 2)) lies outside its gap"),
+    (_doctor_trap_event([0, 1, 2, 5], [[2, 5]]), "trap event (0, 1, [2, 5)) lies outside its gap"),
+    # the rule of the event's own stage, not yet issued when the run came
+    (_doctor_trap_event([0, 2, 2, 3], [[2, 3]]), "trap event (0, 2, [2, 3)) at stage 2 does not follow its rule"),
+    (_doctor_trap_event([0, 1, 2, 3], None),
+     "trap event (0, 1, [2, 3)) is not in strategy 0's batch of stage 2"),
+], ids=["below-gap", "past-gap", "gap-stage-shifted", "batch-missing"])
+def test_trap_soundness_reports_an_event_that_is_no_witness(build, doctor, reason):
+    trace = build(
+        6,
+        [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
+    )
+    doc = trace_to_jsonable(trace)
+    assert doc["records"][2]["trap_events"] == [[0, 1, 2, 3]]
+    doctor(doc["records"][2])
+    assert audit_trap_soundness(trace_from_jsonable(doc)) == [reason]
+
+
+def test_witness_audits_search_no_level(monkeypatch):
+    # trap soundness and spoiling read their witnesses off the trace: they
+    # build no level context and run no survivor search
+    sel = ScriptedSelector([(9, ("1111", "0010"))])
+    traces = [build(8, [StrategySpec(TrapSpringer(), selector())])
+              for build in (run_single, run_pair) for selector in (LeftmostSelector, RightmostSelector)]
+    traces.append(run_pair(20, [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), sel)]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an audit searched a level")
+
+    monkeypatch.setattr(diagonal, "LevelContext", refuse)
+    monkeypatch.setattr(diagonal, "find_survivor", refuse)
+    for trace in traces:
+        assert any(rec.trap_events for rec in trace.records) and trace.death_stage[0] is not None
+        assert audit_trap_soundness(trace) == []
+        assert audit_spoiling(trace) == []
+    assert len(traces[-1].approx_chains(1)) == 2
+
+
 def test_scripted_selector_mind_change():
     sel = ScriptedSelector([(3, ("111111",))])
     trace = run_single(6, [StrategySpec(Silent(), sel)])

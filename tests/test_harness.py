@@ -4,13 +4,12 @@ import re
 
 import pytest
 
-from gencomp import cli, relations
+from gencomp import cli, diagonal, relations
 from gencomp.diagonal import LeftmostSelector, StrategySpec, run_single, trace_from_jsonable
-from gencomp.errors import ConfigError, InvariantViolationError
+from gencomp.errors import BudgetError, ConfigError, InvariantViolationError
 from gencomp.harness import (
     builtin_adversaries,
     canonical_json,
-    load_description,
     load_enumerator,
     load_real,
     load_selector,
@@ -70,10 +69,6 @@ def test_loaders():
     assert load_selector({"kind": "rightmost"}, "single").kind == "rightmost"
     sel = load_selector({"kind": "scripted", "entries": [[2, "01"]]}, "single")
     assert sel.entries == ((2, ("01",)),)
-    d = load_description({"assignments": [[3, 1]]})
-    assert d.lookup(3) == 1
-    d2 = load_description({"domain": "all", "source": {"kind": "eventually-periodic", "period": "1"}, "start": 1})
-    assert d2.lookup(0) is None and d2.lookup(5) == 1
 
 
 def test_builtin_adversaries_catalog():
@@ -578,6 +573,26 @@ def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where,
     assert "Traceback" not in printed.out + printed.err
     with pytest.raises(InvariantViolationError, match="^%s$" % re.escape(reason)):
         trace_from_jsonable(doc)
+
+
+def test_spoiling_walk_charges_the_node_budget(tmp_path, monkeypatch, capsys):
+    # strategy 0 dies at stage 3 with a witness at the root: its walk
+    # visits one node, which a zero budget cannot pay for
+    out = tmp_path / "o"
+    run_experiment(_pair_springer_config(), out_dir=str(out))
+    trace = trace_from_jsonable(json.loads((out / "trace.json").read_text()))
+    monkeypatch.setattr(diagonal, "_DEFAULT_NODE_BUDGET", 1)
+    assert diagonal.audit_spoiling(trace) == []
+    monkeypatch.setattr(diagonal, "_DEFAULT_NODE_BUDGET", 0)
+    with pytest.raises(BudgetError):
+        diagonal.audit_spoiling(trace)
+    reason = "trace contents are not auditable: spoiling walk exceeded the node budget"
+    assert verify_trace_file(str(out / "trace.json")) == [reason]
+    capsys.readouterr()
+    assert cli.main(["verify", str(out / "trace.json")]) == 4
+    printed = capsys.readouterr()
+    assert printed.out == "VIOLATION: %s\n" % reason
+    assert "Traceback" not in printed.out + printed.err
 
 
 def test_empty_strategy_list_runs_and_verifies(tmp_path):
