@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import diagonal, enumops, harness
+from . import adversaries, diagonal, enumops, harness
 from .errors import BudgetError, ConfigError, GencompError, InvariantViolationError
 
 EXIT_PASS = 0
@@ -44,10 +44,9 @@ def _cmd_verify(args) -> int:
 def _cmd_catalog(args) -> int:
     doc = {
         "scenarios": list(harness.SCENARIOS),
-        "adversaries": sorted(harness.builtin_adversaries()),
+        "adversaries": sorted(adversaries.CATALOG),
         "selectors": ["leftmost", "rightmost", "scripted"],
         "machines": sorted(enumops.battery()),
-        "real_kinds": ["explicit-prefix", "eventually-periodic", "seeded-pseudorandom"],
         "trace_format": diagonal.TRACE_FORMAT,
         "report_format": harness.REPORT_FORMAT,
         "scenario_trace_format": harness.SCENARIO_TRACE_FORMAT,

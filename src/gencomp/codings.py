@@ -1,6 +1,6 @@
 """Bit codings recoverable from dense partial descriptions.
 
-Two codings of a real X into a larger real, plus the asymmetric join:
+Two codings of a real X into a larger real:
 
 * valuation coding: bit n (n >= 1) copies X at the 2-adic valuation of n,
   so each source bit lands on a positive-density set of indices and any
@@ -9,8 +9,6 @@ Two codings of a real X into a larger real, plus the asymmetric join:
   power of two strictly below n, so source bit m lands on the finite
   interval (2^m, 2^(m+1)] and a dense description recovers all but
   finitely many source bits.
-* asymmetric join of A and B: B on the powers of two, the valuation
-  coding of A everywhere else.
 
 Decoders take an explicit search bound; "not found" is a value (None),
 not an error, so callers can enlarge bounds.  Witness disagreement is
@@ -50,16 +48,6 @@ def encode_interval(x: RealSpec, n: int) -> int:
     of two strictly below n; n >= 2.  Note the strict inequality: n = 2^m
     maps to source bit m-1."""
     return x.bit(floor_log2_below(n))
-
-
-def asymmetric_join_bit(a: RealSpec, b: RealSpec, n: int) -> int:
-    """Bit n of the asymmetric join: B.bit(k) when n = 2^k, valuation
-    coding of A off the powers of two; n >= 1."""
-    if n < 1:
-        raise ExcludedIndexError("asymmetric join starts at n=1")
-    if n & (n - 1) == 0:
-        return b.bit(n.bit_length() - 1)
-    return encode_valuation(a, n)
 
 
 def _copied_bits(source: RealSpec, ms: list) -> list:
@@ -111,17 +99,6 @@ class IntervalCoding(RealSpec, Frozen):
         if ns and min(ns) < 2:  # the first excluded index raises as in bit()
             floor_log2_below(next(n for n in ns if n < 2))
         return _copied_bits(self.source, [(n - 1).bit_length() - 1 for n in ns])
-
-
-class AsymmetricJoin(RealSpec, Frozen):
-    __slots__ = ("main", "coded")
-
-    def __init__(self, main: RealSpec, coded: RealSpec):
-        object.__setattr__(self, "main", main)    # coded densely, off the powers of two
-        object.__setattr__(self, "coded", coded)  # coded sparsely, on the powers of two
-
-    def bit(self, n: int) -> int:
-        return asymmetric_join_bit(self.main, self.coded, n)
 
 
 def _decode(d: GenericDescription, witnesses) -> Optional[int]:

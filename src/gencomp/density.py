@@ -73,19 +73,10 @@ class GapCensus(Frozen):
         object.__setattr__(self, "omitted", omitted)  # run set inside [1, 2^i_max)
         object.__setattr__(self, "gap_only", gap_only)
 
-    @property
-    def horizon(self) -> int:
-        return 1 << self.i_max
-
     def record(self, i: int) -> Optional[int]:
         if not 0 <= i < self.i_max:
             raise InsufficientDataError("census covers blocks [0, %d) only" % self.i_max)
         return self.records[i][1]
-
-    def member(self, n: int) -> bool:
-        if not 0 <= n < self.horizon:
-            raise InsufficientDataError("census covers [0, %d) only" % self.horizon)
-        return not hits(self.omitted, n, n + 1)
 
     def gaps(self) -> list:
         """The recorded (i, e) pairs, skipping gapless blocks."""
@@ -130,69 +121,3 @@ def gap_density_upper(i: int, e: int) -> Fraction:
         raise MalformedGapError("gap exponent %d invalid for block %d" % (e, i))
     return 1 - Fraction(1, 1 << (e + 1))
 
-
-def density_threshold(census: GapCensus, e: int, n_max: int) -> Optional[int]:
-    """Least n0 <= n_max with prefix density >= 1 - 2^(-e+1) on all of
-    [n0, n_max], found by exact scan; None if n_max itself fails.
-
-    Requires a census whose omissions are pure block-suffix gaps and whose
-    horizon covers n_max.
-    """
-    if n_max < 1:
-        raise UndefinedInputError("n_max must be >= 1")
-    if n_max > census.horizon:
-        raise InsufficientDataError(
-            "census horizon %d < n_max %d" % (census.horizon, n_max)
-        )
-    if not census.gap_only:
-        raise UndefinedInputError("census omissions are not block-suffix gaps")
-    bound = 1 - Fraction(2, 1 << e)
-    count = 0
-    last_fail = 0
-    for n in range(1, n_max + 1):
-        count += census.member(n - 1)
-        if Fraction(count, n) < bound:
-            last_fail = n
-    if last_fail == n_max:
-        return None
-    return last_fail + 1
-
-
-class DensityProfile(Frozen):
-    """Exact prefix densities at selected points n <= horizon."""
-
-    __slots__ = ("horizon", "values")
-
-    def __init__(self, horizon: int, values: tuple):
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "values", values)  # ((n, Fraction), ...) sorted by n
-
-    def value(self, n: int) -> Fraction:
-        return dict(self.values)[n]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "values": [
-                [n, {"num": fr.numerator, "den": fr.denominator}] for n, fr in self.values
-            ],
-        }
-
-
-def density_profile(member: Callable[[int], bool], points) -> DensityProfile:
-    points = sorted(set(points))
-    if not points:
-        raise UndefinedInputError("at least one sample point required")
-    if points[0] < 1:
-        raise UndefinedInputError("profiles start at n=1")
-    horizon = points[-1]
-    values = []
-    count = 0
-    next_idx = 0
-    for n in range(1, horizon + 1):
-        if member(n - 1):
-            count += 1
-        if next_idx < len(points) and points[next_idx] == n:
-            values.append((n, Fraction(count, n)))
-            next_idx += 1
-    return DensityProfile(horizon, tuple(values))

@@ -52,11 +52,6 @@ SIDES = {SINGLE: (SIDE_X,), PAIR: (SIDE_X, SIDE_Y)}
 _DEFAULT_NODE_BUDGET = 1 << 18
 
 
-def as_bits(x) -> str:
-    """Coerce a bit string or a `reals.BitPrefix` to the bit string."""
-    return x if isinstance(x, str) else x.bits
-
-
 class GapRule(Frozen):
     """Remove the last 2^(stage-e) elements of block `stage` from the
     side's functional, for every oracle extending `node`.  `gap` is that
@@ -123,7 +118,6 @@ class GapRuleTable:
     def evaluate(self, prefix, n: int):
         """Tri-valued membership of n under oracles extending `prefix`:
         1 (in), 0 (definitely gapped), None (depends on longer oracle)."""
-        bits = as_bits(prefix)
         if n < 1:
             raise UndefinedInputError("the functional's value starts at n=1")
         block = n.bit_length() - 1
@@ -134,23 +128,22 @@ class GapRuleTable:
         unknown = False
         for r in self._by_block.get(block, ()):
             if n >= r.gap[0]:
-                if bits.startswith(r.node):
+                if prefix.startswith(r.node):
                     return 0
-                if r.node.startswith(bits):
+                if r.node.startswith(prefix):
                     unknown = True
         return None if unknown else 1
 
     def excluded_interval(self, block: int, prefix) -> Optional[tuple]:
         """Merged definite exclusion [lo, hi) at `block` under `prefix`,
         or None; raises if an undecided rule intersects the block."""
-        bits = as_bits(prefix)
         gaps = []
         for r in self._by_block.get(block, ()):
-            if bits.startswith(r.node):
+            if prefix.startswith(r.node):
                 gaps.append(r.gap)
-            elif r.node.startswith(bits):
+            elif r.node.startswith(prefix):
                 raise UndefinedRegionError(
-                    "rule node %r undecided under prefix of length %d" % (r.node, len(bits))
+                    "rule node %r undecided under prefix of length %d" % (r.node, len(prefix))
                 )
         # the block's gaps all end at its end: the widest starts first
         return min(gaps) if gaps else None
@@ -412,11 +405,6 @@ class Trace:
     def strategy_count(self) -> int:
         return len(self.records[0].info) if self.records else 0
 
-    @property
-    def alive(self) -> dict:
-        """e -> whether strategy e's tree is alive after the last record."""
-        return {e: died is None for e, died in self.death_stage.items()}
-
     def table(self, side=SIDE_X) -> GapRuleTable:
         """The side's rules through the last record: shared, callers do
         not add to it."""
@@ -444,14 +432,12 @@ class Trace:
             self._censuses[key] = gap_census(values, self.defined_through + 1)
         return self._censuses[key]
 
-    def level_context(self, e, l) -> LevelContext:
-        return LevelContext(l, self.enumerated_through(e, l), self.tables())
-
     def tree_level(self, e, l, budget: int = _DEFAULT_NODE_BUDGET) -> list:
         """The surviving level-l nodes of strategy e's tree."""
         if l > self.defined_through:
             raise UndefinedRegionError("level %d beyond the defined horizon" % l)
-        return enumerate_level(self.level_context(e, l), budget)
+        context = LevelContext(l, self.enumerated_through(e, l), self.tables())
+        return enumerate_level(context, budget)
 
     def approx_chains(self, e) -> list:
         """The selected path's extension chains, as [first stage, last
@@ -556,10 +542,9 @@ def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
     functional under oracles extending prefix}: the horizon minus the gap
     of every rule whose node is comparable with the prefix (a rule the
     prefix does not decide leaves its gap undecided, hence out of the set)."""
-    bits = as_bits(prefix)
     gaps = normalize(
         r.gap for r in trace.table(side).rules
-        if bits.startswith(r.node) or r.node.startswith(bits)
+        if prefix.startswith(r.node) or r.node.startswith(prefix)
     )
     return difference(((1, 1 << (trace.defined_through + 1)),), gaps)
 
@@ -819,13 +804,12 @@ def audit_gap_census_consistency(trace: Trace, prefix, side=SIDE_X) -> list:
     string) are exactly the rules whose nodes prefix it."""
     bad = []
     table = trace.table(side)
-    bits = as_bits(prefix)
     for i, recorded in trace.census(prefix, side).records:
-        applicable = [r.e for r in table.rules_at_block(i) if bits.startswith(r.node)]
+        applicable = [r.e for r in table.rules_at_block(i) if prefix.startswith(r.node)]
         expected = min(applicable) if applicable else None
         if recorded != expected:
             bad.append(
-                "block %d census %r != rules %r under %r" % (i, recorded, expected, bits)
+                "block %d census %r != rules %r under %r" % (i, recorded, expected, prefix)
             )
     return bad
 

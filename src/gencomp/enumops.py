@@ -26,21 +26,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Callable, Iterable, Optional
 
-from .errors import BudgetError, FalsifiedPremiseError, InsufficientOracleError, UndefinedInputError
-from .reals import Enumerator, RealSpec
+from .errors import BudgetError, InsufficientOracleError, UndefinedInputError
 from .records import Frozen
-
-
-def finite_assignment(pairs: Iterable[tuple]) -> frozenset:
-    """A finite functional set of (index, bit) pairs."""
-    out = frozenset(pairs)
-    indices = [n for n, _ in out]
-    if len(indices) != len(set(indices)):
-        raise ValueError("assignment is not functional in the index")
-    for _, x in out:
-        if x not in (0, 1):
-            raise ValueError("assigned bit must be 0 or 1")
-    return out
 
 
 class EnumerationOperator(Frozen):
@@ -55,9 +42,6 @@ class EnumerationOperator(Frozen):
         object.__setattr__(self, "axioms", axioms)  # frozenset of (output, frozenset premise)
         object.__setattr__(self, "extent", max(
             (_index(el) + 1 for _, premise in axioms for el in premise), default=0))
-
-    def outputs(self) -> frozenset:
-        return frozenset(a for a, _ in self.axioms)
 
 
 def _index(element) -> int:
@@ -196,37 +180,6 @@ def functional_to_operator(phi: FunctionalSpec, element_bound: Optional[int] = N
         for output in reachable_outputs(phi, assignment, label_bound, budget):
             axioms.add((output, frozenset(assignment)))
     return EnumerationOperator(frozenset(axioms))
-
-
-def generic_computation_from_subset_enumeration(y: Enumerator, x: RealSpec,
-                                                s: int) -> dict:
-    """The partial map asserting membership exactly on the elements the
-    enumerator has produced by stage s; every produced element must lie in
-    the target set."""
-    out = {}
-    for n in sorted(y.at(s)):
-        if x.bit(n) != 1:
-            raise FalsifiedPremiseError(
-                "enumerated %d lies outside the claimed superset" % n
-            )
-        out[n] = 1
-    return out
-
-
-def subset_enumeration_from_generic_computation(run: Iterable[tuple],
-                                                x: RealSpec,
-                                                tag: int = 0) -> Enumerator:
-    """Turn a recorded truthful partial computation of X (triples
-    (n, bit, stage)) into the enumerator of its positive part."""
-    schedule = {}
-    for n, bit, stage in run:
-        if x.bit(n) != bit:
-            raise FalsifiedPremiseError(
-                "recorded output (%d,%d) is false for the target" % (n, bit)
-            )
-        if bit == 1:
-            schedule.setdefault(stage, set()).add(n)
-    return Enumerator.from_schedule(tag, schedule)
 
 
 def _echo_step(state, triple):

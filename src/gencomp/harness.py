@@ -16,8 +16,9 @@ import random
 from fractions import Fraction
 
 from . import adversaries, codings, diagonal, enumops, reals, relations
-# prefix_density is not called here any more; it stays importable from this
-# module because the perfbench tracer binds harness.prefix_density
+# nothing here calls prefix_density, and the perfbench tracer patches every
+# binding of density.prefix_density without needing this one; the import
+# stays because perfbench's tests read harness.prefix_density
 from .density import prefix_density  # noqa: F401
 from .errors import ConfigError, InvariantViolationError
 from .runs import count_below
@@ -43,40 +44,18 @@ def child_seed(seed: int, k: int) -> int:
     return reals.mix64(seed + k + 1)
 
 
-def builtin_adversaries() -> dict:
-    """Catalog of opponent enumerators available to diagonal scenarios."""
-    return dict(adversaries.CATALOG)
-
-
 # ---------------------------------------------------------------------------
-# component loaders (the JSON schemas for reals, enumerators, descriptions
-# and selectors live here; other modules only define the semantics)
-
-
-def load_real(spec) -> object:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("real spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "explicit-prefix":
-        _allow(spec, {"kind", "bits"})
-        return reals.ExplicitPrefixReal(_str(spec, "bits"))
-    if kind == "eventually-periodic":
-        _allow(spec, {"kind", "preamble", "period"})
-        return reals.EventuallyPeriodicReal(spec.get("preamble", ""), _str(spec, "period"))
-    if kind == "seeded-pseudorandom":
-        _allow(spec, {"kind", "seed"})
-        return reals.SeededReal(_int(spec, "seed"))
-    raise ConfigError("unknown real kind %r" % kind)
+# component loaders (the JSON schemas for enumerators and selectors live
+# here; other modules only define the semantics)
 
 
 def load_enumerator(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("enumerator spec must be an object with a 'kind'")
     kind = spec["kind"]
-    catalog = builtin_adversaries()
-    if kind in catalog:
+    if kind in adversaries.CATALOG:
         _allow(spec, {"kind"})
-        return catalog[kind]()
+        return adversaries.CATALOG[kind]()
     if kind == "scripted":
         _allow(spec, {"kind", "tag", "stages"})
         stages = spec.get("stages", {})

@@ -3,14 +3,12 @@
 A "real" here is a subset of the naturals presented through its
 characteristic sequence: a total, closed-form rule n -> bit(n).  Reals are
 generators, not stateful streams, so any construction may re-query bits at
-any stage and replays stay exact.  The module also houses finite bit
-prefixes, partial truthful descriptions, their stage-labelled variants, and
-scripted monotone enumerators.
+any stage and replays stay exact.  The module also houses partial truthful
+descriptions and scripted monotone enumerators.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -60,10 +58,6 @@ class RealSpec:
         index list.  Subclasses may answer it faster; since a real is a
         pure rule, the answer is always [self.bit(n) for n in ns]."""
         return [self.bit(n) for n in ns]
-
-    def member(self, n: int) -> bool:
-        """Set-view of the real: n is a member iff bit(n) == 1."""
-        return self.bit(n) == 1
 
 
 class ExplicitPrefixReal(RealSpec, Frozen):
@@ -125,38 +119,6 @@ class SeededReal(RealSpec, Frozen):
         if n < 0:
             raise UndefinedInputError("bit index must be >= 0")
         return seeded_bit(self.seed, n)
-
-
-def all_zeros() -> EventuallyPeriodicReal:
-    return EventuallyPeriodicReal("", "0")
-
-
-def all_ones() -> EventuallyPeriodicReal:
-    return EventuallyPeriodicReal("", "1")
-
-
-class BitPrefix(Frozen):
-    """A finite binary sequence; indexable at 0..len-1."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: str):
-        if not set(bits) <= {"0", "1"}:
-            raise ValueError("bits must be a string over {0,1}")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return int(self.bits[i])
-
-    def is_prefix_of(self, other: "BitPrefix | str") -> bool:
-        o = other.bits if isinstance(other, BitPrefix) else other
-        return o.startswith(self.bits)
-
-    def extend(self, more: str) -> "BitPrefix":
-        return BitPrefix(self.bits + more)
 
 
 class GenericDescription:
@@ -225,55 +187,6 @@ class GenericDescription:
 
     def lookup(self, n: int) -> Optional[int]:
         return self.values((n,))[0]
-
-
-class DescriptionReport(Frozen):
-    __slots__ = ("truthful", "domain_prefix_density")
-
-    def __init__(self, truthful: bool, domain_prefix_density: Fraction):
-        object.__setattr__(self, "truthful", truthful)
-        object.__setattr__(self, "domain_prefix_density", domain_prefix_density)
-
-
-def validate_description(d: GenericDescription, source: RealSpec, horizon: int) -> DescriptionReport:
-    """Exact truthfulness and domain density of `d` below `horizon`.
-
-    Truthful iff every assignment with n < horizon matches the source;
-    density is the exact rational |assigned below horizon| / horizon.
-    """
-    if horizon < 1:
-        raise UndefinedInputError("horizon must be >= 1")
-    xs = d.values(range(horizon))
-    assigned = [n for n, x in enumerate(xs) if x is not None]
-    truthful = source.bits(assigned) == [xs[n] for n in assigned]
-    return DescriptionReport(truthful, Fraction(len(assigned), horizon))
-
-
-class TimeDependentDescription:
-    """A set of triples (n, x, l): a description together with the stage
-    label l at which each pair was made available."""
-
-    def __init__(self, triples: Iterable[tuple]):
-        seen = {}
-        tset = set()
-        for n, x, l in triples:
-            if x not in (0, 1):
-                raise ValueError("assigned bit must be 0 or 1")
-            if l < 0:
-                raise ValueError("stage label must be >= 0")
-            if n in seen and seen[n] != x:
-                raise CorruptDescriptionError(
-                    "index %d labelled with both bits" % n
-                )
-            seen[n] = x
-            tset.add((n, x, l))
-        self.triples = frozenset(tset)
-
-    def project(self, source: Optional[RealSpec] = None) -> GenericDescription:
-        """Forget the stage labels; dedup is consistent by construction."""
-        return GenericDescription.from_pairs(
-            {(n, x) for (n, x, _) in self.triples}, source=source
-        )
 
 
 class Enumerator(Frozen):

@@ -19,11 +19,9 @@ old->new the low bit of each digit.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Iterable
 
-from .codings import two_adic_valuation
-from .errors import CapacityError, ExcludedIndexError, InvariantViolationError, UndefinedInputError
+from .errors import CapacityError, InvariantViolationError, UndefinedInputError
 from .records import Frozen
 
 # ids and combo arithmetic are capped at this many bits (~0.5 MB integers);
@@ -228,43 +226,3 @@ def embed_relation(r: FiniteReflexiveRelation) -> Embedding:
         raise InvariantViolationError("embedding failed to preserve the relation")
     return emb
 
-
-def pair_code(m: int, j: int) -> int:
-    """Diagonal (Cantor) pairing; pinned by test vectors."""
-    if m < 0 or j < 0:
-        raise UndefinedInputError("pairing is over naturals")
-    return (m + j) * (m + j + 1) // 2 + j
-
-
-def pair_decode(k: int) -> tuple:
-    if k < 0:
-        raise UndefinedInputError("pairing is over naturals")
-    w = (isqrt(8 * k + 1) - 1) // 2
-    j = k - w * (w + 1) // 2
-    return (w - j, j)
-
-
-def related_join_bit(rel: FiniteReflexiveRelation, reals, i: int, k: int) -> int:
-    """Bit k of the join of the columns related to member i: 1 iff k codes
-    (m, j) with rel(i, j) and source column j has bit m set."""
-    if k < 0:
-        raise UndefinedInputError("bit index must be >= 0")
-    m, j = pair_decode(k)
-    if j < rel.size and rel.rel(i, j):
-        return reals[j].bit(m)
-    return 0
-
-
-def relation_member_bit(rel: FiniteReflexiveRelation, reals, i: int, n: int) -> int:
-    """Bit n of the real standing for member i: the asymmetric join of
-    column i with the join of its related columns (join coded on the
-    powers of two, valuation coding of column i elsewhere)."""
-    if i < 0 or i >= rel.size:
-        raise UndefinedInputError("member index out of range")
-    if len(reals) != rel.size:
-        raise UndefinedInputError("one source column per relation member required")
-    if n < 1:
-        raise ExcludedIndexError("member reals start at n=1")
-    if n & (n - 1) == 0:
-        return related_join_bit(rel, reals, i, n.bit_length() - 1)
-    return reals[i].bit(two_adic_valuation(n))

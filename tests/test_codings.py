@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomp.codings import (
-    AsymmetricJoin,
     IntervalCoding,
     ValuationCoding,
-    asymmetric_join_bit,
     decode_interval,
     decode_valuation,
     encode_interval,
@@ -17,7 +15,7 @@ from gencomp.codings import (
     two_adic_valuation,
 )
 from gencomp.errors import CorruptDescriptionError, ExcludedIndexError
-from gencomp.reals import EventuallyPeriodicReal, GenericDescription, SeededReal, all_zeros
+from gencomp.reals import EventuallyPeriodicReal, GenericDescription, SeededReal
 
 
 def test_valuation_arithmetic():
@@ -47,17 +45,6 @@ def test_encode_interval_strict_offset():
     for n in (0, 1):
         with pytest.raises(ExcludedIndexError):
             encode_interval(x, n)
-
-
-def test_asymmetric_join_examples():
-    a, b = SeededReal(1), SeededReal(2)
-    assert asymmetric_join_bit(a, b, 16) == b.bit(4)
-    assert asymmetric_join_bit(a, b, 12) == a.bit(2)
-    assert asymmetric_join_bit(a, b, 3) == a.bit(0)
-    with pytest.raises(ExcludedIndexError):
-        asymmetric_join_bit(a, b, 0)
-    j = AsymmetricJoin(a, b)
-    assert j.bit(16) == b.bit(4) and j.bit(12) == a.bit(2)
 
 
 def test_decode_valuation_single_witness():
@@ -161,7 +148,7 @@ def test_powers_of_two_are_sparse():
 
 def test_coded_real_source_queries():
     # coded reals compose: a description of a coding of the all-zeros real
-    d = GenericDescription.full(ValuationCoding(all_zeros()), start=1)
+    d = GenericDescription.full(ValuationCoding(EventuallyPeriodicReal("", "0")), start=1)
     assert decode_valuation(d, 4, 64) == 0
 
 
@@ -317,3 +304,32 @@ def test_doctored_decoding_matches_ordered_scan(seed, kind, m, bound, noise, dat
             decode(d, m, bound)
     else:
         assert decode(d, m, bound) == expected
+
+
+def test_floor_log2_below_brackets_its_argument():
+    for n in range(2, 300):
+        m = floor_log2_below(n)
+        assert 1 << m < n <= 1 << (m + 1)
+    for n in (-4, 0, 1):
+        with pytest.raises(ExcludedIndexError):
+            floor_log2_below(n)
+
+
+def test_two_adic_valuation_matches_division():
+    for n in range(1, 300):
+        v = two_adic_valuation(n)
+        assert n % (1 << v) == 0 and (n >> v) % 2 == 1
+    with pytest.raises(ExcludedIndexError):
+        two_adic_valuation(-2)
+
+
+def test_decoders_reject_negative_bits_and_short_bounds():
+    x = SeededReal(8)
+    d = GenericDescription.full(ValuationCoding(x))
+    e = GenericDescription.full(IntervalCoding(x), start=2)
+    for decode, desc in ((decode_valuation, d), (decode_interval, e)):
+        with pytest.raises(ExcludedIndexError):
+            decode(desc, -1, 100)
+    # no witness lies at or below the bound: "not found", not an error
+    assert decode_valuation(d, 5, 31) is None and decode_valuation(d, 5, 32) == x.bit(5)
+    assert decode_interval(e, 5, 32) is None and decode_interval(e, 5, 33) == x.bit(5)

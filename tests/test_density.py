@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from gencomp.density import (
     block_of,
-    density_profile,
-    density_threshold,
     gap_census,
     gap_density_upper,
     gap_interval,
@@ -170,89 +168,74 @@ def test_gap_density_upper_examples():
     assert prefix_density(member, 16) == Fraction(12, 16) == gap_density_upper(3, 1)
 
 
-def test_density_threshold_single_gap():
-    member = lambda n: n not in {12, 13, 14, 15}
-    census = gap_census(present(member, 13), 13)
-    # e=1 bound is 1 - 2^0 = 0: satisfied from the start
-    assert density_threshold(census, 1, 64) == 1
-    assert prefix_density(member, 16) >= 1 - Fraction(2, 2)
-    # scan oracle for a bound that actually bites: e=3 needs density >= 3/4
-    got = density_threshold(census, 3, 64)
-    bound = 1 - Fraction(2, 8)
-    fails = [n for n in range(1, 65) if prefix_density(member, n) < bound]
-    assert got == max(fails) + 1 if fails else 1
-    assert all(prefix_density(member, n) >= bound for n in range(got, 65))
-
-
-def test_density_threshold_no_gaps():
-    census = gap_census(present(lambda n: True, 11), 11)
-    assert density_threshold(census, 4, 1024) == 1
-
-
-def test_density_threshold_everywhere_gapped():
-    # a size-2^-1 gap at every block: the recurring block-end densities sit
-    # just above 1/2, so the e=2 bound (1/2) stabilizes immediately while
-    # the e=3 bound (3/4) keeps failing forever (frozen from the exact
-    # scan; the bound is pinned as 1 - 2^(-e+1))
-    omitted = set()
-    for i in range(1, 13):
-        lo, hi = gap_interval(i, 1)
-        omitted.update(range(lo, hi))
-    census = gap_census(present(lambda n: n not in omitted, 13), 13)
-    assert density_threshold(census, 2, 1024) == 1
-    assert density_threshold(census, 3, 1024) is None
-    assert prefix_density(lambda n: n not in omitted, 1024) == Fraction(513, 1024)
-
-
-def test_density_threshold_errors():
-    census = gap_census(present(lambda n: True, 5), 5)
-    with pytest.raises(InsufficientDataError):
-        density_threshold(census, 2, 1 << 10)
-    ragged = gap_census(present(lambda n: n != 9, 5), 5)  # interior hole, not a suffix
-    assert not ragged.gap_only
-    with pytest.raises(UndefinedInputError):
-        density_threshold(ragged, 2, 16)
-
-
-def test_threshold_soundness_randomized():
-    rng = random.Random(23)
-    for _ in range(30):
-        omitted, _ = make_gap_only(rng)
-        member = lambda n: n not in omitted
-        census = gap_census(present(member, 13), 13)
-        # running count: density[n] = |{k < n : member(k)}| / n, recounted
-        # from `member` alone, independent of density_threshold
-        count = 0
-        density = [None]
-        for n in range(1, 4097):
-            count += member(n - 1)
-            density.append(Fraction(count, n))
-        assert density[4096] == prefix_density(member, 4096)
-        for e in (2, 3, 4):
-            n0 = density_threshold(census, e, 4096)
-            bound = 1 - Fraction(2, 1 << e)
-            if n0 is None:
-                assert density[4096] < bound
-            else:
-                assert all(density[n] >= bound for n in range(n0, 4097))
-                assert n0 == 1 or density[n0 - 1] < bound
-
-
 def test_intersection_inequality_seeded():
     for seed in range(10):
         a, b = SeededReal(seed), SeededReal(seed + 1000)
         ca = cb = cab = 0
         for n in range(1, 1 << 10):
-            ca += a.member(n - 1)
-            cb += b.member(n - 1)
-            cab += a.member(n - 1) and b.member(n - 1)
+            ca += a.bit(n - 1)
+            cb += b.bit(n - 1)
+            cab += a.bit(n - 1) & b.bit(n - 1)
             assert cab >= ca + cb - n
 
 
-def test_density_profile():
-    prof = density_profile(lambda n: n % 2 == 0, [1, 2, 10, 16])
-    assert prof.value(10) == Fraction(5, 10)
-    assert prof.value(1) == 1
-    assert prof.horizon == 16
+
+def test_block_of_rejects_negative_index():
     with pytest.raises(UndefinedInputError):
-        density_profile(lambda n: True, [0, 4])
+        block_of(-1)
+
+
+def test_blocks_partition_the_positive_naturals():
+    blocks = [block_of(i) for i in range(10)]
+    assert [b.size for b in blocks] == [1 << i for i in range(10)]
+    assert all(a.hi == b.lo for a, b in zip(blocks, blocks[1:]))
+    for n in range(1, 1 << 10):
+        assert [b.i for b in blocks if n in b] == [n.bit_length() - 1]
+    assert not any(0 in b for b in blocks)
+
+
+def test_gap_interval_is_a_block_suffix():
+    for i in range(9):
+        blk = block_of(i)
+        for e in range(i + 1):
+            lo, hi = gap_interval(i, e)
+            assert hi == blk.hi and lo in blk
+            assert hi - lo == 1 << (i - e)
+        for e in (-1, i + 1):
+            with pytest.raises(MalformedGapError):
+                gap_interval(i, e)
+
+
+def test_gap_census_horizon_zero_and_negative():
+    with pytest.raises(UndefinedInputError):
+        gap_census(((0, 8),), -1)
+    empty = gap_census((), 0)
+    assert (empty.records, empty.omitted, empty.gap_only) == ((), (), False)
+    # 0 lies in no block: a set that keeps it is gap-only on no blocks at all
+    assert gap_census(((0, 1),), 0).gap_only is True
+
+
+def test_gap_census_gaps_and_jsonable():
+    omitted = set(range(*gap_interval(3, 1))) | set(range(*gap_interval(5, 0)))
+    census = gap_census(present(lambda n: n not in omitted, 7), 7)
+    assert census.gaps() == [(3, 1), (5, 0)]
+    assert [census.record(i) for i in range(7)] == [None, None, None, 1, None, 0, None]
+    assert census.gap_only
+    assert census.to_jsonable() == {
+        "i_max": 7,
+        "records": [[i, census.record(i)] for i in range(7)],
+        "omitted": [[12, 16], [32, 64]],
+        "gap_only": True,
+    }
+
+
+def test_single_gap_sets_meet_their_density_bound():
+    # the set missing exactly one gap has the census record of that gap
+    # and prefix density at the block end equal to gap_density_upper
+    for i in range(1, 8):
+        for e in range(i + 1):
+            lo, hi = gap_interval(i, e)
+            member = lambda n: not lo <= n < hi
+            census = gap_census(present(member, i + 1), i + 1)
+            assert census.gaps() == [(i, e)] and census.gap_only
+            assert prefix_density(member, 1 << (i + 1)) == gap_density_upper(i, e)

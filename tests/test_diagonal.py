@@ -45,7 +45,7 @@ from gencomp.errors import (
     UndefinedRegionError,
 )
 from gencomp.harness import canonical_json
-from gencomp.reals import BitPrefix, Enumerator
+from gencomp.reals import Enumerator
 from gencomp.runs import elements
 
 
@@ -88,7 +88,6 @@ def test_eval_phi_examples():
     assert t.evaluate("1", 14) is None  # undecided: node is longer
     assert t.evaluate("11", 14) == 1    # incomparable node never applies
     assert t.evaluate("10", 11) == 1    # below the gap
-    assert t.evaluate(BitPrefix("10"), 14) == 0
 
 
 def test_eval_phi_errors():
@@ -224,7 +223,7 @@ def test_hand_simulated_five_stage_run():
     ones = set(elements(functional_value_set(trace, "1111")))
     assert set(range(1, 32)) - ones == {2, 3}
     assert set(elements(functional_value_set(trace, "0000"))) == {1}
-    assert trace.alive[0] is True
+    assert trace.death_stage[0] is None
 
 
 def test_zero_strategies_full_value():
@@ -240,7 +239,6 @@ def test_scripted_spoiler_kills_tree():
     trace = run_single(7, [StrategySpec(w, LeftmostSelector())])
     assert [(m.stage, m.node) for m in trace.markers[0]] == [(1, ("",)), (2, ("0",)), (3, ("00",))]
     assert trace.death_stage[0] == 4
-    assert trace.alive[0] is False
     assert audit_trace(trace) == []
 
 
@@ -574,7 +572,6 @@ def test_pair_run_union_semantics():
     # an opponent hitting only the x-side gap never empties the pair tree
     w = Enumerator.from_schedule(0, {3: {2}})
     trace = run_pair(6, [StrategySpec(w, LeftmostSelector())])
-    assert trace.alive[0] is False or trace.death_stage[0] is None
     # 2 lies in the stage-1 gap under root on BOTH sides (markers at the
     # root issue both rules), so here the tree does die
     assert trace.death_stage[0] == 4

@@ -8,25 +8,16 @@ from gencomp.enumops import (
     all_assignments,
     apply_operator,
     battery,
-    finite_assignment,
     functional_to_operator,
-    generic_computation_from_subset_enumeration,
     reachable_outputs,
-    subset_enumeration_from_generic_computation,
     union_over_labeled_orderings,
 )
-from gencomp.errors import BudgetError, FalsifiedPremiseError, InsufficientOracleError
-from gencomp.reals import Enumerator, SeededReal, all_zeros
+from gencomp.errors import BudgetError, InsufficientOracleError, UndefinedInputError
+from gencomp.reals import SeededReal
 
 
 def op_of(*axioms):
     return EnumerationOperator(frozenset((out, frozenset(d)) for out, d in axioms))
-
-
-def test_finite_assignment_validation():
-    assert finite_assignment([(1, 0), (2, 1)]) == frozenset({(1, 0), (2, 1)})
-    with pytest.raises(ValueError):
-        finite_assignment([(1, 0), (1, 1)])
 
 
 def test_apply_operator_examples():
@@ -203,51 +194,41 @@ def test_compile_budget():
         functional_to_operator(phi, 5, 3, step_budget=50)
 
 
-def test_generic_computation_from_subset_enumeration():
-    even_real = _even_real()
-    y = Enumerator.from_schedule(0, {0: {0}, 2: {4, 6}})
-    out = generic_computation_from_subset_enumeration(y, even_real, 2)
-    assert out == {0: 1, 4: 1, 6: 1}
-    assert generic_computation_from_subset_enumeration(Enumerator.empty(), even_real, 9) == {}
-    bad = Enumerator.from_schedule(0, {1: {3}})
-    with pytest.raises(FalsifiedPremiseError):
-        generic_computation_from_subset_enumeration(bad, even_real, 5)
+def test_operator_extent_bounds_every_premise():
+    assert op_of().extent == 0
+    assert op_of((5, [])).extent == 0
+    assert op_of((7, [2, 4]), (1, [0])).extent == 5
+    w = op_of(((0, 1), [(12, 1), (3, 0)]))
+    assert w.extent == 13
+    assert apply_operator(w, {(12, 1), (3, 0)}, 13) == {(0, 1)}
+    with pytest.raises(InsufficientOracleError):
+        apply_operator(w, set(), 12)
 
 
-def _even_real():
-    from gencomp.reals import EventuallyPeriodicReal
-
-    return EventuallyPeriodicReal("", "10")
-
-
-def test_subset_enumeration_from_generic_computation():
-    even_real = _even_real()
-    run = [(0, 1, 0), (1, 0, 0), (4, 1, 2), (3, 0, 1)]
-    w = subset_enumeration_from_generic_computation(run, even_real)
-    assert w.at(0) == {0}
-    assert w.at(2) == {0, 4}
-    # positive part is a subset of the target
-    assert all(even_real.bit(n) == 1 for n in w.at(2))
-    with pytest.raises(FalsifiedPremiseError):
-        subset_enumeration_from_generic_computation([(1, 1, 0)], even_real)
+def test_all_assignments_enumerates_each_partial_assignment_once():
+    for k in range(5):
+        got = list(all_assignments(k))
+        assert len(got) == len(set(got)) == 3 ** k
+        for a in got:
+            assert [n for n, _ in a] == sorted({n for n, _ in a})
+            assert all(0 <= n < k and x in (0, 1) for n, x in a)
+    assert list(all_assignments(0)) == [()]
 
 
-def test_subset_enumeration_all_zero_outputs():
-    w = subset_enumeration_from_generic_computation(
-        [(0, 0, 0), (1, 0, 1)], all_zeros()
-    )
-    assert w.at(5) == frozenset()
+def test_functional_to_operator_requires_bounds():
+    unbounded = FunctionalSpec("echo", 0, battery()["echo"].step)
+    with pytest.raises(UndefinedInputError):
+        functional_to_operator(unbounded)
+    with pytest.raises(UndefinedInputError):
+        functional_to_operator(unbounded, 2)
+    compiled = functional_to_operator(unbounded, 2, 0)
+    assert compiled.axioms == functional_to_operator(battery()["echo"], 2, 0).axioms
 
 
-def test_subset_enumeration_density_inequality():
-    # |dom(run) ∩ X| >= |dom(run)| + |X| - n below any horizon, exactly
-    x = SeededReal(123)
-    horizon = 512
-    run = [(n, x.bit(n), n % 7) for n in range(horizon) if n % 3 != 0]
-    w = subset_enumeration_from_generic_computation(run, x)
-    y = w.at(max(l for (_, _, l) in run))
-    dom = {n for (n, _, _) in run}
-    members = {n for n in range(horizon) if x.bit(n) == 1}
-    for n in range(1, horizon + 1):
-        got = sum(1 for k in y if k < n)
-        assert got >= sum(1 for k in dom if k < n) + sum(1 for k in members if k < n) - n
+def test_threshold_and_mirror_machines():
+    threshold = battery()["threshold3"]
+    assert threshold.run([(0, 1, 0), (1, 0, 0)]) == frozenset()
+    assert threshold.run([(0, 1, 0), (1, 0, 0), (2, 1, 0)]) == {(7, 1)}
+    mirror = battery()["mirror"]
+    assert mirror.run([(2, 1, 0), (3, 0, 1)]) == {(102, 0), (103, 1)}
+    assert mirror.run([]) == frozenset()

@@ -4,14 +4,12 @@ import re
 
 import pytest
 
-from gencomp import cli, diagonal, relations
+from gencomp import adversaries, cli, diagonal, relations
 from gencomp.diagonal import LeftmostSelector, StrategySpec, run_single, trace_from_jsonable
 from gencomp.errors import BudgetError, ConfigError, InvariantViolationError
 from gencomp.harness import (
-    builtin_adversaries,
     canonical_json,
     load_enumerator,
-    load_real,
     load_selector,
     replay_trace_doc,
     report_passes,
@@ -19,7 +17,6 @@ from gencomp.harness import (
     validate_config,
     verify_trace_file,
 )
-from gencomp.reals import SeededReal
 from gencomp.runs import elements
 from test_counting import RELATION_EMBED_3, scenario_trace_1_view
 
@@ -56,11 +53,6 @@ def test_validate_config_defaults_and_strictness():
 
 
 def test_loaders():
-    assert load_real({"kind": "seeded-pseudorandom", "seed": 9}).bit(0) == SeededReal(9).bit(0)
-    assert load_real({"kind": "eventually-periodic", "period": "10"}).bit(0) == 1
-    assert load_real({"kind": "explicit-prefix", "bits": "01"}).bit(1) == 1
-    with pytest.raises(ConfigError):
-        load_real({"kind": "mystery"})
     w = load_enumerator({"kind": "scripted", "stages": {"2": [5, 1]}})
     assert w.at(2) == {1, 5}
     assert type(load_enumerator({"kind": "trap-springer"})).name == "trap-springer"
@@ -72,14 +64,14 @@ def test_loaders():
 
 
 def test_builtin_adversaries_catalog():
-    catalog = builtin_adversaries()
+    catalog = adversaries.CATALOG
     assert set(catalog) == {"silent", "trap-springer", "cautious-copier", "prefix-flooder"}
     assert list(catalog["silent"]().new_elements(0, 3, None)) == []
     assert list(catalog["prefix-flooder"]().new_elements(0, 2, None)) == [(0, 4)]
 
 
 def test_springer_reads_trace_one_stage_later():
-    springer = builtin_adversaries()["trap-springer"]()
+    springer = adversaries.CATALOG["trap-springer"]()
     trace = run_single(4, [StrategySpec(springer, LeftmostSelector())])
     # the stage-1 rule under the root gaps {2,3}; the springer enumerates
     # its first element at stage 2, the run [2, 3)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +13,14 @@ from gencomp.errors import (
     UndefinedInputError,
 )
 from gencomp.reals import (
-    BitPrefix,
     Enumerator,
     EventuallyPeriodicReal,
     ExplicitPrefixReal,
     GenericDescription,
+    RealSpec,
     SeededReal,
-    TimeDependentDescription,
-    all_zeros,
     mix64,
     seeded_bit,
-    validate_description,
 )
 
 # pinned vectors for the documented mixing function (portable traces
@@ -63,7 +59,6 @@ def test_explicit_prefix_hard_length():
 def test_seeded_real_deterministic():
     x = SeededReal(42)
     assert x.bit(5) == x.bit(5)
-    assert x.member(5) == (x.bit(5) == 1)
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6))
@@ -89,50 +84,32 @@ def test_real_bit_determinism_spot_check():
         assert spec.bit(n) == spec.bit(n)
 
 
-def test_bit_prefix_indexing():
-    p = BitPrefix("0101")
-    assert len(p) == 4
-    assert [p[i] for i in range(4)] == [0, 1, 0, 1]
-    assert p.is_prefix_of("010110")
-    assert not BitPrefix("11").is_prefix_of("10")
-    assert p.extend("1").bits == "01011"
-
-
 def test_description_contradiction_detected():
     d = GenericDescription.from_pairs([(2, 1)])
-    report = validate_description(d, all_zeros(), 8)
-    assert report.truthful is False
+    zeros = EventuallyPeriodicReal("", "0")
+    xs = d.values(range(8))
+    assert [n for n, x in enumerate(xs) if x is not None and x != zeros.bit(n)] == [2]
 
 
 def test_description_full_prefix():
     src = SeededReal(7)
     d = GenericDescription.from_pairs([(n, src.bit(n)) for n in range(8)], source=src)
-    report = validate_description(d, src, 8)
-    assert report.truthful is True
-    assert report.domain_prefix_density == 1
+    assert d.values(range(8)) == src.bits(range(8))
 
 
 def test_description_even_domain_density():
     # even indices assigned correctly against the all-zeros real
     d = GenericDescription.from_pairs([(n, 0) for n in range(0, 16, 2)])
-    report = validate_description(d, all_zeros(), 16)
-    assert report.truthful is True
-    assert report.domain_prefix_density == Fraction(8, 16)
+    assert d.values(range(16)) == [0, None] * 8
 
 
 def test_description_matches_bruteforce_comparison():
     src = SeededReal(99)
     d = GenericDescription.from_domain(lambda n: n % 3 != 0, src)
     horizon = 200
-    expected_truthful = all(
-        d.lookup(n) is None or d.lookup(n) == src.bit(n) for n in range(horizon)
-    )
-    expected_density = Fraction(
-        sum(1 for n in range(horizon) if d.lookup(n) is not None), horizon
-    )
-    report = validate_description(d, src, horizon)
-    assert report.truthful == expected_truthful
-    assert report.domain_prefix_density == expected_density
+    expected = [src.bit(n) if n % 3 else None for n in range(horizon)]
+    assert d.values(range(horizon)) == expected
+    assert [d.lookup(n) for n in range(horizon)] == expected
 
 
 def test_description_rejects_double_assignment():
@@ -142,23 +119,7 @@ def test_description_rejects_double_assignment():
 
 def test_description_source_attachment_checks_truth():
     with pytest.raises(FalsifiedPremiseError):
-        GenericDescription.from_pairs([(2, 1)], source=all_zeros())
-
-
-def test_validate_description_requires_horizon():
-    d = GenericDescription.from_pairs([])
-    with pytest.raises(UndefinedInputError):
-        validate_description(d, all_zeros(), 0)
-
-
-def test_time_dependent_projection():
-    t = TimeDependentDescription([(0, 1, 3), (0, 1, 5), (4, 0, 1)])
-    d = t.project()
-    assert d.lookup(0) == 1
-    assert d.lookup(4) == 0
-    assert d.lookup(1) is None
-    with pytest.raises(CorruptDescriptionError):
-        TimeDependentDescription([(0, 1, 3), (0, 0, 4)])
+        GenericDescription.from_pairs([(2, 1)], source=EventuallyPeriodicReal("", "0"))
 
 
 def test_enumerator_scripted_values():
@@ -273,13 +234,63 @@ def test_from_pairs_rejects_false_pairs_eagerly(kind, seed, indices, data):
     assert GenericDescription.from_pairs(pairs).lookup(liar) == oracle(liar) ^ 1
 
 
-@given(_KINDS, st.integers(0, 2**64 - 1),
-       st.dictionaries(st.integers(2, 200), st.integers(0, 1), max_size=60), st.integers(1, 250))
-@settings(max_examples=200)
-def test_validate_description_matches_per_index_oracle(kind, seed, table, horizon):
-    src, oracle = _bulk_source(kind, seed)
-    d = GenericDescription.from_pairs(table.items())
-    below = [n for n in table if n < horizon]
-    report = validate_description(d, src, horizon)
-    assert report.truthful == all(table[n] == oracle(n) for n in below)
-    assert report.domain_prefix_density == Fraction(len(below), horizon)
+def test_negative_bit_index_is_undefined_for_every_kind():
+    for spec in (ExplicitPrefixReal("01"), EventuallyPeriodicReal("1", "0"), SeededReal(3)):
+        with pytest.raises(UndefinedInputError):
+            spec.bit(-1)
+
+
+def test_bits_answers_bit_per_index_for_every_kind():
+    ns = [4, 0, 4, 9, 2]
+    for spec in (ExplicitPrefixReal("0110100111"), EventuallyPeriodicReal("1", "001"), SeededReal(3)):
+        assert spec.bits(ns) == [spec.bit(n) for n in ns]
+        assert spec.bits(range(10)) == [spec.bit(n) for n in range(10)]
+        assert spec.bits([]) == []
+    with pytest.raises(OutOfRangeError):
+        ExplicitPrefixReal("01").bits([1, 2])
+
+
+def test_real_spec_bit_is_abstract():
+    with pytest.raises(NotImplementedError):
+        RealSpec().bit(0)
+    with pytest.raises(NotImplementedError):
+        RealSpec().bits([0])
+
+
+def test_full_description_starts_at_its_start():
+    src = SeededReal(4)
+    d = GenericDescription.full(src, start=3)
+    assert d.source is src
+    assert d.values(range(8)) == [None] * 3 + src.bits(range(3, 8))
+    assert d.values(range(3, 12, 2)) == src.bits(range(3, 12, 2))
+    assert d.values([9, 1, 3]) == [src.bit(9), None, src.bit(3)]
+    assert d.values(range(7, 1, -2)) == [src.bit(7), src.bit(5), src.bit(3)]
+    assert d.lookup(2) is None and d.lookup(5) == src.bit(5)
+    assert GenericDescription.full(src).values(range(5)) == src.bits(range(5))
+
+
+def test_from_pairs_checks_each_bit():
+    with pytest.raises(ValueError, match="assigned bit must be 0 or 1"):
+        GenericDescription.from_pairs([(1, 2)])
+    d = GenericDescription.from_pairs([(4, 1), (4, 1), (0, 0)])
+    assert d.values(range(6)) == [0, None, None, None, 1, None]
+    assert d.source is None and d.lookup(4) == 1
+
+
+def test_enumerator_rejects_negative_stages():
+    with pytest.raises(ValueError, match="stages must be >= 0"):
+        Enumerator.from_schedule(0, {-1: {2}})
+    with pytest.raises(UndefinedInputError):
+        Enumerator.from_schedule(0, {0: {2}}).at(-1)
+    empty = Enumerator.empty(5)
+    assert empty.tag == 5 and empty.script == ()
+    assert all(empty.new_elements(0, s, None) == [] for s in range(4))
+
+
+def test_enumerator_new_elements_merge_into_runs():
+    w = Enumerator.from_schedule(3, {1: {3, 4, 5, 9}, 4: {6, 2}})
+    assert w.tag == 3
+    assert w.new_elements(0, 0, None) == []
+    assert w.new_elements(0, 1, None) == [(3, 6), (9, 10)]
+    assert w.new_elements(0, 4, None) == [(2, 3), (6, 7)]
+    assert w.at(4) == {2, 3, 4, 5, 6, 9}

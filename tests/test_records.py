@@ -1,19 +1,21 @@
 """The value records are plain classes: start-up imports no `dataclasses`,
 and each record keeps the construction checks, equality and read-only
 fields its users rely on.  Start-up also defers the modules a diagonal run
-does not reach, in a way the perfbench tracer can still see."""
+does not reach, in a way the perfbench tracer can still see.  Every
+definition in the package runs under some config, or is pinned here with
+the reason it stays."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gencomp.codings import AsymmetricJoin, IntervalCoding, ValuationCoding
-from gencomp.density import block_of, density_profile, gap_census
+from gencomp.codings import IntervalCoding, ValuationCoding
+from gencomp.density import block_of, gap_census
 from gencomp.diagonal import (
     GapRule,
     LeftmostSelector,
@@ -25,8 +27,6 @@ from gencomp.diagonal import (
 from gencomp.enumops import EnumerationOperator, battery
 from gencomp.errors import BudgetError, SelectorCapError, UndefinedInputError
 from gencomp.reals import (
-    BitPrefix,
-    DescriptionReport,
     Enumerator,
     EventuallyPeriodicReal,
     ExplicitPrefixReal,
@@ -40,6 +40,7 @@ from gencomp.relations import (
     from_uid,
     stage_interval,
 )
+from test_counting import ARTIFACT_GOLDEN, OPERATOR_ECHO_5
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
 SRC = str(ROOT_DIR / "src")
@@ -104,10 +105,10 @@ STARTUP_CONFIGS = {
 # the lazy modules each command runs
 REACHED = {
     "pair-diagonal": [],
-    "catalog": ["enumops", "reals"],
+    "catalog": ["enumops"],
     "coding-roundtrip": ["codings", "reals"],
-    "relation-embed": ["codings", "reals", "relations"],
-    "operator-compile": ["enumops", "reals"],
+    "relation-embed": ["relations"],
+    "operator-compile": ["enumops"],
 }
 
 
@@ -163,6 +164,121 @@ def test_tracer_installs_on_unloaded_modules_and_removes_every_wrapper():
     assert _fresh(code, PERFBENCH).split() == ["[]"]
 
 
+# Runs `gencomp run` and `verify` on each config of sys.argv[1], then
+# `gencomp catalog`, under a profile hook, and prints the exit codes and the
+# (file, first line) of every code object of the package that was called.
+_CALLED_UNDER_CONFIGS = """
+import json, os, sys
+codes = set()
+def hook(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+sys.setprofile(hook)
+import contextlib, io, tempfile
+from gencomp import cli
+exits = []
+with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+    for k, cfg in enumerate(json.loads(sys.argv[1])):
+        path, out = os.path.join(work, "%d.json" % k), os.path.join(work, str(k))
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        exits.append(cli.main(["run", path, "--out-dir", out]))
+        exits.append(cli.main(["verify", os.path.join(out, "trace.json")]))
+    exits.append(cli.main(["catalog"]))
+sys.setprofile(None)
+package = os.path.join(sys.argv[2], "gencomp", "")
+called = {(code.co_filename[len(package):], code.co_firstlineno) for code in codes
+          if code.co_filename.startswith(package)}
+print(json.dumps({"exits": exits, "called": sorted(called)}))
+"""
+
+
+def _reach_configs():
+    """One golden config per scenario, the single-diagonal one with its CSV
+    profiles on, and every battery machine compiled at element bound 3."""
+    by_scenario = {}
+    for cfg, _, _ in ARTIFACT_GOLDEN.values():
+        by_scenario.setdefault(cfg["scenario"], cfg)
+    by_scenario["single-diagonal"] = dict(by_scenario["single-diagonal"], csv_profiles=True)
+    del by_scenario["operator-compile"]
+    machines = [dict(OPERATOR_ECHO_5, machine=m, element_bound=3) for m in sorted(battery())]
+    return list(by_scenario.values()) + machines
+
+
+def _first_line(node):
+    # a code object starts at its first decorator
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
+def _unreached(called):
+    """Module-qualified names of the module-level functions and the methods
+    that never ran; a class none of whose methods ran is named alone.  A
+    class that defines no method (an exception type) runs no code of its
+    own, so it is not checked."""
+    out = []
+    for path in sorted(Path(SRC, "gencomp").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = "%s.%s" % (path.stem, node.name)
+            if isinstance(node, ast.FunctionDef):
+                if (path.name, _first_line(node)) not in called:
+                    out.append(name)
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                missed = [m.name for m in methods if (path.name, _first_line(m)) not in called]
+                if methods and len(missed) == len(methods):
+                    out.append(name)
+                else:
+                    out.extend("%s.%s" % (name, m) for m in missed)
+    return out
+
+
+# what no config reaches, and why it stays
+UNREACHED = {
+    "codings.encode_valuation": "test oracle: the per-index form ValuationCoding.bits must match",
+    "codings.ValuationCoding.bit": "test oracle: the per-index form its bits() must match",
+    "codings.IntervalCoding.bit": "test oracle: the per-index form its bits() must match",
+    "density.Block": "test oracle: test_c01's dyadic blocks",
+    "density.block_of": "test oracle: test_c01's dyadic blocks",
+    "density.prefix_density": "tracer target: perfbench/layers.py binds it by name",
+    "density.GapCensus.record": "test oracle: reads one block's census record",
+    "density.GapCensus.gaps": "test oracle: test_c01 walks the recorded gaps",
+    "density.gap_density_upper": "test oracle: test_c01's density bound",
+    "diagonal.enumerate_level": "tracer target: perfbench/layers.py binds it by name",
+    "diagonal.MarkerRecord.__eq__": "test oracle: trace round-trip tests compare records by value",
+    "diagonal.StageRecord.__eq__": "test oracle: trace round-trip tests compare records by value",
+    "diagonal.Trace.tree_level": "test oracle: test_c08's DFS check that dead means an empty level",
+    "diagonal.run_single": "test entry: tests and perfbench's tests run the engine without a config",
+    "diagonal.run_pair": "test entry: tests run the engine without a config",
+    "enumops.FunctionalSpec.run": "test oracle: a machine's emissions on one labelled ordering",
+    "harness.first_difference": "error path: names where a replayed trace differs",
+    "reals.RealSpec.bit": "abstract: every real overrides it",
+    "reals.ExplicitPrefixReal": "test fixture: decoder and description tests",
+    "reals.EventuallyPeriodicReal": "test fixture: decoder and description tests",
+    "reals.GenericDescription.from_pairs": "test fixture: decoder and description tests",
+    "reals.GenericDescription.lookup": "test oracle: the one-index form values() must match",
+    "reals.Enumerator.empty": "test fixture: a scripted opponent that enumerates nothing",
+    "records.Frozen": "misuse guard: rejects assigning or deleting a record field",
+    "relations.StageInterval.size": "test oracle: a stage interval's element count",
+    "relations.stage_of_id": "test oracle: from_uid decodes an id's stage with it",
+    "relations.uid": "test oracle: bridges related and universal_rel",
+    "relations.from_uid": "test oracle: bridges related and universal_rel",
+    "relations.FiniteReflexiveRelation.from_pairs": "test fixture: relations given as edge lists",
+    "runs.elements": "test oracle: expands a run set to its elements",
+}
+
+
+def test_every_src_definition_is_reached_or_pinned():
+    configs = _reach_configs()
+    got = json.loads(_fresh(_CALLED_UNDER_CONFIGS, json.dumps(configs), SRC))
+    assert got["exits"] == [0] * (2 * len(configs) + 1)
+    unreached = set(_unreached({tuple(c) for c in got["called"]}))
+    unpinned = sorted(unreached - set(UNREACHED))
+    assert not unpinned, "no config reaches (delete, or pin why it stays): " + ", ".join(unpinned)
+    assert unreached == set(UNREACHED), "pinned but reached: " + ", ".join(set(UNREACHED) - unreached)
+
+
 U1 = UElement(1, ((ROOT, 1),))
 
 CONSTRUCTOR_ERRORS = [
@@ -184,7 +300,6 @@ CONSTRUCTOR_ERRORS = [
     (lambda: EventuallyPeriodicReal("0", "1x"), ValueError, "bits must be strings over {0,1}"),
     (lambda: SeededReal(-1), ValueError, "seed must fit in 64 bits"),
     (lambda: SeededReal(1 << 64), ValueError, "seed must fit in 64 bits"),
-    (lambda: BitPrefix("10 1"), ValueError, "bits must be a string over {0,1}"),
 ]
 
 
@@ -234,15 +349,11 @@ def _frozen_records():
         (ExplicitPrefixReal("01"), "prefix"),
         (EventuallyPeriodicReal("0", "1"), "period"),
         (SeededReal(5), "seed"),
-        (BitPrefix("01"), "bits"),
-        (DescriptionReport(True, Fraction(1, 2)), "truthful"),
         (Enumerator.empty(), "script"),
         (block_of(3), "lo"),
         (gap_census(((0, 1 << 4),), 4), "gap_only"),
-        (density_profile(lambda n: True, [1, 2]), "values"),
         (ValuationCoding(SeededReal(1)), "source"),
         (IntervalCoding(SeededReal(1)), "source"),
-        (AsymmetricJoin(SeededReal(1), SeededReal(2)), "coded"),
         (EnumerationOperator(frozenset({(1, frozenset({0}))})), "axioms"),
         (battery()["echo"], "use_bound"),
         (stage_interval(1), "hi"),

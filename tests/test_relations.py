@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencomp.codings import two_adic_valuation
 from gencomp.errors import CapacityError, InvariantViolationError, UndefinedInputError
 from gencomp.harness import _embedding_jsonable
-from gencomp.reals import SeededReal
 from gencomp.relations import (
     ROOT,
     Embedding,
@@ -15,11 +13,7 @@ from gencomp.relations import (
     UElement,
     embed_relation,
     from_uid,
-    pair_code,
-    pair_decode,
     related,
-    related_join_bit,
-    relation_member_bit,
     stage_interval,
     stage_of_id,
     uid,
@@ -257,65 +251,6 @@ def test_image_digits_refuse_what_they_cannot_write():
             _embedding_jsonable(Embedding(r, images))
 
 
-def test_pairing_vectors():
-    vectors = [((0, 0), 0), ((1, 0), 1), ((0, 1), 2), ((2, 0), 3), ((1, 1), 4), ((0, 2), 5)]
-    for (m, j), k in vectors:
-        assert pair_code(m, j) == k
-        assert pair_decode(k) == (m, j)
-    for k in range(200):
-        m, j = pair_decode(k)
-        assert pair_code(m, j) == k
-
-
-def test_member_bit_routes_by_index():
-    rel = FiniteReflexiveRelation.from_pairs(3, [(0, 1)])
-    reals = [SeededReal(s) for s in (10, 11, 12)]
-    # off the powers of two: valuation coding of the member's own column
-    assert relation_member_bit(rel, reals, 0, 12) == reals[0].bit(2)
-    assert relation_member_bit(rel, reals, 2, 5) == reals[2].bit(0)
-    # on the powers of two: the related-columns join
-    k = pair_code(4, 1)
-    assert relation_member_bit(rel, reals, 0, 1 << k) == reals[1].bit(4)
-
-
-def test_member_bit_identity_relation_blocks_other_columns():
-    rel = FiniteReflexiveRelation.from_pairs(3, [])
-    reals = [SeededReal(s) for s in (20, 21, 22)]
-    for k in range(65):
-        m, j = pair_decode(k)
-        expected = reals[0].bit(m) if (j == 0 and rel.rel(0, j)) else 0
-        if j != 0:
-            assert related_join_bit(rel, reals, 0, k) == 0
-        assert relation_member_bit(rel, reals, 0, 1 << k) == expected
-
-
-def test_join_recovers_related_column_bits():
-    # every bit of every related column is recoverable from the sparse part
-    # by decoding the power-of-two index, for all m, j <= 5
-    size = 6
-    rel = FiniteReflexiveRelation.from_pairs(
-        size, [(0, j) for j in range(size)] + [(2, 4)]
-    )
-    reals = [SeededReal(30 + j) for j in range(size)]
-    for m in range(6):
-        for j in range(6):
-            k = pair_code(m, j)
-            assert related_join_bit(rel, reals, 0, k) == reals[j].bit(m)
-            assert relation_member_bit(rel, reals, 0, 1 << k) == reals[j].bit(m)
-            expected_2 = reals[j].bit(m) if rel.rel(2, j) else 0
-            assert related_join_bit(rel, reals, 2, k) == expected_2
-
-
-def test_member_bit_valuation_part_matches_column():
-    rel = FiniteReflexiveRelation.from_pairs(2, [(0, 1)])
-    reals = [SeededReal(40), SeededReal(41)]
-    for n in range(1, 200):
-        if n & (n - 1):
-            assert relation_member_bit(rel, reals, 1, n) == reals[1].bit(
-                two_adic_valuation(n)
-            )
-
-
 def test_universal_rel_stage_boundaries_and_errors():
     # universal_rel reads both stages off the ids itself; across every
     # stage boundary it must agree with stage_of_id and keep its errors
@@ -333,3 +268,55 @@ def test_universal_rel_stage_boundaries_and_errors():
     assert not universal_rel(b4, 1029) and not universal_rel(new, b4)
     with pytest.raises(CapacityError):
         universal_rel(b4 - 1, b4)  # a stage-3 id far beyond shift range
+
+
+def test_stage_sizes_count_every_way_to_relate_a_newcomer():
+    # stage s adds 4^n elements, n being the count before it: the ids in
+    # use before stage s are exactly [0, lo)
+    for s in range(4):
+        interval = stage_interval(s)
+        assert interval.stage == s
+        assert interval.size == 4 ** interval.lo
+        if s < 3:
+            assert interval.hi == stage_interval(s + 1).lo
+
+
+def test_stage_of_id_agrees_with_stage_intervals():
+    for s in range(4):
+        interval = stage_interval(s)
+        for i in (interval.lo, interval.lo + 1, interval.hi - 1):
+            if i < interval.hi:
+                assert stage_of_id(i) == s
+    with pytest.raises(UndefinedInputError):
+        stage_of_id(-1)
+
+
+def test_ids_beyond_the_decodable_stages():
+    b4 = stage_interval(3).hi
+    assert uid(UElement(4, ())) == b4
+    with pytest.raises(CapacityError):
+        from_uid(b4)
+    with pytest.raises(CapacityError):
+        uid(UElement(5, ()))
+
+
+def test_related_reads_each_digit_bit():
+    # digit bit 1 is old -> new, bit 2 is new -> old; the stage-1 ids are
+    # 1 + digit under the canonical ordering
+    for digit, old_to_new, new_to_old in ((0, False, False), (1, True, False),
+                                          (2, False, True), (3, True, True)):
+        x = UElement(1, ((ROOT, digit),) if digit else ())
+        assert uid(x) == 1 + digit
+        assert (related(ROOT, x), related(x, ROOT)) == (old_to_new, new_to_old)
+        assert (universal_rel(0, 1 + digit), universal_rel(1 + digit, 0)) == (old_to_new, new_to_old)
+
+
+def test_finite_relation_from_pairs_and_shape():
+    r = FiniteReflexiveRelation.from_pairs(3, [(0, 2), (2, 1)])
+    assert r.size == 3
+    assert [[r.rel(a, b) for b in range(3)] for a in range(3)] == [
+        [True, False, True], [False, True, False], [False, True, True]
+    ]
+    with pytest.raises(ValueError, match="adjacency must be a square table"):
+        FiniteReflexiveRelation([[True, False]])
+    assert FiniteReflexiveRelation.from_pairs(0, []).size == 0

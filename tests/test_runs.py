@@ -118,3 +118,40 @@ def test_value_censuses_at_64_stages(tmp_path, scenario, sides):
         census = row["census"]
         assert census["i_max"] == 64 and len(census["omitted"]) <= 64
         assert any(e is not None for _, e in census["records"])
+
+
+def test_normalize_merges_overlapping_and_adjacent_pairs():
+    assert normalize([(5, 7), (0, 2), (2, 3), (6, 9), (4, 4), (8, 1)]) == ((0, 3), (5, 9))
+    assert normalize([]) == () and normalize([(3, 3)]) == ()
+    assert union(((0, 2),), ((2, 5), (7, 8))) == ((0, 5), (7, 8))
+
+
+def test_from_elements_and_elements_round_trip():
+    runs = from_elements([3, 1, 2, 7, 7, 9])
+    assert runs == ((1, 4), (7, 8), (9, 10))
+    assert elements(runs) == [1, 2, 3, 7, 9]
+    assert from_elements([]) == () and elements(()) == []
+
+
+def test_difference_examples():
+    a = ((0, 10), (20, 25))
+    assert difference(a, ((2, 4), (6, 7), (9, 21))) == ((0, 2), (4, 6), (7, 9), (21, 25))
+    assert difference(a, ()) == a
+    assert difference((), a) == ()
+    assert difference(a, ((0, 30),)) == ()
+    assert difference(a, ((10, 20),)) == a
+
+
+def test_clip_and_hits_at_window_edges():
+    runs = ((0, 3), (8, 9))
+    assert clip(runs, 2, 9) == ((2, 3), (8, 9))
+    assert clip(runs, 3, 8) == () and not hits(runs, 3, 8)
+    assert hits(runs, 2, 8) and hits(runs, 8, 9)
+    for lo, hi in ((5, 5), (6, 3), (9, 1)):
+        assert clip(runs, lo, hi) == () and not hits(runs, lo, hi)
+
+
+def test_count_below_examples():
+    runs = ((1, 4), (7, 10))
+    assert [count_below(runs, n) for n in (0, 1, 2, 4, 7, 8, 10, 100)] == [0, 0, 1, 3, 3, 4, 6, 6]
+    assert count_below((), 50) == 0
