@@ -7,11 +7,11 @@ and a replayable diagonalization engine with pluggable path selectors and
 opponent enumerators.
 
 Import names from their modules (`from gencomp.diagonal import run_pair`);
-the package itself re-exports only `prefix_density`.  The modules of the
-paper's other objects, `codings`, `enumops`, `reals` and `relations`, are
-registered lazily: each is in `sys.modules` and on the package from the
-start, but its code runs on first attribute access, so a diagonal run never
-compiles them.
+the package itself re-exports only `prefix_density`.  The modules that only
+some commands run are registered lazily: each is in `sys.modules` and on the
+package from the start, but its code runs on first attribute access.  So a
+diagonal command never compiles `codings`, `enumops`, `reals`, `relations`
+or `scenarios`, and no other scenario compiles `diagonal` or `adversaries`.
 """
 
 import sys
@@ -29,6 +29,8 @@ def _lazy(name):
     return module
 
 
-codings, enumops, reals, relations = map(_lazy, ("codings", "enumops", "reals", "relations"))
+adversaries, codings, diagonal, enumops, reals, relations, scenarios = map(
+    _lazy, ("adversaries", "codings", "diagonal", "enumops", "reals", "relations", "scenarios")
+)
 
 __version__ = "0.1.0"

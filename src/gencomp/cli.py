@@ -1,12 +1,19 @@
 """Command line interface.
 
-Subcommands: run <config>, verify <trace>, catalog.  Exit codes:
-0 pass, 2 config/parse error, 3 budget exceeded, 4 invariant violation.
+    gencomp run <config.json> [--stages N] [--seed S] [--out-dir DIR]
+    gencomp verify <trace.json>
+    gencomp catalog
+
+An option's value is the next argument or follows `=` (`--out-dir=DIR`),
+and options may come before or after the positional argument.  Exit
+codes: 0 pass (and `-h`/`--help`), 2 config, parse or usage error, 3
+budget exceeded, 4 invariant violation.  The parser is written out here
+because importing `argparse` (with `gettext` and `locale`) would cost every
+command more than the rest of its argument handling.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -19,10 +26,9 @@ EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
 
-def _cmd_run(args) -> int:
-    config = harness.load_config_file(args.config)
+def _cmd_run(config, stages=None, seed=None, out_dir=None) -> int:
     report, _ = harness.run_experiment(
-        config, out_dir=args.out_dir, stages=args.stages, seed=args.seed
+        harness.load_config_file(config), out_dir=out_dir, stages=stages, seed=seed
     )
     for v in report["verdicts"]:
         print("%-28s %s" % (v["invariant"], "PASS" if v["pass"] else "FAIL"))
@@ -31,8 +37,8 @@ def _cmd_run(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_verify(args) -> int:
-    problems = harness.verify_trace_file(args.trace)
+def _cmd_verify(trace) -> int:
+    problems = harness.verify_trace_file(trace)
     if problems:
         for p in problems:
             print("VIOLATION: %s" % p)
@@ -41,7 +47,7 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog() -> int:
     doc = {
         "scenarios": list(harness.SCENARIOS),
         "adversaries": sorted(adversaries.CATALOG),
@@ -55,30 +61,82 @@ def _cmd_catalog(args) -> int:
     return EXIT_PASS
 
 
+USAGE = """usage: gencomp run <config.json> [--stages N] [--seed S] [--out-dir DIR]
+       gencomp verify <trace.json>
+       gencomp catalog"""
+
+HELP = USAGE + """
+
+Deterministic experiments over density-1 computability constructions.
+
+  run      run a scenario from a JSON config; --stages, --seed and --out-dir
+           override its stage count, seed and output directory
+  verify   replay and audit a trace file
+  catalog  list built-in components
+
+An option's value follows it or '=': --out-dir DIR, --out-dir=DIR."""
+
+# name -> (handler, positional arguments, option value types)
+COMMANDS = {
+    "run": (_cmd_run, ("config",), {"--stages": int, "--seed": int, "--out-dir": str}),
+    "verify": (_cmd_verify, ("trace",), {}),
+    "catalog": (_cmd_catalog, (), {}),
+}
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _parse(argv):
+    """The command of an argument list, its positional arguments and its
+    options as keyword arguments of the command's handler."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command, rest = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise _UsageError("invalid command %r (choose from %s)"
+                          % (command, ", ".join(map(repr, COMMANDS))))
+    _, names, types = COMMANDS[command]
+    positionals, options = [], {}
+    for arg in rest:
+        if arg.startswith("-") and arg != "-":
+            name, has_value, value = arg.partition("=")
+            if name not in types:
+                raise _UsageError("unrecognized arguments: %s" % arg)
+            if not has_value:
+                value = next(rest, None)
+                # a negative number is a value, any other dash word an option
+                if value is None or value.startswith("-") and not value[1:].isdigit():
+                    raise _UsageError("argument %s: expected one argument" % name)
+            try:
+                options[name[2:].replace("-", "_")] = types[name](value)
+            except ValueError:
+                raise _UsageError("argument %s: invalid %s value: %r"
+                                  % (name, types[name].__name__, value)) from None
+        else:
+            positionals.append(arg)
+    if len(positionals) < len(names):
+        raise _UsageError("the following arguments are required: %s"
+                          % ", ".join(names[len(positionals):]))
+    if len(positionals) > len(names):
+        raise _UsageError("unrecognized arguments: %s"
+                          % " ".join(positionals[len(names):]))
+    return command, positionals, options
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="gencomp",
-        description="Deterministic experiments over density-1 computability constructions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a scenario from a JSON config")
-    run_p.add_argument("config")
-    run_p.add_argument("--stages", type=int, default=None, help="override the stage count")
-    run_p.add_argument("--seed", type=int, default=None, help="override the seed")
-    run_p.add_argument("--out-dir", default=None, help="override the output directory")
-    run_p.set_defaults(func=_cmd_run)
-
-    verify_p = sub.add_parser("verify", help="replay and audit a trace file")
-    verify_p.add_argument("trace")
-    verify_p.set_defaults(func=_cmd_verify)
-
-    catalog_p = sub.add_parser("catalog", help="list built-in components")
-    catalog_p.set_defaults(func=_cmd_catalog)
-
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(HELP)
+        return EXIT_PASS
     try:
-        return args.func(args)
+        command, positionals, options = _parse(argv)
+    except _UsageError as exc:
+        print("%s\ngencomp: error: %s" % (USAGE, exc), file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        return COMMANDS[command][0](*positionals, **options)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

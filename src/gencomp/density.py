@@ -3,12 +3,12 @@
 Block i is the interval [2^i, 2^(i+1)); the blocks partition the positive
 naturals.  A gap of size 2^-e at block i means the last 2^(i-e) elements
 of the block are absent.  Everything here is exact rational arithmetic;
-no floating point.
+no floating point.  `fractions` is imported only by the two functions
+that return a Fraction, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InsufficientDataError, MalformedGapError, UndefinedInputError
@@ -50,6 +50,8 @@ def gap_interval(i: int, e: int) -> tuple:
 
 def prefix_density(member: Callable[[int], bool], n: int) -> Fraction:
     """Exact |X restricted to n| / n.  Undefined at n = 0."""
+    from fractions import Fraction
+
     if n < 1:
         raise UndefinedInputError("prefix density undefined at n=0")
     return Fraction(sum(1 for k in range(n) if member(k)), n)
@@ -117,6 +119,8 @@ def gap_census(present, i_max: int) -> GapCensus:
 def gap_density_upper(i: int, e: int) -> Fraction:
     """The exact bound 1 - 2^-(e+1) on the prefix density at 2^(i+1)
     forced by a size-2^-e gap at block i."""
+    from fractions import Fraction
+
     if e < 0 or e > i:
         raise MalformedGapError("gap exponent %d invalid for block %d" % (e, i))
     return 1 - Fraction(1, 1 << (e + 1))

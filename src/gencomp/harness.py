@@ -6,29 +6,34 @@ unknown fields are errors, so configs cannot drift silently.  Every
 scenario is deterministic end-to-end; running the same effective config
 twice produces byte-identical trace files.  Reports store rationals as
 {num, den} integer pairs; no floats cross the serialization boundary.
+
+`SCENARIO_TABLE` holds each scenario's config fields, with their defaults
+and bounds, and its runner.  The diagonal runner is here; the runners of
+the other scenarios are in `scenarios`, which only those scenarios load.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
-from fractions import Fraction
+from functools import partial
+from math import gcd
 
-from . import adversaries, codings, diagonal, enumops, reals, relations
+from . import adversaries, diagonal, enumops, reals, scenarios
 # nothing here calls prefix_density, and the perfbench tracer patches every
 # binding of density.prefix_density without needing this one; the import
 # stays because perfbench's tests read harness.prefix_density
 from .density import prefix_density  # noqa: F401
-from .errors import ConfigError, InvariantViolationError
+from .errors import ConfigError
 from .runs import count_below
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/2"
 REPORT_FORMAT = "gencomp-report/2"
 
-DIAGONAL_MODES = {"single-diagonal": diagonal.SINGLE, "pair-diagonal": diagonal.PAIR}
-SCENARIOS = (*DIAGONAL_MODES, "coding-roundtrip", "relation-embed", "operator-compile")
+# the diagonal scenarios and the `diagonal` mode each builds (the keys of
+# diagonal.SIDES), spelled out so that reading them loads no module
+DIAGONAL_MODES = {"single-diagonal": "single", "pair-diagonal": "pair"}
 
 
 def canonical_json(doc) -> str:
@@ -36,12 +41,10 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def rational(fr: Fraction) -> dict:
-    return {"num": fr.numerator, "den": fr.denominator}
-
-
-def child_seed(seed: int, k: int) -> int:
-    return reals.mix64(seed + k + 1)
+def rational(num: int, den: int) -> dict:
+    """The rational num/den (den > 0) in lowest terms."""
+    g = gcd(num, den)
+    return {"num": num // g, "den": den // g}
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +159,44 @@ def _str(doc, key, default=None):
     return doc[key]
 
 
+def _optional_int(doc, key):
+    return _int(doc, key) if key in doc else None
+
+
+def _strategies(doc, key):
+    strategies = doc.get(key)
+    if not isinstance(strategies, list):
+        raise ConfigError("'strategies' must be a list")
+    mode = DIAGONAL_MODES[doc["scenario"]]
+    eff_strats = []
+    for entry in strategies:
+        if not isinstance(entry, dict):
+            raise ConfigError("strategy entries must be objects")
+        _allow(entry, {"enumerator", "selector"})
+        enum_spec = entry.get("enumerator", {"kind": "silent"})
+        sel_spec = entry.get("selector", {"kind": "leftmost"})
+        load_enumerator(enum_spec)
+        load_selector(sel_spec, mode)
+        eff_strats.append({"enumerator": enum_spec, "selector": sel_spec})
+    return eff_strats
+
+
+def _machine(doc, key):
+    machine = _str(doc, key)
+    if machine not in enumops.battery():
+        raise ConfigError("unknown machine %r" % machine)
+    return machine
+
+
+def _check_bound(eff):
+    if (1 << eff["m_max"]) > eff["bound"]:
+        raise ConfigError("bound too small for m_max")
+
+
+# fields every scenario accepts; `seed` is ignored where no row reads it
+_COMMON_FIELDS = {"version", "scenario", "out_dir", "seed"}
+
+
 def validate_config(doc) -> dict:
     """Strict validation; returns the effective config with defaults
     filled in, suitable for byte-exact replay."""
@@ -166,53 +207,17 @@ def validate_config(doc) -> dict:
     scenario = doc.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError("unknown scenario %r" % scenario)
-    common = {"version", "scenario", "out_dir", "seed"}
+    row = SCENARIO_TABLE[scenario]
     eff = {"version": CONFIG_VERSION, "scenario": scenario}
     if "out_dir" in doc:
         eff["out_dir"] = _str(doc, "out_dir")
-    if scenario in DIAGONAL_MODES:
-        _allow(doc, common | {"stages", "strategies", "node_budget", "csv_profiles"})
-        eff["stages"] = _int(doc, "stages", lo=1, hi=64)
-        eff["node_budget"] = _int(doc, "node_budget", default=1 << 18, lo=1)
-        eff["csv_profiles"] = _bool(doc, "csv_profiles", False)
-        if "seed" in doc:
-            eff["seed"] = _int(doc, "seed")
-        strategies = doc.get("strategies")
-        if not isinstance(strategies, list):
-            raise ConfigError("'strategies' must be a list")
-        mode = DIAGONAL_MODES[scenario]
-        eff_strats = []
-        for entry in strategies:
-            if not isinstance(entry, dict):
-                raise ConfigError("strategy entries must be objects")
-            _allow(entry, {"enumerator", "selector"})
-            enum_spec = entry.get("enumerator", {"kind": "silent"})
-            sel_spec = entry.get("selector", {"kind": "leftmost"})
-            load_enumerator(enum_spec)
-            load_selector(sel_spec, mode)
-            eff_strats.append({"enumerator": enum_spec, "selector": sel_spec})
-        eff["strategies"] = eff_strats
-    elif scenario == "coding-roundtrip":
-        _allow(doc, common | {"count", "m_max", "bound"})
-        eff["seed"] = _int(doc, "seed")
-        eff["count"] = _int(doc, "count", default=20, lo=1)
-        eff["m_max"] = _int(doc, "m_max", default=10, lo=0)
-        eff["bound"] = _int(doc, "bound", default=1 << 12, lo=2)
-        if (1 << eff["m_max"]) > eff["bound"]:
-            raise ConfigError("bound too small for m_max")
-    elif scenario == "relation-embed":
-        _allow(doc, common | {"count", "max_size"})
-        eff["seed"] = _int(doc, "seed")
-        eff["count"] = _int(doc, "count", default=30, lo=1)
-        eff["max_size"] = _int(doc, "max_size", default=8, lo=1, hi=16)
-    elif scenario == "operator-compile":
-        _allow(doc, common | {"machine", "element_bound", "label_bound"})
-        machine = _str(doc, "machine")
-        if machine not in enumops.battery():
-            raise ConfigError("unknown machine %r" % machine)
-        eff["machine"] = machine
-        eff["element_bound"] = _int(doc, "element_bound", default=4, lo=0, hi=6)
-        eff["label_bound"] = _int(doc, "label_bound", default=2, lo=0, hi=4)
+    _allow(doc, _COMMON_FIELDS | {name for name, _ in row.fields})
+    for name, read in row.fields:
+        value = read(doc, name)
+        if value is not None:
+            eff[name] = value
+    if row.check is not None:
+        row.check(eff)
     return eff
 
 
@@ -229,7 +234,7 @@ def load_config_file(path: str) -> dict:
 # scenario implementations
 
 
-def _verdict(name, passed, **inputs):
+def verdict(name, passed, **inputs):
     return {"invariant": name, "pass": bool(passed), "inputs": inputs}
 
 
@@ -259,7 +264,7 @@ def _diagonal_trace(cfg) -> diagonal.Trace:
 def _diagonal_report(trace) -> dict:
     """Audit a diagonal trace once through the registry and report on it."""
     verdicts = [
-        _verdict(name, not bad, **inputs) for name, inputs, bad in diagonal.audit_verdicts(trace)
+        verdict(name, not bad, **inputs) for name, inputs, bad in diagonal.audit_verdicts(trace)
     ]
     densities = []
     tallies = []
@@ -268,7 +273,7 @@ def _diagonal_report(trace) -> dict:
         row = []
         for i in range(trace.defined_through + 1):
             n = 1 << (i + 1)
-            row.append({"n": n, "density": rational(Fraction(count_below(elems, n), n))})
+            row.append({"n": n, "density": rational(count_below(elems, n), n)})
         densities.append({"strategy": e, "block_end_densities": row})
         tally = {"pending": 0, "sprung": 0, "inactive": 0}
         for s in range(trace.stages):
@@ -299,209 +304,82 @@ def _write_csv_profiles(report, out_dir):
             fh.write("\n".join(lines) + "\n")
 
 
-def _run_coding_roundtrip(cfg):
-    seed, count, m_max, bound = cfg["seed"], cfg["count"], cfg["m_max"], cfg["bound"]
-    log = []
-    verdicts = []
-    roundtrip_ok = True
-    for k in range(count):
-        x = reals.SeededReal(child_seed(seed, k))
-        d = reals.GenericDescription.full(codings.ValuationCoding(x), start=1)
-        bits = []
-        for m in range(m_max + 1):
-            got = codings.decode_valuation(d, m, bound)
-            roundtrip_ok &= got == x.bit(m)
-            bits.append(got)
-        log.append({"real": k, "decoded": "".join(str(b) for b in bits)})
-    verdicts.append(_verdict("valuation-roundtrip", roundtrip_ok, count=count, m_max=m_max))
-
-    x0 = reals.SeededReal(child_seed(seed, 0))
-    vectors_ok = (
-        codings.encode_interval(x0, 8) == x0.bit(2)
-        and codings.encode_interval(x0, 2) == x0.bit(0)
-        and codings.encode_interval(x0, 12) == x0.bit(3)
-    )
-    verdicts.append(_verdict("interval-strict-offset", vectors_ok, vectors=[[8, 2], [2, 0], [12, 3]]))
-
-    rng = random.Random(seed)
-    omitted = sorted(rng.sample(range(2, bound), min(50, bound - 2)))
-    omitted_set = set(omitted)
-    d_cof = reals.GenericDescription.from_domain(
-        lambda n: n not in omitted_set, codings.IntervalCoding(x0), start=2
-    )
-    interval_ok = True
-    recovered = 0
-    top_m = bound.bit_length() - 2  # largest m with the witness interval inside bound
-    for m in range(top_m + 1):
-        witnesses = set(range((1 << m) + 1, (1 << (m + 1)) + 1))
-        got = codings.decode_interval(d_cof, m, bound)
-        if witnesses <= omitted_set:
-            interval_ok &= got is None
-        else:
-            interval_ok &= got == x0.bit(m)
-            recovered += 1
-    verdicts.append(
-        _verdict("interval-finite-loss", interval_ok, omitted=len(omitted), recovered=recovered)
-    )
-    log.append({"interval_omitted": omitted})
-
-    robust_ok = True
-    i_max = bound.bit_length() - 1
-    for m in range(min(8, m_max) + 1):
-        e = m + 2
-        gaps = set()
-        for i in range(e, i_max):
-            hi = 1 << (i + 1)
-            gaps |= set(range(hi - (1 << (i - e)), hi))
-        d_gap = reals.GenericDescription.from_domain(
-            lambda n: n not in gaps, codings.ValuationCoding(x0), start=1
-        )
-        robust_ok &= codings.decode_valuation(d_gap, m, bound) == x0.bit(m)
-    verdicts.append(_verdict("valuation-robust-decoding", robust_ok, m_max=min(8, m_max)))
-
-    witness_ok = True
-    for m in range(7):
-        k = 12
-        cnt = sum(1 for n in range(1, 1 << k) if codings.two_adic_valuation(n) == m)
-        witness_ok &= Fraction(cnt, 1 << k) == Fraction(1, 1 << (m + 1))
-    verdicts.append(_verdict("witness-class-density", witness_ok, m_range=7, horizon=4096))
-
-    sparse_ok = True
-    for k in range(1, 14):
-        n = 1 << k
-        powers = sum(1 for v in range(n) if v >= 1 and v & (v - 1) == 0)
-        sparse_ok &= Fraction(powers, n) <= Fraction(k + 1, n)
-    verdicts.append(_verdict("powers-of-two-sparse", sparse_ok, horizons=13))
-
-    report = {
-        "verdicts": verdicts,
-        "densities": [
-            {"witness_class": m, "density_at_4096": rational(Fraction(1, 1 << (m + 1)))}
-            for m in range(7)
-        ],
-        "notes": [
-            "the non-uniform reconstruction step (full real from a cofinite "
-            "fragment) has no finitary certificate; only the two uniform "
-            "decoding directions are machine-checked"
-        ],
-    }
-    return log, report
+def _run_diagonal(cfg):
+    trace = _diagonal_trace(cfg)
+    return diagonal.trace_to_jsonable(trace), _diagonal_report(trace)
 
 
-def _embedding_jsonable(emb) -> dict:
-    """An embedding's log entry: the digraph's rows and each image k by
-    reference, as k base-4 digits whose j-th is the digit image k carries
-    against image j ("0" for none).  Raises InvariantViolationError for an
-    image this form cannot write: one off stage k, or with a prior that is
-    not an earlier image."""
-    images = []
-    for k, el in enumerate(emb.images):
-        if el.stage != k:
-            raise InvariantViolationError("image %d lies at stage %d" % (k, el.stage))
-        digits = ["0"] * k
-        for prior, d in el.combo:
-            # priors lie at earlier stages, and image j at stage j
-            if emb.images[prior.stage] != prior:
-                raise InvariantViolationError("image %d has a prior that is no earlier image" % k)
-            digits[prior.stage] = "0123"[d]
-        images.append("".join(digits))
-    return {
-        "digraph": ["".join("1" if v else "0" for v in row) for row in emb.relation.adjacency],
-        "images": images,
-    }
+def _logged(name):
+    """The runner `scenarios.<name>`, looked up when it runs, so that only a
+    command that runs it loads `scenarios`; its log becomes a scenario
+    trace."""
+
+    def run(cfg):
+        log, report_body = getattr(scenarios, name)(cfg)
+        trace_doc = {"format": SCENARIO_TRACE_FORMAT, "scenario": cfg["scenario"],
+                     "config": cfg, "log": log}
+        return trace_doc, report_body
+
+    return run
 
 
-def _run_relation_embed(cfg):
-    rng = random.Random(cfg["seed"])
-    log = []
-    verdicts = []
-    embed_ok = True
-    for k in range(cfg["count"]):
-        size = rng.randint(1, cfg["max_size"])
-        adjacency = [
-            [a == b or rng.random() < 0.4 for b in range(size)] for a in range(size)
-        ]
-        rel = relations.FiniteReflexiveRelation(adjacency)
-        emb = relations.embed_relation(rel)
-        embed_ok &= emb.verify()
-        log.append(_embedding_jsonable(emb))
-    verdicts.append(_verdict("embedding-exact", embed_ok, count=cfg["count"]))
+class Scenario:
+    """One row of the scenario table.
 
-    reflexive_ok = all(relations.universal_rel(k, k) for k in range(4096))
-    verdicts.append(_verdict("reflexivity", reflexive_ok, ids=4096))
+    `fields` lists (name, read) in validation order: read(doc, name) returns
+    the field's effective value, with its default and bounds applied, or
+    None to leave an absent optional field out.  `check(eff)` validates the
+    filled-in config as a whole.  run(cfg) takes the echoed config and
+    returns (trace document, report body).
+    """
 
-    iso_ok = True
-    s1 = relations.stage_interval(1)
-    for i in range(s1.lo, s1.hi):
-        for j in range(s1.lo, s1.hi):
-            if i != j:
-                iso_ok &= not relations.universal_rel(i, j)
-    s2 = relations.stage_interval(2)
-    sample = list(range(s2.lo, s2.lo + 40)) + list(range(s2.hi - 40, s2.hi))
-    for i in sample:
-        for j in sample:
-            if i != j:
-                iso_ok &= not relations.universal_rel(i, j)
-    verdicts.append(_verdict("same-stage-isolation", iso_ok, stage1="exhaustive", stage2="boundary-sample"))
+    __slots__ = ("fields", "run", "check")
 
-    complete_ok = True
-    for s in (1, 2):
-        interval = relations.stage_interval(s)
-        seen = set()
-        prior = interval.lo  # domain before stage s is exactly [0, lo)
-        for new in range(interval.lo, interval.hi):
-            vec = 0
-            for old in range(prior):
-                digit = (1 if relations.universal_rel(old, new) else 0) | (
-                    2 if relations.universal_rel(new, old) else 0
-                )
-                vec += digit << (2 * old)
-            seen.add(vec)
-        complete_ok &= seen == set(range(4 ** prior))
-    verdicts.append(_verdict("extension-completeness", complete_ok, stages=[1, 2]))
-
-    report = {"verdicts": verdicts, "densities": [], "notes": []}
-    return log, report
+    def __init__(self, fields, run, check=None):
+        self.fields = fields
+        self.run = run
+        self.check = check
 
 
-def _run_operator_compile(cfg):
-    phi = enumops.battery()[cfg["machine"]]
-    op = enumops.functional_to_operator(phi, cfg["element_bound"], cfg["label_bound"])
-    log = [
-        {
-            "axioms": sorted(
-                [list(out), sorted(list(p) for p in premise)]
-                for out, premise in op.axioms
-            )
-        }
-    ]
-    ok = True
-    for assignment in enumops.all_assignments(cfg["element_bound"]):
-        via_operator = enumops.apply_operator(
-            op, frozenset(assignment), cfg["element_bound"]
-        )
-        direct = enumops.union_over_labeled_orderings(phi, assignment, cfg["label_bound"])
-        ok &= via_operator == direct
-        log.append(
-            {
-                "assignment": [list(p) for p in assignment],
-                "outputs": sorted([list(o) for o in via_operator]),
-            }
-        )
-    report = {
-        "verdicts": [
-            _verdict(
-                "operator-matches-orderings",
-                ok,
-                machine=cfg["machine"],
-                element_bound=cfg["element_bound"],
-                label_bound=cfg["label_bound"],
-            )
-        ],
-        "densities": [],
-        "notes": [],
-    }
-    return log, report
+_DIAGONAL_FIELDS = (
+    ("stages", partial(_int, lo=1, hi=64)),
+    ("node_budget", partial(_int, default=1 << 18, lo=1)),
+    ("csv_profiles", partial(_bool, default=False)),
+    ("seed", _optional_int),
+    ("strategies", _strategies),
+)
+
+SCENARIO_TABLE = {
+    "single-diagonal": Scenario(_DIAGONAL_FIELDS, _run_diagonal),
+    "pair-diagonal": Scenario(_DIAGONAL_FIELDS, _run_diagonal),
+    "coding-roundtrip": Scenario(
+        (
+            ("seed", _int),
+            ("count", partial(_int, default=20, lo=1)),
+            ("m_max", partial(_int, default=10, lo=0)),
+            ("bound", partial(_int, default=1 << 12, lo=2)),
+        ),
+        _logged("run_coding_roundtrip"),
+        check=_check_bound,
+    ),
+    "relation-embed": Scenario(
+        (
+            ("seed", _int),
+            ("count", partial(_int, default=30, lo=1)),
+            ("max_size", partial(_int, default=8, lo=1, hi=16)),
+        ),
+        _logged("run_relation_embed"),
+    ),
+    "operator-compile": Scenario(
+        (
+            ("machine", _machine),
+            ("element_bound", partial(_int, default=4, lo=0, hi=6)),
+            ("label_bound", partial(_int, default=2, lo=0, hi=4)),
+        ),
+        _logged("run_operator_compile"),
+    ),
+}
+SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=True):
@@ -509,7 +387,8 @@ def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=Tru
 
     Optional overrides mirror the CLI flags.  When an output directory is
     supplied (argument or config field) and `write` is on, trace.json /
-    report.json and any CSV profiles are written there.
+    report.json and any CSV profiles are written there; a directory that
+    cannot be made or written is a ConfigError.
     """
     doc = dict(config)
     if stages is not None:
@@ -521,22 +400,7 @@ def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=Tru
     cfg = validate_config(doc)
     scenario = cfg["scenario"]
     echo = _echo(cfg)
-    if scenario in DIAGONAL_MODES:
-        trace = _diagonal_trace(echo)
-        trace_doc, report_body = diagonal.trace_to_jsonable(trace), _diagonal_report(trace)
-    else:
-        if scenario == "coding-roundtrip":
-            log, report_body = _run_coding_roundtrip(echo)
-        elif scenario == "relation-embed":
-            log, report_body = _run_relation_embed(echo)
-        else:
-            log, report_body = _run_operator_compile(echo)
-        trace_doc = {
-            "format": SCENARIO_TRACE_FORMAT,
-            "scenario": scenario,
-            "config": echo,
-            "log": log,
-        }
+    trace_doc, report_body = SCENARIO_TABLE[scenario].run(echo)
     report = {
         "format": REPORT_FORMAT,
         "scenario": scenario,
@@ -545,14 +409,21 @@ def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=Tru
     }
     target = cfg.get("out_dir")
     if target and write:
-        os.makedirs(target, exist_ok=True)
-        with open(os.path.join(target, "trace.json"), "w") as fh:
-            fh.write(canonical_json(trace_doc))
-        with open(os.path.join(target, "report.json"), "w") as fh:
-            fh.write(canonical_json(report))
-        if cfg.get("csv_profiles") and scenario in DIAGONAL_MODES:
-            _write_csv_profiles(report, target)
+        try:
+            _write_outputs(target, trace_doc, report, cfg.get("csv_profiles"))
+        except OSError as exc:
+            raise ConfigError("cannot write outputs to %s: %s" % (target, exc))
     return report, trace_doc
+
+
+def _write_outputs(target, trace_doc, report, csv_profiles):
+    os.makedirs(target, exist_ok=True)
+    with open(os.path.join(target, "trace.json"), "w") as fh:
+        fh.write(canonical_json(trace_doc))
+    with open(os.path.join(target, "report.json"), "w") as fh:
+        fh.write(canonical_json(report))
+    if csv_profiles:
+        _write_csv_profiles(report, target)
 
 
 def _echo(cfg) -> dict:
@@ -615,7 +486,14 @@ def verify_trace_file(path: str) -> list:
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError("cannot parse trace %s: %s" % (path, exc))
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt == diagonal.TRACE_FORMAT:
+    # the scenario format first: checking it loads no module
+    if fmt == SCENARIO_TRACE_FORMAT:
+        report, fresh = replay_trace_doc(doc)
+        problems = _replay_mismatch(doc, fresh)
+        for v in report["verdicts"]:
+            if not v["pass"]:
+                problems.append("verdict failed on replay: %s" % v["invariant"])
+    elif fmt == diagonal.TRACE_FORMAT:
         cfg = _echo(validate_config(_echoed_config(doc)))
         if cfg["scenario"] not in DIAGONAL_MODES:
             raise ConfigError("a %s trace must echo a diagonal config" % fmt)
@@ -625,12 +503,6 @@ def verify_trace_file(path: str) -> list:
             problems += diagonal.audit_trace(trace)
         except Exception as exc:  # doctored contents: report, don't crash
             problems.append("trace contents are not auditable: %s" % exc)
-    elif fmt == SCENARIO_TRACE_FORMAT:
-        report, fresh = replay_trace_doc(doc)
-        problems = _replay_mismatch(doc, fresh)
-        for v in report["verdicts"]:
-            if not v["pass"]:
-                problems.append("verdict failed on replay: %s" % v["invariant"])
     else:
         raise ConfigError(
             "unsupported trace format %r: this version verifies %s and %s traces"

@@ -1,9 +1,9 @@
 """The value records are plain classes: start-up imports no `dataclasses`,
 and each record keeps the construction checks, equality and read-only
-fields its users rely on.  Start-up also defers the modules a diagonal run
-does not reach, in a way the perfbench tracer can still see.  Every
-definition in the package runs under some config, or is pinned here with
-the reason it stays."""
+fields its users rely on.  Start-up also imports neither `argparse` nor
+`fractions`, and defers the modules a command does not reach, in a way the
+perfbench tracer can still see.  Every definition in the package runs under
+some config, or is pinned here with the reason it stays."""
 
 import ast
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gencomp import diagonal
 from gencomp.codings import IntervalCoding, ValuationCoding
 from gencomp.density import block_of, gap_census
 from gencomp.diagonal import (
@@ -26,6 +27,7 @@ from gencomp.diagonal import (
 )
 from gencomp.enumops import EnumerationOperator, battery
 from gencomp.errors import BudgetError, SelectorCapError, UndefinedInputError
+from gencomp.harness import DIAGONAL_MODES
 from gencomp.reals import (
     Enumerator,
     EventuallyPeriodicReal,
@@ -58,15 +60,25 @@ def _modules_after(code):
     return set(_fresh(code + "; import sys; print('\\n'.join(sys.modules))").split())
 
 
-def test_cli_import_adds_neither_dataclasses_nor_inspect():
+# the standard-library modules start-up must not import: argparse pulls in
+# gettext and locale, fractions pulls in decimal, and dataclasses pulls in
+# inspect
+STARTUP_FREE = {"argparse", "gettext", "locale", "fractions", "decimal", "dataclasses", "inspect"}
+
+
+def test_cli_import_adds_no_costly_stdlib_module():
     # measured against a bare interpreter, so a site hook that imports
-    # either module itself does not count against gencomp
+    # one of these modules itself does not count against gencomp
     added = _modules_after("import gencomp.cli") - _modules_after("pass")
     assert "gencomp.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & STARTUP_FREE
 
 
-LAZY_MODULES = ("codings", "enumops", "reals", "relations")
+def test_diagonal_modes_are_the_engine_modes():
+    assert set(DIAGONAL_MODES.values()) == set(diagonal.SIDES)
+
+
+LAZY_MODULES = ("adversaries", "codings", "diagonal", "enumops", "reals", "relations", "scenarios")
 
 # Runs each argv of sys.argv[1] through the CLI, then prints the exit codes
 # and which lazily registered modules ran their code.  The module dicts are
@@ -102,13 +114,15 @@ STARTUP_CONFIGS = {
 }
 
 
-# the lazy modules each command runs
+# the lazy modules each command runs: only the diagonal scenarios (and
+# `catalog`, which names the trace format) execute `diagonal` and
+# `adversaries`, and only the other scenarios execute `scenarios`
 REACHED = {
-    "pair-diagonal": [],
-    "catalog": ["enumops"],
-    "coding-roundtrip": ["codings", "reals"],
-    "relation-embed": ["relations"],
-    "operator-compile": ["enumops"],
+    "pair-diagonal": ["adversaries", "diagonal"],
+    "catalog": ["adversaries", "diagonal", "enumops"],
+    "coding-roundtrip": ["codings", "reals", "scenarios"],
+    "relation-embed": ["relations", "scenarios"],
+    "operator-compile": ["enumops", "scenarios"],
 }
 
 
@@ -126,8 +140,9 @@ def test_cli_runs_only_the_lazy_modules_it_reaches(tmp_path, command):
 
 
 # After `import gencomp.cli`, as in perfbench/layers.py: every module the
-# tracer names is registered, and a lazy module's first attribute access
-# returns the objects a plain import of the name does.
+# tracer names is registered, and so is `adversaries`, whose CATALOG it
+# reads; a lazy module's first attribute access returns the objects a plain
+# import of the name does.
 _TRACER_CONTRACT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -135,7 +150,7 @@ import layers
 import gencomp, gencomp.cli
 targets = sorted({(m, a) for m, a, *_ in layers.FUNCTIONS + layers.COUNTED_FUNCTIONS + layers.METHODS
                   + layers.LEAF_METHODS + layers.COUNTED_METHODS})
-modules = sorted({m for m, _ in targets})
+modules = sorted({m for m, _ in targets} | {"adversaries"})
 missing = [m for m in modules if "gencomp." + m not in sys.modules]
 first = [getattr(sys.modules["gencomp." + m], a) for m, a in targets]
 differs = []
@@ -151,7 +166,9 @@ print(json.dumps({"modules": modules, "missing": missing, "differs": differs,
 
 def test_tracer_finds_every_module_it_names_after_cli_import():
     got = json.loads(_fresh(_TRACER_CONTRACT, PERFBENCH))
-    assert set(LAZY_MODULES) <= set(got.pop("modules"))
+    # `scenarios` holds no tracer target: its runners call the paper
+    # modules through their module attributes
+    assert set(LAZY_MODULES) - {"scenarios"} <= set(got.pop("modules"))
     assert got == {"missing": [], "differs": [], "prefix_density": True}
 
 

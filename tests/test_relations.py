@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomp.errors import CapacityError, InvariantViolationError, UndefinedInputError
-from gencomp.harness import _embedding_jsonable
 from gencomp.relations import (
     ROOT,
     Embedding,
@@ -19,6 +18,7 @@ from gencomp.relations import (
     uid,
     universal_rel,
 )
+from gencomp.scenarios import embedding_jsonable
 
 
 def random_reflexive(rng, max_size=8):
@@ -233,7 +233,7 @@ def test_cached_hash_and_key_match_recursion(specs, data):
 def test_complete_digraph_log_entry_is_quadratic():
     # 16 points, every pair related both ways: image k carries digit 3
     # against each earlier image, k digits, 16 * 15 / 2 in all
-    entry = _embedding_jsonable(embed_relation(FiniteReflexiveRelation([[True] * 16] * 16)))
+    entry = embedding_jsonable(embed_relation(FiniteReflexiveRelation([[True] * 16] * 16)))
     assert entry["digraph"] == ["1" * 16] * 16
     assert entry["images"] == ["3" * k for k in range(16)]
     assert sum(len(image) for image in entry["images"]) == 120
@@ -242,13 +242,13 @@ def test_complete_digraph_log_entry_is_quadratic():
 def test_image_digits_refuse_what_they_cannot_write():
     r = FiniteReflexiveRelation.from_pairs(3, [(0, 1)])
     one = UElement(1, ((ROOT, 1),))
-    assert _embedding_jsonable(Embedding(r, (ROOT, one, UElement(2, ((one, 2),)))))["images"] == [
+    assert embedding_jsonable(Embedding(r, (ROOT, one, UElement(2, ((one, 2),)))))["images"] == [
         "", "1", "02"
     ]
     stray = UElement(1, ((ROOT, 2),))  # a stage-1 element that is not image 1
     for images in ((ROOT, UElement(2, ())), (ROOT, one, UElement(2, ((stray, 3),)))):
         with pytest.raises(InvariantViolationError):
-            _embedding_jsonable(Embedding(r, images))
+            embedding_jsonable(Embedding(r, images))
 
 
 def test_universal_rel_stage_boundaries_and_errors():
