@@ -46,10 +46,11 @@ class CautiousCopier:
         approx = trace.final_approx.get(e)
         if approx is None:
             return []
+        tables = trace.tables()
         out = []
         for block in range(trace.defined_through + 1):
             lo, hi = 1 << block, 1 << (block + 1)
-            excl = [t.excluded_interval(block, side) for t, side in zip(trace.tables(), approx)]
+            excl = [t.excluded_interval(block, side) for t, side in zip(tables, approx)]
             # a side without an exclusion keeps the whole block in the union
             cut = hi if None in excl else max(ex[0] for ex in excl)
             if lo < cut:

@@ -87,7 +87,7 @@ class GapCensus(Frozen):
     def to_jsonable(self) -> dict:
         return {
             "i_max": self.i_max,
-            "records": [[i, e] for i, e in self.records],
+            "records": [e for _, e in self.records],  # indexed by block
             "omitted": [list(run) for run in self.omitted],
             "gap_only": self.gap_only,
         }

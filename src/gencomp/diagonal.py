@@ -23,7 +23,7 @@ engine's only state, stage s being computed from its records through s-1.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from itertools import product
 from operator import add
 from typing import Optional
@@ -425,10 +425,12 @@ class Trace:
 
     def census(self, prefix, side=SIDE_X):
         """Gap census of the side's value set under the oracle prefix (one
-        side's bit string), computed once per prefix."""
+        side's bit string), computed once per prefix.  The value set is
+        censused with 0 counted in: 0 lies in no block, so no gap can omit
+        it, and a value set whose omissions are all gaps is gap-only."""
         key = (prefix, side)
         if key not in self._censuses:
-            values = functional_value_set(self, prefix, side)
+            values = union(((0, 1),), functional_value_set(self, prefix, side))
             self._censuses[key] = gap_census(values, self.defined_through + 1)
         return self._censuses[key]
 
@@ -494,9 +496,12 @@ def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> dict:
     ctx = LevelContext(l, trace.enumerated.get(e, ()), trace.tables())
     selector = cfg.strategies[e].selector
 
-    @cache  # the liveness test's search is the extremal selector's
+    found = {}  # the liveness test's search is the extremal selector's
+
     def find(order):
-        return find_survivor(ctx, order, budget=cfg.node_budget)
+        if order not in found:
+            found[order] = find_survivor(ctx, order, budget=cfg.node_budget)
+        return found[order]
 
     # any order finds a survivor iff one exists, so search in the order
     # the selector will ask for (scripted selectors fall back to leftmost)

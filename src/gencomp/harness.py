@@ -5,7 +5,8 @@ Config documents carry a version field and are validated strictly:
 unknown fields are errors, so configs cannot drift silently.  Every
 scenario is deterministic end-to-end; running the same effective config
 twice produces byte-identical trace files.  Reports store rationals as
-{num, den} integer pairs; no floats cross the serialization boundary.
+{num, den} integer pairs, and a block-end density as its count over the
+block end; no floats cross the serialization boundary.
 
 `SCENARIO_TABLE` holds each scenario's config fields, with their defaults
 and bounds, and its runner.  The diagonal runner is here; the runners of
@@ -29,7 +30,7 @@ from .runs import count_below
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/2"
-REPORT_FORMAT = "gencomp-report/2"
+REPORT_FORMAT = "gencomp-report/3"
 
 # the diagonal scenarios and the `diagonal` mode each builds (the keys of
 # diagonal.SIDES), spelled out so that reading them loads no module
@@ -225,7 +226,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError("cannot parse config %s: %s" % (path, exc))
     return doc
 
@@ -270,11 +271,9 @@ def _diagonal_report(trace) -> dict:
     tallies = []
     for e in range(trace.strategy_count):
         elems = trace.enumerated[e]
-        row = []
-        for i in range(trace.defined_through + 1):
-            n = 1 << (i + 1)
-            row.append({"n": n, "density": rational(count_below(elems, n), n)})
-        densities.append({"strategy": e, "block_end_densities": row})
+        # count i is the enumerated elements below 2^(i+1), block i's end
+        counts = [count_below(elems, 2 << i) for i in range(trace.defined_through + 1)]
+        densities.append({"strategy": e, "block_end_counts": counts})
         tally = {"pending": 0, "sprung": 0, "inactive": 0}
         for s in range(trace.stages):
             tally[diagonal.trap_status(trace, e, s)] += 1
@@ -294,11 +293,14 @@ def _diagonal_report(trace) -> dict:
 
 
 def _write_csv_profiles(report, out_dir):
-    """One CSV per strategy of the report's block-end densities."""
+    """One CSV per strategy of the report's block-end densities, each in
+    lowest terms."""
     for entry in report["densities"]:
         lines = ["n,num,den"]
-        for row in entry["block_end_densities"]:
-            lines.append("%d,%d,%d" % (row["n"], row["density"]["num"], row["density"]["den"]))
+        for i, count in enumerate(entry["block_end_counts"]):
+            n = 2 << i
+            density = rational(count, n)
+            lines.append("%d,%d,%d" % (n, density["num"], density["den"]))
         path = os.path.join(out_dir, "wdensity_strategy%d.csv" % entry["strategy"])
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -105,3 +105,14 @@ def test_unwritable_out_dir_is_a_config_error(tmp_path, config, below):
     assert proc.stderr.startswith("config error: cannot write outputs to %s" % target)
     assert "Traceback" not in proc.stderr
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}"], ids=["deep-nesting", "utf-16-bom"])
+def test_unparsable_config_is_a_config_error(tmp_path, content):
+    # too deep for the JSON parser's recursion, or not UTF-8
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    proc = gencomp("run", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot parse config %s" % path)
+    assert "Traceback" not in proc.stderr

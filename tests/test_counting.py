@@ -47,7 +47,7 @@ from gencomp.harness import (
     run_experiment,
     validate_config,
 )
-from gencomp.runs import clip, elements
+from gencomp.runs import clip, elements, union
 from test_diagonal import _round_trip_runs, with_quiet_stages
 
 PAIR_CATALOG_12 = {
@@ -302,10 +302,7 @@ def oracle_spoiling(trace, brute_max: int = 12):
 def test_block_end_densities_match_probing(run):
     report, trace = run
     for entry in report["densities"]:
-        got = [
-            (row["n"], Fraction(row["density"]["num"], row["density"]["den"]))
-            for row in entry["block_end_densities"]
-        ]
+        got = [(2 << i, Fraction(c, 2 << i)) for i, c in enumerate(entry["block_end_counts"])]
         assert got == oracle_densities(trace, entry["strategy"])
 
 
@@ -442,7 +439,9 @@ def test_registry_verdicts_are_the_report_verdicts(run):
     ] == report["verdicts"]
     censuses = []
     for label, side, prefix in census_prefixes(trace):
-        census = gap_census(functional_value_set(trace, prefix, side), trace.defined_through + 1)
+        # 0 lies in no block, so the value set is censused with 0 counted in
+        values = union(((0, 1),), functional_value_set(trace, prefix, side))
+        census = gap_census(values, trace.defined_through + 1)
         censuses.append({"oracle_prefix": label, "side": side, "census": census.to_jsonable()})
     assert censuses == report["value_censuses"]
     assert len(censuses) == 2 * len(trace.sides)
@@ -564,21 +563,22 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/4 bytes and the report digests of the gencomp-report/2
-# bytes; TRACE_3_DIGESTS and REPORT_1_DIGESTS keep the /3 trace and /1
-# report digests, which `trace_3_view` and `report_1_view` still reproduce.
+# the gencomp-trace/4 bytes and the report digests of the gencomp-report/3
+# bytes; TRACE_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /3
+# trace and the /2 and /1 report digests, which `trace_3_view`,
+# `report_2_view` and `report_1_view` still reproduce.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
         "70f4f029355ca6d1af1e432300e5f2f282b3f16cd8b9dd89f632e6824dd20ae1",
-        "385c909af4230e8b04a2e333cbef3a7e7910339194b9afd5c98cb9fa62880cf9",
+        "bd2b38054163eef50592f8e934932f73e1e21657a7dd5c16e71573d902c508f9",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
         "13b5a902cc951bc7c5b2984c8295c4007008b35403e21d87bb3ab8933dc190a2",
-        "35939845e7c27f56bff28d2703ad0de9b463c9dc57faf5dec9caeb2e920a3c78",
+        "74a48c05b024338fce9f17570d76e8240c439fc24d7acf37c79b0313e5782774",
     ),
 }
 
@@ -685,28 +685,92 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # adjacency test rebuilt the element's digit map.  Their trace digests are
 # of the gencomp-scenario-trace/2 bytes; SCENARIO_TRACE_1_DIGESTS keeps the
 # /1 digests, which `scenario_trace_1_view` of each /2 trace reproduces.
+# Every report digest is of the gencomp-report/3 bytes; REPORT_2_DIGESTS
+# keeps the /2 digests, which `report_2_view` reproduces.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
     "eff4823aafc9c9373fbdb1adab72c2d28002a1faf00bcf60bfbbc0f887fc0c32",
-    "a335f2e5a1e226a782dcb8561a49a5f99437807ab5f27cf97481d49d2372cd42",
+    "68fc439ef02364ca201397243176e3a670382c1c370fa8df46432eec9a4b0d7a",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
     "488159c6d748b4f7637a18a63684c8558384c5d68a1836b8d3e315f715039ce6",
-    "158c54f37a1259cf4ccda99f166bc85f6cc89877b827a94d08fb5bcb310fd4ac",
+    "a23646e3092d70466d663809b13022a870b793988c53685a741bffa298ef88fb",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
     "1e03707d20061decee006de90a6068ec1d9b05ef7bc7c5807017b36429f611c7",
-    "715c9b3cb1b29aaf93c499483b3f63b19f78117f3f6325594e70c4c1cdab9f04",
+    "2f6a58cfe2af4f871b4067b41ede748e177b13653e02b0b33c45efc5835ebddb",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
     "b7b1e35664256fd6e842ec0e1748e093789a3785c4f0621e4ac511f2221b3ec5",
-    "e219a368664b136a100839396481752b8a2b181c405be823e951a0bd1102e7c6",
+    "3b40b06be812021cca99456bbba44f3529ace174ab9caccd991385f2ec4ac6f8",
 )
+
+
+# the report.json digests of the same configs as gencomp-report/2 wrote them
+REPORT_2_DIGESTS = {
+    "pair-catalog-12": "385c909af4230e8b04a2e333cbef3a7e7910339194b9afd5c98cb9fa62880cf9",
+    "single-diagonal-12": "35939845e7c27f56bff28d2703ad0de9b463c9dc57faf5dec9caeb2e920a3c78",
+    "coding-roundtrip-7": "a335f2e5a1e226a782dcb8561a49a5f99437807ab5f27cf97481d49d2372cd42",
+    "operator-echo-5": "158c54f37a1259cf4ccda99f166bc85f6cc89877b827a94d08fb5bcb310fd4ac",
+    "operator-order-gate-5": "715c9b3cb1b29aaf93c499483b3f63b19f78117f3f6325594e70c4c1cdab9f04",
+    "relation-embed-3": "e219a368664b136a100839396481752b8a2b181c405be823e951a0bd1102e7c6",
+}
+
+
+def report_2_view(report):
+    """A gencomp-report/3 report in the gencomp-report/2 shape: the old
+    format tag, each block-end count c_i as the row {"n": 2^(i+1),
+    "density": c_i / 2^(i+1) in lowest terms}, each census's records as
+    [block, e] pairs, and `gap_only` false on every value census, as /2
+    censused the value set without 0."""
+    old = dict(report, format="gencomp-report/2")
+    if "value_censuses" not in report:  # not a diagonal report
+        return old
+    old["densities"] = [
+        {"strategy": entry["strategy"],
+         "block_end_densities": [density_row(2 << i, c) for i, c in enumerate(entry["block_end_counts"])]}
+        for entry in report["densities"]
+    ]
+    old["value_censuses"] = [
+        dict(row, census=dict(row["census"], gap_only=False,
+                              records=[[i, e] for i, e in enumerate(row["census"]["records"])]))
+        for row in report["value_censuses"]
+    ]
+    return old
+
+
+def density_row(n, count):
+    d = Fraction(count, n)
+    return {"n": n, "density": {"num": d.numerator, "den": d.denominator}}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_2_DIGESTS))
+def test_report_3_reads_as_report_2(tmp_path, name):
+    # the format bump writes block-end densities as counts and census
+    # records by block, and censuses value sets with 0 counted in;
+    # everything else a /2 report said is unchanged
+    cfg = ARTIFACT_GOLDEN[name][0]
+    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["format"] == "gencomp-report/3"
+    old = canonical_json(report_2_view(written)).encode()
+    assert hashlib.sha256(old).hexdigest() == REPORT_2_DIGESTS[name]
+
+
+def test_value_censuses_are_gap_only():
+    # a diagonal value set omits only its rules' gaps, each a power-of-2
+    # suffix of its block, and keeps 0
+    names = [name for name, (cfg, _, _) in ARTIFACT_GOLDEN.items() if "strategies" in cfg]
+    assert names
+    for name in names:
+        report, _ = run_experiment(dict(ARTIFACT_GOLDEN[name][0]), write=False)
+        censuses = report["value_censuses"]
+        assert censuses and all(row["census"]["gap_only"] for row in censuses), name
 
 
 # the report.json digests of the same configs as gencomp-report/1 wrote them
@@ -718,9 +782,11 @@ REPORT_1_DIGESTS = {
 
 
 def report_1_view(report):
-    """A gencomp-report/2 report in the gencomp-report/1 shape: the old
-    format tag, each census's `omitted` runs expanded to elements, no
-    `side`, and only the censuses /1 made (single mode through stage 14)."""
+    """A gencomp-report/3 report in the gencomp-report/1 shape: its
+    `report_2_view` with the old format tag, each census's `omitted` runs
+    expanded to elements, no `side`, and only the censuses /1 made (single
+    mode through stage 14)."""
+    report = report_2_view(report)
     old = dict(report, format="gencomp-report/1")
     if "value_censuses" not in report:
         return old
@@ -742,12 +808,12 @@ def report_1_view(report):
 
 @pytest.mark.parametrize("name", sorted(REPORT_1_DIGESTS))
 def test_report_2_reads_as_report_1(tmp_path, name):
-    # the format bump adds `side`, run-form omissions and the pair and
+    # the /2 bump added `side`, run-form omissions and the pair and
     # long-run censuses; everything else a /1 report said is unchanged
     cfg = ARTIFACT_GOLDEN[name][0]
     run_experiment(dict(cfg), out_dir=str(tmp_path))
     written = json.loads((tmp_path / "report.json").read_text())
-    assert written["format"] == "gencomp-report/2"
+    assert written["format"] == "gencomp-report/3"
     old = canonical_json(report_1_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 
