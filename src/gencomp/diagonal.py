@@ -557,7 +557,7 @@ def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
 # ---------------------------------------------------------------------------
 # trace serialization (versioned; byte-exact replay is part of the contract)
 
-TRACE_FORMAT = "gencomp-trace/4"
+TRACE_FORMAT = "gencomp-trace/5"
 
 
 def trace_to_jsonable(trace: Trace) -> dict:
@@ -565,8 +565,10 @@ def trace_to_jsonable(trace: Trace) -> dict:
     rules, the trap events, the non-empty batches, one act [e, p, suffix
     per side] per strategy that acted and the strategies that died.  An
     act's approximation is the first p bits of the strategy's previous one
-    on every side, followed by the suffixes; its marker is the nodes of its
-    rules."""
+    on every side, followed by the suffixes.  Its marker is a prefix of the
+    approximation on every side, and its rules are those prefixes, so a
+    rule is written as its node's length: one per act and side, in act and
+    then side order."""
     last = {}
     records = []
     for rec in trace.records:
@@ -581,7 +583,7 @@ def trace_to_jsonable(trace: Trace) -> dict:
             last[e] = approx
         records.append({
             "stage": rec.stage,
-            "rules": [[r.e, r.stage, r.node, r.side] for r in rec.rules],
+            "rules": [len(r.node) for r in rec.rules],
             "trap_events": [list(t) for t in rec.trap_events],
             "batches": [[e, [list(run) for run in runs]] for e, runs in sorted(rec.batches.items()) if runs],
             "acts": acts,
@@ -602,13 +604,15 @@ def trace_from_jsonable(doc: dict) -> Trace:
     """The trace a document records.  The mode, the stage count, the
     strategy count, the echoed config and the records are read; the defined
     horizon is a view of the records, checked by replay.  A record the
-    engine could not have written is rejected: one whose acts, deaths and
-    rules disagree, or that rebuilds an approximation of the wrong length,
-    here; any other through `Trace.append`."""
+    engine could not have written is rejected: one with a count that is not
+    a natural number, a batch that is not a run set, a trap event that is
+    not four naturals, acts and deaths that disagree, an approximation of
+    the wrong length, or rule lengths that are not one natural through the
+    stage per act and side, here; any other through `Trace.append`."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     count, config = doc["strategy_count"], doc.get("config")
-    if not isinstance(count, int) or count < 0:
+    if not _is_natural(count):
         raise InvariantViolationError("strategy count %r is not a natural number" % (count,))
     if config is not None and len(config["strategies"]) != count:
         raise InvariantViolationError(
@@ -619,17 +623,24 @@ def trace_from_jsonable(doc: dict) -> Trace:
     dead = set()
     for rd in doc["records"]:
         s = rd["stage"]
-        rules = tuple(GapRule(e, st, node, side) for e, st, node, side in rd["rules"])
-        markers = {}
-        for r in rules:
-            markers.setdefault(r.e, {})[r.side] = r.node
+        if not _is_natural(s) or s != len(trace.records):
+            raise InvariantViolationError(
+                "record of stage %r follows %d records" % (s, len(trace.records))
+            )
         batches = dict.fromkeys(range(count), ())
         for e, runs in rd["batches"]:
-            if e not in batches:
+            if not _is_natural(e) or e not in batches:
                 raise InvariantViolationError("batch of strategy %r in a %d-strategy trace" % (e, count))
-            batches[e] = tuple((lo, hi) for lo, hi in runs)
+            batch = tuple(map(tuple, runs))
+            naturals = all(len(run) == 2 and all(map(_is_natural, run)) for run in batch)
+            if not naturals or batch != normalize(batch):
+                raise InvariantViolationError(
+                    "batch %r of strategy %d at stage %d is not a run set" % (runs, e, s)
+                )
+            batches[e] = batch
         info = {e: {"alive": e not in dead, "acted": False, "died": False, "approx": None, "marker": None}
                 for e in range(count)}
+        acted = []
         for e, p, *suffixes in rd["acts"]:
             d = _turn(info, e, s, "acts")
             old = trace.final_approx.get(e) or ("",) * len(sides)
@@ -638,7 +649,7 @@ def trace_from_jsonable(doc: dict) -> Trace:
                     "act of strategy %d at stage %d has %d suffixes for %d sides"
                     % (e, s, len(suffixes), len(sides))
                 )
-            if not isinstance(p, int) or not 0 <= p <= len(old[0]):
+            if not _is_natural(p) or p > len(old[0]):
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d keeps %r bits of a %d-bit approximation"
                     % (e, s, p, len(old[0]))
@@ -648,35 +659,51 @@ def trace_from_jsonable(doc: dict) -> Trace:
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d rebuilds %r, not %d bits per side" % (e, s, approx, s)
                 )
-            nodes = markers.pop(e, {})
-            marker = tuple(map(nodes.get, sides))
-            if None in marker:
-                raise InvariantViolationError(
-                    "act of strategy %d at stage %d has no %s-side rule" % (e, s, sides[marker.index(None)])
-                )
-            d["acted"], d["approx"], d["marker"] = True, approx, marker
+            d["acted"], d["approx"] = True, approx
+            acted.append(e)
         for e in rd["deaths"]:
             d = _turn(info, e, s, "dies")
             d["alive"], d["died"] = False, True
-        if markers:
+        lengths = rd["rules"]
+        if len(lengths) != len(acted) * len(sides):
             raise InvariantViolationError(
-                "rule of strategy %r at stage %d, which did not act" % (min(markers), s)
+                "acts at stage %d issue %d rules, but the record lists %d"
+                % (s, len(acted) * len(sides), len(lengths))
             )
+        for i, k in enumerate(lengths):
+            if not _is_natural(k) or k > s:
+                raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, k))
+        rules, length = [], iter(lengths)
+        for e in acted:
+            d = info[e]
+            d["marker"] = tuple(a[:next(length)] for a in d["approx"])
+            rules.extend(map(partial(GapRule, e, s), d["marker"], sides))
         # every strategy started and alive before stage s acts or dies at s
         started = min(s, count)
-        if len(rd["acts"]) + len(rd["deaths"]) != started - len(dead):
+        if len(acted) + len(rd["deaths"]) != started - len(dead):
             e = next(e for e in range(started) if info[e]["alive"] and not info[e]["acted"])
             raise InvariantViolationError("live strategy %d neither acts nor dies at stage %d" % (e, s))
         dead.update(rd["deaths"])
-        trace.append(StageRecord(stage=s, batches=batches, rules=rules, info=info,
-                                 trap_events=tuple(tuple(t) for t in rd["trap_events"])))
+        events = tuple(map(tuple, rd["trap_events"]))
+        for t in events:
+            if len(t) != 4 or not all(map(_is_natural, t)):
+                raise InvariantViolationError(
+                    "trap event %r at stage %d is not four naturals" % (list(t), s)
+                )
+        trace.append(StageRecord(stage=s, batches=batches, rules=tuple(rules), info=info,
+                                 trap_events=events))
     return trace
+
+
+def _is_natural(v) -> bool:
+    """An int that is not a bool, and not negative."""
+    return type(v) is int and v >= 0
 
 
 def _turn(info: dict, e, s, verb: str) -> dict:
     """Strategy e's record at stage s, if e may act or die at s: it has
     started (e < s), is alive and has not acted or died at s yet."""
-    if e not in info:
+    if not _is_natural(e) or e not in info:
         raise InvariantViolationError("strategy %r %s in a %d-strategy trace" % (e, verb, len(info)))
     if e >= s:
         raise InvariantViolationError("strategy %d %s at stage %d, before it starts" % (e, verb, s))

@@ -563,21 +563,22 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/4 bytes and the report digests of the gencomp-report/3
-# bytes; TRACE_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /3
-# trace and the /2 and /1 report digests, which `trace_3_view`,
-# `report_2_view` and `report_1_view` still reproduce.
+# the gencomp-trace/5 bytes and the report digests of the gencomp-report/3
+# bytes; TRACE_4_DIGESTS, TRACE_3_DIGESTS, REPORT_2_DIGESTS and
+# REPORT_1_DIGESTS keep the /4 and /3 trace and the /2 and /1 report
+# digests, which `trace_4_view`, `trace_3_view`, `report_2_view` and
+# `report_1_view` still reproduce.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
-        "70f4f029355ca6d1af1e432300e5f2f282b3f16cd8b9dd89f632e6824dd20ae1",
+        "cd108f277df5ec2b7f68fa04385a6ecaeb2f0f985fd59b5a6e341976afec7932",
         "bd2b38054163eef50592f8e934932f73e1e21657a7dd5c16e71573d902c508f9",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
-        "13b5a902cc951bc7c5b2984c8295c4007008b35403e21d87bb3ab8933dc190a2",
+        "7a2ea94cb50c05afe5d31ebfcf81d47ad6cf2da6de84eb417ad8531c5946c6ad",
         "74a48c05b024338fce9f17570d76e8240c439fc24d7acf37c79b0313e5782774",
     ),
 }
@@ -587,8 +588,60 @@ GOLDEN = {
 def test_golden_expanded_content(name):
     cfg, content_sha, _, _ = GOLDEN[name]
     _, doc = run_experiment(dict(cfg), write=False)
-    assert doc["format"] == "gencomp-trace/4"
+    assert doc["format"] == "gencomp-trace/5"
     assert expanded_content_digest(trace_3_view(doc)) == content_sha
+
+
+# the trace.json digests of the diagonal goldens as gencomp-trace/4 wrote them
+TRACE_4_DIGESTS = {
+    "pair-catalog-12": "70f4f029355ca6d1af1e432300e5f2f282b3f16cd8b9dd89f632e6824dd20ae1",
+    "single-diagonal-12": "13b5a902cc951bc7c5b2984c8295c4007008b35403e21d87bb3ab8933dc190a2",
+}
+
+
+def trace_4_view(doc):
+    """A gencomp-trace/5 trace in the /4 shape, rebuilt from the JSON alone:
+    the old format tag, and every rule as [e, stage, node, side].  The rule
+    lengths follow the acts in order and each act's sides in order; a
+    rule's node is the first k bits of its act's approximation on its side,
+    which is the first p bits of the strategy's previous one followed by
+    the suffix."""
+    sides = ["x"] if doc["mode"] == "single" else ["x", "y"]
+    approx = {}
+    records = []
+    for rec in doc["records"]:
+        lengths = iter(rec["rules"])
+        rules = []
+        for e, p, *suffixes in rec["acts"]:
+            approx[e] = [a[:p] + b for a, b in zip(approx.get(e, [""] * len(sides)), suffixes)]
+            rules.extend([e, rec["stage"], bits[:next(lengths)], side]
+                         for bits, side in zip(approx[e], sides))
+        records.append(dict(rec, rules=rules))
+    return dict(doc, format="gencomp-trace/4", records=records)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_4_DIGESTS))
+def test_trace_5_reads_as_4(tmp_path, name):
+    # the format bump writes each rule as the length of its node, which is
+    # a prefix of its act's approximation; everything else a /4 trace said
+    # is unchanged
+    cfg = GOLDEN[name][0]
+    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    written = json.loads((tmp_path / "trace.json").read_text())
+    assert written["format"] == "gencomp-trace/5"
+    assert all(type(k) is int for rec in written["records"] for k in rec["rules"])
+    old = trace_4_view(written)
+    assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_4_DIGESTS[name]
+
+
+def test_trace_4_fixture_is_the_view_of_its_replay():
+    # the /4 fixture was written before the bump: the config of the /3
+    # fixture, a strategy that springs two traps and dies at stage 3
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "trace_v4.json")) as fh:
+        old = json.load(fh)
+    assert old["format"] == "gencomp-trace/4"
+    _, doc = run_experiment(dict(old["config"]), write=False)
+    assert trace_4_view(doc) == old
 
 
 # the trace.json digests of the diagonal goldens as gencomp-trace/3 wrote them
@@ -599,12 +652,13 @@ TRACE_3_DIGESTS = {
 
 
 def trace_3_view(doc):
-    """A gencomp-trace/4 trace in the /3 shape, rebuilt from the JSON alone:
-    the old format tag, a batch (empty or not) for every strategy, every
-    strategy's record at every stage and the final block.  An act's
+    """A gencomp-trace/5 trace in the /3 shape, rebuilt from its /4 view
+    alone: the old format tag, a batch (empty or not) for every strategy,
+    every strategy's record at every stage and the final block.  An act's
     approximation is the first p bits of the strategy's previous one
     followed by the suffixes, its marker the nodes of its rules in side
     order; a strategy is alive until the stage that lists its death."""
+    doc = trace_4_view(doc)
     count = doc["strategy_count"]
     node = (lambda parts: parts[0]) if doc["mode"] == "single" else list
     approx, death, markers = {}, {}, {e: [] for e in range(count)}
@@ -652,7 +706,7 @@ def test_trace_4_reads_as_3(tmp_path, name):
     cfg, content_sha, _, _ = GOLDEN[name]
     run_experiment(dict(cfg), out_dir=str(tmp_path))
     written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-trace/4"
+    assert written["format"] == "gencomp-trace/5"
     old = trace_3_view(written)
     assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_3_DIGESTS[name]
     assert expanded_content_digest(old) == content_sha

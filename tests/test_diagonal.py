@@ -393,14 +393,17 @@ def test_single_victim_pair_reports_extra_x_rules():
 
 def test_append_rejects_a_rule_of_another_stage():
     # a stage-9 rule in the stage-2 record would sit in the table beyond the
-    # trace's horizon, where no audit looks
+    # trace's horizon, where no audit looks; a y-side rule has no table in
+    # single mode.  A trace file cannot say either (a rule there is its
+    # node's length), so only records built in memory reach these checks
     trace = run_single(5, [StrategySpec(Silent(), LeftmostSelector())])
     rec = trace.records[2]
-    doctored = StageRecord(rec.stage, rec.batches, rec.rules + (GapRule(0, 9, "0000"),),
-                           rec.info, rec.trap_events)
-    with pytest.raises(InvariantViolationError, match="stage-9 rule in the record of stage 2"):
-        Trace(trace.mode, trace.stages, trace.records[:2] + [doctored] + trace.records[3:],
-              trace.config_echo)
+    for rule, reason in ((GapRule(0, 9, "0000"), "stage-9 rule in the record of stage 2"),
+                         (GapRule(0, 2, "0", "y"), "y-side rule in a single-mode trace")):
+        doctored = StageRecord(rec.stage, rec.batches, rec.rules + (rule,), rec.info, rec.trap_events)
+        with pytest.raises(InvariantViolationError, match=reason):
+            Trace(trace.mode, trace.stages, trace.records[:2] + [doctored] + trace.records[3:],
+                  trace.config_echo)
 
 
 def test_pair_y_only_mind_change_keeps_x_marks():
@@ -446,12 +449,26 @@ def test_pair_mind_change_runs_pass_their_audits(data):
     assert audit_trace(trace) == []
 
 
+def with_marker(trace, stage, e, marker):
+    """The trace with strategy e's marker at `stage`, and so the nodes of
+    its rules, replaced by `marker` (one string per side).  Only edited
+    records can say this: a trace file writes each rule as the length of
+    its node along the act's approximation."""
+    rec = trace.records[stage]
+    info = dict(rec.info)
+    info[e] = dict(info[e], marker=marker)
+    rules = tuple(GapRule(e, stage, marker[trace.sides.index(r.side)], r.side) if r.e == e else r
+                  for r in rec.rules)
+    records = list(trace.records)
+    records[stage] = StageRecord(stage, rec.batches, rules, info, rec.trap_events)
+    return Trace(trace.mode, trace.stages, records, trace.config_echo)
+
+
 def test_marker_on_path_audit_detects_tampering():
     trace = silent_run(5)
-    doc = trace_to_jsonable(trace)
-    doc["records"][2]["rules"][0][2] = "1"  # the stage-2 marker, off the approximation 00
-    bad = trace_from_jsonable(doc)
-    assert audit_marker_on_path(bad)
+    assert audit_marker_on_path(trace) == []
+    bad = with_marker(trace, 2, 0, ("1",))  # the stage-2 marker, off the approximation 00
+    assert audit_marker_on_path(bad) == ["marker ('1',) off path at stage 2 (strategy 0)"]
 
 
 @pytest.mark.parametrize("build, marker", [(run_single, "1"), (run_pair, ["1", "1"])])
@@ -460,17 +477,14 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
         6,
         [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
     )
-    doc = trace_to_jsonable(trace)
     # strategy 0's stage-2 marker, the nodes of its rules, off the approximation 00
-    for rule, node in zip(doc["records"][2]["rules"], [marker] if isinstance(marker, str) else marker):
-        rule[2] = node
-    loaded = trace_from_jsonable(doc)
-    # the rules of the stage-2 trap event go too; the loader rejects the acts
-    # they belong to, so they are dropped from the loaded record
-    rec = loaded.records[1]
+    tampered = with_marker(trace, 2, 0, tuple(marker))
+    # the stage-1 rules, which the stage-2 trap event references, go too,
+    # while the act they belong to stays
+    rec = tampered.records[1]
     dropped = StageRecord(rec.stage, rec.batches, (), rec.info, rec.trap_events)
-    bad = Trace(loaded.mode, loaded.stages, [loaded.records[0], dropped] + loaded.records[2:],
-                loaded.config_echo)
+    bad = Trace(tampered.mode, tampered.stages, [tampered.records[0], dropped] + tampered.records[2:],
+                tampered.config_echo)
     # the audits one by one, in the order the report lists them
     expected = audit_marker_on_path(bad) + audit_trap_soundness(bad) + audit_spoiling(bad)
     for e in range(bad.strategy_count):

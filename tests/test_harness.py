@@ -226,17 +226,21 @@ def test_verify_trace_file_roundtrip(tmp_path):
 
 
 def test_verify_detects_doctored_marker(tmp_path):
-    # a marker is the nodes of its rules, one per side
-    for scenario, marker in (("single-diagonal", ["1"]), ("pair-diagonal", ["1", "0"])):
+    # a marker is the nodes of its rules, one per side, each written as its
+    # length along the act's approximation: a doctored length moves the
+    # marker along the path, never off it, so the replay is what sees it
+    for scenario in ("single-diagonal", "pair-diagonal"):
         out = tmp_path / scenario
         run_experiment(single_config(scenario=scenario), out_dir=str(out))
         doc = json.loads((out / "trace.json").read_text())
-        for rule, node in zip(doc["records"][1]["rules"], marker):
-            rule[2] = node
+        assert doc["records"][1]["rules"][0] == 0
+        doc["records"][1]["rules"][0] = 1
         (out / "bad.json").write_text(canonical_json(doc))
         problems = verify_trace_file(str(out / "bad.json"))
-        assert any("replay mismatch" in p for p in problems)
-        assert any("off path" in p for p in problems)
+        assert problems[0] == (
+            "replay mismatch at records[1].rules[0]: trace is not reproducible from its config"
+        )
+        assert not any("off path" in p for p in problems)
 
 
 AUDITS = ("audit_marker_on_path", "audit_trap_soundness", "audit_spoiling",
@@ -404,15 +408,16 @@ def test_first_difference_paths():
 def test_verify_rejects_trace_format_1(tmp_path, capsys):
     # single-diagonal traces of one 4-stage config written by earlier
     # formats: /1 listed batches element by element, /2 carried a per-act
-    # level hash, /3 listed every strategy in every record and a final block
-    for version in (1, 2, 3):
+    # level hash, /3 listed every strategy in every record and a final
+    # block, /4 wrote every rule as [e, stage, node, side]
+    for version in (1, 2, 3, 4):
         fmt = "gencomp-trace/%d" % version
         fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v%d.json" % version)
         with open(fixture) as fh:
             assert json.load(fh)["format"] == fmt
         assert cli.main(["verify", fixture]) == 2
         err = capsys.readouterr().err
-        assert fmt in err and "gencomp-trace/4" in err and "gencomp-scenario-trace/2" in err
+        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/2" in err
         assert "Traceback" not in err
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -458,34 +463,29 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
             "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n" % where
         )
     # records the trace cannot be built from fail while it loads: an act
-    # whose only rule is y-side, an act whose rule moved to the next record,
-    # a y-side rule in a single-mode trace, a stage-1 rule in the stage-2
-    # record, a stage-9 rule in the stage-2 record, and a strategy count
-    # other than the config's
-    def y_side(doc):
-        doc["records"][1]["rules"][0][3] = "y"
-
+    # whose rule moved to the next record, a second rule for an act, a rule
+    # longer than its stage, a rule length that is a bool, and a strategy
+    # count other than the config's
     def moved(doc):
         doc["records"][2]["rules"].insert(0, doc["records"][1]["rules"].pop())
 
-    def y_extra(doc):
-        doc["records"][1]["rules"].append([0, 1, "", "y"])
-
-    def copied(doc):
-        doc["records"][2]["rules"].insert(0, list(doc["records"][1]["rules"][0]))
+    def extra(doc):
+        doc["records"][1]["rules"].append(0)
 
     def ahead(doc):
-        doc["records"][2]["rules"].append([0, 9, "0000", "x"])
+        doc["records"][1]["rules"][0] = 2
+
+    def flagged(doc):
+        doc["records"][1]["rules"][0] = False
 
     def counted(doc):
         doc["strategy_count"] = 2
 
     for where, doctor, reason in (
-        ("records[1].rules[0][3]", y_side, "act of strategy 0 at stage 1 has no x-side rule"),
-        ("records[1].rules[0]", moved, "act of strategy 0 at stage 1 has no x-side rule"),
-        ("records[1].rules[1]", y_extra, "y-side rule in a single-mode trace"),
-        ("records[2].rules[0][1]", copied, "stage-1 rule in the record of stage 2"),
-        ("records[2].rules[1]", ahead, "stage-9 rule in the record of stage 2"),
+        ("records[1].rules[0]", moved, "acts at stage 1 issue 1 rules, but the record lists 0"),
+        ("records[1].rules[1]", extra, "acts at stage 1 issue 1 rules, but the record lists 2"),
+        ("records[1].rules[0]", ahead, "rule 0 at stage 1 has a node of length 2"),
+        ("records[1].rules[0]", flagged, "rule 0 at stage 1 has a node of length False"),
         ("strategy_count", counted, "strategy count 2, but the config lists 1 strategies"),
     ):
         doc = json.loads((out / "trace.json").read_text())
@@ -513,18 +513,20 @@ def _pair_springer_config():
 
 
 def _drop_rules(stage, e):
+    # a pair-mode act's rules are the two lengths at twice its index
     def doctor(records):
-        records[stage]["rules"] = [r for r in records[stage]["rules"] if r[0] != e]
+        i = [act[0] for act in records[stage]["acts"]].index(e)
+        del records[stage]["rules"][2 * i:2 * i + 2]
     return doctor
 
 
 @pytest.mark.parametrize("where, doctor, reason", [
     ("records[2].rules[2]", _drop_rules(2, 1),
-     "act of strategy 1 at stage 2 has no x-side rule"),
+     "acts at stage 2 issue 4 rules, but the record lists 2"),
     ("records[2].rules[3]", lambda r: r[2]["rules"].pop(3),
-     "act of strategy 1 at stage 2 has no y-side rule"),
+     "acts at stage 2 issue 4 rules, but the record lists 3"),
     ("records[2].acts[1]", lambda r: r[2]["acts"].pop(1),
-     "rule of strategy 1 at stage 2, which did not act"),
+     "acts at stage 2 issue 2 rules, but the record lists 4"),
     ("records[4].acts[0][0]", lambda r: r[4]["acts"].insert(0, [0, 3, "0", "0"]),
      "strategy 0 acts at stage 4, after it died"),
     ("records[1].acts[1]", lambda r: r[1]["acts"].append([1, 0, "0", "0"]),
@@ -543,12 +545,35 @@ def _drop_rules(stage, e):
      "act of strategy 0 at stage 2 rebuilds ('000', '00'), not 2 bits per side"),
     ("records[2].acts[0][3]", lambda r: r[2]["acts"][0].__setitem__(3, ""),
      "act of strategy 0 at stage 2 rebuilds ('00', '0'), not 2 bits per side"),
-    ("records[2].acts[1]", lambda r: (r[2]["acts"].pop(1), _drop_rules(2, 1)(r)),
+    ("records[2].acts[1]", lambda r: (_drop_rules(2, 1)(r), r[2]["acts"].pop(1)),
      "live strategy 1 neither acts nor dies at stage 2"),
+    # every count is an int that is not a bool
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, True),
+     "act of strategy 0 at stage 2 keeps True bits of a 1-bit approximation"),
+    ("records[1].stage", lambda r: r[1].__setitem__("stage", True),
+     "record of stage True follows 1 records"),
+    ("records[3].deaths[0]", lambda r: r[3]["deaths"].__setitem__(0, True),
+     "strategy True dies in a 2-strategy trace"),
+    ("records[2].batches[0][0]", lambda r: r[2]["batches"][0].__setitem__(0, True),
+     "batch of strategy True in a 2-strategy trace"),
+    # every batch is a run set of naturals: sorted, disjoint, non-adjacent
+    # and nonempty runs (stage 2's one batch is [0, [[2, 3]]])
+    ("records[2].batches[0][1][0][0]", lambda r: r[2]["batches"][0].__setitem__(1, [[3, 2]]),
+     "batch [[3, 2]] of strategy 0 at stage 2 is not a run set"),
+    ("records[2].batches[0][1][1]", lambda r: r[2]["batches"][0].__setitem__(1, [[2, 3], [2, 3]]),
+     "batch [[2, 3], [2, 3]] of strategy 0 at stage 2 is not a run set"),
+    ("records[2].batches[0][1][0][0]", lambda r: r[2]["batches"][0].__setitem__(1, [[2.0, 3]]),
+     "batch [[2.0, 3]] of strategy 0 at stage 2 is not a run set"),
+    # every trap event is four naturals (stage 2's one event is [0, 1, 2, 3])
+    ("records[2].trap_events[0][2]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2.0, 3]),
+     "trap event [0, 1, 2.0, 3] at stage 2 is not four naturals"),
+    ("records[2].trap_events[0][3]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2]),
+     "trap event [0, 1, 2] at stage 2 is not four naturals"),
 ])
 def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where, doctor, reason):
-    # acts, deaths and rules that no run writes fail while the trace loads:
-    # one VIOLATION line from the loader, after the replay's mismatch line
+    # counts, batches, trap events, acts, deaths and rules that no run
+    # writes fail while the trace loads: one VIOLATION line from the
+    # loader, after the replay's mismatch line
     out = tmp_path / "o"
     run_experiment(_pair_springer_config(), out_dir=str(out))
     doc = json.loads((out / "trace.json").read_text())
@@ -603,7 +628,7 @@ def test_cli_catalog(capsys):
     listed = json.loads(capsys.readouterr().out)
     assert "trap-springer" in listed["adversaries"]
     assert "single-diagonal" in listed["scenarios"]
-    assert listed["trace_format"] == "gencomp-trace/4"
+    assert listed["trace_format"] == "gencomp-trace/5"
     assert listed["report_format"] == "gencomp-report/3"
     assert listed["scenario_trace_format"] == "gencomp-scenario-trace/2"
 
@@ -631,7 +656,7 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
     assert cli.main(["verify", str(out / "v1.json")]) == 2
     err = capsys.readouterr().err
     assert "'gencomp-scenario-trace/1'" in err
-    assert "gencomp-trace/4" in err and "gencomp-scenario-trace/2" in err
+    assert "gencomp-trace/5" in err and "gencomp-scenario-trace/2" in err
     assert "Traceback" not in err
     # one image digit flipped: the replay names the image
     i, k = next((i, k) for i, entry in enumerate(doc["log"])

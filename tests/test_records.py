@@ -27,7 +27,7 @@ from gencomp.diagonal import (
 )
 from gencomp.enumops import EnumerationOperator, battery
 from gencomp.errors import BudgetError, SelectorCapError, UndefinedInputError
-from gencomp.harness import DIAGONAL_MODES
+from gencomp.harness import DIAGONAL_MODES, _diagonal_trace, run_experiment, validate_config
 from gencomp.reals import (
     Enumerator,
     EventuallyPeriodicReal,
@@ -76,6 +76,36 @@ def test_cli_import_adds_no_costly_stdlib_module():
 
 def test_diagonal_modes_are_the_engine_modes():
     assert set(DIAGONAL_MODES.values()) == set(diagonal.SIDES)
+
+
+# perfbench's reader of the written traces, run on the trace directories
+# named after sys.argv[2]
+_TRACE_COUNTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run
+print(json.dumps(run._trace_counts(sys.argv[2], [(name, None) for name in sys.argv[3:]])))
+"""
+
+
+def test_benchmark_trace_counts_are_the_engine_counts(tmp_path):
+    # perfbench reports diagonal.rules_issued and diagonal.trap_events as
+    # the summed lengths of the records' `rules` and `trap_events` lists:
+    # in every diagonal golden, each record lists one entry per rule the
+    # engine issued at its stage and one per trap event
+    names = sorted(name for name, (cfg, _, _) in ARTIFACT_GOLDEN.items() if "strategies" in cfg)
+    total = {"rules": 0, "trap_events": 0}
+    for name in names:
+        cfg = ARTIFACT_GOLDEN[name][0]
+        run_experiment(dict(cfg), out_dir=str(tmp_path / name))
+        doc = json.loads((tmp_path / name / "trace.json").read_text())
+        records = _diagonal_trace(validate_config(dict(cfg))).records
+        for key in total:
+            issued = [len(getattr(rec, key)) for rec in records]
+            assert [len(rd[key]) for rd in doc["records"]] == issued, (name, key)
+            total[key] += sum(issued)
+    assert total["rules"] and total["trap_events"]
+    assert json.loads(_fresh(_TRACE_COUNTS, PERFBENCH, str(tmp_path), *names)) == total
 
 
 LAZY_MODULES = ("adversaries", "codings", "diagonal", "enumops", "reals", "relations", "scenarios")
