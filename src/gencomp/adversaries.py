@@ -23,15 +23,13 @@ class Silent:
 
 
 class TrapSpringer:
-    """Enumerates one element (the first) of each gap its strategy issued
-    one stage earlier, read off the trace."""
+    """Enumerates one element (the first) of the gap its strategy issued
+    one stage earlier, read off the trace's x table."""
 
     name = "trap-springer"
 
     def new_elements(self, e, stage, trace):
-        if stage == 0:
-            return []
-        return sorted({(r.gap[0], r.gap[0] + 1) for r in trace.records[stage - 1].rules if r.e == e})
+        return [(r.gap[0], r.gap[0] + 1) for r in trace.table().rules_at_block(stage - 1) if r.e == e]
 
 
 class CautiousCopier:

@@ -5,11 +5,12 @@ A run builds one Turing-style functional (single mode) or a pair of them
 the last 2^(s-e) elements of block s from the functional's value on every
 oracle extending `node`.  Strategy e acts at stages s > e: it computes the
 surviving level of its tree (oracles kept consistent with the opponent
-enumeration staying inside the functional's value), places a marker at the
-shortest prefix of the selected infinite path whose string on every side is
-unmarked there, and issues the corresponding gap rule(s).  The opponent
-must then either enumerate into the gap, pruning every extension of the
-marked node from the tree, or absorb a density dip at that block.
+enumeration staying inside the functional's value).  If the tree is empty
+the strategy dies; else it acts, placing a marker at the shortest prefix of
+the selected infinite path whose string on every side is unmarked there:
+the marker is its gap rule on each side.  The opponent must then either
+enumerate into the gap, pruning every extension of the marked node from the
+tree, or absorb a density dip at that block.
 
 Level sets are exponential and are therefore never materialized: survival
 of a node is decided from the rule table plus the enumeration snapshot,
@@ -17,8 +18,10 @@ and paths are found by ordered depth-first search with pruning.  Every
 enumeration (a stage's batch, a strategy's snapshot, a trap event) is a
 run set of half-open intervals (see `runs`), so no step costs time or
 memory in the number of enumerated elements.  A whole run is recorded as a
-Trace that replays bit-for-bit from its config; the trace is also the
-engine's only state, stage s being computed from its records through s-1.
+Trace that replays bit-for-bit from its config: per stage, the new elements,
+the acts and the deaths, of which the rule tables and markers are views.
+The trace is also the engine's only state, stage s being computed from its
+records through s-1.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 from operator import add
+from os.path import commonprefix
 from typing import Optional
 
 from .density import gap_census, gap_interval
@@ -63,9 +67,7 @@ class GapRule(Frozen):
         if not 0 <= e <= stage:
             raise UndefinedInputError("gap exponent must satisfy 0 <= e <= stage")
         if len(node) > stage:
-            raise SelectorCapError(
-                "rule at stage %d uses a node of length %d" % (stage, len(node))
-            )
+            raise SelectorCapError("rule at stage %d uses a node of length %d" % (stage, len(node)))
         if node.strip("01"):
             raise ValueError("node must be a bit string")
         if side not in (SIDE_X, SIDE_Y):
@@ -94,18 +96,9 @@ class GapRuleTable:
         self.side = side
         self.rules: list = []
         self._by_block: dict = {}
-        self._keys: set = set()
         self.defined_through = -1
 
     def add_rule(self, rule: GapRule):
-        if rule.side != self.side:
-            raise ValueError("rule side does not match the table")
-        key = (rule.e, rule.stage)
-        if key in self._keys:
-            raise InvariantViolationError(
-                "second rule for strategy %d at stage %d" % key
-            )
-        self._keys.add(key)
         self.rules.append(rule)
         self._by_block.setdefault(rule.stage, []).append(rule)
 
@@ -246,11 +239,8 @@ class ExtremalSelector:
         self.bit = bit
         self.order = "01" if bit == "0" else "10"
 
-    def path(self, stage, ctx, find):
-        stem = find(self.order)
-        if stem is None:
-            return None
-        return tuple(side + self.bit * (stage - ctx.l) for side in stem)
+    def path(self, stage, stem):
+        return tuple(side + self.bit * (stage - len(side)) for side in stem)
 
 
 LeftmostSelector = partial(ExtremalSelector, "0")
@@ -260,41 +250,22 @@ RightmostSelector = partial(ExtremalSelector, "1")
 class ScriptedSelector:
     """Approximation-style selector: finitely many scripted mind changes,
     each entry giving the path guess (a node) from some stage on.  Falls
-    back to leftmost before the first entry applies.  Each side of the
-    guess is padded with 0s (truncated) to the stage cap; its level
-    truncation must survive."""
+    back to leftmost (the leftmost survivor `stem`) before the first entry
+    applies.  Each side of the guess is padded with 0s (truncated) to the
+    stage cap; its level truncation must survive."""
 
     kind = "scripted"
     order = "01"  # the leftmost fallback's
 
     def __init__(self, entries):
         self.entries = tuple(sorted(entries, key=lambda it: it[0]))
-        self._fallback = LeftmostSelector()
 
-    def path(self, stage, ctx, find):
-        guess = None
+    def path(self, stage, stem):
+        guess = stem
         for from_stage, node in self.entries:
             if from_stage <= stage:
                 guess = node
-        if guess is None:
-            return self._fallback.path(stage, ctx, find)
         return tuple((side + "0" * stage)[:stage] for side in guess)
-
-
-class MarkerRecord:
-    """Strategy e's marker placed at `stage`; equal when the fields are."""
-
-    __slots__ = ("e", "stage", "node")
-
-    def __init__(self, e: int, stage: int, node):
-        self.e = e
-        self.stage = stage
-        self.node = node
-
-    def __eq__(self, other):
-        if type(other) is not MarkerRecord:
-            return NotImplemented
-        return (self.e, self.stage, self.node) == (other.e, other.stage, other.node)
 
 
 class StrategySpec(Frozen):
@@ -321,29 +292,31 @@ class RunConfig(Frozen):
 
 
 class StageRecord:
-    """What one stage did; equal when the fields are."""
+    """What one stage did; equal when the fields are.  An act's
+    approximation and marker each hold one bit string per side."""
 
-    __slots__ = ("stage", "batches", "rules", "info", "trap_events")
+    __slots__ = ("stage", "batches", "acts", "deaths", "trap_events")
 
-    def __init__(self, stage: int, batches: dict, rules: tuple, info: dict, trap_events: tuple):
+    def __init__(self, stage: int, batches: dict, acts: dict, deaths: tuple, trap_events: tuple):
         self.stage = stage
-        self.batches = batches          # e -> run set of new elements
-        self.rules = rules              # GapRules issued this stage
-        self.info = info                # e -> dict(alive, acted, died, approx, marker)
+        self.batches = batches          # e -> run set of new elements, for every strategy
+        self.acts = acts                # e -> (approx, marker), in ascending e
+        self.deaths = deaths            # the strategies whose tree emptied, ascending
         self.trap_events = trap_events  # (e, gap_stage, lo, hi): new run [lo, hi) inside the gap
 
     def __eq__(self, other):
         if type(other) is not StageRecord:
             return NotImplemented
-        return ((self.stage, self.batches, self.rules, self.info, self.trap_events)
-                == (other.stage, other.batches, other.rules, other.info, other.trap_events))
+        return ((self.stage, self.batches, self.acts, self.deaths, self.trap_events)
+                == (other.stage, other.batches, other.acts, other.deaths, other.trap_events))
 
 
 class Trace:
     """Replayable record of one construction run, and the engine's only
     state.  The stage records are all it stores; `append` keeps the views
-    read off them: one GapRuleTable per side, and per strategy e the
-    enumerated run set, the markers, the last approximation (None before
+    read off them: one GapRuleTable per side, holding each act's marker as
+    that side's gap rule, and per strategy e the enumerated run set, the
+    markers as (stage, marker) pairs, the last approximation (None before
     the first act) and the death stage (None while alive).  Records given
     to the constructor are fed through `append` too, so the engine, the
     loader and any caller rebuilding a trace from edited records build it
@@ -367,29 +340,30 @@ class Trace:
             self.append(rec)
 
     def append(self, rec: StageRecord):
-        """Add the next stage's record and bring the views up to it."""
-        if rec.stage != len(self.records):
-            raise InvariantViolationError(
-                "record of stage %r follows %d records" % (rec.stage, len(self.records))
-            )
-        for r in rec.rules:
-            if r.side not in self._tables:
-                raise InvariantViolationError("%s-side rule in a %s-mode trace" % (r.side, self.mode))
-            if r.stage != rec.stage:
-                raise InvariantViolationError(
-                    "stage-%d rule in the record of stage %d" % (r.stage, rec.stage)
-                )
-            self._tables[r.side].add_rule(r)
-        for t in self._tables.values():
-            t.extend_defined(rec.stage)
-        for e, info in rec.info.items():
-            batch, known = rec.batches.get(e), self.enumerated.get(e, ())
+        """Add the next stage's record and bring the views up to it: each
+        act's marker enters every side's table as that side's gap rule."""
+        s, sides = rec.stage, self.sides
+        if s != len(self.records):
+            raise InvariantViolationError("record of stage %r follows %d records" % (s, len(self.records)))
+        for e, batch in rec.batches.items():
+            known = self.enumerated.get(e, ())
             self.enumerated[e] = union(known, batch) if batch else known
-            marker = (MarkerRecord(e, rec.stage, info["marker"]),) if info["marker"] else ()
-            self.markers[e] = self.markers.get(e, ()) + marker
-            self.final_approx[e] = info["approx"] or self.final_approx.get(e)
-            if self.death_stage.get(e) is None:
-                self.death_stage[e] = rec.stage if info["died"] else None
+            self.markers.setdefault(e, ())
+            self.final_approx.setdefault(e, None)
+            self.death_stage.setdefault(e, None)
+        for e, (approx, marker) in rec.acts.items():
+            if not len(approx) == len(marker) == len(sides):
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d has not one string per side" % (e, s)
+                )
+            for node, side in zip(marker, sides):
+                self._tables[side].add_rule(GapRule(e, s, node, side))
+            self.markers[e] += ((s, marker),)
+            self.final_approx[e] = approx
+        for e in rec.deaths:
+            self.death_stage[e] = s
+        for t in self._tables.values():
+            t.extend_defined(s)
         self.records.append(rec)
         self._censuses.clear()
 
@@ -403,7 +377,7 @@ class Trace:
 
     @property
     def strategy_count(self) -> int:
-        return len(self.records[0].info) if self.records else 0
+        return len(self.records[0].batches) if self.records else 0
 
     def table(self, side=SIDE_X) -> GapRuleTable:
         """The side's rules through the last record: shared, callers do
@@ -445,14 +419,11 @@ class Trace:
         """The selected path's extension chains, as [first stage, last
         approximation]: a new chain starts at every mind change."""
         chains = []
-        for rec in self.records:
-            node = rec.info[e]["approx"]
-            if not node:
-                continue
+        for stage, (node, _) in ((rec.stage, rec.acts[e]) for rec in self.records if e in rec.acts):
             if chains and _extends(node, chains[-1][1]):
                 chains[-1][1] = node
             else:
-                chains.append([rec.stage, node])
+                chains.append([stage, node])
         return chains
 
     def rules_for(self, e, side=SIDE_X) -> list:
@@ -476,47 +447,33 @@ def _stage(trace: Trace, cfg: RunConfig, s: int) -> StageRecord:
             continue
         for rule in trace.rules_for(e):  # traps are x-side gaps
             trap_events.extend((e, rule.stage, lo, hi) for lo, hi in clip(new, *rule.gap))
-    info = {e: _act(trace, cfg, e, s) for e in range(len(cfg.strategies))}
-    rules = tuple(
-        GapRule(e, s, node, side)
-        for e, d in info.items() if d["marker"]
-        for node, side in zip(d["marker"], trace.sides)
-    )
-    return StageRecord(stage=s, batches=batches, rules=rules, info=info,
-                       trap_events=tuple(trap_events))
+    acts, deaths = {}, []
+    for e in range(min(s, len(cfg.strategies))):  # the started strategies
+        if trace.death_stage[e] is None:
+            act = _act(trace, cfg, e, s)
+            if act is None:
+                deaths.append(e)
+            else:
+                acts[e] = act
+    return StageRecord(s, batches, acts, tuple(deaths), tuple(trap_events))
 
 
-def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> dict:
-    """Strategy e's record at stage s; markers are kept per side."""
-    alive = trace.death_stage.get(e) is None
-    out = {"alive": alive, "acted": False, "died": False, "approx": None, "marker": None}
-    if not alive or e >= s:
-        return out
+def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> Optional[tuple]:
+    """Live strategy e's act at stage s, (approx, marker), or None when its
+    tree is empty."""
     l = s - 1
-    ctx = LevelContext(l, trace.enumerated.get(e, ()), trace.tables())
+    ctx = LevelContext(l, trace.enumerated[e], trace.tables())
     selector = cfg.strategies[e].selector
-
-    found = {}  # the liveness test's search is the extremal selector's
-
-    def find(order):
-        if order not in found:
-            found[order] = find_survivor(ctx, order, budget=cfg.node_budget)
-        return found[order]
-
-    # any order finds a survivor iff one exists, so search in the order
-    # the selector will ask for (scripted selectors fall back to leftmost)
-    if find(selector.order) is None:
-        return dict(out, alive=False, died=True)
-    path = selector.path(s, ctx, find)
-    if path is None:
-        raise InvariantViolationError("selector returned no path on a live tree")
+    # any order finds a survivor iff one exists, so search once, in the
+    # selector's order (scripted selectors fall back to leftmost)
+    stem = find_survivor(ctx, selector.order, budget=cfg.node_budget)
+    if stem is None:
+        return None
+    path = selector.path(s, stem)
     if ctx.killed(tuple(side[:l] for side in path)):
-        raise InvariantViolationError(
-            "selector path truncation is outside the surviving level"
-        )
-    markers = trace.markers.get(e, ())
-    marked = [{m.node[i] for m in markers} for i in range(len(path))]
-    return dict(out, acted=True, approx=path, marker=select_marker_node(path, marked, cap=s))
+        raise InvariantViolationError("selector path truncation is outside the surviving level")
+    marked = [{marker[i] for _, marker in trace.markers[e]} for i in range(len(path))]
+    return path, select_marker_node(path, marked, cap=s)
 
 
 def run_construction(cfg: RunConfig) -> Trace:
@@ -573,21 +530,18 @@ def trace_to_jsonable(trace: Trace) -> dict:
     records = []
     for rec in trace.records:
         acts = []
-        for e, info in sorted(rec.info.items()):
-            approx = info["approx"]
-            if approx is None:
-                continue
+        for e, (approx, _) in rec.acts.items():
             old = last.get(e, ("",) * len(approx))
-            p = min(len(a) if b.startswith(a) else _lcp_len(a, b) for a, b in zip(old, approx))
+            p = min(len(a) if b.startswith(a) else len(commonprefix((a, b))) for a, b in zip(old, approx))
             acts.append([e, p, *(side[p:] for side in approx)])
             last[e] = approx
         records.append({
             "stage": rec.stage,
-            "rules": [len(r.node) for r in rec.rules],
+            "rules": [len(node) for _, marker in rec.acts.values() for node in marker],
             "trap_events": [list(t) for t in rec.trap_events],
             "batches": [[e, [list(run) for run in runs]] for e, runs in sorted(rec.batches.items()) if runs],
             "acts": acts,
-            "deaths": [e for e, info in sorted(rec.info.items()) if info["died"]],
+            "deaths": list(rec.deaths),
         })
     return {
         "format": TRACE_FORMAT,
@@ -603,95 +557,102 @@ def trace_to_jsonable(trace: Trace) -> dict:
 def trace_from_jsonable(doc: dict) -> Trace:
     """The trace a document records.  The mode, the stage count, the
     strategy count, the echoed config and the records are read; the defined
-    horizon is a view of the records, checked by replay.  A record the
-    engine could not have written is rejected: one with a count that is not
-    a natural number, a batch that is not a run set, a trap event that is
-    not four naturals, acts and deaths that disagree, an approximation of
-    the wrong length, or rule lengths that are not one natural through the
-    stage per act and side, here; any other through `Trace.append`."""
+    horizon is a view of the records, checked by replay.  Each record is
+    read as its batches, its acts and its deaths: an act's marker is the
+    prefix of its approximation on every side that the act's rule lengths
+    give, and `Trace.append` builds the rules from it.  A document the
+    engine could not have written is rejected with a named violation: a
+    field of the wrong type or arity, a count that is not a natural number,
+    a batch that is not a run set or not the strategy's only one, a trap
+    event that is not four naturals, acts and deaths that disagree or are
+    out of order, an approximation of the wrong length, or rule lengths
+    that are not one natural through the stage per act and side."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
-    count, config = doc["strategy_count"], doc.get("config")
+    mode, stages, count, config, docs = map(doc.get, ("mode", "stages", "strategy_count", "config", "records"))
+    if mode not in (SINGLE, PAIR):
+        raise InvariantViolationError("trace mode %r is neither single nor pair" % (mode,))
     if not _is_natural(count):
         raise InvariantViolationError("strategy count %r is not a natural number" % (count,))
     if config is not None and len(config["strategies"]) != count:
         raise InvariantViolationError(
             "strategy count %d, but the config lists %d strategies" % (count, len(config["strategies"]))
         )
-    trace = Trace(doc["mode"], doc["stages"], (), config)
-    sides = trace.sides
+    if type(docs) is not list:
+        raise InvariantViolationError("records %r are not a list" % (docs,))
+    if not _is_natural(stages) or stages != len(docs):
+        raise InvariantViolationError("stage count %r, but the trace has %d records" % (stages, len(docs)))
+    trace = Trace(mode, stages, (), config)
+    k = len(trace.sides)
     dead = set()
-    for rd in doc["records"]:
-        s = rd["stage"]
+    for rd in docs:
+        s = rd.get("stage") if type(rd) is dict else None
         if not _is_natural(s) or s != len(trace.records):
-            raise InvariantViolationError(
-                "record of stage %r follows %d records" % (s, len(trace.records))
-            )
-        batches = dict.fromkeys(range(count), ())
-        for e, runs in rd["batches"]:
-            if not _is_natural(e) or e not in batches:
+            raise InvariantViolationError("record of stage %r follows %d records" % (s, len(trace.records)))
+        batch_docs, act_docs, deaths, lengths, events = (
+            _list_of(rd.get(key), None, key, s) for key in ("batches", "acts", "deaths", "rules", "trap_events")
+        )
+        batches = {}
+        for entry in batch_docs:
+            e, runs = _list_of(entry, 2, "batch entry", s)
+            if not _is_natural(e) or e >= count:
                 raise InvariantViolationError("batch of strategy %r in a %d-strategy trace" % (e, count))
-            batch = tuple(map(tuple, runs))
-            naturals = all(len(run) == 2 and all(map(_is_natural, run)) for run in batch)
+            if e in batches:
+                raise InvariantViolationError("second batch of strategy %d at stage %d" % (e, s))
+            naturals = type(runs) is list and all(
+                type(run) is list and len(run) == 2 and all(map(_is_natural, run)) for run in runs
+            )
+            batch = tuple(map(tuple, runs)) if naturals else None
             if not naturals or batch != normalize(batch):
                 raise InvariantViolationError(
                     "batch %r of strategy %d at stage %d is not a run set" % (runs, e, s)
                 )
             batches[e] = batch
-        info = {e: {"alive": e not in dead, "acted": False, "died": False, "approx": None, "marker": None}
-                for e in range(count)}
-        acted = []
-        for e, p, *suffixes in rd["acts"]:
-            d = _turn(info, e, s, "acts")
-            old = trace.final_approx.get(e) or ("",) * len(sides)
-            if len(suffixes) != len(sides):
-                raise InvariantViolationError(
-                    "act of strategy %d at stage %d has %d suffixes for %d sides"
-                    % (e, s, len(suffixes), len(sides))
-                )
+        acts = {}
+        for act in act_docs:
+            e, p, *suffixes = _list_of(act, 2 + k, "act", s)
+            _turn(e, s, "acts", count, dead, acts)
+            old = trace.final_approx.get(e) or ("",) * k
             if not _is_natural(p) or p > len(old[0]):
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d keeps %r bits of a %d-bit approximation"
                     % (e, s, p, len(old[0]))
                 )
+            if not all(type(b) is str and not b.strip("01") for b in suffixes):
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d has suffixes %r, not bit strings" % (e, s, suffixes)
+                )
             approx = tuple([a[:p] + b for a, b in zip(old, suffixes)])
-            if set(map(len, approx)) != {s} or "".join(suffixes).strip("01"):
+            if set(map(len, approx)) != {s}:
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d rebuilds %r, not %d bits per side" % (e, s, approx, s)
                 )
-            d["acted"], d["approx"] = True, approx
-            acted.append(e)
-        for e in rd["deaths"]:
-            d = _turn(info, e, s, "dies")
-            d["alive"], d["died"] = False, True
-        lengths = rd["rules"]
-        if len(lengths) != len(acted) * len(sides):
+            acts[e] = approx
+        alive = min(s, count) - len(dead)
+        for e in deaths:
+            _turn(e, s, "dies", count, dead, acts)
+            dead.add(e)
+        if len(lengths) != len(acts) * k:
             raise InvariantViolationError(
                 "acts at stage %d issue %d rules, but the record lists %d"
-                % (s, len(acted) * len(sides), len(lengths))
+                % (s, len(acts) * k, len(lengths))
             )
-        for i, k in enumerate(lengths):
-            if not _is_natural(k) or k > s:
-                raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, k))
-        rules, length = [], iter(lengths)
-        for e in acted:
-            d = info[e]
-            d["marker"] = tuple(a[:next(length)] for a in d["approx"])
-            rules.extend(map(partial(GapRule, e, s), d["marker"], sides))
+        for i, n in enumerate(lengths):
+            if not _is_natural(n) or n > s:
+                raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, n))
         # every strategy started and alive before stage s acts or dies at s
-        started = min(s, count)
-        if len(acted) + len(rd["deaths"]) != started - len(dead):
-            e = next(e for e in range(started) if info[e]["alive"] and not info[e]["acted"])
+        if len(acts) + len(deaths) != alive:
+            e = next(e for e in range(min(s, count)) if e not in dead and e not in acts)
             raise InvariantViolationError("live strategy %d neither acts nor dies at stage %d" % (e, s))
-        dead.update(rd["deaths"])
-        events = tuple(map(tuple, rd["trap_events"]))
+        if list(acts) != sorted(acts) or deaths != sorted(deaths):
+            raise InvariantViolationError("acts or deaths at stage %d are out of strategy order" % s)
         for t in events:
-            if len(t) != 4 or not all(map(_is_natural, t)):
-                raise InvariantViolationError(
-                    "trap event %r at stage %d is not four naturals" % (list(t), s)
-                )
-        trace.append(StageRecord(stage=s, batches=batches, rules=tuple(rules), info=info,
-                                 trap_events=events))
+            if type(t) is not list or len(t) != 4 or not all(map(_is_natural, t)):
+                raise InvariantViolationError("trap event %r at stage %d is not four naturals" % (t, s))
+        length = iter(lengths)
+        acts = {e: (approx, tuple(a[:next(length)] for a in approx)) for e, approx in acts.items()}
+        batches = {e: batches.get(e, ()) for e in range(count)}
+        trace.append(StageRecord(s, batches, acts, tuple(deaths), tuple(map(tuple, events))))
     return trace
 
 
@@ -700,19 +661,26 @@ def _is_natural(v) -> bool:
     return type(v) is int and v >= 0
 
 
-def _turn(info: dict, e, s, verb: str) -> dict:
-    """Strategy e's record at stage s, if e may act or die at s: it has
-    started (e < s), is alive and has not acted or died at s yet."""
-    if not _is_natural(e) or e not in info:
-        raise InvariantViolationError("strategy %r %s in a %d-strategy trace" % (e, verb, len(info)))
+def _list_of(v, n: Optional[int], what: str, s: int) -> list:
+    """v, if it is a list (of n items when n is given)."""
+    if type(v) is not list or n is not None and len(v) != n:
+        raise InvariantViolationError(
+            "%s of stage %d: %r is not a list%s" % (what, s, v, "" if n is None else " of %d items" % n)
+        )
+    return v
+
+
+def _turn(e, s: int, verb: str, count: int, dead: set, acts: dict):
+    """Check that strategy e may act or die at stage s: it has started
+    (e < s), is alive and has not acted or died at s yet."""
+    if not _is_natural(e) or e >= count:
+        raise InvariantViolationError("strategy %r %s in a %d-strategy trace" % (e, verb, count))
     if e >= s:
         raise InvariantViolationError("strategy %d %s at stage %d, before it starts" % (e, verb, s))
-    d = info[e]
-    if not d["alive"] or d["acted"]:
+    if e in dead or e in acts:
         raise InvariantViolationError(
-            "strategy %d %s at stage %d, after it %s" % (e, verb, s, "acted" if d["acted"] else "died")
+            "strategy %d %s at stage %d, after it %s" % (e, verb, s, "acted" if e in acts else "died")
         )
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +691,9 @@ def audit_marker_on_path(trace: Trace) -> list:
     """Every marker placed at stage s must prefix that stage's approx."""
     bad = []
     for rec in trace.records:
-        for e, info in rec.info.items():
-            if info["marker"] is not None and not _extends(info["approx"], info["marker"]):
-                bad.append("marker %r off path at stage %d (strategy %d)" % (info["marker"], rec.stage, e))
+        for e, (approx, marker) in rec.acts.items():
+            if not _extends(approx, marker):
+                bad.append("marker %r off path at stage %d (strategy %d)" % (marker, rec.stage, e))
     return bad
 
 
@@ -806,29 +774,20 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     if not chains:
         return bad
     last_change_stage, final = chains[-1]
-    for m in trace.markers[e]:
-        if m.stage >= last_change_stage and not _extends(final, m.node):
-            bad.append("late marker %r not on the final path (strategy %d)" % (m.node, e))
+    for stage, marker in trace.markers[e]:
+        if stage >= last_change_stage and not _extends(final, marker):
+            bad.append("late marker %r not on the final path (strategy %d)" % (marker, e))
     x_rules = trace.rules_for(e, SIDE_X)
     for probe in prefixes:
         x_probe = probe[0]
         gaps = sum(1 for r in x_rules if x_probe.startswith(r.node))
-        max_lcp = max(_lcp_len(x_probe, node[0]) for _, node in chains)
+        max_lcp = max(len(commonprefix((x_probe, node[0]))) for _, node in chains)
         if gaps > len(chains) + max_lcp:
             bad.append(
                 "gap count %d exceeds changes %d + lcp %d along %r (strategy %d)"
                 % (gaps, len(chains), max_lcp, probe, e)
             )
     return bad
-
-
-def _lcp_len(a: str, b: str) -> int:
-    n = 0
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            break
-        n += 1
-    return n
 
 
 def audit_gap_census_consistency(trace: Trace, prefix, side=SIDE_X) -> list:
@@ -840,9 +799,7 @@ def audit_gap_census_consistency(trace: Trace, prefix, side=SIDE_X) -> list:
         applicable = [r.e for r in table.rules_at_block(i) if prefix.startswith(r.node)]
         expected = min(applicable) if applicable else None
         if recorded != expected:
-            bad.append(
-                "block %d census %r != rules %r under %r" % (i, recorded, expected, prefix)
-            )
+            bad.append("block %d census %r != rules %r under %r" % (i, recorded, expected, prefix))
     return bad
 
 

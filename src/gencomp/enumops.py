@@ -48,15 +48,13 @@ def _index(element) -> int:
     return element[0] if isinstance(element, tuple) else element
 
 
-def apply_operator(op: EnumerationOperator, members, bound: int,
-                   positive_only: bool = False) -> frozenset:
+def apply_operator(op: EnumerationOperator, members, bound: int) -> frozenset:
     """All outputs whose premise is contained in `members`.
 
     `members` is the input set, decidable below `bound` (for pair
     elements the bound constrains the index coordinate).  Any axiom
     referencing an element at or beyond the bound raises
-    InsufficientOracleError.  With positive_only, axioms whose premise
-    contains a negative pair (n, 0) are unusable and skipped.
+    InsufficientOracleError.
     """
     members = frozenset(members)
     if op.extent > bound:  # name the first premise element beyond the bound
@@ -68,8 +66,6 @@ def apply_operator(op: EnumerationOperator, members, bound: int,
                     )
     out = set()
     for output, premise in op.axioms:
-        if positive_only and any(isinstance(el, tuple) and el[1] == 0 for el in premise):
-            continue
         if premise <= members:
             out.add(output)
     return frozenset(out)

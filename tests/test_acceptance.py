@@ -212,7 +212,7 @@ def test_c07_diagonal_single_mode():
     started = time.process_time()
     # the hand-simulated five-stage run
     trace = run_single(5, [StrategySpec(Silent(), LeftmostSelector())])
-    assert [(m.stage, m.node) for m in trace.markers[0]] == [
+    assert list(trace.markers[0]) == [
         (1, ("",)),
         (2, ("0",)),
         (3, ("00",)),

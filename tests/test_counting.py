@@ -10,6 +10,7 @@ report format bump.  The expanded-content digests pin what a trace says,
 independent of how its batches are written.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencomp.density import gap_census, prefix_density
 from gencomp.diagonal import (
@@ -39,6 +41,7 @@ from gencomp.diagonal import (
     trace_from_jsonable,
     trace_to_jsonable,
 )
+from gencomp.errors import InvariantViolationError, UndefinedInputError
 from gencomp.harness import (
     DIAGONAL_MODES,
     _build_strategies,
@@ -48,7 +51,7 @@ from gencomp.harness import (
     validate_config,
 )
 from gencomp.runs import clip, elements, union
-from test_diagonal import _round_trip_runs, with_quiet_stages
+from test_diagonal import _round_trip_runs, with_extra_x_rules
 
 PAIR_CATALOG_12 = {
     "version": 1,
@@ -207,10 +210,7 @@ def oracle_single_victim(trace, e, probes):
     def extends(node, prev):
         return all(a.startswith(b) for a, b in zip(node, prev))
 
-    approxes = [
-        (rec.stage, rec.info[e]["approx"]) for rec in trace.records
-        if e in rec.info and rec.info[e]["approx"] is not None
-    ]
+    approxes = [(rec.stage, rec.acts[e][0]) for rec in trace.records if e in rec.acts]
     if not approxes:
         return []
     changes, last_change, prev = 0, None, None
@@ -220,9 +220,9 @@ def oracle_single_victim(trace, e, probes):
         prev = node
     bad = []
     final = trace.final_approx[e]
-    for m in trace.markers[e]:
-        if m.stage >= last_change and not extends(final, m.node):
-            bad.append("late marker %r not on the final path (strategy %d)" % (m.node, e))
+    for stage, marker in trace.markers[e]:
+        if stage >= last_change and not extends(final, marker):
+            bad.append("late marker %r not on the final path (strategy %d)" % (marker, e))
     for probe in probes:
         gaps = sum(1 for r in trace.table("x").rules if r.e == e and probe[0].startswith(r.node))
         lcp = max(len(os.path.commonprefix([probe[0], node[0]])) for _, node in approxes)
@@ -253,8 +253,7 @@ def oracle_trap_soundness(trace):
             for later in trace.records:
                 if later.stage <= rec.stage:
                     continue
-                info = later.info.get(e)
-                if not info or (not info["acted"] and not info["died"]):
+                if e not in later.acts and e not in later.deaths:
                     continue
                 l = later.stage - 1
                 if len(node[0]) > l:
@@ -358,7 +357,7 @@ def test_single_victim_matches_max_over_all_approximations(run):
     for e in range(trace.strategy_count):
         probes = default_probe_prefixes(trace, e)
         extra = [GapRule(e, trace.stages + e + k, "") for k in range(2 * trace.stages + 1)]
-        crowded = with_quiet_stages(trace, extra)
+        crowded = with_extra_x_rules(trace, extra)
         assert audit_single_victim(trace, e, probes) == oracle_single_victim(trace, e, probes)
         reported = audit_single_victim(crowded, e, probes)
         assert reported == oracle_single_victim(crowded, e, probes)
@@ -370,7 +369,7 @@ def without_batch(trace, stage, e):
     record kept as it is."""
     rec = trace.records[stage]
     batches = {k: runs for k, runs in rec.batches.items() if k != e}
-    dropped = StageRecord(rec.stage, batches, rec.rules, rec.info, rec.trap_events)
+    dropped = StageRecord(rec.stage, batches, rec.acts, rec.deaths, rec.trap_events)
     records = trace.records[:stage] + [dropped] + trace.records[stage + 1:]
     return Trace(trace.mode, trace.stages, records, trace.config_echo)
 
@@ -921,3 +920,68 @@ def test_golden_artifact_digests(tmp_path, name):
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()  # noqa: E731
     assert digest("trace.json") == trace_sha
     assert digest("report.json") == report_sha
+
+
+# --- the loader on doctored goldens ------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def golden_trace_text(name):
+    _, doc = run_experiment(dict(GOLDEN[name][0]), write=False)
+    return canonical_json(doc)
+
+
+def json_places(value, path=()):
+    """Every place in a JSON value as an index path: the value itself and,
+    inside a list, each entry."""
+    yield path
+    if type(value) is list:
+        for i, item in enumerate(value):
+            yield from json_places(item, path + (i,))
+
+
+# values of every JSON type, each the wrong type or arity somewhere
+OTHER_VALUES = (None, True, False, 0, 1, 7, -1, 2.0, "", "0", "x",
+                [], [0], ["0"], [[0, 1]], [0, 0, "0", "0"], {})
+RECORD_FIELDS = ("stage", "acts", "batches", "rules", "deaths", "trap_events")
+
+
+@st.composite
+def doctored_goldens(draw):
+    """A golden /5 document with one place in one record field (or in the
+    header) changed: its value swapped for another type, the entry dropped
+    or duplicated, or the list given one item more or less."""
+    doc = json.loads(golden_trace_text(draw(st.sampled_from(sorted(GOLDEN)))))
+    if draw(st.integers(0, 4)):
+        holder = draw(st.sampled_from(doc["records"]))
+        key = draw(st.sampled_from(RECORD_FIELDS))
+    else:
+        holder, key = doc, draw(st.sampled_from(("mode", "stages", "strategy_count", "records")))
+    path = draw(st.sampled_from(list(json_places(holder[key]))))
+    parent, slot = holder, key
+    for i in path:
+        parent, slot = parent[slot], i
+    target = parent[slot]
+    kind = draw(st.sampled_from(("swap", "drop", "duplicate", "extend", "shorten")))
+    if kind == "drop":
+        del parent[slot]
+    elif kind == "duplicate" and path:
+        parent.insert(slot, json.loads(json.dumps(target)))
+    elif kind == "extend" and type(target) is list:
+        target.append(draw(st.sampled_from(OTHER_VALUES)))
+    elif kind == "shorten" and type(target) is list and target:
+        target.pop(draw(st.integers(0, len(target) - 1)))
+    else:
+        parent[slot] = draw(st.sampled_from(OTHER_VALUES))
+    return doc
+
+
+@given(doctored_goldens())
+@settings(max_examples=300, deadline=None)
+def test_loader_names_every_doctored_golden(doc):
+    # a document the engine could not have written fails with a named
+    # violation, never with a bare Python error
+    try:
+        trace_from_jsonable(doc)
+    except (InvariantViolationError, UndefinedInputError):
+        pass

@@ -214,7 +214,7 @@ def test_select_marker_cap_error():
 
 def test_hand_simulated_five_stage_run():
     trace = silent_run(5)
-    assert [(m.stage, m.node) for m in trace.markers[0]] == [
+    assert list(trace.markers[0]) == [
         (1, ("",)),
         (2, ("0",)),
         (3, ("00",)),
@@ -237,7 +237,7 @@ def test_scripted_spoiler_kills_tree():
     # stage 3; the level next computed from that enumeration is empty
     w = Enumerator.from_schedule(0, {3: {2}})
     trace = run_single(7, [StrategySpec(w, LeftmostSelector())])
-    assert [(m.stage, m.node) for m in trace.markers[0]] == [(1, ("",)), (2, ("0",)), (3, ("00",))]
+    assert list(trace.markers[0]) == [(1, ("",)), (2, ("0",)), (3, ("00",))]
     assert trace.death_stage[0] == 4
     assert audit_trace(trace) == []
 
@@ -281,9 +281,7 @@ def test_one_search_per_act_or_death(monkeypatch):
             calls.clear()
             trace = build(8, [StrategySpec(Silent(), selector()),
                               StrategySpec(TrapSpringer(), selector())])
-            outcomes = sum(
-                info["acted"] + info["died"] for rec in trace.records for info in rec.info.values()
-            )
+            outcomes = sum(len(rec.acts) + len(rec.deaths) for rec in trace.records)
             assert trace.death_stage[1] is not None
             assert len(calls) == outcomes > 0
             assert {args[1] for args in calls} == {selector().order}
@@ -291,7 +289,7 @@ def test_one_search_per_act_or_death(monkeypatch):
 
 def test_rightmost_run():
     trace = run_single(5, [StrategySpec(Silent(), RightmostSelector())])
-    assert [(m.stage, m.node) for m in trace.markers[0]] == [
+    assert list(trace.markers[0]) == [
         (1, ("",)),
         (2, ("1",)),
         (3, ("11",)),
@@ -362,19 +360,14 @@ def test_single_victim_pair_bound_uses_x_lcp():
     assert audit_trace(trace) == []
 
 
-def with_quiet_stages(trace, rules):
-    """The trace continued through the last rule's stage by quiet records:
-    each carries the rules of its own stage, enumerates nothing and places
-    no marker, and every strategy keeps its last approximation."""
-    last = trace.records[-1]
-    info = {e: dict(i, marker=None) for e, i in last.info.items()}
-    top = max(r.stage for r in rules)
-    quiet = [
-        StageRecord(stage=s, batches={}, rules=tuple(r for r in rules if r.stage == s),
-                    info=info, trap_events=())
-        for s in range(len(trace.records), top + 1)
-    ]
-    return Trace(trace.mode, top + 1, trace.records + quiet, trace.config_echo)
+def with_extra_x_rules(trace, rules):
+    """The trace rebuilt from its records, with `rules` added to the
+    rebuilt x table only: no record can say them, since a rule enters the
+    tables as the marker of an act."""
+    rebuilt = Trace(trace.mode, trace.stages, trace.records, trace.config_echo)
+    for rule in rules:
+        rebuilt.table("x").add_rule(rule)
+    return rebuilt
 
 
 def test_single_victim_pair_reports_extra_x_rules():
@@ -384,26 +377,33 @@ def test_single_victim_pair_reports_extra_x_rules():
     probes = default_probe_prefixes(trace, 1)
 
     def with_extra(count):
-        return with_quiet_stages(trace, [GapRule(1, 20 + k, "0" * (7 + k)) for k in range(count)])
+        return with_extra_x_rules(trace, [GapRule(1, 20 + k, "0" * (7 + k)) for k in range(count)])
 
     assert audit_single_victim(with_extra(3), 1, probes) == []
     bad = audit_single_victim(with_extra(4), 1, probes)
     assert len(bad) == 1 and "gap count 11 exceeds changes 2 + lcp 8" in bad[0]
 
 
-def test_append_rejects_a_rule_of_another_stage():
-    # a stage-9 rule in the stage-2 record would sit in the table beyond the
-    # trace's horizon, where no audit looks; a y-side rule has no table in
-    # single mode.  A trace file cannot say either (a rule there is its
-    # node's length), so only records built in memory reach these checks
-    trace = run_single(5, [StrategySpec(Silent(), LeftmostSelector())])
+@pytest.mark.parametrize("build, approx, marker", [
+    (run_single, ("00", "00"), ("0",)),
+    (run_single, ("00",), ("0", "0")),
+    (run_single, (), ()),
+    (run_pair, ("00", "00"), ("0",)),
+    (run_pair, ("00",), ("0",)),
+])
+def test_append_rejects_an_act_of_the_wrong_arity(build, approx, marker):
+    # an act's approximation and marker hold one string per side: its
+    # rules are the marker's strings, so a y string in a single-mode trace
+    # would have no table, and a missing one would issue no rule.  A trace
+    # file cannot say either (an act there has one suffix per side), so
+    # only records built in memory reach this check
+    trace = build(5, [StrategySpec(Silent(), LeftmostSelector())])
     rec = trace.records[2]
-    for rule, reason in ((GapRule(0, 9, "0000"), "stage-9 rule in the record of stage 2"),
-                         (GapRule(0, 2, "0", "y"), "y-side rule in a single-mode trace")):
-        doctored = StageRecord(rec.stage, rec.batches, rec.rules + (rule,), rec.info, rec.trap_events)
-        with pytest.raises(InvariantViolationError, match=reason):
-            Trace(trace.mode, trace.stages, trace.records[:2] + [doctored] + trace.records[3:],
-                  trace.config_echo)
+    doctored = StageRecord(rec.stage, rec.batches, {0: (approx, marker)}, rec.deaths, rec.trap_events)
+    reason = "^act of strategy 0 at stage 2 has not one string per side$"
+    with pytest.raises(InvariantViolationError, match=reason):
+        Trace(trace.mode, trace.stages, trace.records[:2] + [doctored] + trace.records[3:],
+              trace.config_echo)
 
 
 def test_pair_y_only_mind_change_keeps_x_marks():
@@ -412,7 +412,7 @@ def test_pair_y_only_mind_change_keeps_x_marks():
     # gapping them once more under the new y branch
     sel = ScriptedSelector([(6, ("0", "1"))])
     trace = run_pair(12, [StrategySpec(Silent(), sel)])
-    assert [m.node for m in trace.markers[0][4:7]] == [
+    assert [node for _, node in trace.markers[0][4:7]] == [
         ("0000", "0000"), ("00000", "10000"), ("000000", "100000"),
     ]
     x_nodes = [r.node for r in trace.rules_for(0)]
@@ -455,12 +455,10 @@ def with_marker(trace, stage, e, marker):
     records can say this: a trace file writes each rule as the length of
     its node along the act's approximation."""
     rec = trace.records[stage]
-    info = dict(rec.info)
-    info[e] = dict(info[e], marker=marker)
-    rules = tuple(GapRule(e, stage, marker[trace.sides.index(r.side)], r.side) if r.e == e else r
-                  for r in rec.rules)
+    acts = dict(rec.acts)
+    acts[e] = (acts[e][0], marker)
     records = list(trace.records)
-    records[stage] = StageRecord(stage, rec.batches, rules, info, rec.trap_events)
+    records[stage] = StageRecord(stage, rec.batches, acts, rec.deaths, rec.trap_events)
     return Trace(trace.mode, trace.stages, records, trace.config_echo)
 
 
@@ -479,10 +477,11 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
     )
     # strategy 0's stage-2 marker, the nodes of its rules, off the approximation 00
     tampered = with_marker(trace, 2, 0, tuple(marker))
-    # the stage-1 rules, which the stage-2 trap event references, go too,
-    # while the act they belong to stays
+    # strategy 0's stage-1 act goes too, and with it the rules the stage-2
+    # trap event references
     rec = tampered.records[1]
-    dropped = StageRecord(rec.stage, rec.batches, (), rec.info, rec.trap_events)
+    acts = {e: act for e, act in rec.acts.items() if e != 0}
+    dropped = StageRecord(rec.stage, rec.batches, acts, rec.deaths, rec.trap_events)
     bad = Trace(tampered.mode, tampered.stages, [tampered.records[0], dropped] + tampered.records[2:],
                 tampered.config_echo)
     # the audits one by one, in the order the report lists them
@@ -553,7 +552,7 @@ def test_scripted_selector_mind_change():
     sel = ScriptedSelector([(3, ("111111",))])
     trace = run_single(6, [StrategySpec(Silent(), sel)])
     # leftmost fallback until stage 3, then the scripted path
-    markers = [(m.stage, m.node) for m in trace.markers[0]]
+    markers = list(trace.markers[0])
     assert markers[:2] == [(1, ("",)), (2, ("0",))]
     assert markers[2] == (3, ("1",))
     assert len(trace.approx_chains(0)) == 2
@@ -572,7 +571,7 @@ def test_scripted_selector_off_tree_raises():
 
 def test_pair_run_markers_and_sides():
     trace = run_pair(5, [StrategySpec(Silent(), LeftmostSelector())])
-    assert [(m.stage, m.node) for m in trace.markers[0]] == [
+    assert list(trace.markers[0]) == [
         (1, ("", "")),
         (2, ("0", "0")),
         (3, ("00", "00")),
@@ -638,7 +637,7 @@ def test_trace_json_roundtrip():
     back = trace_from_jsonable(doc)
     assert trace_to_jsonable(back) == doc
     assert back.death_stage == trace.death_stage
-    assert back.markers[1][-1].node == trace.markers[1][-1].node
+    assert back.markers[1][-1] == trace.markers[1][-1]
     assert audit_trace(back) == []
 
 

@@ -37,15 +37,7 @@ def test_apply_operator_oracle_bound():
         apply_operator(w_pairs, set(), 10)
 
 
-def test_apply_operator_positive_only():
-    w = op_of((3, [(1, 0)]), (4, [(2, 1)]))
-    members = {(1, 0), (2, 1)}
-    assert apply_operator(w, members, 5) == {3, 4}
-    # negative premises are unusable under the positive-information regime
-    assert apply_operator(w, members, 5, positive_only=True) == {4}
-
-
-def apply_per_axiom(op, members, bound, positive_only=False):
+def apply_per_axiom(op, members, bound):
     """apply_operator as first written: every axiom's premise is checked
     against the bound before the axiom is used."""
     members = frozenset(members)
@@ -56,8 +48,6 @@ def apply_per_axiom(op, members, bound, positive_only=False):
                 raise InsufficientOracleError(
                     "axiom premise references %r beyond bound %d" % (el, bound)
                 )
-        if positive_only and any(isinstance(el, tuple) and el[1] == 0 for el in premise):
-            continue
         if premise <= members:
             out.add(output)
     return frozenset(out)
@@ -77,18 +67,17 @@ _ELEMENTS = st.one_of(st.integers(0, 12), st.tuples(st.integers(0, 12), st.sampl
     st.lists(st.tuples(st.integers(0, 20), st.frozensets(_ELEMENTS, max_size=4)), max_size=12),
     st.frozensets(_ELEMENTS, max_size=20),
     st.lists(st.integers(0, 14), min_size=1, max_size=3),
-    st.booleans(),
 )
 @settings(max_examples=400)
-def test_apply_operator_matches_per_axiom_reference(axioms, members, bounds, positive_only):
+def test_apply_operator_matches_per_axiom_reference(axioms, members, bounds):
     # plain and pair premises, bounds on both sides of the premise extent,
     # several bounds against one operator's cached extent
     op = op_of(*axioms)
     indices = [el[0] if isinstance(el, tuple) else el for _, d in op.axioms for el in d]
     assert op.extent == max(indices, default=-1) + 1
     for bound in bounds:
-        expected = _applied(apply_per_axiom, op, members, bound, positive_only)
-        assert _applied(apply_operator, op, members, bound, positive_only) == expected
+        expected = _applied(apply_per_axiom, op, members, bound)
+        assert _applied(apply_operator, op, members, bound) == expected
         assert isinstance(expected, tuple) == any(n >= bound for n in indices)
 
 

@@ -106,7 +106,7 @@ def test_hand_simulation_config_reproduces_markers():
     report, doc = run_experiment(single_config(), write=False)
     assert report_passes(report)
     trace = trace_from_jsonable(doc)
-    assert [(m.stage, m.node) for m in trace.markers[0]] == [
+    assert list(trace.markers[0]) == [
         (1, ("",)),
         (2, ("0",)),
         (3, ("00",)),
@@ -432,7 +432,7 @@ def test_cli_stage_and_seed_overrides(tmp_path):
     doc = json.loads((out / "trace.json").read_text())
     assert doc["stages"] == 7
     trace = trace_from_jsonable(doc)
-    assert trace.markers[0][-1].stage == 6
+    assert trace.markers[0][-1][0] == 6
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
@@ -520,7 +520,12 @@ def _drop_rules(stage, e):
     return doctor
 
 
-@pytest.mark.parametrize("where, doctor, reason", [
+def _in_records(cases):
+    # the cases' doctors edit the records list; the test hands them the doc
+    return [(where, lambda doc, d=doctor: d(doc["records"]), reason) for where, doctor, reason in cases]
+
+
+@pytest.mark.parametrize("where, doctor, reason", _in_records([
     ("records[2].rules[2]", _drop_rules(2, 1),
      "acts at stage 2 issue 4 rules, but the record lists 2"),
     ("records[2].rules[3]", lambda r: r[2]["rules"].pop(3),
@@ -569,6 +574,29 @@ def _drop_rules(stage, e):
      "trap event [0, 1, 2.0, 3] at stage 2 is not four naturals"),
     ("records[2].trap_events[0][3]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2]),
      "trap event [0, 1, 2] at stage 2 is not four naturals"),
+    # every field and entry has the type and arity the engine writes
+    ("records[2].acts[0][2]", lambda r: r[2]["acts"][0].__setitem__(2, 5),
+     "act of strategy 0 at stage 2 has suffixes [5, '0'], not bit strings"),
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"].__setitem__(0, [0]),
+     "act of stage 2: [0] is not a list of 4 items"),
+    ("records[2].batches[0][1]", lambda r: r[2]["batches"].__setitem__(0, [0]),
+     "batch entry of stage 2: [0] is not a list of 2 items"),
+    ("records[2].acts", lambda r: r[2].__setitem__("acts", 5),
+     "acts of stage 2: 5 is not a list"),
+    ("records[3]", lambda r: r.__setitem__(3, [3]),
+     "record of stage None follows 3 records"),
+    # one batch per strategy and record, and acts in strategy order
+    ("records[2].batches[1]", lambda r: r[2]["batches"].append([0, [[2, 3]]]),
+     "second batch of strategy 0 at stage 2"),
+    ("records[2].acts[0][0]", lambda r: r[2].update(acts=r[2]["acts"][::-1], rules=[0, 0, 1, 1]),
+     "acts or deaths at stage 2 are out of strategy order"),
+]) + [
+    ("mode", lambda doc: doc.__setitem__("mode", "triple"),
+     "trace mode 'triple' is neither single nor pair"),
+    ("records", lambda doc: doc.__setitem__("records", 5),
+     "records 5 are not a list"),
+    ("stages", lambda doc: doc.__setitem__("stages", "6"),
+     "stage count '6', but the trace has 5 records"),
 ])
 def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where, doctor, reason):
     # counts, batches, trap events, acts, deaths and rules that no run
@@ -579,7 +607,7 @@ def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where,
     doc = json.loads((out / "trace.json").read_text())
     assert [len(rec["acts"]) for rec in doc["records"]] == [0, 1, 2, 1, 1]
     assert [rec["deaths"] for rec in doc["records"]] == [[], [], [], [0], []]
-    doctor(doc["records"])
+    doctor(doc)
     (out / "bad.json").write_text(canonical_json(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(out / "bad.json")]) == 4

@@ -20,7 +20,6 @@ from gencomp.density import block_of, gap_census
 from gencomp.diagonal import (
     GapRule,
     LeftmostSelector,
-    MarkerRecord,
     RunConfig,
     StageRecord,
     StrategySpec,
@@ -92,18 +91,23 @@ def test_benchmark_trace_counts_are_the_engine_counts(tmp_path):
     # perfbench reports diagonal.rules_issued and diagonal.trap_events as
     # the summed lengths of the records' `rules` and `trap_events` lists:
     # in every diagonal golden, each record lists one entry per rule the
-    # engine issued at its stage and one per trap event
+    # engine issued at its stage (one per act and side) and one per trap
+    # event
     names = sorted(name for name, (cfg, _, _) in ARTIFACT_GOLDEN.items() if "strategies" in cfg)
     total = {"rules": 0, "trap_events": 0}
     for name in names:
         cfg = ARTIFACT_GOLDEN[name][0]
         run_experiment(dict(cfg), out_dir=str(tmp_path / name))
         doc = json.loads((tmp_path / name / "trace.json").read_text())
-        records = _diagonal_trace(validate_config(dict(cfg))).records
+        trace = _diagonal_trace(validate_config(dict(cfg)))
+        counts = {"rules": lambda rec: len(rec.acts) * len(trace.sides),
+                  "trap_events": lambda rec: len(rec.trap_events)}
         for key in total:
-            issued = [len(getattr(rec, key)) for rec in records]
+            issued = [counts[key](rec) for rec in trace.records]
             assert [len(rd[key]) for rd in doc["records"]] == issued, (name, key)
             total[key] += sum(issued)
+        rules = sum(len(t.rules) for t in trace.tables())
+        assert sum(len(rd["rules"]) for rd in doc["records"]) == rules, name
     assert total["rules"] and total["trap_events"]
     assert json.loads(_fresh(_TRACE_COUNTS, PERFBENCH, str(tmp_path), *names)) == total
 
@@ -293,7 +297,6 @@ UNREACHED = {
     "density.GapCensus.gaps": "test oracle: test_c01 walks the recorded gaps",
     "density.gap_density_upper": "test oracle: test_c01's density bound",
     "diagonal.enumerate_level": "tracer target: perfbench/layers.py binds it by name",
-    "diagonal.MarkerRecord.__eq__": "test oracle: trace round-trip tests compare records by value",
     "diagonal.StageRecord.__eq__": "test oracle: trace round-trip tests compare records by value",
     "diagonal.Trace.tree_level": "test oracle: test_c08's DFS check that dead means an empty level",
     "diagonal.run_single": "test entry: tests and perfbench's tests run the engine without a config",
@@ -363,12 +366,9 @@ def test_records_compare_by_value():
     assert GapRule(1, 3, "01") == GapRule(1, 3, "01", "x")
     assert GapRule(1, 3, "01") != GapRule(1, 3, "00")
     assert GapRule(1, 3, "01") != (1, 3, "01", "x")
-    assert MarkerRecord(0, 2, ("0", "1")) == MarkerRecord(0, 2, ("0", "1"))
-    assert MarkerRecord(0, 2, ("0",)) != MarkerRecord(1, 2, ("0",))
-    info = {0: {"alive": True, "acted": True, "died": False, "approx": ("0",), "marker": ("",)}}
 
     def record(node):
-        return StageRecord(1, {0: ((2, 3),)}, (GapRule(0, 1, node),), info, ((0, 1, 2, 3),))
+        return StageRecord(1, {0: ((2, 3),)}, {0: (("0",), (node,))}, (), ((0, 1, 2, 3),))
 
     assert record("") == record("")
     assert record("") != record("0")
