@@ -341,23 +341,28 @@ class Trace:
 
     def append(self, rec: StageRecord):
         """Add the next stage's record and bring the views up to it: each
-        act's marker enters every side's table as that side's gap rule."""
+        act's marker enters every side's table as that side's gap rule.  A
+        record it refuses leaves every view as it was."""
         s, sides = rec.stage, self.sides
         if s != len(self.records):
             raise InvariantViolationError("record of stage %r follows %d records" % (s, len(self.records)))
-        for e, batch in rec.batches.items():
-            known = self.enumerated.get(e, ())
-            self.enumerated[e] = union(known, batch) if batch else known
-            self.markers.setdefault(e, ())
-            self.final_approx.setdefault(e, None)
-            self.death_stage.setdefault(e, None)
+        rules = []
         for e, (approx, marker) in rec.acts.items():
             if not len(approx) == len(marker) == len(sides):
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d has not one string per side" % (e, s)
                 )
             for node, side in zip(marker, sides):
-                self._tables[side].add_rule(GapRule(e, s, node, side))
+                rules.append(GapRule(e, s, node, side))
+        for e, batch in rec.batches.items():
+            known = self.enumerated.get(e, ())
+            self.enumerated[e] = union(known, batch) if batch else known
+            self.markers.setdefault(e, ())
+            self.final_approx.setdefault(e, None)
+            self.death_stage.setdefault(e, None)
+        for rule in rules:
+            self._tables[rule.side].add_rule(rule)
+        for e, (approx, marker) in rec.acts.items():
             self.markers[e] += ((s, marker),)
             self.final_approx[e] = approx
         for e in rec.deaths:

@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .runs import count_below
 
 CONFIG_VERSION = 1
-SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/2"
+SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/3"
 REPORT_FORMAT = "gencomp-report/3"
 
 # the diagonal scenarios and the `diagonal` mode each builds (the keys of

@@ -24,7 +24,7 @@ def child_seed(seed: int, k: int) -> int:
 
 def run_coding_roundtrip(cfg):
     seed, count, m_max, bound = cfg["seed"], cfg["count"], cfg["m_max"], cfg["bound"]
-    log = []
+    decoded = []
     verdicts = []
     roundtrip_ok = True
     for k in range(count):
@@ -35,7 +35,7 @@ def run_coding_roundtrip(cfg):
             got = codings.decode_valuation(d, m, bound)
             roundtrip_ok &= got == x.bit(m)
             bits.append(got)
-        log.append({"real": k, "decoded": "".join(str(b) for b in bits)})
+        decoded.append("".join(str(b) for b in bits))
     verdicts.append(verdict("valuation-roundtrip", roundtrip_ok, count=count, m_max=m_max))
 
     x0 = reals.SeededReal(child_seed(seed, 0))
@@ -66,7 +66,6 @@ def run_coding_roundtrip(cfg):
     verdicts.append(
         verdict("interval-finite-loss", interval_ok, omitted=len(omitted), recovered=recovered)
     )
-    log.append({"interval_omitted": omitted})
 
     robust_ok = True
     i_max = bound.bit_length() - 1
@@ -108,30 +107,29 @@ def run_coding_roundtrip(cfg):
             "decoding directions are machine-checked"
         ],
     }
-    return log, report
+    return {"decoded": decoded, "interval_omitted": omitted}, report
 
 
-def embedding_jsonable(emb) -> dict:
-    """An embedding's log entry: the digraph's rows and each image k by
+def embedding_jsonable(emb) -> list:
+    """An embedding's log entry [adjacency, images]: the digraph's n x n
+    matrix in row-major order as `0`/`1` characters, then each image k by
     reference, as k base-4 digits whose j-th is the digit image k carries
-    against image j ("0" for none).  Raises InvariantViolationError for an
-    image this form cannot write: one off stage k, or with a prior that is
-    not an earlier image."""
-    images = []
+    against image j ("0" for none), concatenated for k = 0..n-1.  Raises
+    InvariantViolationError for an image this form cannot write: one off
+    stage k, or with a prior that is not an earlier image."""
+    digits = []
     for k, el in enumerate(emb.images):
         if el.stage != k:
             raise InvariantViolationError("image %d lies at stage %d" % (k, el.stage))
-        digits = ["0"] * k
+        image = ["0"] * k
         for prior, d in el.combo:
             # priors lie at earlier stages, and image j at stage j
             if emb.images[prior.stage] != prior:
                 raise InvariantViolationError("image %d has a prior that is no earlier image" % k)
-            digits[prior.stage] = "0123"[d]
-        images.append("".join(digits))
-    return {
-        "digraph": ["".join("1" if v else "0" for v in row) for row in emb.relation.adjacency],
-        "images": images,
-    }
+            image[prior.stage] = "0123"[d]
+        digits += image
+    adjacency = "".join("1" if v else "0" for row in emb.relation.adjacency for v in row)
+    return [adjacency, "".join(digits)]
 
 
 def run_relation_embed(cfg):
@@ -187,41 +185,38 @@ def run_relation_embed(cfg):
     return log, report
 
 
+def premise_string(premise, element_bound: int) -> str:
+    """A premise as `element_bound` characters, the i-th `0` or `1` for the
+    value the premise gives index i and `-` for an index it leaves out."""
+    chars = ["-"] * element_bound
+    for n, x in premise:
+        chars[n] = "01"[x]
+    return "".join(chars)
+
+
 def run_operator_compile(cfg):
     phi = enumops.battery()[cfg["machine"]]
-    op = enumops.functional_to_operator(phi, cfg["element_bound"], cfg["label_bound"])
-    log = [
-        {
-            "axioms": sorted(
-                [list(out), sorted(list(p) for p in premise)]
-                for out, premise in op.axioms
-            )
-        }
-    ]
+    bound = cfg["element_bound"]
+    op = enumops.functional_to_operator(phi, bound, cfg["label_bound"])
+    axioms = sorted([n, x, premise_string(premise, bound)] for (n, x), premise in op.axioms)
+    outputs = []
     ok = True
-    for assignment in enumops.all_assignments(cfg["element_bound"]):
-        via_operator = enumops.apply_operator(
-            op, frozenset(assignment), cfg["element_bound"]
-        )
+    for assignment in enumops.all_assignments(bound):
+        via_operator = enumops.apply_operator(op, frozenset(assignment), bound)
         direct = enumops.union_over_labeled_orderings(phi, assignment, cfg["label_bound"])
         ok &= via_operator == direct
-        log.append(
-            {
-                "assignment": [list(p) for p in assignment],
-                "outputs": sorted([list(o) for o in via_operator]),
-            }
-        )
+        outputs.append(sorted([list(o) for o in via_operator]))
     report = {
         "verdicts": [
             verdict(
                 "operator-matches-orderings",
                 ok,
                 machine=cfg["machine"],
-                element_bound=cfg["element_bound"],
+                element_bound=bound,
                 label_bound=cfg["label_bound"],
             )
         ],
         "densities": [],
         "notes": [],
     }
-    return log, report
+    return {"axioms": axioms, "outputs": outputs}, report

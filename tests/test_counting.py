@@ -12,7 +12,9 @@ independent of how its batches are written.
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -44,6 +46,7 @@ from gencomp.diagonal import (
 from gencomp.errors import InvariantViolationError, UndefinedInputError
 from gencomp.harness import (
     DIAGONAL_MODES,
+    SCENARIOS,
     _build_strategies,
     canonical_json,
     report_passes,
@@ -736,30 +739,32 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # time, and operator-compile and relation-embed configs first recorded while
 # every application rescanned the premises against the bound and every
 # adjacency test rebuilt the element's digit map.  Their trace digests are
-# of the gencomp-scenario-trace/2 bytes; SCENARIO_TRACE_1_DIGESTS keeps the
-# /1 digests, which `scenario_trace_1_view` of each /2 trace reproduces.
+# of the gencomp-scenario-trace/3 bytes; SCENARIO_TRACE_2_DIGESTS and
+# SCENARIO_TRACE_1_DIGESTS keep the /2 and /1 digests, which
+# `scenario_trace_2_view` and `scenario_trace_1_view` of each /3 trace
+# reproduce.
 # Every report digest is of the gencomp-report/3 bytes; REPORT_2_DIGESTS
 # keeps the /2 digests, which `report_2_view` reproduces.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
-    "eff4823aafc9c9373fbdb1adab72c2d28002a1faf00bcf60bfbbc0f887fc0c32",
+    "e3d74a73457338153412bbebc5cef871b0d9536510038b0756123e65a7903044",
     "68fc439ef02364ca201397243176e3a670382c1c370fa8df46432eec9a4b0d7a",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
-    "488159c6d748b4f7637a18a63684c8558384c5d68a1836b8d3e315f715039ce6",
+    "0f385e13f7f76540e8d1581a90ce212f9d7960abac0c48f4b14f3bbb0e51a6c9",
     "a23646e3092d70466d663809b13022a870b793988c53685a741bffa298ef88fb",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
-    "1e03707d20061decee006de90a6068ec1d9b05ef7bc7c5807017b36429f611c7",
+    "500aeb84c8ac83b2eb790c569bbe7754ad442a0df50c6624c24dd9f17b51b40a",
     "2f6a58cfe2af4f871b4067b41ede748e177b13653e02b0b33c45efc5835ebddb",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
-    "b7b1e35664256fd6e842ec0e1748e093789a3785c4f0621e4ac511f2221b3ec5",
+    "2f8877b26a211a6cc8675644f71f8f560c0cbf59a64d9d3a81afc92ee9bda37a",
     "3b40b06be812021cca99456bbba44f3529ace174ab9caccd991385f2ec4ac6f8",
 )
 
@@ -871,6 +876,75 @@ def test_report_2_reads_as_report_1(tmp_path, name):
     assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 
 
+# the trace.json digests of the scenario configs as gencomp-scenario-trace/2
+# wrote them
+SCENARIO_TRACE_2_DIGESTS = {
+    "coding-roundtrip-7": "eff4823aafc9c9373fbdb1adab72c2d28002a1faf00bcf60bfbbc0f887fc0c32",
+    "operator-echo-5": "488159c6d748b4f7637a18a63684c8558384c5d68a1836b8d3e315f715039ce6",
+    "operator-order-gate-5": "1e03707d20061decee006de90a6068ec1d9b05ef7bc7c5807017b36429f611c7",
+    "relation-embed-3": "b7b1e35664256fd6e842ec0e1748e093789a3785c4f0621e4ac511f2221b3ec5",
+}
+
+
+def split_images(digits, n):
+    """Concatenated images as a list: image k is digits k(k-1)/2 up to
+    k(k+1)/2, for k = 0..n-1."""
+    return [digits[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(n)]
+
+
+def unpack_premise(premise):
+    """A premise string as the sorted [n, x] pairs /2 wrote."""
+    return [[n, int(c)] for n, c in enumerate(premise) if c != "-"]
+
+
+def assignment_pairs(element_bound):
+    """Every assignment below the bound as its [n, x] pairs, in the order
+    /3 writes `outputs`: index 0 most significant, unassigned < 0 < 1."""
+    for values in itertools.product((None, 0, 1), repeat=element_bound):
+        yield [[n, x] for n, x in enumerate(values) if x is not None]
+
+
+def scenario_trace_2_view(doc):
+    """A gencomp-scenario-trace/3 trace in the /2 shape: the old format tag
+    and each log back to per-item objects.  A relation-embed entry splits
+    into the digraph's rows and one digit string per image; operator-compile
+    axioms get their output pair and premise pairs back (re-sorted in that
+    shape) and each output list its assignment; coding-roundtrip gets one
+    {"real", "decoded"} object per real, then the omitted indices."""
+    old = dict(doc, format="gencomp-scenario-trace/2")
+    log = doc["log"]
+    if doc["scenario"] == "relation-embed":
+        old["log"] = []
+        for adjacency, images in log:
+            n = math.isqrt(len(adjacency))
+            rows = [adjacency[i * n:(i + 1) * n] for i in range(n)]
+            old["log"].append({"digraph": rows, "images": split_images(images, n)})
+    elif doc["scenario"] == "operator-compile":
+        axioms = sorted([[n, x], unpack_premise(premise)] for n, x, premise in log["axioms"])
+        pairs = assignment_pairs(doc["config"]["element_bound"])
+        old["log"] = [{"axioms": axioms}] + [
+            {"assignment": assignment, "outputs": outputs}
+            for assignment, outputs in zip(pairs, log["outputs"], strict=True)
+        ]
+    elif doc["scenario"] == "coding-roundtrip":
+        old["log"] = [{"real": k, "decoded": bits} for k, bits in enumerate(log["decoded"])]
+        old["log"].append({"interval_omitted": log["interval_omitted"]})
+    return old
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_2_DIGESTS))
+def test_scenario_trace_3_reads_as_2(tmp_path, name):
+    # the format bump writes each log positionally and drops what the
+    # config or the list position fixes; everything else a /2 trace said
+    # is unchanged
+    cfg = ARTIFACT_GOLDEN[name][0]
+    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    written = json.loads((tmp_path / "trace.json").read_text())
+    assert written["format"] == "gencomp-scenario-trace/3"
+    old = canonical_json(scenario_trace_2_view(written)).encode()
+    assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_2_DIGESTS[name]
+
+
 # the trace.json digests of the scenario configs as gencomp-scenario-trace/1
 # wrote them
 SCENARIO_TRACE_1_DIGESTS = {
@@ -893,8 +967,10 @@ def nested_images(images):
 
 
 def scenario_trace_1_view(doc):
-    """A gencomp-scenario-trace/2 trace in the /1 shape: the old format tag
-    and each relation-embed image re-nested into a tree."""
+    """A gencomp-scenario-trace/3 trace in the /1 shape: its
+    `scenario_trace_2_view` with the old format tag and each relation-embed
+    image re-nested into a tree."""
+    doc = scenario_trace_2_view(doc)
     old = dict(doc, format="gencomp-scenario-trace/1")
     if doc["scenario"] == "relation-embed":
         old["log"] = [dict(entry, images=nested_images(entry["images"])) for entry in doc["log"]]
@@ -903,12 +979,12 @@ def scenario_trace_1_view(doc):
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_1_DIGESTS))
 def test_scenario_trace_2_reads_as_1(tmp_path, name):
-    # the format bump writes each relation-embed image by reference to the
+    # the /2 bump wrote each relation-embed image by reference to the
     # earlier images; everything else a /1 trace said is unchanged
     cfg = ARTIFACT_GOLDEN[name][0]
     run_experiment(dict(cfg), out_dir=str(tmp_path))
     written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-scenario-trace/2"
+    assert written["format"] == "gencomp-scenario-trace/3"
     old = canonical_json(scenario_trace_1_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_1_DIGESTS[name]
 
@@ -920,6 +996,15 @@ def test_golden_artifact_digests(tmp_path, name):
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()  # noqa: E731
     assert digest("trace.json") == trace_sha
     assert digest("report.json") == report_sha
+
+
+def test_every_scenario_has_a_golden_artifact():
+    # a format bump re-pins these digests and views its new bytes in the
+    # old shape, so a scenario without one could change its bytes unseen
+    pinned = {cfg["scenario"] for cfg, _, _ in ARTIFACT_GOLDEN.values()}
+    assert sorted(set(SCENARIOS) - pinned) == []
+    logged = {ARTIFACT_GOLDEN[name][0]["scenario"] for name in SCENARIO_TRACE_2_DIGESTS}
+    assert sorted(set(SCENARIOS) - set(DIAGONAL_MODES) - logged) == []
 
 
 # --- the loader on doctored goldens ------------------------------------------

@@ -406,6 +406,30 @@ def test_append_rejects_an_act_of_the_wrong_arity(build, approx, marker):
               trace.config_echo)
 
 
+def test_rejected_append_leaves_the_views_unchanged():
+    # append checks the whole record before it touches a view: a stage-3
+    # record whose second act has one string per side is refused after a
+    # valid first act and a new batch, and the trace stays at 3 records
+    full = run_pair(4, [StrategySpec(Silent(), LeftmostSelector()) for _ in range(2)])
+    trace = Trace(full.mode, full.stages, full.records[:3], full.config_echo)
+    rec = full.records[3]
+    acts = {0: rec.acts[0], 1: tuple(strings[:1] for strings in rec.acts[1])}
+    doctored = StageRecord(3, {0: ((8, 9),), 1: ()}, acts, rec.deaths, rec.trap_events)
+
+    def views():
+        return (dict(trace.enumerated), [list(t.rules) for t in trace.tables()],
+                [t.rules_at_block(3) for t in trace.tables()], dict(trace.markers),
+                dict(trace.final_approx), dict(trace.death_stage), list(trace.records),
+                [t.defined_through for t in trace.tables()])
+
+    before = views()
+    with pytest.raises(InvariantViolationError, match="^act of strategy 1 at stage 3 "):
+        trace.append(doctored)
+    assert views() == before
+    trace.append(rec)
+    assert trace.records == full.records and trace.markers == full.markers
+
+
 def test_pair_y_only_mind_change_keeps_x_marks():
     # a y-only mind change at stage 6 keeps the x path: its x strings
     # 0^0..0^4 stay marked, so the markers continue below them instead of

@@ -1,9 +1,14 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gencomp import adversaries, cli, diagonal, relations
 from gencomp.diagonal import LeftmostSelector, StrategySpec, run_single, trace_from_jsonable
@@ -19,7 +24,7 @@ from gencomp.harness import (
     verify_trace_file,
 )
 from gencomp.runs import elements
-from test_counting import RELATION_EMBED_3, scenario_trace_1_view
+from test_counting import RELATION_EMBED_3, scenario_trace_1_view, scenario_trace_2_view
 
 
 def single_config(**extra):
@@ -417,7 +422,7 @@ def test_verify_rejects_trace_format_1(tmp_path, capsys):
             assert json.load(fh)["format"] == fmt
         assert cli.main(["verify", fixture]) == 2
         err = capsys.readouterr().err
-        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/2" in err
+        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/3" in err
         assert "Traceback" not in err
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -658,7 +663,7 @@ def test_cli_catalog(capsys):
     assert "single-diagonal" in listed["scenarios"]
     assert listed["trace_format"] == "gencomp-trace/5"
     assert listed["report_format"] == "gencomp-report/3"
-    assert listed["scenario_trace_format"] == "gencomp-scenario-trace/2"
+    assert listed["scenario_trace_format"] == "gencomp-scenario-trace/3"
 
 
 def test_cli_run_reports_a_failed_embedding(tmp_path, capsys, monkeypatch):
@@ -678,22 +683,120 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
     run_experiment(dict(RELATION_EMBED_3), out_dir=str(out))
     assert cli.main(["verify", str(out / "trace.json")]) == 0
     doc = json.loads((out / "trace.json").read_text())
-    # a /1 trace is refused, naming both formats this version verifies
+    # /1 and /2 traces are refused, naming both formats this version
+    # verifies; the /2 fixture is a small relation-embed trace as /2 wrote it
     (out / "v1.json").write_text(canonical_json(scenario_trace_1_view(doc)))
-    capsys.readouterr()
-    assert cli.main(["verify", str(out / "v1.json")]) == 2
-    err = capsys.readouterr().err
-    assert "'gencomp-scenario-trace/1'" in err
-    assert "gencomp-trace/5" in err and "gencomp-scenario-trace/2" in err
-    assert "Traceback" not in err
-    # one image digit flipped: the replay names the image
-    i, k = next((i, k) for i, entry in enumerate(doc["log"])
-                for k, image in enumerate(entry["images"]) if image)
-    image = doc["log"][i]["images"][k]
-    doc["log"][i]["images"][k] = ("1" if image[0] == "0" else "0") + image[1:]
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "scenario_trace_v2.json")
+    with open(fixture) as fh:
+        v2 = json.load(fh)
+    assert v2["format"] == "gencomp-scenario-trace/2"
+    _, fresh = replay_trace_doc(v2)
+    assert scenario_trace_2_view(fresh) == v2
+    for version, path in ((1, str(out / "v1.json")), (2, fixture)):
+        capsys.readouterr()
+        assert cli.main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert "'gencomp-scenario-trace/%d'" % version in err
+        assert "gencomp-trace/5" in err and "gencomp-scenario-trace/3" in err
+        assert "Traceback" not in err
+    # one image digit flipped: the replay names the entry's images string
+    i = next(i for i, (_, images) in enumerate(doc["log"]) if images)
+    images = doc["log"][i][1]
+    doc["log"][i][1] = ("1" if images[0] == "0" else "0") + images[1:]
     (out / "bad.json").write_text(canonical_json(doc))
     assert cli.main(["verify", str(out / "bad.json")]) == 4
     assert capsys.readouterr().out == (
-        "VIOLATION: replay mismatch at log[%d].images[%d]: trace is not reproducible "
-        "from its config\n" % (i, k)
+        "VIOLATION: replay mismatch at log[%d][1]: trace is not reproducible "
+        "from its config\n" % i
     )
+
+
+# small scenario configs whose replays take milliseconds
+SMALL_SCENARIO_CONFIGS = {
+    "coding-roundtrip": {"version": 1, "scenario": "coding-roundtrip", "seed": 7, "count": 3,
+                         "m_max": 4, "bound": 64},
+    "relation-embed": {"version": 1, "scenario": "relation-embed", "seed": 3, "count": 4,
+                       "max_size": 4},
+    "operator-compile": {"version": 1, "scenario": "operator-compile", "machine": "order-gate",
+                         "element_bound": 3, "label_bound": 1},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def small_scenario_trace_text(name):
+    _, doc = run_experiment(dict(SMALL_SCENARIO_CONFIGS[name]), write=False)
+    return canonical_json(doc)
+
+
+def log_places(value, path=()):
+    """Every place in a JSON value as a key and index path: the value
+    itself and each entry of a list or object inside it."""
+    yield path
+    if type(value) is list:
+        for i, item in enumerate(value):
+            yield from log_places(item, path + (i,))
+    elif type(value) is dict:
+        for key in sorted(value):
+            yield from log_places(value[key], path + (key,))
+
+
+# values of every JSON type, each the wrong type or arity somewhere
+OTHER_LOG_VALUES = (None, True, 0, 1, -1, 2.0, "", "0", "-", "x", [], [0], ["0", "1"],
+                    [[0, 1]], [0, 1, "-"], {}, {"decoded": []})
+
+
+@st.composite
+def doctored_scenario_traces(draw):
+    """A small /3 scenario trace with one place in its `log` changed: a
+    character of a string flipped or the string cut short, its value
+    swapped for another type, the entry dropped or duplicated, or one more
+    entry added to a list.  The config is never touched."""
+    text = small_scenario_trace_text(draw(st.sampled_from(sorted(SMALL_SCENARIO_CONFIGS))))
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(log_places(doc["log"]))))
+    parent, slot = doc, "log"
+    for key in path:
+        parent, slot = parent[slot], key
+    target = parent[slot]
+    kind = draw(st.sampled_from(("flip", "truncate", "swap", "drop", "duplicate", "extend")))
+    if kind == "flip" and type(target) is str and target:
+        i = draw(st.integers(0, len(target) - 1))
+        char = draw(st.sampled_from([c for c in "-0123" if c != target[i]]))
+        parent[slot] = target[:i] + char + target[i + 1:]
+    elif kind == "truncate" and type(target) is str and target:
+        parent[slot] = target[:draw(st.integers(0, len(target) - 1))]
+    elif kind == "drop":
+        del parent[slot]
+    elif kind == "duplicate" and type(parent) is list:
+        parent.insert(slot, json.loads(json.dumps(target)))
+    elif kind == "extend" and type(target) is list:
+        target.append(draw(st.sampled_from(target + list(OTHER_LOG_VALUES))))
+    else:
+        parent[slot] = draw(st.sampled_from(OTHER_LOG_VALUES))
+    assume(canonical_json(doc) != text)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doctored_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("doctored") / "trace.json")
+
+
+@given(doc=doctored_scenario_traces())
+@settings(max_examples=150, deadline=None)
+def test_verify_names_the_log_path_of_every_doctored_scenario_trace(doctored_path, doc):
+    # a doctored log is a replay mismatch at a path inside `log` (exit 4)
+    # or a config error (exit 2), never a bare Python error
+    with open(doctored_path, "w") as fh:
+        fh.write(canonical_json(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", doctored_path])
+    if code == 2:
+        assert err.getvalue().startswith("config error: ")
+        return
+    assert code == 4, err.getvalue()
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and re.fullmatch(
+        r"VIOLATION: replay mismatch at log(\[\d+\]|\.\w+)*: trace is not reproducible "
+        r"from its config", lines[0]), lines

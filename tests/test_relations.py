@@ -233,17 +233,18 @@ def test_cached_hash_and_key_match_recursion(specs, data):
 def test_complete_digraph_log_entry_is_quadratic():
     # 16 points, every pair related both ways: image k carries digit 3
     # against each earlier image, k digits, 16 * 15 / 2 in all
-    entry = embedding_jsonable(embed_relation(FiniteReflexiveRelation([[True] * 16] * 16)))
-    assert entry["digraph"] == ["1" * 16] * 16
-    assert entry["images"] == ["3" * k for k in range(16)]
-    assert sum(len(image) for image in entry["images"]) == 120
+    adjacency, images = embedding_jsonable(
+        embed_relation(FiniteReflexiveRelation([[True] * 16] * 16)))
+    assert adjacency == "1" * 256
+    assert images == "3" * 120
 
 
 def test_image_digits_refuse_what_they_cannot_write():
     r = FiniteReflexiveRelation.from_pairs(3, [(0, 1)])
     one = UElement(1, ((ROOT, 1),))
-    assert embedding_jsonable(Embedding(r, (ROOT, one, UElement(2, ((one, 2),)))))["images"] == [
-        "", "1", "02"
+    # the matrix row by row, then images 0, 1 and 2: "", "1" and "02"
+    assert embedding_jsonable(Embedding(r, (ROOT, one, UElement(2, ((one, 2),))))) == [
+        "110010001", "102"
     ]
     stray = UElement(1, ((ROOT, 2),))  # a stage-1 element that is not image 1
     for images in ((ROOT, UElement(2, ())), (ROOT, one, UElement(2, ((stray, 3),)))):
