@@ -12,6 +12,8 @@ stays a handful of runs however large the stage.
 
 from __future__ import annotations
 
+from .density import gap_interval
+
 
 class Silent:
     """Never enumerates anything."""
@@ -24,12 +26,15 @@ class Silent:
 
 class TrapSpringer:
     """Enumerates one element (the first) of the gap its strategy issued
-    one stage earlier, read off the trace's x table."""
+    one stage earlier, if it acted then."""
 
     name = "trap-springer"
 
     def new_elements(self, e, stage, trace):
-        return [(r.gap[0], r.gap[0] + 1) for r in trace.table().rules_at_block(stage - 1) if r.e == e]
+        if not stage or e not in trace.records[stage - 1].acts:
+            return []
+        lo = gap_interval(stage - 1, e)[0]
+        return [(lo, lo + 1)]
 
 
 class CautiousCopier:
@@ -44,11 +49,10 @@ class CautiousCopier:
         approx = trace.final_approx.get(e)
         if approx is None:
             return []
-        tables = trace.tables()
         out = []
         for block in range(trace.defined_through + 1):
             lo, hi = 1 << block, 1 << (block + 1)
-            excl = [t.excluded_interval(block, side) for t, side in zip(tables, approx)]
+            excl = [trace.excluded_interval(i, block, side) for i, side in enumerate(approx)]
             # a side without an exclusion keeps the whole block in the union
             cut = hi if None in excl else max(ex[0] for ex in excl)
             if lo < cut:

@@ -1,26 +1,26 @@
 """Stage-based diagonalization engine.
 
 A run builds one Turing-style functional (single mode) or a pair of them
-(pair mode) as tables of gap rules.  A gap rule (e, s, node, side) removes
-the last 2^(s-e) elements of block s from the functional's value on every
-oracle extending `node`.  Strategy e acts at stages s > e: it computes the
-surviving level of its tree (oracles kept consistent with the opponent
-enumeration staying inside the functional's value).  If the tree is empty
-the strategy dies; else it acts, placing a marker at the shortest prefix of
-the selected infinite path whose string on every side is unmarked there:
-the marker is its gap rule on each side.  The opponent must then either
-enumerate into the gap, pruning every extension of the marked node from the
-tree, or absorb a density dip at that block.
+(pair mode).  Strategy e acts at stages s > e: it computes the surviving
+level of its tree (oracles kept consistent with the opponent enumeration
+staying inside the functional's value).  If the tree is empty the strategy
+dies; else it acts, placing a marker at the shortest prefix of the selected
+infinite path whose string on every side is unmarked there.  The act is a
+gap rule on each side: the side's functional omits the gap of size 2^-e at
+block s, its last 2^(s-e) elements, on every oracle extending the marker's
+string.  The opponent must then either enumerate into the gap, pruning every
+extension of the marked node from the tree, or absorb a density dip at that
+block.
 
 Level sets are exponential and are therefore never materialized: survival
-of a node is decided from the rule table plus the enumeration snapshot,
-and paths are found by ordered depth-first search with pruning.  Every
-enumeration (a stage's batch, a strategy's snapshot, a trap event) is a
-run set of half-open intervals (see `runs`), so no step costs time or
-memory in the number of enumerated elements.  A whole run is recorded as a
-Trace that replays bit-for-bit from its config: per stage, the new elements,
-the acts and the deaths, of which the rule tables and markers are views.
-The trace is also the engine's only state, stage s being computed from its
+of a node is decided from the acts plus the enumeration snapshot, and paths
+are found by ordered depth-first search with pruning.  Every enumeration (a
+stage's batch, a strategy's snapshot, a trap event) is a run set of
+half-open intervals (see `runs`), so no step costs time or memory in the
+number of enumerated elements.  A whole run is recorded as a Trace that
+replays bit-for-bit from its config: per stage, the new elements, the acts
+and the deaths.  The acts of stage s are the gap rules of block s.  The
+trace is also the engine's only state, stage s being computed from its
 records through s-1.
 """
 
@@ -56,92 +56,6 @@ SIDES = {SINGLE: (SIDE_X,), PAIR: (SIDE_X, SIDE_Y)}
 _DEFAULT_NODE_BUDGET = 1 << 18
 
 
-class GapRule(Frozen):
-    """Remove the last 2^(stage-e) elements of block `stage` from the
-    side's functional, for every oracle extending `node`.  `gap` is that
-    removed interval [lo, hi).  Rules are equal when their fields are."""
-
-    __slots__ = ("e", "stage", "node", "side", "gap")
-
-    def __init__(self, e: int, stage: int, node: str, side: str = SIDE_X):
-        if not 0 <= e <= stage:
-            raise UndefinedInputError("gap exponent must satisfy 0 <= e <= stage")
-        if len(node) > stage:
-            raise SelectorCapError("rule at stage %d uses a node of length %d" % (stage, len(node)))
-        if node.strip("01"):
-            raise ValueError("node must be a bit string")
-        if side not in (SIDE_X, SIDE_Y):
-            raise ValueError("side must be 'x' or 'y'")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "gap", gap_interval(stage, e))
-
-    def __eq__(self, other):
-        if type(other) is not GapRule:
-            return NotImplemented
-        return (self.e, self.stage, self.node, self.side) == (other.e, other.stage, other.node, other.side)
-
-
-class GapRuleTable:
-    """All gap rules issued so far for one side, plus the defined horizon.
-
-    After the run has processed stage s the functional is defined on
-    [1, 2^(s+1)): membership of n below that horizon is decided by the
-    rules at n's block.
-    """
-
-    def __init__(self, side: str = SIDE_X):
-        self.side = side
-        self.rules: list = []
-        self._by_block: dict = {}
-        self.defined_through = -1
-
-    def add_rule(self, rule: GapRule):
-        self.rules.append(rule)
-        self._by_block.setdefault(rule.stage, []).append(rule)
-
-    def extend_defined(self, stage: int):
-        self.defined_through = max(self.defined_through, stage)
-
-    def rules_at_block(self, s: int) -> list:
-        return self._by_block.get(s, [])
-
-    def evaluate(self, prefix, n: int):
-        """Tri-valued membership of n under oracles extending `prefix`:
-        1 (in), 0 (definitely gapped), None (depends on longer oracle)."""
-        if n < 1:
-            raise UndefinedInputError("the functional's value starts at n=1")
-        block = n.bit_length() - 1
-        if block > self.defined_through:
-            raise UndefinedRegionError(
-                "n=%d lies beyond the defined horizon 2^%d" % (n, self.defined_through + 1)
-            )
-        unknown = False
-        for r in self._by_block.get(block, ()):
-            if n >= r.gap[0]:
-                if prefix.startswith(r.node):
-                    return 0
-                if r.node.startswith(prefix):
-                    unknown = True
-        return None if unknown else 1
-
-    def excluded_interval(self, block: int, prefix) -> Optional[tuple]:
-        """Merged definite exclusion [lo, hi) at `block` under `prefix`,
-        or None; raises if an undecided rule intersects the block."""
-        gaps = []
-        for r in self._by_block.get(block, ()):
-            if prefix.startswith(r.node):
-                gaps.append(r.gap)
-            elif r.node.startswith(prefix):
-                raise UndefinedRegionError(
-                    "rule node %r undecided under prefix of length %d" % (r.node, len(prefix))
-                )
-        # the block's gaps all end at its end: the widest starts first
-        return min(gaps) if gaps else None
-
-
 class LevelContext:
     """Survival tests for one strategy tree at one level.
 
@@ -150,12 +64,14 @@ class LevelContext:
     (below 2^l) is definitely outside the functional's value under every
     oracle extending the node (pair mode: outside both sides' union).
     Undecided evaluations never prune.  `enum` is the strategy's
-    enumeration as a run set; `tables` holds one GapRuleTable per side.
+    enumeration as a run set; the trace's records through stage l-1 hold
+    the acts, each one gap rule per side.  A hit is one act's marker string
+    per side, whose gaps share an enumerated element.
     """
 
-    def __init__(self, l: int, enum, tables):
+    def __init__(self, l: int, enum, trace):
         self.l = l
-        self.root = ("",) * len(tables)
+        self.root = ("",) * len(trace.sides)
         self.has_zero = bool(enum) and enum[0][0] == 0
         found = []
         for s in range(l):
@@ -163,9 +79,13 @@ class LevelContext:
             # without enumerated elements has no hits
             if not hits(enum, 1 << s, 2 << s):
                 continue
-            for rules in product(*(t.rules_at_block(s) for t in tables)):
-                if hits(enum, max(r.gap[0] for r in rules), 2 << s):
-                    found.append(tuple(r.node for r in rules))
+            rules = [(gap_interval(s, e)[0], marker) for e, (_, marker) in trace.records[s].acts.items()]
+            sides = [[(lo, marker[i]) for lo, marker in rules] for i in range(len(self.root))]
+            for combo in product(*sides):
+                # (gap start, node) pairs compare by start first: the max
+                # holds the start of the combo's shared gap
+                if hits(enum, max(combo)[0], 2 << s):
+                    found.append(tuple(node for _, node in combo))
         self.hits = tuple(found)
 
     def killed(self, node) -> bool:
@@ -217,13 +137,12 @@ def enumerate_level(ctx: LevelContext, budget: int = _DEFAULT_NODE_BUDGET) -> li
     return list(_level_dfs(ctx, "01", ctx.root, budget))
 
 
-def select_marker_node(path, marked, cap: Optional[int] = None):
+def select_marker_node(path, marked):
     """Shortest prefix of the path (root included) whose string on every
     side is unmarked there: `marked` holds one set of strings per side."""
-    limit = len(path[0]) if cap is None else min(cap, len(path[0]))
     taken = {len(bits) for side, strings in zip(path, marked) for bits in strings
              if side.startswith(bits)}
-    for k in range(limit + 1):
+    for k in range(len(path[0]) + 1):
         if k not in taken:
             return tuple(side[:k] for side in path)
     raise SelectorCapError("every path prefix through the cap is marked")
@@ -314,16 +233,16 @@ class StageRecord:
 class Trace:
     """Replayable record of one construction run, and the engine's only
     state.  The stage records are all it stores; `append` keeps the views
-    read off them: one GapRuleTable per side, holding each act's marker as
-    that side's gap rule, and per strategy e the enumerated run set, the
-    markers as (stage, marker) pairs, the last approximation (None before
-    the first act) and the death stage (None while alive).  Records given
-    to the constructor are fed through `append` too, so the engine, the
-    loader and any caller rebuilding a trace from edited records build it
-    the same way."""
+    read off them, per strategy e: the enumerated run set, the markers as
+    (stage, marker) pairs, the last approximation (None before the first
+    act) and the death stage (None while alive).  The gap rules of block s
+    are the acts of `records[s]`.  After stage s the functionals are defined
+    on [1, 2^(s+1)).  Records given to the constructor are fed through
+    `append` too, so the engine, the loader and any caller rebuilding a
+    trace from edited records build it the same way."""
 
     __slots__ = ("mode", "stages", "records", "config_echo", "enumerated", "markers",
-                 "final_approx", "death_stage", "_tables", "_censuses")
+                 "final_approx", "death_stage", "_censuses")
 
     def __init__(self, mode: str, stages: int, records=(), config_echo: Optional[dict] = None):
         self.mode = mode
@@ -334,41 +253,32 @@ class Trace:
         self.markers = {}
         self.final_approx = {}
         self.death_stage = {}
-        self._tables = {side: GapRuleTable(side) for side in self.sides}
         self._censuses = {}
         for rec in records:
             self.append(rec)
 
     def append(self, rec: StageRecord):
-        """Add the next stage's record and bring the views up to it: each
-        act's marker enters every side's table as that side's gap rule.  A
+        """Add the next stage's record and bring the views up to it.  A
         record it refuses leaves every view as it was."""
-        s, sides = rec.stage, self.sides
+        s, k = rec.stage, len(self.sides)
         if s != len(self.records):
             raise InvariantViolationError("record of stage %r follows %d records" % (s, len(self.records)))
-        rules = []
         for e, (approx, marker) in rec.acts.items():
-            if not len(approx) == len(marker) == len(sides):
+            if not len(approx) == len(marker) == k:
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d has not one string per side" % (e, s)
                 )
-            for node, side in zip(marker, sides):
-                rules.append(GapRule(e, s, node, side))
         for e, batch in rec.batches.items():
             known = self.enumerated.get(e, ())
             self.enumerated[e] = union(known, batch) if batch else known
             self.markers.setdefault(e, ())
             self.final_approx.setdefault(e, None)
             self.death_stage.setdefault(e, None)
-        for rule in rules:
-            self._tables[rule.side].add_rule(rule)
         for e, (approx, marker) in rec.acts.items():
             self.markers[e] += ((s, marker),)
             self.final_approx[e] = approx
         for e in rec.deaths:
             self.death_stage[e] = s
-        for t in self._tables.values():
-            t.extend_defined(s)
         self.records.append(rec)
         self._censuses.clear()
 
@@ -384,14 +294,40 @@ class Trace:
     def strategy_count(self) -> int:
         return len(self.records[0].batches) if self.records else 0
 
-    def table(self, side=SIDE_X) -> GapRuleTable:
-        """The side's rules through the last record: shared, callers do
-        not add to it."""
-        return self._tables[side]
+    def evaluate(self, i: int, prefix, n: int):
+        """Tri-valued membership of n in side i's functional (0 for x) under
+        oracles extending `prefix`: 1 (in), 0 (definitely gapped), None
+        (depends on a longer oracle)."""
+        if n < 1:
+            raise UndefinedInputError("the functional's value starts at n=1")
+        block = n.bit_length() - 1
+        if block > self.defined_through:
+            raise UndefinedRegionError(
+                "n=%d lies beyond the defined horizon 2^%d" % (n, self.defined_through + 1)
+            )
+        unknown = False
+        for e, (_, marker) in self.records[block].acts.items():
+            if n >= gap_interval(block, e)[0]:
+                if prefix.startswith(marker[i]):
+                    return 0
+                if marker[i].startswith(prefix):
+                    unknown = True
+        return None if unknown else 1
 
-    def tables(self) -> tuple:
-        """One GapRuleTable per side, in side order."""
-        return tuple(self._tables[side] for side in self.sides)
+    def excluded_interval(self, i: int, block: int, prefix) -> Optional[tuple]:
+        """Merged definite exclusion [lo, hi) of side i at `block` under
+        `prefix`, or None; raises if an undecided rule intersects the
+        block."""
+        gaps = []
+        for e, (_, marker) in self.records[block].acts.items():
+            if prefix.startswith(marker[i]):
+                gaps.append(gap_interval(block, e))
+            elif marker[i].startswith(prefix):
+                raise UndefinedRegionError(
+                    "rule node %r undecided under prefix of length %d" % (marker[i], len(prefix))
+                )
+        # the block's gaps all end at its end: the widest starts first
+        return min(gaps) if gaps else None
 
     def enumerated_through(self, e, stage) -> tuple:
         """Run set enumerated by strategy e's opponent through `stage`."""
@@ -413,13 +349,6 @@ class Trace:
             self._censuses[key] = gap_census(values, self.defined_through + 1)
         return self._censuses[key]
 
-    def tree_level(self, e, l, budget: int = _DEFAULT_NODE_BUDGET) -> list:
-        """The surviving level-l nodes of strategy e's tree."""
-        if l > self.defined_through:
-            raise UndefinedRegionError("level %d beyond the defined horizon" % l)
-        context = LevelContext(l, self.enumerated_through(e, l), self.tables())
-        return enumerate_level(context, budget)
-
     def approx_chains(self, e) -> list:
         """The selected path's extension chains, as [first stage, last
         approximation]: a new chain starts at every mind change."""
@@ -430,9 +359,6 @@ class Trace:
             else:
                 chains.append([stage, node])
         return chains
-
-    def rules_for(self, e, side=SIDE_X) -> list:
-        return [r for r in self.table(side).rules if r.e == e]
 
 
 def _extends(node, prev) -> bool:
@@ -450,8 +376,8 @@ def _stage(trace: Trace, cfg: RunConfig, s: int) -> StageRecord:
         batches[e] = new
         if not new:
             continue
-        for rule in trace.rules_for(e):  # traps are x-side gaps
-            trap_events.extend((e, rule.stage, lo, hi) for lo, hi in clip(new, *rule.gap))
+        for stage, _ in trace.markers.get(e, ()):  # traps are x-side gaps
+            trap_events.extend((e, stage, lo, hi) for lo, hi in clip(new, *gap_interval(stage, e)))
     acts, deaths = {}, []
     for e in range(min(s, len(cfg.strategies))):  # the started strategies
         if trace.death_stage[e] is None:
@@ -467,7 +393,7 @@ def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> Optional[tuple]:
     """Live strategy e's act at stage s, (approx, marker), or None when its
     tree is empty."""
     l = s - 1
-    ctx = LevelContext(l, trace.enumerated[e], trace.tables())
+    ctx = LevelContext(l, trace.enumerated[e], trace)
     selector = cfg.strategies[e].selector
     # any order finds a survivor iff one exists, so search once, in the
     # selector's order (scripted selectors fall back to leftmost)
@@ -478,7 +404,7 @@ def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> Optional[tuple]:
     if ctx.killed(tuple(side[:l] for side in path)):
         raise InvariantViolationError("selector path truncation is outside the surviving level")
     marked = [{marker[i] for _, marker in trace.markers[e]} for i in range(len(path))]
-    return path, select_marker_node(path, marked, cap=s)
+    return path, select_marker_node(path, marked)
 
 
 def run_construction(cfg: RunConfig) -> Trace:
@@ -498,10 +424,9 @@ def run_pair(stages: int, strategies, node_budget: int = _DEFAULT_NODE_BUDGET) -
 
 def trap_status(trace: Trace, e: int, s: int) -> str:
     """pending / sprung / inactive for strategy e's stage-s trap."""
-    rule = next((r for r in trace.table(SIDE_X).rules_at_block(s) if r.e == e), None)
-    if rule is None:
+    if e not in trace.records[s].acts:
         return "inactive"
-    return "sprung" if hits(trace.enumerated[e], *rule.gap) else "pending"
+    return "sprung" if hits(trace.enumerated[e], *gap_interval(s, e)) else "pending"
 
 
 def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
@@ -509,9 +434,10 @@ def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
     functional under oracles extending prefix}: the horizon minus the gap
     of every rule whose node is comparable with the prefix (a rule the
     prefix does not decide leaves its gap undecided, hence out of the set)."""
+    i = trace.sides.index(side)
     gaps = normalize(
-        r.gap for r in trace.table(side).rules
-        if prefix.startswith(r.node) or r.node.startswith(prefix)
+        gap_interval(rec.stage, e) for rec in trace.records for e, (_, marker) in rec.acts.items()
+        if prefix.startswith(marker[i]) or marker[i].startswith(prefix)
     )
     return difference(((1, 1 << (trace.defined_through + 1)),), gaps)
 
@@ -565,13 +491,14 @@ def trace_from_jsonable(doc: dict) -> Trace:
     horizon is a view of the records, checked by replay.  Each record is
     read as its batches, its acts and its deaths: an act's marker is the
     prefix of its approximation on every side that the act's rule lengths
-    give, and `Trace.append` builds the rules from it.  A document the
+    give, and the act is then the gap rules of its block.  A document the
     engine could not have written is rejected with a named violation: a
     field of the wrong type or arity, a count that is not a natural number,
     a batch that is not a run set or not the strategy's only one, a trap
-    event that is not four naturals, acts and deaths that disagree or are
-    out of order, an approximation of the wrong length, or rule lengths
-    that are not one natural through the stage per act and side."""
+    event that is not four naturals, acts and deaths that disagree, are out
+    of order or come from a strategy that has not started, an approximation
+    of the wrong length or not of bits, or rule lengths that are not one
+    natural through the stage per act and side."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     mode, stages, count, config, docs = map(doc.get, ("mode", "stages", "strategy_count", "config", "records"))
@@ -704,23 +631,22 @@ def audit_marker_on_path(trace: Trace) -> list:
 
 def audit_trap_soundness(trace: Trace) -> list:
     """Every sprung trap carries its own witness: the event's run [lo, hi)
-    is in its record's batch, after the trapped rules' stage and inside
-    their gap, so every side evaluates `lo` to 0 under the trapped node.
-    By prefix determinism `lo` then spoils every extension of that node at
+    is in its record's batch, after the trapped act's stage and inside its
+    gap, so every side evaluates `lo` to 0 under the act's marker.  By
+    prefix determinism `lo` then spoils every extension of that marker at
     every later level, so no later level is searched."""
     bad = []
-    tables = trace.tables()
     for rec in trace.records:
         for e, gap_stage, lo, hi in rec.trap_events:
-            rules = [next((r for r in t.rules_at_block(gap_stage) if r.e == e), None) for t in tables]
-            if None in rules:
+            act = trace.records[gap_stage].acts.get(e) if gap_stage <= trace.defined_through else None
+            if act is None:
                 reason = "references a rule the trace does not contain"
             elif clip(rec.batches.get(e, ()), lo, hi) != ((lo, hi),):
                 reason = "is not in strategy %d's batch of stage %d" % (e, rec.stage)
             elif gap_stage >= rec.stage:
                 reason = "at stage %d does not follow its rule" % rec.stage
-            elif not all(r.gap[0] <= lo < hi <= r.gap[1] and t.evaluate(r.node, lo) == 0
-                         for r, t in zip(rules, tables)):
+            elif clip(((lo, hi),), *gap_interval(gap_stage, e)) != ((lo, hi),) or not all(
+                    trace.evaluate(i, node, lo) == 0 for i, node in enumerate(act[1])):
                 reason = "lies outside its gap"
             else:
                 continue
@@ -737,7 +663,7 @@ def audit_spoiling(trace: Trace) -> list:
     there.  Each strategy's walk charges every visited node against the
     default node budget."""
     bad = []
-    tables = trace.tables()
+    k = len(trace.sides)
     for e, died_at in trace.death_stage.items():
         if died_at is None:
             continue
@@ -747,13 +673,13 @@ def audit_spoiling(trace: Trace) -> list:
             continue
         tops = [runs[-1][1] - 1 for b in range(l) if (runs := clip(enum, 1 << b, 2 << b))]
         budget = _DEFAULT_NODE_BUDGET
-        stack = [("",) * len(tables)]
+        stack = [("",) * k]
         while stack:
             node = stack.pop()
             budget -= 1
             if budget < 0:
                 raise BudgetError("spoiling walk exceeded the node budget")
-            if any(all(t.evaluate(side, n) == 0 for t, side in zip(tables, node)) for n in tops):
+            if any(all(trace.evaluate(i, side, n) == 0 for i, side in enumerate(node)) for n in tops):
                 continue
             if len(node[0]) == l:
                 bad.append("no spoiling witness for %r (strategy %d)" % (node, e))
@@ -782,10 +708,9 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     for stage, marker in trace.markers[e]:
         if stage >= last_change_stage and not _extends(final, marker):
             bad.append("late marker %r not on the final path (strategy %d)" % (marker, e))
-    x_rules = trace.rules_for(e, SIDE_X)
     for probe in prefixes:
         x_probe = probe[0]
-        gaps = sum(1 for r in x_rules if x_probe.startswith(r.node))
+        gaps = sum(1 for _, marker in trace.markers[e] if x_probe.startswith(marker[0]))
         max_lcp = max(len(commonprefix((x_probe, node[0]))) for _, node in chains)
         if gaps > len(chains) + max_lcp:
             bad.append(
@@ -797,11 +722,11 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
 
 def audit_gap_census_consistency(trace: Trace, prefix, side=SIDE_X) -> list:
     """The value set's censused gaps under `prefix` (one side's bit
-    string) are exactly the rules whose nodes prefix it."""
+    string) are exactly the acts whose markers prefix it on that side."""
     bad = []
-    table = trace.table(side)
+    j = trace.sides.index(side)
     for i, recorded in trace.census(prefix, side).records:
-        applicable = [r.e for r in table.rules_at_block(i) if prefix.startswith(r.node)]
+        applicable = [e for e, (_, marker) in trace.records[i].acts.items() if prefix.startswith(marker[j])]
         expected = min(applicable) if applicable else None
         if recorded != expected:
             bad.append("block %d census %r != rules %r under %r" % (i, recorded, expected, prefix))

@@ -8,6 +8,7 @@ or recomputed by an independent oracle inside the test.
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from gencomp.adversaries import CautiousCopier, PrefixFlooder, Silent, TrapSpringer
@@ -44,6 +45,7 @@ from gencomp.harness import canonical_json, run_experiment
 from gencomp.reals import Enumerator, GenericDescription, SeededReal
 from gencomp.relations import FiniteReflexiveRelation, embed_relation, stage_interval, universal_rel
 from gencomp.runs import elements
+from reference_engine import reference_level
 from test_density import present
 
 MASTER_SEED = 20260811
@@ -231,8 +233,7 @@ def test_c07_diagonal_single_mode():
             StrategySpec(TrapSpringer(), LeftmostSelector()),
         ],
     )
-    table = det.table()
-    evaluate = table.evaluate
+    evaluate = partial(det.evaluate, 0)
     horizon = 1 << 11
     for v in range(1 << 10):
         sigma = format(v, "010b")
@@ -290,7 +291,7 @@ def test_c08_diagonal_pair_mode():
         trace = run_pair(20, _catalog_specs(order))
         for e in range(5):
             if trace.death_stage[e] is not None:
-                assert trace.tree_level(e, trace.death_stage[e] - 1) == []
+                assert reference_level(trace, e, trace.death_stage[e] - 1) == []
                 continue
             elems = {n for lo, hi in trace.enumerated[e] for n in range(lo, hi)}
             bound = 1 - Fraction(1, 1 << (e + 1))

@@ -22,10 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencomp.density import gap_census, prefix_density
+from gencomp.density import gap_census, gap_interval, prefix_density
 from gencomp.diagonal import (
     PAIR,
-    GapRule,
     LevelContext,
     RunConfig,
     StageRecord,
@@ -54,7 +53,7 @@ from gencomp.harness import (
     validate_config,
 )
 from gencomp.runs import clip, elements, union
-from test_diagonal import _round_trip_runs, with_extra_x_rules
+from test_diagonal import _round_trip_runs, with_extra_acts
 
 PAIR_CATALOG_12 = {
     "version": 1,
@@ -163,45 +162,54 @@ def oracle_densities(trace, e):
     ]
 
 
+def acts_of(trace, records=None):
+    """Every act as (stage, e, gap, marker), in record and then act order."""
+    return [(rec.stage, e, gap_interval(rec.stage, e), marker)
+            for rec in (trace.records if records is None else records)
+            for e, (_, marker) in rec.acts.items()]
+
+
 def oracle_trap_events(trace, rec):
-    """Every x-rule issued before the stage against every new element."""
-    earlier = [r for r in trace.table("x").rules if r.stage < rec.stage]
+    """Every act issued before the stage (its x-side rule) against every
+    new element."""
+    earlier = acts_of(trace, trace.records[:rec.stage])
     events = []
     for e in sorted(rec.batches):
-        for rule in earlier:
-            if rule.e != e:
+        for stage, f, (lo, hi), _ in earlier:
+            if f != e:
                 continue
             for n in expand(rec.batches[e]):
-                if rule.gap[0] <= n < rule.gap[1]:
-                    events.append((e, rule.stage, n))
+                if lo <= n < hi:
+                    events.append((e, stage, n))
     return events
 
 
-def oracle_hits(mode, l, enum, xt, yt=None):
-    """Level hits scanning every block and every rule (or rule pair)."""
+def oracle_hits(trace, l, enum):
+    """Level hits scanning every block and every act (or act pair)."""
     def hit(lo, hi):
         return any(lo <= n < hi for n in enum)
 
-    if mode != PAIR:
-        return tuple((r.node,) for r in xt.rules if r.stage <= l - 1 and hit(*r.gap))
+    acts = acts_of(trace, trace.records[:l])
+    if trace.mode != PAIR:
+        return tuple((marker[0],) for _, _, gap, marker in acts if hit(*gap))
     return tuple(
-        (rx.node, ry.node)
-        for s in range(min(l, xt.defined_through + 1))
-        for rx in xt.rules_at_block(s)
-        for ry in yt.rules_at_block(s)
-        if hit(max(rx.gap[0], ry.gap[0]), rx.gap[1])
+        (mx[0], my[1])
+        for s in range(l)
+        for sx, _, gx, mx in acts if sx == s
+        for sy, _, gy, my in acts if sy == s
+        if hit(max(gx[0], gy[0]), gx[1])
     )
 
 
 def oracle_tally(trace, e):
     tally = {"pending": 0, "sprung": 0, "inactive": 0}
     for s in range(trace.stages):
-        rules = [r for r in trace.table("x").rules if r.e == e and r.stage == s]
-        if not rules:
+        gaps = [gap for stage, f, gap, _ in acts_of(trace) if (f, stage) == (e, s)]
+        if not gaps:
             tally["inactive"] += 1
             continue
         elems = expand(trace.enumerated_through(e, trace.stages - 1))
-        lo, hi = rules[0].gap
+        lo, hi = gaps[0]
         sprung = any(lo <= n < hi for n in elems)
         tally["sprung" if sprung else "pending"] += 1
     return tally
@@ -227,7 +235,7 @@ def oracle_single_victim(trace, e, probes):
         if stage >= last_change and not extends(final, marker):
             bad.append("late marker %r not on the final path (strategy %d)" % (marker, e))
     for probe in probes:
-        gaps = sum(1 for r in trace.table("x").rules if r.e == e and probe[0].startswith(r.node))
+        gaps = sum(1 for _, f, _, marker in acts_of(trace) if f == e and probe[0].startswith(marker[0]))
         lcp = max(len(os.path.commonprefix([probe[0], node[0]])) for _, node in approxes)
         if gaps > changes + lcp:
             bad.append(
@@ -240,14 +248,10 @@ def oracle_single_victim(trace, e, probes):
 def oracle_trap_soundness(trace):
     """After a trap is sprung, no surviving node extends the trapped one."""
     bad = []
-    tables = trace.tables()
     for rec in trace.records:
         for e, gap_stage, lo, hi in rec.trap_events:
-            node = tuple(
-                next((r.node for r in t.rules_at_block(gap_stage) if r.e == e), None)
-                for t in tables
-            )
-            if None in node:
+            node = next((marker for stage, f, _, marker in acts_of(trace) if (f, stage) == (e, gap_stage)), None)
+            if node is None:
                 bad.append(
                     "trap event (%d, %d, [%d, %d)) references a rule the trace does not contain"
                     % (e, gap_stage, lo, hi)
@@ -261,7 +265,7 @@ def oracle_trap_soundness(trace):
                 l = later.stage - 1
                 if len(node[0]) > l:
                     continue
-                ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
+                ctx = LevelContext(l, trace.enumerated_through(e, l), trace)
                 if find_survivor(ctx, start=node) is not None:
                     bad.append(
                         "survivor extends trapped node %r at stage %d (strategy %d)"
@@ -273,15 +277,14 @@ def oracle_trap_soundness(trace):
 def oracle_spoiling(trace, brute_max: int = 12):
     """A dead strategy's final level is empty, and (levels of at most
     `brute_max` bits over all sides) every node has a witness: an
-    enumerated element that every side's table definitely excludes."""
+    enumerated element that every side definitely excludes."""
     bad = []
-    tables = trace.tables()
-    k = len(tables)
+    k = len(trace.sides)
     for e, died_at in trace.death_stage.items():
         if died_at is None:
             continue
         l = died_at - 1
-        ctx = LevelContext(l, trace.enumerated_through(e, l), tables)
+        ctx = LevelContext(l, trace.enumerated_through(e, l), trace)
         if find_survivor(ctx) is not None:
             bad.append("dead strategy %d still has a level-%d survivor" % (e, l))
         if k * l <= brute_max:
@@ -290,7 +293,7 @@ def oracle_spoiling(trace, brute_max: int = 12):
                 bits = format(v, "0%db" % (k * l)) if l else ""
                 node = tuple(bits[i * l:(i + 1) * l] for i in range(k))
                 witnessed = any(
-                    n == 0 or all(t.evaluate(side, n) == 0 for t, side in zip(tables, node))
+                    n == 0 or all(trace.evaluate(i, side, n) == 0 for i, side in enumerate(node))
                     for n in enum
                 )
                 if not witnessed:
@@ -314,9 +317,9 @@ def test_trap_events_match_all_pairs_scan(run):
         assert expand_events(rec.trap_events) == oracle_trap_events(trace, rec)
         # each event is a maximal run of the batch inside the rule's gap
         for e, gap_stage, lo, hi in rec.trap_events:
-            rule = next(r for r in trace.table("x").rules if (r.e, r.stage) == (e, gap_stage))
+            assert e in trace.records[gap_stage].acts
             batch = set(expand(rec.batches[e]))
-            gap_lo, gap_hi = rule.gap
+            gap_lo, gap_hi = gap_interval(gap_stage, e)
             assert gap_lo <= lo < hi <= gap_hi
             assert lo == gap_lo or lo - 1 not in batch
             assert hi == gap_hi or hi not in batch
@@ -337,12 +340,11 @@ def test_batches_are_new_run_sets(run):
 
 def test_level_hits_match_unskipped_scan(run):
     _, trace = run
-    tables = trace.tables()
     for e in range(trace.strategy_count):
         for l in range(trace.stages):
             enum = trace.enumerated_through(e, l)
-            ctx = LevelContext(l, enum, tables)
-            assert ctx.hits == oracle_hits(trace.mode, l, expand(enum), *tables), (e, l)
+            ctx = LevelContext(l, enum, trace)
+            assert ctx.hits == oracle_hits(trace, l, expand(enum)), (e, l)
 
 
 def test_trap_tallies_match_recount(run):
@@ -354,14 +356,16 @@ def test_trap_tallies_match_recount(run):
 
 def test_single_victim_matches_max_over_all_approximations(run):
     # the audit compares each probe with the last approximation of each
-    # extension chain only; rules under the root, more than any bound of
+    # extension chain only; acts marking the root, more than any bound of
     # changes + lcp <= 2 * stages, make every probe report its bound
     _, trace = run
     for e in range(trace.strategy_count):
         probes = default_probe_prefixes(trace, e)
-        extra = [GapRule(e, trace.stages + e + k, "") for k in range(2 * trace.stages + 1)]
-        crowded = with_extra_x_rules(trace, extra)
         assert audit_single_victim(trace, e, probes) == oracle_single_victim(trace, e, probes)
+        if trace.final_approx[e] is None:
+            assert probes == []  # a strategy that never acted has nothing to crowd
+            continue
+        crowded = with_extra_acts(trace, e, 2 * trace.stages + 1)
         reported = audit_single_victim(crowded, e, probes)
         assert reported == oracle_single_victim(crowded, e, probes)
         assert len(reported) == len(probes)
@@ -418,18 +422,17 @@ def test_value_sets_match_per_n_evaluation(run):
     _, trace = run
     horizon = 1 << (trace.defined_through + 1)
     undecided = 0
-    for side, table in zip(trace.sides, trace.tables()):
-        depth = max((len(r.node) for r in table.rules), default=0)
+    for i, side in enumerate(trace.sides):
+        nodes = [marker[i] for _, _, _, marker in acts_of(trace)]
+        depth = max(map(len, nodes), default=0)
         prefixes = {bit * k for bit in "01" for k in (0, depth // 2, trace.defined_through)}
         for node in trace.final_approx.values():
             if node is not None:
                 prefixes |= {node[0][: depth // 2], node[0]}
         for prefix in sorted(prefixes):
-            values = {n for n in range(1, horizon) if table.evaluate(prefix, n) == 1}
+            values = {n for n in range(1, horizon) if trace.evaluate(i, prefix, n) == 1}
             assert set(expand(functional_value_set(trace, prefix, side))) == values, (side, prefix)
-            undecided += sum(
-                1 for r in table.rules if len(r.node) > len(prefix) and r.node.startswith(prefix)
-            )
+            undecided += sum(1 for node in nodes if len(node) > len(prefix) and node.startswith(prefix))
     assert undecided
 
 
@@ -463,14 +466,13 @@ def test_oracle_cases_exercise_every_branch():
     _, doc = run_experiment(dict(PAIR_SCRIPTED_12), write=False)
     trace = trace_from_jsonable(doc)
     assert any(rec.trap_events for rec in trace.records)
-    xt, yt = tables = trace.tables()
     hits = skipped = 0
     for e in range(trace.strategy_count):
         enum = trace.enumerated_through(e, trace.stages - 1)
-        hits += len(LevelContext(trace.stages - 1, enum, tables).hits)
+        hits += len(LevelContext(trace.stages - 1, enum, trace).hits)
         skipped += sum(
             1 for s in range(trace.stages - 1)
-            if xt.rules_at_block(s) and not any(1 << s <= n < 2 << s for n in expand(enum))
+            if trace.records[s].acts and not any(1 << s <= n < 2 << s for n in expand(enum))
         )
     assert hits and skipped
     tallies = [oracle_tally(trace, e) for e in range(trace.strategy_count)]
@@ -527,9 +529,7 @@ def test_stage_is_a_function_of_the_trace_before_it(name):
         assert _stage(Trace(mode, cfg["stages"], trace.records[:s]), run_cfg, s) == rec
     # the loader builds the same views as the engine
     back = trace_from_jsonable(trace_to_jsonable(trace))
-    assert [(t.side, t.rules, t.defined_through) for t in back.tables()] == [
-        (t.side, t.rules, t.defined_through) for t in trace.tables()
-    ]
+    assert back.records == trace.records
     for view in ("enumerated", "markers", "final_approx", "death_stage"):
         assert getattr(back, view) == getattr(trace, view), view
 
