@@ -64,9 +64,10 @@ class LevelContext:
     (below 2^l) is definitely outside the functional's value under every
     oracle extending the node (pair mode: outside both sides' union).
     Undecided evaluations never prune.  `enum` is the strategy's
-    enumeration as a run set; the trace's records through stage l-1 hold
-    the acts, each one gap rule per side.  A hit is one act's marker string
-    per side, whose gaps share an enumerated element.
+    enumeration as a run set; the trace's gap view through block l-1 holds
+    the acts.  A gap is a suffix of its block, so a hit is one block's
+    marker strings per side, from the acts whose gaps hold the block's top
+    enumerated element: it kills a node extending one string on every side.
     """
 
     def __init__(self, l: int, enum, trace):
@@ -75,17 +76,12 @@ class LevelContext:
         self.has_zero = bool(enum) and enum[0][0] == 0
         found = []
         for s in range(l):
-            # every gap of block s lies inside [2^s, 2^(s+1)): a block
-            # without enumerated elements has no hits
-            if not hits(enum, 1 << s, 2 << s):
+            runs = clip(enum, 1 << s, 2 << s)
+            if not runs:
                 continue
-            rules = [(gap_interval(s, e)[0], marker) for e, (_, marker) in trace.records[s].acts.items()]
-            sides = [[(lo, marker[i]) for lo, marker in rules] for i in range(len(self.root))]
-            for combo in product(*sides):
-                # (gap start, node) pairs compare by start first: the max
-                # holds the start of the combo's shared gap
-                if hits(enum, max(combo)[0], 2 << s):
-                    found.append(tuple(node for _, node in combo))
+            markers = [marker for (lo, _), marker in trace.gaps[s] if lo < runs[-1][1]]
+            if markers:
+                found.append(tuple(zip(*markers)))
         self.hits = tuple(found)
 
     def killed(self, node) -> bool:
@@ -236,12 +232,13 @@ class Trace:
     read off them, per strategy e: the enumerated run set, the markers as
     (stage, marker) pairs, the last approximation (None before the first
     act) and the death stage (None while alive).  The gap rules of block s
-    are the acts of `records[s]`.  After stage s the functionals are defined
+    are the acts of `records[s]`, which `gaps[s]` lists in act order as
+    (gap interval, marker) pairs.  After stage s the functionals are defined
     on [1, 2^(s+1)).  Records given to the constructor are fed through
-    `append` too, so the engine, the loader and any caller rebuilding a
-    trace from edited records build it the same way."""
+    `append` too, so the engine, the loader and any caller rebuilding a trace
+    from edited records build it the same way."""
 
-    __slots__ = ("mode", "stages", "records", "config_echo", "enumerated", "markers",
+    __slots__ = ("mode", "stages", "records", "config_echo", "gaps", "enumerated", "markers",
                  "final_approx", "death_stage", "_censuses")
 
     def __init__(self, mode: str, stages: int, records=(), config_echo: Optional[dict] = None):
@@ -249,6 +246,7 @@ class Trace:
         self.stages = stages
         self.records = []
         self.config_echo = config_echo
+        self.gaps = []
         self.enumerated = {}
         self.markers = {}
         self.final_approx = {}
@@ -263,11 +261,13 @@ class Trace:
         s, k = rec.stage, len(self.sides)
         if s != len(self.records):
             raise InvariantViolationError("record of stage %r follows %d records" % (s, len(self.records)))
+        gaps = []
         for e, (approx, marker) in rec.acts.items():
             if not len(approx) == len(marker) == k:
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d has not one string per side" % (e, s)
                 )
+            gaps.append((gap_interval(s, e), marker))
         for e, batch in rec.batches.items():
             known = self.enumerated.get(e, ())
             self.enumerated[e] = union(known, batch) if batch else known
@@ -279,6 +279,7 @@ class Trace:
             self.final_approx[e] = approx
         for e in rec.deaths:
             self.death_stage[e] = s
+        self.gaps.append(tuple(gaps))
         self.records.append(rec)
         self._censuses.clear()
 
@@ -306,8 +307,8 @@ class Trace:
                 "n=%d lies beyond the defined horizon 2^%d" % (n, self.defined_through + 1)
             )
         unknown = False
-        for e, (_, marker) in self.records[block].acts.items():
-            if n >= gap_interval(block, e)[0]:
+        for (lo, _), marker in self.gaps[block]:
+            if n >= lo:
                 if prefix.startswith(marker[i]):
                     return 0
                 if marker[i].startswith(prefix):
@@ -319,9 +320,9 @@ class Trace:
         `prefix`, or None; raises if an undecided rule intersects the
         block."""
         gaps = []
-        for e, (_, marker) in self.records[block].acts.items():
+        for gap, marker in self.gaps[block]:
             if prefix.startswith(marker[i]):
-                gaps.append(gap_interval(block, e))
+                gaps.append(gap)
             elif marker[i].startswith(prefix):
                 raise UndefinedRegionError(
                     "rule node %r undecided under prefix of length %d" % (marker[i], len(prefix))
@@ -436,7 +437,7 @@ def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
     prefix does not decide leaves its gap undecided, hence out of the set)."""
     i = trace.sides.index(side)
     gaps = normalize(
-        gap_interval(rec.stage, e) for rec in trace.records for e, (_, marker) in rec.acts.items()
+        gap for block in trace.gaps for gap, marker in block
         if prefix.startswith(marker[i]) or marker[i].startswith(prefix)
     )
     return difference(((1, 1 << (trace.defined_through + 1)),), gaps)

@@ -25,7 +25,7 @@ from . import adversaries, diagonal, enumops, reals, scenarios
 # binding of density.prefix_density without needing this one; the import
 # stays because perfbench's tests read harness.prefix_density
 from .density import prefix_density  # noqa: F401
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError, InvariantViolationError
 from .runs import count_below
 
 CONFIG_VERSION = 1
@@ -222,13 +222,16 @@ def validate_config(doc) -> dict:
     return eff
 
 
-def load_config_file(path: str) -> dict:
+def _read_json(path: str, what: str):
     try:
         with open(path, "r") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError("cannot parse config %s: %s" % (path, exc))
-    return doc
+        raise ConfigError("cannot parse %s %s: %s" % (what, path, exc))
+
+
+def load_config_file(path: str) -> dict:
+    return _read_json(path, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +485,7 @@ def verify_trace_file(path: str) -> list:
     """Replay a trace file and audit it; returns violation messages.  A
     diagonal trace is rebuilt from its config without auditing the
     rebuild, then the file's own trace is audited once."""
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError("cannot parse trace %s: %s" % (path, exc))
+    doc = _read_json(path, "trace")
     fmt = doc.get("format") if isinstance(doc, dict) else None
     # the scenario format first: checking it loads no module
     if fmt == SCENARIO_TRACE_FORMAT:
@@ -503,7 +502,7 @@ def verify_trace_file(path: str) -> list:
         try:
             trace = diagonal.trace_from_jsonable(doc)
             problems += diagonal.audit_trace(trace)
-        except Exception as exc:  # doctored contents: report, don't crash
+        except (InvariantViolationError, BudgetError) as exc:  # doctored contents: report, don't crash
             problems.append("trace contents are not auditable: %s" % exc)
     else:
         raise ConfigError(

@@ -33,6 +33,7 @@ from gencomp.diagonal import (
     audit_single_victim,
     audit_spoiling,
     audit_trap_soundness,
+    audit_trace,
     audit_verdicts,
     census_prefixes,
     default_probe_prefixes,
@@ -42,7 +43,7 @@ from gencomp.diagonal import (
     trace_from_jsonable,
     trace_to_jsonable,
 )
-from gencomp.errors import InvariantViolationError, UndefinedInputError
+from gencomp.errors import BudgetError, InvariantViolationError, UndefinedInputError
 from gencomp.harness import (
     DIAGONAL_MODES,
     SCENARIOS,
@@ -344,7 +345,10 @@ def test_level_hits_match_unskipped_scan(run):
         for l in range(trace.stages):
             enum = trace.enumerated_through(e, l)
             ctx = LevelContext(l, enum, trace)
-            assert ctx.hits == oracle_hits(trace, l, expand(enum)), (e, l)
+            # each hit, one block's strings per side, expands back into
+            # the act tuples of the scan, in the scan's order
+            pairs = tuple(combo for hit in ctx.hits for combo in itertools.product(*hit))
+            assert pairs == oracle_hits(trace, l, expand(enum)), (e, l)
 
 
 def test_trap_tallies_match_recount(run):
@@ -1065,8 +1069,13 @@ def doctored_goldens(draw):
 @settings(max_examples=300, deadline=None)
 def test_loader_names_every_doctored_golden(doc):
     # a document the engine could not have written fails with a named
-    # violation, never with a bare Python error
+    # violation, never with a bare Python error; a document that loads is
+    # audited, and the audits may only run out of their node budget
     try:
-        trace_from_jsonable(doc)
+        trace = trace_from_jsonable(doc)
     except (InvariantViolationError, UndefinedInputError):
+        return
+    try:
+        audit_trace(trace)
+    except BudgetError:
         pass

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -38,13 +40,14 @@ from gencomp.diagonal import (
 from gencomp.errors import (
     BudgetError,
     InvariantViolationError,
+    MalformedGapError,
     SelectorCapError,
     UndefinedInputError,
     UndefinedRegionError,
 )
 from gencomp.harness import canonical_json
 from gencomp.reals import Enumerator
-from gencomp.runs import elements
+from gencomp.runs import elements, from_elements
 from reference_engine import reference_level, reference_stage
 
 
@@ -152,11 +155,52 @@ def test_tree_level_pair_union_keeps_nodes():
     # under strategy 0's marker on both sides die
     t = trace_of((0, 1, ("0", "0")), (1, 1, ("0", "1")), defined=4, mode=PAIR)
     ctx = LevelContext(2, ((2, 3),), t)
-    assert ctx.hits == (("0", "0"),)
+    assert ctx.hits == ((("0",), ("0",)),)
     survivors = enumerate_level(ctx)
     assert len(survivors) == 12
     assert {(x, y) for x in ("00", "01") for y in ("10", "11")} <= set(survivors)
     assert all(not (sx.startswith("0") and sy.startswith("0")) for sx, sy in survivors)
+
+
+@st.composite
+def _hit_cases(draw):
+    """A trace of random acts below level l, a random enumeration (holding
+    0 now and then) and random nodes of length at most l."""
+    mode = draw(st.sampled_from((SINGLE, PAIR)))
+    l = draw(st.integers(0, 5))
+
+    def node(n):
+        return tuple(draw(st.text(alphabet="01", min_size=n, max_size=n)) for _ in diagonal.SIDES[mode])
+
+    acts = []
+    for s in range(l):
+        for e in sorted(draw(st.sets(st.integers(0, s), max_size=3))):
+            acts.append((e, s, node(draw(st.integers(0, s)))))
+    enum = draw(st.sets(st.integers(1, 1 << l), max_size=6))
+    if draw(st.integers(0, 7)) == 0:
+        enum.add(0)
+    nodes = [node(n) for n in draw(st.lists(st.integers(0, l), min_size=1, max_size=8))]
+    return trace_of(*acts, defined=l, mode=mode), l, enum, nodes
+
+
+@given(_hit_cases())
+@settings(max_examples=300, deadline=None)
+def test_killed_is_the_product_scan(case):
+    # a node dies when 0 is enumerated, or when at some block one act per
+    # side (a single act, or an act pair) has gaps sharing an enumerated
+    # element and markers prefixing the node's strings
+    trace, l, enum, nodes = case
+    ctx = LevelContext(l, from_elements(enum), trace)
+    for node in nodes:
+        scan = 0 in enum or any(
+            any(max(gap[0] for gap, _ in combo) <= n < 2 << s for n in enum)
+            and all(side.startswith(marker[i]) for i, (side, (_, marker)) in enumerate(zip(node, combo)))
+            for s in range(l)
+            for combo in itertools.product(
+                [(gap_interval(s, e), marker) for e, (_, marker) in trace.records[s].acts.items()],
+                repeat=len(node))
+        )
+        assert ctx.killed(node) == scan, node
 
 
 def test_tree_level_pair_prunes_joint_exclusions():
@@ -431,25 +475,32 @@ def test_append_rejects_an_act_of_the_wrong_arity(build, approx, marker):
 
 
 def test_rejected_append_leaves_the_views_unchanged():
-    # append checks the whole record before it touches a view: a stage-3
-    # record whose second act has one string per side is refused after a
-    # valid first act and a new batch, and the trace stays at 3 records
-    full = run_pair(4, [StrategySpec(Silent(), LeftmostSelector()) for _ in range(2)])
+    # append checks the whole record before it touches a view: each
+    # stage-3 record below is refused after a valid first act and a new
+    # batch, and the trace stays at 3 records.  The second act has one
+    # string per side, or comes from strategy 4, which has no gap at block 3
+    full = run_pair(4, [StrategySpec(Silent(), LeftmostSelector()) for _ in range(5)])
     trace = Trace(full.mode, full.stages, full.records[:3], full.config_echo)
     rec = full.records[3]
-    acts = {0: rec.acts[0], 1: tuple(strings[:1] for strings in rec.acts[1])}
-    doctored = StageRecord(3, {0: ((8, 9),), 1: ()}, acts, rec.deaths, rec.trap_events)
 
     def views():
         return (dict(trace.enumerated), dict(trace.markers), dict(trace.final_approx),
-                dict(trace.death_stage), list(trace.records), trace.defined_through)
+                dict(trace.death_stage), list(trace.gaps), list(trace.records), trace.defined_through)
 
-    before = views()
-    with pytest.raises(InvariantViolationError, match="^act of strategy 1 at stage 3 "):
-        trace.append(doctored)
-    assert views() == before
+    for second, error, reason in (
+        ({1: tuple(strings[:1] for strings in rec.acts[1])}, InvariantViolationError,
+         "^act of strategy 1 at stage 3 "),
+        ({4: rec.acts[1]}, MalformedGapError, "^gap exponent 4 invalid for block 3$"),
+    ):
+        doctored = StageRecord(3, {**rec.batches, 0: ((8, 9),)}, {0: rec.acts[0], **second},
+                               rec.deaths, rec.trap_events)
+        before = views()
+        with pytest.raises(error, match=reason):
+            trace.append(doctored)
+        assert views() == before
     trace.append(rec)
     assert trace.records == full.records and trace.markers == full.markers
+    assert trace.gaps == full.gaps
 
 
 def test_pair_y_only_mind_change_keeps_x_marks():

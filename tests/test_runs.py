@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gencomp.diagonal import trace_from_jsonable
 from gencomp.runs import clip, count_below, difference, elements, from_elements, hits, normalize, union
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -156,3 +157,47 @@ def test_count_below_examples():
     runs = ((1, 4), (7, 10))
     assert [count_below(runs, n) for n in (0, 1, 2, 4, 7, 8, 10, 100)] == [0, 0, 1, 3, 3, 4, 6, 6]
     assert count_below((), 50) == 0
+
+
+def _mixed_config(scenario, mirror):
+    """32 strategies at 64 stages: strategy i meets the i % 4-th catalog
+    opponent, under the leftmost selector when i // 4 is even and the
+    rightmost one otherwise (swapped when `mirror`)."""
+    opponents = ("silent", "trap-springer", "cautious-copier", "prefix-flooder")
+    return {"version": 1, "scenario": scenario, "stages": 64,
+            "strategies": [{"enumerator": {"kind": opponents[i % 4]},
+                            "selector": {"kind": ("leftmost", "rightmost")[(i // 4 + mirror) % 2]}}
+                           for i in range(32)]}
+
+
+def _complement(strings):
+    return tuple(s.translate(str.maketrans("01", "10")) for s in strings)
+
+
+@pytest.mark.parametrize("scenario", ["pair-diagonal", "single-diagonal"])
+def test_mirror_law_and_silent_closed_form_at_64_stages(tmp_path, scenario):
+    # Complementing every oracle bit maps the construction onto itself with
+    # leftmost and rightmost swapped: a gap's interval depends only on its
+    # stage and strategy, so every catalog opponent enumerates the same
+    # elements either way.  So mirroring every selector
+    # keeps each record's batches, deaths and trap events and complements
+    # every act's strings.  A silent opponent never prunes, so its
+    # strategy e acts at every stage s > e on b^s, b its selector's pad
+    # bit, and marks b^(s-e-1): its earlier markers b^0..b^(s-e-2).
+    traces = []
+    for mirror in (0, 1):
+        out = tmp_path / str(mirror)
+        out.mkdir()
+        _, doc = _run_capped(out, _mixed_config(scenario, mirror))
+        traces.append(trace_from_jsonable(doc))
+    trace, mirrored = traces
+    assert len(mirrored.records) == len(trace.records) == 64
+    for rec, twin in zip(trace.records, mirrored.records):
+        assert (twin.batches, twin.deaths, twin.trap_events) == (rec.batches, rec.deaths, rec.trap_events)
+        assert {e: tuple(map(_complement, act)) for e, act in twin.acts.items()} == rec.acts
+    k = len(trace.sides)
+    for e in range(0, 32, 4):
+        bit = "01"[(e // 4) % 2]
+        assert [(rec.stage, rec.acts[e]) for rec in trace.records[e + 1:]] == [
+            (s, ((bit * s,) * k, (bit * (s - e - 1),) * k)) for s in range(e + 1, 64)
+        ]
