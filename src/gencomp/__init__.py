@@ -12,6 +12,8 @@ some commands run are registered lazily: each is in `sys.modules` and on the
 package from the start, but its code runs on first attribute access.  So a
 diagonal command never compiles `codings`, `enumops`, `reals`, `relations`
 or `scenarios`, and no other scenario compiles `diagonal` or `adversaries`.
+`adversaries` imports `diagonal` eagerly, since no command runs an opponent
+without the engine.
 """
 
 import sys

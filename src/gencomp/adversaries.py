@@ -1,18 +1,35 @@
-"""Built-in opponent enumerators for diagonalization runs.
+"""Opponent enumerators for diagonalization runs.
 
-Each adversary implements the enumeration-source protocol
-new_elements(e, stage, trace): the elements it enumerates at `stage`, as a
-list of half-open runs (lo, hi), given read access to the trace through
+Each opponent implements the enumeration-source protocol
+new_elements(e, stage, trace): the elements it enumerates at `stage`, as
+half-open runs (lo, hi), given read access to the trace through
 stage - 1, the engine's whole state (it never sees the selector's future or
 the current stage's rules).  Runs may overlap each other or elements
 enumerated earlier; the engine normalizes them and keeps only what is new.
-Every built-in opponent enumerates whole intervals, so a source's output
-stays a handful of runs however large the stage.
+`CATALOG` holds the opponents a config names by kind alone, each of which
+enumerates a few whole intervals per stage; `Scripted` lists a config's
+elements stage by stage.  The cautious copier reads
+`diagonal.functional_value_set`, so this module runs `diagonal`: every
+command that runs an opponent runs the engine anyway.
 """
 
 from __future__ import annotations
 
 from .density import gap_interval
+from .diagonal import functional_value_set
+from .runs import from_elements, normalize
+
+
+class Scripted:
+    """Enumerates a fixed script: `schedule` maps a stage to the elements
+    it lists then.  An element listed again later is not new, and the
+    engine drops it."""
+
+    def __init__(self, schedule):
+        self.schedule = {stage: from_elements(elems) for stage, elems in schedule.items()}
+
+    def new_elements(self, e, stage, trace):
+        return self.schedule.get(stage, ())
 
 
 class Silent:
@@ -40,8 +57,7 @@ class TrapSpringer:
 class CautiousCopier:
     """Tracks the victim: enumerates everything definitely inside the
     functional's value under the current approximation (the union of both
-    sides in pair mode), staying clear of every gap on its path: one run
-    per block."""
+    sides in pair mode), staying clear of every gap on its path."""
 
     name = "cautious-copier"
 
@@ -49,15 +65,8 @@ class CautiousCopier:
         approx = trace.final_approx.get(e)
         if approx is None:
             return []
-        out = []
-        for block in range(trace.defined_through + 1):
-            lo, hi = 1 << block, 1 << (block + 1)
-            excl = [trace.excluded_interval(i, block, side) for i, side in enumerate(approx)]
-            # a side without an exclusion keeps the whole block in the union
-            cut = hi if None in excl else max(ex[0] for ex in excl)
-            if lo < cut:
-                out.append((lo, cut))
-        return out
+        return normalize(run for bits, side in zip(approx, trace.sides)
+                         for run in functional_value_set(trace, bits, side))
 
 
 class PrefixFlooder:

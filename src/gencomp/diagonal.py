@@ -315,21 +315,6 @@ class Trace:
                     unknown = True
         return None if unknown else 1
 
-    def excluded_interval(self, i: int, block: int, prefix) -> Optional[tuple]:
-        """Merged definite exclusion [lo, hi) of side i at `block` under
-        `prefix`, or None; raises if an undecided rule intersects the
-        block."""
-        gaps = []
-        for gap, marker in self.gaps[block]:
-            if prefix.startswith(marker[i]):
-                gaps.append(gap)
-            elif marker[i].startswith(prefix):
-                raise UndefinedRegionError(
-                    "rule node %r undecided under prefix of length %d" % (marker[i], len(prefix))
-                )
-        # the block's gaps all end at its end: the widest starts first
-        return min(gaps) if gaps else None
-
     def enumerated_through(self, e, stage) -> tuple:
         """Run set enumerated by strategy e's opponent through `stage`."""
         out = []

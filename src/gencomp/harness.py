@@ -20,7 +20,7 @@ import os
 from functools import partial
 from math import gcd
 
-from . import adversaries, diagonal, enumops, reals, scenarios
+from . import adversaries, diagonal, enumops, scenarios
 # nothing here calls prefix_density, and the perfbench tracer patches every
 # binding of density.prefix_density without needing this one; the import
 # stays because perfbench's tests read harness.prefix_density
@@ -71,8 +71,9 @@ def load_enumerator(spec):
                 raise ConfigError("enumerator stage keys must be distinct naturals, got %r" % key)
             if not isinstance(elems, list) or not all(_is_natural(v) for v in elems):
                 raise ConfigError("enumerated elements must be lists of naturals")
-            schedule[int(key)] = set(elems)
-        return reals.Enumerator.from_schedule(_int(spec, "tag", default=0), schedule)
+            schedule[int(key)] = elems
+        _int(spec, "tag", default=0)  # an integer label, ignored
+        return adversaries.Scripted(schedule)
     raise ConfigError("unknown enumerator kind %r" % kind)
 
 
@@ -242,24 +243,16 @@ def verdict(name, passed, **inputs):
     return {"invariant": name, "pass": bool(passed), "inputs": inputs}
 
 
-def _build_strategies(cfg, mode):
-    specs = []
-    for entry in cfg["strategies"]:
-        specs.append(
-            diagonal.StrategySpec(
-                source=load_enumerator(entry["enumerator"]),
-                selector=load_selector(entry["selector"], mode),
-            )
-        )
-    return tuple(specs)
-
-
 def _diagonal_trace(cfg) -> diagonal.Trace:
     """Build, without auditing, the construction a validated diagonal
     config describes."""
     mode = DIAGONAL_MODES[cfg["scenario"]]
+    strategies = tuple(
+        diagonal.StrategySpec(load_enumerator(entry["enumerator"]), load_selector(entry["selector"], mode))
+        for entry in cfg["strategies"]
+    )
     trace = diagonal.run_construction(
-        diagonal.RunConfig(mode, cfg["stages"], _build_strategies(cfg, mode), cfg["node_budget"])
+        diagonal.RunConfig(mode, cfg["stages"], strategies, cfg["node_budget"])
     )
     trace.config_echo = cfg
     return trace

@@ -4,7 +4,7 @@ A "real" here is a subset of the naturals presented through its
 characteristic sequence: a total, closed-form rule n -> bit(n).  Reals are
 generators, not stateful streams, so any construction may re-query bits at
 any stage and replays stay exact.  The module also houses partial truthful
-descriptions and scripted monotone enumerators.
+descriptions.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CorruptDescriptionError, FalsifiedPremiseError, OutOfRangeError, UndefinedInputError
 from .records import Frozen
-from .runs import from_elements
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -187,48 +186,3 @@ class GenericDescription:
 
     def lookup(self, n: int) -> Optional[int]:
         return self.values((n,))[0]
-
-
-class Enumerator(Frozen):
-    """A monotone stage-indexed enumeration given by a finite script.
-
-    The script lists the elements first appearing at each stage; at(s)
-    returns the cumulative set, so monotonicity holds by construction.
-    """
-
-    __slots__ = ("tag", "script")
-
-    def __init__(self, tag: int, script: tuple):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "script", script)  # ((stage, frozenset), ...) sorted by stage
-
-    @classmethod
-    def from_schedule(cls, tag: int, schedule: dict) -> "Enumerator":
-        entries = []
-        for stage in sorted(schedule):
-            if stage < 0:
-                raise ValueError("stages must be >= 0")
-            entries.append((stage, frozenset(schedule[stage])))
-        return cls(tag, tuple(entries))
-
-    @classmethod
-    def empty(cls, tag: int = 0) -> "Enumerator":
-        return cls(tag, ())
-
-    def at(self, s: int) -> frozenset:
-        if s < 0:
-            raise UndefinedInputError("stage must be >= 0")
-        out = set()
-        for stage, elems in self.script:
-            if stage > s:
-                break
-            out |= elems
-        return frozenset(out)
-
-    def new_elements(self, e: int, stage: int, trace) -> list:
-        """Enumeration-source protocol new_elements(e, stage, trace) of the
-        diagonalization engine: the elements first appearing at `stage`,
-        as sorted runs (lo, hi).  Scripted enumerators ignore the trace
-        through stage - 1 that the engine passes."""
-        new = self.at(stage) - self.at(stage - 1) if stage else self.at(0)
-        return list(from_elements(new))

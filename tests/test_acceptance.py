@@ -42,7 +42,7 @@ from gencomp.enumops import (
     union_over_labeled_orderings,
 )
 from gencomp.harness import canonical_json, run_experiment
-from gencomp.reals import Enumerator, GenericDescription, SeededReal
+from gencomp.reals import GenericDescription, SeededReal
 from gencomp.relations import FiniteReflexiveRelation, embed_relation, stage_interval, universal_rel
 from gencomp.runs import elements
 from reference_engine import reference_level

@@ -28,6 +28,7 @@ from gencomp.diagonal import (
     LevelContext,
     RunConfig,
     StageRecord,
+    StrategySpec,
     Trace,
     _stage,
     audit_single_victim,
@@ -47,8 +48,9 @@ from gencomp.errors import BudgetError, InvariantViolationError, UndefinedInputE
 from gencomp.harness import (
     DIAGONAL_MODES,
     SCENARIOS,
-    _build_strategies,
     canonical_json,
+    load_enumerator,
+    load_selector,
     report_passes,
     run_experiment,
     validate_config,
@@ -527,7 +529,9 @@ STAGE_CASES = dict(
 def test_stage_is_a_function_of_the_trace_before_it(name):
     cfg = validate_config(dict(STAGE_CASES[name]))
     mode = DIAGONAL_MODES[cfg["scenario"]]
-    run_cfg = RunConfig(mode, cfg["stages"], _build_strategies(cfg, mode), cfg["node_budget"])
+    strategies = tuple(StrategySpec(load_enumerator(entry["enumerator"]), load_selector(entry["selector"], mode))
+                       for entry in cfg["strategies"])
+    run_cfg = RunConfig(mode, cfg["stages"], strategies, cfg["node_budget"])
     trace = run_construction(run_cfg)
     for s, rec in enumerate(trace.records):
         assert _stage(Trace(mode, cfg["stages"], trace.records[:s]), run_cfg, s) == rec

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gencomp import diagonal
-from gencomp.adversaries import CATALOG, CautiousCopier, PrefixFlooder, Silent, TrapSpringer
+from gencomp.adversaries import CATALOG, CautiousCopier, PrefixFlooder, Scripted, Silent, TrapSpringer
 from gencomp.density import gap_census, gap_interval, prefix_density
 from gencomp.diagonal import (
     PAIR,
@@ -46,7 +46,6 @@ from gencomp.errors import (
     UndefinedRegionError,
 )
 from gencomp.harness import canonical_json
-from gencomp.reals import Enumerator
 from gencomp.runs import elements, from_elements
 from reference_engine import reference_level, reference_stage
 
@@ -92,20 +91,19 @@ def test_eval_phi_errors():
         t.evaluate(0, "0", 16)
 
 
-def test_excluded_interval_merges_nested_gaps():
+def test_value_set_leaves_out_the_widest_gap_and_undecided_rules():
+    # block 4's gaps nest: [16, 32) under "0" and [28, 32) under the root
     t = trace_of((0, 4, ("0",)), (2, 4, ("",)), defined=5)
-    assert t.excluded_interval(0, 4, "00") == (16, 32)
-    assert t.excluded_interval(0, 4, "10") == (28, 32)
-    assert t.excluded_interval(0, 3, "00") is None
-    with pytest.raises(UndefinedRegionError, match="^rule node '0' undecided under prefix of length 0$"):
-        t.excluded_interval(0, 4, "")
+    assert functional_value_set(t, "00") == ((1, 16), (32, 64))
+    assert functional_value_set(t, "10") == ((1, 28), (32, 64))
+    # "" does not decide the rule under "0": its gap is not definitely in
+    assert functional_value_set(t, "") == ((1, 16), (32, 64))
 
 
 def test_pair_evaluation_reads_each_side_of_the_marker():
     t = trace_of((0, 1, ("0", "1")), defined=2, mode=PAIR)
     assert [t.evaluate(i, "0", 2) for i in (0, 1)] == [0, 1]
     assert [t.evaluate(i, "1", 2) for i in (0, 1)] == [1, 0]
-    assert [t.excluded_interval(i, 1, "1") for i in (0, 1)] == [None, (2, 4)]
 
 
 def test_pair_value_sets_read_each_side_of_the_marker():
@@ -303,11 +301,47 @@ def test_zero_strategies_full_value():
 def test_scripted_spoiler_kills_tree():
     # the opponent enumerates 2 (inside the stage-1 gap under the root) at
     # stage 3; the level next computed from that enumeration is empty
-    w = Enumerator.from_schedule(0, {3: {2}})
+    w = Scripted({3: {2}})
     trace = run_single(7, [StrategySpec(w, LeftmostSelector())])
     assert list(trace.markers[0]) == [(1, ("",)), (2, ("0",)), (3, ("00",))]
     assert trace.death_stage[0] == 4
     assert audit_trace(trace) == []
+
+
+def test_scripted_opponent_lists_each_stage_and_the_engine_keeps_the_new():
+    w = Scripted({1: {3, 4, 5, 9}, 4: {6, 2}})
+    assert [w.new_elements(0, s, None) for s in (0, 1, 4)] == [(), ((3, 6), (9, 10)), ((2, 3), (6, 7))]
+    # 1 is listed again at stage 2, where the batch holds only 5
+    trace = run_single(3, [StrategySpec(Scripted({0: {1}, 2: {5, 1}}), LeftmostSelector())])
+    assert [rec.batches[0] for rec in trace.records] == [((1, 2),), (), ((5, 6),)]
+
+
+def _assert_script_enumerated(trace, e, schedule):
+    # through each stage the engine holds exactly what the script lists
+    # through it, and each batch holds only elements not listed before
+    listed = set()
+    for rec in trace.records:
+        batch = set(elements(rec.batches[e]))
+        assert not batch & listed
+        listed |= batch
+        assert listed == set().union(*(v for t, v in schedule.items() if t <= rec.stage))
+        assert trace.enumerated_through(e, rec.stage) == from_elements(listed)
+
+
+@given(st.dictionaries(st.integers(0, 20), st.frozensets(st.integers(0, 50), max_size=4), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_scripted_opponent_enumerates_its_script_monotonely(schedule):
+    trace = run_single(12, [StrategySpec(Scripted(schedule), LeftmostSelector())])
+    _assert_script_enumerated(trace, 0, schedule)
+
+
+def test_scripted_opponents_enumerate_their_scripts_through_fifty_stages():
+    schedules = [{0: {3}, 7: {1, 9}, 31: {2}}, {5: {4}, 6: {4, 8}, 50: {0}}, {}]
+    specs = [StrategySpec(Scripted(sched), LeftmostSelector()) for sched in schedules]
+    trace = run_single(50, specs)
+    for e, sched in enumerate(schedules):
+        _assert_script_enumerated(trace, e, sched)
+    assert trace.enumerated[1] == ((4, 5), (8, 9))  # stage 50 is not run
 
 
 def test_trap_status_examples():
@@ -668,7 +702,7 @@ def test_scripted_selector_off_tree_raises():
     # every oracle extending "1"; a script insisting on that branch is a
     # contract violation
     sel = ScriptedSelector([(1, ("1111111",))])
-    w = Enumerator.from_schedule(0, {2: {4}})
+    w = Scripted({2: {4}})
     with pytest.raises(InvariantViolationError):
         run_single(7, [StrategySpec(w, sel)])
 
@@ -687,7 +721,7 @@ def test_pair_run_markers_and_sides():
 
 def test_pair_run_union_semantics():
     # an opponent hitting only the x-side gap never empties the pair tree
-    w = Enumerator.from_schedule(0, {3: {2}})
+    w = Scripted({3: {2}})
     trace = run_pair(6, [StrategySpec(w, LeftmostSelector())])
     # 2 lies in the stage-1 gap under root on BOTH sides (markers at the
     # root issue both rules), so here the tree does die
@@ -767,7 +801,7 @@ def _run_configs(draw, max_stages=(10, 10), counts=(0, 5)):
             schedule = draw(st.dictionaries(
                 st.integers(0, stages - 1), st.sets(st.integers(0, (1 << stages) - 1), max_size=4),
                 max_size=3))
-            source = Enumerator.from_schedule(0, schedule)
+            source = Scripted(schedule)
         else:
             source = CATALOG[kind]()
         specs.append(StrategySpec(source, draw(st.sampled_from((LeftmostSelector, RightmostSelector)))()))
@@ -794,7 +828,7 @@ def test_trace_document_round_trip(trace):
 
 
 @given(_run_configs(max_stages=(9, 7), counts=(1, 5)))
-@example(RunConfig(PAIR, 6, (StrategySpec(Enumerator.from_schedule(0, {2: {4}}), LeftmostSelector()),
+@example(RunConfig(PAIR, 6, (StrategySpec(Scripted({2: {4}}), LeftmostSelector()),
                              StrategySpec(Silent(), LeftmostSelector()),
                              StrategySpec(Silent(), LeftmostSelector()))))
 @settings(max_examples=300, deadline=None)
@@ -812,7 +846,7 @@ def test_every_stage_is_the_reference_stage(cfg):
 
 def test_tree_antitonicity():
     # every surviving node's parent survived at the earlier level
-    w = Enumerator.from_schedule(0, {1: {2}, 3: {5, 13}})
+    w = Scripted({1: {2}, 3: {5, 13}})
     trace = run_single(7, [StrategySpec(w, LeftmostSelector())])
     for l in range(1, 6):
         level = set(reference_level(trace, 0, l))
@@ -824,7 +858,7 @@ def test_tree_antitonicity():
 def test_tree_level_matches_bruteforce_eval():
     # independent recount of a level via the public tri-valued evaluation:
     # the reference's level and the engine's search both give it
-    w = Enumerator.from_schedule(0, {1: {2}, 2: {5}})
+    w = Scripted({1: {2}, 2: {5}})
     trace = run_single(6, [StrategySpec(w, LeftmostSelector())])
     for l in range(1, 5):
         enum = [n for lo, hi in trace.enumerated_through(0, l) for n in range(lo, hi) if 0 < n < (1 << l)]

@@ -60,7 +60,7 @@ def test_validate_config_defaults_and_strictness():
 
 def test_loaders():
     w = load_enumerator({"kind": "scripted", "stages": {"2": [5, 1]}})
-    assert w.at(2) == {1, 5}
+    assert w.new_elements(0, 2, None) == ((1, 2), (5, 6))
     assert type(load_enumerator({"kind": "trap-springer"})).name == "trap-springer"
     with pytest.raises(ConfigError):
         load_enumerator({"kind": "scripted", "stages": {"x": [1]}})

@@ -13,7 +13,6 @@ from gencomp.errors import (
     UndefinedInputError,
 )
 from gencomp.reals import (
-    Enumerator,
     EventuallyPeriodicReal,
     ExplicitPrefixReal,
     GenericDescription,
@@ -120,41 +119,6 @@ def test_description_rejects_double_assignment():
 def test_description_source_attachment_checks_truth():
     with pytest.raises(FalsifiedPremiseError):
         GenericDescription.from_pairs([(2, 1)], source=EventuallyPeriodicReal("", "0"))
-
-
-def test_enumerator_scripted_values():
-    w = Enumerator.from_schedule(0, {0: set(), 1: {2}})
-    assert w.at(1) == {2}
-    assert w.at(5) == {2}
-    assert Enumerator.empty().at(10) == frozenset()
-
-
-@given(
-    st.dictionaries(st.integers(0, 20), st.frozensets(st.integers(0, 50), max_size=4), max_size=6),
-    st.integers(0, 49),
-)
-@settings(max_examples=150)
-def test_enumerator_monotone_property(schedule, s):
-    w = Enumerator.from_schedule(0, schedule)
-    assert w.at(s) <= w.at(s + 1)
-
-
-def test_enumerator_monotone_through_fifty_stages():
-    scripted = [
-        Enumerator.from_schedule(0, {0: {3}, 7: {1, 9}, 31: {2}}),
-        Enumerator.from_schedule(1, {5: {4}, 6: {4, 8}, 50: {0}}),
-        Enumerator.empty(2),
-    ]
-    for w in scripted:
-        for s in range(50):
-            assert w.at(s) <= w.at(s + 1)
-
-
-def test_enumerator_new_elements_protocol():
-    w = Enumerator.from_schedule(0, {0: {1}, 2: {5, 1}})
-    assert list(w.new_elements(0, 0, None)) == [(1, 2)]
-    assert list(w.new_elements(0, 1, None)) == []
-    assert list(w.new_elements(0, 2, None)) == [(5, 6)]
 
 
 # Bulk reads against per-index oracles.  Each oracle reads one index at a
@@ -275,22 +239,3 @@ def test_from_pairs_checks_each_bit():
     d = GenericDescription.from_pairs([(4, 1), (4, 1), (0, 0)])
     assert d.values(range(6)) == [0, None, None, None, 1, None]
     assert d.source is None and d.lookup(4) == 1
-
-
-def test_enumerator_rejects_negative_stages():
-    with pytest.raises(ValueError, match="stages must be >= 0"):
-        Enumerator.from_schedule(0, {-1: {2}})
-    with pytest.raises(UndefinedInputError):
-        Enumerator.from_schedule(0, {0: {2}}).at(-1)
-    empty = Enumerator.empty(5)
-    assert empty.tag == 5 and empty.script == ()
-    assert all(empty.new_elements(0, s, None) == [] for s in range(4))
-
-
-def test_enumerator_new_elements_merge_into_runs():
-    w = Enumerator.from_schedule(3, {1: {3, 4, 5, 9}, 4: {6, 2}})
-    assert w.tag == 3
-    assert w.new_elements(0, 0, None) == []
-    assert w.new_elements(0, 1, None) == [(3, 6), (9, 10)]
-    assert w.new_elements(0, 4, None) == [(2, 3), (6, 7)]
-    assert w.at(4) == {2, 3, 4, 5, 6, 9}

@@ -27,7 +27,6 @@ from gencomp.enumops import EnumerationOperator, battery
 from gencomp.errors import BudgetError, UndefinedInputError
 from gencomp.harness import DIAGONAL_MODES, _diagonal_trace, run_experiment, validate_config
 from gencomp.reals import (
-    Enumerator,
     EventuallyPeriodicReal,
     ExplicitPrefixReal,
     SeededReal,
@@ -138,6 +137,9 @@ STARTUP_CONFIGS = {
                                                         ("cautious-copier", "leftmost"),
                                                         ("prefix-flooder", "leftmost"),
                                                         ("cautious-copier", "rightmost"))]},
+    "single-diagonal": {"version": 1, "scenario": "single-diagonal", "stages": 6,
+                        "strategies": [{"enumerator": {"kind": "scripted", "tag": 1,
+                                                       "stages": {"2": [4, 5], "3": [9]}}}]},
     "coding-roundtrip": {"version": 1, "scenario": "coding-roundtrip", "seed": 3,
                          "count": 2, "m_max": 3, "bound": 256},
     "relation-embed": {"version": 1, "scenario": "relation-embed", "seed": 3,
@@ -149,9 +151,11 @@ STARTUP_CONFIGS = {
 
 # the lazy modules each command runs: only the diagonal scenarios (and
 # `catalog`, which names the trace format) execute `diagonal` and
-# `adversaries`, and only the other scenarios execute `scenarios`
+# `adversaries`, with a scripted opponent too, and only the other scenarios
+# execute `scenarios`
 REACHED = {
     "pair-diagonal": ["adversaries", "diagonal"],
+    "single-diagonal": ["adversaries", "diagonal"],
     "catalog": ["adversaries", "diagonal", "enumops"],
     "coding-roundtrip": ["codings", "reals", "scenarios"],
     "relation-embed": ["relations", "scenarios"],
@@ -306,7 +310,6 @@ UNREACHED = {
     "reals.EventuallyPeriodicReal": "test fixture: decoder and description tests",
     "reals.GenericDescription.from_pairs": "test fixture: decoder and description tests",
     "reals.GenericDescription.lookup": "test oracle: the one-index form values() must match",
-    "reals.Enumerator.empty": "test fixture: a scripted opponent that enumerates nothing",
     "records.Frozen": "misuse guard: rejects assigning or deleting a record field",
     "relations.StageInterval.size": "test oracle: a stage interval's element count",
     "relations.stage_of_id": "test oracle: from_uid decodes an id's stage with it",
@@ -383,7 +386,6 @@ def _frozen_records():
         (ExplicitPrefixReal("01"), "prefix"),
         (EventuallyPeriodicReal("0", "1"), "period"),
         (SeededReal(5), "seed"),
-        (Enumerator.empty(), "script"),
         (block_of(3), "lo"),
         (gap_census(((0, 1 << 4),), 4), "gap_only"),
         (ValuationCoding(SeededReal(1)), "source"),

@@ -9,9 +9,11 @@ the machine.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -170,8 +172,40 @@ def _mixed_config(scenario, mirror):
                            for i in range(32)]}
 
 
+def _scripted_config(scenario, mirror, seed):
+    """20 strategies at 64 stages, as in `_mixed_config` except that every
+    fifth opponent is scripted: four seeded stages in 1..39, each listing
+    two elements of its own block."""
+    rng = random.Random(seed)
+    cfg = _mixed_config(scenario, mirror)
+    cfg["strategies"] = cfg["strategies"][:20]
+    for entry in cfg["strategies"][4::5]:
+        stages = sorted(rng.sample(range(1, 40), 4))
+        entry["enumerator"] = {"kind": "scripted", "stages": {
+            str(s): sorted(rng.sample(range(1 << s, 2 << s), 2)) for s in stages}}
+    return cfg
+
+
 def _complement(strings):
     return tuple(s.translate(str.maketrans("01", "10")) for s in strings)
+
+
+def _mirror_law_trace(tmp_path, config_of):
+    """The trace of config_of(0), after checking that config_of(1), the
+    same strategies with every selector mirrored, keeps each record's
+    batches, deaths and trap events and complements every act's strings."""
+    traces = []
+    for mirror in (0, 1):
+        out = tmp_path / str(mirror)
+        out.mkdir()
+        _, doc = _run_capped(out, config_of(mirror))
+        traces.append(trace_from_jsonable(doc))
+    trace, mirrored = traces
+    assert len(mirrored.records) == len(trace.records) == 64
+    for rec, twin in zip(trace.records, mirrored.records):
+        assert (twin.batches, twin.deaths, twin.trap_events) == (rec.batches, rec.deaths, rec.trap_events)
+        assert {e: tuple(map(_complement, act)) for e, act in twin.acts.items()} == rec.acts
+    return trace
 
 
 @pytest.mark.parametrize("scenario", ["pair-diagonal", "single-diagonal"])
@@ -184,20 +218,20 @@ def test_mirror_law_and_silent_closed_form_at_64_stages(tmp_path, scenario):
     # every act's strings.  A silent opponent never prunes, so its
     # strategy e acts at every stage s > e on b^s, b its selector's pad
     # bit, and marks b^(s-e-1): its earlier markers b^0..b^(s-e-2).
-    traces = []
-    for mirror in (0, 1):
-        out = tmp_path / str(mirror)
-        out.mkdir()
-        _, doc = _run_capped(out, _mixed_config(scenario, mirror))
-        traces.append(trace_from_jsonable(doc))
-    trace, mirrored = traces
-    assert len(mirrored.records) == len(trace.records) == 64
-    for rec, twin in zip(trace.records, mirrored.records):
-        assert (twin.batches, twin.deaths, twin.trap_events) == (rec.batches, rec.deaths, rec.trap_events)
-        assert {e: tuple(map(_complement, act)) for e, act in twin.acts.items()} == rec.acts
+    trace = _mirror_law_trace(tmp_path, partial(_mixed_config, scenario))
     k = len(trace.sides)
     for e in range(0, 32, 4):
         bit = "01"[(e // 4) % 2]
         assert [(rec.stage, rec.acts[e]) for rec in trace.records[e + 1:]] == [
             (s, ((bit * s,) * k, (bit * (s - e - 1),) * k)) for s in range(e + 1, 64)
         ]
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("scenario", ["pair-diagonal", "single-diagonal"])
+def test_mirror_law_with_scripted_opponents_at_64_stages(tmp_path, scenario, seed):
+    # a script names numbers, not oracle bits, so it enumerates the same
+    # elements under mirrored selectors; its elements prune the tree, so
+    # some strategy changes its mind
+    trace = _mirror_law_trace(tmp_path, partial(_scripted_config, scenario, seed=seed))
+    assert max(len(trace.approx_chains(e)) for e in range(20)) >= 2
