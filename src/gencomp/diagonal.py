@@ -492,10 +492,14 @@ def trace_from_jsonable(doc: dict) -> Trace:
         raise InvariantViolationError("trace mode %r is neither single nor pair" % (mode,))
     if not _is_natural(count):
         raise InvariantViolationError("strategy count %r is not a natural number" % (count,))
-    if config is not None and len(config["strategies"]) != count:
-        raise InvariantViolationError(
-            "strategy count %d, but the config lists %d strategies" % (count, len(config["strategies"]))
-        )
+    if config is not None:
+        listed = config.get("strategies") if type(config) is dict else None
+        if type(listed) is not list:
+            raise InvariantViolationError("config echo %r lists no strategies" % (config,))
+        if len(listed) != count:
+            raise InvariantViolationError(
+                "strategy count %d, but the config lists %d strategies" % (count, len(listed))
+            )
     if type(docs) is not list:
         raise InvariantViolationError("records %r are not a list" % (docs,))
     if not _is_natural(stages) or stages != len(docs):

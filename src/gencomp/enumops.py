@@ -6,11 +6,13 @@ contained in the input, so application is monotone by construction.
 
 A FunctionalSpec is a deterministic machine that consumes stage-labelled
 description triples (n, x, l) one at a time and cumulatively emits output
-pairs.  Such a machine compiles into an enumeration operator whose axiom
+pairs.  Below an element bound and a label bound, both given by the
+caller, such a machine compiles into an enumeration operator whose axiom
 for (output, D) exists iff some ordering and labelling of D makes the
 machine emit the output; equivalently, applying the compiled operator to
-a plain description equals the union of the machine's emissions over all
-labelled orderings of that description.
+a plain description below the element bound equals the union of the
+machine's emissions over all its orderings with labels up to the label
+bound.
 
 On the reduction styles these two objects model: an operator consumes a
 description as an unordered set (one fixed operator per reduction, blind
@@ -26,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Callable, Iterable, Optional
 
-from .errors import BudgetError, InsufficientOracleError, UndefinedInputError
+from .errors import BudgetError, InsufficientOracleError
 from .records import Frozen
 
 
@@ -76,20 +78,16 @@ class FunctionalSpec(Frozen):
 
     `step(state, (n, x, l))` returns (next state, emitted outputs); states
     must be hashable, and replaying the same sequence of triples always
-    yields the same emissions.  `use_bound` / `label_use` declare element
-    and label bounds beyond which inputs cannot affect the outputs, which
-    is what keeps compilation searches finite.
+    yields the same emissions.  A machine declares no bound of its own:
+    compilation is finite because its caller bounds the elements and
+    labels it searches.
     """
 
-    __slots__ = ("name", "start", "step", "use_bound", "label_use")
+    __slots__ = ("start", "step")
 
-    def __init__(self, name: str, start: Any, step: Callable[[Any, tuple], tuple],
-                 use_bound: Optional[int] = None, label_use: Optional[int] = None):
-        object.__setattr__(self, "name", name)
+    def __init__(self, start: Any, step: Callable[[Any, tuple], tuple]):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "use_bound", use_bound)
-        object.__setattr__(self, "label_use", label_use)
 
     def run(self, triples: Iterable[tuple]) -> frozenset:
         """Cumulative emissions after consuming the triples in order."""
@@ -158,18 +156,11 @@ def union_over_labeled_orderings(phi: FunctionalSpec, assignment,
     return frozenset(out)
 
 
-def functional_to_operator(phi: FunctionalSpec, element_bound: Optional[int] = None,
-                           label_bound: Optional[int] = None,
+def functional_to_operator(phi: FunctionalSpec, element_bound: int, label_bound: int,
                            step_budget: int = 2_000_000) -> EnumerationOperator:
     """Compile the machine into an enumeration operator over all finite
     assignments below the bounds; (a, D) is an axiom iff some labelled
     ordering of D makes the machine emit a."""
-    if element_bound is None:
-        element_bound = phi.use_bound
-    if label_bound is None:
-        label_bound = phi.label_use
-    if element_bound is None or label_bound is None:
-        raise UndefinedInputError("element and label bounds are required")
     budget = [step_budget]
     axioms = set()
     for assignment in all_assignments(element_bound):
@@ -223,10 +214,10 @@ def _mirror_step(state, triple):
 def battery() -> dict:
     """Named reference machines used by the compile scenario and tests."""
     return {
-        "echo": FunctionalSpec("echo", 0, _echo_step, use_bound=5, label_use=3),
-        "order-gate": FunctionalSpec("order-gate", 0, _order_gate_step, use_bound=5, label_use=3),
-        "early-label": FunctionalSpec("early-label", 0, _early_label_step, use_bound=5, label_use=3),
-        "late-label": FunctionalSpec("late-label", 0, _late_label_step, use_bound=5, label_use=3),
-        "threshold3": FunctionalSpec("threshold3", 0, _threshold_step, use_bound=5, label_use=3),
-        "mirror": FunctionalSpec("mirror", 0, _mirror_step, use_bound=5, label_use=3),
+        "echo": FunctionalSpec(0, _echo_step),
+        "order-gate": FunctionalSpec(0, _order_gate_step),
+        "early-label": FunctionalSpec(0, _early_label_step),
+        "late-label": FunctionalSpec(0, _late_label_step),
+        "threshold3": FunctionalSpec(0, _threshold_step),
+        "mirror": FunctionalSpec(0, _mirror_step),
     }

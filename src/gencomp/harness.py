@@ -204,7 +204,8 @@ def validate_config(doc) -> dict:
     filled in, suitable for byte-exact replay."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if doc.get("version") != CONFIG_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError("config version must be %d" % CONFIG_VERSION)
     scenario = doc.get("scenario")
     if scenario not in SCENARIOS:

@@ -3,8 +3,9 @@
 A "real" here is a subset of the naturals presented through its
 characteristic sequence: a total, closed-form rule n -> bit(n).  Reals are
 generators, not stateful streams, so any construction may re-query bits at
-any stage and replays stay exact.  The module also houses partial truthful
-descriptions.
+any stage and replays stay exact.  The module also houses partial
+descriptions: one built from a real is truthful about it, and keeps only
+its values, not the real.
 """
 
 from __future__ import annotations
@@ -128,15 +129,13 @@ class GenericDescription:
     lookup(n) is the one-element case.  It may be explicit (finite set of
     pairs) or lazily generated from a domain predicate plus a source real;
     either way "is n assigned, and to what" is decidable below any
-    horizon.  When a source is attached at construction the description
-    carries no false information about it (explicit pairs are checked
-    eagerly).
+    horizon.  A description keeps only its values: explicit pairs are
+    checked against a source given with them once, at construction, and a
+    generated description reads every value from its source.
     """
 
-    def __init__(self, values: Callable[[Sequence[int]], list],
-                 source: Optional[RealSpec] = None):
+    def __init__(self, values: Callable[[Sequence[int]], list]):
         self.values = values
-        self.source = source
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple], source: Optional[RealSpec] = None) -> "GenericDescription":
@@ -155,7 +154,7 @@ class GenericDescription:
                     raise FalsifiedPremiseError(
                         "pair (%d,%d) contradicts the attached source" % (n, x)
                     )
-        return cls(lambda ns: list(map(table.get, ns)), source)
+        return cls(lambda ns: list(map(table.get, ns)))
 
     @classmethod
     def from_domain(cls, domain: Optional[Callable[[int], bool]], source: RealSpec,
@@ -178,7 +177,7 @@ class GenericDescription:
             got = iter(got)
             return [next(got) if k else None for k in keep]
 
-        return cls(values, source)
+        return cls(values)
 
     @classmethod
     def full(cls, source: RealSpec, start: int = 0) -> "GenericDescription":

@@ -10,7 +10,6 @@ outside wrapper of a module's function sees every call.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import codings, enumops, reals, relations
 from .errors import InvariantViolationError
@@ -81,18 +80,19 @@ def run_coding_roundtrip(cfg):
         robust_ok &= codings.decode_valuation(d_gap, m, bound) == x0.bit(m)
     verdicts.append(verdict("valuation-robust-decoding", robust_ok, m_max=min(8, m_max)))
 
-    witness_ok = True
-    for m in range(7):
-        k = 12
-        cnt = sum(1 for n in range(1, 1 << k) if codings.two_adic_valuation(n) == m)
-        witness_ok &= Fraction(cnt, 1 << k) == Fraction(1, 1 << (m + 1))
+    k = 12
+    cnt = [0] * k  # every n below 2^k has valuation below k
+    for n in range(1, 1 << k):
+        cnt[codings.two_adic_valuation(n)] += 1
+    # class m has density exactly 2^-(m+1) below 2^k iff cnt[m] * 2^(m+1) == 2^k
+    witness_ok = all(cnt[m] << (m + 1) == 1 << k for m in range(7))
     verdicts.append(verdict("witness-class-density", witness_ok, m_range=7, horizon=4096))
 
     sparse_ok = True
     for k in range(1, 14):
         n = 1 << k
         powers = sum(1 for v in range(n) if v >= 1 and v & (v - 1) == 0)
-        sparse_ok &= Fraction(powers, n) <= Fraction(k + 1, n)
+        sparse_ok &= powers <= k + 1  # density at most (k + 1) / n
     verdicts.append(verdict("powers-of-two-sparse", sparse_ok, horizons=13))
 
     report = {

@@ -1049,7 +1049,7 @@ def doctored_goldens(draw):
         holder = draw(st.sampled_from(doc["records"]))
         key = draw(st.sampled_from(RECORD_FIELDS))
     else:
-        holder, key = doc, draw(st.sampled_from(("mode", "stages", "strategy_count", "records")))
+        holder, key = doc, draw(st.sampled_from(("mode", "stages", "strategy_count", "config", "records")))
     path = draw(st.sampled_from(list(json_places(holder[key]))))
     parent, slot = holder, key
     for i in path:

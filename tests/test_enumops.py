@@ -12,7 +12,7 @@ from gencomp.enumops import (
     reachable_outputs,
     union_over_labeled_orderings,
 )
-from gencomp.errors import BudgetError, InsufficientOracleError, UndefinedInputError
+from gencomp.errors import BudgetError, InsufficientOracleError
 from gencomp.reals import SeededReal
 
 
@@ -124,8 +124,8 @@ def test_order_gate_compiled_axiom():
 
 
 def test_silent_machine_compiles_empty():
-    silent = FunctionalSpec("silent", 0, lambda st_, t: (st_, ()), use_bound=4, label_use=2)
-    assert functional_to_operator(silent).axioms == frozenset()
+    silent = FunctionalSpec(0, lambda st_, t: (st_, ()))
+    assert functional_to_operator(silent, 4, 2).axioms == frozenset()
 
 
 def test_reachable_equals_bruteforce_union():
@@ -202,16 +202,6 @@ def test_all_assignments_enumerates_each_partial_assignment_once():
             assert [n for n, _ in a] == sorted({n for n, _ in a})
             assert all(0 <= n < k and x in (0, 1) for n, x in a)
     assert list(all_assignments(0)) == [()]
-
-
-def test_functional_to_operator_requires_bounds():
-    unbounded = FunctionalSpec("echo", 0, battery()["echo"].step)
-    with pytest.raises(UndefinedInputError):
-        functional_to_operator(unbounded)
-    with pytest.raises(UndefinedInputError):
-        functional_to_operator(unbounded, 2)
-    compiled = functional_to_operator(unbounded, 2, 0)
-    assert compiled.axioms == functional_to_operator(battery()["echo"], 2, 0).axioms
 
 
 def test_threshold_and_mirror_machines():

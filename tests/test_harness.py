@@ -56,6 +56,10 @@ def test_validate_config_defaults_and_strictness():
     for not_a_bool in ("false", "true", 0, 1, None, []):
         with pytest.raises(ConfigError):
             validate_config(single_config(csv_profiles=not_a_bool))
+    # a bool or a float equal to 1 is not version 1
+    for not_one in (True, 1.0):
+        with pytest.raises(ConfigError, match="^config version must be 1$"):
+            validate_config(single_config(version=not_one))
 
 
 def test_loaders():
@@ -667,15 +671,35 @@ def test_cli_catalog(capsys):
 
 
 def test_cli_run_reports_a_failed_embedding(tmp_path, capsys, monkeypatch):
-    # an embedding that fails its own check is an invariant violation
-    # (exit 4), not a crash
+    # an embedding that fails its check is a failed `embedding-exact`
+    # verdict (exit 4), written like any other, not a crash
     monkeypatch.setattr(relations, "related", lambda x, y: False)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(RELATION_EMBED_3))
-    assert cli.main(["run", str(cfg_path)]) == 4
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 4
     printed = capsys.readouterr()
-    assert printed.err == "invariant violation: embedding failed to preserve the relation\n"
-    assert "Traceback" not in printed.out + printed.err
+    assert re.search(r"^embedding-exact +FAIL$", printed.out, re.M)
+    assert printed.out.count("FAIL") == 1
+    assert printed.err == ""
+    assert "Traceback" not in printed.out
+    report = json.loads((out / "report.json").read_text())
+    assert [v["invariant"] for v in report["verdicts"] if not v["pass"]] == ["embedding-exact"]
+
+
+def test_cli_verify_replays_a_failed_embedding(tmp_path, capsys, monkeypatch):
+    # the trace of a run whose embeddings fail their check is the trace of
+    # a passing run, so verify replays it and names the failed verdict
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RELATION_EMBED_3))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
+    monkeypatch.setattr(relations, "related", lambda x, y: False)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out / "trace.json")]) == 4
+    printed = capsys.readouterr()
+    assert printed.out == "VIOLATION: verdict failed on replay: embedding-exact\n"
+    assert printed.err == ""
 
 
 def test_verify_scenario_trace_formats(tmp_path, capsys):

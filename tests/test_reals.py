@@ -224,7 +224,6 @@ def test_real_spec_bit_is_abstract():
 def test_full_description_starts_at_its_start():
     src = SeededReal(4)
     d = GenericDescription.full(src, start=3)
-    assert d.source is src
     assert d.values(range(8)) == [None] * 3 + src.bits(range(3, 8))
     assert d.values(range(3, 12, 2)) == src.bits(range(3, 12, 2))
     assert d.values([9, 1, 3]) == [src.bit(9), None, src.bit(3)]
@@ -238,4 +237,4 @@ def test_from_pairs_checks_each_bit():
         GenericDescription.from_pairs([(1, 2)])
     d = GenericDescription.from_pairs([(4, 1), (4, 1), (0, 0)])
     assert d.values(range(6)) == [0, None, None, None, 1, None]
-    assert d.source is None and d.lookup(4) == 1
+    assert d.lookup(4) == 1

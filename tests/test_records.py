@@ -1,9 +1,10 @@
 """The value records are plain classes: start-up imports no `dataclasses`,
 and each record keeps the construction checks, equality and read-only
 fields its users rely on.  Start-up also imports neither `argparse` nor
-`fractions`, and defers the modules a command does not reach, in a way the
-perfbench tracer can still see.  Every definition in the package runs under
-some config, or is pinned here with the reason it stays."""
+`fractions`, no command loads `fractions` later, and start-up defers the
+modules a command does not reach, in a way the perfbench tracer can still
+see.  Every definition in the package runs under some config, or is pinned
+here with the reason it stays."""
 
 import ast
 import json
@@ -112,13 +113,15 @@ def test_benchmark_trace_counts_are_the_engine_counts(tmp_path):
 
 LAZY_MODULES = ("adversaries", "codings", "diagonal", "enumops", "reals", "relations", "scenarios")
 
-# Runs each argv of sys.argv[1] through the CLI, then prints the exit codes
-# and which lazily registered modules ran their code.  The module dicts are
-# read with object.__getattribute__, which does not trigger a load; a module
-# that ran holds names besides the import system's dunders.
+# Runs each argv of sys.argv[1] through the CLI, then prints the exit codes,
+# which lazily registered modules ran their code, and the modules the
+# commands added to sys.modules.  The module dicts are read with
+# object.__getattribute__, which does not trigger a load; a module that ran
+# holds names besides the import system's dunders.
 _CLI_THEN_EXECUTED = """
 import contextlib, io, json, sys
 from gencomp import cli
+before = set(sys.modules)
 exits = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -126,7 +129,8 @@ for argv in json.loads(sys.argv[1]):
 def ran(name):
     names = object.__getattribute__(sys.modules["gencomp." + name], "__dict__")
     return any(not key.startswith("__") for key in names)
-print(json.dumps({"exits": exits, "executed": [n for n in %r if ran(n)]}))
+print(json.dumps({"exits": exits, "executed": [n for n in %r if ran(n)],
+                  "added": sorted(set(sys.modules) - before)}))
 """ % (LAZY_MODULES,)
 
 STARTUP_CONFIGS = {
@@ -173,6 +177,9 @@ def test_cli_runs_only_the_lazy_modules_it_reaches(tmp_path, command):
         out = tmp_path / "out"
         argvs = [["run", str(cfg), "--out-dir", str(out)], ["verify", str(out / "trace.json")]]
     got = json.loads(_fresh(_CLI_THEN_EXECUTED, json.dumps(argvs)))
+    # no command loads fractions: the coding-roundtrip densities are
+    # compared as integers
+    assert not set(got.pop("added")) & {"fractions", "decimal", "numbers"}
     assert got == {"exits": [0] * len(argvs), "executed": REACHED[command]}
 
 
@@ -391,7 +398,7 @@ def _frozen_records():
         (ValuationCoding(SeededReal(1)), "source"),
         (IntervalCoding(SeededReal(1)), "source"),
         (EnumerationOperator(frozenset({(1, frozenset({0}))})), "axioms"),
-        (battery()["echo"], "use_bound"),
+        (battery()["echo"], "start"),
         (stage_interval(1), "hi"),
         (U1, "combo"),
         (embed_relation(relation), "images"),
