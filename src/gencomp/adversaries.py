@@ -65,8 +65,8 @@ class CautiousCopier:
         approx = trace.final_approx.get(e)
         if approx is None:
             return []
-        return normalize(run for bits, side in zip(approx, trace.sides)
-                         for run in functional_value_set(trace, bits, side))
+        return normalize(run for i, bits in enumerate(approx)
+                         for run in functional_value_set(trace, bits, i))
 
 
 class PrefixFlooder:

@@ -46,12 +46,9 @@ from .runs import clip, difference, hits, normalize, union
 SINGLE = "single"
 PAIR = "pair"
 
-SIDE_X = "x"
-SIDE_Y = "y"
-
-# the functionals a mode builds; a tree node is a tuple of one bit string
-# per side, in this order
-SIDES = {SINGLE: (SIDE_X,), PAIR: (SIDE_X, SIDE_Y)}
+# the functionals a mode builds, by name; code refers to a side by its
+# index, and a tree node is a tuple of one bit string per side, in this order
+SIDES = {SINGLE: ("x",), PAIR: ("x", "y")}
 
 _DEFAULT_NODE_BUDGET = 1 << 18
 
@@ -92,16 +89,13 @@ class LevelContext:
                 return True
         return False
 
-    def steps(self, order) -> list:
-        """The new bits of a node's children, one per side, in DFS order:
-        lexicographic in `order` with the x bit most significant."""
-        return list(product(order, repeat=len(self.root)))
-
 
 def _level_dfs(ctx: LevelContext, order, node, budget: int):
     """The surviving level-l nodes extending `node`, lazily, in DFS
     `order`; each visited node costs one unit of `budget`."""
-    steps = ctx.steps(order)
+    # the new bits of a node's children, one per side, in DFS order:
+    # lexicographic in `order` with the x bit most significant
+    steps = list(product(order, repeat=len(ctx.root)))
 
     def visit(nd):
         nonlocal budget
@@ -144,35 +138,19 @@ def select_marker_node(path, marked):
     raise SelectorCapError("every path prefix through the cap is marked")
 
 
-class ExtremalSelector:
-    """The leftmost (bit "0") or rightmost (bit "1") surviving path: the
-    first survivor of a DFS whose children come in lexicographic order of
-    their new bits, with `bit` first, padded with `bit` to the stage."""
+class Selector:
+    """A path selector: a pad bit and a script of finitely many mind
+    changes, each entry giving the path guess (a node) from some stage on.
+    Before the first entry applies, the guess is the stem: the first
+    survivor of a DFS whose children come in lexicographic order of their
+    new bits, `bit` first.  Each side of the guess is padded with `bit` and
+    cut to the stage; its level truncation must survive.  The leftmost
+    (bit "0") and rightmost (bit "1") selectors have no script, and a
+    scripted one pads with 0s."""
 
-    def __init__(self, bit: str):
-        self.kind = "leftmost" if bit == "0" else "rightmost"
+    def __init__(self, bit: str, entries=()):
         self.bit = bit
         self.order = "01" if bit == "0" else "10"
-
-    def path(self, stage, stem):
-        return tuple(side + self.bit * (stage - len(side)) for side in stem)
-
-
-LeftmostSelector = partial(ExtremalSelector, "0")
-RightmostSelector = partial(ExtremalSelector, "1")
-
-
-class ScriptedSelector:
-    """Approximation-style selector: finitely many scripted mind changes,
-    each entry giving the path guess (a node) from some stage on.  Falls
-    back to leftmost (the leftmost survivor `stem`) before the first entry
-    applies.  Each side of the guess is padded with 0s (truncated) to the
-    stage cap; its level truncation must survive."""
-
-    kind = "scripted"
-    order = "01"  # the leftmost fallback's
-
-    def __init__(self, entries):
         self.entries = tuple(sorted(entries, key=lambda it: it[0]))
 
     def path(self, stage, stem):
@@ -180,7 +158,12 @@ class ScriptedSelector:
         for from_stage, node in self.entries:
             if from_stage <= stage:
                 guess = node
-        return tuple((side + "0" * stage)[:stage] for side in guess)
+        return tuple((side + self.bit * stage)[:stage] for side in guess)
+
+
+LeftmostSelector = partial(Selector, "0")
+RightmostSelector = partial(Selector, "1")
+ScriptedSelector = partial(Selector, "0")
 
 
 class StrategySpec(Frozen):
@@ -238,12 +221,11 @@ class Trace:
     `append` too, so the engine, the loader and any caller rebuilding a trace
     from edited records build it the same way."""
 
-    __slots__ = ("mode", "stages", "records", "config_echo", "gaps", "enumerated", "markers",
+    __slots__ = ("mode", "records", "config_echo", "gaps", "enumerated", "markers",
                  "final_approx", "death_stage", "_censuses")
 
-    def __init__(self, mode: str, stages: int, records=(), config_echo: Optional[dict] = None):
+    def __init__(self, mode: str, records=(), config_echo: Optional[dict] = None):
         self.mode = mode
-        self.stages = stages
         self.records = []
         self.config_echo = config_echo
         self.gaps = []
@@ -324,14 +306,14 @@ class Trace:
             out.extend(rec.batches.get(e, ()))
         return normalize(out)
 
-    def census(self, prefix, side=SIDE_X):
-        """Gap census of the side's value set under the oracle prefix (one
+    def census(self, prefix, i: int = 0):
+        """Gap census of side i's value set under the oracle prefix (one
         side's bit string), computed once per prefix.  The value set is
         censused with 0 counted in: 0 lies in no block, so no gap can omit
         it, and a value set whose omissions are all gaps is gap-only."""
-        key = (prefix, side)
+        key = (prefix, i)
         if key not in self._censuses:
-            values = union(((0, 1),), functional_value_set(self, prefix, side))
+            values = union(((0, 1),), functional_value_set(self, prefix, i))
             self._censuses[key] = gap_census(values, self.defined_through + 1)
         return self._censuses[key]
 
@@ -382,7 +364,7 @@ def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> Optional[tuple]:
     ctx = LevelContext(l, trace.enumerated[e], trace)
     selector = cfg.strategies[e].selector
     # any order finds a survivor iff one exists, so search once, in the
-    # selector's order (scripted selectors fall back to leftmost)
+    # selector's order (the stem is a scripted selector's fallback)
     stem = find_survivor(ctx, selector.order, budget=cfg.node_budget)
     if stem is None:
         return None
@@ -394,7 +376,7 @@ def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> Optional[tuple]:
 
 
 def run_construction(cfg: RunConfig) -> Trace:
-    trace = Trace(cfg.mode, cfg.stages)
+    trace = Trace(cfg.mode)
     for s in range(cfg.stages):
         trace.append(_stage(trace, cfg, s))
     return trace
@@ -415,12 +397,11 @@ def trap_status(trace: Trace, e: int, s: int) -> str:
     return "sprung" if hits(trace.enumerated[e], *gap_interval(s, e)) else "pending"
 
 
-def functional_value_set(trace: Trace, prefix, side=SIDE_X) -> tuple:
-    """Run set of {n in [1, 2^(defined+1)) : definitely in the side's
+def functional_value_set(trace: Trace, prefix, i: int = 0) -> tuple:
+    """Run set of {n in [1, 2^(defined+1)) : definitely in side i's
     functional under oracles extending prefix}: the horizon minus the gap
     of every rule whose node is comparable with the prefix (a rule the
     prefix does not decide leaves its gap undecided, hence out of the set)."""
-    i = trace.sides.index(side)
     gaps = normalize(
         gap for block in trace.gaps for gap, marker in block
         if prefix.startswith(marker[i]) or marker[i].startswith(prefix)
@@ -463,7 +444,7 @@ def trace_to_jsonable(trace: Trace) -> dict:
     return {
         "format": TRACE_FORMAT,
         "mode": trace.mode,
-        "stages": trace.stages,
+        "stages": len(trace.records),
         "strategy_count": trace.strategy_count,
         "defined_through": trace.defined_through,
         "config": trace.config_echo,
@@ -504,7 +485,7 @@ def trace_from_jsonable(doc: dict) -> Trace:
         raise InvariantViolationError("records %r are not a list" % (docs,))
     if not _is_natural(stages) or stages != len(docs):
         raise InvariantViolationError("stage count %r, but the trace has %d records" % (stages, len(docs)))
-    trace = Trace(mode, stages, (), config)
+    trace = Trace(mode, (), config)
     k = len(trace.sides)
     dead = set()
     for rd in docs:
@@ -710,12 +691,11 @@ def audit_single_victim(trace: Trace, e: int, prefixes) -> list:
     return bad
 
 
-def audit_gap_census_consistency(trace: Trace, prefix, side=SIDE_X) -> list:
-    """The value set's censused gaps under `prefix` (one side's bit
+def audit_gap_census_consistency(trace: Trace, prefix, j: int = 0) -> list:
+    """Side j's value set's censused gaps under `prefix` (one side's bit
     string) are exactly the acts whose markers prefix it on that side."""
     bad = []
-    j = trace.sides.index(side)
-    for i, recorded in trace.census(prefix, side).records:
+    for i, recorded in trace.census(prefix, j).records:
         applicable = [e for e, (_, marker) in trace.records[i].acts.items() if prefix.startswith(marker[j])]
         expected = min(applicable) if applicable else None
         if recorded != expected:
@@ -740,16 +720,16 @@ def default_probe_prefixes(trace: Trace, e: int) -> list:
 
 
 def census_prefixes(trace: Trace) -> list:
-    """(label, side, prefix) of the oracles whose value censuses are
+    """(label, side index, prefix) of the oracles whose value censuses are
     audited and reported: all zeros and all ones on every side."""
-    return [(label, side, bit * trace.defined_through)
-            for side in trace.sides for label, bit in (("all-zeros", "0"), ("all-ones", "1"))]
+    return [(label, i, bit * trace.defined_through)
+            for i in range(len(trace.sides)) for label, bit in (("all-zeros", "0"), ("all-ones", "1"))]
 
 
 def audit_verdicts(trace: Trace) -> list:
     """The audit registry: every standard audit of a trace as (invariant
     name, inputs, violations), in report order."""
-    whole = {"stages": trace.stages, "strategies": trace.strategy_count}
+    whole = {"stages": len(trace.records), "strategies": trace.strategy_count}
     out = [
         ("marker-on-path", whole, audit_marker_on_path(trace)),
         ("trap-soundness", whole, audit_trap_soundness(trace)),
@@ -759,9 +739,9 @@ def audit_verdicts(trace: Trace) -> list:
         probes = default_probe_prefixes(trace, e)
         out.append(("single-victim", {"strategy": e, "probes": len(probes)},
                     audit_single_victim(trace, e, probes)))
-    for _, side, prefix in census_prefixes(trace):
-        out.append(("gap-census-consistency", {"prefix": prefix, "side": side},
-                    audit_gap_census_consistency(trace, prefix, side)))
+    for _, i, prefix in census_prefixes(trace):
+        out.append(("gap-census-consistency", {"prefix": prefix, "side": trace.sides[i]},
+                    audit_gap_census_consistency(trace, prefix, i)))
     return out
 
 

@@ -61,7 +61,7 @@ def load_enumerator(spec):
         _allow(spec, {"kind"})
         return adversaries.CATALOG[kind]()
     if kind == "scripted":
-        _allow(spec, {"kind", "tag", "stages"})
+        _allow(spec, {"kind", "stages"})
         stages = spec.get("stages", {})
         if not isinstance(stages, dict):
             raise ConfigError("scripted enumerator 'stages' must be an object")
@@ -72,7 +72,6 @@ def load_enumerator(spec):
             if not isinstance(elems, list) or not all(_is_natural(v) for v in elems):
                 raise ConfigError("enumerated elements must be lists of naturals")
             schedule[int(key)] = elems
-        _int(spec, "tag", default=0)  # an integer label, ignored
         return adversaries.Scripted(schedule)
     raise ConfigError("unknown enumerator kind %r" % kind)
 
@@ -272,13 +271,13 @@ def _diagonal_report(trace) -> dict:
         counts = [count_below(elems, 2 << i) for i in range(trace.defined_through + 1)]
         densities.append({"strategy": e, "block_end_counts": counts})
         tally = {"pending": 0, "sprung": 0, "inactive": 0}
-        for s in range(trace.stages):
+        for s in range(len(trace.records)):
             tally[diagonal.trap_status(trace, e, s)] += 1
         tallies.append({"strategy": e, **tally})
     # the gap-census audits above computed these censuses
     censuses = [
-        {"oracle_prefix": label, "side": side, "census": trace.census(prefix, side).to_jsonable()}
-        for label, side, prefix in diagonal.census_prefixes(trace)
+        {"oracle_prefix": label, "side": trace.sides[i], "census": trace.census(prefix, i).to_jsonable()}
+        for label, i, prefix in diagonal.census_prefixes(trace)
     ]
     return {
         "verdicts": verdicts,
@@ -410,7 +409,7 @@ def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=Tru
     if target and write:
         try:
             _write_outputs(target, trace_doc, report, cfg.get("csv_profiles"))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError("cannot write outputs to %s: %s" % (target, exc))
     return report, trace_doc
 

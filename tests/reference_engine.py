@@ -71,18 +71,17 @@ def reference_stage(trace, selectors, s: int) -> tuple:
             continue
         dead = _dead(trace, e, l)
         nodes = level_nodes(k, l)
-        stem = next((node for node in (nodes[::-1] if selector.kind == "rightmost" else nodes)
+        stem = next((node for node in (nodes[::-1] if selector.bit == "1" else nodes)
                      if not dead(node)), None)
         if stem is None:
             deaths.append(e)
             continue
-        if selector.kind == "scripted":
-            guesses = [node for start, node in selector.entries if start <= s]
-            path = tuple((side + "0" * s)[:s] for side in (guesses[-1] if guesses else stem))
+        guesses = [node for start, node in selector.entries if start <= s]
+        if guesses:
+            path = tuple((side + "0" * s)[:s] for side in guesses[-1])
             assert not dead(tuple(side[:l] for side in path)), "scripted guess off the tree"
         else:
-            bit = "1" if selector.kind == "rightmost" else "0"
-            path = tuple(side + bit * (s - len(side)) for side in stem)
+            path = tuple(side + selector.bit * (s - len(side)) for side in stem)
         marked = [{rec.acts[e][1][i] for rec in records if e in rec.acts} for i in range(k)]
         j = next(j for j in range(s + 1) if all(p[:j] not in m for p, m in zip(path, marked)))
         acts[e] = (path, tuple(p[:j] for p in path))

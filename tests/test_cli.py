@@ -107,6 +107,18 @@ def test_unwritable_out_dir_is_a_config_error(tmp_path, config, below):
     assert blocker.read_text() == ""
 
 
+def test_out_dir_with_a_nul_is_a_config_error(tmp_path):
+    # no argument can hold a NUL, but a config's out_dir can, and
+    # os.makedirs refuses it with ValueError, not OSError
+    target = str(tmp_path / "a\x00b")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CONFIG, out_dir=target)))
+    proc = gencomp("run", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot write outputs to %s" % target)
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}"], ids=["deep-nesting", "utf-16-bom"])
 def test_unparsable_config_is_a_config_error(tmp_path, content):
     # too deep for the JSON parser's recursion, or not UTF-8

@@ -158,7 +158,7 @@ def expand_events(events):
 
 
 def oracle_densities(trace, e):
-    elems = set(expand(trace.enumerated_through(e, trace.stages - 1)))
+    elems = set(expand(trace.enumerated_through(e, len(trace.records) - 1)))
     return [
         (1 << (i + 1), prefix_density(lambda k: k in elems, 1 << (i + 1)))
         for i in range(trace.defined_through + 1)
@@ -206,12 +206,12 @@ def oracle_hits(trace, l, enum):
 
 def oracle_tally(trace, e):
     tally = {"pending": 0, "sprung": 0, "inactive": 0}
-    for s in range(trace.stages):
+    for s in range(len(trace.records)):
         gaps = [gap for stage, f, gap, _ in acts_of(trace) if (f, stage) == (e, s)]
         if not gaps:
             tally["inactive"] += 1
             continue
-        elems = expand(trace.enumerated_through(e, trace.stages - 1))
+        elems = expand(trace.enumerated_through(e, len(trace.records) - 1))
         lo, hi = gaps[0]
         sprung = any(lo <= n < hi for n in elems)
         tally["sprung" if sprung else "pending"] += 1
@@ -344,7 +344,7 @@ def test_batches_are_new_run_sets(run):
 def test_level_hits_match_unskipped_scan(run):
     _, trace = run
     for e in range(trace.strategy_count):
-        for l in range(trace.stages):
+        for l in range(len(trace.records)):
             enum = trace.enumerated_through(e, l)
             ctx = LevelContext(l, enum, trace)
             # each hit, one block's strings per side, expands back into
@@ -371,7 +371,7 @@ def test_single_victim_matches_max_over_all_approximations(run):
         if trace.final_approx[e] is None:
             assert probes == []  # a strategy that never acted has nothing to crowd
             continue
-        crowded = with_extra_acts(trace, e, 2 * trace.stages + 1)
+        crowded = with_extra_acts(trace, e, 2 * len(trace.records) + 1)
         reported = audit_single_victim(crowded, e, probes)
         assert reported == oracle_single_victim(crowded, e, probes)
         assert len(reported) == len(probes)
@@ -384,7 +384,7 @@ def without_batch(trace, stage, e):
     batches = {k: runs for k, runs in rec.batches.items() if k != e}
     dropped = StageRecord(rec.stage, batches, rec.acts, rec.deaths, rec.trap_events)
     records = trace.records[:stage] + [dropped] + trace.records[stage + 1:]
-    return Trace(trace.mode, trace.stages, records, trace.config_echo)
+    return Trace(trace.mode, records, trace.config_echo)
 
 
 WITNESS_AUDITS = ((audit_trap_soundness, oracle_trap_soundness), (audit_spoiling, oracle_spoiling))
@@ -428,7 +428,7 @@ def test_value_sets_match_per_n_evaluation(run):
     _, trace = run
     horizon = 1 << (trace.defined_through + 1)
     undecided = 0
-    for i, side in enumerate(trace.sides):
+    for i in range(len(trace.sides)):
         nodes = [marker[i] for _, _, _, marker in acts_of(trace)]
         depth = max(map(len, nodes), default=0)
         prefixes = {bit * k for bit in "01" for k in (0, depth // 2, trace.defined_through)}
@@ -437,7 +437,7 @@ def test_value_sets_match_per_n_evaluation(run):
                 prefixes |= {node[0][: depth // 2], node[0]}
         for prefix in sorted(prefixes):
             values = {n for n in range(1, horizon) if trace.evaluate(i, prefix, n) == 1}
-            assert set(expand(functional_value_set(trace, prefix, side))) == values, (side, prefix)
+            assert set(expand(functional_value_set(trace, prefix, i))) == values, (i, prefix)
             undecided += sum(1 for node in nodes if len(node) > len(prefix) and node.startswith(prefix))
     assert undecided
 
@@ -449,11 +449,11 @@ def test_registry_verdicts_are_the_report_verdicts(run):
         for name, inputs, bad in audit_verdicts(trace)
     ] == report["verdicts"]
     censuses = []
-    for label, side, prefix in census_prefixes(trace):
+    for label, i, prefix in census_prefixes(trace):
         # 0 lies in no block, so the value set is censused with 0 counted in
-        values = union(((0, 1),), functional_value_set(trace, prefix, side))
+        values = union(((0, 1),), functional_value_set(trace, prefix, i))
         census = gap_census(values, trace.defined_through + 1)
-        censuses.append({"oracle_prefix": label, "side": side, "census": census.to_jsonable()})
+        censuses.append({"oracle_prefix": label, "side": trace.sides[i], "census": census.to_jsonable()})
     assert censuses == report["value_censuses"]
     assert len(censuses) == 2 * len(trace.sides)
 
@@ -474,10 +474,10 @@ def test_oracle_cases_exercise_every_branch():
     assert any(rec.trap_events for rec in trace.records)
     hits = skipped = 0
     for e in range(trace.strategy_count):
-        enum = trace.enumerated_through(e, trace.stages - 1)
-        hits += len(LevelContext(trace.stages - 1, enum, trace).hits)
+        enum = trace.enumerated_through(e, len(trace.records) - 1)
+        hits += len(LevelContext(len(trace.records) - 1, enum, trace).hits)
         skipped += sum(
-            1 for s in range(trace.stages - 1)
+            1 for s in range(len(trace.records) - 1)
             if trace.records[s].acts and not any(1 << s <= n < 2 << s for n in expand(enum))
         )
     assert hits and skipped
@@ -534,7 +534,10 @@ def test_stage_is_a_function_of_the_trace_before_it(name):
     run_cfg = RunConfig(mode, cfg["stages"], strategies, cfg["node_budget"])
     trace = run_construction(run_cfg)
     for s, rec in enumerate(trace.records):
-        assert _stage(Trace(mode, cfg["stages"], trace.records[:s]), run_cfg, s) == rec
+        prefix = Trace(mode, trace.records[:s])
+        assert _stage(prefix, run_cfg, s) == rec
+        # the opponents' view is a trace that can be written and read back
+        assert trace_from_jsonable(trace_to_jsonable(prefix)).records == prefix.records
     # the loader builds the same views as the engine
     back = trace_from_jsonable(trace_to_jsonable(trace))
     assert back.records == trace.records

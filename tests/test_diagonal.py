@@ -60,7 +60,7 @@ def trace_of(*acts, defined=6, mode=SINGLE):
                     {e: (marker, marker) for e, stage, marker in sorted(acts) if stage == s}, (), ())
         for s in range(defined + 1)
     ]
-    return Trace(mode, defined + 1, records)
+    return Trace(mode, records)
 
 
 def silent_run(stages, n_strategies=1, selector=LeftmostSelector):
@@ -110,10 +110,10 @@ def test_pair_value_sets_read_each_side_of_the_marker():
     # the act gaps [2, 4) on x under "0" and on y under "1": each side's
     # value set and census read that side's string of the marker
     t = trace_of((0, 1, ("0", "1")), defined=2, mode=PAIR)
-    assert functional_value_set(t, "00", "x") == functional_value_set(t, "11", "y") == ((1, 2), (4, 8))
-    assert functional_value_set(t, "11", "x") == functional_value_set(t, "00", "y") == ((1, 8),)
-    assert [t.census(prefix, side).record(1) for prefix, side in (("00", "x"), ("00", "y"))] == [0, None]
-    assert audit_gap_census_consistency(t, "00", "x") == audit_gap_census_consistency(t, "00", "y") == []
+    assert functional_value_set(t, "00", 0) == functional_value_set(t, "11", 1) == ((1, 2), (4, 8))
+    assert functional_value_set(t, "11", 0) == functional_value_set(t, "00", 1) == ((1, 8),)
+    assert [t.census(prefix, i).record(1) for prefix, i in (("00", 0), ("00", 1))] == [0, None]
+    assert audit_gap_census_consistency(t, "00", 0) == audit_gap_census_consistency(t, "00", 1) == []
 
 
 def test_trap_springer_springs_the_gap_of_its_last_act():
@@ -472,7 +472,7 @@ def with_extra_acts(trace, e, count):
     for s in range(len(records), len(records) + count):
         batches = {f: () for f in range(trace.strategy_count)}
         records.append(StageRecord(s, batches, {e: (approx, ("",) * len(approx))}, (), ()))
-    return Trace(trace.mode, len(records), records, trace.config_echo)
+    return Trace(trace.mode, records, trace.config_echo)
 
 
 def test_single_victim_pair_reports_extra_x_rules():
@@ -504,7 +504,7 @@ def test_append_rejects_an_act_of_the_wrong_arity(build, approx, marker):
     doctored = StageRecord(rec.stage, rec.batches, {0: (approx, marker)}, rec.deaths, rec.trap_events)
     reason = "^act of strategy 0 at stage 2 has not one string per side$"
     with pytest.raises(InvariantViolationError, match=reason):
-        Trace(trace.mode, trace.stages, trace.records[:2] + [doctored] + trace.records[3:],
+        Trace(trace.mode, trace.records[:2] + [doctored] + trace.records[3:],
               trace.config_echo)
 
 
@@ -514,7 +514,7 @@ def test_rejected_append_leaves_the_views_unchanged():
     # batch, and the trace stays at 3 records.  The second act has one
     # string per side, or comes from strategy 4, which has no gap at block 3
     full = run_pair(4, [StrategySpec(Silent(), LeftmostSelector()) for _ in range(5)])
-    trace = Trace(full.mode, full.stages, full.records[:3], full.config_echo)
+    trace = Trace(full.mode, full.records[:3], full.config_echo)
     rec = full.records[3]
 
     def views():
@@ -590,7 +590,7 @@ def with_marker(trace, stage, e, marker):
     acts[e] = (acts[e][0], marker)
     records = list(trace.records)
     records[stage] = StageRecord(stage, rec.batches, acts, rec.deaths, rec.trap_events)
-    return Trace(trace.mode, trace.stages, records, trace.config_echo)
+    return Trace(trace.mode, records, trace.config_echo)
 
 
 def test_marker_on_path_audit_detects_tampering():
@@ -613,15 +613,14 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
     rec = tampered.records[1]
     acts = {e: act for e, act in rec.acts.items() if e != 0}
     dropped = StageRecord(rec.stage, rec.batches, acts, rec.deaths, rec.trap_events)
-    bad = Trace(tampered.mode, tampered.stages, [tampered.records[0], dropped] + tampered.records[2:],
-                tampered.config_echo)
+    bad = Trace(tampered.mode, [tampered.records[0], dropped] + tampered.records[2:], tampered.config_echo)
     # the audits one by one, in the order the report lists them
     expected = audit_marker_on_path(bad) + audit_trap_soundness(bad) + audit_spoiling(bad)
     for e in range(bad.strategy_count):
         expected += audit_single_victim(bad, e, default_probe_prefixes(bad, e))
-    for side in bad.sides:
+    for i in range(len(bad.sides)):
         for probe in ("0" * 5, "1" * 5):
-            expected += audit_gap_census_consistency(bad, probe, side)
+            expected += audit_gap_census_consistency(bad, probe, i)
     verdicts = audit_verdicts(bad)
     assert [msg for _, _, failed in verdicts for msg in failed] == audit_trace(bad) == expected
     # the off-path marker is also a late marker off the final path

@@ -68,7 +68,7 @@ def test_loaders():
     assert type(load_enumerator({"kind": "trap-springer"})).name == "trap-springer"
     with pytest.raises(ConfigError):
         load_enumerator({"kind": "scripted", "stages": {"x": [1]}})
-    assert load_selector({"kind": "rightmost"}, "single").kind == "rightmost"
+    assert load_selector({"kind": "rightmost"}, "single").bit == "1"
     sel = load_selector({"kind": "scripted", "entries": [[2, "01"]]}, "single")
     assert sel.entries == ((2, ("01",)),)
 

@@ -142,7 +142,7 @@ STARTUP_CONFIGS = {
                                                         ("prefix-flooder", "leftmost"),
                                                         ("cautious-copier", "rightmost"))]},
     "single-diagonal": {"version": 1, "scenario": "single-diagonal", "stages": 6,
-                        "strategies": [{"enumerator": {"kind": "scripted", "tag": 1,
+                        "strategies": [{"enumerator": {"kind": "scripted",
                                                        "stages": {"2": [4, 5], "3": [9]}}}]},
     "coding-roundtrip": {"version": 1, "scenario": "coding-roundtrip", "seed": 3,
                          "count": 2, "m_max": 3, "bound": 256},
