@@ -6,10 +6,11 @@ reflexive relation, enumeration operators compiled from stage machines,
 and a replayable diagonalization engine with pluggable path selectors and
 opponent enumerators.
 
-Import names from their modules (`from gencomp.diagonal import run_pair`);
-the package itself re-exports only `prefix_density`.  The modules that only
-some commands run are registered lazily: each is in `sys.modules` and on the
-package from the start, but its code runs on first attribute access.  So a
+Import names from their modules (`from gencomp.diagonal import
+run_construction`); the package itself re-exports only `prefix_density`.
+The modules that only some commands run are registered lazily: each is in
+`sys.modules` and on the package from the start, but its code runs on first
+attribute access.  So a
 diagonal command never compiles `codings`, `enumops`, `reals`, `relations`
 or `scenarios`, and no other scenario compiles `diagonal` or `adversaries`.
 `adversaries` imports `diagonal` eagerly, since no command runs an opponent

@@ -38,11 +38,6 @@ def floor_log2_below(n: int) -> int:
     return (n - 1).bit_length() - 1
 
 
-def encode_valuation(x: RealSpec, n: int) -> int:
-    """Bit n of the valuation coding of X: X.bit(v2(n)); n >= 1."""
-    return x.bit(two_adic_valuation(n))
-
-
 def encode_interval(x: RealSpec, n: int) -> int:
     """Bit n of the interval coding of X: X.bit(m), 2^m the largest power
     of two strictly below n; n >= 2.  Note the strict inequality: n = 2^m
@@ -75,7 +70,8 @@ class ValuationCoding(RealSpec, Frozen):
         object.__setattr__(self, "source", source)
 
     def bit(self, n: int) -> int:
-        return encode_valuation(self.source, n)
+        """X.bit(v2(n)); n >= 1."""
+        return self.source.bit(two_adic_valuation(n))
 
     def bits(self, ns) -> list:
         m = _shared_valuation(ns)

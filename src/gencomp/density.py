@@ -1,43 +1,20 @@
 """Exact density and gap combinatorics over the dyadic blocks.
 
-Block i is the interval [2^i, 2^(i+1)); the blocks partition the positive
-naturals.  A gap of size 2^-e at block i means the last 2^(i-e) elements
-of the block are absent.  Everything here is exact rational arithmetic;
-no floating point.  `fractions` is imported only by the two functions
-that return a Fraction, so importing this module does not load it.
+Block i is the interval [2^i, 2^(i+1)), `range(1 << i, 2 << i)`; the
+blocks partition the positive naturals.  A gap of size 2^-e at block i
+means the last 2^(i-e) elements of the block are absent.  Everything here
+is exact rational arithmetic; no floating point.  `fractions` is imported
+only by the two functions that return a Fraction, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from .errors import InsufficientDataError, MalformedGapError, UndefinedInputError
+from .errors import MalformedGapError, UndefinedInputError
 from .records import Frozen
 from .runs import clip, difference, hits
-
-
-class Block(Frozen):
-    """The dyadic interval [lo, hi) = [2^i, 2^(i+1))."""
-
-    __slots__ = ("i", "lo", "hi")
-
-    def __init__(self, i: int, lo: int, hi: int):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n < self.hi
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-
-def block_of(i: int) -> Block:
-    if i < 0:
-        raise UndefinedInputError("block index must be >= 0")
-    return Block(i, 1 << i, 1 << (i + 1))
 
 
 def gap_interval(i: int, e: int) -> tuple:
@@ -74,15 +51,6 @@ class GapCensus(Frozen):
         object.__setattr__(self, "records", records)  # ((i, e-or-None), ...) for i < i_max
         object.__setattr__(self, "omitted", omitted)  # run set inside [1, 2^i_max)
         object.__setattr__(self, "gap_only", gap_only)
-
-    def record(self, i: int) -> Optional[int]:
-        if not 0 <= i < self.i_max:
-            raise InsufficientDataError("census covers blocks [0, %d) only" % self.i_max)
-        return self.records[i][1]
-
-    def gaps(self) -> list:
-        """The recorded (i, e) pairs, skipping gapless blocks."""
-        return [(i, e) for i, e in self.records if e is not None]
 
     def to_jsonable(self) -> dict:
         return {

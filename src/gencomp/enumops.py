@@ -26,7 +26,7 @@ here; only the operator- and machine-level constructions are.
 from __future__ import annotations
 
 from itertools import product
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable
 
 from .errors import BudgetError, InsufficientOracleError
 from .records import Frozen
@@ -89,15 +89,6 @@ class FunctionalSpec(Frozen):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "step", step)
 
-    def run(self, triples: Iterable[tuple]) -> frozenset:
-        """Cumulative emissions after consuming the triples in order."""
-        state = self.start
-        out = set()
-        for t in triples:
-            state, emitted = self.step(state, t)
-            out.update(emitted)
-        return frozenset(out)
-
 
 def all_assignments(element_bound: int):
     """Every finite assignment over indices below the bound, as a sorted
@@ -106,10 +97,10 @@ def all_assignments(element_bound: int):
         yield tuple((n, b) for n, b in enumerate(bits) if b is not None)
 
 
-def reachable_outputs(phi: FunctionalSpec, assignment, label_bound: int,
-                      budget: Optional[list] = None) -> frozenset:
+def reachable_outputs(phi: FunctionalSpec, assignment, label_bound: int, budget: list) -> frozenset:
     """Everything the machine can emit over some labelled ordering of the
-    assignment, by depth-first search memoized on (remaining, state)."""
+    assignment, by depth-first search memoized on (remaining, state).  Each
+    machine step costs one unit of `budget[0]`."""
     labels = range(label_bound + 1)
     memo = {}
 
@@ -122,10 +113,9 @@ def reachable_outputs(phi: FunctionalSpec, assignment, label_bound: int,
         for item in remaining:
             rest = remaining - {item}
             for l in labels:
-                if budget is not None:
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        raise BudgetError("compilation step budget exhausted")
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetError("compilation step budget exhausted")
                 state2, emitted = phi.step(state, (item[0], item[1], l))
                 out.update(emitted)
                 out.update(go(rest, state2))

@@ -9,16 +9,8 @@ class GencompError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OutOfRangeError(GencompError):
-    """Bit query beyond the hard length of an explicit-prefix real."""
-
-
 class UndefinedInputError(GencompError):
     """Input outside the operation's domain (eg. prefix density at n=0)."""
-
-
-class InsufficientDataError(GencompError):
-    """A census or table does not cover the requested horizon."""
 
 
 class MalformedGapError(GencompError):
@@ -35,10 +27,6 @@ class CorruptDescriptionError(GencompError):
 
 class InsufficientOracleError(GencompError):
     """An operator axiom references elements beyond the oracle's bound."""
-
-
-class FalsifiedPremiseError(GencompError):
-    """A checked premise of a conversion failed (invalid harness scenario)."""
 
 
 class CapacityError(GencompError):

@@ -57,7 +57,8 @@ def load_enumerator(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("enumerator spec must be an object with a 'kind'")
     kind = spec["kind"]
-    if kind in adversaries.CATALOG:
+    # a kind that is no string (a list, an object) may not be hashable
+    if isinstance(kind, str) and kind in adversaries.CATALOG:
         _allow(spec, {"kind"})
         return adversaries.CATALOG[kind]()
     if kind == "scripted":

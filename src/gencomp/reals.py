@@ -11,9 +11,9 @@ its values, not the real.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import CorruptDescriptionError, FalsifiedPremiseError, OutOfRangeError, UndefinedInputError
+from .errors import UndefinedInputError
 from .records import Frozen
 
 _MASK64 = (1 << 64) - 1
@@ -44,8 +44,7 @@ def seeded_bit(seed: int, n: int) -> int:
 class RealSpec:
     """Base for finitely generated infinite binary sequences.
 
-    Subclasses implement bit(n) deterministically for all n >= 0 unless a
-    hard length is declared (ExplicitPrefixReal).
+    Subclasses implement bit(n) deterministically for all n >= 0.
     """
 
     __slots__ = ()
@@ -58,51 +57,6 @@ class RealSpec:
         index list.  Subclasses may answer it faster; since a real is a
         pure rule, the answer is always [self.bit(n) for n in ns]."""
         return [self.bit(n) for n in ns]
-
-
-class ExplicitPrefixReal(RealSpec, Frozen):
-    """A real known only on a finite prefix; queries beyond it are errors."""
-
-    __slots__ = ("prefix",)
-
-    def __init__(self, prefix: str):
-        if not set(prefix) <= {"0", "1"}:
-            raise ValueError("bits must be a string over {0,1}")
-        object.__setattr__(self, "prefix", prefix)
-
-    @property
-    def hard_length(self) -> int:
-        return len(self.prefix)
-
-    def bit(self, n: int) -> int:
-        if n < 0:
-            raise UndefinedInputError("bit index must be >= 0")
-        if n >= len(self.prefix):
-            raise OutOfRangeError(
-                "query at %d beyond hard length %d" % (n, len(self.prefix))
-            )
-        return int(self.prefix[n])
-
-
-class EventuallyPeriodicReal(RealSpec, Frozen):
-    """preamble bits followed by an infinitely repeated nonempty period."""
-
-    __slots__ = ("preamble", "period")
-
-    def __init__(self, preamble: str, period: str):
-        if not period:
-            raise ValueError("period must be nonempty")
-        if not set(preamble) <= {"0", "1"} or not set(period) <= {"0", "1"}:
-            raise ValueError("bits must be strings over {0,1}")
-        object.__setattr__(self, "preamble", preamble)
-        object.__setattr__(self, "period", period)
-
-    def bit(self, n: int) -> int:
-        if n < 0:
-            raise UndefinedInputError("bit index must be >= 0")
-        if n < len(self.preamble):
-            return int(self.preamble[n])
-        return int(self.period[(n - len(self.preamble)) % len(self.period)])
 
 
 class SeededReal(RealSpec, Frozen):
@@ -125,36 +79,15 @@ class GenericDescription:
     """A partial bit assignment n -> {0,1}, at most one bit per index.
 
     A description answers a witness list: values(ns) gives, for each index
-    of ns in order, its assigned bit or None where it is unassigned, and
-    lookup(n) is the one-element case.  It may be explicit (finite set of
-    pairs) or lazily generated from a domain predicate plus a source real;
-    either way "is n assigned, and to what" is decidable below any
-    horizon.  A description keeps only its values: explicit pairs are
-    checked against a source given with them once, at construction, and a
-    generated description reads every value from its source.
+    of ns in order, its assigned bit or None where it is unassigned; one
+    index n is `values((n,))[0]`.  It is lazily generated from a domain
+    predicate plus a source real, so "is n assigned, and to what" is
+    decidable below any horizon, and it keeps only its values: it reads
+    every value from its source.
     """
 
     def __init__(self, values: Callable[[Sequence[int]], list]):
         self.values = values
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple], source: Optional[RealSpec] = None) -> "GenericDescription":
-        table = {}
-        for n, x in pairs:
-            if x not in (0, 1):
-                raise ValueError("assigned bit must be 0 or 1")
-            if n in table and table[n] != x:
-                raise CorruptDescriptionError(
-                    "index %d assigned both bits" % n
-                )
-            table[n] = x
-        if source is not None:
-            for (n, x), y in zip(table.items(), source.bits(list(table))):
-                if x != y:
-                    raise FalsifiedPremiseError(
-                        "pair (%d,%d) contradicts the attached source" % (n, x)
-                    )
-        return cls(lambda ns: list(map(table.get, ns)))
 
     @classmethod
     def from_domain(cls, domain: Optional[Callable[[int], bool]], source: RealSpec,
@@ -182,6 +115,3 @@ class GenericDescription:
     @classmethod
     def full(cls, source: RealSpec, start: int = 0) -> "GenericDescription":
         return cls.from_domain(None, source, start=start)
-
-    def lookup(self, n: int) -> Optional[int]:
-        return self.values((n,))[0]

@@ -19,14 +19,8 @@ old->new the low bit of each digit.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import CapacityError, UndefinedInputError
 from .records import Frozen
-
-# ids and combo arithmetic are capped at this many bits (~0.5 MB integers);
-# that admits every stage-ids through stage 3 and the start of stage 4
-_MAX_BITS = 1 << 22
 
 # starts[s] = id of the first element added at stage s; starts[4] is the
 # largest boundary whose value is representable at all
@@ -40,10 +34,6 @@ class StageInterval(Frozen):
         object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
 
 
 def stage_interval(s: int) -> StageInterval:
@@ -59,20 +49,12 @@ def stage_interval(s: int) -> StageInterval:
 _B4 = _STARTS[4]
 
 
-def stage_of_id(i: int) -> int:
-    if i < 0:
-        raise UndefinedInputError("element ids are >= 0")
-    if i < 1029:
-        return 0 if i < 1 else (1 if i < 5 else 2)
-    # any id we can hold in memory lies far below the stage-5 boundary
-    return 3 if i < _B4 else 4
-
-
 def universal_rel(i: int, j: int) -> bool:
     """Adjacency by (stage, combo index) arithmetic; works for large ids."""
-    # stage_of_id inlined for both ids: this is the hot adjacency test
     if i < 0 or j < 0:
         raise UndefinedInputError("element ids are >= 0")
+    # the stage of each id; any id we can hold in memory lies far below the
+    # stage-5 boundary
     si = (0 if i < 1 else 1 if i < 5 else 2) if i < 1029 else (3 if i < _B4 else 4)
     sj = (0 if j < 1 else 1 if j < 5 else 2) if j < 1029 else (3 if j < _B4 else 4)
     if si == sj:
@@ -141,34 +123,6 @@ def related(x: UElement, y: UElement) -> bool:
     return bool(digit & 1) if asking_old_to_new else bool(digit & 2)
 
 
-def uid(x: UElement) -> int:
-    """Exact integer id of a symbolic element, when representable."""
-    total = _STARTS[x.stage] if x.stage < len(_STARTS) else None
-    if total is None:
-        raise CapacityError("stage %d start is not representable" % x.stage)
-    for prior, digit in x.combo:
-        p = uid(prior)
-        if 2 * p + 2 > _MAX_BITS:
-            raise CapacityError("combo digit position exceeds the bit budget")
-        total += digit << (2 * p)
-    return total
-
-
-def from_uid(i: int) -> UElement:
-    """Symbolic handle for an integer id (stages with computable starts)."""
-    s = stage_of_id(i)
-    if s >= len(_STARTS) - 1:
-        raise CapacityError("id %d is beyond the decodable stages" % i)
-    combo = []
-    c = i - _STARTS[s]
-    while c:
-        pos = ((c & -c).bit_length() - 1) // 2
-        digit = (c >> (2 * pos)) & 3
-        combo.append((from_uid(pos), digit))
-        c &= ~(3 << (2 * pos))
-    return UElement(s, tuple(combo))
-
-
 class FiniteReflexiveRelation:
     """A reflexive binary relation on {0, .., size-1} as an adjacency table."""
 
@@ -181,13 +135,6 @@ class FiniteReflexiveRelation:
             raise ValueError("relation must be reflexive")
         self.size = k
         self.adjacency = table
-
-    @classmethod
-    def from_pairs(cls, size: int, pairs: Iterable[tuple]) -> "FiniteReflexiveRelation":
-        table = [[a == b for b in range(size)] for a in range(size)]
-        for a, b in pairs:
-            table[a][b] = True
-        return cls(table)
 
     def rel(self, a: int, b: int) -> bool:
         return self.adjacency[a][b]

@@ -33,11 +33,6 @@ def from_elements(elements) -> tuple:
     return normalize((n, n + 1) for n in elements)
 
 
-def elements(runs) -> list:
-    """Every element, ascending (small sets only: tests and brute force)."""
-    return [n for lo, hi in runs for n in range(lo, hi)]
-
-
 def union(a, b) -> tuple:
     return normalize(a + b)
 

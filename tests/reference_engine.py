@@ -2,13 +2,15 @@
 
 It decides one stage from the definitions alone, reading only the stage
 records before it.  Every node of the level is materialized as one bit
-string per side.  A node of length l dies when 0 is enumerated, or when an
-element below 2^l that the strategy's opponent enumerated through stage l
-lies, on every side, in the gap of some act whose marker prefixes that
-side's string.  An act of strategy f at stage s gaps `gap_interval(s, f)`.
-Nothing here builds a `LevelContext`, searches a level or calls
-`Trace.evaluate`, so the engine's survivor search, path choice and marker
-choice are checked against an independent computation.
+string per side, except that `survivor_extending` walks only the
+extensions of one node, and not below a dead one.  A node of length l
+dies when 0 is enumerated, or when an element below 2^l that the
+strategy's opponent enumerated through stage l lies, on every side, in
+the gap of some act whose marker prefixes that side's string.  An act of
+strategy f at stage s gaps `gap_interval(s, f)`.  Nothing here builds a
+`LevelContext`, searches a level or calls `Trace.evaluate`, so the
+engine's survivor search, path choice and marker choice are checked
+against an independent computation.
 """
 
 from functools import lru_cache
@@ -46,6 +48,23 @@ def _dead(trace, e: int, l: int):
         return any(all(p & w for p, w in zip(prefixes, witness)) for witness in witnesses)
 
     return dead
+
+
+def survivor_extending(trace, e: int, l: int, node):
+    """Some surviving level-l node of strategy e's tree that extends
+    `node`, or None.  A witness whose markers prefix a node's strings
+    prefixes its extensions' strings too, so a dead node's extensions are
+    dead and the walk does not descend below it."""
+    dead = _dead(trace, e, l)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if dead(node):
+            continue
+        if len(node[0]) == l:
+            return node
+        stack.extend(tuple(map(str.__add__, node, bits)) for bits in product("01", repeat=len(node)))
+    return None
 
 
 def reference_level(trace, e: int, l: int) -> list:

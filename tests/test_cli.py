@@ -3,6 +3,7 @@ SystemExit or a traceback would show: help exits 0, every usage error exits
 2 with the usage on stderr, options take `--name value` and `--name=value`,
 and outputs that cannot be written are a config error."""
 
+import copy
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_counting import ARTIFACT_GOLDEN
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -128,3 +131,36 @@ def test_unparsable_config_is_a_config_error(tmp_path, content):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: cannot parse config %s" % path)
     assert "Traceback" not in proc.stderr
+
+
+# component kinds that are no kind name: each is a config error, whether
+# the config is run or a trace echoing it is verified
+MALFORMED_KINDS = {"list": ["silent"], "dict": {"kind": "silent"}, "int": 3, "null": None, "true": True}
+
+
+@pytest.fixture(scope="module")
+def golden_trace(tmp_path_factory):
+    """The single-diagonal golden config and the trace `gencomp run` writes for it."""
+    work = tmp_path_factory.mktemp("golden")
+    cfg = ARTIFACT_GOLDEN["single-diagonal-12"][0]
+    (work / "cfg.json").write_text(json.dumps(cfg))
+    assert gencomp("run", work / "cfg.json", "--out-dir", work).returncode == 0
+    return cfg, json.loads((work / "trace.json").read_text())
+
+
+@pytest.mark.parametrize("component", ["enumerator", "selector"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_KINDS))
+def test_malformed_kind_is_a_config_error(tmp_path, golden_trace, component, kind):
+    bad = MALFORMED_KINDS[kind]
+    cfg, doc = copy.deepcopy(golden_trace)
+    for echo in (cfg, doc["config"]):
+        echo["strategies"][0][component] = {"kind": bad}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "trace.json").write_text(json.dumps(doc))
+    for args in (["run", tmp_path / "cfg.json", "--out-dir", tmp_path / "out"],
+                 ["verify", tmp_path / "trace.json"]):
+        proc = gencomp(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "config error: unknown %s kind %r\n" % (component, bad)
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -10,12 +10,12 @@ from gencomp.codings import (
     decode_interval,
     decode_valuation,
     encode_interval,
-    encode_valuation,
     floor_log2_below,
     two_adic_valuation,
 )
 from gencomp.errors import CorruptDescriptionError, ExcludedIndexError
-from gencomp.reals import EventuallyPeriodicReal, GenericDescription, SeededReal
+from gencomp.reals import GenericDescription, SeededReal
+from oracles import EventuallyPeriodicReal, description_from_pairs
 
 
 def test_valuation_arithmetic():
@@ -28,11 +28,12 @@ def test_valuation_arithmetic():
 
 def test_encode_valuation_examples():
     x = SeededReal(5)
-    assert encode_valuation(x, 12) == x.bit(2)
-    assert encode_valuation(x, 5) == x.bit(0)
-    assert encode_valuation(x, 8) == x.bit(3)
+    coded = ValuationCoding(x)
+    assert coded.bit(12) == x.bit(2)
+    assert coded.bit(5) == x.bit(0)
+    assert coded.bit(8) == x.bit(3)
     with pytest.raises(ExcludedIndexError):
-        encode_valuation(x, 0)
+        coded.bit(0)
 
 
 def test_encode_interval_strict_offset():
@@ -48,9 +49,9 @@ def test_encode_interval_strict_offset():
 
 
 def test_decode_valuation_single_witness():
-    d = GenericDescription.from_pairs([(2, 1)])
+    d = description_from_pairs([(2, 1)])
     assert decode_valuation(d, 1, 16) == 1
-    assert decode_valuation(GenericDescription.from_pairs([]), 1, 16) is None
+    assert decode_valuation(description_from_pairs([]), 1, 16) is None
 
 
 def test_decode_valuation_domain_missing_multiples_of_three():
@@ -63,7 +64,7 @@ def test_decode_valuation_domain_missing_multiples_of_three():
 
 
 def test_decode_valuation_corruption_detected():
-    d = GenericDescription.from_pairs([(2, 1), (6, 0)])
+    d = description_from_pairs([(2, 1), (6, 0)])
     with pytest.raises(CorruptDescriptionError):
         decode_valuation(d, 1, 16)
 
@@ -78,13 +79,13 @@ def test_valuation_roundtrip_seeded():
 
 def test_decode_interval_examples():
     x = SeededReal(3)
-    d = GenericDescription.from_pairs([(12, x.bit(3))])
+    d = description_from_pairs([(12, x.bit(3))])
     assert decode_interval(d, 3, 16) == x.bit(3)
     # witness interval (2, 4] entirely unassigned
-    d2 = GenericDescription.from_pairs([(8, 1)])
+    d2 = description_from_pairs([(8, 1)])
     assert decode_interval(d2, 1, 16) is None
     with pytest.raises(CorruptDescriptionError):
-        decode_interval(GenericDescription.from_pairs([(9, 1), (10, 0)]), 3, 16)
+        decode_interval(description_from_pairs([(9, 1), (10, 0)]), 3, 16)
 
 
 def test_decode_interval_half_assigned_blocks():
@@ -152,9 +153,9 @@ def test_coded_real_source_queries():
     assert decode_valuation(d, 4, 64) == 0
 
 
-# Bulk reads against per-index oracles: encode_valuation / encode_interval
-# called one n at a time, and an ordered per-witness scan over the pairs;
-# no oracle calls bits() or values().
+# Bulk reads against per-index oracles: each coding's bit() called one n
+# at a time, and an ordered per-witness scan over the pairs; no oracle
+# calls bits() or values().
 
 _SOURCES = st.one_of(
     st.integers(0, 2**64 - 1).map(SeededReal),
@@ -164,9 +165,9 @@ _SOURCES = st.one_of(
 )
 
 
-def _per_index(encode, x, ns):
+def _per_index(coding, ns):
     try:
-        return [encode(x, n) for n in ns]
+        return [coding.bit(n) for n in ns]
     except ExcludedIndexError:
         return ExcludedIndexError
 
@@ -181,10 +182,10 @@ def _bulk(coding, ns):
 @given(_SOURCES, st.lists(st.integers(-2, 5000), max_size=80))
 @settings(max_examples=300)
 def test_coding_bits_match_per_index_encoding(x, ns):
-    for coding, encode in ((ValuationCoding(x), encode_valuation), (IntervalCoding(x), encode_interval)):
-        assert _bulk(coding, ns) == _per_index(encode, x, ns)
-        assert _bulk(coding, tuple(ns)) == _per_index(encode, x, ns)
-        assert _bulk(coding, range(2, 2 + len(ns))) == _per_index(encode, x, range(2, 2 + len(ns)))
+    for coding in (ValuationCoding(x), IntervalCoding(x)):
+        assert _bulk(coding, ns) == _per_index(coding, ns)
+        assert _bulk(coding, tuple(ns)) == _per_index(coding, ns)
+        assert _bulk(coding, range(2, 2 + len(ns))) == _per_index(coding, range(2, 2 + len(ns)))
         assert all(coding.bits([n]) == [coding.bit(n)] for n in ns if n >= 2)
 
 
@@ -284,10 +285,10 @@ def _scan_decode(pairs, witnesses):
 def test_doctored_decoding_matches_ordered_scan(seed, kind, m, bound, noise, data):
     x = SeededReal(seed)
     if kind == "valuation":
-        encode, decode, excluded = encode_valuation, decode_valuation, 1
+        coded, decode, excluded = ValuationCoding(x), decode_valuation, 1
         witnesses = [n for n in range(1, bound + 1) if two_adic_valuation(n) == m]
     else:
-        encode, decode, excluded = encode_interval, decode_interval, 2
+        coded, decode, excluded = IntervalCoding(x), decode_interval, 2
         witnesses = [n for n in range(2, bound + 1) if floor_log2_below(n) == m]
     # assignments on some witnesses and on arbitrary other indices; a few
     # of them are flipped, so the description lies about the coded real
@@ -296,8 +297,8 @@ def test_doctored_decoding_matches_ordered_scan(seed, kind, m, bound, noise, dat
         assigned |= data.draw(st.sets(st.sampled_from(witnesses), max_size=12))
     assigned = sorted(n for n in assigned if n >= excluded)
     flipped = data.draw(st.sets(st.sampled_from(assigned), max_size=3)) if assigned else set()
-    pairs = [(n, encode(x, n) ^ (n in flipped)) for n in assigned]
-    d = GenericDescription.from_pairs(pairs)
+    pairs = [(n, coded.bit(n) ^ (n in flipped)) for n in assigned]
+    d = description_from_pairs(pairs)
     expected = _scan_decode(pairs, witnesses)
     if isinstance(expected, tuple):
         with pytest.raises(CorruptDescriptionError, match="disagree at index %d$" % expected[1]):

@@ -55,7 +55,9 @@ from gencomp.harness import (
     run_experiment,
     validate_config,
 )
-from gencomp.runs import clip, elements, union
+from gencomp.runs import clip, union
+from oracles import elements
+from reference_engine import survivor_extending
 from test_diagonal import _round_trip_runs, with_extra_acts
 
 PAIR_CATALOG_12 = {
@@ -268,8 +270,7 @@ def oracle_trap_soundness(trace):
                 l = later.stage - 1
                 if len(node[0]) > l:
                     continue
-                ctx = LevelContext(l, trace.enumerated_through(e, l), trace)
-                if find_survivor(ctx, start=node) is not None:
+                if survivor_extending(trace, e, l, node) is not None:
                     bad.append(
                         "survivor extends trapped node %r at stage %d (strategy %d)"
                         % (node, later.stage, e)

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomp.density import (
-    block_of,
     gap_census,
     gap_density_upper,
     gap_interval,
     prefix_density,
 )
-from gencomp.errors import InsufficientDataError, MalformedGapError, UndefinedInputError
+from gencomp.errors import MalformedGapError, UndefinedInputError
 from gencomp.reals import SeededReal
-from gencomp.runs import elements, from_elements
+from gencomp.runs import from_elements
+from oracles import elements
 
 
 def present(member, i_max):
@@ -23,15 +23,20 @@ def present(member, i_max):
     return from_elements(n for n in range(1 << i_max) if member(n))
 
 
+def gaps(census):
+    """The recorded (i, e) pairs, skipping gapless blocks."""
+    return [(i, e) for i, e in census.records if e is not None]
+
+
 def census_oracle(member, i_max):
     """Independent recount: smallest e whose whole suffix is absent,
     found by scanning candidate suffixes directly."""
     out = []
     for i in range(i_max):
-        blk = block_of(i)
+        hi = 2 << i
         found = None
         for e in range(0, i + 1):
-            suffix = range(blk.hi - 2 ** (i - e), blk.hi)
+            suffix = range(hi - 2 ** (i - e), hi)
             if all(not member(n) for n in suffix):
                 found = e
                 break
@@ -51,14 +56,6 @@ def make_gap_only(rng, i_max=13):
     return omitted, placed
 
 
-def test_block_of_examples():
-    assert (block_of(0).lo, block_of(0).hi) == (1, 2)
-    assert (block_of(3).lo, block_of(3).hi) == (8, 16)
-    b = block_of(10)
-    assert b.lo == 1024 and b.size == 1024
-    assert 1030 in b and 2048 not in b
-
-
 def test_prefix_density_examples():
     assert prefix_density(lambda n: True, 17) == 1
     assert prefix_density(lambda n: n % 2 == 0, 10) == Fraction(5, 10)
@@ -70,13 +67,13 @@ def test_prefix_density_examples():
 def test_gap_census_examples():
     member = lambda n: n not in {12, 13, 14, 15}
     census = gap_census(present(member, 4), 4)
-    assert census.record(3) == 1
-    assert all(census.record(i) is None for i in range(3))
-    assert gap_census(present(lambda n: True, 6), 6).gaps() == []
+    assert census.records[3] == (3, 1)
+    assert all(e is None for _, e in census.records[:3])
+    assert gaps(gap_census(present(lambda n: True, 6), 6)) == []
     # whole block missing: the maximal suffix is the block itself
     p4 = set(range(16, 32))
     census = gap_census(present(lambda n: n not in p4, 5), 5)
-    assert census.record(4) == 0
+    assert census.records[4] == (4, 0)
 
 
 def test_gap_census_matches_oracle_randomized():
@@ -96,10 +93,10 @@ def test_gap_census_nesting_invariant():
         omitted, _ = make_gap_only(rng)
         member = lambda n: n not in omitted
         census = gap_census(present(member, 13), 13)
-        for i, e in census.gaps():
-            blk = block_of(i)
+        for i, e in gaps(census):
+            hi = 2 << i
             for e_prime in range(e, i + 1):
-                suffix = range(blk.hi - 2 ** (i - e_prime), blk.hi)
+                suffix = range(hi - 2 ** (i - e_prime), hi)
                 assert all(not member(n) for n in suffix)
 
 
@@ -110,14 +107,6 @@ def test_gap_census_oracle_on_arbitrary_omissions():
         member = lambda n: n not in omitted
         census = gap_census(present(member, 10), 10)
         assert list(census.records) == census_oracle(member, 10)
-
-
-def test_census_record_outside_its_blocks():
-    census = gap_census(present(lambda n: n < 12, 4), 4)
-    assert census.record(3) == 1
-    for i in (-1, 4, 9):
-        with pytest.raises(InsufficientDataError):
-            census.record(i)
 
 
 @st.composite
@@ -131,11 +120,11 @@ def census_cases(draw):
     if draw(st.booleans()):
         absent.add(0)
     for i in range(i_max):
-        blk = block_of(i)
+        lo, hi = 1 << i, 2 << i
         suffix = draw(st.one_of(st.sampled_from([0] + [1 << k for k in range(i + 1)]),
-                                st.integers(1, blk.size)))
-        absent.update(range(blk.hi - suffix, blk.hi))
-        absent.update(draw(st.lists(st.integers(blk.lo, blk.hi - 1), max_size=2)))
+                                st.integers(1, hi - lo)))
+        absent.update(range(hi - suffix, hi))
+        absent.update(draw(st.lists(st.integers(lo, hi - 1), max_size=2)))
     return i_max, from_elements(n for n in range(2 * top + 1) if n not in absent)
 
 
@@ -149,10 +138,10 @@ def test_run_census_matches_membership_scan(case):
     assert elements(census.omitted) == [n for n in range(1, 1 << i_max) if not member(n)]
     suffixes_only = member(0)
     for i in range(i_max):
-        blk = block_of(i)
-        holes = [n for n in range(blk.lo, blk.hi) if not member(n)]
+        lo, hi = 1 << i, 2 << i
+        holes = [n for n in range(lo, hi) if not member(n)]
         run = len(holes)
-        if holes != list(range(blk.hi - run, blk.hi)) or run & (run - 1):
+        if holes != list(range(hi - run, hi)) or run & (run - 1):
             suffixes_only = False
     assert census.gap_only == suffixes_only
 
@@ -179,27 +168,20 @@ def test_intersection_inequality_seeded():
             assert cab >= ca + cb - n
 
 
-
-def test_block_of_rejects_negative_index():
-    with pytest.raises(UndefinedInputError):
-        block_of(-1)
-
-
 def test_blocks_partition_the_positive_naturals():
-    blocks = [block_of(i) for i in range(10)]
-    assert [b.size for b in blocks] == [1 << i for i in range(10)]
-    assert all(a.hi == b.lo for a, b in zip(blocks, blocks[1:]))
+    blocks = [range(1 << i, 2 << i) for i in range(10)]
+    assert [len(b) for b in blocks] == [1 << i for i in range(10)]
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     for n in range(1, 1 << 10):
-        assert [b.i for b in blocks if n in b] == [n.bit_length() - 1]
+        assert [i for i, b in enumerate(blocks) if n in b] == [n.bit_length() - 1]
     assert not any(0 in b for b in blocks)
 
 
 def test_gap_interval_is_a_block_suffix():
     for i in range(9):
-        blk = block_of(i)
         for e in range(i + 1):
             lo, hi = gap_interval(i, e)
-            assert hi == blk.hi and lo in blk
+            assert hi == 2 << i and lo in range(1 << i, 2 << i)
             assert hi - lo == 1 << (i - e)
         for e in (-1, i + 1):
             with pytest.raises(MalformedGapError):
@@ -218,12 +200,12 @@ def test_gap_census_horizon_zero_and_negative():
 def test_gap_census_gaps_and_jsonable():
     omitted = set(range(*gap_interval(3, 1))) | set(range(*gap_interval(5, 0)))
     census = gap_census(present(lambda n: n not in omitted, 7), 7)
-    assert census.gaps() == [(3, 1), (5, 0)]
-    assert [census.record(i) for i in range(7)] == [None, None, None, 1, None, 0, None]
+    assert gaps(census) == [(3, 1), (5, 0)]
+    assert [e for _, e in census.records] == [None, None, None, 1, None, 0, None]
     assert census.gap_only
     assert census.to_jsonable() == {
         "i_max": 7,
-        "records": [census.record(i) for i in range(7)],
+        "records": [None, None, None, 1, None, 0, None],
         "omitted": [[12, 16], [32, 64]],
         "gap_only": True,
     }
@@ -237,5 +219,5 @@ def test_single_gap_sets_meet_their_density_bound():
             lo, hi = gap_interval(i, e)
             member = lambda n: not lo <= n < hi
             census = gap_census(present(member, i + 1), i + 1)
-            assert census.gaps() == [(i, e)] and census.gap_only
+            assert gaps(census) == [(i, e)] and census.gap_only
             assert prefix_density(member, 1 << (i + 1)) == gap_density_upper(i, e)

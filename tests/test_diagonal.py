@@ -30,7 +30,6 @@ from gencomp.diagonal import (
     find_survivor,
     functional_value_set,
     run_construction,
-    run_pair,
     run_single,
     select_marker_node,
     trace_from_jsonable,
@@ -46,7 +45,8 @@ from gencomp.errors import (
     UndefinedRegionError,
 )
 from gencomp.harness import canonical_json
-from gencomp.runs import elements, from_elements
+from gencomp.runs import from_elements
+from oracles import elements, run_pair
 from reference_engine import reference_level, reference_stage
 
 
@@ -112,7 +112,7 @@ def test_pair_value_sets_read_each_side_of_the_marker():
     t = trace_of((0, 1, ("0", "1")), defined=2, mode=PAIR)
     assert functional_value_set(t, "00", 0) == functional_value_set(t, "11", 1) == ((1, 2), (4, 8))
     assert functional_value_set(t, "11", 0) == functional_value_set(t, "00", 1) == ((1, 8),)
-    assert [t.census(prefix, i).record(1) for prefix, i in (("00", 0), ("00", 1))] == [0, None]
+    assert [t.census(prefix, i).records[1][1] for prefix, i in (("00", 0), ("00", 1))] == [0, None]
     assert audit_gap_census_consistency(t, "00", 0) == audit_gap_census_consistency(t, "00", 1) == []
 
 
@@ -432,8 +432,8 @@ def test_gap_census_consistency_audit():
     assert audit_gap_census_consistency(trace, "11111") == []
     # and directly: the censused gaps under the victim prefix are the rules
     census = gap_census(functional_value_set(trace, "00000"), 6)
-    assert census.record(1) == 0
-    assert all(census.record(i) == 0 for i in range(1, 6) if i <= 4)
+    assert census.records[1][1] == 0
+    assert all(census.records[i][1] == 0 for i in range(1, 6) if i <= 4)
 
 
 def test_single_victim_audit():

@@ -23,7 +23,7 @@ from gencomp.harness import (
     validate_config,
     verify_trace_file,
 )
-from gencomp.runs import elements
+from oracles import elements
 from test_counting import RELATION_EMBED_3, scenario_trace_1_view, scenario_trace_2_view
 
 

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomp.diagonal import trace_from_jsonable
-from gencomp.runs import clip, count_below, difference, elements, from_elements, hits, normalize, union
+from gencomp.runs import clip, count_below, difference, from_elements, hits, normalize, union
+from oracles import elements
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
