@@ -65,25 +65,18 @@ class LevelContext:
     the acts.  A gap is a suffix of its block, so a hit is one block's
     marker strings per side, from the acts whose gaps hold the block's top
     enumerated element: it kills a node extending one string on every side.
-    One walk over the runs finds each block's top element: the last run
-    that meets block s ends there, or at the block end.
     """
 
     def __init__(self, l: int, enum, trace):
         self.l = l
         self.root = ("",) * len(trace.sides)
         self.has_zero = bool(enum) and enum[0][0] == 0
-        horizon = 1 << l
-        tops = {}  # block -> one past its top enumerated element, ascending
-        for lo, hi in enum:
-            if lo >= horizon:
-                break
-            hi = min(hi, horizon)
-            for s in range(max(lo, 1).bit_length() - 1, (hi - 1).bit_length()):
-                tops[s] = min(hi, 2 << s)
         found = []
-        for s, top in tops.items():
-            markers = [marker for (lo, _), marker in trace.gaps[s] if lo < top]
+        for s in range(l):
+            runs = clip(enum, 1 << s, 2 << s)
+            if not runs:
+                continue
+            markers = [marker for (lo, _), marker in trace.gaps[s] if lo < runs[-1][1]]
             if markers:
                 found.append(tuple(zip(*markers)))
         self.hits = tuple(found)
@@ -97,46 +90,37 @@ class LevelContext:
         return False
 
 
-def _level_dfs(ctx: LevelContext, order, budget: int, out=None):
-    """The first surviving level-l node in DFS `order`, or None; given a
-    list `out`, every survivor is appended to it in that order instead.
-    Each visited node costs one unit of `budget`, and the recursion is as
-    deep as the level."""
+def _level_dfs(ctx: LevelContext, order, budget: int):
+    """The surviving level-l nodes, lazily, in DFS `order`; each visited
+    node costs one unit of `budget`."""
     # the new bits of a node's children, one per side, in DFS order:
     # lexicographic in `order` with the x bit most significant
     steps = list(product(order, repeat=len(ctx.root)))
 
-    def visit(node):
+    def visit(nd):
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise BudgetError("level search exceeded the node budget")
-        if ctx.killed(node):
-            return None
-        if len(node[0]) == ctx.l:
-            if out is None:
-                return node
-            out.append(node)
-            return None
+        if ctx.killed(nd):
+            return
+        if len(nd[0]) == ctx.l:
+            yield nd
+            return
         for step in steps:
-            found = visit(tuple(map(add, node, step)))
-            if found is not None:
-                return found
-        return None
+            yield from visit(tuple(map(add, nd, step)))
 
     return visit(ctx.root)
 
 
 def find_survivor(ctx: LevelContext, order="01", budget: int = _DEFAULT_NODE_BUDGET):
     """First surviving level-l node in DFS `order`."""
-    return _level_dfs(ctx, order, budget)
+    return next(_level_dfs(ctx, order, budget), None)
 
 
 def enumerate_level(ctx: LevelContext, budget: int = _DEFAULT_NODE_BUDGET) -> list:
     """Materialize the whole surviving level (tests and small audits)."""
-    out = []
-    _level_dfs(ctx, "01", budget, out)
-    return out
+    return list(_level_dfs(ctx, "01", budget))
 
 
 def select_marker_node(path, marked):

@@ -169,7 +169,8 @@ def test_intersection_inequality_seeded():
 
 
 def test_blocks_partition_the_positive_naturals():
-    blocks = [range(1 << i, 2 << i) for i in range(10)]
+    # a block is its whole-block gap, gap_interval(i, 0)
+    blocks = [range(*gap_interval(i, 0)) for i in range(10)]
     assert [len(b) for b in blocks] == [1 << i for i in range(10)]
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     for n in range(1, 1 << 10):
