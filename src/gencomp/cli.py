@@ -4,12 +4,16 @@
     gencomp verify <trace.json>
     gencomp catalog
 
-An option's value is the next argument or follows `=` (`--out-dir=DIR`),
-and options may come before or after the positional argument.  Exit
-codes: 0 pass (and `-h`/`--help`), 2 config, parse or usage error, 3
-budget exceeded, 4 invariant violation.  The parser is written out here
-because importing `argparse` (with `gettext` and `locale`) would cost every
-command more than the rest of its argument handling.
+A config file holds one JSON object.  The options of `run` set the config
+fields of the same names (`--out-dir` sets `out_dir`), and a flag wins
+over the file.  `verify` replays a trace from the config it echoes and
+writes nothing.  An option's value is the next argument or follows `=`
+(`--out-dir=DIR`), and options may come before or after the positional
+argument.  Exit codes: 0 pass (and `-h`/`--help`), 2 config, parse or
+usage error, 3 budget exceeded, 4 invariant violation.  The parser is
+written out here because importing `argparse` (with `gettext` and
+`locale`) would cost every command more than the rest of its argument
+handling.
 """
 
 from __future__ import annotations
@@ -26,10 +30,8 @@ EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
 
-def _cmd_run(config, stages=None, seed=None, out_dir=None) -> int:
-    report, _ = harness.run_experiment(
-        harness.load_config_file(config), out_dir=out_dir, stages=stages, seed=seed
-    )
+def _cmd_run(config, **fields) -> int:
+    report, _ = harness.run_experiment({**harness.load_config_file(config), **fields})
     for v in report["verdicts"]:
         print("%-28s %s" % (v["invariant"], "PASS" if v["pass"] else "FAIL"))
     if not harness.report_passes(report):
@@ -69,9 +71,9 @@ HELP = USAGE + """
 
 Deterministic experiments over density-1 computability constructions.
 
-  run      run a scenario from a JSON config; --stages, --seed and --out-dir
-           override its stage count, seed and output directory
-  verify   replay and audit a trace file
+  run      run a scenario from a JSON config object; --stages, --seed and
+           --out-dir set its fields stages, seed and out_dir
+  verify   replay and audit a trace file; writes nothing
   catalog  list built-in components
 
 An option's value follows it or '=': --out-dir DIR, --out-dir=DIR."""

@@ -41,7 +41,7 @@ from .errors import (
     UndefinedRegionError,
 )
 from .records import Frozen
-from .runs import clip, difference, hits, normalize, union
+from .runs import clip, difference, hits, is_bits, is_natural, normalize, union
 
 SINGLE = "single"
 PAIR = "pair"
@@ -461,9 +461,10 @@ def trace_from_jsonable(doc: dict) -> Trace:
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     mode, stages, count, config, docs = map(doc.get, ("mode", "stages", "strategy_count", "config", "records"))
-    if mode not in (SINGLE, PAIR):
+    # a mode that is no string (a list, an object) may not be hashable
+    if type(mode) is not str or mode not in SIDES:
         raise InvariantViolationError("trace mode %r is neither single nor pair" % (mode,))
-    if not _is_natural(count):
+    if not is_natural(count):
         raise InvariantViolationError("strategy count %r is not a natural number" % (count,))
     if config is not None:
         listed = config.get("strategies") if type(config) is dict else None
@@ -475,14 +476,14 @@ def trace_from_jsonable(doc: dict) -> Trace:
             )
     if type(docs) is not list:
         raise InvariantViolationError("records %r are not a list" % (docs,))
-    if not _is_natural(stages) or stages != len(docs):
+    if not is_natural(stages) or stages != len(docs):
         raise InvariantViolationError("stage count %r, but the trace has %d records" % (stages, len(docs)))
     trace = Trace(mode, (), config)
     k = len(trace.sides)
     dead = set()
     for rd in docs:
         s = rd.get("stage") if type(rd) is dict else None
-        if not _is_natural(s) or s != len(trace.records):
+        if not is_natural(s) or s != len(trace.records):
             raise InvariantViolationError("record of stage %r follows %d records" % (s, len(trace.records)))
         batch_docs, act_docs, deaths, lengths, events = (
             _list_of(rd.get(key), None, key, s) for key in ("batches", "acts", "deaths", "rules", "trap_events")
@@ -490,12 +491,12 @@ def trace_from_jsonable(doc: dict) -> Trace:
         batches = {}
         for entry in batch_docs:
             e, runs = _list_of(entry, 2, "batch entry", s)
-            if not _is_natural(e) or e >= count:
+            if not is_natural(e) or e >= count:
                 raise InvariantViolationError("batch of strategy %r in a %d-strategy trace" % (e, count))
             if e in batches:
                 raise InvariantViolationError("second batch of strategy %d at stage %d" % (e, s))
             naturals = type(runs) is list and all(
-                type(run) is list and len(run) == 2 and all(map(_is_natural, run)) for run in runs
+                type(run) is list and len(run) == 2 and all(map(is_natural, run)) for run in runs
             )
             batch = tuple(map(tuple, runs)) if naturals else None
             if not naturals or batch != normalize(batch):
@@ -508,12 +509,12 @@ def trace_from_jsonable(doc: dict) -> Trace:
             e, p, *suffixes = _list_of(act, 2 + k, "act", s)
             _turn(e, s, "acts", count, dead, acts)
             old = trace.final_approx.get(e) or ("",) * k
-            if not _is_natural(p) or p > len(old[0]):
+            if not is_natural(p) or p > len(old[0]):
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d keeps %r bits of a %d-bit approximation"
                     % (e, s, p, len(old[0]))
                 )
-            if not all(type(b) is str and not b.strip("01") for b in suffixes):
+            if not all(map(is_bits, suffixes)):
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d has suffixes %r, not bit strings" % (e, s, suffixes)
                 )
@@ -533,7 +534,7 @@ def trace_from_jsonable(doc: dict) -> Trace:
                 % (s, len(acts) * k, len(lengths))
             )
         for i, n in enumerate(lengths):
-            if not _is_natural(n) or n > s:
+            if not is_natural(n) or n > s:
                 raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, n))
         # every strategy started and alive before stage s acts or dies at s
         if len(acts) + len(deaths) != alive:
@@ -542,18 +543,13 @@ def trace_from_jsonable(doc: dict) -> Trace:
         if list(acts) != sorted(acts) or deaths != sorted(deaths):
             raise InvariantViolationError("acts or deaths at stage %d are out of strategy order" % s)
         for t in events:
-            if type(t) is not list or len(t) != 4 or not all(map(_is_natural, t)):
+            if type(t) is not list or len(t) != 4 or not all(map(is_natural, t)):
                 raise InvariantViolationError("trap event %r at stage %d is not four naturals" % (t, s))
         length = iter(lengths)
         acts = {e: (approx, tuple(a[:next(length)] for a in approx)) for e, approx in acts.items()}
         batches = {e: batches.get(e, ()) for e in range(count)}
         trace.append(StageRecord(s, batches, acts, tuple(deaths), tuple(map(tuple, events))))
     return trace
-
-
-def _is_natural(v) -> bool:
-    """An int that is not a bool, and not negative."""
-    return type(v) is int and v >= 0
 
 
 def _list_of(v, n: Optional[int], what: str, s: int) -> list:
@@ -568,7 +564,7 @@ def _list_of(v, n: Optional[int], what: str, s: int) -> list:
 def _turn(e, s: int, verb: str, count: int, dead: set, acts: dict):
     """Check that strategy e may act or die at stage s: it has started
     (e < s), is alive and has not acted or died at s yet."""
-    if not _is_natural(e) or e >= count:
+    if not is_natural(e) or e >= count:
         raise InvariantViolationError("strategy %r %s in a %d-strategy trace" % (e, verb, count))
     if e >= s:
         raise InvariantViolationError("strategy %d %s at stage %d, before it starts" % (e, verb, s))

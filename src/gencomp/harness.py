@@ -1,12 +1,15 @@
 """Experiment orchestration: strict JSON configs, deterministic scenario
 runs, trace/report emission, and trace verification.
 
-Config documents carry a version field and are validated strictly:
-unknown fields are errors, so configs cannot drift silently.  Every
-scenario is deterministic end-to-end; running the same effective config
-twice produces byte-identical trace files.  Reports store rationals as
-{num, den} integer pairs, and a block-end density as its count over the
-block end; no floats cross the serialization boundary.
+A config is the only input to a run.  Config documents carry a version
+field and are validated strictly: unknown fields are errors, so configs
+cannot drift silently.  The validated config, less `out_dir`, is what a
+trace echoes; `verify_trace_file` replays either trace format from that
+echo and writes nothing.  Every scenario is deterministic end-to-end;
+running the same effective config twice produces byte-identical trace
+files.  Reports store rationals as {num, den} integer pairs, and a
+block-end density as its count over the block end; no floats cross the
+serialization boundary.
 
 `SCENARIO_TABLE` holds each scenario's config fields, with their defaults
 and bounds, and its runner.  The diagonal runner is here; the runners of
@@ -26,7 +29,7 @@ from . import adversaries, diagonal, enumops, scenarios
 # stays because perfbench's tests read harness.prefix_density
 from .density import prefix_density  # noqa: F401
 from .errors import BudgetError, ConfigError, InvariantViolationError
-from .runs import count_below
+from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/3"
@@ -70,7 +73,7 @@ def load_enumerator(spec):
         for key, elems in stages.items():
             if not (key.isascii() and key.isdigit()) or int(key) in schedule:
                 raise ConfigError("enumerator stage keys must be distinct naturals, got %r" % key)
-            if not isinstance(elems, list) or not all(_is_natural(v) for v in elems):
+            if not isinstance(elems, list) or not all(is_natural(v) for v in elems):
                 raise ConfigError("enumerated elements must be lists of naturals")
             schedule[int(key)] = elems
         return adversaries.Scripted(schedule)
@@ -97,14 +100,14 @@ def load_selector(spec, mode):
             if not (isinstance(item, list) and len(item) == 2):
                 raise ConfigError("scripted selector entries are [from_stage, node]")
             stage, node = item
-            if not _is_natural(stage):
+            if not is_natural(stage):
                 raise ConfigError("scripted selector stages must be natural numbers")
             # a node is a tuple of one bit string per side
             if mode == diagonal.PAIR:
-                if not (isinstance(node, list) and len(node) == 2 and all(map(_is_bits, node))):
+                if not (isinstance(node, list) and len(node) == 2 and all(map(is_bits, node))):
                     raise ConfigError("pair selector nodes are [x_bits, y_bits]")
                 node = tuple(node)
-            elif _is_bits(node):
+            elif is_bits(node):
                 node = (node,)
             else:
                 raise ConfigError("single selector nodes are bit strings")
@@ -115,14 +118,6 @@ def load_selector(spec, mode):
 
 # ---------------------------------------------------------------------------
 # config validation
-
-
-def _is_natural(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _is_bits(v) -> bool:
-    return isinstance(v, str) and set(v) <= {"0", "1"}
 
 
 def _allow(doc, allowed):
@@ -200,8 +195,9 @@ _COMMON_FIELDS = {"version", "scenario", "out_dir", "seed"}
 
 
 def validate_config(doc) -> dict:
-    """Strict validation; returns the effective config with defaults
-    filled in, suitable for byte-exact replay."""
+    """Strict validation; returns the config a trace echoes, with defaults
+    filled in, for byte-exact replay.  `out_dir` is checked but not part
+    of it: the output location is not semantic."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     version = doc.get("version")
@@ -212,8 +208,7 @@ def validate_config(doc) -> dict:
         raise ConfigError("unknown scenario %r" % scenario)
     row = SCENARIO_TABLE[scenario]
     eff = {"version": CONFIG_VERSION, "scenario": scenario}
-    if "out_dir" in doc:
-        eff["out_dir"] = _str(doc, "out_dir")
+    _str(doc, "out_dir", "")  # where a run writes: checked, not echoed
     _allow(doc, _COMMON_FIELDS | {name for name, _ in row.fields})
     for name, read in row.fields:
         value = read(doc, name)
@@ -233,7 +228,10 @@ def _read_json(path: str, what: str):
 
 
 def load_config_file(path: str) -> dict:
-    return _read_json(path, "config")
+    doc = _read_json(path, "config")
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +379,23 @@ SCENARIO_TABLE = {
 SCENARIOS = tuple(SCENARIO_TABLE)
 
 
-def run_experiment(config: dict, out_dir=None, stages=None, seed=None, write=True):
-    """Execute a validated (or raw) config; returns (report, trace_doc).
+def run_experiment(config: dict):
+    """Execute a config; returns (report, trace_doc).
 
-    Optional overrides mirror the CLI flags.  When an output directory is
-    supplied (argument or config field) and `write` is on, trace.json /
-    report.json and any CSV profiles are written there; a directory that
-    cannot be made or written is a ConfigError.
+    When the config names an `out_dir`, trace.json / report.json and any
+    CSV profiles are written there; a directory that cannot be made or
+    written is a ConfigError.
     """
-    doc = dict(config)
-    if stages is not None:
-        doc["stages"] = stages
-    if seed is not None:
-        doc["seed"] = seed
-    if out_dir is not None:
-        doc["out_dir"] = out_dir
-    cfg = validate_config(doc)
-    scenario = cfg["scenario"]
-    echo = _echo(cfg)
-    trace_doc, report_body = SCENARIO_TABLE[scenario].run(echo)
+    cfg = validate_config(config)
+    trace_doc, report_body = SCENARIO_TABLE[cfg["scenario"]].run(cfg)
     report = {
         "format": REPORT_FORMAT,
-        "scenario": scenario,
-        "config": echo,
+        "scenario": cfg["scenario"],
+        "config": cfg,
         **report_body,
     }
-    target = cfg.get("out_dir")
-    if target and write:
+    target = config.get("out_dir")
+    if target:
         try:
             _write_outputs(target, trace_doc, report, cfg.get("csv_profiles"))
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
@@ -423,25 +411,6 @@ def _write_outputs(target, trace_doc, report, csv_profiles):
         fh.write(canonical_json(report))
     if csv_profiles:
         _write_csv_profiles(report, target)
-
-
-def _echo(cfg) -> dict:
-    """A validated config as its trace echoes it: the echo drives replay,
-    and the output location is not semantic."""
-    return {k: v for k, v in cfg.items() if k != "out_dir"}
-
-
-def _echoed_config(trace_doc: dict) -> dict:
-    cfg = trace_doc.get("config")
-    if not cfg or not isinstance(cfg, dict):
-        raise ConfigError("trace carries no config echo; cannot replay")
-    return dict(cfg)
-
-
-def replay_trace_doc(trace_doc: dict):
-    """Re-run the config echoed in a trace document without touching the
-    filesystem; returns (report, fresh trace doc)."""
-    return run_experiment(_echoed_config(trace_doc), write=False)
 
 
 def first_difference(a, b, path: str = ""):
@@ -476,33 +445,35 @@ def _replay_mismatch(doc, fresh) -> list:
 
 
 def verify_trace_file(path: str) -> list:
-    """Replay a trace file and audit it; returns violation messages.  A
-    diagonal trace is rebuilt from its config without auditing the
-    rebuild, then the file's own trace is audited once."""
+    """Replay a trace file from its validated config echo and audit it;
+    returns violation messages.  Nothing is written.  A diagonal trace is
+    rebuilt without auditing the rebuild, then the file's own trace is
+    audited once."""
     doc = _read_json(path, "trace")
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    # the scenario format first: checking it loads no module
-    if fmt == SCENARIO_TRACE_FORMAT:
-        report, fresh = replay_trace_doc(doc)
-        problems = _replay_mismatch(doc, fresh)
-        for v in report["verdicts"]:
-            if not v["pass"]:
-                problems.append("verdict failed on replay: %s" % v["invariant"])
-    elif fmt == diagonal.TRACE_FORMAT:
-        cfg = _echo(validate_config(_echoed_config(doc)))
-        if cfg["scenario"] not in DIAGONAL_MODES:
-            raise ConfigError("a %s trace must echo a diagonal config" % fmt)
-        problems = _replay_mismatch(doc, diagonal.trace_to_jsonable(_diagonal_trace(cfg)))
-        try:
-            trace = diagonal.trace_from_jsonable(doc)
-            problems += diagonal.audit_trace(trace)
-        except (InvariantViolationError, BudgetError) as exc:  # doctored contents: report, don't crash
-            problems.append("trace contents are not auditable: %s" % exc)
-    else:
+    # the scenario format is tested first, so a scenario trace loads no module
+    if fmt != SCENARIO_TRACE_FORMAT and fmt != diagonal.TRACE_FORMAT:
         raise ConfigError(
             "unsupported trace format %r: this version verifies %s and %s traces"
             % (fmt, diagonal.TRACE_FORMAT, SCENARIO_TRACE_FORMAT)
         )
+    echo = doc.get("config")
+    if not echo or not isinstance(echo, dict):
+        raise ConfigError("trace carries no config echo; cannot replay")
+    cfg = validate_config(echo)
+    if fmt == SCENARIO_TRACE_FORMAT:
+        fresh, report_body = SCENARIO_TABLE[cfg["scenario"]].run(cfg)
+        return _replay_mismatch(doc, fresh) + [
+            "verdict failed on replay: %s" % v["invariant"] for v in report_body["verdicts"] if not v["pass"]
+        ]
+    if cfg["scenario"] not in DIAGONAL_MODES:
+        raise ConfigError("a %s trace must echo a diagonal config" % fmt)
+    problems = _replay_mismatch(doc, diagonal.trace_to_jsonable(_diagonal_trace(cfg)))
+    try:
+        trace = diagonal.trace_from_jsonable(doc)
+        problems += diagonal.audit_trace(trace)
+    except (InvariantViolationError, BudgetError) as exc:  # doctored contents: report, don't crash
+        problems.append("trace contents are not auditable: %s" % exc)
     return problems
 
 

@@ -82,3 +82,14 @@ def count_below(runs, n: int) -> int:
             break
         total += min(hi, n) - lo
     return total
+
+
+def is_natural(v) -> bool:
+    """An int that is not a bool, and not negative: the config and trace
+    readers' one test of a natural number."""
+    return type(v) is int and v >= 0
+
+
+def is_bits(v) -> bool:
+    """A string of 0s and 1s."""
+    return type(v) is str and not v.strip("01")

@@ -358,8 +358,8 @@ ACCEPTANCE_CONFIGS = [
 def test_c10_replay_determinism():
     started = time.process_time()
     for cfg in ACCEPTANCE_CONFIGS:
-        report1, doc1 = run_experiment(dict(cfg), write=False)
-        report2, doc2 = run_experiment(dict(cfg), write=False)
+        report1, doc1 = run_experiment(cfg)
+        report2, doc2 = run_experiment(cfg)
         assert canonical_json(doc1) == canonical_json(doc2), cfg["scenario"]
         assert all(v["pass"] for v in report1["verdicts"]), cfg["scenario"]
     # engine-level determinism for the pair catalog run as well

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from gencomp import cli, harness
 from test_counting import ARTIFACT_GOLDEN
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -131,6 +132,59 @@ def test_unparsable_config_is_a_config_error(tmp_path, content):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: cannot parse config %s" % path)
     assert "Traceback" not in proc.stderr
+
+
+# JSON documents that are no object, among them a list of pairs that
+# dict() would turn into a runnable config
+NON_OBJECTS = {"list": [1], "string": "x", "number": 5, "null": None,
+               "pairs": [["version", 1], ["scenario", "pair-diagonal"], ["stages", 3], ["strategies", []]]}
+
+
+@pytest.mark.parametrize("name", sorted(NON_OBJECTS))
+def test_a_config_that_is_no_object_is_a_config_error(tmp_path, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(NON_OBJECTS[name]))
+    for flags in ([], ["--stages", "2"]):
+        proc = gencomp("run", path, *flags, "--out-dir", tmp_path / "out")
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: config must be a JSON object\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_flags_are_the_config_fields_of_the_same_names(tmp_path, config):
+    flagged, fielded = tmp_path / "flagged", tmp_path / "fielded"
+    proc = gencomp("run", config, "--stages", "3", "--seed", "9", "--out-dir", flagged)
+    assert proc.returncode == 0, proc.stderr
+    path = tmp_path / "fielded.json"
+    path.write_text(json.dumps(dict(CONFIG, stages=3, seed=9, out_dir=str(fielded))))
+    assert gencomp("run", path).returncode == 0
+    for name in ("trace.json", "report.json"):
+        assert (flagged / name).read_bytes() == (fielded / name).read_bytes()
+
+
+def test_every_run_option_sets_a_config_field():
+    fields = set(harness._COMMON_FIELDS)
+    for row in harness.SCENARIO_TABLE.values():
+        fields.update(name for name, _ in row.fields)
+    _, _, options = cli.COMMANDS["run"]
+    assert {option[2:].replace("-", "_") for option in options} <= fields
+
+
+@pytest.mark.parametrize("cfg", [CONFIG, {"version": 1, "scenario": "operator-compile", "machine": "echo"}],
+                         ids=["diagonal", "scenario"])
+def test_verify_writes_nothing_when_the_echo_names_an_out_dir(tmp_path, cfg):
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert gencomp("run", tmp_path / "cfg.json", "--out-dir", tmp_path).returncode == 0
+    doc = json.loads((tmp_path / "trace.json").read_text())
+    leak = tmp_path / "leak"
+    doc["config"]["out_dir"] = str(leak)
+    (tmp_path / "trace.json").write_text(json.dumps(doc))
+    proc = gencomp("verify", tmp_path / "trace.json")
+    assert proc.returncode == 4
+    assert proc.stdout == ("VIOLATION: replay mismatch at config.out_dir: "
+                           "trace is not reproducible from its config\n")
+    assert proc.stderr == ""
+    assert not leak.exists()
 
 
 # component kinds that are no kind name: each is a config error, whether

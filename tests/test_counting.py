@@ -144,7 +144,7 @@ ORACLE_CASES = {
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
 def run(request):
     cfg = ORACLE_CASES[request.param]
-    report, doc = run_experiment(dict(cfg), write=False)
+    report, doc = run_experiment(cfg)
     return report, trace_from_jsonable(doc)
 
 
@@ -463,14 +463,14 @@ def test_oracle_cases_exercise_every_branch():
     """The cases above hit trap events, sprung and pending traps, pair
     hits, pair blocks skipped for lack of elements although they carry
     rules, and several event runs for one gap in one stage."""
-    _, doc = run_experiment(dict(SPLIT_GAPS_12), write=False)
+    _, doc = run_experiment(SPLIT_GAPS_12)
     split = [
         [lo for e, gap_stage, lo, hi in rec.trap_events if (e, gap_stage) == key]
         for rec in trace_from_jsonable(doc).records
         for key in {(e, gap_stage) for e, gap_stage, _, _ in rec.trap_events}
     ]
     assert sorted(len(runs) for runs in split) == [2, 3, 3]
-    _, doc = run_experiment(dict(PAIR_SCRIPTED_12), write=False)
+    _, doc = run_experiment(PAIR_SCRIPTED_12)
     trace = trace_from_jsonable(doc)
     assert any(rec.trap_events for rec in trace.records)
     hits = skipped = 0
@@ -490,7 +490,7 @@ def test_pair_scripted_run_passes_its_audits():
     # strategy 3's rightmost path leaves the y side only, at stage 9, when
     # its opponent prunes the y branch: the x strings marked before stay
     # marked, so no x prefix is gapped twice
-    report, doc = run_experiment(dict(PAIR_SCRIPTED_12), write=False)
+    report, doc = run_experiment(PAIR_SCRIPTED_12)
     assert report_passes(report)
     chains = trace_from_jsonable(doc).approx_chains(3)
     assert len(chains) == 2 and chains[0][1][0] == chains[1][1][0][:8]
@@ -601,7 +601,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_expanded_content(name):
     cfg, content_sha, _, _ = GOLDEN[name]
-    _, doc = run_experiment(dict(cfg), write=False)
+    _, doc = run_experiment(cfg)
     assert doc["format"] == "gencomp-trace/5"
     assert expanded_content_digest(trace_3_view(doc)) == content_sha
 
@@ -640,7 +640,7 @@ def test_trace_5_reads_as_4(tmp_path, name):
     # a prefix of its act's approximation; everything else a /4 trace said
     # is unchanged
     cfg = GOLDEN[name][0]
-    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
     assert written["format"] == "gencomp-trace/5"
     assert all(type(k) is int for rec in written["records"] for k in rec["rules"])
@@ -654,7 +654,7 @@ def test_trace_4_fixture_is_the_view_of_its_replay():
     with open(os.path.join(os.path.dirname(__file__), "fixtures", "trace_v4.json")) as fh:
         old = json.load(fh)
     assert old["format"] == "gencomp-trace/4"
-    _, doc = run_experiment(dict(old["config"]), write=False)
+    _, doc = run_experiment(old["config"])
     assert trace_4_view(doc) == old
 
 
@@ -718,7 +718,7 @@ def test_trace_4_reads_as_3(tmp_path, name):
     # enumerated, writes approximations as deltas and drops the final
     # block; everything else a /3 trace said is unchanged
     cfg, content_sha, _, _ = GOLDEN[name]
-    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
     assert written["format"] == "gencomp-trace/5"
     old = trace_3_view(written)
@@ -731,7 +731,7 @@ def test_trace_3_fixture_is_the_view_of_its_replay():
     # traps and dies at stage 3
     with open(os.path.join(os.path.dirname(__file__), "fixtures", "trace_v3.json")) as fh:
         old = json.load(fh)
-    _, doc = run_experiment(dict(old["config"]), write=False)
+    _, doc = run_experiment(old["config"])
     assert trace_3_view(doc) == old
 
 
@@ -825,7 +825,7 @@ def test_report_3_reads_as_report_2(tmp_path, name):
     # records by block, and censuses value sets with 0 counted in;
     # everything else a /2 report said is unchanged
     cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "report.json").read_text())
     assert written["format"] == "gencomp-report/3"
     old = canonical_json(report_2_view(written)).encode()
@@ -838,7 +838,7 @@ def test_value_censuses_are_gap_only():
     names = [name for name, (cfg, _, _) in ARTIFACT_GOLDEN.items() if "strategies" in cfg]
     assert names
     for name in names:
-        report, _ = run_experiment(dict(ARTIFACT_GOLDEN[name][0]), write=False)
+        report, _ = run_experiment(ARTIFACT_GOLDEN[name][0])
         censuses = report["value_censuses"]
         assert censuses and all(row["census"]["gap_only"] for row in censuses), name
 
@@ -881,7 +881,7 @@ def test_report_2_reads_as_report_1(tmp_path, name):
     # the /2 bump added `side`, run-form omissions and the pair and
     # long-run censuses; everything else a /1 report said is unchanged
     cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "report.json").read_text())
     assert written["format"] == "gencomp-report/3"
     old = canonical_json(report_1_view(written)).encode()
@@ -950,7 +950,7 @@ def test_scenario_trace_3_reads_as_2(tmp_path, name):
     # config or the list position fixes; everything else a /2 trace said
     # is unchanged
     cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
     assert written["format"] == "gencomp-scenario-trace/3"
     old = canonical_json(scenario_trace_2_view(written)).encode()
@@ -994,7 +994,7 @@ def test_scenario_trace_2_reads_as_1(tmp_path, name):
     # the /2 bump wrote each relation-embed image by reference to the
     # earlier images; everything else a /1 trace said is unchanged
     cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
     assert written["format"] == "gencomp-scenario-trace/3"
     old = canonical_json(scenario_trace_1_view(written)).encode()
@@ -1004,7 +1004,7 @@ def test_scenario_trace_2_reads_as_1(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(ARTIFACT_GOLDEN))
 def test_golden_artifact_digests(tmp_path, name):
     cfg, trace_sha, report_sha = ARTIFACT_GOLDEN[name]
-    run_experiment(dict(cfg), out_dir=str(tmp_path))
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()  # noqa: E731
     assert digest("trace.json") == trace_sha
     assert digest("report.json") == report_sha
@@ -1024,7 +1024,7 @@ def test_every_scenario_has_a_golden_artifact():
 
 @functools.lru_cache(maxsize=None)
 def golden_trace_text(name):
-    _, doc = run_experiment(dict(GOLDEN[name][0]), write=False)
+    _, doc = run_experiment(GOLDEN[name][0])
     return canonical_json(doc)
 
 

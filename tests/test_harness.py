@@ -17,7 +17,6 @@ from gencomp.harness import (
     canonical_json,
     load_enumerator,
     load_selector,
-    replay_trace_doc,
     report_passes,
     run_experiment,
     validate_config,
@@ -100,7 +99,7 @@ def test_copier_block_density_dips():
             {"enumerator": {"kind": "cautious-copier"}, "selector": {"kind": "rightmost"}},
         ],
     }
-    report, trace_doc = run_experiment(cfg, write=False)
+    report, trace_doc = run_experiment(cfg)
     assert report_passes(report)
     counts = report["densities"][2]["block_end_counts"]
     dips = sum(
@@ -112,7 +111,7 @@ def test_copier_block_density_dips():
 
 
 def test_hand_simulation_config_reproduces_markers():
-    report, doc = run_experiment(single_config(), write=False)
+    report, doc = run_experiment(single_config())
     assert report_passes(report)
     trace = trace_from_jsonable(doc)
     assert list(trace.markers[0]) == [
@@ -127,7 +126,7 @@ def test_zero_strategy_run_all_ones():
     # with no strategies the functional keeps every defined element for
     # every oracle; five stages define [1, 32)
     cfg = single_config(strategies=[])
-    report, doc = run_experiment(cfg, write=False)
+    report, doc = run_experiment(cfg)
     assert report_passes(report)
     trace = trace_from_jsonable(doc)
     assert functional_value_set_all(trace) == set(range(1, 32))
@@ -146,7 +145,7 @@ def functional_value_set_all(trace):
 
 def test_run_experiment_writes_artifacts(tmp_path):
     out = tmp_path / "run"
-    report, trace_doc = run_experiment(single_config(csv_profiles=True), out_dir=str(out))
+    report, trace_doc = run_experiment(single_config(csv_profiles=True, out_dir=str(out)))
     assert (out / "trace.json").exists()
     assert (out / "report.json").exists()
     assert (out / "wdensity_strategy0.csv").read_text().splitlines()[0] == "n,num,den"
@@ -167,7 +166,7 @@ def test_csv_profiles_are_the_report_densities(tmp_path):
             {"enumerator": {"kind": "silent"}, "selector": {"kind": "leftmost"}},
         ],
     }
-    report, _ = run_experiment(cfg, out_dir=str(tmp_path))
+    report, _ = run_experiment({**cfg, "out_dir": str(tmp_path)})
     assert len(report["densities"]) == 3
     for entry in report["densities"]:
         csv = (tmp_path / ("wdensity_strategy%d.csv" % entry["strategy"])).read_text()
@@ -196,10 +195,10 @@ def test_replay_determinism_all_scenarios():
         {"version": 1, "scenario": "operator-compile", "machine": "echo", "element_bound": 3, "label_bound": 1},
     ]
     for cfg in configs:
-        _, doc1 = run_experiment(dict(cfg), write=False)
-        _, doc2 = run_experiment(dict(cfg), write=False)
+        _, doc1 = run_experiment(cfg)
+        _, doc2 = run_experiment(cfg)
         assert canonical_json(doc1) == canonical_json(doc2), cfg["scenario"]
-        _, doc3 = replay_trace_doc(doc1)
+        _, doc3 = run_experiment(doc1["config"])
         assert canonical_json(doc3) == canonical_json(doc1)
 
 
@@ -209,12 +208,12 @@ def test_scenario_reports_pass():
         {"version": 1, "scenario": "relation-embed", "seed": 8, "count": 5, "max_size": 6},
         {"version": 1, "scenario": "operator-compile", "machine": "order-gate", "element_bound": 3, "label_bound": 2},
     ):
-        report, _ = run_experiment(cfg, write=False)
+        report, _ = run_experiment(cfg)
         assert report_passes(report), report["scenario"]
 
 
 def test_rationals_not_floats_in_artifacts():
-    report, trace_doc = run_experiment(single_config(), write=False)
+    report, trace_doc = run_experiment(single_config())
 
     def no_floats(obj):
         if isinstance(obj, float):
@@ -230,7 +229,7 @@ def test_rationals_not_floats_in_artifacts():
 
 def test_verify_trace_file_roundtrip(tmp_path):
     out = tmp_path / "v"
-    run_experiment(single_config(), out_dir=str(out))
+    run_experiment(single_config(out_dir=str(out)))
     assert verify_trace_file(str(out / "trace.json")) == []
 
 
@@ -240,7 +239,7 @@ def test_verify_detects_doctored_marker(tmp_path):
     # marker along the path, never off it, so the replay is what sees it
     for scenario in ("single-diagonal", "pair-diagonal"):
         out = tmp_path / scenario
-        run_experiment(single_config(scenario=scenario), out_dir=str(out))
+        run_experiment(single_config(scenario=scenario, out_dir=str(out)))
         doc = json.loads((out / "trace.json").read_text())
         assert doc["records"][1]["rules"][0] == 0
         doc["records"][1]["rules"][0] = 1
@@ -279,7 +278,7 @@ def test_run_and_verify_audit_once(tmp_path, monkeypatch, scenario):
             "audit_single_victim": 3, "audit_gap_census_consistency": censuses,
             "functional_value_set": censuses}
     out = tmp_path / "o"
-    report, _ = run_experiment(cfg, out_dir=str(out))
+    report, _ = run_experiment({**cfg, "out_dir": str(out)})
     assert report_passes(report) and len(report["value_censuses"]) == censuses
     assert calls == once
     calls.update(dict.fromkeys(AUDITS, 0))
@@ -289,7 +288,7 @@ def test_run_and_verify_audit_once(tmp_path, monkeypatch, scenario):
 
 def test_verify_detects_removed_rule(tmp_path):
     out = tmp_path / "r"
-    run_experiment(single_config(), out_dir=str(out))
+    run_experiment(single_config(out_dir=str(out)))
     doc = json.loads((out / "trace.json").read_text())
     doc["records"][1]["rules"] = []
     (out / "bad.json").write_text(canonical_json(doc))
@@ -306,7 +305,7 @@ def test_verify_detects_removed_rule_with_trap_events(tmp_path):
         stages=8,
     )
     out = tmp_path / "t"
-    run_experiment(cfg, out_dir=str(out))
+    run_experiment({**cfg, "out_dir": str(out)})
     doc = json.loads((out / "trace.json").read_text())
     assert any(rec["trap_events"] for rec in doc["records"])
     for rec in doc["records"]:
@@ -392,7 +391,7 @@ def test_verify_names_first_divergence(tmp_path, capsys):
         stages=6,
     )
     out = tmp_path / "t"
-    run_experiment(cfg, out_dir=str(out))
+    run_experiment({**cfg, "out_dir": str(out)})
     doc = json.loads((out / "trace.json").read_text())
     assert doc["records"][2]["batches"] == [[0, [[2, 3]]]]
     doc["records"][2]["batches"][0][1][0][1] = 4  # the run [2, 3) becomes [2, 4)
@@ -602,6 +601,8 @@ def _in_records(cases):
 ]) + [
     ("mode", lambda doc: doc.__setitem__("mode", "triple"),
      "trace mode 'triple' is neither single nor pair"),
+    ("mode", lambda doc: doc.__setitem__("mode", ["pair"]),
+     "trace mode ['pair'] is neither single nor pair"),
     ("records", lambda doc: doc.__setitem__("records", 5),
      "records 5 are not a list"),
     ("stages", lambda doc: doc.__setitem__("stages", "6"),
@@ -612,7 +613,7 @@ def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where,
     # writes fail while the trace loads: one VIOLATION line from the
     # loader, after the replay's mismatch line
     out = tmp_path / "o"
-    run_experiment(_pair_springer_config(), out_dir=str(out))
+    run_experiment({**_pair_springer_config(), "out_dir": str(out)})
     doc = json.loads((out / "trace.json").read_text())
     assert [len(rec["acts"]) for rec in doc["records"]] == [0, 1, 2, 1, 1]
     assert [rec["deaths"] for rec in doc["records"]] == [[], [], [], [0], []]
@@ -634,7 +635,7 @@ def test_spoiling_walk_charges_the_node_budget(tmp_path, monkeypatch, capsys):
     # strategy 0 dies at stage 3 with a witness at the root: its walk
     # visits one node, which a zero budget cannot pay for
     out = tmp_path / "o"
-    run_experiment(_pair_springer_config(), out_dir=str(out))
+    run_experiment({**_pair_springer_config(), "out_dir": str(out)})
     trace = trace_from_jsonable(json.loads((out / "trace.json").read_text()))
     monkeypatch.setattr(diagonal, "_DEFAULT_NODE_BUDGET", 1)
     assert diagonal.audit_spoiling(trace) == []
@@ -653,7 +654,7 @@ def test_spoiling_walk_charges_the_node_budget(tmp_path, monkeypatch, capsys):
 def test_empty_strategy_list_runs_and_verifies(tmp_path):
     for scenario in ("single-diagonal", "pair-diagonal"):
         out = tmp_path / scenario
-        run_experiment(single_config(scenario=scenario, strategies=[]), out_dir=str(out))
+        run_experiment(single_config(scenario=scenario, strategies=[], out_dir=str(out)))
         doc = json.loads((out / "trace.json").read_text())
         assert doc["strategy_count"] == 0
         assert all(not rec["acts"] and not rec["rules"] for rec in doc["records"])
@@ -704,7 +705,7 @@ def test_cli_verify_replays_a_failed_embedding(tmp_path, capsys, monkeypatch):
 
 def test_verify_scenario_trace_formats(tmp_path, capsys):
     out = tmp_path / "o"
-    run_experiment(dict(RELATION_EMBED_3), out_dir=str(out))
+    run_experiment({**RELATION_EMBED_3, "out_dir": str(out)})
     assert cli.main(["verify", str(out / "trace.json")]) == 0
     doc = json.loads((out / "trace.json").read_text())
     # /1 and /2 traces are refused, naming both formats this version
@@ -714,7 +715,7 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
     with open(fixture) as fh:
         v2 = json.load(fh)
     assert v2["format"] == "gencomp-scenario-trace/2"
-    _, fresh = replay_trace_doc(v2)
+    _, fresh = run_experiment(v2["config"])
     assert scenario_trace_2_view(fresh) == v2
     for version, path in ((1, str(out / "v1.json")), (2, fixture)):
         capsys.readouterr()
@@ -748,7 +749,7 @@ SMALL_SCENARIO_CONFIGS = {
 
 @functools.lru_cache(maxsize=None)
 def small_scenario_trace_text(name):
-    _, doc = run_experiment(dict(SMALL_SCENARIO_CONFIGS[name]), write=False)
+    _, doc = run_experiment(SMALL_SCENARIO_CONFIGS[name])
     return canonical_json(doc)
 
 

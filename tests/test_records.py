@@ -92,7 +92,7 @@ def test_benchmark_trace_counts_are_the_engine_counts(tmp_path):
     total = {"rules": 0, "trap_events": 0}
     for name in names:
         cfg = ARTIFACT_GOLDEN[name][0]
-        run_experiment(dict(cfg), out_dir=str(tmp_path / name))
+        run_experiment({**cfg, "out_dir": str(tmp_path / name)})
         doc = json.loads((tmp_path / name / "trace.json").read_text())
         trace = _diagonal_trace(validate_config(dict(cfg)))
         counts = {"rules": lambda rec: len(rec.acts) * len(trace.sides),
