@@ -119,7 +119,7 @@ def find_survivor(ctx: LevelContext, order="01", budget: int = _DEFAULT_NODE_BUD
 
 
 def enumerate_level(ctx: LevelContext, budget: int = _DEFAULT_NODE_BUDGET) -> list:
-    """Materialize the whole surviving level (tests and small audits)."""
+    """Materialize the whole surviving level (the benchmark tracer's target)."""
     return list(_level_dfs(ctx, "01", budget))
 
 

@@ -12,7 +12,9 @@ for (output, D) exists iff some ordering and labelling of D makes the
 machine emit the output; equivalently, applying the compiled operator to
 a plain description below the element bound equals the union of the
 machine's emissions over all its orderings with labels up to the label
-bound.
+bound.  Compilation searches each (remaining elements, state) pair once
+for all assignments, and its step budget counts each machine step taken
+once.
 
 On the reduction styles these two objects model: an operator consumes a
 description as an unordered set (one fixed operator per reduction, blind
@@ -97,35 +99,6 @@ def all_assignments(element_bound: int):
         yield tuple((n, b) for n, b in enumerate(bits) if b is not None)
 
 
-def reachable_outputs(phi: FunctionalSpec, assignment, label_bound: int, budget: list) -> frozenset:
-    """Everything the machine can emit over some labelled ordering of the
-    assignment, by depth-first search memoized on (remaining, state).  Each
-    machine step costs one unit of `budget[0]`."""
-    labels = range(label_bound + 1)
-    memo = {}
-
-    def go(remaining, state):
-        key = (remaining, state)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = set()
-        for item in remaining:
-            rest = remaining - {item}
-            for l in labels:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetError("compilation step budget exhausted")
-                state2, emitted = phi.step(state, (item[0], item[1], l))
-                out.update(emitted)
-                out.update(go(rest, state2))
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    return go(frozenset(assignment), phi.start)
-
-
 def union_over_labeled_orderings(phi: FunctionalSpec, assignment,
                                  label_bound: int) -> frozenset:
     """Reference evaluator: walk the full tree of labelled orderings with
@@ -150,12 +123,36 @@ def functional_to_operator(phi: FunctionalSpec, element_bound: int, label_bound:
                            step_budget: int = 2_000_000) -> EnumerationOperator:
     """Compile the machine into an enumeration operator over all finite
     assignments below the bounds; (a, D) is an axiom iff some labelled
-    ordering of D makes the machine emit a."""
-    budget = [step_budget]
+    ordering of D makes the machine emit a.  One search, memoized on
+    (remaining, state), serves every assignment, since what such a pair
+    reaches does not depend on the assignment it came from; each step
+    taken costs one unit of `step_budget`."""
+    labels = range(label_bound + 1)
+    memo = {}
+
+    def reach(remaining, state):
+        nonlocal step_budget
+        key = (remaining, state)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        out = set()
+        for item in remaining:
+            rest = remaining - {item}
+            for l in labels:
+                step_budget -= 1
+                if step_budget < 0:
+                    raise BudgetError("compilation step budget exhausted")
+                state2, emitted = phi.step(state, (item[0], item[1], l))
+                out.update(emitted)
+                out.update(reach(rest, state2))
+        memo[key] = result = frozenset(out)
+        return result
+
     axioms = set()
     for assignment in all_assignments(element_bound):
-        for output in reachable_outputs(phi, assignment, label_bound, budget):
-            axioms.add((output, frozenset(assignment)))
+        premise = frozenset(assignment)
+        axioms.update((output, premise) for output in reach(premise, phi.start))
     return EnumerationOperator(frozenset(axioms))
 
 

@@ -38,7 +38,7 @@ class UndefinedRegionError(GencompError):
 
 
 class SelectorCapError(GencompError):
-    """A path selector returned a node deeper than the stage cap allows."""
+    """Every prefix of the selected path through the stage is already marked."""
 
 
 class BudgetError(GencompError):

@@ -208,7 +208,8 @@ def validate_config(doc) -> dict:
         raise ConfigError("unknown scenario %r" % scenario)
     row = SCENARIO_TABLE[scenario]
     eff = {"version": CONFIG_VERSION, "scenario": scenario}
-    _str(doc, "out_dir", "")  # where a run writes: checked, not echoed
+    if "out_dir" in doc and not _str(doc, "out_dir"):  # where a run writes: checked, not echoed
+        raise ConfigError("field 'out_dir' must not be empty")
     _allow(doc, _COMMON_FIELDS | {name for name, _ in row.fields})
     for name, read in row.fields:
         value = read(doc, name)

@@ -25,9 +25,10 @@ CONFIG = {
 }
 
 
-def gencomp(*args):
+def gencomp(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "gencomp.cli", *map(str, args)],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
@@ -121,6 +122,20 @@ def test_out_dir_with_a_nul_is_a_config_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: cannot write outputs to %s" % target)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spelling", ["flag", "field"])
+def test_an_empty_out_dir_is_a_config_error(tmp_path, spelling):
+    # an absent out_dir writes nothing; an empty one names no directory,
+    # so it is refused before anything runs
+    cfg = dict(CONFIG, out_dir="") if spelling == "field" else CONFIG
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    flags = ["--out-dir", ""] if spelling == "flag" else []
+    proc = gencomp("run", "cfg.json", *flags, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "config error: field 'out_dir' must not be empty\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}"], ids=["deep-nesting", "utf-16-bom"])

@@ -9,7 +9,6 @@ from gencomp.enumops import (
     apply_operator,
     battery,
     functional_to_operator,
-    reachable_outputs,
     union_over_labeled_orderings,
 )
 from gencomp.errors import BudgetError, InsufficientOracleError
@@ -130,11 +129,14 @@ def test_silent_machine_compiles_empty():
 
 
 def test_reachable_equals_bruteforce_union():
+    # the compiled axioms on each exact premise, not only their union over
+    # its subsets, are what the labelled orderings of that premise emit
     for name, phi in battery().items():
+        w = functional_to_operator(phi, 3, 2)
         for assignment in all_assignments(3):
-            assert reachable_outputs(phi, assignment, 2, [2_000_000]) == union_over_labeled_orderings(
-                phi, assignment, 2
-            ), name
+            premise = frozenset(assignment)
+            exact = {output for output, d in w.axioms if d == premise}
+            assert exact == union_over_labeled_orderings(phi, assignment, 2), name
 
 
 def test_operator_matches_orderings_small():
@@ -182,6 +184,25 @@ def test_compile_budget():
     phi = battery()["echo"]
     with pytest.raises(BudgetError):
         functional_to_operator(phi, 5, 3, step_budget=50)
+
+
+def test_compile_takes_each_distinct_step_once():
+    # echo's state never changes, so each assignment below element bound 3
+    # is one (remaining, state) pair, searched once at |remaining| * 2 steps
+    echo = battery()["echo"]
+    steps = [0]
+
+    def counted(state, triple):
+        steps[0] += 1
+        return echo.step(state, triple)
+
+    phi = FunctionalSpec(echo.start, counted)
+    axioms = functional_to_operator(echo, 3, 1).axioms
+    assert functional_to_operator(phi, 3, 1).axioms == axioms
+    assert steps[0] == 108
+    with pytest.raises(BudgetError, match="^compilation step budget exhausted$"):
+        functional_to_operator(phi, 3, 1, step_budget=107)
+    assert functional_to_operator(phi, 3, 1, step_budget=108).axioms == axioms
 
 
 def test_operator_extent_bounds_every_premise():
