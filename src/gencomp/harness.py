@@ -32,7 +32,7 @@ from .errors import BudgetError, ConfigError, InvariantViolationError
 from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
-SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/3"
+SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/4"
 REPORT_FORMAT = "gencomp-report/3"
 
 # the diagonal scenarios and the `diagonal` mode each builds (the keys of
@@ -95,13 +95,14 @@ def load_selector(spec, mode):
         items = spec.get("entries", [])
         if not isinstance(items, list):
             raise ConfigError("scripted selector 'entries' must be a list")
-        entries = []
+        entries = {}
         for item in items:
             if not (isinstance(item, list) and len(item) == 2):
                 raise ConfigError("scripted selector entries are [from_stage, node]")
             stage, node = item
-            if not is_natural(stage):
-                raise ConfigError("scripted selector stages must be natural numbers")
+            # a repeated stage would leave all but its last entry unused
+            if not is_natural(stage) or stage in entries:
+                raise ConfigError("scripted selector stages must be distinct naturals, got %r" % (stage,))
             # a node is a tuple of one bit string per side
             if mode == diagonal.PAIR:
                 if not (isinstance(node, list) and len(node) == 2 and all(map(is_bits, node))):
@@ -111,8 +112,8 @@ def load_selector(spec, mode):
                 node = (node,)
             else:
                 raise ConfigError("single selector nodes are bit strings")
-            entries.append((stage, node))
-        return diagonal.ScriptedSelector(entries)
+            entries[stage] = node
+        return diagonal.ScriptedSelector(entries.items())
     raise ConfigError("unknown selector kind %r" % kind)
 
 
@@ -339,6 +340,11 @@ class Scenario:
         self.check = check
 
 
+# a seed a run draws from: random.Random(-s) seeds like random.Random(s) and
+# child seeds are mixed to 64 bits, so a seed outside [0, 2^64) can repeat
+# the draws of a seed inside it
+_seed = partial(_int, lo=0, hi=(1 << 64) - 1)
+
 _DIAGONAL_FIELDS = (
     ("stages", partial(_int, lo=1, hi=64)),
     ("node_budget", partial(_int, default=1 << 18, lo=1)),
@@ -352,7 +358,7 @@ SCENARIO_TABLE = {
     "pair-diagonal": Scenario(_DIAGONAL_FIELDS, _run_diagonal),
     "coding-roundtrip": Scenario(
         (
-            ("seed", _int),
+            ("seed", _seed),
             ("count", partial(_int, default=20, lo=1)),
             ("m_max", partial(_int, default=10, lo=0)),
             ("bound", partial(_int, default=1 << 12, lo=2)),
@@ -362,7 +368,7 @@ SCENARIO_TABLE = {
     ),
     "relation-embed": Scenario(
         (
-            ("seed", _int),
+            ("seed", _seed),
             ("count", partial(_int, default=30, lo=1)),
             ("max_size", partial(_int, default=8, lo=1, hi=16)),
         ),

@@ -110,13 +110,14 @@ def run_coding_roundtrip(cfg):
     return {"decoded": decoded, "interval_omitted": omitted}, report
 
 
-def embedding_jsonable(emb) -> list:
-    """An embedding's log entry [adjacency, images]: the digraph's n x n
-    matrix in row-major order as `0`/`1` characters, then each image k by
-    reference, as k base-4 digits whose j-th is the digit image k carries
-    against image j ("0" for none), concatenated for k = 0..n-1.  Raises
-    InvariantViolationError for an image this form cannot write: one off
-    stage k, or with a prior that is not an earlier image."""
+def embedding_jsonable(emb) -> str:
+    """An embedding's log entry: each image k by reference, as k base-4
+    digits whose j-th is the digit image k carries against image j ("0" for
+    none), concatenated for k = 0..n-1.  The digits fix the digraph: n is
+    the n >= 1 with n(n-1)/2 digits, digit d of image k against image j
+    gives j->k as d & 1 and k->j as d & 2, and every point is related to
+    itself.  Raises InvariantViolationError for an image this form cannot
+    write: one off stage k, or with a prior that is not an earlier image."""
     digits = []
     for k, el in enumerate(emb.images):
         if el.stage != k:
@@ -128,8 +129,7 @@ def embedding_jsonable(emb) -> list:
                 raise InvariantViolationError("image %d has a prior that is no earlier image" % k)
             image[prior.stage] = "0123"[d]
         digits += image
-    adjacency = "".join("1" if v else "0" for row in emb.relation.adjacency for v in row)
-    return [adjacency, "".join(digits)]
+    return "".join(digits)
 
 
 def run_relation_embed(cfg):
@@ -195,28 +195,19 @@ def premise_string(premise, element_bound: int) -> str:
 
 
 def run_operator_compile(cfg):
+    """Compile the machine and check its operator on every assignment below
+    the bounds.  The log is the sorted axiom list [[n, x, premise], ...];
+    the outputs on an assignment, the axioms whose premise it contains, are
+    not logged."""
     phi = enumops.battery()[cfg["machine"]]
     bound = cfg["element_bound"]
     op = enumops.functional_to_operator(phi, bound, cfg["label_bound"])
     axioms = sorted([n, x, premise_string(premise, bound)] for (n, x), premise in op.axioms)
-    outputs = []
     ok = True
     for assignment in enumops.all_assignments(bound):
         via_operator = enumops.apply_operator(op, frozenset(assignment), bound)
         direct = enumops.union_over_labeled_orderings(phi, assignment, cfg["label_bound"])
         ok &= via_operator == direct
-        outputs.append(sorted([list(o) for o in via_operator]))
-    report = {
-        "verdicts": [
-            verdict(
-                "operator-matches-orderings",
-                ok,
-                machine=cfg["machine"],
-                element_bound=bound,
-                label_bound=cfg["label_bound"],
-            )
-        ],
-        "densities": [],
-        "notes": [],
-    }
-    return {"axioms": axioms, "outputs": outputs}, report
+    inputs = {"machine": cfg["machine"], "element_bound": bound, "label_bound": cfg["label_bound"]}
+    report = {"verdicts": [verdict("operator-matches-orderings", ok, **inputs)], "densities": [], "notes": []}
+    return axioms, report

@@ -100,6 +100,46 @@ def test_a_negative_number_is_an_option_value(tmp_path, config):
     assert json.loads((out / "trace.json").read_text())["config"]["seed"] == -4
 
 
+# the scenarios whose runs draw from `seed`, each with a quick config
+DRAWN_SEED_CONFIGS = {
+    "coding-roundtrip": {"version": 1, "scenario": "coding-roundtrip", "seed": 0, "count": 2,
+                         "m_max": 3, "bound": 64},
+    "relation-embed": {"version": 1, "scenario": "relation-embed", "seed": 0, "count": 2, "max_size": 3},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(DRAWN_SEED_CONFIGS))
+def test_a_drawn_seed_is_a_natural_below_2_to_the_64(tmp_path, scenario):
+    # random.Random(-s) seeds like random.Random(s) and child seeds are
+    # mixed to 64 bits, so a seed outside [0, 2^64) can repeat the draws of
+    # a seed inside it under its own echo
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(DRAWN_SEED_CONFIGS[scenario]))
+    for seed in (0, 2 ** 64 - 1):
+        proc = gencomp("run", path, "--seed", seed, "--out-dir", tmp_path / str(seed))
+        assert proc.returncode == 0, proc.stderr
+    for seed in (-1, 2 ** 64):
+        proc = gencomp("run", path, "--seed", seed, "--out-dir", tmp_path / str(seed))
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: field 'seed' out of range\n"
+        assert not (tmp_path / str(seed)).exists()
+
+
+def test_a_repeated_selector_stage_is_a_config_error(tmp_path):
+    # the later of two entries for one stage would always win, so the
+    # earlier could never apply
+    selector = {"kind": "scripted", "entries": [[1, "0"], [2, "01"], [1, "1"]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CONFIG, strategies=[{"selector": selector}])))
+    proc = gencomp("run", path, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: scripted selector stages must be distinct naturals, got 1\n"
+    assert not (tmp_path / "out").exists()
+    selector["entries"].pop()
+    path.write_text(json.dumps(dict(CONFIG, strategies=[{"selector": selector}])))
+    assert gencomp("run", path, "--out-dir", tmp_path / "out").returncode == 0
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 def test_unwritable_out_dir_is_a_config_error(tmp_path, config, below):
     blocker = tmp_path / "blocker"

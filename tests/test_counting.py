@@ -751,32 +751,32 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # time, and operator-compile and relation-embed configs first recorded while
 # every application rescanned the premises against the bound and every
 # adjacency test rebuilt the element's digit map.  Their trace digests are
-# of the gencomp-scenario-trace/3 bytes; SCENARIO_TRACE_2_DIGESTS and
-# SCENARIO_TRACE_1_DIGESTS keep the /2 and /1 digests, which
-# `scenario_trace_2_view` and `scenario_trace_1_view` of each /3 trace
-# reproduce.
+# of the gencomp-scenario-trace/4 bytes; SCENARIO_TRACE_3_DIGESTS,
+# SCENARIO_TRACE_2_DIGESTS and SCENARIO_TRACE_1_DIGESTS keep the /3, /2 and
+# /1 digests, which `scenario_trace_3_view`, `scenario_trace_2_view` and
+# `scenario_trace_1_view` of each /4 trace reproduce.
 # Every report digest is of the gencomp-report/3 bytes; REPORT_2_DIGESTS
 # keeps the /2 digests, which `report_2_view` reproduces.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
-    "e3d74a73457338153412bbebc5cef871b0d9536510038b0756123e65a7903044",
+    "ccf3ae953c52411a556ab0a7789fe112109ab1ac448c2b29f9625f2175bd215e",
     "68fc439ef02364ca201397243176e3a670382c1c370fa8df46432eec9a4b0d7a",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
-    "0f385e13f7f76540e8d1581a90ce212f9d7960abac0c48f4b14f3bbb0e51a6c9",
+    "9325c084b8475c8c14f5230c86050338365fda8422e92ed7e6e970c5fedbf101",
     "a23646e3092d70466d663809b13022a870b793988c53685a741bffa298ef88fb",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
-    "500aeb84c8ac83b2eb790c569bbe7754ad442a0df50c6624c24dd9f17b51b40a",
+    "5fd5efed7e68a78d24aaa90c6b12220ae459ff2fce31df3d0fcc1d3ee328bcc6",
     "2f6a58cfe2af4f871b4067b41ede748e177b13653e02b0b33c45efc5835ebddb",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
-    "2f8877b26a211a6cc8675644f71f8f560c0cbf59a64d9d3a81afc92ee9bda37a",
+    "55c13fc1e83cac62caace0a00627c899459eb191ffb5e79109790b2d4dd438b6",
     "3b40b06be812021cca99456bbba44f3529ace174ab9caccd991385f2ec4ac6f8",
 )
 
@@ -888,6 +888,89 @@ def test_report_2_reads_as_report_1(tmp_path, name):
     assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 
 
+# the trace.json digests of the scenario configs as gencomp-scenario-trace/3
+# wrote them
+SCENARIO_TRACE_3_DIGESTS = {
+    "coding-roundtrip-7": "e3d74a73457338153412bbebc5cef871b0d9536510038b0756123e65a7903044",
+    "operator-echo-5": "0f385e13f7f76540e8d1581a90ce212f9d7960abac0c48f4b14f3bbb0e51a6c9",
+    "operator-order-gate-5": "500aeb84c8ac83b2eb790c569bbe7754ad442a0df50c6624c24dd9f17b51b40a",
+    "relation-embed-3": "2f8877b26a211a6cc8675644f71f8f560c0cbf59a64d9d3a81afc92ee9bda37a",
+}
+
+
+def split_images(digits, n):
+    """Concatenated images as a list: image k is digits k(k-1)/2 up to
+    k(k+1)/2, for k = 0..n-1."""
+    return [digits[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(n)]
+
+
+def adjacency_string(digits):
+    """The digraph an embedding's image digits realize, as the n x n matrix
+    /3 wrote in row-major order, `1` where a is related to b.  n is the
+    n >= 1 with n(n-1)/2 digits; digit d of image k against image j < k
+    gives j -> k as d & 1 and k -> j as d & 2; every point is related to
+    itself."""
+    n = next(n for n in itertools.count(1) if n * (n - 1) // 2 >= len(digits))
+    assert n * (n - 1) // 2 == len(digits)
+    images = split_images(digits, n)
+
+    def related(a, b):
+        if a == b:
+            return True
+        digit = int(images[max(a, b)][min(a, b)])
+        return bool(digit & (1 if a < b else 2))
+
+    return "".join("1" if related(a, b) else "0" for a in range(n) for b in range(n))
+
+
+def assignment_pairs(element_bound):
+    """Every assignment below the bound as its [n, x] pairs, in the order
+    /3 writes `outputs`: index 0 most significant, unassigned < 0 < 1."""
+    for values in itertools.product((None, 0, 1), repeat=element_bound):
+        yield [[n, x] for n, x in enumerate(values) if x is not None]
+
+
+def contains_premise(assignment, premise):
+    """Whether an assignment, as [n, x] pairs, gives every index a premise
+    string assigns the premise's value."""
+    values = dict(assignment)
+    return all(c == "-" or values.get(i) == int(c) for i, c in enumerate(premise))
+
+
+def scenario_trace_3_view(doc):
+    """A gencomp-scenario-trace/4 trace in the /3 shape: the old format tag,
+    each relation-embed entry back to [adjacency, images] with the matrix
+    read from the images, and the operator-compile axioms back in
+    {"axioms", "outputs"}, where the outputs on each assignment, in
+    `assignment_pairs` order, are the sorted distinct outputs of the axioms
+    whose premise the assignment contains."""
+    old = dict(doc, format="gencomp-scenario-trace/3")
+    log = doc["log"]
+    if doc["scenario"] == "relation-embed":
+        old["log"] = [[adjacency_string(images), images] for images in log]
+    elif doc["scenario"] == "operator-compile":
+        outputs = [
+            [list(o) for o in sorted({(n, x) for n, x, premise in log if contains_premise(assignment, premise)})]
+            for assignment in assignment_pairs(doc["config"]["element_bound"])
+        ]
+        old["log"] = {"axioms": log, "outputs": outputs}
+    return old
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_3_DIGESTS))
+def test_scenario_trace_4_reads_as_3(tmp_path, name):
+    # the format bump drops what another field of the same log fixes: a
+    # digraph's matrix, which its image digits encode, and an operator's
+    # outputs, which its axioms give; everything else a /3 trace said is
+    # unchanged
+    cfg = ARTIFACT_GOLDEN[name][0]
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
+    written = json.loads((tmp_path / "trace.json").read_text())
+    assert written["format"] == "gencomp-scenario-trace/4"
+    old = canonical_json(scenario_trace_3_view(written)).encode()
+    assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_3_DIGESTS[name]
+
+
 # the trace.json digests of the scenario configs as gencomp-scenario-trace/2
 # wrote them
 SCENARIO_TRACE_2_DIGESTS = {
@@ -898,31 +981,20 @@ SCENARIO_TRACE_2_DIGESTS = {
 }
 
 
-def split_images(digits, n):
-    """Concatenated images as a list: image k is digits k(k-1)/2 up to
-    k(k+1)/2, for k = 0..n-1."""
-    return [digits[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(n)]
-
-
 def unpack_premise(premise):
     """A premise string as the sorted [n, x] pairs /2 wrote."""
     return [[n, int(c)] for n, c in enumerate(premise) if c != "-"]
 
 
-def assignment_pairs(element_bound):
-    """Every assignment below the bound as its [n, x] pairs, in the order
-    /3 writes `outputs`: index 0 most significant, unassigned < 0 < 1."""
-    for values in itertools.product((None, 0, 1), repeat=element_bound):
-        yield [[n, x] for n, x in enumerate(values) if x is not None]
-
-
 def scenario_trace_2_view(doc):
-    """A gencomp-scenario-trace/3 trace in the /2 shape: the old format tag
-    and each log back to per-item objects.  A relation-embed entry splits
+    """A gencomp-scenario-trace/4 trace in the /2 shape: its
+    `scenario_trace_3_view` with the old format tag and each log back to
+    per-item objects.  A relation-embed entry splits
     into the digraph's rows and one digit string per image; operator-compile
     axioms get their output pair and premise pairs back (re-sorted in that
     shape) and each output list its assignment; coding-roundtrip gets one
     {"real", "decoded"} object per real, then the omitted indices."""
+    doc = scenario_trace_3_view(doc)
     old = dict(doc, format="gencomp-scenario-trace/2")
     log = doc["log"]
     if doc["scenario"] == "relation-embed":
@@ -952,7 +1024,7 @@ def test_scenario_trace_3_reads_as_2(tmp_path, name):
     cfg = ARTIFACT_GOLDEN[name][0]
     run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-scenario-trace/3"
+    assert written["format"] == "gencomp-scenario-trace/4"
     old = canonical_json(scenario_trace_2_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_2_DIGESTS[name]
 
@@ -979,7 +1051,7 @@ def nested_images(images):
 
 
 def scenario_trace_1_view(doc):
-    """A gencomp-scenario-trace/3 trace in the /1 shape: its
+    """A gencomp-scenario-trace/4 trace in the /1 shape: its
     `scenario_trace_2_view` with the old format tag and each relation-embed
     image re-nested into a tree."""
     doc = scenario_trace_2_view(doc)
@@ -996,7 +1068,7 @@ def test_scenario_trace_2_reads_as_1(tmp_path, name):
     cfg = ARTIFACT_GOLDEN[name][0]
     run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-scenario-trace/3"
+    assert written["format"] == "gencomp-scenario-trace/4"
     old = canonical_json(scenario_trace_1_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_1_DIGESTS[name]
 
@@ -1015,8 +1087,9 @@ def test_every_scenario_has_a_golden_artifact():
     # old shape, so a scenario without one could change its bytes unseen
     pinned = {cfg["scenario"] for cfg, _, _ in ARTIFACT_GOLDEN.values()}
     assert sorted(set(SCENARIOS) - pinned) == []
-    logged = {ARTIFACT_GOLDEN[name][0]["scenario"] for name in SCENARIO_TRACE_2_DIGESTS}
-    assert sorted(set(SCENARIOS) - set(DIAGONAL_MODES) - logged) == []
+    for digests in (SCENARIO_TRACE_3_DIGESTS, SCENARIO_TRACE_2_DIGESTS):
+        logged = {ARTIFACT_GOLDEN[name][0]["scenario"] for name in digests}
+        assert sorted(set(SCENARIOS) - set(DIAGONAL_MODES) - logged) == []
 
 
 # --- the loader on doctored goldens ------------------------------------------

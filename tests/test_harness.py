@@ -23,7 +23,12 @@ from gencomp.harness import (
     verify_trace_file,
 )
 from oracles import elements
-from test_counting import RELATION_EMBED_3, scenario_trace_1_view, scenario_trace_2_view
+from test_counting import (
+    RELATION_EMBED_3,
+    scenario_trace_1_view,
+    scenario_trace_2_view,
+    scenario_trace_3_view,
+)
 
 
 def single_config(**extra):
@@ -425,7 +430,7 @@ def test_verify_rejects_trace_format_1(tmp_path, capsys):
             assert json.load(fh)["format"] == fmt
         assert cli.main(["verify", fixture]) == 2
         err = capsys.readouterr().err
-        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/3" in err
+        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/4" in err
         assert "Traceback" not in err
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -668,7 +673,7 @@ def test_cli_catalog(capsys):
     assert "single-diagonal" in listed["scenarios"]
     assert listed["trace_format"] == "gencomp-trace/5"
     assert listed["report_format"] == "gencomp-report/3"
-    assert listed["scenario_trace_format"] == "gencomp-scenario-trace/3"
+    assert listed["scenario_trace_format"] == "gencomp-scenario-trace/4"
 
 
 def test_cli_run_reports_a_failed_embedding(tmp_path, capsys, monkeypatch):
@@ -708,30 +713,34 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
     run_experiment({**RELATION_EMBED_3, "out_dir": str(out)})
     assert cli.main(["verify", str(out / "trace.json")]) == 0
     doc = json.loads((out / "trace.json").read_text())
-    # /1 and /2 traces are refused, naming both formats this version
-    # verifies; the /2 fixture is a small relation-embed trace as /2 wrote it
+    # /1, /2 and /3 traces are refused, naming both formats this version
+    # verifies; the /2 fixture is a small relation-embed trace as /2 wrote
+    # it, and the /3 fixture a small operator-compile trace as /3 wrote it
     (out / "v1.json").write_text(canonical_json(scenario_trace_1_view(doc)))
-    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "scenario_trace_v2.json")
-    with open(fixture) as fh:
-        v2 = json.load(fh)
-    assert v2["format"] == "gencomp-scenario-trace/2"
-    _, fresh = run_experiment(v2["config"])
-    assert scenario_trace_2_view(fresh) == v2
-    for version, path in ((1, str(out / "v1.json")), (2, fixture)):
+    fixtures = {}
+    for version, view in ((2, scenario_trace_2_view), (3, scenario_trace_3_view)):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "scenario_trace_v%d.json" % version)
+        with open(fixture) as fh:
+            old = json.load(fh)
+        assert old["format"] == "gencomp-scenario-trace/%d" % version
+        _, fresh = run_experiment(old["config"])
+        assert view(fresh) == old
+        fixtures[version] = fixture
+    for version, path in ((1, str(out / "v1.json")), (2, fixtures[2]), (3, fixtures[3])):
         capsys.readouterr()
         assert cli.main(["verify", path]) == 2
         err = capsys.readouterr().err
         assert "'gencomp-scenario-trace/%d'" % version in err
-        assert "gencomp-trace/5" in err and "gencomp-scenario-trace/3" in err
+        assert "gencomp-trace/5" in err and "gencomp-scenario-trace/4" in err
         assert "Traceback" not in err
     # one image digit flipped: the replay names the entry's images string
-    i = next(i for i, (_, images) in enumerate(doc["log"]) if images)
-    images = doc["log"][i][1]
-    doc["log"][i][1] = ("1" if images[0] == "0" else "0") + images[1:]
+    i = next(i for i, images in enumerate(doc["log"]) if images)
+    images = doc["log"][i]
+    doc["log"][i] = ("1" if images[0] == "0" else "0") + images[1:]
     (out / "bad.json").write_text(canonical_json(doc))
     assert cli.main(["verify", str(out / "bad.json")]) == 4
     assert capsys.readouterr().out == (
-        "VIOLATION: replay mismatch at log[%d][1]: trace is not reproducible "
+        "VIOLATION: replay mismatch at log[%d]: trace is not reproducible "
         "from its config\n" % i
     )
 
@@ -772,7 +781,7 @@ OTHER_LOG_VALUES = (None, True, 0, 1, -1, 2.0, "", "0", "-", "x", [], [0], ["0",
 
 @st.composite
 def doctored_scenario_traces(draw):
-    """A small /3 scenario trace with one place in its `log` changed: a
+    """A small /4 scenario trace with one place in its `log` changed: a
     character of a string flipped or the string cut short, its value
     swapped for another type, the entry dropped or duplicated, or one more
     entry added to a list.  The config is never touched."""

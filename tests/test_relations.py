@@ -17,6 +17,7 @@ from gencomp.relations import (
 )
 from gencomp.scenarios import embedding_jsonable
 from oracles import from_uid, relation_from_pairs, stage_of_id, uid
+from test_counting import adjacency_string
 
 
 def random_reflexive(rng, max_size=8):
@@ -231,19 +232,24 @@ def test_cached_hash_and_key_match_recursion(specs, data):
 def test_complete_digraph_log_entry_is_quadratic():
     # 16 points, every pair related both ways: image k carries digit 3
     # against each earlier image, k digits, 16 * 15 / 2 in all
-    adjacency, images = embedding_jsonable(
-        embed_relation(FiniteReflexiveRelation([[True] * 16] * 16)))
-    assert adjacency == "1" * 256
-    assert images == "3" * 120
+    assert embedding_jsonable(embed_relation(FiniteReflexiveRelation([[True] * 16] * 16))) == "3" * 120
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_image_digits_determine_the_digraph(rows):
+    # the log entry is the images alone: the digraph is read back from them
+    adjacency = [[a == b or v for b, v in enumerate(row)] for a, row in enumerate(rows)]
+    images = embedding_jsonable(embed_relation(FiniteReflexiveRelation(adjacency)))
+    assert adjacency_string(images) == "".join("1" if v else "0" for row in adjacency for v in row)
 
 
 def test_image_digits_refuse_what_they_cannot_write():
     r = relation_from_pairs(3, [(0, 1)])
     one = UElement(1, ((ROOT, 1),))
-    # the matrix row by row, then images 0, 1 and 2: "", "1" and "02"
-    assert embedding_jsonable(Embedding(r, (ROOT, one, UElement(2, ((one, 2),))))) == [
-        "110010001", "102"
-    ]
+    # images 0, 1 and 2: "", "1" and "02"
+    assert embedding_jsonable(Embedding(r, (ROOT, one, UElement(2, ((one, 2),))))) == "102"
     stray = UElement(1, ((ROOT, 2),))  # a stage-1 element that is not image 1
     for images in ((ROOT, UElement(2, ())), (ROOT, one, UElement(2, ((stray, 3),)))):
         with pytest.raises(InvariantViolationError):
