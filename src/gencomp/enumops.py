@@ -9,12 +9,14 @@ description triples (n, x, l) one at a time and cumulatively emits output
 pairs.  Below an element bound and a label bound, both given by the
 caller, such a machine compiles into an enumeration operator whose axiom
 for (output, D) exists iff some ordering and labelling of D makes the
-machine emit the output; equivalently, applying the compiled operator to
-a plain description below the element bound equals the union of the
-machine's emissions over all its orderings with labels up to the label
-bound.  Compilation searches each (remaining elements, state) pair once
-for all assignments, and its step budget counts each machine step taken
-once.
+machine emit the output and none of any D minus one element does: the
+minimal premises, which suffice because emissions accumulate along an
+ordering, so what D's orderings emit is monotone in D.  Applying the
+compiled operator to a plain description below the element bound equals
+the union of the machine's emissions over all its orderings with labels
+up to the label bound.  Compilation searches each (remaining elements,
+state) pair once for all assignments, and its step budget counts each
+machine step taken once.
 
 On the reduction styles these two objects model: an operator consumes a
 description as an unordered set (one fixed operator per reduction, blind
@@ -123,10 +125,15 @@ def functional_to_operator(phi: FunctionalSpec, element_bound: int, label_bound:
                            step_budget: int = 2_000_000) -> EnumerationOperator:
     """Compile the machine into an enumeration operator over all finite
     assignments below the bounds; (a, D) is an axiom iff some labelled
-    ordering of D makes the machine emit a.  One search, memoized on
-    (remaining, state), serves every assignment, since what such a pair
-    reaches does not depend on the assignment it came from; each step
-    taken costs one unit of `step_budget`."""
+    ordering of D makes the machine emit a and no labelled ordering of any
+    D - {item} does.  What D's orderings emit is monotone in D, since an
+    ordering of a subset is a prefix of an ordering of D, so these minimal
+    axioms enumerate from every assignment what the whole upward closure
+    would.  One search, memoized on (remaining, state), serves every
+    assignment, since what such a pair reaches does not depend on the
+    assignment it came from; the subsets D - {item} are assignments that
+    search already covers, so each step taken costs one unit of
+    `step_budget` as before."""
     labels = range(label_bound + 1)
     memo = {}
 
@@ -152,7 +159,10 @@ def functional_to_operator(phi: FunctionalSpec, element_bound: int, label_bound:
     axioms = set()
     for assignment in all_assignments(element_bound):
         premise = frozenset(assignment)
-        axioms.update((output, premise) for output in reach(premise, phi.start))
+        # each premise - {item} is an earlier assignment, so the memo holds it
+        minimal = reach(premise, phi.start).difference(
+            *(reach(premise - {item}, phi.start) for item in premise))
+        axioms.update((output, premise) for output in minimal)
     return EnumerationOperator(frozenset(axioms))
 
 

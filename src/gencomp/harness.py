@@ -32,7 +32,7 @@ from .errors import BudgetError, ConfigError, InvariantViolationError
 from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
-SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/4"
+SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/5"
 REPORT_FORMAT = "gencomp-report/3"
 
 # the diagonal scenarios and the `diagonal` mode each builds (the keys of
@@ -187,7 +187,8 @@ def _machine(doc, key):
 
 
 def _check_bound(eff):
-    if (1 << eff["m_max"]) > eff["bound"]:
+    # 2^m_max > bound, without building 2^m_max for a huge m_max
+    if eff["m_max"] >= eff["bound"].bit_length():
         raise ConfigError("bound too small for m_max")
 
 

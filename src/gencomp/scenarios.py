@@ -18,7 +18,10 @@ from .harness import rational, verdict
 
 
 def child_seed(seed: int, k: int) -> int:
-    return reals.mix64(seed + k + 1)
+    """Real k's seed: the finalizer of the (k+1)-th splitmix64 state of a
+    generator seeded with `seed` (mix64 reduces the state mod 2^64), so
+    seed s + 1 does not reuse seed s's reals shifted by one."""
+    return reals.mix64(seed + (k + 1) * 0x9E3779B97F4A7C15)
 
 
 def run_coding_roundtrip(cfg):

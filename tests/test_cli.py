@@ -125,6 +125,23 @@ def test_a_drawn_seed_is_a_natural_below_2_to_the_64(tmp_path, scenario):
         assert not (tmp_path / str(seed)).exists()
 
 
+def test_a_huge_m_max_is_a_config_error(tmp_path):
+    # the bound check once built 2^m_max, a MemoryError at this m_max
+    cfg = dict(DRAWN_SEED_CONFIGS["coding-roundtrip"])
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert gencomp("run", tmp_path / "cfg.json", "--out-dir", tmp_path).returncode == 0
+    doc = json.loads((tmp_path / "trace.json").read_text())
+    cfg["m_max"] = doc["config"]["m_max"] = 100_000_000_000
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "trace.json").write_text(json.dumps(doc))
+    for args in (["run", tmp_path / "cfg.json", "--out-dir", tmp_path / "out"],
+                 ["verify", tmp_path / "trace.json"]):
+        proc = gencomp(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: bound too small for m_max\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_repeated_selector_stage_is_a_config_error(tmp_path):
     # the later of two entries for one stage would always win, so the
     # earlier could never apply

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gencomp import reals, scenarios
 from gencomp.density import gap_census, gap_interval, prefix_density
 from gencomp.diagonal import (
     PAIR,
@@ -751,32 +752,33 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # time, and operator-compile and relation-embed configs first recorded while
 # every application rescanned the premises against the bound and every
 # adjacency test rebuilt the element's digit map.  Their trace digests are
-# of the gencomp-scenario-trace/4 bytes; SCENARIO_TRACE_3_DIGESTS,
-# SCENARIO_TRACE_2_DIGESTS and SCENARIO_TRACE_1_DIGESTS keep the /3, /2 and
-# /1 digests, which `scenario_trace_3_view`, `scenario_trace_2_view` and
-# `scenario_trace_1_view` of each /4 trace reproduce.
+# of the gencomp-scenario-trace/5 bytes; SCENARIO_TRACE_4_DIGESTS,
+# SCENARIO_TRACE_3_DIGESTS, SCENARIO_TRACE_2_DIGESTS and
+# SCENARIO_TRACE_1_DIGESTS keep the /4, /3, /2 and /1 digests, which
+# `scenario_trace_4_view` and the views chained on it reproduce from each
+# /5 trace written with the /4 child seeds (`written_scenario_trace`).
 # Every report digest is of the gencomp-report/3 bytes; REPORT_2_DIGESTS
 # keeps the /2 digests, which `report_2_view` reproduces.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
-    "ccf3ae953c52411a556ab0a7789fe112109ab1ac448c2b29f9625f2175bd215e",
+    "152c6afd2a035e7a8b625ec421484ca9fad93ad3c412622abac0b1c668e4f36b",
     "68fc439ef02364ca201397243176e3a670382c1c370fa8df46432eec9a4b0d7a",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
-    "9325c084b8475c8c14f5230c86050338365fda8422e92ed7e6e970c5fedbf101",
+    "cfdd011a8ac58d619d9df1aac63a1d67bc5db4c147bcb9180219a234d94362a2",
     "a23646e3092d70466d663809b13022a870b793988c53685a741bffa298ef88fb",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
-    "5fd5efed7e68a78d24aaa90c6b12220ae459ff2fce31df3d0fcc1d3ee328bcc6",
+    "694fc3d25a69451fabe8bc833beb600e37d37e471374b1c92ec2c130204ab27d",
     "2f6a58cfe2af4f871b4067b41ede748e177b13653e02b0b33c45efc5835ebddb",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
-    "55c13fc1e83cac62caace0a00627c899459eb191ffb5e79109790b2d4dd438b6",
+    "32f926672b2a5be4fc882e11409dc50791eadfd3cc735e4e436aaa7a72cb8291",
     "3b40b06be812021cca99456bbba44f3529ace174ab9caccd991385f2ec4ac6f8",
 )
 
@@ -888,6 +890,71 @@ def test_report_2_reads_as_report_1(tmp_path, name):
     assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 
 
+# the trace.json digests of the scenario configs as gencomp-scenario-trace/4
+# wrote them
+SCENARIO_TRACE_4_DIGESTS = {
+    "coding-roundtrip-7": "ccf3ae953c52411a556ab0a7789fe112109ab1ac448c2b29f9625f2175bd215e",
+    "operator-echo-5": "9325c084b8475c8c14f5230c86050338365fda8422e92ed7e6e970c5fedbf101",
+    "operator-order-gate-5": "5fd5efed7e68a78d24aaa90c6b12220ae459ff2fce31df3d0fcc1d3ee328bcc6",
+    "relation-embed-3": "55c13fc1e83cac62caace0a00627c899459eb191ffb5e79109790b2d4dd438b6",
+}
+
+
+def child_seed_4(seed, k):
+    """`scenarios.child_seed` as every format up to /4 derived it: seed
+    s + 1's real k was seed s's real k + 1."""
+    return reals.mix64(seed + k + 1)
+
+
+def written_scenario_trace(tmp_path, monkeypatch, name):
+    """The /5 trace.json of a golden scenario config.  A coding-roundtrip
+    run derives its reals with `child_seed_4`, so that it decodes the reals
+    every older format decoded; no other scenario reads child seeds."""
+    cfg = ARTIFACT_GOLDEN[name][0]
+    if cfg["scenario"] == "coding-roundtrip":
+        monkeypatch.setattr(scenarios, "child_seed", child_seed_4)
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
+    written = json.loads((tmp_path / "trace.json").read_text())
+    assert written["format"] == "gencomp-scenario-trace/5"
+    return written
+
+
+def assignment_premise(assignment, element_bound):
+    """An assignment, as [n, x] pairs, in the premise string form."""
+    chars = ["-"] * element_bound
+    for n, x in assignment:
+        chars[n] = "01"[x]
+    return "".join(chars)
+
+
+def scenario_trace_4_view(doc):
+    """A gencomp-scenario-trace/5 trace in the /4 shape: the old format tag
+    and the operator-compile axioms back to the upward closure /4 wrote,
+    each minimal axiom on every assignment below the element bound that
+    contains its premise, deduplicated and sorted."""
+    old = dict(doc, format="gencomp-scenario-trace/4")
+    if doc["scenario"] == "operator-compile":
+        bound = doc["config"]["element_bound"]
+        closure = {
+            (n, x, assignment_premise(assignment, bound))
+            for n, x, premise in doc["log"]
+            for assignment in assignment_pairs(bound)
+            if contains_premise(assignment, premise)
+        }
+        old["log"] = [list(axiom) for axiom in sorted(closure)]
+    return old
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_4_DIGESTS))
+def test_scenario_trace_5_reads_as_4(tmp_path, monkeypatch, name):
+    # the /5 bump keeps only an operator's minimal axioms and derives child
+    # seeds from the splitmix64 state; with the old child seeds, everything
+    # else a /4 trace said is unchanged
+    written = written_scenario_trace(tmp_path, monkeypatch, name)
+    old = canonical_json(scenario_trace_4_view(written)).encode()
+    assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_4_DIGESTS[name]
+
+
 # the trace.json digests of the scenario configs as gencomp-scenario-trace/3
 # wrote them
 SCENARIO_TRACE_3_DIGESTS = {
@@ -938,12 +1005,13 @@ def contains_premise(assignment, premise):
 
 
 def scenario_trace_3_view(doc):
-    """A gencomp-scenario-trace/4 trace in the /3 shape: the old format tag,
-    each relation-embed entry back to [adjacency, images] with the matrix
-    read from the images, and the operator-compile axioms back in
-    {"axioms", "outputs"}, where the outputs on each assignment, in
-    `assignment_pairs` order, are the sorted distinct outputs of the axioms
-    whose premise the assignment contains."""
+    """A gencomp-scenario-trace/5 trace in the /3 shape: its
+    `scenario_trace_4_view` with the old format tag, each relation-embed
+    entry back to [adjacency, images] with the matrix read from the images,
+    and the operator-compile axioms back in {"axioms", "outputs"}, where the
+    outputs on each assignment, in `assignment_pairs` order, are the sorted
+    distinct outputs of the axioms whose premise the assignment contains."""
+    doc = scenario_trace_4_view(doc)
     old = dict(doc, format="gencomp-scenario-trace/3")
     log = doc["log"]
     if doc["scenario"] == "relation-embed":
@@ -958,15 +1026,12 @@ def scenario_trace_3_view(doc):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_3_DIGESTS))
-def test_scenario_trace_4_reads_as_3(tmp_path, name):
-    # the format bump drops what another field of the same log fixes: a
+def test_scenario_trace_4_reads_as_3(tmp_path, monkeypatch, name):
+    # the /4 bump dropped what another field of the same log fixes: a
     # digraph's matrix, which its image digits encode, and an operator's
     # outputs, which its axioms give; everything else a /3 trace said is
     # unchanged
-    cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-scenario-trace/4"
+    written = written_scenario_trace(tmp_path, monkeypatch, name)
     old = canonical_json(scenario_trace_3_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_3_DIGESTS[name]
 
@@ -987,7 +1052,7 @@ def unpack_premise(premise):
 
 
 def scenario_trace_2_view(doc):
-    """A gencomp-scenario-trace/4 trace in the /2 shape: its
+    """A gencomp-scenario-trace/5 trace in the /2 shape: its
     `scenario_trace_3_view` with the old format tag and each log back to
     per-item objects.  A relation-embed entry splits
     into the digraph's rows and one digit string per image; operator-compile
@@ -1017,14 +1082,11 @@ def scenario_trace_2_view(doc):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_2_DIGESTS))
-def test_scenario_trace_3_reads_as_2(tmp_path, name):
-    # the format bump writes each log positionally and drops what the
-    # config or the list position fixes; everything else a /2 trace said
-    # is unchanged
-    cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-scenario-trace/4"
+def test_scenario_trace_3_reads_as_2(tmp_path, monkeypatch, name):
+    # the /3 bump wrote each log positionally and dropped what the config
+    # or the list position fixes; everything else a /2 trace said is
+    # unchanged
+    written = written_scenario_trace(tmp_path, monkeypatch, name)
     old = canonical_json(scenario_trace_2_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_2_DIGESTS[name]
 
@@ -1051,7 +1113,7 @@ def nested_images(images):
 
 
 def scenario_trace_1_view(doc):
-    """A gencomp-scenario-trace/4 trace in the /1 shape: its
+    """A gencomp-scenario-trace/5 trace in the /1 shape: its
     `scenario_trace_2_view` with the old format tag and each relation-embed
     image re-nested into a tree."""
     doc = scenario_trace_2_view(doc)
@@ -1062,13 +1124,10 @@ def scenario_trace_1_view(doc):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_1_DIGESTS))
-def test_scenario_trace_2_reads_as_1(tmp_path, name):
+def test_scenario_trace_2_reads_as_1(tmp_path, monkeypatch, name):
     # the /2 bump wrote each relation-embed image by reference to the
     # earlier images; everything else a /1 trace said is unchanged
-    cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-scenario-trace/4"
+    written = written_scenario_trace(tmp_path, monkeypatch, name)
     old = canonical_json(scenario_trace_1_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_1_DIGESTS[name]
 
@@ -1087,7 +1146,7 @@ def test_every_scenario_has_a_golden_artifact():
     # old shape, so a scenario without one could change its bytes unseen
     pinned = {cfg["scenario"] for cfg, _, _ in ARTIFACT_GOLDEN.values()}
     assert sorted(set(SCENARIOS) - pinned) == []
-    for digests in (SCENARIO_TRACE_3_DIGESTS, SCENARIO_TRACE_2_DIGESTS):
+    for digests in (SCENARIO_TRACE_4_DIGESTS, SCENARIO_TRACE_3_DIGESTS, SCENARIO_TRACE_2_DIGESTS):
         logged = {ARTIFACT_GOLDEN[name][0]["scenario"] for name in digests}
         assert sorted(set(SCENARIOS) - set(DIAGONAL_MODES) - logged) == []
 

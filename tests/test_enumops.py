@@ -130,13 +130,18 @@ def test_silent_machine_compiles_empty():
 
 def test_reachable_equals_bruteforce_union():
     # the compiled axioms on each exact premise, not only their union over
-    # its subsets, are what the labelled orderings of that premise emit
+    # its subsets, are what the labelled orderings of that premise emit and
+    # those of no premise one element smaller do
     for name, phi in battery().items():
         w = functional_to_operator(phi, 3, 2)
         for assignment in all_assignments(3):
             premise = frozenset(assignment)
             exact = {output for output, d in w.axioms if d == premise}
-            assert exact == union_over_labeled_orderings(phi, assignment, 2), name
+            below = set()
+            for item in assignment:
+                smaller = tuple(other for other in assignment if other != item)
+                below |= union_over_labeled_orderings(phi, smaller, 2)
+            assert exact == union_over_labeled_orderings(phi, assignment, 2) - below, name
 
 
 def test_operator_matches_orderings_small():

@@ -28,6 +28,7 @@ from test_counting import (
     scenario_trace_1_view,
     scenario_trace_2_view,
     scenario_trace_3_view,
+    scenario_trace_4_view,
 )
 
 
@@ -64,6 +65,15 @@ def test_validate_config_defaults_and_strictness():
     for not_one in (True, 1.0):
         with pytest.raises(ConfigError, match="^config version must be 1$"):
             validate_config(single_config(version=not_one))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 1023, 1024, 16384])
+def test_coding_roundtrip_bound_reaches_2_to_the_m_max(bound):
+    cfg = {"version": 1, "scenario": "coding-roundtrip", "seed": 5, "bound": bound}
+    top = bound.bit_length() - 1  # the largest m with 2^m <= bound
+    assert validate_config(dict(cfg, m_max=top))["m_max"] == top
+    with pytest.raises(ConfigError, match="^bound too small for m_max$"):
+        validate_config(dict(cfg, m_max=top + 1))
 
 
 def test_loaders():
@@ -430,7 +440,7 @@ def test_verify_rejects_trace_format_1(tmp_path, capsys):
             assert json.load(fh)["format"] == fmt
         assert cli.main(["verify", fixture]) == 2
         err = capsys.readouterr().err
-        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/4" in err
+        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/5" in err
         assert "Traceback" not in err
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -673,7 +683,7 @@ def test_cli_catalog(capsys):
     assert "single-diagonal" in listed["scenarios"]
     assert listed["trace_format"] == "gencomp-trace/5"
     assert listed["report_format"] == "gencomp-report/3"
-    assert listed["scenario_trace_format"] == "gencomp-scenario-trace/4"
+    assert listed["scenario_trace_format"] == "gencomp-scenario-trace/5"
 
 
 def test_cli_run_reports_a_failed_embedding(tmp_path, capsys, monkeypatch):
@@ -713,11 +723,15 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
     run_experiment({**RELATION_EMBED_3, "out_dir": str(out)})
     assert cli.main(["verify", str(out / "trace.json")]) == 0
     doc = json.loads((out / "trace.json").read_text())
-    # /1, /2 and /3 traces are refused, naming both formats this version
-    # verifies; the /2 fixture is a small relation-embed trace as /2 wrote
-    # it, and the /3 fixture a small operator-compile trace as /3 wrote it
-    (out / "v1.json").write_text(canonical_json(scenario_trace_1_view(doc)))
+    # /1, /2, /3 and /4 traces are refused, naming both formats this
+    # version verifies; the /2 fixture is a small relation-embed trace as /2
+    # wrote it, and the /3 fixture a small operator-compile trace as /3
+    # wrote it
     fixtures = {}
+    for version, view in ((1, scenario_trace_1_view), (4, scenario_trace_4_view)):
+        path = out / ("v%d.json" % version)
+        path.write_text(canonical_json(view(doc)))
+        fixtures[version] = str(path)
     for version, view in ((2, scenario_trace_2_view), (3, scenario_trace_3_view)):
         fixture = os.path.join(os.path.dirname(__file__), "fixtures", "scenario_trace_v%d.json" % version)
         with open(fixture) as fh:
@@ -726,12 +740,12 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
         _, fresh = run_experiment(old["config"])
         assert view(fresh) == old
         fixtures[version] = fixture
-    for version, path in ((1, str(out / "v1.json")), (2, fixtures[2]), (3, fixtures[3])):
+    for version, path in sorted(fixtures.items()):
         capsys.readouterr()
         assert cli.main(["verify", path]) == 2
         err = capsys.readouterr().err
         assert "'gencomp-scenario-trace/%d'" % version in err
-        assert "gencomp-trace/5" in err and "gencomp-scenario-trace/4" in err
+        assert "gencomp-trace/5" in err and "gencomp-scenario-trace/5" in err
         assert "Traceback" not in err
     # one image digit flipped: the replay names the entry's images string
     i = next(i for i, images in enumerate(doc["log"]) if images)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gencomp.codings import IntervalCoding, ValuationCoding, encode_interval
 from gencomp.errors import CorruptDescriptionError, ExcludedIndexError, UndefinedInputError
 from gencomp.reals import GenericDescription, RealSpec, SeededReal, mix64, seeded_bit
+from gencomp.scenarios import child_seed
 from oracles import (
     EventuallyPeriodicReal,
     ExplicitPrefixReal,
@@ -32,6 +33,17 @@ def test_mix64_pinned_values():
     assert mix64(1) == 6238072747940578789
     assert mix64(0x9E3779B97F4A7C15) == 16294208416658607535
     assert 0 <= mix64(2**64 - 1) < 2**64
+
+
+def test_child_seeds_pinned_and_distinct():
+    # real k of a coding-roundtrip seed is mix64 of the (k+1)-th splitmix64
+    # state, whose low bit is the seeded bit; mix64(seed + k + 1) made seed
+    # s + 1's real k seed s's real k + 1, 511 child seeds for s, k < 256
+    assert child_seed(0, 0) == mix64(0x9E3779B97F4A7C15)
+    assert child_seed(7, 0) == 7191089600892374487
+    assert child_seed(7, 1) == 309689372594955804
+    assert "".join(str(child_seed(42, k) & 1) for k in range(32)) == SEED42_PREFIX
+    assert len({child_seed(s, k) for s in range(256) for k in range(256)}) == 256 * 256
 
 
 def test_eventually_periodic_bits():
