@@ -404,18 +404,21 @@ def functional_value_set(trace: Trace, prefix, i: int = 0) -> tuple:
 # ---------------------------------------------------------------------------
 # trace serialization (versioned; byte-exact replay is part of the contract)
 
-TRACE_FORMAT = "gencomp-trace/5"
+TRACE_FORMAT = "gencomp-trace/6"
 
 
 def trace_to_jsonable(trace: Trace) -> dict:
-    """The trace as a document.  A record lists what its stage did: the
-    rules, the trap events, the non-empty batches, one act [e, p, suffix
-    per side] per strategy that acted and the strategies that died.  An
-    act's approximation is the first p bits of the strategy's previous one
+    """The trace as a document: the mode, the echoed config and one record
+    per stage, a record's index being its stage.  A record lists what its
+    stage did: the rules, the trap events, the non-empty batches and one act
+    [e, suffix per side] per strategy that acted.  An act's approximation
+    is the strategy's previous one cut to the stage minus the suffix length
     on every side, followed by the suffixes.  Its marker is a prefix of the
     approximation on every side, and its rules are those prefixes, so a
     rule is written as its node's length: one per act and side, in act and
-    then side order."""
+    then side order.  The stage and strategy counts, the defined horizon
+    and the deaths (the started, live strategies that do not act) follow
+    from the rest and are not written."""
     last = {}
     records = []
     for rec in trace.records:
@@ -423,70 +426,53 @@ def trace_to_jsonable(trace: Trace) -> dict:
         for e, (approx, _) in rec.acts.items():
             old = last.get(e, ("",) * len(approx))
             p = min(len(a) if b.startswith(a) else len(commonprefix((a, b))) for a, b in zip(old, approx))
-            acts.append([e, p, *(side[p:] for side in approx)])
+            acts.append([e, *(side[p:] for side in approx)])
             last[e] = approx
         records.append({
-            "stage": rec.stage,
             "rules": [len(node) for _, marker in rec.acts.values() for node in marker],
             "trap_events": [list(t) for t in rec.trap_events],
             "batches": [[e, [list(run) for run in runs]] for e, runs in sorted(rec.batches.items()) if runs],
             "acts": acts,
-            "deaths": list(rec.deaths),
         })
-    return {
-        "format": TRACE_FORMAT,
-        "mode": trace.mode,
-        "stages": len(trace.records),
-        "strategy_count": trace.strategy_count,
-        "defined_through": trace.defined_through,
-        "config": trace.config_echo,
-        "records": records,
-    }
+    return {"format": TRACE_FORMAT, "mode": trace.mode, "config": trace.config_echo, "records": records}
 
 
 def trace_from_jsonable(doc: dict) -> Trace:
-    """The trace a document records.  The mode, the stage count, the
-    strategy count, the echoed config and the records are read; the defined
-    horizon is a view of the records, checked by replay.  Each record is
-    read as its batches, its acts and its deaths: an act's marker is the
-    prefix of its approximation on every side that the act's rule lengths
-    give, and the act is then the gap rules of its block.  A document the
-    engine could not have written is rejected with a named violation: a
-    field of the wrong type or arity, a count that is not a natural number,
-    a batch that is not a run set or not the strategy's only one, a trap
-    event that is not four naturals, acts and deaths that disagree, are out
-    of order or come from a strategy that has not started, an approximation
-    of the wrong length or not of bits, or rule lengths that are not one
-    natural through the stage per act and side."""
+    """The trace a document records.  The mode, the echoed config and the
+    records are read; the strategy count is the length of the echo's
+    strategy list, and record s is stage s.  Each record is read as its
+    batches and its acts: an act's approximation is rebuilt from its
+    suffixes, its marker is the prefix of the approximation on every side
+    that the act's rule lengths give, and the act is then the gap rules of
+    its block.  The strategies that died at stage s are the started ones,
+    alive before s, that do not act there.  A document the engine could not
+    have written is rejected with a named violation: a field of the wrong
+    type or arity, a count that is not a natural number, a batch that is
+    not a run set or not the strategy's only one, a trap event that is not
+    four naturals, acts out of order or from a strategy that has not
+    started or has died, suffixes that are not bit strings, differ in length
+    between sides or are shorter than the stage minus the last
+    approximation's length (or longer than the stage), or rule lengths that
+    are not one natural through the stage per act and side."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
-    mode, stages, count, config, docs = map(doc.get, ("mode", "stages", "strategy_count", "config", "records"))
+    mode, config, docs = map(doc.get, ("mode", "config", "records"))
     # a mode that is no string (a list, an object) may not be hashable
     if type(mode) is not str or mode not in SIDES:
         raise InvariantViolationError("trace mode %r is neither single nor pair" % (mode,))
-    if not is_natural(count):
-        raise InvariantViolationError("strategy count %r is not a natural number" % (count,))
-    if config is not None:
-        listed = config.get("strategies") if type(config) is dict else None
-        if type(listed) is not list:
-            raise InvariantViolationError("config echo %r lists no strategies" % (config,))
-        if len(listed) != count:
-            raise InvariantViolationError(
-                "strategy count %d, but the config lists %d strategies" % (count, len(listed))
-            )
+    listed = config.get("strategies") if type(config) is dict else None
+    if type(listed) is not list:
+        raise InvariantViolationError("config echo %r lists no strategies" % (config,))
+    count = len(listed)
     if type(docs) is not list:
         raise InvariantViolationError("records %r are not a list" % (docs,))
-    if not is_natural(stages) or stages != len(docs):
-        raise InvariantViolationError("stage count %r, but the trace has %d records" % (stages, len(docs)))
     trace = Trace(mode, (), config)
     k = len(trace.sides)
-    dead = set()
-    for rd in docs:
-        s = rd.get("stage") if type(rd) is dict else None
-        if not is_natural(s) or s != len(trace.records):
-            raise InvariantViolationError("record of stage %r follows %d records" % (s, len(trace.records)))
-        batch_docs, act_docs, deaths, lengths, events = (
-            _list_of(rd.get(key), None, key, s) for key in ("batches", "acts", "deaths", "rules", "trap_events")
+    for s, rd in enumerate(docs):
+        if type(rd) is not dict:
+            raise InvariantViolationError("record of stage %d: %r is not an object" % (s, rd))
+        batch_docs, act_docs, lengths, events = (
+            _list_of(rd.get(key), None, key, s) for key in ("batches", "acts", "rules", "trap_events")
         )
         batches = {}
         for entry in batch_docs:
@@ -506,28 +492,24 @@ def trace_from_jsonable(doc: dict) -> Trace:
             batches[e] = batch
         acts = {}
         for act in act_docs:
-            e, p, *suffixes = _list_of(act, 2 + k, "act", s)
-            _turn(e, s, "acts", count, dead, acts)
-            old = trace.final_approx.get(e) or ("",) * k
-            if not is_natural(p) or p > len(old[0]):
-                raise InvariantViolationError(
-                    "act of strategy %d at stage %d keeps %r bits of a %d-bit approximation"
-                    % (e, s, p, len(old[0]))
-                )
+            e, *suffixes = _list_of(act, 1 + k, "act", s)
+            _may_act(e, s, count, trace, acts)
             if not all(map(is_bits, suffixes)):
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d has suffixes %r, not bit strings" % (e, s, suffixes)
                 )
-            approx = tuple([a[:p] + b for a, b in zip(old, suffixes)])
-            if set(map(len, approx)) != {s}:
+            if len(set(map(len, suffixes))) != 1:
                 raise InvariantViolationError(
-                    "act of strategy %d at stage %d rebuilds %r, not %d bits per side" % (e, s, approx, s)
+                    "act of strategy %d at stage %d has suffixes %r of unequal lengths" % (e, s, suffixes)
                 )
-            acts[e] = approx
-        alive = min(s, count) - len(dead)
-        for e in deaths:
-            _turn(e, s, "dies", count, dead, acts)
-            dead.add(e)
+            old = trace.final_approx.get(e) or ("",) * k
+            n = len(suffixes[0])
+            if not s - len(old[0]) <= n <= s:
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d has a %d-bit suffix after a %d-bit approximation"
+                    % (e, s, n, len(old[0]))
+                )
+            acts[e] = tuple([a[:s - n] + b for a, b in zip(old, suffixes)])
         if len(lengths) != len(acts) * k:
             raise InvariantViolationError(
                 "acts at stage %d issue %d rules, but the record lists %d"
@@ -536,19 +518,18 @@ def trace_from_jsonable(doc: dict) -> Trace:
         for i, n in enumerate(lengths):
             if not is_natural(n) or n > s:
                 raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, n))
-        # every strategy started and alive before stage s acts or dies at s
-        if len(acts) + len(deaths) != alive:
-            e = next(e for e in range(min(s, count)) if e not in dead and e not in acts)
-            raise InvariantViolationError("live strategy %d neither acts nor dies at stage %d" % (e, s))
-        if list(acts) != sorted(acts) or deaths != sorted(deaths):
-            raise InvariantViolationError("acts or deaths at stage %d are out of strategy order" % s)
+        if list(acts) != sorted(acts):
+            raise InvariantViolationError("acts at stage %d are out of strategy order" % s)
         for t in events:
             if type(t) is not list or len(t) != 4 or not all(map(is_natural, t)):
                 raise InvariantViolationError("trap event %r at stage %d is not four naturals" % (t, s))
+        # ascending, from a range and not from a set, so replay order is fixed
+        deaths = tuple(e for e in range(min(s, count))
+                       if trace.death_stage[e] is None and e not in acts)
         length = iter(lengths)
         acts = {e: (approx, tuple(a[:next(length)] for a in approx)) for e, approx in acts.items()}
         batches = {e: batches.get(e, ()) for e in range(count)}
-        trace.append(StageRecord(s, batches, acts, tuple(deaths), tuple(map(tuple, events))))
+        trace.append(StageRecord(s, batches, acts, deaths, tuple(map(tuple, events))))
     return trace
 
 
@@ -561,16 +542,16 @@ def _list_of(v, n: Optional[int], what: str, s: int) -> list:
     return v
 
 
-def _turn(e, s: int, verb: str, count: int, dead: set, acts: dict):
-    """Check that strategy e may act or die at stage s: it has started
-    (e < s), is alive and has not acted or died at s yet."""
+def _may_act(e, s: int, count: int, trace: Trace, acts: dict):
+    """Check that strategy e may act at stage s: it has started (e < s),
+    is alive and has not acted at s yet."""
     if not is_natural(e) or e >= count:
-        raise InvariantViolationError("strategy %r %s in a %d-strategy trace" % (e, verb, count))
+        raise InvariantViolationError("strategy %r acts in a %d-strategy trace" % (e, count))
     if e >= s:
-        raise InvariantViolationError("strategy %d %s at stage %d, before it starts" % (e, verb, s))
-    if e in dead or e in acts:
+        raise InvariantViolationError("strategy %d acts at stage %d, before it starts" % (e, s))
+    if trace.death_stage[e] is not None or e in acts:
         raise InvariantViolationError(
-            "strategy %d %s at stage %d, after it %s" % (e, verb, s, "acted" if e in acts else "died")
+            "strategy %d acts at stage %d, after it %s" % (e, s, "acted" if e in acts else "died")
         )
 
 

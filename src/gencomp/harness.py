@@ -362,7 +362,7 @@ SCENARIO_TABLE = {
             ("seed", _seed),
             ("count", partial(_int, default=20, lo=1)),
             ("m_max", partial(_int, default=10, lo=0)),
-            ("bound", partial(_int, default=1 << 12, lo=2)),
+            ("bound", partial(_int, default=1 << 12, lo=2, hi=1 << 20)),
         ),
         _logged("run_coding_roundtrip"),
         check=_check_bound,

@@ -142,6 +142,24 @@ def test_a_huge_m_max_is_a_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bound", [(1 << 20) + 1, 1 << 32])
+def test_a_bound_above_2_to_the_20_is_a_config_error(tmp_path, bound):
+    # work and memory grow linearly in the bound: 2^20 took 0.67 s and
+    # 92 MiB, and 2^32 would take hundreds of GiB
+    cfg = dict(DRAWN_SEED_CONFIGS["coding-roundtrip"], bound=bound)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = gencomp("run", tmp_path / "cfg.json", "--out-dir", tmp_path / "out")
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: field 'bound' out of range\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bound_of_2_to_the_20_validates():
+    # validated only: running it costs about 0.7 s and 92 MiB
+    cfg = dict(DRAWN_SEED_CONFIGS["coding-roundtrip"], bound=1 << 20)
+    assert harness.validate_config(cfg)["bound"] == 1 << 20
+
+
 def test_a_repeated_selector_stage_is_a_config_error(tmp_path):
     # the later of two entries for one stage would always win, so the
     # earlier could never apply

@@ -536,12 +536,12 @@ def test_stage_is_a_function_of_the_trace_before_it(name):
     run_cfg = RunConfig(mode, cfg["stages"], strategies, cfg["node_budget"])
     trace = run_construction(run_cfg)
     for s, rec in enumerate(trace.records):
-        prefix = Trace(mode, trace.records[:s])
+        prefix = Trace(mode, trace.records[:s], cfg)
         assert _stage(prefix, run_cfg, s) == rec
         # the opponents' view is a trace that can be written and read back
         assert trace_from_jsonable(trace_to_jsonable(prefix)).records == prefix.records
     # the loader builds the same views as the engine
-    back = trace_from_jsonable(trace_to_jsonable(trace))
+    back = trace_from_jsonable(trace_to_jsonable(Trace(mode, trace.records, cfg)))
     assert back.records == trace.records
     for view in ("enumerated", "markers", "final_approx", "death_stage"):
         assert getattr(back, view) == getattr(trace, view), view
@@ -578,22 +578,22 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/5 bytes and the report digests of the gencomp-report/3
-# bytes; TRACE_4_DIGESTS, TRACE_3_DIGESTS, REPORT_2_DIGESTS and
-# REPORT_1_DIGESTS keep the /4 and /3 trace and the /2 and /1 report
-# digests, which `trace_4_view`, `trace_3_view`, `report_2_view` and
-# `report_1_view` still reproduce.
+# the gencomp-trace/6 bytes and the report digests of the gencomp-report/3
+# bytes; TRACE_5_DIGESTS, TRACE_4_DIGESTS, TRACE_3_DIGESTS, REPORT_2_DIGESTS
+# and REPORT_1_DIGESTS keep the /5, /4 and /3 trace and the /2 and /1 report
+# digests, which `trace_5_view`, `trace_4_view`, `trace_3_view`,
+# `report_2_view` and `report_1_view` still reproduce.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
-        "cd108f277df5ec2b7f68fa04385a6ecaeb2f0f985fd59b5a6e341976afec7932",
+        "574eb6e5e9e8265269954f46ec199254501ac51de6412b49e5e89fc66e17e468",
         "bd2b38054163eef50592f8e934932f73e1e21657a7dd5c16e71573d902c508f9",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
-        "7a2ea94cb50c05afe5d31ebfcf81d47ad6cf2da6de84eb417ad8531c5946c6ad",
+        "48659e2706833fd0825caa2d2c56274f4423980538e448c6f8a7895c70f54261",
         "74a48c05b024338fce9f17570d76e8240c439fc24d7acf37c79b0313e5782774",
     ),
 }
@@ -603,8 +603,61 @@ GOLDEN = {
 def test_golden_expanded_content(name):
     cfg, content_sha, _, _ = GOLDEN[name]
     _, doc = run_experiment(cfg)
-    assert doc["format"] == "gencomp-trace/5"
+    assert doc["format"] == "gencomp-trace/6"
     assert expanded_content_digest(trace_3_view(doc)) == content_sha
+
+
+# the trace.json digests of the diagonal goldens as gencomp-trace/5 wrote them
+TRACE_5_DIGESTS = {
+    "pair-catalog-12": "cd108f277df5ec2b7f68fa04385a6ecaeb2f0f985fd59b5a6e341976afec7932",
+    "single-diagonal-12": "7a2ea94cb50c05afe5d31ebfcf81d47ad6cf2da6de84eb417ad8531c5946c6ad",
+}
+
+
+def trace_5_view(doc):
+    """A gencomp-trace/6 trace in the /5 shape, rebuilt from the JSON alone:
+    the old format tag, the header counts, and per record its stage, its
+    deaths and each act's p.  Record s is stage s; the strategy count is
+    the length of the echo's strategy list; an act [e, suffix per side]
+    was [e, p, suffix per side] with p the stage minus the suffix length;
+    and the strategies that die at stage s are those started before s and
+    alive, that do not act at s."""
+    count = len(doc["config"]["strategies"])
+    dead = []
+    records = []
+    for s, rec in enumerate(doc["records"]):
+        acting = [act[0] for act in rec["acts"]]
+        deaths = [e for e in range(min(s, count)) if e not in dead and e not in acting]
+        dead += deaths
+        acts = [[e, s - len(suffixes[0]), *suffixes] for e, *suffixes in rec["acts"]]
+        records.append(dict(rec, stage=s, acts=acts, deaths=deaths))
+    return dict(doc, format="gencomp-trace/5", stages=len(records), strategy_count=count,
+                defined_through=len(records) - 1, records=records)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_5_DIGESTS))
+def test_trace_6_reads_as_5(tmp_path, name):
+    # the format bump drops what the rest of the document gives: the header
+    # counts, each record's stage and deaths, and each act's p; everything
+    # else a /5 trace said is unchanged
+    cfg = GOLDEN[name][0]
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
+    written = json.loads((tmp_path / "trace.json").read_text())
+    assert written["format"] == "gencomp-trace/6"
+    assert set(written) == {"format", "mode", "config", "records"}
+    assert all(set(rec) == {"acts", "batches", "rules", "trap_events"} for rec in written["records"])
+    old = trace_5_view(written)
+    assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_5_DIGESTS[name]
+
+
+def test_trace_5_fixture_is_the_view_of_its_replay():
+    # the /5 fixture was written before the bump: the config of the /4
+    # fixture, a strategy that springs two traps and dies at stage 3
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "trace_v5.json")) as fh:
+        old = json.load(fh)
+    assert old["format"] == "gencomp-trace/5"
+    _, doc = run_experiment(old["config"])
+    assert trace_5_view(doc) == old
 
 
 # the trace.json digests of the diagonal goldens as gencomp-trace/4 wrote them
@@ -615,12 +668,13 @@ TRACE_4_DIGESTS = {
 
 
 def trace_4_view(doc):
-    """A gencomp-trace/5 trace in the /4 shape, rebuilt from the JSON alone:
-    the old format tag, and every rule as [e, stage, node, side].  The rule
-    lengths follow the acts in order and each act's sides in order; a
-    rule's node is the first k bits of its act's approximation on its side,
-    which is the first p bits of the strategy's previous one followed by
-    the suffix."""
+    """A gencomp-trace/6 trace in the /4 shape, rebuilt from its /5 view
+    alone: the old format tag, and every rule as [e, stage, node, side].
+    The rule lengths follow the acts in order and each act's sides in
+    order; a rule's node is the first k bits of its act's approximation on
+    its side, which is the first p bits of the strategy's previous one
+    followed by the suffix."""
+    doc = trace_5_view(doc)
     sides = ["x"] if doc["mode"] == "single" else ["x", "y"]
     approx = {}
     records = []
@@ -643,7 +697,7 @@ def test_trace_5_reads_as_4(tmp_path, name):
     cfg = GOLDEN[name][0]
     run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-trace/5"
+    assert written["format"] == "gencomp-trace/6"
     assert all(type(k) is int for rec in written["records"] for k in rec["rules"])
     old = trace_4_view(written)
     assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_4_DIGESTS[name]
@@ -667,7 +721,7 @@ TRACE_3_DIGESTS = {
 
 
 def trace_3_view(doc):
-    """A gencomp-trace/5 trace in the /3 shape, rebuilt from its /4 view
+    """A gencomp-trace/6 trace in the /3 shape, rebuilt from its /4 view
     alone: the old format tag, a batch (empty or not) for every strategy,
     every strategy's record at every stage and the final block.  An act's
     approximation is the first p bits of the strategy's previous one
@@ -721,7 +775,7 @@ def test_trace_4_reads_as_3(tmp_path, name):
     cfg, content_sha, _, _ = GOLDEN[name]
     run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-trace/5"
+    assert written["format"] == "gencomp-trace/6"
     old = trace_3_view(written)
     assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_3_DIGESTS[name]
     assert expanded_content_digest(old) == content_sha
@@ -1172,20 +1226,36 @@ def json_places(value, path=()):
 # values of every JSON type, each the wrong type or arity somewhere
 OTHER_VALUES = (None, True, False, 0, 1, 7, -1, 2.0, "", "0", "x",
                 [], [0], ["0"], [[0, 1]], [0, 0, "0", "0"], {})
-RECORD_FIELDS = ("stage", "acts", "batches", "rules", "deaths", "trap_events")
+RECORD_FIELDS = ("acts", "batches", "rules", "trap_events")
 
 
 @st.composite
 def doctored_goldens(draw):
-    """A golden /5 document with one place in one record field (or in the
+    """A golden /6 document with one place in one record field (or in the
     header) changed: its value swapped for another type, the entry dropped
-    or duplicated, or the list given one item more or less."""
+    or duplicated, or the list given one item more or less.  Or one act
+    changed in what the loader derives from it: a bit cut from the suffix
+    of one side (unequal lengths in pair mode) or of every side (too short
+    for the last approximation), or the act deleted with its rules (a
+    death)."""
     doc = json.loads(golden_trace_text(draw(st.sampled_from(sorted(GOLDEN)))))
-    if draw(st.integers(0, 4)):
+    part = draw(st.integers(0, 5))
+    if part == 5:
+        rec = draw(st.sampled_from([rec for rec in doc["records"] if rec["acts"]]))
+        i = draw(st.integers(0, len(rec["acts"]) - 1))
+        k = len(rec["acts"][i]) - 1
+        kind = draw(st.sampled_from(("cut-one", "cut-all", "delete")))
+        if kind == "delete":
+            del rec["acts"][i], rec["rules"][k * i:k * (i + 1)]
+        else:
+            for j in range(1, k + 1) if kind == "cut-all" else [draw(st.integers(1, k))]:
+                rec["acts"][i][j] = rec["acts"][i][j][:-1]
+        return doc
+    if part:
         holder = draw(st.sampled_from(doc["records"]))
         key = draw(st.sampled_from(RECORD_FIELDS))
     else:
-        holder, key = doc, draw(st.sampled_from(("mode", "stages", "strategy_count", "config", "records")))
+        holder, key = doc, draw(st.sampled_from(("mode", "config", "records")))
     path = draw(st.sampled_from(list(json_places(holder[key]))))
     parent, slot = holder, key
     for i in path:

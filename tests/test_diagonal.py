@@ -631,6 +631,14 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
         assert any(part in msg for msg in expected), part
 
 
+def echoed(trace, count):
+    """The trace, echoing a config that lists `count` strategies: a trace
+    document counts its strategies in its config echo, and an engine run
+    built without a config has none."""
+    trace.config_echo = {"strategies": [{}] * count}
+    return trace
+
+
 def _doctor_trap_event(event, batch):
     def doctor(rec):
         rec["trap_events"][0], rec["batches"] = event, [[0, batch]] if batch else []
@@ -659,7 +667,7 @@ def test_trap_soundness_reports_an_event_that_is_no_witness(build, doctor, reaso
         6,
         [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
     )
-    doc = trace_to_jsonable(trace)
+    doc = trace_to_jsonable(echoed(trace, 2))
     assert doc["records"][2]["trap_events"] == [[0, 1, 2, 3]]
     doctor(doc["records"][2])
     assert audit_trap_soundness(trace_from_jsonable(doc)) == [reason]
@@ -770,7 +778,7 @@ def test_trace_json_roundtrip():
         6,
         [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
     )
-    doc = trace_to_jsonable(trace)
+    doc = trace_to_jsonable(echoed(trace, 2))
     back = trace_from_jsonable(doc)
     assert trace_to_jsonable(back) == doc
     assert back.death_stage == trace.death_stage
@@ -808,8 +816,9 @@ def _run_configs(draw, max_stages=(10, 10), counts=(0, 5)):
 
 
 def _round_trip_runs():
-    """The run of a config of 0-5 strategies and at most 10 stages."""
-    return _run_configs().map(run_construction)
+    """The run of a config of 0-5 strategies and at most 10 stages, echoing
+    its strategy count."""
+    return _run_configs().map(lambda cfg: echoed(run_construction(cfg), len(cfg.strategies)))
 
 
 @given(_round_trip_runs())

@@ -432,15 +432,16 @@ def test_verify_rejects_trace_format_1(tmp_path, capsys):
     # single-diagonal traces of one 4-stage config written by earlier
     # formats: /1 listed batches element by element, /2 carried a per-act
     # level hash, /3 listed every strategy in every record and a final
-    # block, /4 wrote every rule as [e, stage, node, side]
-    for version in (1, 2, 3, 4):
+    # block, /4 wrote every rule as [e, stage, node, side], /5 wrote the
+    # header counts and each record's stage, deaths and kept prefix lengths
+    for version in (1, 2, 3, 4, 5):
         fmt = "gencomp-trace/%d" % version
         fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v%d.json" % version)
         with open(fixture) as fh:
             assert json.load(fh)["format"] == fmt
         assert cli.main(["verify", fixture]) == 2
         err = capsys.readouterr().err
-        assert fmt in err and "gencomp-trace/5" in err and "gencomp-scenario-trace/5" in err
+        assert fmt in err and "gencomp-trace/6" in err and "gencomp-scenario-trace/5" in err
         assert "Traceback" not in err
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -453,7 +454,7 @@ def test_cli_stage_and_seed_overrides(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["run", str(cfg_path), "--stages", "7", "--out-dir", str(out)]) == 0
     doc = json.loads((out / "trace.json").read_text())
-    assert doc["stages"] == 7
+    assert len(doc["records"]) == 7
     trace = trace_from_jsonable(doc)
     assert trace.markers[0][-1][0] == 6
 
@@ -468,9 +469,10 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     # the replay comparison sees it doctored
     for where, part, key, value in (
         # the same approximation, from a shorter kept prefix
-        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"], 0, [0, 2, "00"]),
+        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"], 0, [0, "00"]),
         # another last approximation, still through the last marker
-        ("records[4].acts[0][2]", lambda d: d["records"][4]["acts"][0], 2, "1"),
+        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"][0], 1, "1"),
+        # gencomp-trace/5 wrote the header counts; /6 derives them
         ("defined_through", lambda d: d, "defined_through", 3),
         # gencomp-trace/3 listed every strategy in every record and ended
         # with a final block; /4 writes neither
@@ -487,8 +489,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         )
     # records the trace cannot be built from fail while it loads: an act
     # whose rule moved to the next record, a second rule for an act, a rule
-    # longer than its stage, a rule length that is a bool, and a strategy
-    # count other than the config's
+    # longer than its stage, and a rule length that is a bool
     def moved(doc):
         doc["records"][2]["rules"].insert(0, doc["records"][1]["rules"].pop())
 
@@ -501,15 +502,11 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     def flagged(doc):
         doc["records"][1]["rules"][0] = False
 
-    def counted(doc):
-        doc["strategy_count"] = 2
-
     for where, doctor, reason in (
         ("records[1].rules[0]", moved, "acts at stage 1 issue 1 rules, but the record lists 0"),
         ("records[1].rules[1]", extra, "acts at stage 1 issue 1 rules, but the record lists 2"),
         ("records[1].rules[0]", ahead, "rule 0 at stage 1 has a node of length 2"),
         ("records[1].rules[0]", flagged, "rule 0 at stage 1 has a node of length False"),
-        ("strategy_count", counted, "strategy count 2, but the config lists 1 strategies"),
     ):
         doc = json.loads((out / "trace.json").read_text())
         doctor(doc)
@@ -555,33 +552,28 @@ def _in_records(cases):
      "acts at stage 2 issue 4 rules, but the record lists 3"),
     ("records[2].acts[1]", lambda r: r[2]["acts"].pop(1),
      "acts at stage 2 issue 2 rules, but the record lists 4"),
-    ("records[4].acts[0][0]", lambda r: r[4]["acts"].insert(0, [0, 3, "0", "0"]),
+    ("records[4].acts[0][0]", lambda r: r[4]["acts"].insert(0, [0, "0", "0"]),
      "strategy 0 acts at stage 4, after it died"),
-    ("records[1].acts[1]", lambda r: r[1]["acts"].append([1, 0, "0", "0"]),
+    ("records[1].acts[1]", lambda r: r[1]["acts"].append([1, "0", "0"]),
      "strategy 1 acts at stage 1, before it starts"),
-    ("records[4].deaths[0]", lambda r: r[4]["deaths"].append(0),
-     "strategy 0 dies at stage 4, after it died"),
-    ("records[1].deaths[0]", lambda r: r[1]["deaths"].append(1),
-     "strategy 1 dies at stage 1, before it starts"),
-    ("records[2].deaths[0]", lambda r: r[2]["deaths"].append(0),
-     "strategy 0 dies at stage 2, after it acted"),
-    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, 2),
-     "act of strategy 0 at stage 2 keeps 2 bits of a 1-bit approximation"),
-    ("records[1].acts[0][1]", lambda r: r[1]["acts"][0].__setitem__(1, 1),
-     "act of strategy 0 at stage 1 keeps 1 bits of a 0-bit approximation"),
-    ("records[2].acts[0][2]", lambda r: r[2]["acts"][0].__setitem__(2, "00"),
-     "act of strategy 0 at stage 2 rebuilds ('000', '00'), not 2 bits per side"),
-    ("records[2].acts[0][3]", lambda r: r[2]["acts"][0].__setitem__(3, ""),
-     "act of strategy 0 at stage 2 rebuilds ('00', '0'), not 2 bits per side"),
+    # an act's suffixes have one length, from the stage minus the length of
+    # the strategy's last approximation through the stage (strategy 0's
+    # stage-1 and stage-2 acts are [0, "0", "0"])
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, "00"),
+     "act of strategy 0 at stage 2 has suffixes ['00', '0'] of unequal lengths"),
+    ("records[2].acts[0][2]", lambda r: r[2]["acts"][0].__setitem__(2, ""),
+     "act of strategy 0 at stage 2 has suffixes ['0', ''] of unequal lengths"),
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"].__setitem__(0, [0, "", ""]),
+     "act of strategy 0 at stage 2 has a 0-bit suffix after a 1-bit approximation"),
+    ("records[1].acts[0][1]", lambda r: r[1]["acts"].__setitem__(0, [0, "", ""]),
+     "act of strategy 0 at stage 1 has a 0-bit suffix after a 0-bit approximation"),
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"].__setitem__(0, [0, "000", "000"]),
+     "act of strategy 0 at stage 2 has a 3-bit suffix after a 1-bit approximation"),
+    # a live strategy whose act is gone has died there, so its next act
+    # comes after its death
     ("records[2].acts[1]", lambda r: (_drop_rules(2, 1)(r), r[2]["acts"].pop(1)),
-     "live strategy 1 neither acts nor dies at stage 2"),
+     "strategy 1 acts at stage 3, after it died"),
     # every count is an int that is not a bool
-    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, True),
-     "act of strategy 0 at stage 2 keeps True bits of a 1-bit approximation"),
-    ("records[1].stage", lambda r: r[1].__setitem__("stage", True),
-     "record of stage True follows 1 records"),
-    ("records[3].deaths[0]", lambda r: r[3]["deaths"].__setitem__(0, True),
-     "strategy True dies in a 2-strategy trace"),
     ("records[2].batches[0][0]", lambda r: r[2]["batches"][0].__setitem__(0, True),
      "batch of strategy True in a 2-strategy trace"),
     # every batch is a run set of naturals: sorted, disjoint, non-adjacent
@@ -598,21 +590,23 @@ def _in_records(cases):
     ("records[2].trap_events[0][3]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2]),
      "trap event [0, 1, 2] at stage 2 is not four naturals"),
     # every field and entry has the type and arity the engine writes
-    ("records[2].acts[0][2]", lambda r: r[2]["acts"][0].__setitem__(2, 5),
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, 5),
      "act of strategy 0 at stage 2 has suffixes [5, '0'], not bit strings"),
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, True),
+     "act of strategy 0 at stage 2 has suffixes [True, '0'], not bit strings"),
     ("records[2].acts[0][1]", lambda r: r[2]["acts"].__setitem__(0, [0]),
-     "act of stage 2: [0] is not a list of 4 items"),
+     "act of stage 2: [0] is not a list of 3 items"),
     ("records[2].batches[0][1]", lambda r: r[2]["batches"].__setitem__(0, [0]),
      "batch entry of stage 2: [0] is not a list of 2 items"),
     ("records[2].acts", lambda r: r[2].__setitem__("acts", 5),
      "acts of stage 2: 5 is not a list"),
     ("records[3]", lambda r: r.__setitem__(3, [3]),
-     "record of stage None follows 3 records"),
+     "record of stage 3: [3] is not an object"),
     # one batch per strategy and record, and acts in strategy order
     ("records[2].batches[1]", lambda r: r[2]["batches"].append([0, [[2, 3]]]),
      "second batch of strategy 0 at stage 2"),
     ("records[2].acts[0][0]", lambda r: r[2].update(acts=r[2]["acts"][::-1], rules=[0, 0, 1, 1]),
-     "acts or deaths at stage 2 are out of strategy order"),
+     "acts at stage 2 are out of strategy order"),
 ]) + [
     ("mode", lambda doc: doc.__setitem__("mode", "triple"),
      "trace mode 'triple' is neither single nor pair"),
@@ -620,18 +614,16 @@ def _in_records(cases):
      "trace mode ['pair'] is neither single nor pair"),
     ("records", lambda doc: doc.__setitem__("records", 5),
      "records 5 are not a list"),
-    ("stages", lambda doc: doc.__setitem__("stages", "6"),
-     "stage count '6', but the trace has 5 records"),
 ])
 def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where, doctor, reason):
-    # counts, batches, trap events, acts, deaths and rules that no run
-    # writes fail while the trace loads: one VIOLATION line from the
-    # loader, after the replay's mismatch line
+    # counts, batches, trap events, acts and rules that no run writes fail
+    # while the trace loads: one VIOLATION line from the loader, after the
+    # replay's mismatch line
     out = tmp_path / "o"
     run_experiment({**_pair_springer_config(), "out_dir": str(out)})
     doc = json.loads((out / "trace.json").read_text())
     assert [len(rec["acts"]) for rec in doc["records"]] == [0, 1, 2, 1, 1]
-    assert [rec["deaths"] for rec in doc["records"]] == [[], [], [], [0], []]
+    assert trace_from_jsonable(doc).death_stage == {0: 3, 1: None}
     doctor(doc)
     (out / "bad.json").write_text(canonical_json(doc))
     capsys.readouterr()
@@ -644,6 +636,28 @@ def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where,
     assert "Traceback" not in printed.out + printed.err
     with pytest.raises(InvariantViolationError, match="^%s$" % re.escape(reason)):
         trace_from_jsonable(doc)
+
+
+def test_a_live_strategy_without_its_last_act_fails_spoiling(tmp_path, capsys):
+    # the loader reads a live strategy that does not act as dead: without
+    # its act at the last stage, strategy 1 has died at stage 4 although
+    # its level-3 tree is not empty, and the spoiling audit names a node
+    # without a witness
+    out = tmp_path / "o"
+    run_experiment({**_pair_springer_config(), "out_dir": str(out)})
+    doc = json.loads((out / "trace.json").read_text())
+    _drop_rules(4, 1)(doc["records"])
+    doc["records"][4]["acts"].pop(0)
+    trace = trace_from_jsonable(doc)
+    assert trace.death_stage == {0: 3, 1: 4}
+    assert [name for name, _, bad in diagonal.audit_verdicts(trace) if bad] == ["spoiling-completeness"]
+    (out / "bad.json").write_text(canonical_json(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out / "bad.json")]) == 4
+    assert capsys.readouterr().out == (
+        "VIOLATION: replay mismatch at records[4].acts[0]: trace is not reproducible from its config\n"
+        "VIOLATION: no spoiling witness for ('000', '000') (strategy 1)\n"
+    )
 
 
 def test_spoiling_walk_charges_the_node_budget(tmp_path, monkeypatch, capsys):
@@ -671,7 +685,7 @@ def test_empty_strategy_list_runs_and_verifies(tmp_path):
         out = tmp_path / scenario
         run_experiment(single_config(scenario=scenario, strategies=[], out_dir=str(out)))
         doc = json.loads((out / "trace.json").read_text())
-        assert doc["strategy_count"] == 0
+        assert doc["config"]["strategies"] == []
         assert all(not rec["acts"] and not rec["rules"] for rec in doc["records"])
         assert verify_trace_file(str(out / "trace.json")) == []
 
@@ -681,7 +695,7 @@ def test_cli_catalog(capsys):
     listed = json.loads(capsys.readouterr().out)
     assert "trap-springer" in listed["adversaries"]
     assert "single-diagonal" in listed["scenarios"]
-    assert listed["trace_format"] == "gencomp-trace/5"
+    assert listed["trace_format"] == "gencomp-trace/6"
     assert listed["report_format"] == "gencomp-report/3"
     assert listed["scenario_trace_format"] == "gencomp-scenario-trace/5"
 
@@ -745,7 +759,7 @@ def test_verify_scenario_trace_formats(tmp_path, capsys):
         assert cli.main(["verify", path]) == 2
         err = capsys.readouterr().err
         assert "'gencomp-scenario-trace/%d'" % version in err
-        assert "gencomp-trace/5" in err and "gencomp-scenario-trace/5" in err
+        assert "gencomp-trace/6" in err and "gencomp-scenario-trace/5" in err
         assert "Traceback" not in err
     # one image digit flipped: the replay names the entry's images string
     i = next(i for i, images in enumerate(doc["log"]) if images)
