@@ -38,27 +38,27 @@ class GapCensus(Frozen):
     """Largest gap per block (as the smallest exponent e), or None.
 
     records[i] is the smallest e such that a gap of size 2^-e is present at
-    block i (nested smaller gaps are derivable, not stored).  `omitted`
-    is the run set of absent elements in [1, 2^i_max), the blocks below
-    the census horizon, and gap_only records whether every block's
-    omissions form a pure suffix of the block.
+    block i (nested smaller gaps are derivable, not stored), for each block
+    i below the census horizon i_max, the record count.  `omitted` is the
+    run set of absent elements in [1, 2^i_max), and gap_only records
+    whether every block's omissions form a power-of-2 suffix of the block.
     """
 
-    __slots__ = ("i_max", "records", "omitted", "gap_only")
+    __slots__ = ("records", "omitted", "gap_only")
 
-    def __init__(self, i_max: int, records: tuple, omitted: tuple, gap_only: bool):
-        object.__setattr__(self, "i_max", i_max)
+    def __init__(self, records: tuple, omitted: tuple, gap_only: bool):
         object.__setattr__(self, "records", records)  # ((i, e-or-None), ...) for i < i_max
         object.__setattr__(self, "omitted", omitted)  # run set inside [1, 2^i_max)
         object.__setattr__(self, "gap_only", gap_only)
 
     def to_jsonable(self) -> dict:
-        return {
-            "i_max": self.i_max,
-            "records": [e for _, e in self.records],  # indexed by block
-            "omitted": [list(run) for run in self.omitted],
-            "gap_only": self.gap_only,
-        }
+        """The records indexed by block and `gap_only`; `omitted` only when
+        not gap-only, since a gap-only census omits exactly the union of
+        its records' gap intervals."""
+        doc = {"records": [e for _, e in self.records], "gap_only": self.gap_only}
+        if not self.gap_only:
+            doc["omitted"] = [list(run) for run in self.omitted]
+        return doc
 
 
 def gap_census(present, i_max: int) -> GapCensus:
@@ -81,7 +81,7 @@ def gap_census(present, i_max: int) -> GapCensus:
         if len(inside) != bool(run) or run & (run - 1):
             gap_only = False  # interior holes or a non-power-of-2 suffix
         records.append((i, i + 1 - run.bit_length() if run else None))
-    return GapCensus(i_max, tuple(records), omitted, gap_only)
+    return GapCensus(tuple(records), omitted, gap_only)
 
 
 def gap_density_upper(i: int, e: int) -> Fraction:

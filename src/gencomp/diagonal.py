@@ -697,12 +697,12 @@ def census_prefixes(trace: Trace) -> list:
 
 def audit_verdicts(trace: Trace) -> list:
     """The audit registry: every standard audit of a trace as (invariant
-    name, inputs, violations), in report order."""
-    whole = {"stages": len(trace.records), "strategies": trace.strategy_count}
+    name, inputs, violations), in report order.  The whole-trace audits
+    take no inputs beyond the config a report echoes."""
     out = [
-        ("marker-on-path", whole, audit_marker_on_path(trace)),
-        ("trap-soundness", whole, audit_trap_soundness(trace)),
-        ("spoiling-completeness", whole, audit_spoiling(trace)),
+        ("marker-on-path", {}, audit_marker_on_path(trace)),
+        ("trap-soundness", {}, audit_trap_soundness(trace)),
+        ("spoiling-completeness", {}, audit_spoiling(trace)),
     ]
     for e in range(trace.strategy_count):
         probes = default_probe_prefixes(trace, e)

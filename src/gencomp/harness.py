@@ -33,7 +33,7 @@ from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/5"
-REPORT_FORMAT = "gencomp-report/3"
+REPORT_FORMAT = "gencomp-report/4"
 
 # the diagonal scenarios and the `diagonal` mode each builds (the keys of
 # diagonal.SIDES), spelled out so that reading them loads no module
@@ -261,7 +261,12 @@ def _diagonal_trace(cfg) -> diagonal.Trace:
 
 
 def _diagonal_report(trace) -> dict:
-    """Audit a diagonal trace once through the registry and report on it."""
+    """Audit a diagonal trace once through the registry and report on it.
+
+    The report body writes no fact that the rest of the report gives:
+    entry e of `densities` and of `trap_tallies` is strategy e's, a
+    tally's inactive count is the stage count less its pending and sprung
+    counts, and the whole-trace verdicts restate nothing of the config."""
     verdicts = [
         verdict(name, not bad, **inputs) for name, inputs, bad in diagonal.audit_verdicts(trace)
     ]
@@ -271,11 +276,9 @@ def _diagonal_report(trace) -> dict:
         elems = trace.enumerated[e]
         # count i is the enumerated elements below 2^(i+1), block i's end
         counts = [count_below(elems, 2 << i) for i in range(trace.defined_through + 1)]
-        densities.append({"strategy": e, "block_end_counts": counts})
-        tally = {"pending": 0, "sprung": 0, "inactive": 0}
-        for s in range(len(trace.records)):
-            tally[diagonal.trap_status(trace, e, s)] += 1
-        tallies.append({"strategy": e, **tally})
+        densities.append({"block_end_counts": counts})
+        statuses = [diagonal.trap_status(trace, e, s) for s in range(len(trace.records))]
+        tallies.append({"pending": statuses.count("pending"), "sprung": statuses.count("sprung")})
     # the gap-census audits above computed these censuses
     censuses = [
         {"oracle_prefix": label, "side": trace.sides[i], "census": trace.census(prefix, i).to_jsonable()}
@@ -293,13 +296,13 @@ def _diagonal_report(trace) -> dict:
 def _write_csv_profiles(report, out_dir):
     """One CSV per strategy of the report's block-end densities, each in
     lowest terms."""
-    for entry in report["densities"]:
+    for e, entry in enumerate(report["densities"]):
         lines = ["n,num,den"]
         for i, count in enumerate(entry["block_end_counts"]):
             n = 2 << i
             density = rational(count, n)
             lines.append("%d,%d,%d" % (n, density["num"], density["den"]))
-        path = os.path.join(out_dir, "wdensity_strategy%d.csv" % entry["strategy"])
+        path = os.path.join(out_dir, "wdensity_strategy%d.csv" % e)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -396,12 +399,7 @@ def run_experiment(config: dict):
     """
     cfg = validate_config(config)
     trace_doc, report_body = SCENARIO_TABLE[cfg["scenario"]].run(cfg)
-    report = {
-        "format": REPORT_FORMAT,
-        "scenario": cfg["scenario"],
-        "config": cfg,
-        **report_body,
-    }
+    report = {"format": REPORT_FORMAT, "config": cfg, **report_body}
     target = config.get("out_dir")
     if target:
         try:

@@ -38,7 +38,7 @@ def run_coding_roundtrip(cfg):
             roundtrip_ok &= got == x.bit(m)
             bits.append(got)
         decoded.append("".join(str(b) for b in bits))
-    verdicts.append(verdict("valuation-roundtrip", roundtrip_ok, count=count, m_max=m_max))
+    verdicts.append(verdict("valuation-roundtrip", roundtrip_ok))
 
     x0 = reals.SeededReal(child_seed(seed, 0))
     vectors_ok = (
@@ -149,7 +149,7 @@ def run_relation_embed(cfg):
         emb = relations.embed_relation(rel)
         embed_ok &= emb.verify()
         log.append(embedding_jsonable(emb))
-    verdicts.append(verdict("embedding-exact", embed_ok, count=cfg["count"]))
+    verdicts.append(verdict("embedding-exact", embed_ok))
 
     reflexive_ok = all(relations.universal_rel(k, k) for k in range(4096))
     verdicts.append(verdict("reflexivity", reflexive_ok, ids=4096))
@@ -211,6 +211,5 @@ def run_operator_compile(cfg):
         via_operator = enumops.apply_operator(op, frozenset(assignment), bound)
         direct = enumops.union_over_labeled_orderings(phi, assignment, cfg["label_bound"])
         ok &= via_operator == direct
-    inputs = {"machine": cfg["machine"], "element_bound": bound, "label_bound": cfg["label_bound"]}
-    report = {"verdicts": [verdict("operator-matches-orderings", ok, **inputs)], "densities": [], "notes": []}
+    report = {"verdicts": [verdict("operator-matches-orderings", ok)], "densities": [], "notes": []}
     return axioms, report

@@ -12,6 +12,7 @@ independent of how its batches are written.
 
 import functools
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -48,7 +49,9 @@ from gencomp.diagonal import (
 from gencomp.errors import BudgetError, InvariantViolationError, UndefinedInputError
 from gencomp.harness import (
     DIAGONAL_MODES,
+    REPORT_FORMAT,
     SCENARIOS,
+    _diagonal_report,
     canonical_json,
     load_enumerator,
     load_selector,
@@ -311,9 +314,10 @@ def oracle_spoiling(trace, brute_max: int = 12):
 
 def test_block_end_densities_match_probing(run):
     report, trace = run
-    for entry in report["densities"]:
+    assert len(report["densities"]) == trace.strategy_count
+    for e, entry in enumerate(report["densities"]):
         got = [(2 << i, Fraction(c, 2 << i)) for i, c in enumerate(entry["block_end_counts"])]
-        assert got == oracle_densities(trace, entry["strategy"])
+        assert got == oracle_densities(trace, e)
 
 
 def test_trap_events_match_all_pairs_scan(run):
@@ -357,9 +361,11 @@ def test_level_hits_match_unskipped_scan(run):
 
 def test_trap_tallies_match_recount(run):
     report, trace = run
-    for row in report["trap_tallies"]:
-        e = row["strategy"]
-        assert {k: row[k] for k in ("pending", "sprung", "inactive")} == oracle_tally(trace, e)
+    # a tally writes no inactive count: every stage's trap is one of the three
+    assert len(report["trap_tallies"]) == trace.strategy_count
+    for e, row in enumerate(report["trap_tallies"]):
+        inactive = len(trace.records) - row["pending"] - row["sprung"]
+        assert dict(row, inactive=inactive) == oracle_tally(trace, e)
 
 
 def test_single_victim_matches_max_over_all_approximations(run):
@@ -578,23 +584,24 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/6 bytes and the report digests of the gencomp-report/3
-# bytes; TRACE_5_DIGESTS, TRACE_4_DIGESTS, TRACE_3_DIGESTS, REPORT_2_DIGESTS
-# and REPORT_1_DIGESTS keep the /5, /4 and /3 trace and the /2 and /1 report
-# digests, which `trace_5_view`, `trace_4_view`, `trace_3_view`,
-# `report_2_view` and `report_1_view` still reproduce.
+# the gencomp-trace/6 bytes and the report digests of the gencomp-report/4
+# bytes; TRACE_5_DIGESTS, TRACE_4_DIGESTS, TRACE_3_DIGESTS,
+# REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /5, /4
+# and /3 trace and the /3, /2 and /1 report digests, which `trace_5_view`,
+# `trace_4_view`, `trace_3_view`, `report_3_view`, `report_2_view` and
+# `report_1_view` still reproduce.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
         "574eb6e5e9e8265269954f46ec199254501ac51de6412b49e5e89fc66e17e468",
-        "bd2b38054163eef50592f8e934932f73e1e21657a7dd5c16e71573d902c508f9",
+        "4f7fa3ee6f4f297cec73e6c916a60f73e06cc695c14895626d4229cfe65b429a",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
         "48659e2706833fd0825caa2d2c56274f4423980538e448c6f8a7895c70f54261",
-        "74a48c05b024338fce9f17570d76e8240c439fc24d7acf37c79b0313e5782774",
+        "a047810b09461ac020a9b8b7b614a9a0107b515e8cf785504540ff910e1d6cb9",
     ),
 }
 
@@ -811,30 +818,140 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # SCENARIO_TRACE_1_DIGESTS keep the /4, /3, /2 and /1 digests, which
 # `scenario_trace_4_view` and the views chained on it reproduce from each
 # /5 trace written with the /4 child seeds (`written_scenario_trace`).
-# Every report digest is of the gencomp-report/3 bytes; REPORT_2_DIGESTS
-# keeps the /2 digests, which `report_2_view` reproduces.
+# Every report digest is of the gencomp-report/4 bytes; REPORT_3_DIGESTS,
+# REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /3, /2 and /1 digests,
+# which `report_3_view` and the views chained on it reproduce.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
     "152c6afd2a035e7a8b625ec421484ca9fad93ad3c412622abac0b1c668e4f36b",
-    "68fc439ef02364ca201397243176e3a670382c1c370fa8df46432eec9a4b0d7a",
+    "4826fa372d4073299efd3afb3f382c75850fda097f1f6a6201931b979adc2caf",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
     "cfdd011a8ac58d619d9df1aac63a1d67bc5db4c147bcb9180219a234d94362a2",
-    "a23646e3092d70466d663809b13022a870b793988c53685a741bffa298ef88fb",
+    "ffc559b75311dcb2bad6ff4aaa5a367da37f6f3ade8f4129b06e2f33282f7e35",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
     "694fc3d25a69451fabe8bc833beb600e37d37e471374b1c92ec2c130204ab27d",
-    "2f6a58cfe2af4f871b4067b41ede748e177b13653e02b0b33c45efc5835ebddb",
+    "0298cebc7116072c77555f1afbfa1d024198af86f274e593101e0a7c89fb7588",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
     "32f926672b2a5be4fc882e11409dc50791eadfd3cc735e4e436aaa7a72cb8291",
-    "3b40b06be812021cca99456bbba44f3529ace174ab9caccd991385f2ec4ac6f8",
+    "2092d4cd1c22bed8799061a88e864f1404333ac48cf30266bb3a5a5df021341f",
 )
+
+
+# the report.json digests of the same configs as gencomp-report/3 wrote them
+REPORT_3_DIGESTS = {
+    "pair-catalog-12": "bd2b38054163eef50592f8e934932f73e1e21657a7dd5c16e71573d902c508f9",
+    "single-diagonal-12": "74a48c05b024338fce9f17570d76e8240c439fc24d7acf37c79b0313e5782774",
+    "coding-roundtrip-7": "68fc439ef02364ca201397243176e3a670382c1c370fa8df46432eec9a4b0d7a",
+    "operator-echo-5": "a23646e3092d70466d663809b13022a870b793988c53685a741bffa298ef88fb",
+    "operator-order-gate-5": "2f6a58cfe2af4f871b4067b41ede748e177b13653e02b0b33c45efc5835ebddb",
+    "relation-embed-3": "3b40b06be812021cca99456bbba44f3529ace174ab9caccd991385f2ec4ac6f8",
+}
+
+
+def restated_inputs(invariant, cfg):
+    """The verdict inputs a gencomp-report/3 report copied from its config."""
+    if invariant in ("marker-on-path", "trap-soundness", "spoiling-completeness"):
+        return {"stages": cfg["stages"], "strategies": len(cfg["strategies"])}
+    if invariant == "valuation-roundtrip":
+        return {"count": cfg["count"], "m_max": cfg["m_max"]}
+    if invariant == "embedding-exact":
+        return {"count": cfg["count"]}
+    if invariant == "operator-matches-orderings":
+        return {key: cfg[key] for key in ("machine", "element_bound", "label_bound")}
+    return {}
+
+
+def census_3_view(census):
+    """A gencomp-report/4 census in the /3 shape: `i_max`, the record
+    count, and for a gap-only census `omitted`, the union of the gap
+    intervals its records give, adjacent gaps merged into one run."""
+    old = dict(census, i_max=len(census["records"]))
+    if census["gap_only"]:
+        runs = old["omitted"] = []
+        for i, e in enumerate(census["records"]):
+            if e is not None:
+                lo, hi = gap_interval(i, e)
+                if runs and runs[-1][1] == lo:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+    return old
+
+
+def report_3_view(report):
+    """A gencomp-report/4 report in the /3 shape, rebuilt from the JSON
+    alone: the old format tag, the top-level `scenario` (the config's), the
+    verdict inputs that restate the config, each density and tally entry's
+    `strategy` (its index), each tally's `inactive` (the stage count less
+    its pending and sprung counts), and each census's `census_3_view`."""
+    cfg = report["config"]
+    old = dict(report, format="gencomp-report/3", scenario=cfg["scenario"])
+    old["verdicts"] = [
+        dict(v, inputs={**v["inputs"], **restated_inputs(v["invariant"], cfg)})
+        for v in report["verdicts"]
+    ]
+    if "value_censuses" not in report:  # not a diagonal report
+        return old
+    old["densities"] = [dict(entry, strategy=e) for e, entry in enumerate(report["densities"])]
+    old["trap_tallies"] = [
+        dict(row, strategy=e, inactive=cfg["stages"] - row["pending"] - row["sprung"])
+        for e, row in enumerate(report["trap_tallies"])
+    ]
+    old["value_censuses"] = [
+        dict(row, census=census_3_view(row["census"])) for row in report["value_censuses"]
+    ]
+    return old
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_3_DIGESTS))
+def test_report_4_reads_as_report_3(tmp_path, name):
+    # the /4 bump drops every report fact that another field of the same
+    # report gives; everything else a /3 report said is unchanged
+    cfg = ARTIFACT_GOLDEN[name][0]
+    run_experiment({**cfg, "out_dir": str(tmp_path)})
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["format"] == "gencomp-report/4"
+    old = canonical_json(report_3_view(written)).encode()
+    assert hashlib.sha256(old).hexdigest() == REPORT_3_DIGESTS[name]
+
+
+def benchmark_workloads():
+    """perfbench's workload generators, loaded from their file, as the
+    benchmark's configs are not part of the package."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+REPORT_VIEW_CONFIGS = {name: cfg for name, (cfg, _, _) in ARTIFACT_GOLDEN.items() if "strategies" in cfg}
+REPORT_VIEW_CONFIGS.update(
+    ("%s-seed-1" % name, cfg)
+    for generate in benchmark_workloads().values()
+    for name, cfg in generate(1)
+    if "strategies" in cfg
+)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_VIEW_CONFIGS))
+def test_diagonal_report_is_a_view_of_the_trace(tmp_path, name):
+    # a diagonal report is a function of its trace file alone: loading
+    # trace.json and reporting on it, under the echo and the format tag,
+    # rebuilds report.json byte for byte
+    run_experiment({**REPORT_VIEW_CONFIGS[name], "out_dir": str(tmp_path)})
+    doc = json.loads((tmp_path / "trace.json").read_text())
+    rebuilt = {"format": REPORT_FORMAT, "config": doc["config"],
+               **_diagonal_report(trace_from_jsonable(doc))}
+    assert canonical_json(rebuilt) == (tmp_path / "report.json").read_text()
 
 
 # the report.json digests of the same configs as gencomp-report/2 wrote them
@@ -849,11 +966,12 @@ REPORT_2_DIGESTS = {
 
 
 def report_2_view(report):
-    """A gencomp-report/3 report in the gencomp-report/2 shape: the old
-    format tag, each block-end count c_i as the row {"n": 2^(i+1),
-    "density": c_i / 2^(i+1) in lowest terms}, each census's records as
-    [block, e] pairs, and `gap_only` false on every value census, as /2
-    censused the value set without 0."""
+    """A gencomp-report/4 report in the gencomp-report/2 shape: its
+    `report_3_view` with the old format tag, each block-end count c_i as
+    the row {"n": 2^(i+1), "density": c_i / 2^(i+1) in lowest terms}, each
+    census's records as [block, e] pairs, and `gap_only` false on every
+    value census, as /2 censused the value set without 0."""
+    report = report_3_view(report)
     old = dict(report, format="gencomp-report/2")
     if "value_censuses" not in report:  # not a diagonal report
         return old
@@ -883,20 +1001,23 @@ def test_report_3_reads_as_report_2(tmp_path, name):
     cfg = ARTIFACT_GOLDEN[name][0]
     run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "report.json").read_text())
-    assert written["format"] == "gencomp-report/3"
+    assert written["format"] == "gencomp-report/4"
     old = canonical_json(report_2_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == REPORT_2_DIGESTS[name]
 
 
 def test_value_censuses_are_gap_only():
     # a diagonal value set omits only its rules' gaps, each a power-of-2
-    # suffix of its block, and keeps 0
+    # suffix of its block, and keeps 0; so no value census writes `omitted`,
+    # which its records give
     names = [name for name, (cfg, _, _) in ARTIFACT_GOLDEN.items() if "strategies" in cfg]
     assert names
     for name in names:
         report, _ = run_experiment(ARTIFACT_GOLDEN[name][0])
         censuses = report["value_censuses"]
-        assert censuses and all(row["census"]["gap_only"] for row in censuses), name
+        assert censuses, name
+        for row in censuses:
+            assert row["census"]["gap_only"] and "omitted" not in row["census"], name
 
 
 # the report.json digests of the same configs as gencomp-report/1 wrote them
@@ -908,7 +1029,7 @@ REPORT_1_DIGESTS = {
 
 
 def report_1_view(report):
-    """A gencomp-report/3 report in the gencomp-report/1 shape: its
+    """A gencomp-report/4 report in the gencomp-report/1 shape: its
     `report_2_view` with the old format tag, each census's `omitted` runs
     expanded to elements, no `side`, and only the censuses /1 made (single
     mode through stage 14)."""
@@ -939,7 +1060,7 @@ def test_report_2_reads_as_report_1(tmp_path, name):
     cfg = ARTIFACT_GOLDEN[name][0]
     run_experiment({**cfg, "out_dir": str(tmp_path)})
     written = json.loads((tmp_path / "report.json").read_text())
-    assert written["format"] == "gencomp-report/3"
+    assert written["format"] == "gencomp-report/4"
     old = canonical_json(report_1_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 

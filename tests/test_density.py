@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from gencomp.density import (
 )
 from gencomp.errors import MalformedGapError, UndefinedInputError
 from gencomp.reals import SeededReal
-from gencomp.runs import from_elements
+from gencomp.runs import difference, from_elements, normalize
 from oracles import elements
+from test_counting import census_3_view
 
 
 def present(member, i_max):
@@ -204,12 +206,44 @@ def test_gap_census_gaps_and_jsonable():
     assert gaps(census) == [(3, 1), (5, 0)]
     assert [e for _, e in census.records] == [None, None, None, 1, None, 0, None]
     assert census.gap_only
-    assert census.to_jsonable() == {
+    # a gap-only census writes no `omitted`: its records' gaps give it
+    assert census.to_jsonable() == {"records": [None, None, None, 1, None, 0, None], "gap_only": True}
+    assert census_3_view(census.to_jsonable()) == {
         "i_max": 7,
         "records": [None, None, None, 1, None, 0, None],
         "omitted": [[12, 16], [32, 64]],
         "gap_only": True,
     }
+
+
+def test_a_gap_only_census_omits_exactly_its_gaps():
+    # every choice of one gap or none per block below 2^5, 0 kept: the
+    # census writes no `omitted`, and the union of its records' gap
+    # intervals, adjacent gaps merged, rebuilds it
+    for choice in itertools.product(*[[None, *range(i + 1)] for i in range(5)]):
+        gap_runs = normalize(gap_interval(i, e) for i, e in enumerate(choice) if e is not None)
+        census = gap_census(difference(((0, 32),), gap_runs), 5)
+        doc = census.to_jsonable()
+        assert census.gap_only and census.omitted == gap_runs
+        assert doc == {"records": list(choice), "gap_only": True}
+        assert census_3_view(doc) == {
+            "i_max": 5, "records": list(choice), "omitted": [list(run) for run in gap_runs], "gap_only": True,
+        }
+    # all blocks wholly omitted: one run, as pair-silent's all-zeros census
+    assert census_3_view(gap_census(((0, 2),), 20).to_jsonable())["omitted"] == [[2, 1 << 20]]
+
+
+@pytest.mark.parametrize("runs, records, omitted", [
+    (((0, 5), (6, 8)), [None, None, None], [[5, 6]]),  # an interior hole in block 2
+    (((0, 5),), [None, None, 1], [[5, 8]]),  # a suffix of 3 in block 2, which holds the gap of 2
+    (((1, 6),), [None, None, 1], [[6, 8]]),  # only gaps, but no 0
+])
+def test_a_census_that_is_not_gap_only_keeps_omitted(runs, records, omitted):
+    census = gap_census(runs, 3)
+    assert not census.gap_only
+    doc = census.to_jsonable()
+    assert doc == {"records": records, "omitted": omitted, "gap_only": False}
+    assert census_3_view(doc) == dict(doc, i_max=3)
 
 
 def test_single_gap_sets_meet_their_density_bound():

@@ -183,8 +183,8 @@ def test_csv_profiles_are_the_report_densities(tmp_path):
     }
     report, _ = run_experiment({**cfg, "out_dir": str(tmp_path)})
     assert len(report["densities"]) == 3
-    for entry in report["densities"]:
-        csv = (tmp_path / ("wdensity_strategy%d.csv" % entry["strategy"])).read_text()
+    for e, entry in enumerate(report["densities"]):
+        csv = (tmp_path / ("wdensity_strategy%d.csv" % e)).read_text()
         densities = [Fraction(count, 2 << i) for i, count in enumerate(entry["block_end_counts"])]
         expected = ["n,num,den"] + [
             "%d,%d,%d" % (2 << i, d.numerator, d.denominator) for i, d in enumerate(densities)
@@ -696,7 +696,7 @@ def test_cli_catalog(capsys):
     assert "trap-springer" in listed["adversaries"]
     assert "single-diagonal" in listed["scenarios"]
     assert listed["trace_format"] == "gencomp-trace/6"
-    assert listed["report_format"] == "gencomp-report/3"
+    assert listed["report_format"] == "gencomp-report/4"
     assert listed["scenario_trace_format"] == "gencomp-scenario-trace/5"
 
 
