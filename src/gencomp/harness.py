@@ -4,12 +4,12 @@ runs, trace/report emission, and trace verification.
 A config is the only input to a run.  Config documents carry a version
 field and are validated strictly: unknown fields are errors, so configs
 cannot drift silently.  The validated config, less `out_dir`, is what a
-trace echoes; `verify_trace_file` replays either trace format from that
-echo and writes nothing.  Every scenario is deterministic end-to-end;
-running the same effective config twice produces byte-identical trace
-files.  Reports store rationals as {num, den} integer pairs, and a
-block-end density as its count over the block end; no floats cross the
-serialization boundary.
+trace echoes, and no report repeats it; `verify_trace_file` replays
+either trace format from that echo and writes nothing.  Every scenario is
+deterministic end-to-end; running the same effective config twice produces
+byte-identical trace files.  Reports store rationals as {num, den} integer
+pairs, and a block-end density as its count over the block end; no floats
+cross the serialization boundary.
 
 `SCENARIO_TABLE` holds each scenario's config fields, with their defaults
 and bounds, and its runner.  The diagonal runner is here; the runners of
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from functools import partial
 from math import gcd
 
@@ -33,7 +34,7 @@ from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/5"
-REPORT_FORMAT = "gencomp-report/4"
+REPORT_FORMAT = "gencomp-report/5"
 
 # the diagonal scenarios and the `diagonal` mode each builds (the keys of
 # diagonal.SIDES), spelled out so that reading them loads no module
@@ -293,20 +294,6 @@ def _diagonal_report(trace) -> dict:
     }
 
 
-def _write_csv_profiles(report, out_dir):
-    """One CSV per strategy of the report's block-end densities, each in
-    lowest terms."""
-    for e, entry in enumerate(report["densities"]):
-        lines = ["n,num,den"]
-        for i, count in enumerate(entry["block_end_counts"]):
-            n = 2 << i
-            density = rational(count, n)
-            lines.append("%d,%d,%d" % (n, density["num"], density["den"]))
-        path = os.path.join(out_dir, "wdensity_strategy%d.csv" % e)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
 def _run_diagonal(cfg):
     trace = _diagonal_trace(cfg)
     return diagonal.trace_to_jsonable(trace), _diagonal_report(trace)
@@ -393,13 +380,13 @@ SCENARIOS = tuple(SCENARIO_TABLE)
 def run_experiment(config: dict):
     """Execute a config; returns (report, trace_doc).
 
-    When the config names an `out_dir`, trace.json / report.json and any
-    CSV profiles are written there; a directory that cannot be made or
-    written is a ConfigError.
-    """
+    The report is the format tag and the scenario's report body: the
+    run's config is only in the trace's echo.  When the config names an
+    `out_dir`, the trace, the report and any CSV profiles are written there;
+    a directory that cannot be made or written is a ConfigError."""
     cfg = validate_config(config)
     trace_doc, report_body = SCENARIO_TABLE[cfg["scenario"]].run(cfg)
-    report = {"format": REPORT_FORMAT, "config": cfg, **report_body}
+    report = {"format": REPORT_FORMAT, **report_body}
     target = config.get("out_dir")
     if target:
         try:
@@ -410,13 +397,26 @@ def run_experiment(config: dict):
 
 
 def _write_outputs(target, trace_doc, report, csv_profiles):
+    """Write both artifacts and, with `csv_profiles`, one CSV per strategy
+    of the report's block-end densities, each in lowest terms.  Any other
+    `wdensity_strategy<k>.csv` in `target` is removed, so that no profile
+    of an earlier run stays beside this report."""
     os.makedirs(target, exist_ok=True)
-    with open(os.path.join(target, "trace.json"), "w") as fh:
-        fh.write(canonical_json(trace_doc))
-    with open(os.path.join(target, "report.json"), "w") as fh:
-        fh.write(canonical_json(report))
-    if csv_profiles:
-        _write_csv_profiles(report, target)
+    for name, doc in (("trace.json", trace_doc), ("report.json", report)):
+        with open(os.path.join(target, name), "w") as fh:
+            fh.write(canonical_json(doc))
+    profiles = report["densities"] if csv_profiles else []
+    for e, entry in enumerate(profiles):
+        lines = ["n,num,den"]
+        for i, count in enumerate(entry["block_end_counts"]):
+            density = rational(count, 2 << i)
+            lines.append("%d,%d,%d" % (2 << i, density["num"], density["den"]))
+        with open(os.path.join(target, "wdensity_strategy%d.csv" % e), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    for name in os.listdir(target):
+        match = re.fullmatch(r"wdensity_strategy(0|[1-9][0-9]*)\.csv", name)
+        if match and int(match[1]) >= len(profiles) and os.path.isfile(os.path.join(target, name)):
+            os.remove(os.path.join(target, name))
 
 
 def first_difference(a, b, path: str = ""):

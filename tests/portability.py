@@ -39,7 +39,7 @@ PINNED = dict(ARTIFACT_GOLDEN)
 PINNED["mixed-pair-64"] = (
     _mixed_config("pair-diagonal", 0),
     "9edae10ba87f5e710066c55956afb4538f2857f42349cb88cbbc6f3102ed1970",
-    "d09c71599149462a9c3a6e2e5cf71a211f1c7382fa6d0a8234114ec42e9bdc57",
+    "e16de080bd61ae84f69b88ec91ce6d47b6e721102c3ef1abd58b610cdb3f5483",
 )
 
 # runs each argv of the JSON list sys.argv[1] through the CLI and prints

@@ -50,6 +50,7 @@ from gencomp.errors import BudgetError, InvariantViolationError, UndefinedInputE
 from gencomp.harness import (
     DIAGONAL_MODES,
     REPORT_FORMAT,
+    SCENARIO_TABLE,
     SCENARIOS,
     _diagonal_report,
     canonical_json,
@@ -584,24 +585,24 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/6 bytes and the report digests of the gencomp-report/4
+# the gencomp-trace/6 bytes and the report digests of the gencomp-report/5
 # bytes; TRACE_5_DIGESTS, TRACE_4_DIGESTS, TRACE_3_DIGESTS,
-# REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /5, /4
-# and /3 trace and the /3, /2 and /1 report digests, which `trace_5_view`,
-# `trace_4_view`, `trace_3_view`, `report_3_view`, `report_2_view` and
-# `report_1_view` still reproduce.
+# REPORT_4_DIGESTS, REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS
+# keep the /5, /4 and /3 trace and the /4, /3, /2 and /1 report digests,
+# which `trace_5_view`, `trace_4_view`, `trace_3_view`, `report_4_view`,
+# `report_3_view`, `report_2_view` and `report_1_view` still reproduce.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
         "574eb6e5e9e8265269954f46ec199254501ac51de6412b49e5e89fc66e17e468",
-        "4f7fa3ee6f4f297cec73e6c916a60f73e06cc695c14895626d4229cfe65b429a",
+        "733ac0bf7d0f12048cdc817e6ea15a113fc1ab0bb8ecc1d716fd5d236aa12c71",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
         "48659e2706833fd0825caa2d2c56274f4423980538e448c6f8a7895c70f54261",
-        "a047810b09461ac020a9b8b7b614a9a0107b515e8cf785504540ff910e1d6cb9",
+        "062810338fb51bf6d490965138858c480360bf4c387aaa17ba5754fe04fcb847",
     ),
 }
 
@@ -818,31 +819,87 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # SCENARIO_TRACE_1_DIGESTS keep the /4, /3, /2 and /1 digests, which
 # `scenario_trace_4_view` and the views chained on it reproduce from each
 # /5 trace written with the /4 child seeds (`written_scenario_trace`).
-# Every report digest is of the gencomp-report/4 bytes; REPORT_3_DIGESTS,
-# REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /3, /2 and /1 digests,
-# which `report_3_view` and the views chained on it reproduce.
+# Every report digest is of the gencomp-report/5 bytes; REPORT_4_DIGESTS,
+# REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /4, /3,
+# /2 and /1 digests, which `report_4_view` and the views chained on it
+# reproduce from each report and the trace written beside it.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
     "152c6afd2a035e7a8b625ec421484ca9fad93ad3c412622abac0b1c668e4f36b",
-    "4826fa372d4073299efd3afb3f382c75850fda097f1f6a6201931b979adc2caf",
+    "cba91a232ef01e2c65930fed1c570be41d040ecad8c36e9d8c734036bf9e5e01",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
     "cfdd011a8ac58d619d9df1aac63a1d67bc5db4c147bcb9180219a234d94362a2",
-    "ffc559b75311dcb2bad6ff4aaa5a367da37f6f3ade8f4129b06e2f33282f7e35",
+    "70450dc27542a97fd8b04c968414fdc0bd80b0e2717ef50fc1482ab9e24bc580",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
     "694fc3d25a69451fabe8bc833beb600e37d37e471374b1c92ec2c130204ab27d",
-    "0298cebc7116072c77555f1afbfa1d024198af86f274e593101e0a7c89fb7588",
+    "70450dc27542a97fd8b04c968414fdc0bd80b0e2717ef50fc1482ab9e24bc580",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
     "32f926672b2a5be4fc882e11409dc50791eadfd3cc735e4e436aaa7a72cb8291",
-    "2092d4cd1c22bed8799061a88e864f1404333ac48cf30266bb3a5a5df021341f",
+    "3a0cd11b1e8b009408583818df77c5b414396737d467150cf1e64bd3691b409f",
 )
+
+
+def benchmark_workloads():
+    """perfbench's workload generators, loaded from their file, as the
+    benchmark's configs are not part of the package."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# the golden configs and the benchmark's seed-1 configs, diagonal or not
+REPORT_VIEW_CONFIGS = {name: cfg for name, (cfg, _, _) in ARTIFACT_GOLDEN.items()}
+REPORT_VIEW_CONFIGS.update(
+    ("%s-seed-1" % name, cfg)
+    for generate in benchmark_workloads().values()
+    for name, cfg in generate(1)
+)
+DIAGONAL_VIEW_CONFIGS = sorted(name for name, cfg in REPORT_VIEW_CONFIGS.items() if "strategies" in cfg)
+SCENARIO_VIEW_CONFIGS = sorted(set(REPORT_VIEW_CONFIGS) - set(DIAGONAL_VIEW_CONFIGS))
+
+
+def written_artifacts(tmp_path, name):
+    """The report.json and trace.json documents a view config writes; no
+    report repeats the config that the trace echoes."""
+    run_experiment({**REPORT_VIEW_CONFIGS[name], "out_dir": str(tmp_path)})
+    report, trace_doc = (json.loads((tmp_path / f).read_text()) for f in ("report.json", "trace.json"))
+    assert report["format"] == "gencomp-report/5" and "config" not in report
+    return report, trace_doc
+
+
+# the report.json digests of the same configs as gencomp-report/4 wrote them
+REPORT_4_DIGESTS = {
+    "pair-catalog-12": "4f7fa3ee6f4f297cec73e6c916a60f73e06cc695c14895626d4229cfe65b429a",
+    "single-diagonal-12": "a047810b09461ac020a9b8b7b614a9a0107b515e8cf785504540ff910e1d6cb9",
+    "coding-roundtrip-7": "4826fa372d4073299efd3afb3f382c75850fda097f1f6a6201931b979adc2caf",
+    "operator-echo-5": "ffc559b75311dcb2bad6ff4aaa5a367da37f6f3ade8f4129b06e2f33282f7e35",
+    "operator-order-gate-5": "0298cebc7116072c77555f1afbfa1d024198af86f274e593101e0a7c89fb7588",
+    "relation-embed-3": "2092d4cd1c22bed8799061a88e864f1404333ac48cf30266bb3a5a5df021341f",
+}
+
+
+def report_4_view(report, trace_doc):
+    """A gencomp-report/5 report in the /4 shape: the old format tag and
+    the run's config, which /5 leaves to the echo of the trace beside it."""
+    return dict(report, format="gencomp-report/4", config=trace_doc["config"])
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_4_DIGESTS))
+def test_report_5_reads_as_report_4(tmp_path, name):
+    # the /5 bump drops the config, which the trace echoes; everything else
+    # a /4 report said is unchanged
+    old = canonical_json(report_4_view(*written_artifacts(tmp_path, name))).encode()
+    assert hashlib.sha256(old).hexdigest() == REPORT_4_DIGESTS[name]
 
 
 # the report.json digests of the same configs as gencomp-report/3 wrote them
@@ -886,12 +943,14 @@ def census_3_view(census):
     return old
 
 
-def report_3_view(report):
-    """A gencomp-report/4 report in the /3 shape, rebuilt from the JSON
-    alone: the old format tag, the top-level `scenario` (the config's), the
-    verdict inputs that restate the config, each density and tally entry's
-    `strategy` (its index), each tally's `inactive` (the stage count less
-    its pending and sprung counts), and each census's `census_3_view`."""
+def report_3_view(report, trace_doc):
+    """A gencomp-report/5 report in the /3 shape, rebuilt from its
+    `report_4_view`: the old format tag, the top-level `scenario` (the
+    config's), the verdict inputs that restate the config, each density and
+    tally entry's `strategy` (its index), each tally's `inactive` (the stage
+    count less its pending and sprung counts), and each census's
+    `census_3_view`."""
+    report = report_4_view(report, trace_doc)
     cfg = report["config"]
     old = dict(report, format="gencomp-report/3", scenario=cfg["scenario"])
     old["verdicts"] = [
@@ -915,42 +974,26 @@ def report_3_view(report):
 def test_report_4_reads_as_report_3(tmp_path, name):
     # the /4 bump drops every report fact that another field of the same
     # report gives; everything else a /3 report said is unchanged
-    cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "report.json").read_text())
-    assert written["format"] == "gencomp-report/4"
-    old = canonical_json(report_3_view(written)).encode()
+    old = canonical_json(report_3_view(*written_artifacts(tmp_path, name))).encode()
     assert hashlib.sha256(old).hexdigest() == REPORT_3_DIGESTS[name]
 
 
-def benchmark_workloads():
-    """perfbench's workload generators, loaded from their file, as the
-    benchmark's configs are not part of the package."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-REPORT_VIEW_CONFIGS = {name: cfg for name, (cfg, _, _) in ARTIFACT_GOLDEN.items() if "strategies" in cfg}
-REPORT_VIEW_CONFIGS.update(
-    ("%s-seed-1" % name, cfg)
-    for generate in benchmark_workloads().values()
-    for name, cfg in generate(1)
-    if "strategies" in cfg
-)
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_VIEW_CONFIGS))
+@pytest.mark.parametrize("name", DIAGONAL_VIEW_CONFIGS)
 def test_diagonal_report_is_a_view_of_the_trace(tmp_path, name):
     # a diagonal report is a function of its trace file alone: loading
-    # trace.json and reporting on it, under the echo and the format tag,
-    # rebuilds report.json byte for byte
-    run_experiment({**REPORT_VIEW_CONFIGS[name], "out_dir": str(tmp_path)})
-    doc = json.loads((tmp_path / "trace.json").read_text())
-    rebuilt = {"format": REPORT_FORMAT, "config": doc["config"],
-               **_diagonal_report(trace_from_jsonable(doc))}
+    # trace.json and reporting on it, under the format tag, rebuilds
+    # report.json byte for byte
+    _, doc = written_artifacts(tmp_path, name)
+    rebuilt = {"format": REPORT_FORMAT, **_diagonal_report(trace_from_jsonable(doc))}
+    assert canonical_json(rebuilt) == (tmp_path / "report.json").read_text()
+
+
+@pytest.mark.parametrize("name", SCENARIO_VIEW_CONFIGS)
+def test_scenario_report_is_a_view_of_the_trace(tmp_path, name):
+    # every other scenario's report is what a replay of the trace's config
+    # echo reports, as `verify` recomputes it
+    _, doc = written_artifacts(tmp_path, name)
+    rebuilt = {"format": REPORT_FORMAT, **SCENARIO_TABLE[doc["scenario"]].run(doc["config"])[1]}
     assert canonical_json(rebuilt) == (tmp_path / "report.json").read_text()
 
 
@@ -965,13 +1008,13 @@ REPORT_2_DIGESTS = {
 }
 
 
-def report_2_view(report):
-    """A gencomp-report/4 report in the gencomp-report/2 shape: its
+def report_2_view(report, trace_doc):
+    """A gencomp-report/5 report in the gencomp-report/2 shape: its
     `report_3_view` with the old format tag, each block-end count c_i as
     the row {"n": 2^(i+1), "density": c_i / 2^(i+1) in lowest terms}, each
     census's records as [block, e] pairs, and `gap_only` false on every
     value census, as /2 censused the value set without 0."""
-    report = report_3_view(report)
+    report = report_3_view(report, trace_doc)
     old = dict(report, format="gencomp-report/2")
     if "value_censuses" not in report:  # not a diagonal report
         return old
@@ -998,11 +1041,7 @@ def test_report_3_reads_as_report_2(tmp_path, name):
     # the format bump writes block-end densities as counts and census
     # records by block, and censuses value sets with 0 counted in;
     # everything else a /2 report said is unchanged
-    cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "report.json").read_text())
-    assert written["format"] == "gencomp-report/4"
-    old = canonical_json(report_2_view(written)).encode()
+    old = canonical_json(report_2_view(*written_artifacts(tmp_path, name))).encode()
     assert hashlib.sha256(old).hexdigest() == REPORT_2_DIGESTS[name]
 
 
@@ -1028,12 +1067,12 @@ REPORT_1_DIGESTS = {
 }
 
 
-def report_1_view(report):
-    """A gencomp-report/4 report in the gencomp-report/1 shape: its
+def report_1_view(report, trace_doc):
+    """A gencomp-report/5 report in the gencomp-report/1 shape: its
     `report_2_view` with the old format tag, each census's `omitted` runs
     expanded to elements, no `side`, and only the censuses /1 made (single
     mode through stage 14)."""
-    report = report_2_view(report)
+    report = report_2_view(report, trace_doc)
     old = dict(report, format="gencomp-report/1")
     if "value_censuses" not in report:
         return old
@@ -1057,11 +1096,7 @@ def report_1_view(report):
 def test_report_2_reads_as_report_1(tmp_path, name):
     # the /2 bump added `side`, run-form omissions and the pair and
     # long-run censuses; everything else a /1 report said is unchanged
-    cfg = ARTIFACT_GOLDEN[name][0]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "report.json").read_text())
-    assert written["format"] == "gencomp-report/4"
-    old = canonical_json(report_1_view(written)).encode()
+    old = canonical_json(report_1_view(*written_artifacts(tmp_path, name))).encode()
     assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 
 

@@ -193,6 +193,32 @@ def test_csv_profiles_are_the_report_densities(tmp_path):
         assert len(expected) == 1 + 9
 
 
+def test_run_removes_csv_profiles_it_does_not_write(tmp_path):
+    # a run leaves no profile of an earlier run beside its report: every
+    # wdensity_strategy<k>.csv it does not write goes, and nothing else does
+    def strategies(n):
+        return [{"enumerator": {"kind": "prefix-flooder"}}] * n
+
+    kept = ["wdensity_strategy01.csv", "wdensity_strategy.csv", "wdensity_strategy1.csv.bak",
+            "xwdensity_strategy1.csv", "notes.csv", "wdensity_strategy99.csv"]
+    for name in kept[:-1]:
+        (tmp_path / name).write_text("x\n")
+    (tmp_path / kept[-1]).mkdir()
+    profiles = lambda: sorted(  # noqa: E731
+        p.name for p in tmp_path.iterdir() if p.name not in kept and p.name.endswith(".csv")
+    )
+    cfg = {"version": 1, "scenario": "pair-diagonal", "stages": 4, "out_dir": str(tmp_path)}
+    run_experiment({**cfg, "csv_profiles": True, "strategies": strategies(12)})
+    assert profiles() == sorted("wdensity_strategy%d.csv" % e for e in range(12))
+    run_experiment({**cfg, "csv_profiles": True, "strategies": strategies(2)})
+    assert profiles() == ["wdensity_strategy0.csv", "wdensity_strategy1.csv"]
+    assert (tmp_path / "wdensity_strategy1.csv").read_text().count("\n") == 1 + 4
+    run_experiment({**cfg, "strategies": strategies(3)})
+    assert profiles() == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["report.json", "trace.json"])
+    assert verify_trace_file(str(tmp_path / "trace.json")) == []
+
+
 def test_replay_determinism_all_scenarios():
     configs = [
         single_config(),
@@ -696,7 +722,7 @@ def test_cli_catalog(capsys):
     assert "trap-springer" in listed["adversaries"]
     assert "single-diagonal" in listed["scenarios"]
     assert listed["trace_format"] == "gencomp-trace/6"
-    assert listed["report_format"] == "gencomp-report/4"
+    assert listed["report_format"] == "gencomp-report/5"
     assert listed["scenario_trace_format"] == "gencomp-scenario-trace/5"
 
 
