@@ -18,10 +18,10 @@ are found by ordered depth-first search with pruning.  Every enumeration (a
 stage's batch, a strategy's snapshot, a trap event) is a run set of
 half-open intervals (see `runs`), so no step costs time or memory in the
 number of enumerated elements.  A whole run is recorded as a Trace that
-replays bit-for-bit from its config: per stage, the new elements, the acts
-and the deaths.  The acts of stage s are the gap rules of block s.  The
-trace is also the engine's only state, stage s being computed from its
-records through s-1.
+replays bit-for-bit from its config: per stage, the new elements and the
+acts, from which the deaths and the trap events follow.  The acts of stage
+s are the gap rules of block s.  The trace is also the engine's only
+state, stage s being computed from its records through s-1.
 """
 
 from __future__ import annotations
@@ -186,45 +186,46 @@ class RunConfig(Frozen):
 
 
 class StageRecord:
-    """What one stage did; equal when the fields are.  An act's
+    """What one stage decided; equal when the fields are.  An act's
     approximation and marker each hold one bit string per side."""
 
-    __slots__ = ("stage", "batches", "acts", "deaths", "trap_events")
+    __slots__ = ("batches", "acts")
 
-    def __init__(self, stage: int, batches: dict, acts: dict, deaths: tuple, trap_events: tuple):
-        self.stage = stage
-        self.batches = batches          # e -> run set of new elements, for every strategy
-        self.acts = acts                # e -> (approx, marker), in ascending e
-        self.deaths = deaths            # the strategies whose tree emptied, ascending
-        self.trap_events = trap_events  # (e, gap_stage, lo, hi): new run [lo, hi) inside the gap
+    def __init__(self, batches: dict, acts: dict):
+        self.batches = batches  # e -> run set of new elements, for every strategy
+        self.acts = acts        # e -> (approx, marker), in ascending e
 
     def __eq__(self, other):
         if type(other) is not StageRecord:
             return NotImplemented
-        return ((self.stage, self.batches, self.acts, self.deaths, self.trap_events)
-                == (other.stage, other.batches, other.acts, other.deaths, other.trap_events))
+        return (self.batches, self.acts) == (other.batches, other.acts)
 
 
 class Trace:
     """Replayable record of one construction run, and the engine's only
-    state.  The stage records are all it stores; `append` keeps the views
-    read off them, per strategy e: the enumerated run set, the markers as
-    (stage, marker) pairs, the last approximation (None before the first
-    act) and the death stage (None while alive).  The gap rules of block s
-    are the acts of `records[s]`, which `gaps[s]` lists in act order as
-    (gap interval, marker) pairs.  After stage s the functionals are defined
-    on [1, 2^(s+1)).  Records given to the constructor are fed through
-    `append` too, so the engine, the loader and any caller rebuilding a trace
-    from edited records build it the same way."""
+    state.  The stage records are all it stores, record s being stage s;
+    `append` keeps the views read off them, per strategy e: the enumerated
+    run set, the markers as (stage, marker) pairs, the last approximation
+    (None before the first act) and the death stage (None while alive).  A
+    started, live strategy that does not act at a stage dies there.  The
+    gap rules of block s are the acts of `records[s]`, which `gaps[s]` lists
+    in act order as (gap interval, marker) pairs.  `trap_events[s]` lists
+    the traps stage s springs as (e, gap_stage, lo, hi): a run [lo, hi) of
+    strategy e's batch inside the gap of its act at an earlier stage, in
+    strategy and then gap-stage order.  After stage s the functionals are
+    defined on [1, 2^(s+1)).  Records given to the constructor are fed
+    through `append` too, so the engine, the loader and any caller
+    rebuilding a trace from edited records build it the same way."""
 
-    __slots__ = ("mode", "records", "config_echo", "gaps", "enumerated", "markers",
-                 "final_approx", "death_stage", "_censuses")
+    __slots__ = ("mode", "records", "config_echo", "gaps", "trap_events", "enumerated",
+                 "markers", "final_approx", "death_stage", "_censuses")
 
     def __init__(self, mode: str, records=(), config_echo: Optional[dict] = None):
         self.mode = mode
         self.records = []
         self.config_echo = config_echo
         self.gaps = []
+        self.trap_events = []
         self.enumerated = {}
         self.markers = {}
         self.final_approx = {}
@@ -236,9 +237,7 @@ class Trace:
     def append(self, rec: StageRecord):
         """Add the next stage's record and bring the views up to it.  A
         record it refuses leaves every view as it was."""
-        s, k = rec.stage, len(self.sides)
-        if s != len(self.records):
-            raise InvariantViolationError("record of stage %r follows %d records" % (s, len(self.records)))
+        s, k = len(self.records), len(self.sides)
         gaps = []
         for e, (approx, marker) in rec.acts.items():
             if not len(approx) == len(marker) == k:
@@ -246,18 +245,23 @@ class Trace:
                     "act of strategy %d at stage %d has not one string per side" % (e, s)
                 )
             gaps.append((gap_interval(s, e), marker))
+        events = []
         for e, batch in rec.batches.items():
             known = self.enumerated.get(e, ())
-            self.enumerated[e] = union(known, batch) if batch else known
+            if batch:
+                for stage, _ in self.markers.get(e, ()):  # traps are x-side gaps
+                    events.extend((e, stage, lo, hi) for lo, hi in clip(batch, *gap_interval(stage, e)))
+                known = union(known, batch)
+            self.enumerated[e] = known
             self.markers.setdefault(e, ())
             self.final_approx.setdefault(e, None)
-            self.death_stage.setdefault(e, None)
+            if self.death_stage.get(e) is None:  # a started, live strategy that does not act dies
+                self.death_stage[e] = s if e < s and e not in rec.acts else None
         for e, (approx, marker) in rec.acts.items():
             self.markers[e] += ((s, marker),)
             self.final_approx[e] = approx
-        for e in rec.deaths:
-            self.death_stage[e] = s
         self.gaps.append(tuple(gaps))
+        self.trap_events.append(tuple(sorted(events)))
         self.records.append(rec)
         self._censuses.clear()
 
@@ -296,9 +300,7 @@ class Trace:
     def enumerated_through(self, e, stage) -> tuple:
         """Run set enumerated by strategy e's opponent through `stage`."""
         out = []
-        for rec in self.records:
-            if rec.stage > stage:
-                break
+        for rec in self.records[:stage + 1]:
             out.extend(rec.batches.get(e, ()))
         return normalize(out)
 
@@ -317,7 +319,7 @@ class Trace:
         """The selected path's extension chains, as [first stage, last
         approximation]: a new chain starts at every mind change."""
         chains = []
-        for stage, (node, _) in ((rec.stage, rec.acts[e]) for rec in self.records if e in rec.acts):
+        for stage, (node, _) in ((s, rec.acts[e]) for s, rec in enumerate(self.records) if e in rec.acts):
             if chains and _extends(node, chains[-1][1]):
                 chains[-1][1] = node
             else:
@@ -333,24 +335,16 @@ def _stage(trace: Trace, cfg: RunConfig, s: int) -> StageRecord:
     """Stage s, computed from the trace through stage s-1 and the
     strategies alone.  Each opponent reads that trace as its view."""
     batches = {}
-    trap_events = []
     for e, spec in enumerate(cfg.strategies):
         new = normalize(spec.source.new_elements(e, s, trace))
-        new = difference(new, trace.enumerated.get(e, ()))
-        batches[e] = new
-        if not new:
-            continue
-        for stage, _ in trace.markers.get(e, ()):  # traps are x-side gaps
-            trap_events.extend((e, stage, lo, hi) for lo, hi in clip(new, *gap_interval(stage, e)))
-    acts, deaths = {}, []
+        batches[e] = difference(new, trace.enumerated.get(e, ()))
+    acts = {}
     for e in range(min(s, len(cfg.strategies))):  # the started strategies
         if trace.death_stage[e] is None:
             act = _act(trace, cfg, e, s)
-            if act is None:
-                deaths.append(e)
-            else:
+            if act is not None:
                 acts[e] = act
-    return StageRecord(s, batches, acts, tuple(deaths), tuple(trap_events))
+    return StageRecord(batches, acts)
 
 
 def _act(trace: Trace, cfg: RunConfig, e: int, s: int) -> Optional[tuple]:
@@ -410,18 +404,18 @@ TRACE_FORMAT = "gencomp-trace/6"
 def trace_to_jsonable(trace: Trace) -> dict:
     """The trace as a document: the mode, the echoed config and one record
     per stage, a record's index being its stage.  A record lists what its
-    stage did: the rules, the trap events, the non-empty batches and one act
-    [e, suffix per side] per strategy that acted.  An act's approximation
-    is the strategy's previous one cut to the stage minus the suffix length
-    on every side, followed by the suffixes.  Its marker is a prefix of the
-    approximation on every side, and its rules are those prefixes, so a
-    rule is written as its node's length: one per act and side, in act and
-    then side order.  The stage and strategy counts, the defined horizon
-    and the deaths (the started, live strategies that do not act) follow
-    from the rest and are not written."""
+    stage did: the rules, the trap events (the trace's view), the non-empty
+    batches and one act [e, suffix per side] per strategy that acted.  An
+    act's approximation is the strategy's previous one cut to the stage
+    minus the suffix length on every side, followed by the suffixes.  Its
+    marker is a prefix of the approximation on every side, and its rules
+    are those prefixes, so a rule is written as its node's length: one per
+    act and side, in act and then side order.  The stage and strategy
+    counts, the defined horizon and the deaths (the started, live
+    strategies that do not act) follow from the rest and are not written."""
     last = {}
     records = []
-    for rec in trace.records:
+    for rec, events in zip(trace.records, trace.trap_events):
         acts = []
         for e, (approx, _) in rec.acts.items():
             old = last.get(e, ("",) * len(approx))
@@ -430,7 +424,7 @@ def trace_to_jsonable(trace: Trace) -> dict:
             last[e] = approx
         records.append({
             "rules": [len(node) for _, marker in rec.acts.values() for node in marker],
-            "trap_events": [list(t) for t in rec.trap_events],
+            "trap_events": [list(t) for t in events],
             "batches": [[e, [list(run) for run in runs]] for e, runs in sorted(rec.batches.items()) if runs],
             "acts": acts,
         })
@@ -444,16 +438,16 @@ def trace_from_jsonable(doc: dict) -> Trace:
     batches and its acts: an act's approximation is rebuilt from its
     suffixes, its marker is the prefix of the approximation on every side
     that the act's rule lengths give, and the act is then the gap rules of
-    its block.  The strategies that died at stage s are the started ones,
-    alive before s, that do not act there.  A document the engine could not
-    have written is rejected with a named violation: a field of the wrong
-    type or arity, a count that is not a natural number, a batch that is
-    not a run set or not the strategy's only one, a trap event that is not
-    four naturals, acts out of order or from a strategy that has not
-    started or has died, suffixes that are not bit strings, differ in length
-    between sides or are shorter than the stage minus the last
-    approximation's length (or longer than the stage), or rule lengths that
-    are not one natural through the stage per act and side."""
+    its block.  The deaths and the trap events follow from those, as
+    `Trace.append` derives them.  A document the engine could not have
+    written is rejected with a named violation: a field of the wrong type
+    or arity, a count that is not a natural number, a batch that is not a
+    run set or not the strategy's only one, acts out of order or from a
+    strategy that has not started or has died, suffixes that are not bit
+    strings, differ in length between sides or are shorter than the stage
+    minus the last approximation's length (or longer than the stage), rule
+    lengths that are not one natural through the stage per act and side,
+    or trap events other than the ones the stage's batches spring."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     mode, config, docs = map(doc.get, ("mode", "config", "records"))
@@ -520,16 +514,15 @@ def trace_from_jsonable(doc: dict) -> Trace:
                 raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, n))
         if list(acts) != sorted(acts):
             raise InvariantViolationError("acts at stage %d are out of strategy order" % s)
-        for t in events:
-            if type(t) is not list or len(t) != 4 or not all(map(is_natural, t)):
-                raise InvariantViolationError("trap event %r at stage %d is not four naturals" % (t, s))
-        # ascending, from a range and not from a set, so replay order is fixed
-        deaths = tuple(e for e in range(min(s, count))
-                       if trace.death_stage[e] is None and e not in acts)
         length = iter(lengths)
         acts = {e: (approx, tuple(a[:next(length)] for a in approx)) for e, approx in acts.items()}
-        batches = {e: batches.get(e, ()) for e in range(count)}
-        trace.append(StageRecord(s, batches, acts, deaths, tuple(map(tuple, events))))
+        trace.append(StageRecord({e: batches.get(e, ()) for e in range(count)}, acts))
+        # compared as lists of naturals: 2.0 and True equal 2 and 1
+        view = list(map(list, trace.trap_events[s]))
+        if events != view or not all(is_natural(n) for t in events for n in t):
+            raise InvariantViolationError(
+                "trap events %r at stage %d are not %r, the ones its batches spring" % (events, s, view)
+            )
     return trace
 
 
@@ -562,10 +555,10 @@ def _may_act(e, s: int, count: int, trace: Trace, acts: dict):
 def audit_marker_on_path(trace: Trace) -> list:
     """Every marker placed at stage s must prefix that stage's approx."""
     bad = []
-    for rec in trace.records:
+    for s, rec in enumerate(trace.records):
         for e, (approx, marker) in rec.acts.items():
             if not _extends(approx, marker):
-                bad.append("marker %r off path at stage %d (strategy %d)" % (marker, rec.stage, e))
+                bad.append("marker %r off path at stage %d (strategy %d)" % (marker, s, e))
     return bad
 
 
@@ -576,15 +569,15 @@ def audit_trap_soundness(trace: Trace) -> list:
     prefix determinism `lo` then spoils every extension of that marker at
     every later level, so no later level is searched."""
     bad = []
-    for rec in trace.records:
-        for e, gap_stage, lo, hi in rec.trap_events:
+    for s, (rec, events) in enumerate(zip(trace.records, trace.trap_events)):
+        for e, gap_stage, lo, hi in events:
             act = trace.records[gap_stage].acts.get(e) if gap_stage <= trace.defined_through else None
             if act is None:
                 reason = "references a rule the trace does not contain"
             elif clip(rec.batches.get(e, ()), lo, hi) != ((lo, hi),):
-                reason = "is not in strategy %d's batch of stage %d" % (e, rec.stage)
-            elif gap_stage >= rec.stage:
-                reason = "at stage %d does not follow its rule" % rec.stage
+                reason = "is not in strategy %d's batch of stage %d" % (e, s)
+            elif gap_stage >= s:
+                reason = "at stage %d does not follow its rule" % s
             elif clip(((lo, hi),), *gap_interval(gap_stage, e)) != ((lo, hi),) or not all(
                     trace.evaluate(i, node, lo) == 0 for i, node in enumerate(act[1])):
                 reason = "lies outside its gap"

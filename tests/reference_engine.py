@@ -76,17 +76,18 @@ def reference_level(trace, e: int, l: int) -> list:
 def reference_stage(trace, selectors, s: int) -> tuple:
     """(acts, deaths) of stage s, from the trace's records through s-1 and
     each strategy's selector.  Strategy e starts at stage e+1.  A live
-    strategy with an empty level s-1 dies.  Otherwise its path is the first
-    survivor padded with 0s (leftmost), the last padded with 1s (rightmost),
-    or the latest scripted guess from stage s on, padded with 0s and cut to
-    s bits (before the first one: the leftmost survivor).  Its marker is
-    the shortest prefix of the path that is no earlier marker's string on
-    any side."""
+    strategy with an empty level s-1 dies, so it is dead before s if some
+    stage t, e < t < s, holds no act of it: its deaths are read off the
+    acts alone.  Otherwise its path is the first survivor padded with 0s
+    (leftmost), the last padded with 1s (rightmost), or the latest scripted
+    guess from stage s on, padded with 0s and cut to s bits (before the
+    first one: the leftmost survivor).  Its marker is the shortest prefix
+    of the path that is no earlier marker's string on any side."""
     records = trace.records[:s]
     k, l = len(trace.sides), s - 1
     acts, deaths = {}, []
     for e, selector in enumerate(selectors[:s]):
-        if any(e in rec.deaths for rec in records):
+        if any(e not in rec.acts for rec in records[e + 1:]):
             continue
         dead = _dead(trace, e, l)
         nodes = level_nodes(k, l)

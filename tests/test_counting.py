@@ -173,16 +173,18 @@ def oracle_densities(trace, e):
 
 
 def acts_of(trace, records=None):
-    """Every act as (stage, e, gap, marker), in record and then act order."""
-    return [(rec.stage, e, gap_interval(rec.stage, e), marker)
-            for rec in (trace.records if records is None else records)
+    """Every act as (stage, e, gap, marker), in record and then act order;
+    `records` is a prefix of the trace's records."""
+    return [(s, e, gap_interval(s, e), marker)
+            for s, rec in enumerate(trace.records if records is None else records)
             for e, (_, marker) in rec.acts.items()]
 
 
-def oracle_trap_events(trace, rec):
-    """Every act issued before the stage (its x-side rule) against every
-    new element."""
-    earlier = acts_of(trace, trace.records[:rec.stage])
+def oracle_trap_events(trace, s):
+    """Every act issued before stage s (its x-side rule) against every
+    element new at s."""
+    earlier = acts_of(trace, trace.records[:s])
+    rec = trace.records[s]
     events = []
     for e in sorted(rec.batches):
         for stage, f, (lo, hi), _ in earlier:
@@ -231,7 +233,7 @@ def oracle_single_victim(trace, e, probes):
     def extends(node, prev):
         return all(a.startswith(b) for a, b in zip(node, prev))
 
-    approxes = [(rec.stage, rec.acts[e][0]) for rec in trace.records if e in rec.acts]
+    approxes = [(s, rec.acts[e][0]) for s, rec in enumerate(trace.records) if e in rec.acts]
     if not approxes:
         return []
     changes, last_change, prev = 0, None, None
@@ -258,8 +260,8 @@ def oracle_single_victim(trace, e, probes):
 def oracle_trap_soundness(trace):
     """After a trap is sprung, no surviving node extends the trapped one."""
     bad = []
-    for rec in trace.records:
-        for e, gap_stage, lo, hi in rec.trap_events:
+    for s, events in enumerate(trace.trap_events):
+        for e, gap_stage, lo, hi in events:
             node = next((marker for stage, f, _, marker in acts_of(trace) if (f, stage) == (e, gap_stage)), None)
             if node is None:
                 bad.append(
@@ -267,18 +269,16 @@ def oracle_trap_soundness(trace):
                     % (e, gap_stage, lo, hi)
                 )
                 continue
-            for later in trace.records:
-                if later.stage <= rec.stage:
+            for later in range(s + 1, len(trace.records)):
+                if e not in trace.records[later].acts and trace.death_stage[e] != later:
                     continue
-                if e not in later.acts and e not in later.deaths:
-                    continue
-                l = later.stage - 1
+                l = later - 1
                 if len(node[0]) > l:
                     continue
                 if survivor_extending(trace, e, l, node) is not None:
                     bad.append(
                         "survivor extends trapped node %r at stage %d (strategy %d)"
-                        % (node, later.stage, e)
+                        % (node, later, e)
                     )
     return bad
 
@@ -323,10 +323,10 @@ def test_block_end_densities_match_probing(run):
 
 def test_trap_events_match_all_pairs_scan(run):
     _, trace = run
-    for rec in trace.records:
-        assert expand_events(rec.trap_events) == oracle_trap_events(trace, rec)
+    for s, (rec, events) in enumerate(zip(trace.records, trace.trap_events)):
+        assert expand_events(events) == oracle_trap_events(trace, s)
         # each event is a maximal run of the batch inside the rule's gap
-        for e, gap_stage, lo, hi in rec.trap_events:
+        for e, gap_stage, lo, hi in events:
             assert e in trace.records[gap_stage].acts
             batch = set(expand(rec.batches[e]))
             gap_lo, gap_hi = gap_interval(gap_stage, e)
@@ -388,12 +388,13 @@ def test_single_victim_matches_max_over_all_approximations(run):
 
 def without_batch(trace, stage, e):
     """The trace with strategy e's batch of `stage` dropped, every other
-    record kept as it is."""
+    record and every trap event kept as it is."""
     rec = trace.records[stage]
-    batches = {k: runs for k, runs in rec.batches.items() if k != e}
-    dropped = StageRecord(rec.stage, batches, rec.acts, rec.deaths, rec.trap_events)
+    dropped = StageRecord({**rec.batches, e: ()}, rec.acts)
     records = trace.records[:stage] + [dropped] + trace.records[stage + 1:]
-    return Trace(trace.mode, records, trace.config_echo)
+    doctored = Trace(trace.mode, records, trace.config_echo)
+    doctored.trap_events[stage] = trace.trap_events[stage]
+    return doctored
 
 
 WITNESS_AUDITS = ((audit_trap_soundness, oracle_trap_soundness), (audit_spoiling, oracle_spoiling))
@@ -406,11 +407,11 @@ def check_witness_audits_against_oracles(trace):
     strategy enumerated before its final level."""
     for audit, oracle in WITNESS_AUDITS:
         assert bool(audit(trace)) == bool(oracle(trace)), audit.__name__
-    sprung = [rec for rec in trace.records if rec.trap_events]
-    doctored = [without_batch(trace, rec.stage, rec.trap_events[0][0]) for rec in sprung[:1]]
+    sprung = [s for s, events in enumerate(trace.trap_events) if events]
+    doctored = [without_batch(trace, s, trace.trap_events[s][0][0]) for s in sprung[:1]]
     for e, died_at in sorted(trace.death_stage.items()):
         if died_at is not None:
-            spoiler = max(rec.stage for rec in trace.records[:died_at] if rec.batches.get(e))
+            spoiler = max(s for s, rec in enumerate(trace.records[:died_at]) if rec.batches.get(e))
             doctored.append(without_batch(trace, spoiler, e))
             break
     for bad in doctored:
@@ -473,14 +474,14 @@ def test_oracle_cases_exercise_every_branch():
     rules, and several event runs for one gap in one stage."""
     _, doc = run_experiment(SPLIT_GAPS_12)
     split = [
-        [lo for e, gap_stage, lo, hi in rec.trap_events if (e, gap_stage) == key]
-        for rec in trace_from_jsonable(doc).records
-        for key in {(e, gap_stage) for e, gap_stage, _, _ in rec.trap_events}
+        [lo for e, gap_stage, lo, hi in events if (e, gap_stage) == key]
+        for events in trace_from_jsonable(doc).trap_events
+        for key in {(e, gap_stage) for e, gap_stage, _, _ in events}
     ]
     assert sorted(len(runs) for runs in split) == [2, 3, 3]
     _, doc = run_experiment(PAIR_SCRIPTED_12)
     trace = trace_from_jsonable(doc)
-    assert any(rec.trap_events for rec in trace.records)
+    assert any(trace.trap_events)
     hits = skipped = 0
     for e in range(trace.strategy_count):
         enum = trace.enumerated_through(e, len(trace.records) - 1)

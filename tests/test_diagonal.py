@@ -56,8 +56,8 @@ def trace_of(*acts, defined=6, mode=SINGLE):
     its marker, and no strategy enumerates anything."""
     count = max((e for e, _, _ in acts), default=-1) + 1
     records = [
-        StageRecord(s, {e: () for e in range(count)},
-                    {e: (marker, marker) for e, stage, marker in sorted(acts) if stage == s}, (), ())
+        StageRecord({e: () for e in range(count)},
+                    {e: (marker, marker) for e, stage, marker in sorted(acts) if stage == s})
         for s in range(defined + 1)
     ]
     return Trace(mode, records)
@@ -320,12 +320,12 @@ def _assert_script_enumerated(trace, e, schedule):
     # through each stage the engine holds exactly what the script lists
     # through it, and each batch holds only elements not listed before
     listed = set()
-    for rec in trace.records:
+    for s, rec in enumerate(trace.records):
         batch = set(elements(rec.batches[e]))
         assert not batch & listed
         listed |= batch
-        assert listed == set().union(*(v for t, v in schedule.items() if t <= rec.stage))
-        assert trace.enumerated_through(e, rec.stage) == from_elements(listed)
+        assert listed == set().union(*(v for t, v in schedule.items() if t <= s))
+        assert trace.enumerated_through(e, s) == from_elements(listed)
 
 
 @given(st.dictionaries(st.integers(0, 20), st.frozensets(st.integers(0, 50), max_size=4), max_size=6))
@@ -383,7 +383,8 @@ def test_one_search_per_act_or_death(monkeypatch):
             calls.clear()
             trace = build(8, [StrategySpec(Silent(), selector()),
                               StrategySpec(TrapSpringer(), selector())])
-            outcomes = sum(len(rec.acts) + len(rec.deaths) for rec in trace.records)
+            deaths = sum(stage is not None for stage in trace.death_stage.values())
+            outcomes = sum(len(rec.acts) for rec in trace.records) + deaths
             assert trace.death_stage[1] is not None
             assert len(calls) == outcomes > 0
             assert {args[1] for args in calls} == {selector().order}
@@ -405,10 +406,10 @@ def test_multi_strategy_intersection():
     # both strategies gap along the leftmost path; the value under the
     # victim prefix is the intersection of both strategies' wishes
     values = set(elements(functional_value_set(trace, "00000")))
-    for rec in trace.records:
+    for s, rec in enumerate(trace.records):
         for e, (_, (node,)) in rec.acts.items():
             if all(c == "0" for c in node):
-                assert not (set(range(*gap_interval(rec.stage, e))) & values)
+                assert not (set(range(*gap_interval(s, e))) & values)
     assert audit_trace(trace) == []
 
 
@@ -471,7 +472,7 @@ def with_extra_acts(trace, e, count):
     approx = trace.final_approx[e]
     for s in range(len(records), len(records) + count):
         batches = {f: () for f in range(trace.strategy_count)}
-        records.append(StageRecord(s, batches, {e: (approx, ("",) * len(approx))}, (), ()))
+        records.append(StageRecord(batches, {e: (approx, ("",) * len(approx))}))
     return Trace(trace.mode, records, trace.config_echo)
 
 
@@ -501,7 +502,7 @@ def test_append_rejects_an_act_of_the_wrong_arity(build, approx, marker):
     # only records built in memory reach this check
     trace = build(5, [StrategySpec(Silent(), LeftmostSelector())])
     rec = trace.records[2]
-    doctored = StageRecord(rec.stage, rec.batches, {0: (approx, marker)}, rec.deaths, rec.trap_events)
+    doctored = StageRecord(rec.batches, {0: (approx, marker)})
     reason = "^act of strategy 0 at stage 2 has not one string per side$"
     with pytest.raises(InvariantViolationError, match=reason):
         Trace(trace.mode, trace.records[:2] + [doctored] + trace.records[3:],
@@ -519,22 +520,47 @@ def test_rejected_append_leaves_the_views_unchanged():
 
     def views():
         return (dict(trace.enumerated), dict(trace.markers), dict(trace.final_approx),
-                dict(trace.death_stage), list(trace.gaps), list(trace.records), trace.defined_through)
+                dict(trace.death_stage), list(trace.gaps), list(trace.trap_events), list(trace.records),
+                trace.defined_through)
 
     for second, error, reason in (
         ({1: tuple(strings[:1] for strings in rec.acts[1])}, InvariantViolationError,
          "^act of strategy 1 at stage 3 "),
         ({4: rec.acts[1]}, MalformedGapError, "^gap exponent 4 invalid for block 3$"),
     ):
-        doctored = StageRecord(3, {**rec.batches, 0: ((8, 9),)}, {0: rec.acts[0], **second},
-                               rec.deaths, rec.trap_events)
+        doctored = StageRecord({**rec.batches, 0: ((8, 9),)}, {0: rec.acts[0], **second})
         before = views()
         with pytest.raises(error, match=reason):
             trace.append(doctored)
         assert views() == before
     trace.append(rec)
     assert trace.records == full.records and trace.markers == full.markers
-    assert trace.gaps == full.gaps
+    assert trace.gaps == full.gaps and trace.trap_events == full.trap_events
+
+
+def test_append_derives_the_deaths_and_the_trap_events():
+    # hand-built records of five strategies over stages 0..4: strategy 0
+    # acts at stage 1 only, strategy 1 at stages 2 and 3, strategy 2 at
+    # stages 3 and 4 and strategy 3 at stage 4; strategy 4 never starts.
+    # Only stage 4 has non-empty batches, listed in descending strategy
+    # order, and strategy 3 has no earlier gap
+    def record(s, acts, batches=None):
+        acts = {e: (("0" * s,), ("0" * (s - e - 1),)) for e in acts}
+        return StageRecord(batches or {e: () for e in range(5)}, acts)
+
+    last = {4: (), 3: ((9, 10),), 2: ((14, 15),), 1: ((6, 8), (12, 16)), 0: ((3, 4),)}
+    trace = Trace(SINGLE, [record(0, ()), record(1, (0,)), record(2, (1,)), record(3, (1, 2)),
+                           record(4, (2, 3), last)])
+    # a strategy that acted and then does not act dies; one that has not
+    # started yet, or acts at the last stage, is alive
+    assert trace.death_stage == {0: 2, 1: 4, 2: None, 3: None, 4: None}
+    # each batch clipped to the gap of each earlier act of its strategy:
+    # [2, 4) for strategy 0's stage-1 act, [6, 8) and [12, 16) for
+    # strategy 1's stage-2 and stage-3 acts, [14, 16) for strategy 2's
+    # stage-3 act, in strategy and then gap-stage order; the empty
+    # batches of stages 0..3 spring none of the gaps before them
+    assert trace.trap_events == [(), (), (), (),
+                                 ((0, 1, 3, 4), (1, 2, 6, 8), (1, 3, 12, 16), (2, 3, 14, 15))]
 
 
 def test_pair_y_only_mind_change_keeps_x_marks():
@@ -589,7 +615,7 @@ def with_marker(trace, stage, e, marker):
     acts = dict(rec.acts)
     acts[e] = (acts[e][0], marker)
     records = list(trace.records)
-    records[stage] = StageRecord(stage, rec.batches, acts, rec.deaths, rec.trap_events)
+    records[stage] = StageRecord(rec.batches, acts)
     return Trace(trace.mode, records, trace.config_echo)
 
 
@@ -612,8 +638,10 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
     # trap event references
     rec = tampered.records[1]
     acts = {e: act for e, act in rec.acts.items() if e != 0}
-    dropped = StageRecord(rec.stage, rec.batches, acts, rec.deaths, rec.trap_events)
+    dropped = StageRecord(rec.batches, acts)
     bad = Trace(tampered.mode, [tampered.records[0], dropped] + tampered.records[2:], tampered.config_echo)
+    # the trap event stays: with the act gone, the trace would not derive it
+    bad.trap_events[2] = tampered.trap_events[2]
     # the audits one by one, in the order the report lists them
     expected = audit_marker_on_path(bad) + audit_trap_soundness(bad) + audit_spoiling(bad)
     for e in range(bad.strategy_count):
@@ -639,38 +667,34 @@ def echoed(trace, count):
     return trace
 
 
-def _doctor_trap_event(event, batch):
-    def doctor(rec):
-        rec["trap_events"][0], rec["batches"] = event, [[0, batch]] if batch else []
-    return doctor
-
-
 @pytest.mark.parametrize("build", [run_single, run_pair])
-@pytest.mark.parametrize("doctor, reason", [
+@pytest.mark.parametrize("event, batch, reason", [
     # one element below the gap, or one past it, the batch widened to cover it
-    (_doctor_trap_event([0, 1, 1, 2], [[1, 3]]), "trap event (0, 1, [1, 2)) lies outside its gap"),
-    (_doctor_trap_event([0, 1, 2, 5], [[2, 5]]), "trap event (0, 1, [2, 5)) lies outside its gap"),
+    ((0, 1, 1, 2), ((1, 3),), "trap event (0, 1, [1, 2)) lies outside its gap"),
+    ((0, 1, 2, 5), ((2, 5),), "trap event (0, 1, [2, 5)) lies outside its gap"),
     # the rule of the event's own stage, not yet issued when the run came
-    (_doctor_trap_event([0, 2, 2, 3], [[2, 3]]), "trap event (0, 2, [2, 3)) at stage 2 does not follow its rule"),
-    (_doctor_trap_event([0, 1, 2, 3], None),
-     "trap event (0, 1, [2, 3)) is not in strategy 0's batch of stage 2"),
+    ((0, 2, 2, 3), ((2, 3),), "trap event (0, 2, [2, 3)) at stage 2 does not follow its rule"),
+    ((0, 1, 2, 3), (), "trap event (0, 1, [2, 3)) is not in strategy 0's batch of stage 2"),
     # a gap stage past the last record, and a stage at which strategy 0 did
     # not act: either way no act of the trace is the event's rule
-    (_doctor_trap_event([0, 99, 2, 3], [[2, 3]]),
-     "trap event (0, 99, [2, 3)) references a rule the trace does not contain"),
-    (_doctor_trap_event([0, 0, 2, 3], [[2, 3]]),
-     "trap event (0, 0, [2, 3)) references a rule the trace does not contain"),
+    ((0, 99, 2, 3), ((2, 3),), "trap event (0, 99, [2, 3)) references a rule the trace does not contain"),
+    ((0, 0, 2, 3), ((2, 3),), "trap event (0, 0, [2, 3)) references a rule the trace does not contain"),
 ], ids=["below-gap", "past-gap", "gap-stage-shifted", "batch-missing", "gap-stage-past-records",
         "gap-stage-without-act"])
-def test_trap_soundness_reports_an_event_that_is_no_witness(build, doctor, reason):
+def test_trap_soundness_reports_an_event_that_is_no_witness(build, event, batch, reason):
+    # the trace derives its trap events, so a bad one is put into the view
+    # by hand, after strategy 0's stage-2 batch is replaced by `batch`
     trace = build(
         6,
         [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
     )
-    doc = trace_to_jsonable(echoed(trace, 2))
-    assert doc["records"][2]["trap_events"] == [[0, 1, 2, 3]]
-    doctor(doc["records"][2])
-    assert audit_trap_soundness(trace_from_jsonable(doc)) == [reason]
+    assert trace.trap_events[2] == ((0, 1, 2, 3),)
+    rec = trace.records[2]
+    records = list(trace.records)
+    records[2] = StageRecord({**rec.batches, 0: batch}, rec.acts)
+    doctored = Trace(trace.mode, records)
+    doctored.trap_events[2] = (event,)
+    assert audit_trap_soundness(doctored) == [reason]
 
 
 def test_witness_audits_search_no_level(monkeypatch):
@@ -687,7 +711,7 @@ def test_witness_audits_search_no_level(monkeypatch):
     monkeypatch.setattr(diagonal, "LevelContext", refuse)
     monkeypatch.setattr(diagonal, "find_survivor", refuse)
     for trace in traces:
-        assert any(rec.trap_events for rec in trace.records) and trace.death_stage[0] is not None
+        assert any(trace.trap_events) and trace.death_stage[0] is not None
         assert audit_trap_soundness(trace) == []
         assert audit_spoiling(trace) == []
     assert len(traces[-1].approx_chains(1)) == 2
@@ -830,7 +854,7 @@ def test_trace_document_round_trip(trace):
     back = trace_from_jsonable(doc)
     assert back.records == trace.records
     assert back.defined_through == trace.defined_through
-    for view in ("enumerated", "markers", "final_approx", "death_stage"):
+    for view in ("enumerated", "markers", "final_approx", "death_stage", "gaps", "trap_events"):
         assert getattr(back, view) == getattr(trace, view), view
     assert canonical_json(trace_to_jsonable(back)) == canonical_json(doc)
 
@@ -842,14 +866,15 @@ def test_trace_document_round_trip(trace):
 @settings(max_examples=300, deadline=None)
 def test_every_stage_is_the_reference_stage(cfg):
     # the brute-force reference decides each stage from the records before
-    # it, materializing every level node: its acts and deaths are the
-    # engine's record.  In the explicit example, 4 lies in strategy 0's
+    # it, materializing every level node: its acts are the engine's record
+    # and its deaths the trace's.  In the explicit example, 4 lies in strategy 0's
     # block-2 gap but not in strategy 1's, so only a node with both sides
     # under strategy 0's marker dies, not one mixing the two markers
     trace = run_construction(cfg)
     selectors = [spec.selector for spec in cfg.strategies]
     for s, rec in enumerate(trace.records):
-        assert reference_stage(trace, selectors, s) == (rec.acts, rec.deaths), s
+        deaths = tuple(e for e, stage in trace.death_stage.items() if stage == s)
+        assert reference_stage(trace, selectors, s) == (rec.acts, deaths), s
 
 
 def test_tree_antitonicity():

@@ -610,11 +610,18 @@ def _in_records(cases):
      "batch [[2, 3], [2, 3]] of strategy 0 at stage 2 is not a run set"),
     ("records[2].batches[0][1][0][0]", lambda r: r[2]["batches"][0].__setitem__(1, [[2.0, 3]]),
      "batch [[2.0, 3]] of strategy 0 at stage 2 is not a run set"),
-    # every trap event is four naturals (stage 2's one event is [0, 1, 2, 3])
+    # the trap events are the ones the stage's batches spring, as naturals
+    # (stage 2's one event is [0, 1, 2, 3])
     ("records[2].trap_events[0][2]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2.0, 3]),
-     "trap event [0, 1, 2.0, 3] at stage 2 is not four naturals"),
+     "trap events [[0, 1, 2.0, 3]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
     ("records[2].trap_events[0][3]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2]),
-     "trap event [0, 1, 2] at stage 2 is not four naturals"),
+     "trap events [[0, 1, 2]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+    ("records[2].trap_events[1]", lambda r: r[2]["trap_events"].append([0, 1, 2, 3]),
+     "trap events [[0, 1, 2, 3], [0, 1, 2, 3]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+    ("records[2].trap_events[0]", lambda r: r[2]["trap_events"].pop(),
+     "trap events [] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+    ("records[2].trap_events[0][1]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 0, 2, 3]),
+     "trap events [[0, 0, 2, 3]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
     # every field and entry has the type and arity the engine writes
     ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, 5),
      "act of strategy 0 at stage 2 has suffixes [5, '0'], not bit strings"),

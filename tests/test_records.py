@@ -95,10 +95,9 @@ def test_benchmark_trace_counts_are_the_engine_counts(tmp_path):
         run_experiment({**cfg, "out_dir": str(tmp_path / name)})
         doc = json.loads((tmp_path / name / "trace.json").read_text())
         trace = _diagonal_trace(validate_config(dict(cfg)))
-        counts = {"rules": lambda rec: len(rec.acts) * len(trace.sides),
-                  "trap_events": lambda rec: len(rec.trap_events)}
-        for key in total:
-            issued = [counts[key](rec) for rec in trace.records]
+        counts = {"rules": [len(rec.acts) * len(trace.sides) for rec in trace.records],
+                  "trap_events": list(map(len, trace.trap_events))}
+        for key, issued in counts.items():
             assert [len(rd[key]) for rd in doc["records"]] == issued, (name, key)
             total[key] += sum(issued)
         rules = sum(len(marker) for rec in trace.records for _, marker in rec.acts.values())
@@ -354,11 +353,14 @@ def test_constructor_checks_keep_their_errors(make, error, message):
 
 
 def test_records_compare_by_value():
-    def record(node):
-        return StageRecord(1, {0: ((2, 3),)}, {0: (("0",), (node,))}, (), ((0, 1, 2, 3),))
+    # a record is what its stage decided: its batches and its acts
+    def record(node, batch=((2, 3),)):
+        return StageRecord({0: batch}, {0: (("0",), (node,))})
 
+    assert StageRecord.__slots__ == ("batches", "acts")
     assert record("") == record("")
     assert record("") != record("0")
+    assert record("") != record("", ((2, 4),))
     assert UElement(2, ((ROOT, 1), (U1, 2))) == UElement(2, ((U1, 2), (ROOT, 1)))
     assert UElement(2, ((ROOT, 1),)) != UElement(2, ((ROOT, 2),))
     assert UElement(1, ()) != UElement(2, ())
