@@ -215,7 +215,10 @@ class Trace:
     strategy and then gap-stage order.  After stage s the functionals are
     defined on [1, 2^(s+1)).  Records given to the constructor are fed
     through `append` too, so the engine, the loader and any caller
-    rebuilding a trace from edited records build it the same way."""
+    rebuilding a trace from edited records build it the same way.  It takes
+    acts of a dead strategy, of strategy s at stage s and out of strategy
+    order, as tests build arbitrary gap rules with it: the loader refuses
+    such acts in a file, and the audits read them as the records say."""
 
     __slots__ = ("mode", "records", "config_echo", "gaps", "trap_events", "enumerated",
                  "markers", "final_approx", "death_stage", "_censuses")
@@ -690,23 +693,21 @@ def census_prefixes(trace: Trace) -> list:
 
 def audit_verdicts(trace: Trace) -> list:
     """The audit registry: every standard audit of a trace as (invariant
-    name, inputs, violations), in report order.  The whole-trace audits
-    take no inputs beyond the config a report echoes."""
-    out = [
-        ("marker-on-path", {}, audit_marker_on_path(trace)),
-        ("trap-soundness", {}, audit_trap_soundness(trace)),
-        ("spoiling-completeness", {}, audit_spoiling(trace)),
+    name, violations), in report order.  No audit names an input, as its
+    row gives it: `single-victim` row e audits strategy e on its
+    `default_probe_prefixes`, and `gap-census-consistency` row k the
+    oracle of `census_prefixes(trace)[k]`."""
+    return [
+        ("marker-on-path", audit_marker_on_path(trace)),
+        ("trap-soundness", audit_trap_soundness(trace)),
+        ("spoiling-completeness", audit_spoiling(trace)),
+        *(("single-victim", audit_single_victim(trace, e, default_probe_prefixes(trace, e)))
+          for e in range(trace.strategy_count)),
+        *(("gap-census-consistency", audit_gap_census_consistency(trace, prefix, i))
+          for _, i, prefix in census_prefixes(trace)),
     ]
-    for e in range(trace.strategy_count):
-        probes = default_probe_prefixes(trace, e)
-        out.append(("single-victim", {"strategy": e, "probes": len(probes)},
-                    audit_single_victim(trace, e, probes)))
-    for _, i, prefix in census_prefixes(trace):
-        out.append(("gap-census-consistency", {"prefix": prefix, "side": trace.sides[i]},
-                    audit_gap_census_consistency(trace, prefix, i)))
-    return out
 
 
 def audit_trace(trace: Trace) -> list:
     """All standard audits; returns the list of violations (empty = pass)."""
-    return [msg for _, _, bad in audit_verdicts(trace) for msg in bad]
+    return [msg for _, bad in audit_verdicts(trace) for msg in bad]

@@ -34,7 +34,7 @@ from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
 SCENARIO_TRACE_FORMAT = "gencomp-scenario-trace/5"
-REPORT_FORMAT = "gencomp-report/5"
+REPORT_FORMAT = "gencomp-report/6"
 
 # the diagonal scenarios and the `diagonal` mode each builds (the keys of
 # diagonal.SIDES), spelled out so that reading them loads no module
@@ -267,10 +267,9 @@ def _diagonal_report(trace) -> dict:
     The report body writes no fact that the rest of the report gives:
     entry e of `densities` and of `trap_tallies` is strategy e's, a
     tally's inactive count is the stage count less its pending and sprung
-    counts, and the whole-trace verdicts restate nothing of the config."""
-    verdicts = [
-        verdict(name, not bad, **inputs) for name, inputs, bad in diagonal.audit_verdicts(trace)
-    ]
+    counts, and a verdict names no inputs: `single-victim` row e is
+    strategy e's and `gap-census-consistency` row k checks census k."""
+    verdicts = [verdict(name, not bad) for name, bad in diagonal.audit_verdicts(trace)]
     densities = []
     tallies = []
     for e in range(trace.strategy_count):

@@ -39,7 +39,7 @@ PINNED = dict(ARTIFACT_GOLDEN)
 PINNED["mixed-pair-64"] = (
     _mixed_config("pair-diagonal", 0),
     "9edae10ba87f5e710066c55956afb4538f2857f42349cb88cbbc6f3102ed1970",
-    "e16de080bd61ae84f69b88ec91ce6d47b6e721102c3ef1abd58b610cdb3f5483",
+    "9739e25f2e10048f9b5f46ca0c3ba453a6efbfd2ce54714d85a9a7def3e9046b",
 )
 
 # runs each argv of the JSON list sys.argv[1] through the CLI and prints

@@ -64,6 +64,7 @@ from gencomp.runs import clip, union
 from oracles import elements
 from reference_engine import survivor_extending
 from test_diagonal import _round_trip_runs, with_extra_acts
+from test_runs import _mixed_config, _run_capped, _scripted_config
 
 PAIR_CATALOG_12 = {
     "version": 1,
@@ -455,8 +456,8 @@ def test_value_sets_match_per_n_evaluation(run):
 def test_registry_verdicts_are_the_report_verdicts(run):
     report, trace = run
     assert [
-        {"invariant": name, "pass": not bad, "inputs": inputs}
-        for name, inputs, bad in audit_verdicts(trace)
+        {"invariant": name, "pass": not bad, "inputs": {}}
+        for name, bad in audit_verdicts(trace)
     ] == report["verdicts"]
     censuses = []
     for label, i, prefix in census_prefixes(trace):
@@ -586,24 +587,25 @@ def expanded_content_digest(doc):
 # batches and trap events listed single elements, with their per-act level
 # hashes left out, so they pin that the run format without level hashes
 # says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/6 bytes and the report digests of the gencomp-report/5
+# the gencomp-trace/6 bytes and the report digests of the gencomp-report/6
 # bytes; TRACE_5_DIGESTS, TRACE_4_DIGESTS, TRACE_3_DIGESTS,
-# REPORT_4_DIGESTS, REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS
-# keep the /5, /4 and /3 trace and the /4, /3, /2 and /1 report digests,
-# which `trace_5_view`, `trace_4_view`, `trace_3_view`, `report_4_view`,
-# `report_3_view`, `report_2_view` and `report_1_view` still reproduce.
+# REPORT_5_DIGESTS, REPORT_4_DIGESTS, REPORT_3_DIGESTS, REPORT_2_DIGESTS and
+# REPORT_1_DIGESTS keep the /5, /4 and /3 trace and the /5, /4, /3, /2 and
+# /1 report digests, which `trace_5_view`, `trace_4_view`, `trace_3_view`,
+# `report_5_view`, `report_4_view`, `report_3_view`, `report_2_view` and
+# `report_1_view` still reproduce.
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
         "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
         "574eb6e5e9e8265269954f46ec199254501ac51de6412b49e5e89fc66e17e468",
-        "733ac0bf7d0f12048cdc817e6ea15a113fc1ab0bb8ecc1d716fd5d236aa12c71",
+        "a3b4ba631ec1246c60e2d4cbd651f5d62a16520e535bfb1402246fd394751dfa",
     ),
     "single-diagonal-12": (
         SINGLE_12,
         "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
         "48659e2706833fd0825caa2d2c56274f4423980538e448c6f8a7895c70f54261",
-        "062810338fb51bf6d490965138858c480360bf4c387aaa17ba5754fe04fcb847",
+        "8eb001933543c4a995216557582f2d5e1fcb200ce74e7c2f77831923dc326f49",
     ),
 }
 
@@ -820,31 +822,32 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # SCENARIO_TRACE_1_DIGESTS keep the /4, /3, /2 and /1 digests, which
 # `scenario_trace_4_view` and the views chained on it reproduce from each
 # /5 trace written with the /4 child seeds (`written_scenario_trace`).
-# Every report digest is of the gencomp-report/5 bytes; REPORT_4_DIGESTS,
-# REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS keep the /4, /3,
-# /2 and /1 digests, which `report_4_view` and the views chained on it
-# reproduce from each report and the trace written beside it.
+# Every report digest is of the gencomp-report/6 bytes; REPORT_5_DIGESTS,
+# REPORT_4_DIGESTS, REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS
+# keep the /5, /4, /3, /2 and /1 digests, which `report_5_view` and the
+# views chained on it reproduce from each report and the trace written
+# beside it.
 ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
                    for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
     "152c6afd2a035e7a8b625ec421484ca9fad93ad3c412622abac0b1c668e4f36b",
-    "cba91a232ef01e2c65930fed1c570be41d040ecad8c36e9d8c734036bf9e5e01",
+    "07faae544f7ab055d5552490e4f489a84c3e3646c74c459a93de0fad34a9926a",
 )
 ARTIFACT_GOLDEN["operator-echo-5"] = (
     OPERATOR_ECHO_5,
     "cfdd011a8ac58d619d9df1aac63a1d67bc5db4c147bcb9180219a234d94362a2",
-    "70450dc27542a97fd8b04c968414fdc0bd80b0e2717ef50fc1482ab9e24bc580",
+    "a27a686135903c19d32db4c7a3f3c89e63a9cdf3fd9c5f84d0793f52c1258609",
 )
 ARTIFACT_GOLDEN["operator-order-gate-5"] = (
     OPERATOR_ORDER_GATE_5,
     "694fc3d25a69451fabe8bc833beb600e37d37e471374b1c92ec2c130204ab27d",
-    "70450dc27542a97fd8b04c968414fdc0bd80b0e2717ef50fc1482ab9e24bc580",
+    "a27a686135903c19d32db4c7a3f3c89e63a9cdf3fd9c5f84d0793f52c1258609",
 )
 ARTIFACT_GOLDEN["relation-embed-3"] = (
     RELATION_EMBED_3,
     "32f926672b2a5be4fc882e11409dc50791eadfd3cc735e4e436aaa7a72cb8291",
-    "3a0cd11b1e8b009408583818df77c5b414396737d467150cf1e64bd3691b409f",
+    "c289a9fc0a5d254512ed3032d09f00a2f454ce0ed4b87a2354f5a7ed06b0de0b",
 )
 
 
@@ -874,8 +877,94 @@ def written_artifacts(tmp_path, name):
     report repeats the config that the trace echoes."""
     run_experiment({**REPORT_VIEW_CONFIGS[name], "out_dir": str(tmp_path)})
     report, trace_doc = (json.loads((tmp_path / f).read_text()) for f in ("report.json", "trace.json"))
-    assert report["format"] == "gencomp-report/5" and "config" not in report
+    assert report["format"] == "gencomp-report/6" and "config" not in report
     return report, trace_doc
+
+
+# the report.json digests of the same configs as gencomp-report/5 wrote them
+REPORT_5_DIGESTS = {
+    "pair-catalog-12": "733ac0bf7d0f12048cdc817e6ea15a113fc1ab0bb8ecc1d716fd5d236aa12c71",
+    "single-diagonal-12": "062810338fb51bf6d490965138858c480360bf4c387aaa17ba5754fe04fcb847",
+    "coding-roundtrip-7": "cba91a232ef01e2c65930fed1c570be41d040ecad8c36e9d8c734036bf9e5e01",
+    "operator-echo-5": "70450dc27542a97fd8b04c968414fdc0bd80b0e2717ef50fc1482ab9e24bc580",
+    "operator-order-gate-5": "70450dc27542a97fd8b04c968414fdc0bd80b0e2717ef50fc1482ab9e24bc580",
+    "relation-embed-3": "3a0cd11b1e8b009408583818df77c5b414396737d467150cf1e64bd3691b409f",
+}
+
+
+def probe_count(e, acted, mode):
+    """The number of single-victim probes of strategy e, which acted at
+    `acted` stages: none before its first act, and otherwise its final
+    approximation and, for each of its e + acted x bits, one deviation per
+    padding bit (0 and 1 in single mode, 0 in pair mode).  A started,
+    live strategy acts at every stage until it dies, so its acts are
+    stages e + 1 .. e + acted and its last approximation has e + acted
+    bits per side."""
+    return 1 + (e + acted) * (1 if mode == PAIR else 2) if acted else 0
+
+
+def report_5_view(report, trace_doc):
+    """A gencomp-report/6 report in the /5 shape: the old format tag and
+    the diagonal verdict inputs that /6 reads by position.  Row e of
+    `single-victim` named its `strategy`, e, and its `probes`, the
+    `probe_count` of strategy e's tally; row k of `gap-census-consistency`
+    named the `side` of value census k and its `prefix`, the census's
+    oracle bit once per defined stage (the record count less one)."""
+    old = dict(report, format="gencomp-report/5")
+    if "value_censuses" not in report:  # not a diagonal report
+        return old
+    bits = len(trace_doc["records"]) - 1
+    rows = {
+        "single-victim": iter([
+            {"strategy": e, "probes": probe_count(e, row["pending"] + row["sprung"], trace_doc["mode"])}
+            for e, row in enumerate(report["trap_tallies"])
+        ]),
+        "gap-census-consistency": iter([
+            {"prefix": {"all-zeros": "0", "all-ones": "1"}[row["oracle_prefix"]] * bits, "side": row["side"]}
+            for row in report["value_censuses"]
+        ]),
+    }
+    old["verdicts"] = [
+        dict(v, inputs=next(rows[v["invariant"]])) if v["invariant"] in rows else v
+        for v in report["verdicts"]
+    ]
+    assert all(next(left, None) is None for left in rows.values())
+    return old
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_5_DIGESTS))
+def test_report_6_reads_as_report_5(tmp_path, name):
+    # the /6 bump writes every diagonal verdict with empty inputs, its row
+    # giving its strategy or census; everything else a /5 report said is
+    # unchanged
+    old = canonical_json(report_5_view(*written_artifacts(tmp_path, name))).encode()
+    assert hashlib.sha256(old).hexdigest() == REPORT_5_DIGESTS[name]
+
+
+# the diagonal view configs and test_runs' 64-stage mixed and scripted
+# configs, in both modes
+PROBE_COUNT_CONFIGS = {name: REPORT_VIEW_CONFIGS[name] for name in DIAGONAL_VIEW_CONFIGS}
+PROBE_COUNT_CONFIGS.update(
+    ("%s-%s" % (name, scenario), config)
+    for scenario in DIAGONAL_MODES
+    for name, config in [("mixed-64", _mixed_config(scenario, 0))] + [
+        ("scripted-64-seed-%d" % seed, _scripted_config(scenario, 0, seed)) for seed in (2, 3)
+    ]
+)
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_COUNT_CONFIGS))
+def test_probe_count_is_a_function_of_the_tally(tmp_path, name):
+    # what `report_5_view` rests on: strategy e's acts are the stages
+    # e + 1 .. e + n, n its tally's pending plus sprung count, so its
+    # single-victim probe set has `probe_count(e, n, mode)` members
+    report, doc = _run_capped(tmp_path, PROBE_COUNT_CONFIGS[name])
+    trace = trace_from_jsonable(doc)
+    assert len(report["trap_tallies"]) == trace.strategy_count
+    for e, row in enumerate(report["trap_tallies"]):
+        n = row["pending"] + row["sprung"]
+        assert [s for s, rec in enumerate(trace.records) if e in rec.acts] == list(range(e + 1, e + n + 1))
+        assert len(default_probe_prefixes(trace, e)) == probe_count(e, n, trace.mode)
 
 
 # the report.json digests of the same configs as gencomp-report/4 wrote them
@@ -890,9 +979,10 @@ REPORT_4_DIGESTS = {
 
 
 def report_4_view(report, trace_doc):
-    """A gencomp-report/5 report in the /4 shape: the old format tag and
-    the run's config, which /5 leaves to the echo of the trace beside it."""
-    return dict(report, format="gencomp-report/4", config=trace_doc["config"])
+    """A gencomp-report/6 report in the /4 shape: its `report_5_view` with
+    the old format tag and the run's config, which /5 leaves to the echo of
+    the trace beside it."""
+    return dict(report_5_view(report, trace_doc), format="gencomp-report/4", config=trace_doc["config"])
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_4_DIGESTS))
@@ -945,7 +1035,7 @@ def census_3_view(census):
 
 
 def report_3_view(report, trace_doc):
-    """A gencomp-report/5 report in the /3 shape, rebuilt from its
+    """A gencomp-report/6 report in the /3 shape, rebuilt from its
     `report_4_view`: the old format tag, the top-level `scenario` (the
     config's), the verdict inputs that restate the config, each density and
     tally entry's `strategy` (its index), each tally's `inactive` (the stage
@@ -1010,7 +1100,7 @@ REPORT_2_DIGESTS = {
 
 
 def report_2_view(report, trace_doc):
-    """A gencomp-report/5 report in the gencomp-report/2 shape: its
+    """A gencomp-report/6 report in the gencomp-report/2 shape: its
     `report_3_view` with the old format tag, each block-end count c_i as
     the row {"n": 2^(i+1), "density": c_i / 2^(i+1) in lowest terms}, each
     census's records as [block, e] pairs, and `gap_only` false on every
@@ -1069,7 +1159,7 @@ REPORT_1_DIGESTS = {
 
 
 def report_1_view(report, trace_doc):
-    """A gencomp-report/5 report in the gencomp-report/1 shape: its
+    """A gencomp-report/6 report in the gencomp-report/1 shape: its
     `report_2_view` with the old format tag, each census's `omitted` runs
     expanded to elements, no `side`, and only the censuses /1 made (single
     mode through stage 14)."""

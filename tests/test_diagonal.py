@@ -650,9 +650,9 @@ def test_registry_failures_are_audit_trace_failures(build, marker):
         for probe in ("0" * 5, "1" * 5):
             expected += audit_gap_census_consistency(bad, probe, i)
     verdicts = audit_verdicts(bad)
-    assert [msg for _, _, failed in verdicts for msg in failed] == audit_trace(bad) == expected
+    assert [msg for _, failed in verdicts for msg in failed] == audit_trace(bad) == expected
     # the off-path marker is also a late marker off the final path
-    assert [name for name, _, failed in verdicts if failed] == [
+    assert [name for name, failed in verdicts if failed] == [
         "marker-on-path", "trap-soundness", "spoiling-completeness", "single-victim"
     ]
     for part in ("off path", "does not contain", "no spoiling witness", "late marker"):

@@ -683,7 +683,7 @@ def test_a_live_strategy_without_its_last_act_fails_spoiling(tmp_path, capsys):
     doc["records"][4]["acts"].pop(0)
     trace = trace_from_jsonable(doc)
     assert trace.death_stage == {0: 3, 1: 4}
-    assert [name for name, _, bad in diagonal.audit_verdicts(trace) if bad] == ["spoiling-completeness"]
+    assert [name for name, bad in diagonal.audit_verdicts(trace) if bad] == ["spoiling-completeness"]
     (out / "bad.json").write_text(canonical_json(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(out / "bad.json")]) == 4
@@ -729,7 +729,7 @@ def test_cli_catalog(capsys):
     assert "trap-springer" in listed["adversaries"]
     assert "single-diagonal" in listed["scenarios"]
     assert listed["trace_format"] == "gencomp-trace/6"
-    assert listed["report_format"] == "gencomp-report/5"
+    assert listed["report_format"] == "gencomp-report/6"
     assert listed["scenario_trace_format"] == "gencomp-scenario-trace/5"
 
 

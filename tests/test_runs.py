@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencomp.diagonal import trace_from_jsonable
+from gencomp.diagonal import census_prefixes, trace_from_jsonable
 from gencomp.runs import clip, count_below, difference, from_elements, hits, normalize, union
 from oracles import elements
 
@@ -108,20 +108,24 @@ def test_pair_catalog_at_64_stages(tmp_path):
 def test_value_censuses_at_64_stages(tmp_path, scenario, sides):
     # 32 silent strategies, alternately leftmost and rightmost: every side's
     # all-zeros and all-ones censuses are audited and reported, each gap-only,
-    # so its omissions are the gaps its records give and are not written
+    # so its omissions are the gaps its records give and are not written;
+    # verdict row k audits census k, whose oracle is census_prefixes' row k
     cfg = {"version": 1, "scenario": scenario, "stages": 64,
            "strategies": [{"enumerator": {"kind": "silent"}, "selector": {"kind": kind}}
                           for kind in ("leftmost", "rightmost") * 16]}
-    report, _ = _run_capped(tmp_path, cfg)
+    report, doc = _run_capped(tmp_path, cfg)
     censuses = report["value_censuses"]
     assert [(row["side"], row["oracle_prefix"]) for row in censuses] == [
         (side, label) for side in sides for label in ("all-zeros", "all-ones")
     ]
-    audited = [v["inputs"] for v in report["verdicts"] if v["invariant"] == "gap-census-consistency"]
-    assert [(inputs["side"], inputs["prefix"]) for inputs in audited] == [
-        (row["side"], {"all-zeros": "0", "all-ones": "1"}[row["oracle_prefix"]] * 63)
-        for row in censuses
-    ]
+    audited = [v for v in report["verdicts"] if v["invariant"] == "gap-census-consistency"]
+    trace = trace_from_jsonable(doc)
+    oracles = census_prefixes(trace)
+    assert len(audited) == len(oracles) == len(censuses)
+    for verdict, row, (label, i, prefix) in zip(audited, censuses, oracles):
+        assert verdict["inputs"] == {}
+        assert (row["oracle_prefix"], row["side"]) == (label, trace.sides[i])
+        assert prefix == {"all-zeros": "0", "all-ones": "1"}[label] * 63
     for row in censuses:
         census = row["census"]
         assert census["gap_only"] and "omitted" not in census
