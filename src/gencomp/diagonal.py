@@ -449,8 +449,9 @@ def trace_from_jsonable(doc: dict) -> Trace:
     strategy that has not started or has died, suffixes that are not bit
     strings, differ in length between sides or are shorter than the stage
     minus the last approximation's length (or longer than the stage), rule
-    lengths that are not one natural through the stage per act and side,
-    or trap events other than the ones the stage's batches spring."""
+    lengths that are not one natural through the stage per act and side or
+    that differ between an act's sides, or trap events other than the ones
+    the stage's batches spring."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     mode, config, docs = map(doc.get, ("mode", "config", "records"))
@@ -517,6 +518,10 @@ def trace_from_jsonable(doc: dict) -> Trace:
                 raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, n))
         if list(acts) != sorted(acts):
             raise InvariantViolationError("acts at stage %d are out of strategy order" % s)
+        for e, i in zip(acts, range(0, len(lengths), k)):
+            if len(set(lengths[i:i + k])) != 1:  # a marker is one node
+                raise InvariantViolationError(
+                    "act of strategy %d at stage %d has rules of lengths %r" % (e, s, lengths[i:i + k]))
         length = iter(lengths)
         acts = {e: (approx, tuple(a[:next(length)] for a in approx)) for e, approx in acts.items()}
         trace.append(StageRecord({e: batches.get(e, ()) for e in range(count)}, acts))

@@ -6,8 +6,7 @@ sorted (lo, hi) runs.  Each test expands the runs to elements and
 recomputes them the way the engine once did, by probing every integer or
 every (rule, element) pair, and requires equal results.  The
 golden digests pin the emitted bytes: any drift needs a documented trace or
-report format bump.  The expanded-content digests pin what a trace says,
-independent of how its batches are written.
+report format bump.
 """
 
 import functools
@@ -15,7 +14,6 @@ import hashlib
 import importlib.util
 import itertools
 import json
-import math
 import os
 from fractions import Fraction
 
@@ -556,66 +554,30 @@ def test_stage_is_a_function_of_the_trace_before_it(name):
         assert getattr(back, view) == getattr(trace, view), view
 
 
-# --- golden content and bytes ------------------------------------------------
+# --- golden bytes and one view per format -----------------------------------
+#
+# The golden digests pin the bytes of every format.  A format bump re-pins
+# them only after a view test shows that its new bytes, put back in the
+# previous version's shape, hash to that version's digests.  Each format
+# family keeps the view of its latest bump alone: the next bump replaces it
+# and does not chain on it, since an older view hashes a fixed function of
+# bytes that the current digests and the kept view's digests already pin.
 
 
-def expanded_content_digest(doc):
-    """SHA-256 of what a diagonal trace in the gencomp-trace/3 shape
-    records, with every run expanded to its elements: header, batches,
-    rules, per-strategy records, trap events as (e, gap_stage, element) and
-    the final block."""
-    body = {
-        "head": [doc["mode"], doc["stages"], doc["strategy_count"], doc["defined_through"],
-                 doc["config"]],
-        "records": [
-            [
-                rec["stage"],
-                [[e, expand(batch)] for e, batch in rec["batches"]],
-                rec["rules"],
-                rec["strategies"],
-                [list(t) for t in expand_events(rec["trap_events"])],
-            ]
-            for rec in doc["records"]
-        ],
-        "final": doc["final"],
-    }
-    return hashlib.sha256(canonical_json(body).encode()).hexdigest()
-
-
-# (config, expanded content digest, trace.json digest, report.json digest).
-# The content digests were computed from the gencomp-trace/1 traces, whose
-# batches and trap events listed single elements, with their per-act level
-# hashes left out, so they pin that the run format without level hashes
-# says the same as the element format did.  The trace.json digests are of
-# the gencomp-trace/6 bytes and the report digests of the gencomp-report/6
-# bytes; TRACE_5_DIGESTS, TRACE_4_DIGESTS, TRACE_3_DIGESTS,
-# REPORT_5_DIGESTS, REPORT_4_DIGESTS, REPORT_3_DIGESTS, REPORT_2_DIGESTS and
-# REPORT_1_DIGESTS keep the /5, /4 and /3 trace and the /5, /4, /3, /2 and
-# /1 report digests, which `trace_5_view`, `trace_4_view`, `trace_3_view`,
-# `report_5_view`, `report_4_view`, `report_3_view`, `report_2_view` and
-# `report_1_view` still reproduce.
+# (config, trace.json digest, report.json digest) of the diagonal goldens,
+# of the gencomp-trace/6 and gencomp-report/6 bytes
 GOLDEN = {
     "pair-catalog-12": (
         PAIR_CATALOG_12,
-        "4198dd4dd927c614199139fd55d8a3252b6476e266cebde8ce61c62b640a515d",
         "574eb6e5e9e8265269954f46ec199254501ac51de6412b49e5e89fc66e17e468",
         "a3b4ba631ec1246c60e2d4cbd651f5d62a16520e535bfb1402246fd394751dfa",
     ),
     "single-diagonal-12": (
         SINGLE_12,
-        "dc0091b38bf69fd34468ba8e41ce7be4bf6682a189903b799584f17adf57db4e",
         "48659e2706833fd0825caa2d2c56274f4423980538e448c6f8a7895c70f54261",
         "8eb001933543c4a995216557582f2d5e1fcb200ce74e7c2f77831923dc326f49",
     ),
 }
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_expanded_content(name):
-    cfg, content_sha, _, _ = GOLDEN[name]
-    _, doc = run_experiment(cfg)
-    assert doc["format"] == "gencomp-trace/6"
-    assert expanded_content_digest(trace_3_view(doc)) == content_sha
 
 
 # the trace.json digests of the diagonal goldens as gencomp-trace/5 wrote them
@@ -671,136 +633,6 @@ def test_trace_5_fixture_is_the_view_of_its_replay():
     assert trace_5_view(doc) == old
 
 
-# the trace.json digests of the diagonal goldens as gencomp-trace/4 wrote them
-TRACE_4_DIGESTS = {
-    "pair-catalog-12": "70f4f029355ca6d1af1e432300e5f2f282b3f16cd8b9dd89f632e6824dd20ae1",
-    "single-diagonal-12": "13b5a902cc951bc7c5b2984c8295c4007008b35403e21d87bb3ab8933dc190a2",
-}
-
-
-def trace_4_view(doc):
-    """A gencomp-trace/6 trace in the /4 shape, rebuilt from its /5 view
-    alone: the old format tag, and every rule as [e, stage, node, side].
-    The rule lengths follow the acts in order and each act's sides in
-    order; a rule's node is the first k bits of its act's approximation on
-    its side, which is the first p bits of the strategy's previous one
-    followed by the suffix."""
-    doc = trace_5_view(doc)
-    sides = ["x"] if doc["mode"] == "single" else ["x", "y"]
-    approx = {}
-    records = []
-    for rec in doc["records"]:
-        lengths = iter(rec["rules"])
-        rules = []
-        for e, p, *suffixes in rec["acts"]:
-            approx[e] = [a[:p] + b for a, b in zip(approx.get(e, [""] * len(sides)), suffixes)]
-            rules.extend([e, rec["stage"], bits[:next(lengths)], side]
-                         for bits, side in zip(approx[e], sides))
-        records.append(dict(rec, rules=rules))
-    return dict(doc, format="gencomp-trace/4", records=records)
-
-
-@pytest.mark.parametrize("name", sorted(TRACE_4_DIGESTS))
-def test_trace_5_reads_as_4(tmp_path, name):
-    # the format bump writes each rule as the length of its node, which is
-    # a prefix of its act's approximation; everything else a /4 trace said
-    # is unchanged
-    cfg = GOLDEN[name][0]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-trace/6"
-    assert all(type(k) is int for rec in written["records"] for k in rec["rules"])
-    old = trace_4_view(written)
-    assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_4_DIGESTS[name]
-
-
-def test_trace_4_fixture_is_the_view_of_its_replay():
-    # the /4 fixture was written before the bump: the config of the /3
-    # fixture, a strategy that springs two traps and dies at stage 3
-    with open(os.path.join(os.path.dirname(__file__), "fixtures", "trace_v4.json")) as fh:
-        old = json.load(fh)
-    assert old["format"] == "gencomp-trace/4"
-    _, doc = run_experiment(old["config"])
-    assert trace_4_view(doc) == old
-
-
-# the trace.json digests of the diagonal goldens as gencomp-trace/3 wrote them
-TRACE_3_DIGESTS = {
-    "pair-catalog-12": "9c83d42c9cc0268563ef4c9481259715b2aa5def2eea0c504b1db4a2975d8340",
-    "single-diagonal-12": "ab117c15e91cf34ba1eec3ab7ca34226a80d7e4a951c7f7816477b232181e59a",
-}
-
-
-def trace_3_view(doc):
-    """A gencomp-trace/6 trace in the /3 shape, rebuilt from its /4 view
-    alone: the old format tag, a batch (empty or not) for every strategy,
-    every strategy's record at every stage and the final block.  An act's
-    approximation is the first p bits of the strategy's previous one
-    followed by the suffixes, its marker the nodes of its rules in side
-    order; a strategy is alive until the stage that lists its death."""
-    doc = trace_4_view(doc)
-    count = doc["strategy_count"]
-    node = (lambda parts: parts[0]) if doc["mode"] == "single" else list
-    approx, death, markers = {}, {}, {e: [] for e in range(count)}
-    records = []
-    for rec in doc["records"]:
-        s = rec["stage"]
-        marks = {}
-        for e, _, bits, _ in sorted(rec["rules"], key=lambda r: r[3]):
-            marks.setdefault(e, []).append(bits)
-        strategies = {
-            e: {"alive": e not in death, "acted": False, "died": False,
-                "approx": None, "marker": None}
-            for e in range(count)
-        }
-        for e, p, *suffixes in rec["acts"]:
-            old = approx.get(e, [""] * len(suffixes))
-            approx[e] = [a[:p] + b for a, b in zip(old, suffixes)]
-            strategies[e].update(acted=True, approx=node(approx[e]), marker=node(marks[e]))
-            markers[e].append([s, node(marks[e])])
-        for e in rec["deaths"]:
-            death[e] = s
-            strategies[e].update(alive=False, died=True)
-        batches = dict(rec["batches"])
-        records.append({
-            "stage": s,
-            "batches": [[e, batches.get(e, [])] for e in range(count)],
-            "rules": rec["rules"],
-            "strategies": [[e, strategies[e]] for e in range(count)],
-            "trap_events": rec["trap_events"],
-        })
-    final = {
-        "alive": [[e, e not in death] for e in range(count)],
-        "death_stage": [[e, death.get(e)] for e in range(count)],
-        "markers": [[e, markers[e]] for e in range(count)],
-        "approx": [[e, node(approx[e]) if e in approx else None] for e in range(count)],
-    }
-    return dict(doc, format="gencomp-trace/3", records=records, final=final)
-
-
-@pytest.mark.parametrize("name", sorted(TRACE_3_DIGESTS))
-def test_trace_4_reads_as_3(tmp_path, name):
-    # the format bump lists only the strategies that acted, died or
-    # enumerated, writes approximations as deltas and drops the final
-    # block; everything else a /3 trace said is unchanged
-    cfg, content_sha, _, _ = GOLDEN[name]
-    run_experiment({**cfg, "out_dir": str(tmp_path)})
-    written = json.loads((tmp_path / "trace.json").read_text())
-    assert written["format"] == "gencomp-trace/6"
-    old = trace_3_view(written)
-    assert hashlib.sha256(canonical_json(old).encode()).hexdigest() == TRACE_3_DIGESTS[name]
-    assert expanded_content_digest(old) == content_sha
-
-
-def test_trace_3_fixture_is_the_view_of_its_replay():
-    # the /3 fixture was written before the bump: a strategy that springs two
-    # traps and dies at stage 3
-    with open(os.path.join(os.path.dirname(__file__), "fixtures", "trace_v3.json")) as fh:
-        old = json.load(fh)
-    _, doc = run_experiment(old["config"])
-    assert trace_3_view(doc) == old
-
-
 CODING_ROUNDTRIP_7 = {
     "version": 1, "scenario": "coding-roundtrip", "seed": 7, "count": 8, "m_max": 12, "bound": 16384,
 }
@@ -817,18 +649,11 @@ RELATION_EMBED_3 = {"version": 1, "scenario": "relation-embed", "seed": 3, "coun
 # time, and operator-compile and relation-embed configs first recorded while
 # every application rescanned the premises against the bound and every
 # adjacency test rebuilt the element's digit map.  Their trace digests are
-# of the gencomp-scenario-trace/5 bytes; SCENARIO_TRACE_4_DIGESTS,
-# SCENARIO_TRACE_3_DIGESTS, SCENARIO_TRACE_2_DIGESTS and
-# SCENARIO_TRACE_1_DIGESTS keep the /4, /3, /2 and /1 digests, which
-# `scenario_trace_4_view` and the views chained on it reproduce from each
-# /5 trace written with the /4 child seeds (`written_scenario_trace`).
-# Every report digest is of the gencomp-report/6 bytes; REPORT_5_DIGESTS,
-# REPORT_4_DIGESTS, REPORT_3_DIGESTS, REPORT_2_DIGESTS and REPORT_1_DIGESTS
-# keep the /5, /4, /3, /2 and /1 digests, which `report_5_view` and the
-# views chained on it reproduce from each report and the trace written
-# beside it.
-ARTIFACT_GOLDEN = {name: (cfg, trace_sha, report_sha)
-                   for name, (cfg, _, trace_sha, report_sha) in GOLDEN.items()}
+# of the gencomp-scenario-trace/5 bytes, and every report digest is of the
+# gencomp-report/6 bytes.  TRACE_5_DIGESTS, SCENARIO_TRACE_4_DIGESTS and
+# REPORT_5_DIGESTS keep each family's previous digests, which
+# `trace_5_view`, `scenario_trace_4_view` and `report_5_view` reproduce.
+ARTIFACT_GOLDEN = dict(GOLDEN)
 ARTIFACT_GOLDEN["coding-roundtrip-7"] = (
     CODING_ROUNDTRIP_7,
     "152c6afd2a035e7a8b625ec421484ca9fad93ad3c412622abac0b1c668e4f36b",
@@ -967,108 +792,6 @@ def test_probe_count_is_a_function_of_the_tally(tmp_path, name):
         assert len(default_probe_prefixes(trace, e)) == probe_count(e, n, trace.mode)
 
 
-# the report.json digests of the same configs as gencomp-report/4 wrote them
-REPORT_4_DIGESTS = {
-    "pair-catalog-12": "4f7fa3ee6f4f297cec73e6c916a60f73e06cc695c14895626d4229cfe65b429a",
-    "single-diagonal-12": "a047810b09461ac020a9b8b7b614a9a0107b515e8cf785504540ff910e1d6cb9",
-    "coding-roundtrip-7": "4826fa372d4073299efd3afb3f382c75850fda097f1f6a6201931b979adc2caf",
-    "operator-echo-5": "ffc559b75311dcb2bad6ff4aaa5a367da37f6f3ade8f4129b06e2f33282f7e35",
-    "operator-order-gate-5": "0298cebc7116072c77555f1afbfa1d024198af86f274e593101e0a7c89fb7588",
-    "relation-embed-3": "2092d4cd1c22bed8799061a88e864f1404333ac48cf30266bb3a5a5df021341f",
-}
-
-
-def report_4_view(report, trace_doc):
-    """A gencomp-report/6 report in the /4 shape: its `report_5_view` with
-    the old format tag and the run's config, which /5 leaves to the echo of
-    the trace beside it."""
-    return dict(report_5_view(report, trace_doc), format="gencomp-report/4", config=trace_doc["config"])
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_4_DIGESTS))
-def test_report_5_reads_as_report_4(tmp_path, name):
-    # the /5 bump drops the config, which the trace echoes; everything else
-    # a /4 report said is unchanged
-    old = canonical_json(report_4_view(*written_artifacts(tmp_path, name))).encode()
-    assert hashlib.sha256(old).hexdigest() == REPORT_4_DIGESTS[name]
-
-
-# the report.json digests of the same configs as gencomp-report/3 wrote them
-REPORT_3_DIGESTS = {
-    "pair-catalog-12": "bd2b38054163eef50592f8e934932f73e1e21657a7dd5c16e71573d902c508f9",
-    "single-diagonal-12": "74a48c05b024338fce9f17570d76e8240c439fc24d7acf37c79b0313e5782774",
-    "coding-roundtrip-7": "68fc439ef02364ca201397243176e3a670382c1c370fa8df46432eec9a4b0d7a",
-    "operator-echo-5": "a23646e3092d70466d663809b13022a870b793988c53685a741bffa298ef88fb",
-    "operator-order-gate-5": "2f6a58cfe2af4f871b4067b41ede748e177b13653e02b0b33c45efc5835ebddb",
-    "relation-embed-3": "3b40b06be812021cca99456bbba44f3529ace174ab9caccd991385f2ec4ac6f8",
-}
-
-
-def restated_inputs(invariant, cfg):
-    """The verdict inputs a gencomp-report/3 report copied from its config."""
-    if invariant in ("marker-on-path", "trap-soundness", "spoiling-completeness"):
-        return {"stages": cfg["stages"], "strategies": len(cfg["strategies"])}
-    if invariant == "valuation-roundtrip":
-        return {"count": cfg["count"], "m_max": cfg["m_max"]}
-    if invariant == "embedding-exact":
-        return {"count": cfg["count"]}
-    if invariant == "operator-matches-orderings":
-        return {key: cfg[key] for key in ("machine", "element_bound", "label_bound")}
-    return {}
-
-
-def census_3_view(census):
-    """A gencomp-report/4 census in the /3 shape: `i_max`, the record
-    count, and for a gap-only census `omitted`, the union of the gap
-    intervals its records give, adjacent gaps merged into one run."""
-    old = dict(census, i_max=len(census["records"]))
-    if census["gap_only"]:
-        runs = old["omitted"] = []
-        for i, e in enumerate(census["records"]):
-            if e is not None:
-                lo, hi = gap_interval(i, e)
-                if runs and runs[-1][1] == lo:
-                    runs[-1][1] = hi
-                else:
-                    runs.append([lo, hi])
-    return old
-
-
-def report_3_view(report, trace_doc):
-    """A gencomp-report/6 report in the /3 shape, rebuilt from its
-    `report_4_view`: the old format tag, the top-level `scenario` (the
-    config's), the verdict inputs that restate the config, each density and
-    tally entry's `strategy` (its index), each tally's `inactive` (the stage
-    count less its pending and sprung counts), and each census's
-    `census_3_view`."""
-    report = report_4_view(report, trace_doc)
-    cfg = report["config"]
-    old = dict(report, format="gencomp-report/3", scenario=cfg["scenario"])
-    old["verdicts"] = [
-        dict(v, inputs={**v["inputs"], **restated_inputs(v["invariant"], cfg)})
-        for v in report["verdicts"]
-    ]
-    if "value_censuses" not in report:  # not a diagonal report
-        return old
-    old["densities"] = [dict(entry, strategy=e) for e, entry in enumerate(report["densities"])]
-    old["trap_tallies"] = [
-        dict(row, strategy=e, inactive=cfg["stages"] - row["pending"] - row["sprung"])
-        for e, row in enumerate(report["trap_tallies"])
-    ]
-    old["value_censuses"] = [
-        dict(row, census=census_3_view(row["census"])) for row in report["value_censuses"]
-    ]
-    return old
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_3_DIGESTS))
-def test_report_4_reads_as_report_3(tmp_path, name):
-    # the /4 bump drops every report fact that another field of the same
-    # report gives; everything else a /3 report said is unchanged
-    old = canonical_json(report_3_view(*written_artifacts(tmp_path, name))).encode()
-    assert hashlib.sha256(old).hexdigest() == REPORT_3_DIGESTS[name]
-
-
 @pytest.mark.parametrize("name", DIAGONAL_VIEW_CONFIGS)
 def test_diagonal_report_is_a_view_of_the_trace(tmp_path, name):
     # a diagonal report is a function of its trace file alone: loading
@@ -1088,54 +811,6 @@ def test_scenario_report_is_a_view_of_the_trace(tmp_path, name):
     assert canonical_json(rebuilt) == (tmp_path / "report.json").read_text()
 
 
-# the report.json digests of the same configs as gencomp-report/2 wrote them
-REPORT_2_DIGESTS = {
-    "pair-catalog-12": "385c909af4230e8b04a2e333cbef3a7e7910339194b9afd5c98cb9fa62880cf9",
-    "single-diagonal-12": "35939845e7c27f56bff28d2703ad0de9b463c9dc57faf5dec9caeb2e920a3c78",
-    "coding-roundtrip-7": "a335f2e5a1e226a782dcb8561a49a5f99437807ab5f27cf97481d49d2372cd42",
-    "operator-echo-5": "158c54f37a1259cf4ccda99f166bc85f6cc89877b827a94d08fb5bcb310fd4ac",
-    "operator-order-gate-5": "715c9b3cb1b29aaf93c499483b3f63b19f78117f3f6325594e70c4c1cdab9f04",
-    "relation-embed-3": "e219a368664b136a100839396481752b8a2b181c405be823e951a0bd1102e7c6",
-}
-
-
-def report_2_view(report, trace_doc):
-    """A gencomp-report/6 report in the gencomp-report/2 shape: its
-    `report_3_view` with the old format tag, each block-end count c_i as
-    the row {"n": 2^(i+1), "density": c_i / 2^(i+1) in lowest terms}, each
-    census's records as [block, e] pairs, and `gap_only` false on every
-    value census, as /2 censused the value set without 0."""
-    report = report_3_view(report, trace_doc)
-    old = dict(report, format="gencomp-report/2")
-    if "value_censuses" not in report:  # not a diagonal report
-        return old
-    old["densities"] = [
-        {"strategy": entry["strategy"],
-         "block_end_densities": [density_row(2 << i, c) for i, c in enumerate(entry["block_end_counts"])]}
-        for entry in report["densities"]
-    ]
-    old["value_censuses"] = [
-        dict(row, census=dict(row["census"], gap_only=False,
-                              records=[[i, e] for i, e in enumerate(row["census"]["records"])]))
-        for row in report["value_censuses"]
-    ]
-    return old
-
-
-def density_row(n, count):
-    d = Fraction(count, n)
-    return {"n": n, "density": {"num": d.numerator, "den": d.denominator}}
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_2_DIGESTS))
-def test_report_3_reads_as_report_2(tmp_path, name):
-    # the format bump writes block-end densities as counts and census
-    # records by block, and censuses value sets with 0 counted in;
-    # everything else a /2 report said is unchanged
-    old = canonical_json(report_2_view(*written_artifacts(tmp_path, name))).encode()
-    assert hashlib.sha256(old).hexdigest() == REPORT_2_DIGESTS[name]
-
-
 def test_value_censuses_are_gap_only():
     # a diagonal value set omits only its rules' gaps, each a power-of-2
     # suffix of its block, and keeps 0; so no value census writes `omitted`,
@@ -1148,47 +823,6 @@ def test_value_censuses_are_gap_only():
         assert censuses, name
         for row in censuses:
             assert row["census"]["gap_only"] and "omitted" not in row["census"], name
-
-
-# the report.json digests of the same configs as gencomp-report/1 wrote them
-REPORT_1_DIGESTS = {
-    "pair-catalog-12": "3fd817e16c07ac4387991b04ef7b8f93d1ae7b5fd535801c8b2f82f19d6978e3",
-    "single-diagonal-12": "625249411c777c5b9df2f196abc84b46c101d37a4795e31c2209c39d5a3021b4",
-    "coding-roundtrip-7": "b0de9233aaf7ebd62cef5f6257de6c03f13a4dad5fb8fec4cc950c3af32a00cf",
-}
-
-
-def report_1_view(report, trace_doc):
-    """A gencomp-report/6 report in the gencomp-report/1 shape: its
-    `report_2_view` with the old format tag, each census's `omitted` runs
-    expanded to elements, no `side`, and only the censuses /1 made (single
-    mode through stage 14)."""
-    report = report_2_view(report, trace_doc)
-    old = dict(report, format="gencomp-report/1")
-    if "value_censuses" not in report:
-        return old
-    kept = report["scenario"] == "single-diagonal" and report["config"]["stages"] <= 15
-    old["verdicts"] = [
-        dict(v, inputs={"prefix": v["inputs"]["prefix"]})
-        if v["invariant"] == "gap-census-consistency" else v
-        for v in report["verdicts"]
-        if kept or v["invariant"] != "gap-census-consistency"
-    ]
-    old["value_censuses"] = [
-        {"oracle_prefix": row["oracle_prefix"],
-         "census": dict(row["census"], omitted=expand(row["census"]["omitted"]))}
-        for row in report["value_censuses"]
-        if kept
-    ]
-    return old
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_1_DIGESTS))
-def test_report_2_reads_as_report_1(tmp_path, name):
-    # the /2 bump added `side`, run-form omissions and the pair and
-    # long-run censuses; everything else a /1 report said is unchanged
-    old = canonical_json(report_1_view(*written_artifacts(tmp_path, name))).encode()
-    assert hashlib.sha256(old).hexdigest() == REPORT_1_DIGESTS[name]
 
 
 # the trace.json digests of the scenario configs as gencomp-scenario-trace/4
@@ -1220,27 +854,20 @@ def written_scenario_trace(tmp_path, monkeypatch, name):
     return written
 
 
-def assignment_premise(assignment, element_bound):
-    """An assignment, as [n, x] pairs, in the premise string form."""
-    chars = ["-"] * element_bound
-    for n, x in assignment:
-        chars[n] = "01"[x]
-    return "".join(chars)
-
-
 def scenario_trace_4_view(doc):
     """A gencomp-scenario-trace/5 trace in the /4 shape: the old format tag
     and the operator-compile axioms back to the upward closure /4 wrote,
     each minimal axiom on every assignment below the element bound that
-    contains its premise, deduplicated and sorted."""
+    contains its premise, deduplicated and sorted.  An assignment is
+    written as a premise is, one of `-01` per index."""
     old = dict(doc, format="gencomp-scenario-trace/4")
     if doc["scenario"] == "operator-compile":
-        bound = doc["config"]["element_bound"]
+        assignments = ["".join(a) for a in itertools.product("-01", repeat=doc["config"]["element_bound"])]
         closure = {
-            (n, x, assignment_premise(assignment, bound))
+            (n, x, assignment)
             for n, x, premise in doc["log"]
-            for assignment in assignment_pairs(bound)
-            if contains_premise(assignment, premise)
+            for assignment in assignments
+            if all(c in ("-", a) for c, a in zip(premise, assignment, strict=True))
         }
         old["log"] = [list(axiom) for axiom in sorted(closure)]
     return old
@@ -1254,183 +881,6 @@ def test_scenario_trace_5_reads_as_4(tmp_path, monkeypatch, name):
     written = written_scenario_trace(tmp_path, monkeypatch, name)
     old = canonical_json(scenario_trace_4_view(written)).encode()
     assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_4_DIGESTS[name]
-
-
-# the trace.json digests of the scenario configs as gencomp-scenario-trace/3
-# wrote them
-SCENARIO_TRACE_3_DIGESTS = {
-    "coding-roundtrip-7": "e3d74a73457338153412bbebc5cef871b0d9536510038b0756123e65a7903044",
-    "operator-echo-5": "0f385e13f7f76540e8d1581a90ce212f9d7960abac0c48f4b14f3bbb0e51a6c9",
-    "operator-order-gate-5": "500aeb84c8ac83b2eb790c569bbe7754ad442a0df50c6624c24dd9f17b51b40a",
-    "relation-embed-3": "2f8877b26a211a6cc8675644f71f8f560c0cbf59a64d9d3a81afc92ee9bda37a",
-}
-
-
-def split_images(digits, n):
-    """Concatenated images as a list: image k is digits k(k-1)/2 up to
-    k(k+1)/2, for k = 0..n-1."""
-    return [digits[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(n)]
-
-
-def adjacency_string(digits):
-    """The digraph an embedding's image digits realize, as the n x n matrix
-    /3 wrote in row-major order, `1` where a is related to b.  n is the
-    n >= 1 with n(n-1)/2 digits; digit d of image k against image j < k
-    gives j -> k as d & 1 and k -> j as d & 2; every point is related to
-    itself."""
-    n = next(n for n in itertools.count(1) if n * (n - 1) // 2 >= len(digits))
-    assert n * (n - 1) // 2 == len(digits)
-    images = split_images(digits, n)
-
-    def related(a, b):
-        if a == b:
-            return True
-        digit = int(images[max(a, b)][min(a, b)])
-        return bool(digit & (1 if a < b else 2))
-
-    return "".join("1" if related(a, b) else "0" for a in range(n) for b in range(n))
-
-
-def assignment_pairs(element_bound):
-    """Every assignment below the bound as its [n, x] pairs, in the order
-    /3 writes `outputs`: index 0 most significant, unassigned < 0 < 1."""
-    for values in itertools.product((None, 0, 1), repeat=element_bound):
-        yield [[n, x] for n, x in enumerate(values) if x is not None]
-
-
-def contains_premise(assignment, premise):
-    """Whether an assignment, as [n, x] pairs, gives every index a premise
-    string assigns the premise's value."""
-    values = dict(assignment)
-    return all(c == "-" or values.get(i) == int(c) for i, c in enumerate(premise))
-
-
-def scenario_trace_3_view(doc):
-    """A gencomp-scenario-trace/5 trace in the /3 shape: its
-    `scenario_trace_4_view` with the old format tag, each relation-embed
-    entry back to [adjacency, images] with the matrix read from the images,
-    and the operator-compile axioms back in {"axioms", "outputs"}, where the
-    outputs on each assignment, in `assignment_pairs` order, are the sorted
-    distinct outputs of the axioms whose premise the assignment contains."""
-    doc = scenario_trace_4_view(doc)
-    old = dict(doc, format="gencomp-scenario-trace/3")
-    log = doc["log"]
-    if doc["scenario"] == "relation-embed":
-        old["log"] = [[adjacency_string(images), images] for images in log]
-    elif doc["scenario"] == "operator-compile":
-        outputs = [
-            [list(o) for o in sorted({(n, x) for n, x, premise in log if contains_premise(assignment, premise)})]
-            for assignment in assignment_pairs(doc["config"]["element_bound"])
-        ]
-        old["log"] = {"axioms": log, "outputs": outputs}
-    return old
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_3_DIGESTS))
-def test_scenario_trace_4_reads_as_3(tmp_path, monkeypatch, name):
-    # the /4 bump dropped what another field of the same log fixes: a
-    # digraph's matrix, which its image digits encode, and an operator's
-    # outputs, which its axioms give; everything else a /3 trace said is
-    # unchanged
-    written = written_scenario_trace(tmp_path, monkeypatch, name)
-    old = canonical_json(scenario_trace_3_view(written)).encode()
-    assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_3_DIGESTS[name]
-
-
-# the trace.json digests of the scenario configs as gencomp-scenario-trace/2
-# wrote them
-SCENARIO_TRACE_2_DIGESTS = {
-    "coding-roundtrip-7": "eff4823aafc9c9373fbdb1adab72c2d28002a1faf00bcf60bfbbc0f887fc0c32",
-    "operator-echo-5": "488159c6d748b4f7637a18a63684c8558384c5d68a1836b8d3e315f715039ce6",
-    "operator-order-gate-5": "1e03707d20061decee006de90a6068ec1d9b05ef7bc7c5807017b36429f611c7",
-    "relation-embed-3": "b7b1e35664256fd6e842ec0e1748e093789a3785c4f0621e4ac511f2221b3ec5",
-}
-
-
-def unpack_premise(premise):
-    """A premise string as the sorted [n, x] pairs /2 wrote."""
-    return [[n, int(c)] for n, c in enumerate(premise) if c != "-"]
-
-
-def scenario_trace_2_view(doc):
-    """A gencomp-scenario-trace/5 trace in the /2 shape: its
-    `scenario_trace_3_view` with the old format tag and each log back to
-    per-item objects.  A relation-embed entry splits
-    into the digraph's rows and one digit string per image; operator-compile
-    axioms get their output pair and premise pairs back (re-sorted in that
-    shape) and each output list its assignment; coding-roundtrip gets one
-    {"real", "decoded"} object per real, then the omitted indices."""
-    doc = scenario_trace_3_view(doc)
-    old = dict(doc, format="gencomp-scenario-trace/2")
-    log = doc["log"]
-    if doc["scenario"] == "relation-embed":
-        old["log"] = []
-        for adjacency, images in log:
-            n = math.isqrt(len(adjacency))
-            rows = [adjacency[i * n:(i + 1) * n] for i in range(n)]
-            old["log"].append({"digraph": rows, "images": split_images(images, n)})
-    elif doc["scenario"] == "operator-compile":
-        axioms = sorted([[n, x], unpack_premise(premise)] for n, x, premise in log["axioms"])
-        pairs = assignment_pairs(doc["config"]["element_bound"])
-        old["log"] = [{"axioms": axioms}] + [
-            {"assignment": assignment, "outputs": outputs}
-            for assignment, outputs in zip(pairs, log["outputs"], strict=True)
-        ]
-    elif doc["scenario"] == "coding-roundtrip":
-        old["log"] = [{"real": k, "decoded": bits} for k, bits in enumerate(log["decoded"])]
-        old["log"].append({"interval_omitted": log["interval_omitted"]})
-    return old
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_2_DIGESTS))
-def test_scenario_trace_3_reads_as_2(tmp_path, monkeypatch, name):
-    # the /3 bump wrote each log positionally and dropped what the config
-    # or the list position fixes; everything else a /2 trace said is
-    # unchanged
-    written = written_scenario_trace(tmp_path, monkeypatch, name)
-    old = canonical_json(scenario_trace_2_view(written)).encode()
-    assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_2_DIGESTS[name]
-
-
-# the trace.json digests of the scenario configs as gencomp-scenario-trace/1
-# wrote them
-SCENARIO_TRACE_1_DIGESTS = {
-    "coding-roundtrip-7": "0c5e1c6c5e9b8d893c278ce0138dfb28c8d51c6ee3725a3e02df1afee1e35df8",
-    "operator-echo-5": "d8425d5c785f7c6aa2f7ef5fb6e4a25ba460ab1f4d1fa7491a361d3a750003e2",
-    "operator-order-gate-5": "6f2394e7ea9a6c8398ec281acfa1b760f102821c504fd61aa8752d7ae11f1358",
-    "relation-embed-3": "14bb156772720d64eb38087a142b02da68c99702b51a5720d6a29b049c509925",
-}
-
-
-def nested_images(images):
-    """Digit-string images as the {"stage", "combo"} trees /1 wrote: image k
-    at stage k, its combo the [tree of image j, digit] pairs in increasing j."""
-    trees = []
-    for k, digits in enumerate(images):
-        assert len(digits) == k
-        combo = [[trees[j], int(d)] for j, d in enumerate(digits) if d != "0"]
-        trees.append({"stage": k, "combo": combo})
-    return trees
-
-
-def scenario_trace_1_view(doc):
-    """A gencomp-scenario-trace/5 trace in the /1 shape: its
-    `scenario_trace_2_view` with the old format tag and each relation-embed
-    image re-nested into a tree."""
-    doc = scenario_trace_2_view(doc)
-    old = dict(doc, format="gencomp-scenario-trace/1")
-    if doc["scenario"] == "relation-embed":
-        old["log"] = [dict(entry, images=nested_images(entry["images"])) for entry in doc["log"]]
-    return old
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIO_TRACE_1_DIGESTS))
-def test_scenario_trace_2_reads_as_1(tmp_path, monkeypatch, name):
-    # the /2 bump wrote each relation-embed image by reference to the
-    # earlier images; everything else a /1 trace said is unchanged
-    written = written_scenario_trace(tmp_path, monkeypatch, name)
-    old = canonical_json(scenario_trace_1_view(written)).encode()
-    assert hashlib.sha256(old).hexdigest() == SCENARIO_TRACE_1_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_GOLDEN))
@@ -1447,9 +897,8 @@ def test_every_scenario_has_a_golden_artifact():
     # old shape, so a scenario without one could change its bytes unseen
     pinned = {cfg["scenario"] for cfg, _, _ in ARTIFACT_GOLDEN.values()}
     assert sorted(set(SCENARIOS) - pinned) == []
-    for digests in (SCENARIO_TRACE_4_DIGESTS, SCENARIO_TRACE_3_DIGESTS, SCENARIO_TRACE_2_DIGESTS):
-        logged = {ARTIFACT_GOLDEN[name][0]["scenario"] for name in digests}
-        assert sorted(set(SCENARIOS) - set(DIAGONAL_MODES) - logged) == []
+    logged = {ARTIFACT_GOLDEN[name][0]["scenario"] for name in SCENARIO_TRACE_4_DIGESTS}
+    assert sorted(set(SCENARIOS) - set(DIAGONAL_MODES) - logged) == []
 
 
 # --- the loader on doctored goldens ------------------------------------------

@@ -44,7 +44,7 @@ from gencomp.errors import (
     UndefinedInputError,
     UndefinedRegionError,
 )
-from gencomp.harness import canonical_json
+from gencomp.harness import canonical_json, report_passes, run_experiment
 from gencomp.runs import from_elements
 from oracles import elements, run_pair
 from reference_engine import reference_level, reference_stage
@@ -306,6 +306,25 @@ def test_scripted_spoiler_kills_tree():
     assert list(trace.markers[0]) == [(1, ("",)), (2, ("0",)), (3, ("00",))]
     assert trace.death_stage[0] == 4
     assert audit_trace(trace) == []
+
+
+# strategy 0's opponent lists 15, the top element of block 3, at stage 4
+TOP_OF_BLOCK_3 = {"enumerator": {"kind": "scripted", "stages": {"4": [15]}}, "selector": {"kind": "leftmost"}}
+SILENT_RIGHTMOST = {"enumerator": {"kind": "silent"}, "selector": {"kind": "rightmost"}}
+
+
+@pytest.mark.parametrize("scenario", ["single-diagonal", "pair-diagonal"])
+def test_an_act_gap_prunes_every_strategy_tree(scenario):
+    # 15 lies in the stage-3 gap [14, 16) of strategy 2, whose marker there
+    # is the root: next to strategies 1 and 2 strategy 0 dies at stage 5,
+    # and alone it lives, its path moved off the gapped node; every audit
+    # passes either way
+    deaths = {}
+    for strategies in ([TOP_OF_BLOCK_3, SILENT_RIGHTMOST, SILENT_RIGHTMOST], [TOP_OF_BLOCK_3]):
+        report, doc = run_experiment({"version": 1, "scenario": scenario, "stages": 14, "strategies": strategies})
+        assert report_passes(report)
+        deaths[len(strategies)] = trace_from_jsonable(doc).death_stage
+    assert deaths == {3: {0: 5, 1: None, 2: None}, 1: {0: None}}
 
 
 def test_scripted_opponent_lists_each_stage_and_the_engine_keeps_the_new():

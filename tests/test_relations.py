@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,7 +18,24 @@ from gencomp.relations import (
 )
 from gencomp.scenarios import embedding_jsonable
 from oracles import from_uid, relation_from_pairs, stage_of_id, uid
-from test_counting import adjacency_string
+
+
+def adjacency_string(digits):
+    """The digraph an embedding's image digits realize, as its n x n matrix
+    in row-major order, `1` where a is related to b.  n is the n >= 1 with
+    n(n-1)/2 digits; image k is the k digits from k(k-1)/2 on, and its digit
+    d against image j < k gives j -> k as d & 1 and k -> j as d & 2; every
+    point is related to itself."""
+    n = (1 + math.isqrt(1 + 8 * len(digits))) // 2
+    assert n * (n - 1) // 2 == len(digits)
+
+    def related(a, b):
+        if a == b:
+            return True
+        k, j = max(a, b), min(a, b)
+        return bool(int(digits[k * (k - 1) // 2 + j]) & (1 if a < b else 2))
+
+    return "".join("1" if related(a, b) else "0" for a in range(n) for b in range(n))
 
 
 def random_reflexive(rng, max_size=8):
