@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gencomp import adversaries, cli, diagonal, relations
 from gencomp.diagonal import LeftmostSelector, StrategySpec, run_single, trace_from_jsonable
-from gencomp.errors import BudgetError, ConfigError, InvariantViolationError
+from gencomp.errors import BudgetError, ConfigError, InvariantViolationError, UndefinedInputError
 from gencomp.harness import (
     canonical_json,
     load_enumerator,
@@ -59,6 +59,91 @@ def test_validate_config_defaults_and_strictness():
     for not_one in (True, 1.0):
         with pytest.raises(ConfigError, match="^config version must be 1$"):
             validate_config(single_config(version=not_one))
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _one_strategy(make=single_config, **entry):
+    return make(strategies=[entry])
+
+
+def _pair_config(**extra):
+    return single_config(scenario="pair-diagonal", **extra)
+
+
+def _scenario_config(scenario, **extra):
+    return {"version": 1, "scenario": scenario, **extra}
+
+
+def _scripted_enumerator(stages):
+    return _one_strategy(enumerator={"kind": "scripted", "stages": stages})
+
+
+def _scripted_selector(entries, make=single_config):
+    return _one_strategy(make, selector={"kind": "scripted", "entries": entries})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "config must be a JSON object"),
+    (single_config(scenario="triple-diagonal"), "unknown scenario 'triple-diagonal'"),
+    # an unhashable scenario is named, not a TypeError
+    (single_config(scenario=["pair-diagonal"]), "unknown scenario ['pair-diagonal']"),
+    (single_config(surprise=1, other=2), "unknown fields: other, surprise"),
+    (_without(single_config(), "stages"), "missing required field 'stages'"),
+    (single_config(stages="five"), "field 'stages' must be an integer"),
+    (single_config(stages=True), "field 'stages' must be an integer"),
+    (single_config(stages=0), "field 'stages' out of range"),
+    (single_config(stages=65), "field 'stages' out of range"),
+    (single_config(node_budget=0), "field 'node_budget' out of range"),
+    (single_config(csv_profiles="true"), "field 'csv_profiles' must be true or false"),
+    (single_config(seed="1"), "field 'seed' must be an integer"),
+    (single_config(out_dir=5), "field 'out_dir' must be a string"),
+    (single_config(strategies={}), "'strategies' must be a list"),
+    (_without(single_config(), "strategies"), "'strategies' must be a list"),
+    (single_config(strategies=[5]), "strategy entries must be objects"),
+    (_one_strategy(weight=1), "unknown fields: weight"),
+    (_one_strategy(enumerator="silent"), "enumerator spec must be an object with a 'kind'"),
+    (_one_strategy(enumerator={}), "enumerator spec must be an object with a 'kind'"),
+    (_one_strategy(enumerator={"kind": "copier"}), "unknown enumerator kind 'copier'"),
+    (_one_strategy(enumerator={"kind": ["silent"]}), "unknown enumerator kind ['silent']"),
+    (_one_strategy(enumerator={"kind": "silent", "stages": {}}), "unknown fields: stages"),
+    (_scripted_enumerator([]), "scripted enumerator 'stages' must be an object"),
+    (_scripted_enumerator({"x": [1]}), "enumerator stage keys must be distinct naturals, got 'x'"),
+    (_scripted_enumerator({"2": [5], "02": [6]}),
+     "enumerator stage keys must be distinct naturals, got '02'"),
+    # a non-ASCII digit is a digit to str.isdigit, not a stage key
+    (_scripted_enumerator({"٣": [1]}),
+     "enumerator stage keys must be distinct naturals, got '٣'"),
+    (_scripted_enumerator({"2": 5}), "enumerated elements must be lists of naturals"),
+    (_scripted_enumerator({"2": [-1]}), "enumerated elements must be lists of naturals"),
+    (_one_strategy(selector="leftmost"), "selector spec must be an object with a 'kind'"),
+    (_one_strategy(selector={"kind": "middle"}), "unknown selector kind 'middle'"),
+    (_one_strategy(selector={"kind": "rightmost", "bit": "1"}), "unknown fields: bit"),
+    (_scripted_selector("01"), "scripted selector 'entries' must be a list"),
+    (_scripted_selector([[2]]), "scripted selector entries are [from_stage, node]"),
+    (_scripted_selector([[2, "01"], [2, "00"]]),
+     "scripted selector stages must be distinct naturals, got 2"),
+    (_scripted_selector([[2, "0a1"]]), "single selector nodes are bit strings"),
+    (_scripted_selector([[2, "01"]], _pair_config), "pair selector nodes are [x_bits, y_bits]"),
+    (_scripted_selector([[2, ["01"]]], _pair_config), "pair selector nodes are [x_bits, y_bits]"),
+    # a drawn seed lies in [0, 2^64)
+    (_scenario_config("coding-roundtrip", seed=-1), "field 'seed' out of range"),
+    (_scenario_config("coding-roundtrip", seed=1 << 64), "field 'seed' out of range"),
+    # a field of another scenario is unknown here
+    (_scenario_config("coding-roundtrip", seed=1, stages=5), "unknown fields: stages"),
+    (_scenario_config("relation-embed", seed=1, max_size=17), "field 'max_size' out of range"),
+    (_scenario_config("operator-compile"), "missing required field 'machine'"),
+    (_scenario_config("operator-compile", machine=5), "field 'machine' must be a string"),
+    (_scenario_config("operator-compile", machine="nope"), "unknown machine 'nope'"),
+    (_scenario_config("operator-compile", machine="echo", element_bound=7),
+     "field 'element_bound' out of range"),
+])
+def test_validate_config_names_each_rejection(doc, message):
+    # every malformed config is a ConfigError that names what is wrong
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        validate_config(doc)
 
 
 @pytest.mark.parametrize("bound", [2, 3, 4, 1023, 1024, 16384])
@@ -638,6 +723,11 @@ def _in_records(cases):
      "second batch of strategy 0 at stage 2"),
     ("records[2].acts[0][0]", lambda r: r[2].update(acts=r[2]["acts"][::-1], rules=[0, 0, 1, 1]),
      "acts at stage 2 are out of strategy order"),
+    # strategy indices are naturals below the echo's strategy count
+    ("records[3].acts[1]", lambda r: r[3]["acts"].append([2, "0", "0"]),
+     "strategy 2 acts in a 2-strategy trace"),
+    ("records[3].acts[1]", lambda r: r[3]["acts"].append([True, "0", "0"]),
+     "strategy True acts in a 2-strategy trace"),
 ]) + [
     ("mode", lambda doc: doc.__setitem__("mode", "triple"),
      "trace mode 'triple' is neither single nor pair"),
@@ -667,6 +757,43 @@ def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where,
     assert "Traceback" not in printed.out + printed.err
     with pytest.raises(InvariantViolationError, match="^%s$" % re.escape(reason)):
         trace_from_jsonable(doc)
+
+
+
+@pytest.mark.parametrize("doctor, error, reason", [
+    (lambda doc: doc.update(format="gencomp-trace/5"), UndefinedInputError,
+     "unsupported trace format 'gencomp-trace/5'"),
+    (lambda doc: doc.pop("format"), UndefinedInputError, "unsupported trace format None"),
+    # the strategy count is the length of the echo's strategy list
+    (lambda doc: doc.update(config={"version": 1}), InvariantViolationError,
+     "config echo {'version': 1} lists no strategies"),
+    (lambda doc: doc.update(config=[1]), InvariantViolationError, "config echo [1] lists no strategies"),
+])
+def test_trace_loader_rejects_a_header_it_cannot_read(tmp_path, doctor, error, reason):
+    # verify refuses these before the loader runs; the loader names them too
+    out = tmp_path / "o"
+    run_experiment({**_pair_springer_config(), "out_dir": str(out)})
+    doc = json.loads((out / "trace.json").read_text())
+    doctor(doc)
+    with pytest.raises(error, match="^%s$" % re.escape(reason)):
+        trace_from_jsonable(doc)
+
+
+@pytest.mark.parametrize("echo", [None, {}, [1]])
+def test_verify_refuses_a_trace_without_a_config_echo(tmp_path, capsys, echo):
+    out = tmp_path / "o"
+    run_experiment({**single_config(), "out_dir": str(out)})
+    doc = json.loads((out / "trace.json").read_text())
+    if echo is None:
+        del doc["config"]
+    else:
+        doc["config"] = echo
+    (out / "bad.json").write_text(canonical_json(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out / "bad.json")]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "config error: trace carries no config echo; cannot replay\n"
 
 
 def test_a_live_strategy_without_its_last_act_fails_spoiling(tmp_path, capsys):
