@@ -26,6 +26,7 @@ state, stage s being computed from its records through s-1.
 
 from __future__ import annotations
 
+import json
 from functools import partial
 from itertools import product
 from operator import add
@@ -435,23 +436,20 @@ def trace_to_jsonable(trace: Trace) -> dict:
 
 
 def trace_from_jsonable(doc: dict) -> Trace:
-    """The trace a document records.  The mode, the echoed config and the
-    records are read; the strategy count is the length of the echo's
-    strategy list, and record s is stage s.  Each record is read as its
-    batches and its acts: an act's approximation is rebuilt from its
-    suffixes, its marker is the prefix of the approximation on every side
-    that the act's rule lengths give, and the act is then the gap rules of
-    its block.  The deaths and the trap events follow from those, as
-    `Trace.append` derives them.  A document the engine could not have
-    written is rejected with a named violation: a field of the wrong type
-    or arity, a count that is not a natural number, a batch that is not a
-    run set or not the strategy's only one, acts out of order or from a
-    strategy that has not started or has died, suffixes that are not bit
-    strings, differ in length between sides or are shorter than the stage
-    minus the last approximation's length (or longer than the stage), rule
-    lengths that are not one natural through the stage per act and side or
-    that differ between an act's sides, or trap events other than the ones
-    the stage's batches spring."""
+    """The trace a document records, if the document is exactly what
+    `trace_to_jsonable` writes for it.  Record s is stage s, and the
+    strategy count is the length of the echoed config's strategy list.  A
+    record is read as its batches and its acts: an act's approximation is
+    rebuilt from its suffixes, its marker is the prefix of it on every side
+    that the act's rule lengths give, and `Trace.append` derives the deaths
+    and the trap events.  The trace is then written back, and the document
+    must equal that, with each record compared as JSON text (so 2.0 and
+    true are not 2 and 1), else the first differing field is named.
+    Reading checks what it needs to read safely (types, arities, naturals,
+    bit strings, one rule per act and side) and what the write-back cannot
+    see: acts of started, live strategies in strategy order, suffixes of one
+    length from the stage minus the last approximation's length through the
+    stage, one rule length per act, and batches that are run sets."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     mode, config, docs = map(doc.get, ("mode", "config", "records"))
@@ -469,16 +467,13 @@ def trace_from_jsonable(doc: dict) -> Trace:
     for s, rd in enumerate(docs):
         if type(rd) is not dict:
             raise InvariantViolationError("record of stage %d: %r is not an object" % (s, rd))
-        batch_docs, act_docs, lengths, events = (
-            _list_of(rd.get(key), None, key, s) for key in ("batches", "acts", "rules", "trap_events")
-        )
+        batch_docs, act_docs, lengths = (_list_of(rd.get(key), None, key, s)
+                                         for key in ("batches", "acts", "rules"))
         batches = {}
         for entry in batch_docs:
             e, runs = _list_of(entry, 2, "batch entry", s)
-            if not is_natural(e) or e >= count:
+            if not is_natural(e):
                 raise InvariantViolationError("batch of strategy %r in a %d-strategy trace" % (e, count))
-            if e in batches:
-                raise InvariantViolationError("second batch of strategy %d at stage %d" % (e, s))
             naturals = type(runs) is list and all(
                 type(run) is list and len(run) == 2 and all(map(is_natural, run)) for run in runs
             )
@@ -514,7 +509,7 @@ def trace_from_jsonable(doc: dict) -> Trace:
                 % (s, len(acts) * k, len(lengths))
             )
         for i, n in enumerate(lengths):
-            if not is_natural(n) or n > s:
+            if not is_natural(n):
                 raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, n))
         if list(acts) != sorted(acts):
             raise InvariantViolationError("acts at stage %d are out of strategy order" % s)
@@ -525,12 +520,17 @@ def trace_from_jsonable(doc: dict) -> Trace:
         length = iter(lengths)
         acts = {e: (approx, tuple(a[:next(length)] for a in approx)) for e, approx in acts.items()}
         trace.append(StageRecord({e: batches.get(e, ()) for e in range(count)}, acts))
-        # compared as lists of naturals: 2.0 and True equal 2 and 1
-        view = list(map(list, trace.trap_events[s]))
-        if events != view or not all(is_natural(n) for t in events for n in t):
-            raise InvariantViolationError(
-                "trap events %r at stage %d are not %r, the ones its batches spring" % (events, s, view)
-            )
+    back, text = trace_to_jsonable(trace), partial(json.dumps, sort_keys=True)
+    if doc.keys() != back.keys() or text(docs) != text(back["records"]):
+        wheres = ["trace", *("record of stage %d" % s for s in range(len(docs)))]
+        for where, got, want in zip(wheres, [doc, *docs], [back, *back["records"]]):
+            for key in sorted(got.keys() | want.keys()):
+                if key not in want:
+                    raise InvariantViolationError(
+                        "%s has a field %r that the writer does not write" % (where, key))
+                if key != "records" and text(got.get(key)) != text(want[key]):
+                    raise InvariantViolationError(
+                        "%s has %s %r where its write-back has %r" % (where, key, got.get(key), want[key]))
     return trace
 
 

@@ -199,6 +199,23 @@ def test_out_dir_with_a_nul_is_a_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_contract_violation_exits_4_and_writes_nothing(tmp_path):
+    # 4 joins strategy 0's enumeration at stage 2, inside the gap [4, 8) of
+    # its stage-2 rule, whose node "1" the all-ones guess extends; at stage
+    # 4 the level-3 search sees it, so the guess's truncation "111" lies
+    # outside the surviving level and the engine stops the run
+    cfg = dict(CONFIG, stages=7, strategies=[{
+        "enumerator": {"kind": "scripted", "stages": {"2": [4]}},
+        "selector": {"kind": "scripted", "entries": [[1, "1111111"]]},
+    }])
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = gencomp("run", "cfg.json", "--out-dir", "out", cwd=tmp_path)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "invariant violation: selector path truncation is outside the surviving level\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("spelling", ["flag", "field"])
 def test_an_empty_out_dir_is_a_config_error(tmp_path, spelling):
     # an absent out_dir writes nothing; an empty one names no directory,

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencomp import reals, scenarios
+from gencomp import diagonal, reals, scenarios
 from gencomp.density import gap_census, gap_interval, prefix_density
 from gencomp.diagonal import (
     PAIR,
@@ -465,6 +465,24 @@ def test_registry_verdicts_are_the_report_verdicts(run):
         censuses.append({"oracle_prefix": label, "side": trace.sides[i], "census": census.to_jsonable()})
     assert censuses == report["value_censuses"]
     assert len(censuses) == 2 * len(trace.sides)
+
+
+def test_census_audit_names_a_block_whose_gap_is_missing(monkeypatch):
+    # with block 3's top element (15) put back in every value set, no
+    # census of the pair-catalog seed-1 trace records a gap at block 3,
+    # although on either side a rule of strategy 2 leaves it out under the
+    # all-zeros oracle and one of strategy 0 under the all-ones oracle:
+    # every census row fails and names the block
+    _, doc = run_experiment(REPORT_VIEW_CONFIGS["pair-catalog-seed-1"])
+    trace = trace_from_jsonable(doc)
+    value_set = diagonal.functional_value_set
+    monkeypatch.setattr(diagonal, "functional_value_set",
+                        lambda t, prefix, i=0: union(value_set(t, prefix, i), ((15, 16),)))
+    failed = [(name, bad) for name, bad in audit_verdicts(trace) if bad]
+    assert failed == [
+        ("gap-census-consistency", ["block 3 census None != rules %d under %r" % (e, bit * 19)])
+        for _ in trace.sides for e, bit in ((2, "0"), (0, "1"))
+    ]
 
 
 def test_oracle_cases_exercise_every_branch():

@@ -549,30 +549,22 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     cli.main(["run", str(cfg_path), "--out-dir", str(out)])
     assert cli.main(["verify", str(out / "trace.json")]) == 0
     # a trace the engine could have written, but not from this config: only
-    # the replay comparison sees it doctored
-    for where, part, key, value in (
-        # the same approximation, from a shorter kept prefix
-        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"], 0, [0, "00"]),
-        # another last approximation, still through the last marker
-        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"][0], 1, "1"),
-        # gencomp-trace/5 wrote the header counts; /6 derives them
-        ("defined_through", lambda d: d, "defined_through", 3),
-        # gencomp-trace/3 listed every strategy in every record and ended
-        # with a final block; /4 writes neither
-        ("records[1].strategies", lambda d: d["records"][1], "strategies", [[0, {}]]),
-        ("final", lambda d: d, "final", {"alive": [[0, True]]}),
-    ):
-        doc = json.loads((out / "trace.json").read_text())
-        part(doc)[key] = value
-        (out / "bad.json").write_text(canonical_json(doc))
-        capsys.readouterr()
-        assert cli.main(["verify", str(out / "bad.json")]) == 4
-        assert capsys.readouterr().out == (
-            "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n" % where
-        )
-    # records the trace cannot be built from fail while it loads: an act
-    # whose rule moved to the next record, a second rule for an act, a rule
-    # longer than its stage, and a rule length that is a bool
+    # the replay comparison sees another last approximation, still through
+    # the last marker
+    doc = json.loads((out / "trace.json").read_text())
+    doc["records"][4]["acts"][0][1] = "1"
+    (out / "bad.json").write_text(canonical_json(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out / "bad.json")]) == 4
+    assert capsys.readouterr().out == (
+        "VIOLATION: replay mismatch at records[4].acts[0][1]: trace is not reproducible from its config\n"
+    )
+    # a document the writer would not write back fails while it loads too:
+    # the same approximation from a shorter kept prefix, the header counts of
+    # gencomp-trace/5, the per-strategy records and final block of
+    # gencomp-trace/3, an act whose rule moved to the next record, a second
+    # rule for an act, a rule longer than its stage, and a rule length that
+    # is a bool
     def moved(doc):
         doc["records"][2]["rules"].insert(0, doc["records"][1]["rules"].pop())
 
@@ -586,9 +578,17 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         doc["records"][1]["rules"][0] = False
 
     for where, doctor, reason in (
+        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"].__setitem__(0, [0, "00"]),
+         "record of stage 4 has acts [[0, '00']] where its write-back has [[0, '0']]"),
+        ("defined_through", lambda d: d.__setitem__("defined_through", 3),
+         "trace has a field 'defined_through' that the writer does not write"),
+        ("records[1].strategies", lambda d: d["records"][1].__setitem__("strategies", [[0, {}]]),
+         "record of stage 1 has a field 'strategies' that the writer does not write"),
+        ("final", lambda d: d.__setitem__("final", {"alive": [[0, True]]}),
+         "trace has a field 'final' that the writer does not write"),
         ("records[1].rules[0]", moved, "acts at stage 1 issue 1 rules, but the record lists 0"),
         ("records[1].rules[1]", extra, "acts at stage 1 issue 1 rules, but the record lists 2"),
-        ("records[1].rules[0]", ahead, "rule 0 at stage 1 has a node of length 2"),
+        ("records[1].rules[0]", ahead, "record of stage 1 has rules [2] where its write-back has [1]"),
         ("records[1].rules[0]", flagged, "rule 0 at stage 1 has a node of length False"),
     ):
         doc = json.loads((out / "trace.json").read_text())
@@ -671,18 +671,31 @@ def _in_records(cases):
      "batch [[2, 3], [2, 3]] of strategy 0 at stage 2 is not a run set"),
     ("records[2].batches[0][1][0][0]", lambda r: r[2]["batches"][0].__setitem__(1, [[2.0, 3]]),
      "batch [[2.0, 3]] of strategy 0 at stage 2 is not a run set"),
-    # the trap events are the ones the stage's batches spring, as naturals
-    # (stage 2's one event is [0, 1, 2, 3])
+    # the trap events are the ones the stage's batches spring, as naturals,
+    # since a record is the one its trace writes back (stage 2's one event
+    # is [0, 1, 2, 3])
     ("records[2].trap_events[0][2]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2.0, 3]),
-     "trap events [[0, 1, 2.0, 3]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+     "record of stage 2 has trap_events [[0, 1, 2.0, 3]] where its write-back has [[0, 1, 2, 3]]"),
     ("records[2].trap_events[0][3]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2]),
-     "trap events [[0, 1, 2]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+     "record of stage 2 has trap_events [[0, 1, 2]] where its write-back has [[0, 1, 2, 3]]"),
     ("records[2].trap_events[1]", lambda r: r[2]["trap_events"].append([0, 1, 2, 3]),
-     "trap events [[0, 1, 2, 3], [0, 1, 2, 3]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+     "record of stage 2 has trap_events [[0, 1, 2, 3], [0, 1, 2, 3]] where its write-back has [[0, 1, 2, 3]]"),
     ("records[2].trap_events[0]", lambda r: r[2]["trap_events"].pop(),
-     "trap events [] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+     "record of stage 2 has trap_events [] where its write-back has [[0, 1, 2, 3]]"),
     ("records[2].trap_events[0][1]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 0, 2, 3]),
-     "trap events [[0, 0, 2, 3]] at stage 2 are not [[0, 1, 2, 3]], the ones its batches spring"),
+     "record of stage 2 has trap_events [[0, 0, 2, 3]] where its write-back has [[0, 1, 2, 3]]"),
+    # the writer writes no key it does not know, no empty batch, batches in
+    # strategy order and the shortest suffix that spells an approximation
+    ("records[2].deaths", lambda r: r[2].__setitem__("deaths", []),
+     "record of stage 2 has a field 'deaths' that the writer does not write"),
+    ("records[1].batches[0]", lambda r: r[1]["batches"].append([0, []]),
+     "record of stage 1 has batches [[0, []]] where its write-back has []"),
+    ("records[2].batches[0][0]", lambda r: r[2]["batches"].insert(0, [1, [[4, 5]]]),
+     "record of stage 2 has batches [[1, [[4, 5]]], [0, [[2, 3]]]]"
+     " where its write-back has [[0, [[2, 3]]], [1, [[4, 5]]]]"),
+    ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(slice(1, 3), ["00", "00"]),
+     "record of stage 2 has acts [[0, '00', '00'], [1, '00', '00']]"
+     " where its write-back has [[0, '0', '0'], [1, '00', '00']]"),
     # every field and entry has the type and arity the engine writes
     ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, 5),
      "act of strategy 0 at stage 2 has suffixes [5, '0'], not bit strings"),
@@ -698,7 +711,7 @@ def _in_records(cases):
      "record of stage 3: [3] is not an object"),
     # one batch per strategy and record, and acts in strategy order
     ("records[2].batches[1]", lambda r: r[2]["batches"].append([0, [[2, 3]]]),
-     "second batch of strategy 0 at stage 2"),
+     "record of stage 2 has batches [[0, [[2, 3]]], [0, [[2, 3]]]] where its write-back has [[0, [[2, 3]]]]"),
     ("records[2].acts[0][0]", lambda r: r[2].update(acts=r[2]["acts"][::-1], rules=[0, 0, 1, 1]),
      "acts at stage 2 are out of strategy order"),
     # a strategy index is a natural, not a bool
@@ -711,6 +724,8 @@ def _in_records(cases):
      "trace mode ['pair'] is neither single nor pair"),
     ("records", lambda doc: doc.__setitem__("records", 5),
      "records 5 are not a list"),
+    ("stages", lambda doc: doc.__setitem__("stages", 5),
+     "trace has a field 'stages' that the writer does not write"),
 ])
 def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where, doctor, reason):
     # counts, batches, trap events, acts and rules that no run writes fail
