@@ -41,7 +41,7 @@ from .errors import (
     UndefinedInputError,
     UndefinedRegionError,
 )
-from .records import Frozen
+from .records import Frozen, first_difference
 from .runs import clip, difference, hits, is_bits, is_natural, normalize, union
 
 SINGLE = "single"
@@ -439,17 +439,17 @@ def trace_from_jsonable(doc: dict) -> Trace:
     """The trace a document records, if the document is exactly what
     `trace_to_jsonable` writes for it.  Record s is stage s, and the
     strategy count is the length of the echoed config's strategy list.  A
-    record is read as its batches and its acts: an act's approximation is
-    rebuilt from its suffixes, its marker is the prefix of it on every side
-    that the act's rule lengths give, and `Trace.append` derives the deaths
-    and the trap events.  The trace is then written back, and the document
-    must equal that, with each record compared as JSON text (so 2.0 and
-    true are not 2 and 1), else the first differing field is named.
-    Reading checks what it needs to read safely (types, arities, naturals,
-    bit strings, one rule per act and side) and what the write-back cannot
-    see: acts of started, live strategies in strategy order, suffixes of one
-    length from the stage minus the last approximation's length through the
-    stage, one rule length per act, and batches that are run sets."""
+    record is read the way the writer writes it: each batch as the run set
+    of its runs, each side of an act's approximation from that side of the
+    last one and its own suffix, the marker on every side as the prefix
+    that the act's first rule length gives, and the acts in strategy order;
+    `Trace.append` derives the deaths and the trap events.  The trace is
+    then written back, and the document must equal that as JSON text (so
+    2.0 and true are not 2 and 1), else the first differing path is named.
+    Reading checks only what it needs to read safely (types, arities,
+    naturals, bit strings, one rule per act and side) and what the
+    write-back cannot see: acts of started, live strategies, and
+    approximations of exactly s bits on every side at stage s."""
     if doc.get("format") != TRACE_FORMAT:
         raise UndefinedInputError("unsupported trace format %r" % doc.get("format"))
     mode, config, docs = map(doc.get, ("mode", "config", "records"))
@@ -474,35 +474,31 @@ def trace_from_jsonable(doc: dict) -> Trace:
             e, runs = _list_of(entry, 2, "batch entry", s)
             if not is_natural(e):
                 raise InvariantViolationError("batch of strategy %r in a %d-strategy trace" % (e, count))
-            naturals = type(runs) is list and all(
-                type(run) is list and len(run) == 2 and all(map(is_natural, run)) for run in runs
-            )
-            batch = tuple(map(tuple, runs)) if naturals else None
-            if not naturals or batch != normalize(batch):
+            if type(runs) is not list or not all(
+                    type(run) is list and len(run) == 2 and all(map(is_natural, run)) for run in runs):
                 raise InvariantViolationError(
-                    "batch %r of strategy %d at stage %d is not a run set" % (runs, e, s)
-                )
-            batches[e] = batch
-        acts = {}
+                    "batch %r of strategy %d at stage %d is not a list of runs of naturals" % (runs, e, s))
+            batches[e] = normalize(runs)
+        acts = []
         for act in act_docs:
             e, *suffixes = _list_of(act, 1 + k, "act", s)
-            _may_act(e, s, count, trace, acts)
+            if not is_natural(e) or e >= count:
+                raise InvariantViolationError("strategy %r acts in a %d-strategy trace" % (e, count))
+            if e >= s:
+                raise InvariantViolationError("strategy %d acts at stage %d, before it starts" % (e, s))
+            if trace.death_stage[e] is not None:
+                raise InvariantViolationError("strategy %d acts at stage %d, after it died" % (e, s))
             if not all(map(is_bits, suffixes)):
                 raise InvariantViolationError(
                     "act of strategy %d at stage %d has suffixes %r, not bit strings" % (e, s, suffixes)
                 )
-            if len(set(map(len, suffixes))) != 1:
+            old = trace.final_approx[e] or ("",) * k
+            approx = tuple([a[:s - len(b)] + b for a, b in zip(old, suffixes)])
+            if {len(side) for side in approx} != {s}:  # `Selector.path` cuts every side to the stage
                 raise InvariantViolationError(
-                    "act of strategy %d at stage %d has suffixes %r of unequal lengths" % (e, s, suffixes)
-                )
-            old = trace.final_approx.get(e) or ("",) * k
-            n = len(suffixes[0])
-            if not s - len(old[0]) <= n <= s:
-                raise InvariantViolationError(
-                    "act of strategy %d at stage %d has a %d-bit suffix after a %d-bit approximation"
-                    % (e, s, n, len(old[0]))
-                )
-            acts[e] = tuple([a[:s - n] + b for a, b in zip(old, suffixes)])
+                    "act of strategy %d at stage %d has approximation %r, not of length %d on every side"
+                    % (e, s, list(approx), s))
+            acts.append((e, approx))
         if len(lengths) != len(acts) * k:
             raise InvariantViolationError(
                 "acts at stage %d issue %d rules, but the record lists %d"
@@ -511,26 +507,12 @@ def trace_from_jsonable(doc: dict) -> Trace:
         for i, n in enumerate(lengths):
             if not is_natural(n):
                 raise InvariantViolationError("rule %d at stage %d has a node of length %r" % (i, s, n))
-        if list(acts) != sorted(acts):
-            raise InvariantViolationError("acts at stage %d are out of strategy order" % s)
-        for e, i in zip(acts, range(0, len(lengths), k)):
-            if len(set(lengths[i:i + k])) != 1:  # a marker is one node
-                raise InvariantViolationError(
-                    "act of strategy %d at stage %d has rules of lengths %r" % (e, s, lengths[i:i + k]))
-        length = iter(lengths)
-        acts = {e: (approx, tuple(a[:next(length)] for a in approx)) for e, approx in acts.items()}
+        acts = {e: (approx, tuple(a[:n] for a in approx))
+                for (e, approx), n in sorted(zip(acts, lengths[::k]))}
         trace.append(StageRecord({e: batches.get(e, ()) for e in range(count)}, acts))
     back, text = trace_to_jsonable(trace), partial(json.dumps, sort_keys=True)
-    if doc.keys() != back.keys() or text(docs) != text(back["records"]):
-        wheres = ["trace", *("record of stage %d" % s for s in range(len(docs)))]
-        for where, got, want in zip(wheres, [doc, *docs], [back, *back["records"]]):
-            for key in sorted(got.keys() | want.keys()):
-                if key not in want:
-                    raise InvariantViolationError(
-                        "%s has a field %r that the writer does not write" % (where, key))
-                if key != "records" and text(got.get(key)) != text(want[key]):
-                    raise InvariantViolationError(
-                        "%s has %s %r where its write-back has %r" % (where, key, got.get(key), want[key]))
+    if text(doc) != text(back):
+        raise InvariantViolationError("trace differs from its write-back at %s" % first_difference(doc, back))
     return trace
 
 
@@ -541,19 +523,6 @@ def _list_of(v, n: Optional[int], what: str, s: int) -> list:
             "%s of stage %d: %r is not a list%s" % (what, s, v, "" if n is None else " of %d items" % n)
         )
     return v
-
-
-def _may_act(e, s: int, count: int, trace: Trace, acts: dict):
-    """Check that strategy e may act at stage s: it has started (e < s),
-    is alive and has not acted at s yet."""
-    if not is_natural(e) or e >= count:
-        raise InvariantViolationError("strategy %r acts in a %d-strategy trace" % (e, count))
-    if e >= s:
-        raise InvariantViolationError("strategy %d acts at stage %d, before it starts" % (e, s))
-    if trace.death_stage[e] is not None or e in acts:
-        raise InvariantViolationError(
-            "strategy %d acts at stage %d, after it %s" % (e, s, "acted" if e in acts else "died")
-        )
 
 
 # ---------------------------------------------------------------------------

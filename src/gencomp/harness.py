@@ -30,6 +30,7 @@ from . import adversaries, diagonal, enumops, scenarios
 # stays because perfbench's tests read harness.prefix_density
 from .density import prefix_density  # noqa: F401
 from .errors import BudgetError, ConfigError, InvariantViolationError
+from .records import first_difference
 from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
@@ -418,28 +419,6 @@ def _write_outputs(target, trace_doc, report, csv_profiles):
             os.remove(os.path.join(target, name))
 
 
-def first_difference(a, b, path: str = ""):
-    """JSON path of the first place, in serialization order, where two
-    JSON documents differ (such as `records[7].batches[1][1][0]`), or
-    None when they serialize identically."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            at = "%s.%s" % (path, key) if path else key
-            if key not in a or key not in b:
-                return at
-            found = first_difference(a[key], b[key], at)
-            if found is not None:
-                return found
-        return None
-    if isinstance(a, list) and isinstance(b, list):
-        for i, (x, y) in enumerate(zip(a, b)):
-            found = first_difference(x, y, "%s[%d]" % (path, i))
-            if found is not None:
-                return found
-        return None if len(a) == len(b) else "%s[%d]" % (path, min(len(a), len(b)))
-    return None if json.dumps(a) == json.dumps(b) else path or "$"
-
-
 def _replay_mismatch(doc, fresh) -> list:
     if canonical_json(fresh) == canonical_json(doc):
         return []
@@ -453,7 +432,8 @@ def verify_trace_file(path: str) -> list:
     """Replay a trace file from its validated config echo and audit it;
     returns violation messages.  Nothing is written.  A diagonal trace is
     rebuilt without auditing the rebuild, then the file's own trace is
-    audited once."""
+    loaded and audited once if it holds one record per configured stage,
+    as the engine writes: loading and auditing take time in its records."""
     doc = _read_json(path, "trace")
     fmt = doc.get("format") if isinstance(doc, dict) else None
     # the scenario format is tested first, so a scenario trace loads no module
@@ -474,6 +454,10 @@ def verify_trace_file(path: str) -> list:
     if cfg["scenario"] not in DIAGONAL_MODES:
         raise ConfigError("a %s trace must echo a diagonal config" % fmt)
     problems = _replay_mismatch(doc, diagonal.trace_to_jsonable(_diagonal_trace(cfg)))
+    records = doc.get("records")
+    if type(records) is list and len(records) != cfg["stages"]:
+        return problems + ["trace contents are not auditable: trace has %d records, but its config runs %d "
+                           "stages" % (len(records), cfg["stages"])]
     try:
         trace = diagonal.trace_from_jsonable(doc)
         problems += diagonal.audit_trace(trace)

@@ -947,11 +947,12 @@ RECORD_FIELDS = ("acts", "batches", "rules", "trap_events")
 def doctored_goldens(draw):
     """A golden /6 document with one place in one record field (or in the
     header) changed: its value swapped for another type, the entry dropped
-    or duplicated, or the list given one item more or less.  Or one act
-    changed in what the loader derives from it: a bit cut from the suffix
-    of one side (unequal lengths in pair mode) or of every side (too short
-    for the last approximation), or the act deleted with its rules (a
-    death)."""
+    or duplicated, the list given one item more or less, or two adjacent
+    entries of the list swapped (acts, batches or runs out of order).  Or
+    one act changed in what the loader derives from it: a bit cut from the
+    suffix of one side (unequal lengths in pair mode) or of every side (too
+    short for the last approximation), or the act deleted with its rules
+    (a death)."""
     doc = json.loads(golden_trace_text(draw(st.sampled_from(sorted(GOLDEN)))))
     part = draw(st.integers(0, 5))
     if part == 5:
@@ -975,8 +976,11 @@ def doctored_goldens(draw):
     for i in path:
         parent, slot = parent[slot], i
     target = parent[slot]
-    kind = draw(st.sampled_from(("swap", "drop", "duplicate", "extend", "shorten")))
-    if kind == "drop":
+    kind = draw(st.sampled_from(("swap", "drop", "duplicate", "extend", "shorten", "reorder")))
+    if kind == "reorder" and type(target) is list and len(target) > 1:
+        i = draw(st.integers(0, len(target) - 2))
+        target[i:i + 2] = target[i + 1], target[i]
+    elif kind == "drop":
         del parent[slot]
     elif kind == "duplicate" and path:
         parent.insert(slot, json.loads(json.dumps(target)))
@@ -993,12 +997,15 @@ def doctored_goldens(draw):
 @settings(max_examples=300, deadline=None)
 def test_loader_names_every_doctored_golden(doc):
     # a document the engine could not have written fails with a named
-    # violation, never with a bare Python error; a document that loads is
-    # audited, and the audits may only run out of their node budget
+    # violation that names a place, never with a bare Python error; a
+    # document that loads is what the writer writes back, and is audited,
+    # and the audits may only run out of their node budget
     try:
         trace = trace_from_jsonable(doc)
-    except (InvariantViolationError, UndefinedInputError):
+    except (InvariantViolationError, UndefinedInputError) as exc:
+        assert not str(exc).endswith(" at None")
         return
+    assert canonical_json(trace_to_jsonable(trace)) == canonical_json(doc)
     try:
         audit_trace(trace)
     except BudgetError:

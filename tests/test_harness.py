@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -500,7 +501,7 @@ def test_verify_names_first_divergence(tmp_path, capsys):
 
 
 def test_first_difference_paths():
-    from gencomp.harness import first_difference
+    from gencomp.records import first_difference
 
     assert first_difference({"a": [1, 2]}, {"a": [1, 2]}) is None
     assert first_difference({"a": [1, 2], "b": 0}, {"a": [1, 3], "b": 1}) == "a[1]"
@@ -509,6 +510,9 @@ def test_first_difference_paths():
     assert first_difference({"a": 1}, {"a": True}) == "a"
     assert first_difference([1], {"a": 1}) == "$"
     assert first_difference({"a": [0.0]}, {"a": [-0.0]}) == "a[0]"
+    # leaves compare as JSON text, as the loader's write-back does
+    assert first_difference([1], [True]) == "[0]"
+    assert first_difference({"a": 2}, {"a": 2.0}) == "a"
 
 
 def test_verify_rejects_trace_format_1(tmp_path, capsys):
@@ -559,53 +563,34 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "VIOLATION: replay mismatch at records[4].acts[0][1]: trace is not reproducible from its config\n"
     )
-    # a document the writer would not write back fails while it loads too:
-    # the same approximation from a shorter kept prefix, the header counts of
-    # gencomp-trace/5, the per-strategy records and final block of
-    # gencomp-trace/3, an act whose rule moved to the next record, a second
-    # rule for an act, a rule longer than its stage, and a rule length that
-    # is a bool
-    def moved(doc):
-        doc["records"][2]["rules"].insert(0, doc["records"][1]["rules"].pop())
-
-    def extra(doc):
-        doc["records"][1]["rules"].append(0)
-
-    def ahead(doc):
-        doc["records"][1]["rules"][0] = 2
-
-    def flagged(doc):
-        doc["records"][1]["rules"][0] = False
-
-    for where, doctor, reason in (
-        ("records[4].acts[0][1]", lambda d: d["records"][4]["acts"].__setitem__(0, [0, "00"]),
-         "record of stage 4 has acts [[0, '00']] where its write-back has [[0, '0']]"),
-        ("defined_through", lambda d: d.__setitem__("defined_through", 3),
-         "trace has a field 'defined_through' that the writer does not write"),
-        ("records[1].strategies", lambda d: d["records"][1].__setitem__("strategies", [[0, {}]]),
-         "record of stage 1 has a field 'strategies' that the writer does not write"),
-        ("final", lambda d: d.__setitem__("final", {"alive": [[0, True]]}),
-         "trace has a field 'final' that the writer does not write"),
-        ("records[1].rules[0]", moved, "acts at stage 1 issue 1 rules, but the record lists 0"),
-        ("records[1].rules[1]", extra, "acts at stage 1 issue 1 rules, but the record lists 2"),
-        ("records[1].rules[0]", ahead, "record of stage 1 has rules [2] where its write-back has [1]"),
-        ("records[1].rules[0]", flagged, "rule 0 at stage 1 has a node of length False"),
-    ):
-        doc = json.loads((out / "trace.json").read_text())
-        doctor(doc)
-        (out / "bad.json").write_text(canonical_json(doc))
-        capsys.readouterr()
-        assert cli.main(["verify", str(out / "bad.json")]) == 4
-        printed = capsys.readouterr()
-        assert printed.out == (
-            "VIOLATION: replay mismatch at %s: trace is not reproducible from its config\n"
-            "VIOLATION: trace contents are not auditable: %s\n" % (where, reason)
-        )
-        assert "Traceback" not in printed.out + printed.err
-    # a diagonal trace must echo a diagonal config to be rebuilt
+    # a diagonal trace must echo a diagonal config to be rebuilt; the
+    # loader's refusals are the rows of the table below
     doc["config"] = {"version": 1, "scenario": "relation-embed", "seed": 1}
     (out / "bad.json").write_text(canonical_json(doc))
     assert cli.main(["verify", str(out / "bad.json")]) == 2
+
+
+def test_verify_loads_only_as_many_records_as_its_config_runs(tmp_path, capsys):
+    # the engine writes one record per configured stage; a longer file that
+    # loads (record 0 empty, then strategy 0 extending its approximation by
+    # one bit each stage) is reported without the load and the audits, whose
+    # work grows with the square of its record count
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(single_config(stages=4)))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "trace.json").read_text())
+    later = {"acts": [[0, "0"]], "rules": [0], "batches": [], "trap_events": []}
+    doc["records"] = [doc["records"][0]] + [later] * 3999
+    (out / "long.json").write_text(canonical_json(doc))
+    capsys.readouterr()
+    started = time.process_time()
+    assert cli.main(["verify", str(out / "long.json")]) == 4
+    assert time.process_time() - started < 1
+    assert capsys.readouterr().out == (
+        "VIOLATION: replay mismatch at records[2].rules[0]: trace is not reproducible from its config\n"
+        "VIOLATION: trace contents are not auditable: trace has 4000 records, but its config runs 4 stages\n"
+    )
 
 
 def _pair_springer_config():
@@ -635,27 +620,34 @@ def _in_records(cases):
      "acts at stage 2 issue 4 rules, but the record lists 3"),
     ("records[2].acts[1]", lambda r: r[2]["acts"].pop(1),
      "acts at stage 2 issue 2 rules, but the record lists 4"),
-    # a pair act's marker is one node: its two rules have one length
-    # (stage 2's rules are [1, 1, 0, 0])
+    # a pair act's marker is one node, read from its first rule length, so
+    # the write-back gives its two rules one length (stage 2's rules are
+    # [1, 1, 0, 0])
     ("records[2].rules[1]", lambda r: r[2]["rules"].__setitem__(1, 0),
-     "act of strategy 0 at stage 2 has rules of lengths [1, 0]"),
+     "trace differs from its write-back at records[2].rules[1]"),
+    # a rule length is an int that is not a bool, and a marker no longer
+    # than its stage's approximation (stage 1's rules are [0, 0])
+    ("records[1].rules[0]", lambda r: r[1]["rules"].__setitem__(0, False),
+     "rule 0 at stage 1 has a node of length False"),
+    ("records[1].rules[0]", lambda r: r[1].__setitem__("rules", [2, 2]),
+     "trace differs from its write-back at records[1].rules[0]"),
     ("records[4].acts[0][0]", lambda r: r[4]["acts"].insert(0, [0, "0", "0"]),
      "strategy 0 acts at stage 4, after it died"),
     ("records[1].acts[1]", lambda r: r[1]["acts"].append([1, "0", "0"]),
      "strategy 1 acts at stage 1, before it starts"),
-    # an act's suffixes have one length, from the stage minus the length of
-    # the strategy's last approximation through the stage (strategy 0's
-    # stage-1 and stage-2 acts are [0, "0", "0"])
+    # each side of an approximation is rebuilt from its own suffix and is
+    # exactly s bits at stage s; the write-back gives the suffixes one
+    # length (strategy 0's stage-1 and stage-2 acts are [0, "0", "0"])
     ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, "00"),
-     "act of strategy 0 at stage 2 has suffixes ['00', '0'] of unequal lengths"),
+     "trace differs from its write-back at records[2].acts[0][1]"),
     ("records[2].acts[0][2]", lambda r: r[2]["acts"][0].__setitem__(2, ""),
-     "act of strategy 0 at stage 2 has suffixes ['0', ''] of unequal lengths"),
+     "act of strategy 0 at stage 2 has approximation ['00', '0'], not of length 2 on every side"),
     ("records[2].acts[0][1]", lambda r: r[2]["acts"].__setitem__(0, [0, "", ""]),
-     "act of strategy 0 at stage 2 has a 0-bit suffix after a 1-bit approximation"),
+     "act of strategy 0 at stage 2 has approximation ['0', '0'], not of length 2 on every side"),
     ("records[1].acts[0][1]", lambda r: r[1]["acts"].__setitem__(0, [0, "", ""]),
-     "act of strategy 0 at stage 1 has a 0-bit suffix after a 0-bit approximation"),
+     "act of strategy 0 at stage 1 has approximation ['', ''], not of length 1 on every side"),
     ("records[2].acts[0][1]", lambda r: r[2]["acts"].__setitem__(0, [0, "000", "000"]),
-     "act of strategy 0 at stage 2 has a 3-bit suffix after a 1-bit approximation"),
+     "act of strategy 0 at stage 2 has approximation ['000', '000'], not of length 2 on every side"),
     # a live strategy whose act is gone has died there, so its next act
     # comes after its death
     ("records[2].acts[1]", lambda r: (_drop_rules(2, 1)(r), r[2]["acts"].pop(1)),
@@ -663,39 +655,38 @@ def _in_records(cases):
     # every count is an int that is not a bool
     ("records[2].batches[0][0]", lambda r: r[2]["batches"][0].__setitem__(0, True),
      "batch of strategy True in a 2-strategy trace"),
-    # every batch is a run set of naturals: sorted, disjoint, non-adjacent
-    # and nonempty runs (stage 2's one batch is [0, [[2, 3]]])
+    # a batch is read as the run set of its runs of naturals, so the
+    # write-back refuses one that is not sorted, disjoint, non-adjacent and
+    # nonempty (stage 2's one batch is [0, [[2, 3]]])
     ("records[2].batches[0][1][0][0]", lambda r: r[2]["batches"][0].__setitem__(1, [[3, 2]]),
-     "batch [[3, 2]] of strategy 0 at stage 2 is not a run set"),
+     "trace differs from its write-back at records[2].batches[0]"),
     ("records[2].batches[0][1][1]", lambda r: r[2]["batches"][0].__setitem__(1, [[2, 3], [2, 3]]),
-     "batch [[2, 3], [2, 3]] of strategy 0 at stage 2 is not a run set"),
+     "trace differs from its write-back at records[2].batches[0][1][1]"),
     ("records[2].batches[0][1][0][0]", lambda r: r[2]["batches"][0].__setitem__(1, [[2.0, 3]]),
-     "batch [[2.0, 3]] of strategy 0 at stage 2 is not a run set"),
+     "batch [[2.0, 3]] of strategy 0 at stage 2 is not a list of runs of naturals"),
     # the trap events are the ones the stage's batches spring, as naturals,
     # since a record is the one its trace writes back (stage 2's one event
     # is [0, 1, 2, 3])
     ("records[2].trap_events[0][2]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2.0, 3]),
-     "record of stage 2 has trap_events [[0, 1, 2.0, 3]] where its write-back has [[0, 1, 2, 3]]"),
+     "trace differs from its write-back at records[2].trap_events[0][2]"),
     ("records[2].trap_events[0][3]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 1, 2]),
-     "record of stage 2 has trap_events [[0, 1, 2]] where its write-back has [[0, 1, 2, 3]]"),
+     "trace differs from its write-back at records[2].trap_events[0][3]"),
     ("records[2].trap_events[1]", lambda r: r[2]["trap_events"].append([0, 1, 2, 3]),
-     "record of stage 2 has trap_events [[0, 1, 2, 3], [0, 1, 2, 3]] where its write-back has [[0, 1, 2, 3]]"),
+     "trace differs from its write-back at records[2].trap_events[1]"),
     ("records[2].trap_events[0]", lambda r: r[2]["trap_events"].pop(),
-     "record of stage 2 has trap_events [] where its write-back has [[0, 1, 2, 3]]"),
+     "trace differs from its write-back at records[2].trap_events[0]"),
     ("records[2].trap_events[0][1]", lambda r: r[2]["trap_events"].__setitem__(0, [0, 0, 2, 3]),
-     "record of stage 2 has trap_events [[0, 0, 2, 3]] where its write-back has [[0, 1, 2, 3]]"),
+     "trace differs from its write-back at records[2].trap_events[0][1]"),
     # the writer writes no key it does not know, no empty batch, batches in
     # strategy order and the shortest suffix that spells an approximation
     ("records[2].deaths", lambda r: r[2].__setitem__("deaths", []),
-     "record of stage 2 has a field 'deaths' that the writer does not write"),
+     "trace differs from its write-back at records[2].deaths"),
     ("records[1].batches[0]", lambda r: r[1]["batches"].append([0, []]),
-     "record of stage 1 has batches [[0, []]] where its write-back has []"),
+     "trace differs from its write-back at records[1].batches[0]"),
     ("records[2].batches[0][0]", lambda r: r[2]["batches"].insert(0, [1, [[4, 5]]]),
-     "record of stage 2 has batches [[1, [[4, 5]]], [0, [[2, 3]]]]"
-     " where its write-back has [[0, [[2, 3]]], [1, [[4, 5]]]]"),
+     "trace differs from its write-back at records[2].batches[0][0]"),
     ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(slice(1, 3), ["00", "00"]),
-     "record of stage 2 has acts [[0, '00', '00'], [1, '00', '00']]"
-     " where its write-back has [[0, '0', '0'], [1, '00', '00']]"),
+     "trace differs from its write-back at records[2].acts[0][1]"),
     # every field and entry has the type and arity the engine writes
     ("records[2].acts[0][1]", lambda r: r[2]["acts"][0].__setitem__(1, 5),
      "act of strategy 0 at stage 2 has suffixes [5, '0'], not bit strings"),
@@ -711,9 +702,9 @@ def _in_records(cases):
      "record of stage 3: [3] is not an object"),
     # one batch per strategy and record, and acts in strategy order
     ("records[2].batches[1]", lambda r: r[2]["batches"].append([0, [[2, 3]]]),
-     "record of stage 2 has batches [[0, [[2, 3]]], [0, [[2, 3]]]] where its write-back has [[0, [[2, 3]]]]"),
+     "trace differs from its write-back at records[2].batches[1]"),
     ("records[2].acts[0][0]", lambda r: r[2].update(acts=r[2]["acts"][::-1], rules=[0, 0, 1, 1]),
-     "acts at stage 2 are out of strategy order"),
+     "trace differs from its write-back at records[2].acts[0][0]"),
     # a strategy index is a natural, not a bool
     ("records[3].acts[1]", lambda r: r[3]["acts"].append([True, "0", "0"]),
      "strategy True acts in a 2-strategy trace"),
@@ -725,7 +716,7 @@ def _in_records(cases):
     ("records", lambda doc: doc.__setitem__("records", 5),
      "records 5 are not a list"),
     ("stages", lambda doc: doc.__setitem__("stages", 5),
-     "trace has a field 'stages' that the writer does not write"),
+     "trace differs from its write-back at stages"),
 ])
 def test_verify_rejects_records_the_engine_cannot_write(tmp_path, capsys, where, doctor, reason):
     # counts, batches, trap events, acts and rules that no run writes fail

@@ -300,8 +300,8 @@ UNREACHED = {
     "diagonal.enumerate_level": "tracer target: perfbench/layers.py binds it by name",
     "diagonal.StageRecord.__eq__": "value equality: trace round-trip tests compare records by value",
     "diagonal.run_single": "perfbench entry: perfbench's tests run the engine without a config",
-    "harness.first_difference": "error path: names where a replayed trace differs",
     "reals.RealSpec.bit": "interface: every real overrides it",
+    "records.first_difference": "error path: names where a trace differs from its replay or write-back",
     "records.Frozen": "misuse guard: rejects assigning or deleting a record field",
 }
 
