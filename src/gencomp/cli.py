@@ -9,11 +9,11 @@ fields of the same names (`--out-dir` sets `out_dir`), and a flag wins
 over the file.  `verify` replays a trace from the config it echoes and
 writes nothing.  An option's value is the next argument or follows `=`
 (`--out-dir=DIR`), and options may come before or after the positional
-argument.  Exit codes: 0 pass (and `-h`/`--help`), 2 config, parse or
-usage error, 3 budget exceeded, 4 invariant violation.  The parser is
-written out here because importing `argparse` (with `gettext` and
-`locale`) would cost every command more than the rest of its argument
-handling.
+argument.  Exit codes: 0 pass (and `-h`/`--help`), 1 any other package
+error, 2 config, parse or usage error, 3 budget exceeded, 4 invariant
+violation.  The parser is written out here because importing `argparse`
+(with `gettext` and `locale`) would cost every command more than the
+rest of its argument handling.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import CorruptDescriptionError, ExcludedIndexError
+from .errors import CorruptDescriptionError, UndefinedInputError
 from .reals import GenericDescription, RealSpec
 from .records import Frozen
 
@@ -27,14 +27,14 @@ from .records import Frozen
 def two_adic_valuation(n: int) -> int:
     """The m with 2^m the largest power of two dividing n; n >= 1."""
     if n < 1:
-        raise ExcludedIndexError("valuation undefined at %d" % n)
+        raise UndefinedInputError("valuation undefined at %d" % n)
     return (n & -n).bit_length() - 1
 
 
 def floor_log2_below(n: int) -> int:
     """The m with 2^m the largest power of two strictly less than n; n >= 2."""
     if n < 2:
-        raise ExcludedIndexError("no power of two below %d" % n)
+        raise UndefinedInputError("no power of two below %d" % n)
     return (n - 1).bit_length() - 1
 
 
@@ -118,7 +118,7 @@ def decode_valuation(d: GenericDescription, m: int, bound: int) -> Optional[int]
     CorruptDescriptionError.  Returns None when no witness is assigned.
     """
     if m < 0:
-        raise ExcludedIndexError("bit index must be >= 0")
+        raise UndefinedInputError("bit index must be >= 0")
     step = 1 << (m + 1)
     return _decode(d, range(1 << m, bound + 1, step))
 
@@ -127,7 +127,7 @@ def decode_interval(d: GenericDescription, m: int, bound: int) -> Optional[int]:
     """Recover source bit m from a description of an interval coding by
     scanning the assigned witnesses in (2^m, 2^(m+1)] up to bound."""
     if m < 0:
-        raise ExcludedIndexError("bit index must be >= 0")
+        raise UndefinedInputError("bit index must be >= 0")
     lo = (1 << m) + 1
     hi = min(1 << (m + 1), bound)
     return _decode(d, range(lo, hi + 1))

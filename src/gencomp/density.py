@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import MalformedGapError, UndefinedInputError
+from .errors import UndefinedInputError
 from .records import Frozen
 from .runs import clip, difference, hits
 
@@ -20,7 +20,7 @@ from .runs import clip, difference, hits
 def gap_interval(i: int, e: int) -> tuple:
     """Half-open interval [lo, hi) of the size-2^-e gap at block i."""
     if e < 0 or e > i:
-        raise MalformedGapError("gap exponent %d invalid for block %d" % (e, i))
+        raise UndefinedInputError("gap exponent %d invalid for block %d" % (e, i))
     hi = 1 << (i + 1)
     return (hi - (1 << (i - e)), hi)
 
@@ -89,7 +89,6 @@ def gap_density_upper(i: int, e: int) -> Fraction:
     forced by a size-2^-e gap at block i."""
     from fractions import Fraction
 
-    if e < 0 or e > i:
-        raise MalformedGapError("gap exponent %d invalid for block %d" % (e, i))
+    gap_interval(i, e)
     return 1 - Fraction(1, 1 << (e + 1))
 

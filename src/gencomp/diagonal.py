@@ -34,13 +34,7 @@ from os.path import commonprefix
 from typing import Optional
 
 from .density import gap_census, gap_interval
-from .errors import (
-    BudgetError,
-    InvariantViolationError,
-    SelectorCapError,
-    UndefinedInputError,
-    UndefinedRegionError,
-)
+from .errors import BudgetError, InvariantViolationError, UndefinedInputError
 from .records import Frozen, first_difference
 from .runs import clip, difference, hits, is_bits, is_natural, normalize, union
 
@@ -132,7 +126,8 @@ def select_marker_node(path, marked):
     for k in range(len(path[0]) + 1):
         if k not in taken:
             return tuple(side[:k] for side in path)
-    raise SelectorCapError("every path prefix through the cap is marked")
+    # unreachable: at stage s the path has s+1 prefixes, strategy e at most s-1-e markers
+    raise InvariantViolationError("every path prefix through the cap is marked")
 
 
 class Selector:
@@ -289,7 +284,7 @@ class Trace:
             raise UndefinedInputError("the functional's value starts at n=1")
         block = n.bit_length() - 1
         if block > self.defined_through:
-            raise UndefinedRegionError(
+            raise UndefinedInputError(
                 "n=%d lies beyond the defined horizon 2^%d" % (n, self.defined_through + 1)
             )
         unknown = False

@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Callable
 
-from .errors import BudgetError, InsufficientOracleError
+from .errors import BudgetError, UndefinedInputError
 from .records import Frozen
 
 
@@ -60,14 +60,14 @@ def apply_operator(op: EnumerationOperator, members, bound: int) -> frozenset:
     `members` is the input set, decidable below `bound` (for pair
     elements the bound constrains the index coordinate).  Any axiom
     referencing an element at or beyond the bound raises
-    InsufficientOracleError.
+    UndefinedInputError.
     """
     members = frozenset(members)
     if op.extent > bound:  # name the first premise element beyond the bound
         for _, premise in op.axioms:
             for el in premise:
                 if _index(el) >= bound:
-                    raise InsufficientOracleError(
+                    raise UndefinedInputError(
                         "axiom premise references %r beyond bound %d" % (el, bound)
                     )
     out = set()

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps a few of these onto documented exit codes: ConfigError -> 2,
-BudgetError -> 3, InvariantViolationError -> 4.
+The CLI maps each onto a documented exit code: ConfigError -> 2,
+BudgetError -> 3, InvariantViolationError -> 4, and every other
+GencompError -> 1.
 """
 
 
@@ -13,32 +14,12 @@ class UndefinedInputError(GencompError):
     """Input outside the operation's domain (eg. prefix density at n=0)."""
 
 
-class MalformedGapError(GencompError):
-    """Gap exponent incompatible with the block it is claimed for (e > i)."""
-
-
-class ExcludedIndexError(GencompError):
-    """Index outside a coded real's domain (codings start at 1, resp. 2)."""
-
-
 class CorruptDescriptionError(GencompError):
     """Decoding witnesses disagree: the description lied about its source."""
 
 
-class InsufficientOracleError(GencompError):
-    """An operator axiom references elements beyond the oracle's bound."""
-
-
 class CapacityError(GencompError):
     """Requested object exceeds the configured materialization bounds."""
-
-
-class UndefinedRegionError(GencompError):
-    """Functional evaluated outside the region defined so far."""
-
-
-class SelectorCapError(GencompError):
-    """Every prefix of the selected path through the stage is already marked."""
 
 
 class BudgetError(GencompError):

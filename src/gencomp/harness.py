@@ -22,7 +22,6 @@ import json
 import os
 import re
 from functools import partial
-from math import gcd
 
 from . import adversaries, diagonal, enumops, scenarios
 # nothing here calls prefix_density, and the perfbench tracer patches every
@@ -30,7 +29,7 @@ from . import adversaries, diagonal, enumops, scenarios
 # stays because perfbench's tests read harness.prefix_density
 from .density import prefix_density  # noqa: F401
 from .errors import BudgetError, ConfigError, InvariantViolationError
-from .records import first_difference
+from .records import first_difference, rational, verdict
 from .runs import count_below, is_bits, is_natural
 
 CONFIG_VERSION = 1
@@ -45,12 +44,6 @@ DIAGONAL_MODES = {"single-diagonal": "single", "pair-diagonal": "pair"}
 def canonical_json(doc) -> str:
     """The byte-exact serialization used for every emitted artifact."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def rational(num: int, den: int) -> dict:
-    """The rational num/den (den > 0) in lowest terms."""
-    g = gcd(num, den)
-    return {"num": num // g, "den": den // g}
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +234,6 @@ def load_config_file(path: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # scenario implementations
-
-
-def verdict(name, passed, **inputs):
-    return {"invariant": name, "pass": bool(passed), "inputs": inputs}
 
 
 def _diagonal_trace(cfg) -> diagonal.Trace:

@@ -1,7 +1,9 @@
 """Leaf helpers that import no other gencomp module: the read-only guard
-of gencomp's value records, and `first_difference`, which names where a
+of gencomp's value records; `first_difference`, which names where a
 trace file differs from its replay or a diagonal trace from its write-back
-(so a scenario `verify`, which needs the former, never compiles `diagonal`).
+(so a scenario `verify`, which needs the former, never compiles `diagonal`);
+and the report's `rational` and `verdict` entries, which `harness` and
+`scenarios` both write (so neither imports the other for them).
 
 The small classes that hold the paper's objects (gap rules, reals, dyadic
 blocks, elements of the universal relation, ...) are plain `__slots__`
@@ -12,6 +14,7 @@ deletion raises AttributeError.
 """
 
 import json
+from math import gcd
 
 
 class Frozen:
@@ -44,3 +47,13 @@ def first_difference(a, b, path: str = ""):
                 return found
         return None if len(a) == len(b) else "%s[%d]" % (path, min(len(a), len(b)))
     return None if json.dumps(a) == json.dumps(b) else path or "$"
+
+
+def rational(num: int, den: int) -> dict:
+    """The rational num/den (den > 0) in lowest terms."""
+    g = gcd(num, den)
+    return {"num": num // g, "den": den // g}
+
+
+def verdict(name, passed, **inputs):
+    return {"invariant": name, "pass": bool(passed), "inputs": inputs}

@@ -13,8 +13,7 @@ import random
 
 from . import codings, enumops, reals, relations
 from .errors import InvariantViolationError
-# harness only binds this lazily registered module, so either may load first
-from .harness import rational, verdict
+from .records import rational, verdict
 
 
 def child_seed(seed: int, k: int) -> int:

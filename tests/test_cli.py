@@ -1,7 +1,8 @@
 """The command line contract, each case in a fresh interpreter so that a
 SystemExit or a traceback would show: help exits 0, every usage error exits
 2 with the usage on stderr, options take `--name value` and `--name=value`,
-and outputs that cannot be written are a config error."""
+and outputs that cannot be written are a config error.  The exit code of
+each error class is checked in process, by `cli.main`."""
 
 import copy
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gencomp import cli, harness
+from gencomp import cli, errors, harness
 from test_counting import ARTIFACT_GOLDEN
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -197,6 +198,33 @@ def test_out_dir_with_a_nul_is_a_config_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: cannot write outputs to %s" % target)
     assert "Traceback" not in proc.stderr
+
+
+# the exit code and stderr prefix of every error class; a class missing
+# here fails its row below until its exit code is decided
+EXIT_CODES = {
+    "GencompError": (1, "error"),
+    "UndefinedInputError": (1, "error"),
+    "CorruptDescriptionError": (1, "error"),
+    "CapacityError": (1, "error"),
+    "ConfigError": (2, "config error"),
+    "BudgetError": (3, "budget error"),
+    "InvariantViolationError": (4, "invariant violation"),
+}
+ERROR_CLASSES = sorted(name for name, cls in vars(errors).items()
+                       if isinstance(cls, type) and issubclass(cls, errors.GencompError))
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_each_error_class_has_one_exit_code(monkeypatch, capsys, name):
+    def refuse(path):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(harness, "verify_trace_file", refuse)
+    assert name in EXIT_CODES
+    code, prefix = EXIT_CODES[name]
+    assert cli.main(["verify", "trace.json"]) == code
+    assert capsys.readouterr() == ("", "%s: boom\n" % prefix)
 
 
 def test_a_contract_violation_exits_4_and_writes_nothing(tmp_path):

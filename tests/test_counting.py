@@ -155,16 +155,12 @@ def run(request):
 # --- the per-element oracles -------------------------------------------------
 
 
-def expand(runs):
-    return [n for lo, hi in runs for n in range(lo, hi)]
-
-
 def expand_events(events):
     return [(e, gap_stage, n) for e, gap_stage, lo, hi in events for n in range(lo, hi)]
 
 
 def oracle_densities(trace, e):
-    elems = set(expand(trace.enumerated_through(e, len(trace.records) - 1)))
+    elems = set(elements(trace.enumerated_through(e, len(trace.records) - 1)))
     return [
         (1 << (i + 1), prefix_density(lambda k: k in elems, 1 << (i + 1)))
         for i in range(trace.defined_through + 1)
@@ -189,7 +185,7 @@ def oracle_trap_events(trace, s):
         for stage, f, (lo, hi), _ in earlier:
             if f != e:
                 continue
-            for n in expand(rec.batches[e]):
+            for n in elements(rec.batches[e]):
                 if lo <= n < hi:
                     events.append((e, stage, n))
     return events
@@ -219,7 +215,7 @@ def oracle_tally(trace, e):
         if not gaps:
             tally["inactive"] += 1
             continue
-        elems = expand(trace.enumerated_through(e, len(trace.records) - 1))
+        elems = elements(trace.enumerated_through(e, len(trace.records) - 1))
         lo, hi = gaps[0]
         sprung = any(lo <= n < hi for n in elems)
         tally["sprung" if sprung else "pending"] += 1
@@ -327,7 +323,7 @@ def test_trap_events_match_all_pairs_scan(run):
         # each event is a maximal run of the batch inside the rule's gap
         for e, gap_stage, lo, hi in events:
             assert e in trace.records[gap_stage].acts
-            batch = set(expand(rec.batches[e]))
+            batch = set(elements(rec.batches[e]))
             gap_lo, gap_hi = gap_interval(gap_stage, e)
             assert gap_lo <= lo < hi <= gap_hi
             assert lo == gap_lo or lo - 1 not in batch
@@ -341,10 +337,10 @@ def test_batches_are_new_run_sets(run):
         for e, batch in rec.batches.items():
             assert all(lo < hi for lo, hi in batch)
             assert all(a[1] < b[0] for a, b in zip(batch, batch[1:])), batch
-            assert not seen[e] & set(expand(batch))
-            seen[e] |= set(expand(batch))
+            assert not seen[e] & set(elements(batch))
+            seen[e] |= set(elements(batch))
     for e in seen:
-        assert seen[e] == set(expand(trace.enumerated[e]))
+        assert seen[e] == set(elements(trace.enumerated[e]))
 
 
 def test_level_hits_match_unskipped_scan(run):
@@ -356,7 +352,7 @@ def test_level_hits_match_unskipped_scan(run):
             # each hit, one block's strings per side, expands back into
             # the act tuples of the scan, in the scan's order
             pairs = tuple(combo for hit in ctx.hits for combo in itertools.product(*hit))
-            assert pairs == oracle_hits(trace, l, expand(enum)), (e, l)
+            assert pairs == oracle_hits(trace, l, elements(enum)), (e, l)
 
 
 def test_trap_tallies_match_recount(run):
@@ -446,7 +442,7 @@ def test_value_sets_match_per_n_evaluation(run):
                 prefixes |= {node[0][: depth // 2], node[0]}
         for prefix in sorted(prefixes):
             values = {n for n in range(1, horizon) if trace.evaluate(i, prefix, n) == 1}
-            assert set(expand(functional_value_set(trace, prefix, i))) == values, (i, prefix)
+            assert set(elements(functional_value_set(trace, prefix, i))) == values, (i, prefix)
             undecided += sum(1 for node in nodes if len(node) > len(prefix) and node.startswith(prefix))
     assert undecided
 
@@ -505,7 +501,7 @@ def test_oracle_cases_exercise_every_branch():
         hits += len(LevelContext(len(trace.records) - 1, enum, trace).hits)
         skipped += sum(
             1 for s in range(len(trace.records) - 1)
-            if trace.records[s].acts and not any(1 << s <= n < 2 << s for n in expand(enum))
+            if trace.records[s].acts and not any(1 << s <= n < 2 << s for n in elements(enum))
         )
     assert hits and skipped
     tallies = [oracle_tally(trace, e) for e in range(trace.strategy_count)]

@@ -12,7 +12,7 @@ from gencomp.density import (
     gap_interval,
     prefix_density,
 )
-from gencomp.errors import MalformedGapError, UndefinedInputError
+from gencomp.errors import UndefinedInputError
 from gencomp.reals import SeededReal
 from gencomp.runs import difference, from_elements, normalize
 from oracles import elements
@@ -151,7 +151,7 @@ def test_gap_density_upper_examples():
     assert gap_density_upper(3, 1) == Fraction(3, 4)
     assert gap_density_upper(5, 0) == Fraction(1, 2)
     assert gap_density_upper(4, 4) == Fraction(31, 32)
-    with pytest.raises(MalformedGapError):
+    with pytest.raises(UndefinedInputError, match="^gap exponent 3 invalid for block 2$"):
         gap_density_upper(2, 3)
     # the bound is met with equality by the pure single-gap set
     member = lambda n: n not in {12, 13, 14, 15}
@@ -186,7 +186,7 @@ def test_gap_interval_is_a_block_suffix():
             assert hi == 2 << i and lo in range(1 << i, 2 << i)
             assert hi - lo == 1 << (i - e)
         for e in (-1, i + 1):
-            with pytest.raises(MalformedGapError):
+            with pytest.raises(UndefinedInputError, match="^gap exponent %d invalid for block %d$" % (e, i)):
                 gap_interval(i, e)
 
 

@@ -36,14 +36,7 @@ from gencomp.diagonal import (
     trace_to_jsonable,
     trap_status,
 )
-from gencomp.errors import (
-    BudgetError,
-    InvariantViolationError,
-    MalformedGapError,
-    SelectorCapError,
-    UndefinedInputError,
-    UndefinedRegionError,
-)
+from gencomp.errors import BudgetError, InvariantViolationError, UndefinedInputError
 from gencomp.harness import canonical_json, report_passes, run_experiment
 from gencomp.runs import from_elements
 from oracles import elements, run_pair
@@ -87,7 +80,7 @@ def test_eval_phi_errors():
     t = trace_of(defined=3)
     with pytest.raises(UndefinedInputError, match="^the functional's value starts at n=1$"):
         t.evaluate(0, "0", 0)
-    with pytest.raises(UndefinedRegionError, match="^n=16 lies beyond the defined horizon 2\\^4$"):
+    with pytest.raises(UndefinedInputError, match="^n=16 lies beyond the defined horizon 2\\^4$"):
         t.evaluate(0, "0", 16)
 
 
@@ -269,10 +262,9 @@ def test_select_marker_node_pair():
 
 
 def test_select_marker_cap_error():
-    with pytest.raises(SelectorCapError):
-        select_marker_node(("01",), [{"", "0", "01"}])
-    with pytest.raises(SelectorCapError):
-        select_marker_node(("01", "11"), [{"", "01"}, {"1"}])
+    for path, marked in ((("01",), [{"", "0", "01"}]), (("01", "11"), [{"", "01"}, {"1"}])):
+        with pytest.raises(InvariantViolationError, match="^every path prefix through the cap is marked$"):
+            select_marker_node(path, marked)
 
 
 # --- single-mode runs --------------------------------------------------------
@@ -545,7 +537,7 @@ def test_rejected_append_leaves_the_views_unchanged():
     for second, error, reason in (
         ({1: tuple(strings[:1] for strings in rec.acts[1])}, InvariantViolationError,
          "^act of strategy 1 at stage 3 "),
-        ({4: rec.acts[1]}, MalformedGapError, "^gap exponent 4 invalid for block 3$"),
+        ({4: rec.acts[1]}, UndefinedInputError, "^gap exponent 4 invalid for block 3$"),
     ):
         doctored = StageRecord({**rec.batches, 0: ((8, 9),)}, {0: rec.acts[0], **second})
         before = views()

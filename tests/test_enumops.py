@@ -11,7 +11,7 @@ from gencomp.enumops import (
     functional_to_operator,
     union_over_labeled_orderings,
 )
-from gencomp.errors import BudgetError, InsufficientOracleError
+from gencomp.errors import BudgetError, UndefinedInputError
 from gencomp.reals import SeededReal
 from oracles import run_machine
 
@@ -30,10 +30,11 @@ def test_apply_operator_examples():
 
 def test_apply_operator_oracle_bound():
     w = op_of((7, [2, 40]))
-    with pytest.raises(InsufficientOracleError):
+    with pytest.raises(UndefinedInputError, match="^axiom premise references 40 beyond bound 10$"):
         apply_operator(w, {2}, 10)
     w_pairs = op_of(((0, 1), [(12, 1)]))
-    with pytest.raises(InsufficientOracleError):
+    with pytest.raises(UndefinedInputError,
+                       match=r"^axiom premise references \(12, 1\) beyond bound 10$"):
         apply_operator(w_pairs, set(), 10)
 
 
@@ -45,7 +46,7 @@ def apply_per_axiom(op, members, bound):
     for output, premise in op.axioms:
         for el in premise:
             if (el[0] if isinstance(el, tuple) else el) >= bound:
-                raise InsufficientOracleError(
+                raise UndefinedInputError(
                     "axiom premise references %r beyond bound %d" % (el, bound)
                 )
         if premise <= members:
@@ -56,7 +57,7 @@ def apply_per_axiom(op, members, bound):
 def _applied(apply, *args):
     try:
         return apply(*args)
-    except InsufficientOracleError as exc:
+    except UndefinedInputError as exc:
         return ("insufficient", str(exc))
 
 
@@ -217,7 +218,8 @@ def test_operator_extent_bounds_every_premise():
     w = op_of(((0, 1), [(12, 1), (3, 0)]))
     assert w.extent == 13
     assert apply_operator(w, {(12, 1), (3, 0)}, 13) == {(0, 1)}
-    with pytest.raises(InsufficientOracleError):
+    with pytest.raises(UndefinedInputError,
+                       match=r"^axiom premise references \(12, 1\) beyond bound 12$"):
         apply_operator(w, set(), 12)
 
 

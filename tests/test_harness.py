@@ -308,7 +308,7 @@ def test_scenario_reports_pass():
         {"version": 1, "scenario": "operator-compile", "machine": "order-gate", "element_bound": 3, "label_bound": 2},
     ):
         report, _ = run_experiment(cfg)
-        assert report_passes(report), report["scenario"]
+        assert report_passes(report), cfg["scenario"]
 
 
 def test_rationals_not_floats_in_artifacts():
@@ -516,17 +516,21 @@ def test_first_difference_paths():
 
 
 def test_verify_rejects_trace_format_1(tmp_path, capsys):
-    # single-diagonal traces of one 4-stage config written by earlier
-    # formats: /1 listed batches element by element, /2 carried a per-act
+    # traces of earlier formats are refused by their tag before anything
+    # else is read: the /5 fixture, and the same document under the tags
+    # /1 to /4 (/1 listed batches element by element, /2 carried a per-act
     # level hash, /3 listed every strategy in every record and a final
     # block, /4 wrote every rule as [e, stage, node, side], /5 wrote the
-    # header counts and each record's stage, deaths and kept prefix lengths
+    # header counts and each record's stage, deaths and kept prefix lengths)
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v5.json")
+    with open(fixture) as fh:
+        doc = json.load(fh)
+    assert doc["format"] == "gencomp-trace/5"
     for version in (1, 2, 3, 4, 5):
         fmt = "gencomp-trace/%d" % version
-        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v%d.json" % version)
-        with open(fixture) as fh:
-            assert json.load(fh)["format"] == fmt
-        assert cli.main(["verify", fixture]) == 2
+        path = tmp_path / ("v%d.json" % version)
+        path.write_text(canonical_json(dict(doc, format=fmt)))
+        assert cli.main(["verify", str(path)]) == 2
         err = capsys.readouterr().err
         assert fmt in err and "gencomp-trace/6" in err and "gencomp-scenario-trace/5" in err
         assert "Traceback" not in err

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencomp.codings import IntervalCoding, ValuationCoding, encode_interval
-from gencomp.errors import CorruptDescriptionError, ExcludedIndexError, UndefinedInputError
+from gencomp.errors import CorruptDescriptionError, UndefinedInputError
 from gencomp.reals import GenericDescription, RealSpec, SeededReal, mix64, seeded_bit
 from gencomp.scenarios import child_seed
 from oracles import (
@@ -145,11 +145,11 @@ def _bulk_source(kind, seed):
 
 
 def _outcome(read):
-    """read()'s value, or the type of the gencomp error it raised."""
+    """read()'s value, or the type and message of the gencomp error it raised."""
     try:
         return read()
-    except (ExcludedIndexError, UndefinedInputError) as exc:
-        return type(exc)
+    except UndefinedInputError as exc:
+        return type(exc), str(exc)
 
 
 _KINDS = st.sampled_from(["seeded", "periodic", "valuation", "interval"])
