@@ -4,10 +4,10 @@ None of this is reached by a config, so it lives beside the tests rather
 than in the package: a refactor of `src/` cannot change the oracle that
 checks it.
 
-- Oracles: `elements` expands a run set, `uid` / `from_uid` (with
-  `stage_of_id`) bridge the symbolic elements of the universal relation and
-  their integer ids, and `run_machine` replays a stage machine on one
-  labelled ordering.
+- Oracles: `elements` expands a run set, `census_oracle` recounts a gap
+  census by scanning membership, `uid` / `from_uid` (with `stage_of_id`)
+  bridge the symbolic elements of the universal relation and their integer
+  ids, and `run_machine` replays a stage machine on one labelled ordering.
 - Fixtures: reals given by a finite prefix or by a preamble and a period,
   a description given as explicit pairs, a relation given as an edge list,
   and the two errors only these fixtures raise.
@@ -29,6 +29,22 @@ from gencomp.relations import _STARTS, FiniteReflexiveRelation, UElement
 def elements(runs) -> list:
     """Every element of a run set, ascending (small sets only)."""
     return [n for lo, hi in runs for n in range(lo, hi)]
+
+
+def census_oracle(member, i_max) -> list:
+    """The (i, e) records of a gap census through block i_max - 1, recounted
+    by scanning candidate suffixes directly: e is the smallest exponent
+    whose whole suffix of block i is absent, None if there is none."""
+    out = []
+    for i in range(i_max):
+        hi = 2 << i
+        found = None
+        for e in range(0, i + 1):
+            if all(not member(n) for n in range(hi - 2 ** (i - e), hi)):
+                found = e
+                break
+        out.append((i, found))
+    return out
 
 
 # ids and combo arithmetic are capped at this many bits (~0.5 MB integers);

@@ -19,11 +19,10 @@ from gencomp.codings import (
     decode_valuation,
     encode_interval,
 )
-from gencomp.density import gap_census, gap_density_upper, gap_interval, prefix_density
+from gencomp.density import gap_census, gap_density_upper, prefix_density
 from gencomp.diagonal import (
     LeftmostSelector,
     RightmostSelector,
-    ScriptedSelector,
     StrategySpec,
     audit_single_victim,
     audit_spoiling,
@@ -43,9 +42,9 @@ from gencomp.enumops import (
 from gencomp.harness import canonical_json, run_experiment
 from gencomp.reals import GenericDescription, SeededReal
 from gencomp.relations import FiniteReflexiveRelation, embed_relation, stage_interval, universal_rel
-from oracles import elements, run_pair
+from oracles import census_oracle, elements, run_pair
 from reference_engine import reference_level
-from test_density import gaps, present
+from test_density import gaps, make_gap_only, present
 
 MASTER_SEED = 20260811
 
@@ -58,30 +57,10 @@ def _passed(num, name, started, limit):
     print("[acceptance] criterion %d (%s): PASS in %.1fs" % (num, name, elapsed))
 
 
-def _gap_only_sets(count=200, i_max=13):
+def _gap_only_sets():
+    # the 200 gap-only sets that criteria 1 and 2 share
     rng = random.Random(MASTER_SEED)
-    out = []
-    for _ in range(count):
-        omitted = set()
-        for i in range(1, i_max):
-            if rng.random() < 0.6:
-                lo, hi = gap_interval(i, rng.randint(0, i))
-                omitted.update(range(lo, hi))
-        out.append(omitted)
-    return out
-
-
-def _census_oracle(member, i_max):
-    out = []
-    for i in range(i_max):
-        hi = 2 << i
-        found = None
-        for e in range(0, i + 1):
-            if all(not member(n) for n in range(hi - 2 ** (i - e), hi)):
-                found = e
-                break
-        out.append((i, found))
-    return out
+    return [make_gap_only(rng)[0] for _ in range(200)]
 
 
 def test_c01_gap_bound_law():
@@ -101,7 +80,7 @@ def test_c02_census_oracle_equivalence():
     started = time.process_time()
     for omitted in _gap_only_sets():
         member = lambda n: n not in omitted
-        assert list(gap_census(present(member, 13), 13).records) == _census_oracle(member, 13)
+        assert list(gap_census(present(member, 13), 13).records) == census_oracle(member, 13)
     _passed(2, "census oracle equivalence", started, 10)
 
 

@@ -244,6 +244,16 @@ def test_a_contract_violation_exits_4_and_writes_nothing(tmp_path):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def test_an_exhausted_node_budget_exits_3_and_writes_nothing(tmp_path):
+    # one node cannot pay for the first level search
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(CONFIG, node_budget=1)))
+    proc = gencomp("run", "cfg.json", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "budget error: level search exceeded the node budget\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("spelling", ["flag", "field"])
 def test_an_empty_out_dir_is_a_config_error(tmp_path, spelling):
     # an absent out_dir writes nothing; an empty one names no directory,

@@ -518,6 +518,19 @@ def test_pair_scripted_run_passes_its_audits():
     assert len(chains) == 2 and chains[0][1][0] == chains[1][1][0][:8]
 
 
+def test_a_trap_sprung_at_its_own_stage_has_no_trap_event():
+    # a tally counts a trap sprung when its gap holds any element the
+    # opponent enumerated, but a trap event is a run of a later stage's
+    # batch: strategy 1's stage-3 gap is [12, 16), and 13 and 15 are in
+    # that same stage's batch
+    _, doc = run_experiment(ORACLE_CASES["pair-scripted-12"])
+    trace = trace_from_jsonable(doc)
+    assert gap_interval(3, 1) == (12, 16)
+    assert trace.records[3].batches[1] == ((9, 10), (13, 14), (15, 16))
+    assert diagonal.trap_status(trace, 1, 3) == "sprung"
+    assert [event for events in trace.trap_events for event in events if event[:2] == (1, 3)] == []
+
+
 # a pair-catalog and a scenario-mix diagonal config of the benchmark (seed 1)
 STAGE_CASES = dict(
     ORACLE_CASES,

@@ -15,7 +15,7 @@ from gencomp.density import (
 from gencomp.errors import UndefinedInputError
 from gencomp.reals import SeededReal
 from gencomp.runs import difference, from_elements, normalize
-from oracles import elements
+from oracles import census_oracle, elements
 
 
 def present(member, i_max):
@@ -27,22 +27,6 @@ def present(member, i_max):
 def gaps(census):
     """The recorded (i, e) pairs, skipping gapless blocks."""
     return [(i, e) for i, e in census.records if e is not None]
-
-
-def census_oracle(member, i_max):
-    """Independent recount: smallest e whose whole suffix is absent,
-    found by scanning candidate suffixes directly."""
-    out = []
-    for i in range(i_max):
-        hi = 2 << i
-        found = None
-        for e in range(0, i + 1):
-            suffix = range(hi - 2 ** (i - e), hi)
-            if all(not member(n) for n in suffix):
-                found = e
-                break
-        out.append((i, found))
-    return out
 
 
 def make_gap_only(rng, i_max=13):

@@ -796,29 +796,9 @@ def test_flooder_dies_immediately():
     assert reference_level(trace, 0, 0) == []
 
 
-def test_run_config_validation():
-    with pytest.raises(UndefinedInputError):
-        RunConfig("triple", 5, ())
-    with pytest.raises(BudgetError):
-        RunConfig(SINGLE, 100, ())
-
-
 def test_run_budget_error():
     with pytest.raises(BudgetError):
         run_single(5, [StrategySpec(Silent(), LeftmostSelector())], node_budget=1)
-
-
-def test_trace_json_roundtrip():
-    trace = run_single(
-        6,
-        [StrategySpec(TrapSpringer(), LeftmostSelector()), StrategySpec(Silent(), RightmostSelector())],
-    )
-    doc = trace_to_jsonable(echoed(trace, 2))
-    back = trace_from_jsonable(doc)
-    assert trace_to_jsonable(back) == doc
-    assert back.death_stage == trace.death_stage
-    assert back.markers[1][-1] == trace.markers[1][-1]
-    assert audit_trace(back) == []
 
 
 @st.composite
