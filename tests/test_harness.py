@@ -285,14 +285,14 @@ def test_run_removes_csv_profiles_it_does_not_write(tmp_path):
     assert verify_trace_file(str(tmp_path / "trace.json")) == []
 
 
-def test_scenario_reports_pass():
-    for cfg in (
-        {"version": 1, "scenario": "coding-roundtrip", "seed": 5, "count": 3, "m_max": 6, "bound": 1024},
-        {"version": 1, "scenario": "relation-embed", "seed": 8, "count": 5, "max_size": 6},
-        {"version": 1, "scenario": "operator-compile", "machine": "order-gate", "element_bound": 3, "label_bound": 2},
-    ):
-        report, _ = run_experiment(cfg)
-        assert report_passes(report), cfg["scenario"]
+@pytest.mark.parametrize("cfg", [
+    {"version": 1, "scenario": "coding-roundtrip", "seed": 5, "count": 3, "m_max": 6, "bound": 1024},
+    {"version": 1, "scenario": "relation-embed", "seed": 8, "count": 5, "max_size": 6},
+    {"version": 1, "scenario": "operator-compile", "machine": "order-gate", "element_bound": 3, "label_bound": 2},
+], ids=lambda cfg: cfg["scenario"])
+def test_scenario_reports_pass(cfg):
+    report, _ = run_experiment(cfg)
+    assert report_passes(report)
 
 
 def test_rationals_not_floats_in_artifacts():
@@ -410,27 +410,23 @@ def refused(fmt):
             "gencomp-trace/6 and gencomp-scenario-trace/5 traces\n" % (fmt,))
 
 
-def test_verify_rejects_trace_format_1(tmp_path, capsys):
-    # traces of earlier formats are refused by their tag before anything
-    # else is read: the /5 fixture, and the same document under the tags
-    # /1 to /4 (/1 listed batches element by element, /2 carried a per-act
-    # level hash, /3 listed every strategy in every record and a final
-    # block, /4 wrote every rule as [e, stage, node, side], /5 wrote the
-    # header counts and each record's stage, deaths and kept prefix lengths)
+# traces of earlier formats are refused by their tag before anything else
+# is read: the /5 fixture, and the same document under the tags /1 to /4
+# (/1 listed batches element by element, /2 carried a per-act level hash,
+# /3 listed every strategy in every record and a final block, /4 wrote every
+# rule as [e, stage, node, side], /5 wrote the header counts and each
+# record's stage, deaths and kept prefix lengths); a document that is no
+# object has no tag
+@pytest.mark.parametrize("fmt", ["gencomp-trace/%d" % version for version in (1, 2, 3, 4, 5)] + [None])
+def test_verify_rejects_trace_format_1(tmp_path, capsys, fmt):
     fixture = os.path.join(os.path.dirname(__file__), "fixtures", "trace_v5.json")
     with open(fixture) as fh:
         doc = json.load(fh)
     assert doc["format"] == "gencomp-trace/5"
-    for version in (1, 2, 3, 4, 5):
-        fmt = "gencomp-trace/%d" % version
-        path = tmp_path / ("v%d.json" % version)
-        path.write_text(canonical_json(dict(doc, format=fmt)))
-        assert cli.main(["verify", str(path)]) == 2
-        assert capsys.readouterr() == refused(fmt)
-    not_an_object = tmp_path / "list.json"
-    not_an_object.write_text("[1, 2]")
-    assert cli.main(["verify", str(not_an_object)]) == 2
-    assert capsys.readouterr() == refused(None)
+    path = tmp_path / "old.json"
+    path.write_text(canonical_json(dict(doc, format=fmt)) if fmt else "[1, 2]")
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == refused(fmt)
 
 
 def test_verify_loads_only_as_many_records_as_its_config_runs(tmp_path, capsys):
