@@ -97,6 +97,7 @@ def _scripted_selector(entries, make=single_config):
     # a non-ASCII digit is a digit to str.isdigit, not a stage key
     (_scripted_enumerator({"٣": [1]}),
      "enumerator stage keys must be distinct naturals, got '٣'"),
+    (_scripted_enumerator({"-1": [5]}), "enumerator stage keys must be distinct naturals, got '-1'"),
     # the keys '2' and '02' name one stage
     (_scripted_enumerator({"2": [5], "02": [6]}),
      "enumerator stage keys must be distinct naturals, got '02'"),
@@ -111,10 +112,14 @@ def _scripted_selector(entries, make=single_config):
     (_scripted_selector([[2]]), "scripted selector entries are [from_stage, node]"),
     (_scripted_selector([[2, "0a1"]]), "single selector nodes are bit strings"),
     (_scripted_selector([["x", "01"]]), "scripted selector stages must be distinct naturals, got 'x'"),
+    (_scripted_selector([[-1, "01"]]), "scripted selector stages must be distinct naturals, got -1"),
     (_scripted_selector([[2, "01"], [2, "00"]]),
      "scripted selector stages must be distinct naturals, got 2"),
     (_scripted_selector([[2, "01"]], _pair_config), "pair selector nodes are [x_bits, y_bits]"),
     (_scripted_selector([[2, ["01"]]], _pair_config), "pair selector nodes are [x_bits, y_bits]"),
+    # each side of a pair node is a bit string
+    (_scripted_selector([[2, ["01", 5]]], _pair_config), "pair selector nodes are [x_bits, y_bits]"),
+    (_scripted_selector([[2, ["01", "2"]]], _pair_config), "pair selector nodes are [x_bits, y_bits]"),
     (_scenario_config("nope"), "unknown scenario 'nope'"),
     (_scenario_config("coding-roundtrip"), "missing required field 'seed'"),
     # a drawn seed lies in [0, 2^64)
@@ -146,8 +151,6 @@ def test_loaders():
     w = load_enumerator({"kind": "scripted", "stages": {"2": [5, 1]}})
     assert w.new_elements(0, 2, None) == ((1, 2), (5, 6))
     assert type(load_enumerator({"kind": "trap-springer"})).name == "trap-springer"
-    with pytest.raises(ConfigError):
-        load_enumerator({"kind": "scripted", "stages": {"x": [1]}})
     assert load_selector({"kind": "rightmost"}, "single").bit == "1"
     sel = load_selector({"kind": "scripted", "entries": [[2, "01"]]}, "single")
     assert sel.entries == ((2, ("01",)),)
